@@ -50,7 +50,9 @@
 // README.
 //
 // The heavy lifting lives in the internal packages: internal/simtime
-// (deterministic discrete-event engine), internal/mesh (2D mesh NoC),
+// (deterministic discrete-event engine; simulated processes are pooled
+// coroutines, so a system must not be run from a goroutine that holds
+// runtime.LockOSThread), internal/mesh (2D mesh NoC),
 // internal/scc (cores, caches, message-passing buffers), internal/rcce,
 // internal/ircce, internal/lwnb (the three point-to-point libraries),
 // internal/core (the paper's optimized collectives), internal/rckmpi

@@ -4,20 +4,20 @@ import (
 	"errors"
 	"runtime"
 	"testing"
-	"time"
 
 	sccsim "scc"
 	"scc/internal/simtime"
 )
 
-// The scheduler hands the control token between process goroutines
-// directly, so every abnormal exit must unwind 48 parked goroutines by
-// hand. This pins the chaos-kill path end to end: an injected core
-// death panics the victim's process, the survivors deadlock, Run
-// returns a typed ErrCoreDead — and nothing is left parked on a resume
-// channel. Process goroutines run on pooled workers that legitimately
-// stay parked after a run; draining the pool before counting separates
-// that expected state from a real leak.
+// Every process runs on a coroutine suspended inside its own call
+// stack, so every abnormal exit must unwind 48 of them by hand. This
+// pins the chaos-kill path end to end: an injected core death panics
+// the victim's process, the survivors deadlock, Run returns a typed
+// ErrCoreDead — and nothing is left suspended mid-process. The
+// coroutines are pooled workers that legitimately stay parked after a
+// run; draining the pool before counting separates that expected state
+// from a real leak, and because parking and retiring are both
+// synchronous the count is exact without waiting.
 func TestChaosKillLeavesNoGoroutines(t *testing.T) {
 	simtime.DrainWorkerPool()
 	base := runtime.NumGoroutine()
@@ -39,18 +39,9 @@ func TestChaosKillLeavesNoGoroutines(t *testing.T) {
 	}
 
 	simtime.DrainWorkerPool()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		if n := runtime.NumGoroutine(); n <= base {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			buf = buf[:runtime.Stack(buf, true)]
-			t.Fatalf("chaos kill leaked %d goroutines past baseline %d\n%s",
-				runtime.NumGoroutine()-base, base, buf)
-		}
-		time.Sleep(time.Millisecond)
+	if n := runtime.NumGoroutine(); n > base {
+		buf := make([]byte, 1<<16)
+		buf = buf[:runtime.Stack(buf, true)]
+		t.Fatalf("chaos kill leaked %d goroutines past baseline %d\n%s", n-base, base, buf)
 	}
 }

@@ -14,15 +14,28 @@ import (
 // TestParallelPanelMatchesSerial is the determinism contract of the
 // parallel runner: for every one of the six collectives, the pooled
 // sweep must reproduce the serial Panel bit for bit. Virtual-time
-// results may never depend on host scheduling.
+// results may never depend on host scheduling. It also crosses
+// goroutines with the process pool: the serial sweep runs its engines on
+// the test goroutine and leaves one chip's worth of coroutines parked,
+// which the four runner goroutines must then adopt and resume.
 func TestParallelPanelMatchesSerial(t *testing.T) {
 	m := timing.Default()
 	sizes := []int{24, 52}
+	simtime.DrainWorkerPool()
 	for _, op := range AllOps() {
 		serial := Panel(m, op, sizes, 1)
+		before := simtime.WorkerPoolStats()
 		parallel := NewRunner(4).Panel(m, op, sizes, 1)
 		if !reflect.DeepEqual(serial, parallel) {
 			t.Fatalf("%s: parallel panel differs from serial:\nserial:   %+v\nparallel: %+v", op, serial, parallel)
+		}
+		after := simtime.WorkerPoolStats()
+		if got := after.Adopted - before.Adopted; got < uint64(before.Idle) {
+			t.Fatalf("%s: runner goroutines adopted %d pooled coroutines, want at least the %d the serial sweep parked",
+				op, got, before.Idle)
+		}
+		if after.Workers != after.Idle {
+			t.Fatalf("%s: %d of %d pool workers not parked after the sweep", op, after.Workers-after.Idle, after.Workers)
 		}
 	}
 }

@@ -99,10 +99,10 @@ func SelfBench(model *timing.Model, workers int) []SelfBenchResult {
 		}
 	}))
 
-	// Micro: the pure cross-goroutine handoff. Two processes whose
-	// wake-ups strictly alternate, so every event pays exactly one channel
-	// rendezvous and zero fast-path hits — the scheduler's floor when
-	// control must change goroutines.
+	// Micro: the pure process switch. Two processes whose wake-ups
+	// strictly alternate, so every event pays a yield to the dispatcher
+	// and a resume of the other process and there are zero fast-path
+	// hits — the scheduler's floor when control must change processes.
 	const handoffs = 1_000_000
 	heng := simtime.NewEngine()
 	heng.Spawn("a", func(p *simtime.Proc) {
@@ -123,7 +123,7 @@ func SelfBench(model *timing.Model, workers int) []SelfBenchResult {
 	}))
 
 	// Micro: the same-proc fast path. A single process sleeping against an
-	// empty queue advances the clock inline — no queue, no channel.
+	// empty queue advances the clock inline — no queue, no switch.
 	const fastSleeps = 20_000_000
 	feng := simtime.NewEngine()
 	feng.Spawn("solo", func(p *simtime.Proc) {

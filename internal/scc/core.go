@@ -19,7 +19,10 @@ type Core struct {
 	ID   int
 	chip *Chip
 	tile mesh.Coord
-	proc *simtime.Proc
+	// memHops is the mesh distance from tile to the memory controller
+	// serving this core; fixed geometry, so computed once in newCore.
+	memHops int
+	proc    *simtime.Proc
 
 	priv []byte
 	brk  Addr
@@ -158,12 +161,14 @@ type Profile struct {
 
 func newCore(chip *Chip, id int) *Core {
 	m := chip.Model
+	tile := chip.TileOf(id)
 	return &Core{
-		ID:   id,
-		chip: chip,
-		tile: chip.TileOf(id),
-		l1:   cacheLevel{capacity: m.L1DataBytes / m.CacheLineBytes},
-		l2:   cacheLevel{capacity: m.L2Bytes / m.CacheLineBytes},
+		ID:      id,
+		chip:    chip,
+		tile:    tile,
+		memHops: mesh.Hops(tile, chip.memControllerFor(id)),
+		l1:      cacheLevel{capacity: m.L1DataBytes / m.CacheLineBytes},
+		l2:      cacheLevel{capacity: m.L2Bytes / m.CacheLineBytes},
 	}
 }
 
@@ -236,7 +241,6 @@ func (c *Core) privAccessCost(a Addr, write bool) simtime.Duration {
 		}
 		d = m.L2Hit()
 	default:
-		hops := mesh.Hops(c.tile, c.chip.memControllerFor(c.ID))
 		c.l1.insert(line)
 		if !write { // L2 is non-write-allocate
 			c.l2.insert(line)
@@ -245,7 +249,7 @@ func (c *Core) privAccessCost(a Addr, write bool) simtime.Duration {
 			reg.Count(c.ID, metrics.CtrL1Misses)
 			reg.Count(c.ID, metrics.CtrL2Misses)
 		}
-		d = m.DRAMAccess(hops)
+		d = m.DRAMAccess(c.memHops)
 	}
 	if reg != nil {
 		reg.AddPhase(c.ID, metrics.PhaseMemory, d)
@@ -359,7 +363,7 @@ func (c *Core) OverheadCycles(n int64) { c.chargeCyclesAs(metrics.PhaseOverhead,
 
 // mpbHops returns the mesh distance from this core to the MPB of owner.
 func (c *Core) mpbHops(owner int) int {
-	return mesh.Hops(c.tile, c.chip.TileOf(owner))
+	return mesh.Hops(c.tile, c.chip.Cores[owner].tile)
 }
 
 // mpbLineAccess charges the latency of one line-sized MPB access and
@@ -387,7 +391,7 @@ func (c *Core) mpbAccessCost(owner, nLines int, read bool) simtime.Duration {
 	}
 	// Remote: packets also occupy mesh links. The data-bearing
 	// direction is owner->me for reads and me->owner for writes.
-	from, to := c.tile, c.chip.TileOf(owner)
+	from, to := c.tile, c.chip.Cores[owner].tile
 	if read {
 		from, to = to, from
 	}

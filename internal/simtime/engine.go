@@ -26,15 +26,14 @@ type event struct {
 }
 
 // eventQueue is a sorted ring deque of events ordered ascending by
-// (at, seq). It replaced the 4-ary min-heap when the scheduler moved to
-// direct handoff: with the context-switch tax halved, the heap's
-// O(log n) sift-down on every pop became the next largest term. The
-// deque makes pop O(1) — take the head, advance the ring index — and
-// puts the cost on push, where the simulator's real insertion patterns
-// are nearly free: a sleeping process schedules the latest event so far
-// (append at the tail, zero shifts), and a Broadcast schedules at the
-// current instant (insert at or near the head, shifting only the
-// same-time band). Arbitrary deadlines (WaitOnTimeout) binary-search
+// (at, seq). It replaced a 4-ary min-heap once process switching was
+// cheap enough for the heap's O(log n) sift-down on every pop to be the
+// next largest term. The deque makes pop O(1) — take the head, advance
+// the ring index — and puts the cost on push, where the simulator's
+// real insertion patterns are nearly free: a sleeping process schedules
+// the latest event so far (append at the tail, zero shifts), and a
+// Broadcast schedules at the current instant (insert at or near the
+// head, shifting only the same-time band). Arbitrary deadlines (WaitOnTimeout) binary-search
 // their slot and shift the smaller side. (at, seq) is a total order
 // because seq is unique, so the pop sequence is identical to both heap
 // implementations before it; TestEventQueueMatchesContainerHeap pins
@@ -124,19 +123,17 @@ func (h *eventQueue) grow() {
 // Engine is a deterministic discrete-event scheduler. Create one with
 // NewEngine, add processes with Spawn, then call Run.
 //
-// Scheduling is by direct handoff: there is no central dispatcher
-// goroutine ping-ponging with the processes. Exactly one goroutine —
-// one process, or the Run caller at the very start and end — holds the
-// control token at any instant and therefore owns all engine state.
-// When the running process blocks, it pops the next runnable event
-// itself and resumes that event's process directly (one channel
-// operation per event); when the next event is its own wake-up, it
-// just advances the clock and keeps running (zero channel operations,
-// the same-proc fast path). The Run caller parks on the root channel
-// and is handed the token back only to report the outcome: completion,
-// deadlock, a propagated panic, or the RunUntil limit.
-//
-// The zero value is not usable.
+// Run is a dispatcher loop on the caller's goroutine: pop the next
+// runnable event, resume the coroutine of the process it wakes, and
+// take control back when that process blocks or returns. Every process
+// body runs on a pooled iter.Pull coroutine (see pool.go), so a switch
+// in either direction is a runtime coroswitch — a direct
+// goroutine-to-goroutine transfer that touches no run queue and wakes
+// no thread. Exactly one goroutine runs at any instant and therefore
+// owns all engine state. A blocking process pops the next event itself:
+// when it is its own wake-up it advances the clock and keeps running
+// (no switch at all, the same-proc fast path); otherwise it leaves the
+// woken process in Engine.next and yields to the dispatcher.
 type Engine struct {
 	now   Time
 	queue eventQueue
@@ -154,32 +151,27 @@ type Engine struct {
 	live      int // processes that have not finished
 	failed    error
 
-	// root parks the Run caller while processes hand control among
-	// themselves; the process that ends the run (last finisher, deadlock
-	// or limit detector, panicking process) sends the token back here.
-	root chan struct{}
-	// shuttingDown redirects every unwinding process straight back to
-	// the root channel so Engine.shutdown can reap victims one at a time.
-	shuttingDown bool
+	// next is the process whose wake-up a blocking process popped before
+	// yielding; the dispatcher resumes it instead of popping again. Nil
+	// when the yielding process found nothing runnable.
+	next *Proc
 
 	// RunUntil state: abort when an event beyond limit is popped.
 	limit   Time
 	limited bool
-	// limitHit/limitAt carry the abort from the process that popped the
-	// offending event back to Run, which formats the error.
+	// limitHit/limitAt carry the abort from whoever popped the offending
+	// event to the end of Run, which formats the error.
 	limitHit bool
 	limitAt  Time
 
-	// Scheduler statistics: events delivered by cross-goroutine handoff
-	// vs. absorbed inline by the same-proc fast path.
+	// Scheduler statistics: events delivered by a switch to another
+	// process vs. absorbed inline by the same-proc fast path.
 	handoffs uint64
 	fastpath uint64
 }
 
 // NewEngine returns an empty engine at virtual time zero.
-func NewEngine() *Engine {
-	return &Engine{root: make(chan struct{}, 1)}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now reports the current virtual time. During Run this is the timestamp
 // of the event being executed.
@@ -189,28 +181,22 @@ func (e *Engine) Now() Time { return e.now }
 // engine over its lifetime.
 func (e *Engine) NumSpawned() int { return e.spawned }
 
-// SchedStats reports how many events have been delivered by a
-// cross-goroutine handoff and how many were absorbed inline by the
-// same-proc fast path since the engine was created. Their sum is the
-// total number of events executed; fastpath/(handoffs+fastpath) is the
-// fast-path hit rate.
+// SchedStats reports how many events have been delivered by switching
+// to another process and how many were absorbed inline by the same-proc
+// fast path since the engine was created. Their sum is the total number
+// of events executed; fastpath/(handoffs+fastpath) is the fast-path hit
+// rate.
 func (e *Engine) SchedStats() (handoffs, fastpath uint64) {
 	return e.handoffs, e.fastpath
 }
 
 // Spawn registers a new process that will begin executing fn at time 0
-// when Run is called. The name is used in diagnostics. fn runs on its own
-// goroutine but only while it holds the engine's control token; it must
-// use the Proc's blocking methods (Sleep, WaitOn, ...) rather than
+// when Run is called. The name is used in diagnostics. fn runs on a
+// coroutine of its own but only while the engine has switched to it; it
+// must use the Proc's blocking methods (Sleep, WaitOn, ...) rather than
 // real-time synchronization.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		id:     e.spawned,
-		name:   name,
-		eng:    e,
-		fn:     fn,
-		resume: make(chan struct{}, 1),
-	}
+	p := &Proc{id: e.spawned, name: name, eng: e, fn: fn}
 	e.spawned++
 	e.unstarted = append(e.unstarted, p)
 	return p
@@ -225,6 +211,27 @@ func (e *Engine) schedule(p *Proc, at Time) {
 	e.queue.push(event{at: at, seq: e.seq, proc: p, gen: p.wakeGen})
 }
 
+// pop removes the next runnable event, advances the clock to it and
+// returns the process it wakes. Stale wake-ups (finished processes,
+// losers of a signal/timeout race) are discarded on the way. Nil means
+// the run cannot continue: the queue drained, or the event lies beyond
+// the RunUntil limit (recorded in limitHit/limitAt).
+func (e *Engine) pop() *Proc {
+	for e.queue.n > 0 {
+		ev := e.queue.pop()
+		if ev.proc.done || ev.gen != ev.proc.wakeGen {
+			continue
+		}
+		if e.limited && ev.at > e.limit {
+			e.limitHit, e.limitAt = true, ev.at
+			return nil
+		}
+		e.now = ev.at
+		return ev.proc
+	}
+	return nil
+}
+
 // Run executes the simulation until every process has returned. It returns
 // ErrDeadlock (wrapped with the list of stuck processes) if live processes
 // remain with no pending events, or the panic value if a process panics.
@@ -232,10 +239,12 @@ func (e *Engine) schedule(p *Proc, at Time) {
 // Run may be called again after it returns: processes spawned since the
 // previous Run start at the current virtual time, so a sequence of
 // programs accumulates time on one engine.
+//
+// Run must not be called from a goroutine locked to an OS thread
+// (runtime.LockOSThread): pooled coroutines may have been created by
+// another goroutine, and the runtime only resumes a coroutine under the
+// thread-lock state it was created in (it throws otherwise).
 func (e *Engine) Run() error {
-	if e.root == nil {
-		e.root = make(chan struct{}, 1)
-	}
 	// Every earlier run ended with all its processes reaped (live == 0 on
 	// every exit path), so only the processes spawned since then need
 	// starting; the engine never rescans its full spawn history.
@@ -246,32 +255,39 @@ func (e *Engine) Run() error {
 		e.live++
 	}
 	e.unstarted = e.unstarted[:0]
-	if e.live == 0 {
-		return nil
+
+	for e.live > 0 && e.failed == nil && !e.limitHit {
+		p := e.next
+		if p == nil {
+			if p = e.pop(); p == nil {
+				break
+			}
+		}
+		e.next = nil
+		e.handoffs++
+		p.w.next()
+		if p.done {
+			// Parked here, not by the worker itself: no worker is ever in
+			// flight between finishing and parking once Run has returned.
+			parkWorker(p.w)
+		}
 	}
-	// Hand the control token to the first runnable event's process, then
-	// park until the token comes back with the run's outcome.
-	if e.dispatchFromRoot() {
-		<-e.root
-	}
-	if e.failed != nil {
-		err := e.failed
-		e.shutdown()
-		return err
-	}
-	if e.limitHit {
+
+	var err error
+	switch {
+	case e.failed != nil:
+		err = e.failed
+	case e.limitHit:
 		e.limitHit = false
-		err := fmt.Errorf("%w: next event at %v > limit %v", ErrTimeLimit, e.limitAt, e.limit)
-		e.shutdown()
-		return err
+		err = fmt.Errorf("%w: next event at %v > limit %v", ErrTimeLimit, e.limitAt, e.limit)
+	case e.live > 0:
+		err = e.deadlockError()
 	}
-	if e.live > 0 {
-		err := e.deadlockError()
+	if err != nil {
 		e.shutdown()
-		return err
 	}
 	e.clearActive()
-	return nil
+	return err
 }
 
 // clearActive empties the active list (all its processes are done),
@@ -282,98 +298,6 @@ func (e *Engine) clearActive() {
 		e.active[i] = nil
 	}
 	e.active = e.active[:0]
-}
-
-// dispatchFromRoot pops the next runnable event and resumes its process,
-// reporting whether a handoff happened. False means the Run caller keeps
-// the token: the queue drained with live processes remaining (deadlock)
-// or the first event already lies beyond the RunUntil limit.
-func (e *Engine) dispatchFromRoot() bool {
-	for {
-		if e.queue.n == 0 {
-			return false
-		}
-		ev := e.queue.pop()
-		if ev.proc.done || ev.gen != ev.proc.wakeGen {
-			continue
-		}
-		if e.limited && ev.at > e.limit {
-			e.limitHit, e.limitAt = true, ev.at
-			return false
-		}
-		e.now = ev.at
-		e.handoffs++
-		ev.proc.resume <- struct{}{}
-		return true
-	}
-}
-
-// next is called by a blocked process that has already arranged its
-// future wake-up (a scheduled event or a signal registration). It pops
-// the next runnable event and either returns inline — the same-proc
-// fast path, when the event is the caller's own wake-up — or resumes
-// the event's process and parks until this process is woken in turn.
-// When no event remains (deadlock) or an event beyond the RunUntil
-// limit surfaces, the token goes back to Run and the caller parks until
-// Engine.shutdown reaps it.
-func (e *Engine) next(p *Proc) {
-	for {
-		if e.queue.n == 0 {
-			e.root <- struct{}{}
-			<-p.resume
-			return
-		}
-		ev := e.queue.pop()
-		if ev.proc.done || ev.gen != ev.proc.wakeGen {
-			continue
-		}
-		if e.limited && ev.at > e.limit {
-			e.limitHit, e.limitAt = true, ev.at
-			e.root <- struct{}{}
-			<-p.resume
-			return
-		}
-		e.now = ev.at
-		if ev.proc == p {
-			e.fastpath++
-			return
-		}
-		e.handoffs++
-		ev.proc.resume <- struct{}{}
-		<-p.resume
-		return
-	}
-}
-
-// finish is the tail of every process goroutine: the process is done
-// (normally, by panic, or killed), so pass the control token on — to the
-// next event's process, or back to Run when the simulation is over
-// (nothing live, nothing runnable, a recorded failure, or a shutdown in
-// progress).
-func (e *Engine) finish() {
-	if e.shuttingDown || e.failed != nil || e.live == 0 {
-		e.root <- struct{}{}
-		return
-	}
-	for {
-		if e.queue.n == 0 {
-			e.root <- struct{}{} // survivors are deadlocked
-			return
-		}
-		ev := e.queue.pop()
-		if ev.proc.done || ev.gen != ev.proc.wakeGen {
-			continue
-		}
-		if e.limited && ev.at > e.limit {
-			e.limitHit, e.limitAt = true, ev.at
-			e.root <- struct{}{}
-			return
-		}
-		e.now = ev.at
-		e.handoffs++
-		ev.proc.resume <- struct{}{}
-		return
-	}
 }
 
 // RunUntil executes like Run but aborts (with ErrTimeLimit) as soon as
@@ -392,22 +316,20 @@ func (e *Engine) RunUntil(limit Time) error {
 // given limit before all processes finish.
 var ErrTimeLimit = errors.New("simtime: virtual time limit exceeded")
 
-// shutdown force-terminates every still-blocked process goroutine so that
-// a failed simulation does not leak goroutines. Each victim is resumed
-// once with its killed flag set; Proc.block panics with killSentinel, the
-// process wrapper swallows it, and finish hands the token straight back
-// here (shuttingDown), one victim at a time.
+// shutdown force-terminates every still-blocked process so that a failed
+// simulation leaks nothing. Each victim is resumed once with its killed
+// flag set: Proc.block panics with killSentinel, Proc.run swallows it,
+// and the coroutine yields back here to be parked, one victim at a time.
 func (e *Engine) shutdown() {
-	e.shuttingDown = true
 	for _, p := range e.active {
 		if !p.done {
 			p.killed = true
-			p.resume <- struct{}{}
-			<-e.root
+			p.w.next()
+			if p.done {
+				parkWorker(p.w)
+			}
 		}
 	}
-	e.shuttingDown = false
-	e.clearActive()
 }
 
 func (e *Engine) deadlockError() error {

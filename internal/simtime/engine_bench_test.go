@@ -5,7 +5,7 @@ import "testing"
 // BenchmarkEventLoop measures the engine's schedule/pop/context-switch
 // cycle: 48 processes (one simulated chip's worth) each sleeping
 // repeatedly, so every iteration is one full trip through the event
-// queue plus one goroutine handoff.
+// queue plus one process switch (a yield and a resume).
 func BenchmarkEventLoop(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()
@@ -23,10 +23,10 @@ func BenchmarkEventLoop(b *testing.B) {
 	}
 }
 
-// BenchmarkHandoff isolates the direct-handoff path: two processes whose
+// BenchmarkHandoff isolates the process switch: two processes whose
 // wake-ups strictly alternate, so every Sleep finds the other process's
-// event at the head of the queue and must hand the control token across
-// goroutines. Zero fast-path hits by construction.
+// event at the head of the queue and must yield to the dispatcher, which
+// resumes the other coroutine. Zero fast-path hits by construction.
 func BenchmarkHandoff(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()
@@ -54,7 +54,7 @@ func BenchmarkHandoff(b *testing.B) {
 
 // BenchmarkSameProcFastPath isolates the fused Sleep fast path: a single
 // process sleeping with an empty queue advances the clock inline with no
-// queue operation and no channel operation at all.
+// queue operation and no switch at all.
 func BenchmarkSameProcFastPath(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine()
@@ -100,8 +100,8 @@ func BenchmarkTimeoutManyWaiters(b *testing.B) {
 	}
 }
 
-// BenchmarkEventQueue isolates the event queue itself (no goroutine
-// handoff): push/pop cycles at a steady queue depth of 48, the
+// BenchmarkEventQueue isolates the event queue itself (no process
+// switch): push/pop cycles at a steady queue depth of 48, the
 // simulator's standing population.
 func BenchmarkEventQueue(b *testing.B) {
 	b.ReportAllocs()

@@ -4,37 +4,28 @@ import (
 	"errors"
 	"runtime"
 	"testing"
-	"time"
 )
 
-// waitGoroutines drains the worker pool, then polls until the live
-// goroutine count falls back to the baseline (pool workers park — and,
-// once drained, unwind — asynchronously after shutdown hands control
-// back to Run's caller). Draining first separates the two leak classes:
-// a parked pool worker is expected state, a goroutine that survives the
-// drain is a real leak.
+// waitGoroutines drains the worker pool and checks that the live
+// goroutine count is back at the baseline. No polling: a finished
+// process's worker is parked by the dispatcher before Run returns, and
+// retiring a parked coroutine is synchronous, so the count is exact the
+// moment DrainWorkerPool returns. Draining first separates the two leak
+// classes: a parked pool worker is expected state, a goroutine that
+// survives the drain is a real leak.
 func waitGoroutines(t *testing.T, base int, context string) {
 	t.Helper()
 	DrainWorkerPool()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		runtime.GC()
-		if n := runtime.NumGoroutine(); n <= base {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			buf = buf[:runtime.Stack(buf, true)]
-			t.Fatalf("%s: %d goroutines leaked past baseline %d\n%s",
-				context, runtime.NumGoroutine()-base, base, buf)
-		}
-		time.Sleep(time.Millisecond)
+	if n := runtime.NumGoroutine(); n > base {
+		buf := make([]byte, 1<<16)
+		buf = buf[:runtime.Stack(buf, true)]
+		t.Fatalf("%s: %d goroutines leaked past baseline %d\n%s", context, n-base, base, buf)
 	}
 }
 
-// Every abnormal exit from Run must reap all process goroutines: the
+// Every abnormal exit from Run must reap all process coroutines: the
 // shutdown/unwind invariant says no path — deadlock, panic, or a
-// RunUntil limit — may strand a parked goroutine on its resume channel.
+// RunUntil limit — may strand a coroutine suspended inside a process.
 func TestShutdownReapsGoroutinesDeadlock(t *testing.T) {
 	base := runtime.NumGoroutine()
 	eng := NewEngine()

@@ -1,50 +1,61 @@
 package simtime
 
 import (
-	"runtime"
+	"iter"
 	"sync"
 )
 
-// This file is the process-goroutine pool. Before it, every Spawn paid a
+// This file is the process-coroutine pool. Before it, every Spawn paid a
 // fresh goroutine (stack allocation plus scheduler registration) and
 // every run teardown paid the matching exits — a bench sweep creates and
 // destroys NumCores goroutines per cell, and a 10,000-core chip would
 // create and destroy 10,000 per run. The pool replaces that with
-// trampoline workers: a worker goroutine runs one process to completion,
-// parks itself on a free list, and is re-adopted by the next Spawned
-// process of any engine in the same Go process.
+// trampoline workers: a worker coroutine runs one process to completion,
+// is parked on a free list by the dispatcher, and is re-adopted by the
+// next started process of any engine in the same Go process, whichever
+// goroutine that engine runs on.
 //
-// Determinism is untouched: each Proc still owns its private resume
-// channel and the engine's direct-handoff token protocol is unchanged —
-// the pool only changes which OS-level goroutine the process body runs
-// on, which no simulated program can observe.
+// Determinism is untouched: the pool only changes which coroutine a
+// process body runs on, which no simulated program can observe.
 //
 // The pool is process-global (workers outlive engines by design), so all
 // bookkeeping is mutex-guarded. The synchronization is cheap: exactly
 // two pool operations per process lifetime (adopt, park), nothing on the
 // event hot path.
 
-// worker is one parked trampoline goroutine. Its jobs channel carries at
-// most one process at a time (capacity 1, so handing it work never
-// blocks the spawner); closing the channel retires the worker.
+// worker is one trampoline coroutine made by iter.Pull. next switches
+// to it and returns when it yields; stop retires it. Only the goroutine
+// that owns the worker — the one running the engine that adopted it, or
+// the one draining the pool — calls either.
 type worker struct {
-	jobs chan *Proc
+	next func() (struct{}, bool)
+	stop func()
+	// yield switches back to whoever called next; it reports false once
+	// stop has been called.
+	yield func(struct{}) bool
+	// proc is the adopted process, set by Proc.start before the next
+	// resume and cleared when the process is done.
+	proc *Proc
 }
 
-// loop is the trampoline: run an adopted process to completion, park,
-// wait for the next. The park happens after Proc.run has passed the
-// engine's control token on, so a parked worker never holds a token.
-func (w *worker) loop() {
-	for p := range w.jobs {
-		p.run()
-		parkWorker(w)
+// loop is the trampoline, the body of the coroutine: run the adopted
+// process to completion, yield to the dispatcher (which parks the
+// worker), and find the next process adopted on waking.
+func (w *worker) loop(yield func(struct{}) bool) {
+	w.yield = yield
+	for {
+		w.proc.run()
+		w.proc = nil
+		if !yield(struct{}{}) {
+			return
+		}
 	}
 }
 
 var pool struct {
 	mu   sync.Mutex
 	idle []*worker
-	// workers counts worker goroutines in existence (parked or running);
+	// workers counts worker coroutines in existence (parked or running);
 	// spawned and adopted are lifetime totals for stats and tests.
 	workers int
 	spawned uint64
@@ -66,8 +77,8 @@ func getWorker() *worker {
 	pool.workers++
 	pool.spawned++
 	pool.mu.Unlock()
-	w := &worker{jobs: make(chan *Proc, 1)}
-	go w.loop()
+	w := &worker{}
+	w.next, w.stop = iter.Pull(w.loop)
 	return w
 }
 
@@ -80,11 +91,11 @@ func parkWorker(w *worker) {
 
 // PoolStats is a snapshot of the worker pool.
 type PoolStats struct {
-	// Workers is how many worker goroutines exist right now (parked or
+	// Workers is how many worker coroutines exist right now (parked or
 	// running a process); Idle is how many of them are parked.
 	Workers, Idle int
 	// Spawned counts workers ever created; Adopted counts processes that
-	// reused a parked worker instead of costing a new goroutine.
+	// reused a parked worker instead of costing a new coroutine.
 	Spawned, Adopted uint64
 }
 
@@ -102,29 +113,20 @@ func WorkerPoolStats() PoolStats {
 	}
 }
 
-// DrainWorkerPool retires every pool worker and returns how many were
-// drained. It waits for in-flight workers — ones between finishing a
-// process and parking — so after it returns the pool holds no goroutines
-// at all (the retired workers may still be unwinding; poll
-// runtime.NumGoroutine to observe the exits). It must not be called
-// while any engine is running: a worker still executing a live process
-// would keep the drain waiting forever.
+// DrainWorkerPool retires every parked pool worker and returns how many
+// were drained. Retiring is synchronous: when it returns, the drained
+// coroutines' goroutines have exited. A finished process's worker is
+// parked before Run returns, so with no engine running every worker is
+// parked and the pool is left empty. It must not be called while an
+// engine is running.
 func DrainWorkerPool() int {
-	drained := 0
-	for {
-		pool.mu.Lock()
-		idle := pool.idle
-		pool.idle = nil
-		pool.workers -= len(idle)
-		left := pool.workers
-		pool.mu.Unlock()
-		for _, w := range idle {
-			close(w.jobs)
-		}
-		drained += len(idle)
-		if left == 0 {
-			return drained
-		}
-		runtime.Gosched()
+	pool.mu.Lock()
+	idle := pool.idle
+	pool.idle = nil
+	pool.workers -= len(idle)
+	pool.mu.Unlock()
+	for _, w := range idle {
+		w.stop()
 	}
+	return len(idle)
 }

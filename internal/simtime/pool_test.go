@@ -3,11 +3,12 @@ package simtime
 import (
 	"errors"
 	"runtime"
+	"sync"
 	"testing"
 )
 
 // countingRun executes one n-process run on a fresh engine and fails the
-// test on error.
+// test on error (with Error, so it may run off the test goroutine).
 func countingRun(t *testing.T, n int) {
 	t.Helper()
 	eng := NewEngine()
@@ -19,7 +20,7 @@ func countingRun(t *testing.T, n int) {
 		})
 	}
 	if err := eng.Run(); err != nil {
-		t.Fatal(err)
+		t.Error(err)
 	}
 }
 
@@ -47,9 +48,48 @@ func TestPoolReusesWorkersAcrossRuns(t *testing.T) {
 	}
 }
 
+// A coroutine is not tied to the goroutine that made it: workers created
+// while one goroutine ran an engine must be adopted and resumed by
+// engines running concurrently on other goroutines. The pool starts with
+// exactly as many parked workers as the four concurrent runs need in
+// total, so none of them may spawn.
+func TestPoolAdoptsAcrossGoroutines(t *testing.T) {
+	DrainWorkerPool()
+	creator := make(chan struct{})
+	go func() {
+		defer close(creator)
+		countingRun(t, 32)
+	}()
+	<-creator
+	warm := WorkerPoolStats()
+	if warm.Idle != 32 {
+		t.Fatalf("%d workers parked after the creating run, want 32", warm.Idle)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 10; round++ {
+				countingRun(t, 8)
+			}
+		}()
+	}
+	wg.Wait()
+	after := WorkerPoolStats()
+	if after.Spawned != warm.Spawned {
+		t.Fatalf("engines on other goroutines spawned %d workers, want 0", after.Spawned-warm.Spawned)
+	}
+	if got := after.Adopted - warm.Adopted; got != 4*10*8 {
+		t.Fatalf("adopted %d processes, want %d", got, 4*10*8)
+	}
+	assertAllParked(t, "cross-goroutine adoption")
+}
+
 // Every abnormal exit must leave pool workers parked (counted), not
 // leaked and not stuck mid-process: after deadlock, panic, RunUntil and
-// kill shutdowns, all workers are idle and drainable.
+// kill shutdowns, all workers are idle the moment Run returns, and a
+// drain takes the goroutine count straight back to the baseline.
 func TestPoolParksWorkersOnAbnormalExits(t *testing.T) {
 	DrainWorkerPool()
 	base := runtime.NumGoroutine()
@@ -71,10 +111,27 @@ func TestPoolParksWorkersOnAbnormalExits(t *testing.T) {
 		eng.Spawn("waiter", func(p *Proc) { p.WaitOn(&sig, Site("held")) })
 	}
 	eng.Spawn("bomb", func(p *Proc) { p.Sleep(5); panic("boom") })
-	if err := eng.Run(); err == nil {
-		t.Fatal("want panic error, got nil")
+	if err := eng.Run(); err == nil || err.Error() != `simtime: process "bomb" panicked: boom` {
+		t.Fatalf("want the panic report, got %v", err)
 	}
 	assertAllParked(t, "panic")
+
+	// Panic at time zero: the other processes hold a worker but were
+	// never dispatched to, so shutdown kills them before their first
+	// instruction.
+	eng = NewEngine()
+	ran := 0
+	eng.Spawn("early", func(p *Proc) { panic("at start") })
+	for i := 0; i < 16; i++ {
+		eng.Spawn("unstarted", func(p *Proc) { ran++ })
+	}
+	if err := eng.Run(); err == nil || err.Error() != `simtime: process "early" panicked: at start` {
+		t.Fatalf("want the panic report, got %v", err)
+	}
+	if ran != 0 {
+		t.Fatalf("%d killed processes ran their body", ran)
+	}
+	assertAllParked(t, "kill before first dispatch")
 
 	// RunUntil limit.
 	eng = NewEngine()
@@ -95,21 +152,15 @@ func TestPoolParksWorkersOnAbnormalExits(t *testing.T) {
 	waitGoroutines(t, base, "abnormal-exit drain")
 }
 
-// assertAllParked waits until every existing pool worker is idle — a
-// worker that never parks after its run ended would be a stuck or leaked
-// goroutine. Parking trails the engine's shutdown handshake by a few
-// scheduler steps, so poll via the drain-free stats.
+// assertAllParked checks that every existing pool worker is idle — a
+// worker not parked once Run has returned would be a stuck or leaked
+// coroutine. The dispatcher parks workers itself, so there is nothing
+// to wait for.
 func assertAllParked(t *testing.T, context string) {
 	t.Helper()
-	for i := 0; i < 10_000; i++ {
-		s := WorkerPoolStats()
-		if s.Workers == s.Idle {
-			return
-		}
-		runtime.Gosched()
+	if s := WorkerPoolStats(); s.Workers != s.Idle {
+		t.Fatalf("%s: %d of %d pool workers not parked", context, s.Workers-s.Idle, s.Workers)
 	}
-	s := WorkerPoolStats()
-	t.Fatalf("%s: %d of %d pool workers never parked", context, s.Workers-s.Idle, s.Workers)
 }
 
 // DrainWorkerPool must retire exactly the workers that exist and leave

@@ -11,15 +11,12 @@ type Proc struct {
 	eng  *Engine
 	fn   func(*Proc)
 
-	// resume delivers the engine's control token to this process. It is
-	// the only channel a process owns: blocking hands the token directly
-	// to the next event's process (see Engine.next), so one event costs
-	// at most one channel operation, and none at all on the same-proc
-	// fast path.
-	resume chan struct{}
+	// w is the pool worker whose coroutine runs fn. It is the process's
+	// own from start until fn has returned, when the dispatcher parks it.
+	w *worker
 
 	done      bool
-	killed    bool     // set by Engine.shutdown to abort the goroutine
+	killed    bool     // set by Engine.shutdown to abort the process
 	blockedAt WaitSite // current blocking point, formatted only for deadlock reports
 	note      Note     // last successful protocol step, for deadlock reports
 	started   bool
@@ -33,8 +30,8 @@ type Proc struct {
 	waitIdx int
 }
 
-// killSentinel is the panic value used to unwind force-terminated process
-// goroutines during Engine.shutdown.
+// killSentinel is the panic value used to unwind force-terminated
+// processes during Engine.shutdown.
 type killSentinel struct{}
 
 // ID returns the process's spawn index (0-based).
@@ -49,24 +46,22 @@ func (p *Proc) Now() Time { return p.eng.now }
 // Engine returns the engine this process belongs to.
 func (p *Proc) Engine() *Engine { return p.eng }
 
-// start hands the process to a pool worker (see pool.go), which parks
-// on the resume channel until the engine first dispatches to it.
+// start hands the process to a pool worker (see pool.go), whose
+// coroutine begins running it when the engine first dispatches to it.
 func (p *Proc) start() {
 	if p.started {
 		panic("simtime: process started twice")
 	}
 	p.started = true
-	getWorker().jobs <- p
+	p.w = getWorker()
+	p.w.proc = p
 }
 
-// run is the process body executed by a pool worker: wait for the first
-// resume, run fn, and on any exit — normal return, panic, or the
-// shutdown kill sentinel — pass the engine's control token on. When run
-// returns the process holds no token and nothing will ever send on its
-// resume channel again (events for done processes are discarded and
-// shutdown skips them), so the worker is free to adopt its next process.
+// run is the process body executed on a pool worker's coroutine: run
+// fn, and on any exit — normal return, panic, or the shutdown kill
+// sentinel — mark the process done. Returning switches back to the
+// dispatcher (see worker.loop), which parks the worker.
 func (p *Proc) run() {
-	<-p.resume
 	defer func() {
 		if r := recover(); r != nil {
 			if _, isKill := r.(killSentinel); !isKill && p.eng.failed == nil {
@@ -75,7 +70,6 @@ func (p *Proc) run() {
 		}
 		p.done = true
 		p.eng.live--
-		p.eng.finish()
 	}()
 	if p.killed {
 		return
@@ -83,12 +77,21 @@ func (p *Proc) run() {
 	p.fn(p)
 }
 
-// block yields control to the next event's process and waits to be
-// resumed. The caller must have arranged for a future wake-up (a
-// scheduled event or a signal registration) first.
+// block gives up control until the process is woken. The caller must
+// have arranged for a future wake-up (a scheduled event or a signal
+// registration) first. The process pops the next event itself: its own
+// wake-up is the same-proc fast path and costs no switch; anything else
+// — another process's wake-up, or nothing runnable (deadlock, RunUntil
+// limit) — is left in Engine.next for the dispatcher to act on.
 func (p *Proc) block(site WaitSite) {
 	p.blockedAt = site
-	p.eng.next(p)
+	e := p.eng
+	if q := e.pop(); q == p {
+		e.fastpath++
+	} else {
+		e.next = q
+		p.w.yield(struct{}{})
+	}
 	p.wakeGen++ // any event scheduled before this resume is now stale
 	if p.killed {
 		panic(killSentinel{})
@@ -109,7 +112,7 @@ func (p *Proc) Sleep(d Duration) {
 	// Same-proc fast path, fused with the queue: if no pending event can
 	// precede our wake-up (strictly — an equal-time event has a smaller
 	// sequence number and must run first), the wake-up would be the next
-	// event popped, so skip the queue and the handoff entirely and just
+	// event popped, so skip the queue and the switch entirely and just
 	// advance the clock. Not applicable past a RunUntil limit: the abort
 	// must unwind through the slow path.
 	if (e.queue.n == 0 || at < e.queue.min().at) && !(e.limited && at > e.limit) {

@@ -7,9 +7,9 @@
 // exactly 2 ticks. One microsecond is 1600 ticks.
 //
 // Simulated programs run as processes (see Proc). Each process executes on
-// its own goroutine, but exactly one runs at a time: a blocking process
-// pops the next event itself and hands control directly to that event's
-// process (or keeps running inline when the next event is its own
+// a coroutine of its own, and exactly one runs at a time: Engine.Run
+// switches to the process the next event wakes, and a blocking process
+// switches back (or keeps running inline when the next event is its own
 // wake-up), so simulations are fully deterministic: two runs of the same
 // program produce identical event orders and identical virtual
 // timestamps.
