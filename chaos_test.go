@@ -77,20 +77,28 @@ func chaosRun(t *testing.T, seed int64) chaosOutcome {
 	return out
 }
 
+// soakSeeds returns the CHAOS_SOAK_SEEDS sweep width, or def when the
+// variable is unset.
+func soakSeeds(t *testing.T, def int) int {
+	t.Helper()
+	s := os.Getenv("CHAOS_SOAK_SEEDS")
+	if s == "" {
+		return def
+	}
+	v, err := strconv.Atoi(s)
+	if err != nil || v < 1 {
+		t.Fatalf("CHAOS_SOAK_SEEDS=%q is not a positive integer", s)
+	}
+	return v
+}
+
 // TestChaosSoak drives seeded random fault bursts plus an unannounced
 // core death through the self-healing runtime and asserts the safety
 // contract: no deadlocks, only typed errors, completers that agreed on
 // the same epoch agree bit-for-bit on the result, and the whole run is
 // deterministic per seed. CHAOS_SOAK_SEEDS widens the sweep in CI.
 func TestChaosSoak(t *testing.T) {
-	seeds := 4
-	if s := os.Getenv("CHAOS_SOAK_SEEDS"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v < 1 {
-			t.Fatalf("CHAOS_SOAK_SEEDS=%q is not a positive integer", s)
-		}
-		seeds = v
-	}
+	seeds := soakSeeds(t, 4)
 	for seed := int64(0); seed < int64(seeds); seed++ {
 		seed := seed
 		t.Run(strconv.FormatInt(seed, 10), func(t *testing.T) {

@@ -15,8 +15,6 @@
 //	sccbench -tune                              # tuner sweep -> decision table JSON
 //	sccbench -synth                             # schedule synthesis sweep -> schedule table JSON
 //	sccbench -synth -mesh 16x16x2               # synthesize for a 512-core mesh
-//	sccbench -selfbench                         # host-throughput report -> BENCH_sim.json
-//	sccbench -gate BENCH_sim.json               # fail on >15% perf regression vs the report
 //	sccbench -mesh 100x100 -scale               # 10,000-core smoke: footprint + wall time
 //	sccbench -op all -cpuprofile cpu.pprof      # profile the simulator itself
 //	sccbench -op allreduce -metrics             # instrumented run -> counter table
@@ -56,12 +54,7 @@ func main() {
 	synthout := flag.String("synthout", "synth_default.json", "schedule-table output path (with -synth)")
 	bugfixed := flag.Bool("bugfixed", false, "simulate the chip with the local-MPB erratum fixed (Sec. IV-D ablation)")
 	parallel := flag.Int("parallel", 0, "sweep worker-pool size; 0 = GOMAXPROCS, 1 = serial (output is identical at any value)")
-	selfbench := flag.Bool("selfbench", false, "measure the simulator's own host throughput and write the report")
 	scale := flag.Bool("scale", false, "run one Barrier+Broadcast on every core of the -mesh chip and report host wall time and memory footprint")
-	benchout := flag.String("benchout", "BENCH_sim.json", "self-benchmark report path (with -selfbench)")
-	gate := flag.String("gate", "", "run the self-benchmark and fail if ns_per_op or allocs_per_op regresses past -gate-tol vs this baseline report (no report is written)")
-	gateTol := flag.Float64("gate-tol", 0.15, "fractional regression slack for -gate (0.15 = 15%)")
-	gateRuns := flag.Int("gate-runs", 3, "best-of-N retries for -gate: wall clock is one-sidedly noisy, so any clean run passes")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	metricsOn := flag.Bool("metrics", false, "run one instrumented measurement (op at -lo doubles) and report its metrics")
@@ -107,9 +100,9 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	if nChips > 1 && (*summary || *tune || *synthRun || *selfbench || *gate != "" ||
+	if nChips > 1 && (*summary || *tune || *synthRun ||
 		*metricsOn || *metricsout != "" || *tracejson != "") {
-		fail("-chips > 1 applies to the hierarchical panel sweep only (not -summary/-tune/-synth/-selfbench/-gate/-metrics)")
+		fail("-chips > 1 applies to the hierarchical panel sweep only (not -summary/-tune/-synth/-metrics)")
 	}
 
 	if *listAlgos {
@@ -191,64 +184,6 @@ func main() {
 			}
 			fmt.Printf("wrote %s (open in https://ui.perfetto.dev or chrome://tracing)\n", *tracejson)
 		}
-		exit(0)
-	}
-
-	if *gate != "" {
-		f, err := os.Open(*gate)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sccbench:", err)
-			exit(1)
-		}
-		baseline, err := bench.ReadSelfBench(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sccbench:", err)
-			exit(1)
-		}
-		var violations []string
-		for attempt := 1; attempt <= *gateRuns; attempt++ {
-			results := bench.SelfBench(model, *parallel)
-			for _, r := range results {
-				fmt.Printf("  %-20s %12.1f ns/op  %8.1f allocs/op\n", r.Name, r.NsPerOp, r.AllocsPerOp)
-			}
-			violations = bench.GateSelfBench(baseline, results, *gateTol)
-			if len(violations) == 0 {
-				fmt.Printf("perf gate passed (attempt %d/%d): no metric regressed more than %.0f%% vs %s\n",
-					attempt, *gateRuns, *gateTol*100, *gate)
-				exit(0)
-			}
-			fmt.Printf("attempt %d/%d regressed; %d violation(s)\n", attempt, *gateRuns, len(violations))
-		}
-		for _, v := range violations {
-			fmt.Fprintln(os.Stderr, "sccbench: perf regression:", v)
-		}
-		exit(1)
-	}
-
-	if *selfbench {
-		results := bench.SelfBench(model, *parallel)
-		f, err := os.Create(*benchout)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sccbench:", err)
-			exit(1)
-		}
-		if err := bench.WriteSelfBench(f, results); err != nil {
-			fmt.Fprintln(os.Stderr, "sccbench:", err)
-			exit(1)
-		}
-		f.Close()
-		for _, r := range results {
-			fmt.Printf("  %-20s %12.1f ns/op  %8.1f allocs/op  %10.1f ms", r.Name, r.NsPerOp, r.AllocsPerOp, r.WallMs)
-			if r.CellsPerSec > 0 {
-				fmt.Printf("  %6.2f cells/s (workers=%d)", r.CellsPerSec, r.Workers)
-			}
-			if r.SpeedupVsSerial > 0 {
-				fmt.Printf("  %.2fx vs serial", r.SpeedupVsSerial)
-			}
-			fmt.Println()
-		}
-		fmt.Printf("wrote %s\n", *benchout)
 		exit(0)
 	}
 

@@ -6,8 +6,12 @@ import (
 	"testing"
 
 	sccsim "scc"
+	"scc/internal/bench"
+	"scc/internal/core"
 	"scc/internal/fault"
+	"scc/internal/rcce"
 	"scc/internal/simtime"
+	"scc/internal/timing"
 )
 
 // TestUserErrorsReturned audits the façade's user-error paths: bad
@@ -102,6 +106,36 @@ func TestWithFaultsAndRecovery(t *testing.T) {
 		for id := 0; id < p; id++ {
 			if math.Abs(results[id][i]-want) > 1e-9 {
 				t.Fatalf("rank %d element %d = %v, want %v", id, i, results[id][i], want)
+			}
+		}
+	}
+}
+
+// TestFaultSweepNoSilentCorruption runs the Fig. R1 sweep exactly as the
+// repository benchmark's faults_48 workload calls it, on the three fault
+// histories out of the first 120 that used to end with all 48 cores
+// holding a wrong sum and no error: in each, the payload write and the
+// checksum write of one chunk were both lost, and the stale previous
+// chunk verified against its own stale checksum. Under CHAOS_SOAK_SEEDS
+// (CI's chaos-soak job sets 12) the sweep widens to ten histories per
+// soak seed, i.e. seeds 1-120.
+func TestFaultSweepNoSilentCorruption(t *testing.T) {
+	seeds := []int64{13, 77, 97}
+	if soak := soakSeeds(t, 0); soak > 0 {
+		seeds = seeds[:0]
+		for s := int64(1); s <= int64(10*soak); s++ {
+			seeds = append(seeds, s)
+		}
+	}
+	counts := []int{0, 1, 2, 4, 8, 16}
+	for _, seed := range seeds {
+		for _, kind := range []core.TransportKind{core.TransportBlocking, core.TransportLightweight} {
+			pts := bench.FaultSweepAlgo(timing.Default(), kind, rcce.DefaultPolicy(), "", seed, 552, counts)
+			for i, pt := range pts {
+				if pt.Errs != 0 || pt.Wrong != 0 || pt.Fired > counts[i] {
+					t.Errorf("seed %d, %v, %d faults: errs=%d wrong=%d fired=%d",
+						seed, kind, counts[i], pt.Errs, pt.Wrong, pt.Fired)
+				}
 			}
 		}
 	}

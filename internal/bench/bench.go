@@ -9,49 +9,13 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 
 	"scc/internal/core"
+	"scc/internal/fabric"
 	"scc/internal/rcce"
-	"scc/internal/rckmpi"
-	"scc/internal/scc"
 	"scc/internal/simtime"
 	"scc/internal/timing"
 )
-
-// stagePool recycles the per-core input-staging vectors across sweep
-// cells (48 per cell otherwise). sync.Pool keeps it safe under the
-// parallel runner's worker pool.
-var stagePool = sync.Pool{New: func() any { return new([]float64) }}
-
-// getStage returns a pooled vector of length n; return it with putStage.
-func getStage(n int) *[]float64 {
-	vp := stagePool.Get().(*[]float64)
-	if cap(*vp) < n {
-		*vp = make([]float64, n)
-	}
-	*vp = (*vp)[:n]
-	return vp
-}
-
-func putStage(vp *[]float64) { stagePool.Put(vp) }
-
-// repPool recycles the per-cell repetition-latency buffers.
-var repPool = sync.Pool{New: func() any { return new([]simtime.Duration) }}
-
-func getReps(n int) *[]simtime.Duration {
-	rp := repPool.Get().(*[]simtime.Duration)
-	if cap(*rp) < n {
-		*rp = make([]simtime.Duration, n)
-	}
-	*rp = (*rp)[:n]
-	for i := range *rp {
-		(*rp)[i] = 0
-	}
-	return rp
-}
-
-func putReps(rp *[]simtime.Duration) { repPool.Put(rp) }
 
 // Op names one collective operation, matching the paper's Fig. 9 panels.
 type Op string
@@ -139,114 +103,27 @@ func StacksForAlgo(op Op, algo string) []Stack {
 // observed on core 0 (like the paper's methodology; the first, cache-cold
 // repetition is treated as warm-up and excluded).
 func Measure(model *timing.Model, op Op, st Stack, n, reps int) simtime.Duration {
-	if reps < 1 {
-		reps = 1
-	}
-	chip := scc.New(model)
-	comm := rcce.NewComm(chip)
-	rp := getReps(reps)
-	perRep := *rp
-	chip.Launch(func(c *scc.Core) {
-		runCollectiveProgram(c, comm, op, st, n, reps, perRep)
-	})
-	if err := chip.Run(); err != nil {
+	lat, err := stackProgram(model, op, st, n, reps).run()
+	if err != nil {
 		panic(fmt.Sprintf("bench: %s/%s n=%d: %v", op, st.Name, n, err))
 	}
-	var total simtime.Duration
-	for _, d := range perRep {
-		total += d
-	}
-	putReps(rp)
-	return total / simtime.Time(reps)
+	return lat
 }
 
-// runCollectiveProgram is the SPMD body: warm-up plus timed repetitions,
-// separated by barriers.
-func runCollectiveProgram(c *scc.Core, comm *rcce.Comm, op Op, st Stack, n, reps int, perRep []simtime.Duration) {
-	p := comm.NumUEs()
-	ue := comm.UE(c.ID)
-	var x *core.Ctx
-	var mp *rckmpi.Lib
-	if st.RCKMPI {
-		mp = rckmpi.New(ue)
-	} else {
-		cfg := st.Cfg
-		if st.Algo != "" {
-			cfg.Selector = core.Fixed(st.Algo)
-		}
-		x = core.NewCtx(ue, cfg)
+// stackProgram is the measured program of one Fig. 9 cell: op under
+// stack st, buffers sized for the worst case (alltoall/allgather need
+// p*n), repetitions separated by the native barrier.
+func stackProgram(model *timing.Model, op Op, st Stack, n, reps int) *program {
+	cfg := st.Cfg
+	if st.Algo != "" {
+		cfg.Selector = core.Fixed(st.Algo)
 	}
-
-	// Buffers sized for the worst case (alltoall/allgather need p*n).
-	big := n * p
-	src := c.AllocF64(big)
-	dst := c.AllocF64(big)
-	vp := getStage(big)
-	v := *vp
-	for i := range v {
-		v[i] = float64(c.ID) + float64(i)*0.001
-	}
-	c.WriteF64s(src, v)
-	putStage(vp) // staged into simulated memory; the host copy is done
-
-	runOnce := func() {
-		if st.RCKMPI {
-			runRCKMPIOp(mp, op, src, dst, n)
-			return
-		}
-		runCoreOp(x, op, src, dst, n)
-	}
-
-	ue.Barrier()
-	runOnce() // warm-up: first touch of all buffers
-	for r := 0; r < reps; r++ {
-		ue.Barrier()
-		t0 := c.Now()
-		runOnce()
-		if c.ID == 0 {
-			perRep[r] = c.Now() - t0
-		}
-	}
-	if x != nil {
-		x.Release()
-	}
-}
-
-func runCoreOp(x *core.Ctx, op Op, src, dst scc.Addr, n int) {
-	switch op {
-	case OpAllgather:
-		x.Allgather(src, n, dst)
-	case OpAlltoall:
-		x.Alltoall(src, dst, n)
-	case OpReduceScatter:
-		x.ReduceScatter(src, dst, n, core.Sum)
-	case OpBroadcast:
-		x.Broadcast(0, src, n)
-	case OpReduce:
-		x.Reduce(0, src, dst, n, core.Sum)
-	case OpAllreduce:
-		x.Allreduce(src, dst, n, core.Sum)
-	default:
-		panic("bench: unknown op " + string(op))
-	}
-}
-
-func runRCKMPIOp(mp *rckmpi.Lib, op Op, src, dst scc.Addr, n int) {
-	switch op {
-	case OpAllgather:
-		mp.Allgather(src, n, dst)
-	case OpAlltoall:
-		mp.Alltoall(src, dst, n)
-	case OpReduceScatter:
-		mp.ReduceScatter(src, dst, n, rckmpi.Op(core.Sum))
-	case OpBroadcast:
-		mp.Bcast(0, src, n)
-	case OpReduce:
-		mp.Reduce(0, src, dst, n, rckmpi.Op(core.Sum))
-	case OpAllreduce:
-		mp.Allreduce(src, dst, n, rckmpi.Op(core.Sum))
-	default:
-		panic("bench: unknown op " + string(op))
+	return &program{
+		model: model, reps: reps, op: op, n: n, bufN: n * model.NumCores(),
+		ueBarrier: true, rckmpi: st.RCKMPI,
+		ctx: func(_ *fabric.System, _ int, ue *rcce.UE) (*core.Ctx, error) {
+			return core.NewCtx(ue, cfg), nil
+		},
 	}
 }
 

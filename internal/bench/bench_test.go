@@ -165,3 +165,28 @@ func TestRenderChart(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFootprintBudget bounds the live heap one simulated core costs
+// after a Barrier and a Broadcast: 9.4 KB/core at 48 cores and 17.2 at
+// 1,024 in a fresh process when the budgets were set. The budgets are
+// generous — the regressions they exist for, a dense per-core structure
+// creeping back in, are 10-100x — because a heap delta across a GC is
+// only good to a few hundred KB in total. The 10,240-core budget sits
+// with the LargeMesh tests in the root package.
+func TestFootprintBudget(t *testing.T) {
+	for _, c := range []struct {
+		model *timing.Model
+		kb    float64
+	}{
+		{timing.Default(), 16},
+		{timing.Topology(32, 32, 1), 30},
+	} {
+		fp := MeasureFootprint(c.model)
+		if fp.BarrierTicks <= 0 || fp.BroadcastTicks <= 0 {
+			t.Fatalf("%d cores: the chip did not synchronize: %+v", fp.Cores, fp)
+		}
+		if fp.BytesPerCore > c.kb*1024 {
+			t.Errorf("%d cores retain %.0f B/core, budget %.0f KB/core", fp.Cores, fp.BytesPerCore, c.kb)
+		}
+	}
+}

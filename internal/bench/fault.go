@@ -3,12 +3,10 @@ package bench
 import (
 	"fmt"
 	"io"
-	"math"
 
 	"scc/internal/core"
 	"scc/internal/fault"
 	"scc/internal/rcce"
-	"scc/internal/scc"
 	"scc/internal/simtime"
 	"scc/internal/timing"
 )
@@ -32,62 +30,31 @@ type FaultPoint struct {
 // measureFaultedAllreduce runs one hardened full-chip Allreduce of n
 // doubles under the given plan (nil = fault-free) and reports completion
 // latency, aggregated recovery statistics and honest failure counts. A
-// non-empty algo pins the registry algorithm (an algorithm that is
-// inapplicable under the hardened protocol, like "mpb", falls back to
-// the paper heuristic, as everywhere else).
+// non-empty algo pins the registry algorithm (see hardenedConfig).
 func measureFaultedAllreduce(model *timing.Model, kind core.TransportKind, pol rcce.Policy, algo string, plan *fault.Plan, n int) FaultPoint {
-	chip := scc.New(model)
-	fired := 0
-	if plan != nil {
-		fault.Install(chip, plan)
-	}
-	comm := rcce.NewComm(chip)
-	cfg := core.Config{Transport: kind, Balanced: true, Recovery: &pol}
-	if algo != "" {
-		cfg.Selector = core.Fixed(algo)
-	}
-	p := chip.NumCores()
-	want := make([]float64, n)
-	for id := 0; id < p; id++ {
-		for i := 0; i < n; i++ {
-			want[i] += float64(id+1) + float64(i)*0.5
-		}
-	}
-	pt := FaultPoint{}
-	chip.Launch(func(c *scc.Core) {
-		x := core.NewCtx(comm.UE(c.ID), cfg)
-		src := c.AllocF64(n)
-		dst := c.AllocF64(n)
-		v := make([]float64, n)
-		for i := range v {
-			v[i] = float64(c.ID+1) + float64(i)*0.5
-		}
-		c.WriteF64s(src, v)
-		err := x.Allreduce(src, dst, n, core.Sum)
-		pt.Stats.Add(x.UE().Recovery())
-		if err != nil {
+	cfg := hardenedConfig(kind, algo)
+	cfg.Recovery = &pol
+	p := model.NumCores()
+	want := allreduceWant(p, n, -1)
+	var pt FaultPoint
+	lat, err := checkedAllreduce(model, cfg, plan, nil, n, func(o allreduceOutcome) {
+		pt.Stats.Add(o.x.UE().Recovery())
+		switch {
+		case o.err != nil:
 			pt.Errs++ // honest: this core gave up (e.g. rcce.ErrUnreachable)
-			return
-		}
-		got := make([]float64, n)
-		c.ReadF64s(dst, got)
-		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-9 {
-				pt.Wrong++
-				return
-			}
+		case !o.holds(want):
+			pt.Wrong++
 		}
 	})
-	if err := chip.Run(); err != nil {
+	if err != nil {
 		// A deadlock under the hardened protocol would be a bug; count
 		// every core as failed rather than hiding it.
 		pt.Errs = p
 	}
 	if plan != nil {
-		fired = len(plan.Events())
+		pt.Fired = len(plan.Events())
 	}
-	pt.Fired = fired
-	pt.Latency = simtime.Duration(chip.Now())
+	pt.Latency = lat
 	return pt
 }
 

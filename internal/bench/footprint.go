@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"scc/internal/core"
-	"scc/internal/rcce"
+	"scc/internal/fabric"
 	"scc/internal/scc"
 	"scc/internal/simtime"
 	"scc/internal/timing"
@@ -15,8 +15,8 @@ import (
 // This file measures the simulator's host-side memory footprint: how
 // many heap bytes one simulated core costs once the chip has actually
 // run a collective. The number is the scaling budget — at 10,000 cores,
-// every dense per-core structure multiplies by 10,000 — so it is
-// tracked in BENCH_sim.json and gated like the throughput numbers.
+// every dense per-core structure multiplies by 10,000 — so
+// TestFootprintBudget bounds it at three chip sizes.
 
 // FootprintResult reports one footprint measurement.
 type FootprintResult struct {
@@ -52,12 +52,10 @@ func MeasureFootprint(model *timing.Model) FootprintResult {
 	runtime.ReadMemStats(&before)
 	t0 := time.Now()
 
-	chip := scc.New(model)
-	comm := rcce.NewComm(chip)
+	sys := fabric.New(model, 1)
 	var barrier, bcast simtime.Duration
-	chip.Launch(func(c *scc.Core) {
-		ue := comm.UE(c.ID)
-		x := core.NewCtx(ue, core.ConfigLightweight)
+	sys.Launch(func(_ int, c *scc.Core) {
+		x := core.NewCtx(sys.Comms[0].UE(c.ID), core.ConfigLightweight)
 		src := c.AllocF64(8)
 		begin := c.Now()
 		x.Barrier()
@@ -70,7 +68,7 @@ func MeasureFootprint(model *timing.Model) FootprintResult {
 		}
 		x.Release()
 	})
-	if err := chip.Run(); err != nil {
+	if err := sys.Run(); err != nil {
 		panic(fmt.Sprintf("bench: footprint run on %d cores: %v", model.NumCores(), err))
 	}
 	wall := time.Since(t0)
@@ -81,7 +79,7 @@ func MeasureFootprint(model *timing.Model) FootprintResult {
 	var after runtime.MemStats
 	runtime.ReadMemStats(&after)
 
-	cores := chip.NumCores() // keeps the chip live across the GC above
+	cores := sys.NumCores() // keeps the chip live across the GC above
 	live := after.HeapAlloc - before.HeapAlloc
 	if after.HeapAlloc < before.HeapAlloc {
 		live = 0 // GC reclaimed more than the chip costs; footprint is noise
@@ -95,33 +93,4 @@ func MeasureFootprint(model *timing.Model) FootprintResult {
 		BarrierTicks:   barrier,
 		BroadcastTicks: bcast,
 	}
-}
-
-// footprintGeometries are the chip sizes tracked in the perf trajectory:
-// the paper's chip, a mid-size mesh, and the 10k-core scaling target.
-func footprintGeometries() []*timing.Model {
-	return []*timing.Model{
-		timing.Default(),
-		timing.Topology(32, 32, 1),  // 1,024 cores
-		timing.Topology(80, 128, 1), // 10,240 cores
-	}
-}
-
-// SelfBenchFootprints measures the tracked geometries and returns them
-// as self-benchmark records (name "footprint.<cores>"): NsPerOp carries
-// wall time per core and BytesPerCore the footprint, so the existing
-// gate machinery bounds both.
-func SelfBenchFootprints() []SelfBenchResult {
-	var out []SelfBenchResult
-	for _, m := range footprintGeometries() {
-		fp := MeasureFootprint(m)
-		out = append(out, SelfBenchResult{
-			Name:         fmt.Sprintf("footprint.%d", fp.Cores),
-			Ops:          int64(fp.Cores),
-			NsPerOp:      fp.WallMs * 1e6 / float64(fp.Cores),
-			BytesPerCore: fp.BytesPerCore,
-			WallMs:       fp.WallMs,
-		})
-	}
-	return out
 }

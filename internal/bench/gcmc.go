@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"scc/internal/core"
+	"scc/internal/fabric"
 	"scc/internal/gcmc"
-	"scc/internal/rcce"
 	"scc/internal/rckmpi"
 	"scc/internal/scc"
 	"scc/internal/simtime"
@@ -39,11 +39,11 @@ func (r GCMCResult) WaitFraction() float64 {
 // RunGCMC executes the thermodynamic application under one stack and
 // returns core 0's result (all cores agree on physics by construction).
 func RunGCMC(model *timing.Model, st Stack, p gcmc.Params) GCMCResult {
-	chip := scc.New(model)
-	comm := rcce.NewComm(chip)
+	sys := fabric.New(model, 1)
+	comm := sys.Comms[0]
 	var out GCMCResult
 	out.Stack = st
-	chip.Launch(func(c *scc.Core) {
+	sys.Launch(func(_ int, c *scc.Core) {
 		ue := comm.UE(c.ID)
 		var collectives gcmc.Collectives
 		if st.RCKMPI {
@@ -64,7 +64,7 @@ func RunGCMC(model *timing.Model, st Stack, p gcmc.Params) GCMCResult {
 			out.Allreduces = res.CommAllreduce
 		}
 	})
-	if err := chip.Run(); err != nil {
+	if err := sys.Run(); err != nil {
 		panic(fmt.Sprintf("bench: gcmc under %s: %v", st.Name, err))
 	}
 	return out

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"scc/internal/metrics"
-	"scc/internal/rcce"
-	"scc/internal/scc"
 	"scc/internal/simtime"
 	"scc/internal/timing"
 	"scc/internal/trace"
@@ -26,29 +24,12 @@ type InstrumentedRun struct {
 // the hooks only read state and apply already-deferred local latency
 // early - which the determinism test in instrument_test.go pins down.
 func MeasureInstrumented(model *timing.Model, op Op, st Stack, n, reps int) InstrumentedRun {
-	if reps < 1 {
-		reps = 1
-	}
-	chip := scc.New(model)
-	reg := metrics.New(chip.NumCores())
-	chip.SetMetrics(reg)
-	comm := rcce.NewComm(chip)
-	rec := &trace.Recorder{}
-	perRep := make([]simtime.Duration, reps)
-	chip.Launch(func(c *scc.Core) {
-		c.SetSpanRecorder(rec.Hook(c.ID))
-		runCollectiveProgram(c, comm, op, st, n, reps, perRep)
-	})
-	if err := chip.Run(); err != nil {
+	pr := stackProgram(model, op, st, n, reps)
+	pr.metrics = metrics.New(model.NumCores())
+	pr.spans = &trace.Recorder{}
+	lat, err := pr.run()
+	if err != nil {
 		panic(fmt.Sprintf("bench: %s/%s n=%d: %v", op, st.Name, n, err))
 	}
-	var total simtime.Duration
-	for _, d := range perRep {
-		total += d
-	}
-	return InstrumentedRun{
-		Latency: total / simtime.Time(reps),
-		Metrics: reg.Snapshot(),
-		Spans:   rec.Spans(),
-	}
+	return InstrumentedRun{Latency: lat, Metrics: pr.metrics.Snapshot(), Spans: pr.spans.Spans()}
 }

@@ -149,20 +149,3 @@ func TestRaggedPanelIsAnError(t *testing.T) {
 		t.Fatalf("WriteTable(nil) = %v", err)
 	}
 }
-
-// TestSelfBenchSmoke keeps the self-benchmark wired up; sizes here are
-// tiny so it is not a real measurement, just an execution check of
-// measureLoop and the JSON writer.
-func TestSelfBenchWriter(t *testing.T) {
-	res := []SelfBenchResult{{Name: "x", Ops: 10, NsPerOp: 1.5, WallMs: 2}}
-	var sb strings.Builder
-	if err := WriteSelfBench(&sb, res); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{`"name": "x"`, `"ns_per_op": 1.5`} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("JSON report missing %q:\n%s", want, out)
-		}
-	}
-}

@@ -3,9 +3,7 @@ package bench
 import (
 	"testing"
 
-	"scc/internal/rcce"
-	"scc/internal/scc"
-	"scc/internal/simtime"
+	"scc/internal/fabric"
 	"scc/internal/timing"
 )
 
@@ -14,16 +12,11 @@ import (
 func measureSchedStats(t *testing.T, op Op, st Stack, n int) (handoffs, fastpath uint64) {
 	t.Helper()
 	model := timing.Default()
-	chip := scc.New(model)
-	comm := rcce.NewComm(chip)
-	perRep := make([]simtime.Duration, 1)
-	chip.Launch(func(c *scc.Core) {
-		runCollectiveProgram(c, comm, op, st, n, 1, perRep)
-	})
-	if err := chip.Run(); err != nil {
+	sys := fabric.New(model, 1)
+	if _, err := stackProgram(model, op, st, n, 1).runOn(sys); err != nil {
 		t.Fatalf("%s/%s n=%d: %v", op, st.Name, n, err)
 	}
-	return chip.Engine.SchedStats()
+	return sys.Engine.SchedStats()
 }
 
 // TestFastPathCarriesRealCollectives pins the scheduler's event counts

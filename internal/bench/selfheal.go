@@ -3,12 +3,10 @@ package bench
 import (
 	"fmt"
 	"io"
-	"math"
 
 	"scc/internal/core"
 	"scc/internal/fault"
 	"scc/internal/rcce"
-	"scc/internal/scc"
 	"scc/internal/simtime"
 	"scc/internal/timing"
 )
@@ -63,97 +61,49 @@ func HealVictimFor(numCores int) int {
 // the group that actually committed: all cores when nobody died, the
 // survivor set once the victim was evicted.
 func measureSelfHealAllreduce(model *timing.Model, kind core.TransportKind, pol core.HealPolicy, algo string, n int, killAt simtime.Duration) HealPoint {
-	chip := scc.New(model)
-	victim := HealVictimFor(chip.NumCores())
+	p := model.NumCores()
+	victim := HealVictimFor(p)
+	var plan *fault.Plan
 	if killAt > 0 {
-		fault.Install(chip, fault.NewPlan().Add(fault.Fault{
+		plan = fault.NewPlan().Add(fault.Fault{
 			Kind: fault.CoreDie, At: simtime.Time(killAt), Core: victim,
-		}))
+		})
 	}
-	comm := rcce.NewComm(chip)
-	cfg := core.Config{Transport: kind, Balanced: true, SelfHeal: &pol}
-	if algo != "" {
-		cfg.Selector = core.Fixed(algo)
-	}
-	p := chip.NumCores()
-	sum := func(excluded int) []float64 {
-		want := make([]float64, n)
-		for id := 0; id < p; id++ {
-			if id == excluded {
-				continue
-			}
-			for i := 0; i < n; i++ {
-				want[i] += float64(id+1) + float64(i)*0.5
-			}
-		}
-		return want
-	}
-	wantFull := sum(-1)
-	wantSurv := sum(victim)
+	cfg := hardenedConfig(kind, algo)
+	cfg.SelfHeal = &pol
+	wantFull := allreduceWant(p, n, -1)
+	wantSurv := allreduceWant(p, n, victim)
 
 	pt := HealPoint{Algo: algo, KillAt: killAt}
-	firstSuspect := simtime.Time(-1)
-	lastAgree := simtime.Time(-1)
-	chip.Launch(func(c *scc.Core) {
-		x := core.NewCtx(comm.UE(c.ID), cfg)
-		src := c.AllocF64(n)
-		dst := c.AllocF64(n)
-		v := make([]float64, n)
-		for i := range v {
-			v[i] = float64(c.ID+1) + float64(i)*0.5
-		}
-		c.WriteF64s(src, v)
-		err := x.Allreduce(src, dst, n, core.Sum)
-
-		rep := x.Healer().Report()
-		if rep.FirstSuspectAt >= 0 && (firstSuspect < 0 || rep.FirstSuspectAt < firstSuspect) {
-			firstSuspect = rep.FirstSuspectAt
-		}
-		if rep.LastAgreeAt > lastAgree {
-			lastAgree = rep.LastAgreeAt
-		}
-		if rep.Reconfigs > pt.Reconfigs {
-			pt.Reconfigs = rep.Reconfigs
-		}
-		if rep.Reexecs > pt.Reexecs {
-			pt.Reexecs = rep.Reexecs
-		}
-		if rep.Evicted > pt.Evicted {
-			pt.Evicted = rep.Evicted
-		}
-		if rep.Epoch > pt.Epoch {
-			pt.Epoch = rep.Epoch
-		}
-
-		if c.ID == victim && killAt > 0 {
+	agg := core.RecoveryReport{FirstSuspectAt: -1, LastAgreeAt: -1}
+	total, err := checkedAllreduce(model, cfg, plan, nil, n, func(o allreduceOutcome) {
+		rep := o.x.Healer().Report()
+		agg.Merge(rep)
+		if o.x.UE().ID() == victim && killAt > 0 {
 			return // the victim's error (if it got one) is not a survivor outcome
-		}
-		if err != nil {
-			pt.Errs++
-			return
 		}
 		want := wantFull
 		if killAt > 0 && rep.Evicted > 0 {
 			want = wantSurv
 		}
-		got := make([]float64, n)
-		c.ReadF64s(dst, got)
-		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-9 {
-				pt.Wrong++
-				return
-			}
+		switch {
+		case o.err != nil:
+			pt.Errs++
+		case !o.holds(want):
+			pt.Wrong++
+		default:
+			pt.Survivors++
 		}
-		pt.Survivors++
 	})
-	if err := chip.Run(); err != nil {
+	if err != nil {
 		pt.Errs = p // a deadlock under self-healing is a bug; don't hide it
 	}
-	pt.Total = simtime.Duration(chip.Now())
-	if killAt > 0 && firstSuspect >= 0 {
-		pt.Detect = simtime.Duration(firstSuspect) - killAt
-		if lastAgree > firstSuspect {
-			pt.Agree = simtime.Duration(lastAgree - firstSuspect)
+	pt.Reconfigs, pt.Reexecs, pt.Evicted, pt.Epoch = agg.Reconfigs, agg.Reexecs, agg.Evicted, agg.Epoch
+	pt.Total = total
+	if killAt > 0 && agg.FirstSuspectAt >= 0 {
+		pt.Detect = simtime.Duration(agg.FirstSuspectAt) - killAt
+		if agg.LastAgreeAt > agg.FirstSuspectAt {
+			pt.Agree = simtime.Duration(agg.LastAgreeAt - agg.FirstSuspectAt)
 		}
 	}
 	return pt
@@ -164,47 +114,23 @@ func measureSelfHealAllreduce(model *timing.Model, kind core.TransportKind, pol 
 // the survivor group directly — no detection, no vote, no
 // agreement. Its latency is the floor any recovery mechanism pays.
 func measureOracleAllreduce(model *timing.Model, kind core.TransportKind, pol rcce.Policy, algo string, n int) simtime.Duration {
-	chip := scc.New(model)
-	comm := rcce.NewComm(chip)
-	cfg := core.Config{Transport: kind, Balanced: true, Recovery: &pol}
-	if algo != "" {
-		cfg.Selector = core.Fixed(algo)
-	}
-	victim := HealVictimFor(chip.NumCores())
-	g, err := core.Survivors(chip.NumCores(), []int{victim})
+	cfg := hardenedConfig(kind, algo)
+	cfg.Recovery = &pol
+	g, err := core.Survivors(model.NumCores(), []int{HealVictimFor(model.NumCores())})
 	if err != nil {
 		panic(err) // static input; cannot fail
 	}
-	chip.Launch(func(c *scc.Core) {
-		if c.ID == victim {
-			return
-		}
-		x, err := core.NewCtxGroup(comm.UE(c.ID), cfg, g)
-		if err != nil {
-			panic(err)
-		}
-		src := c.AllocF64(n)
-		dst := c.AllocF64(n)
-		v := make([]float64, n)
-		for i := range v {
-			v[i] = float64(c.ID+1) + float64(i)*0.5
-		}
-		c.WriteF64s(src, v)
-		if err := x.Allreduce(src, dst, n, core.Sum); err != nil {
-			panic(err) // fault-free oracle run must not fail
+	// The survivors do not read their result back: the floor is the
+	// collective alone, and a priced read would move it.
+	total, err := checkedAllreduce(model, cfg, nil, g, n, func(o allreduceOutcome) {
+		if o.err != nil {
+			panic(o.err) // fault-free oracle run must not fail
 		}
 	})
-	if err := chip.Run(); err != nil {
+	if err != nil {
 		panic(err)
 	}
-	return simtime.Duration(chip.Now())
-}
-
-// measurePlainAllreduce is the hardened-but-unhealed fault-free
-// baseline (the pre-self-healing stack).
-func measurePlainAllreduce(model *timing.Model, kind core.TransportKind, pol rcce.Policy, algo string, n int) simtime.Duration {
-	pt := measureFaultedAllreduce(model, kind, pol, algo, nil, n)
-	return pt.Latency
+	return total
 }
 
 // SelfHealSweep measures, for each algorithm, the fault-free self-healing
@@ -215,7 +141,8 @@ func measurePlainAllreduce(model *timing.Model, kind core.TransportKind, pol rcc
 func SelfHealSweep(model *timing.Model, kind core.TransportKind, pol core.HealPolicy, algos []string, n int, fracs []float64) []HealPoint {
 	var out []HealPoint
 	for _, algo := range algos {
-		plain := measurePlainAllreduce(model, kind, pol.Detect, algo, n)
+		// plain: the hardened-but-unhealed fault-free baseline.
+		plain := measureFaultedAllreduce(model, kind, pol.Detect, algo, nil, n).Latency
 		oracle := measureOracleAllreduce(model, kind, pol.Detect, algo, n)
 		overhead := measureSelfHealAllreduce(model, kind, pol, algo, n, 0)
 		overhead.Plain = plain

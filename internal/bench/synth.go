@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"scc/internal/core"
-	"scc/internal/rcce"
 	"scc/internal/scc"
 	"scc/internal/simtime"
 	"scc/internal/synth"
@@ -137,91 +136,23 @@ func measureSchedule(model *timing.Model, cfg core.Config, sched *synth.Schedule
 	if err != nil {
 		return 0, err
 	}
-	if reps < 1 {
-		reps = 1
-	}
 	cfg.Selector = nil
 	cfg.MPBDirect = false
-	chip := scc.New(model)
-	comm := rcce.NewComm(chip)
-	var grp *core.Group
-	if np < chip.NumCores() {
-		members := make([]int, np)
-		for i := range members {
-			members[i] = i
+	lat, err := measureGroup(model, cfg, a, Op(sched.Op), np, n, reps, func(x *core.Ctx, src, dst scc.Addr) error {
+		switch k {
+		case core.KindAllreduce:
+			return a.(core.AllreduceAlgorithm).Allreduce(x, src, dst, n, core.Sum)
+		case core.KindBroadcast:
+			return a.(core.BroadcastAlgorithm).Broadcast(x, 0, src, n)
+		case core.KindReduce:
+			return a.(core.ReduceAlgorithm).Reduce(x, 0, src, dst, n, core.Sum)
 		}
-		g, err := core.NewGroup(members, chip.NumCores())
-		if err != nil {
-			return 0, err
-		}
-		grp = g
-	}
-	rp := getReps(reps)
-	perRep := *rp
-	var runErr error
-	chip.Launch(func(c *scc.Core) {
-		if c.ID >= np {
-			return
-		}
-		x, err := core.NewCtxGroup(comm.UE(c.ID), cfg, grp)
-		if err != nil {
-			panic(fmt.Sprintf("bench: synth ctx: %v", err))
-		}
-		if !a.Applicable(x, n) {
-			if c.ID == 0 {
-				runErr = fmt.Errorf("bench: synth schedule %s/np=%d not applicable", sched.Op, np)
-			}
-			return
-		}
-		src := c.AllocF64(n)
-		dst := c.AllocF64(n)
-		vp := getStage(n)
-		v := *vp
-		for i := range v {
-			v[i] = float64(c.ID) + float64(i)*0.001
-		}
-		c.WriteF64s(src, v)
-		putStage(vp)
-		runOnce := func() {
-			var err error
-			switch k {
-			case core.KindAllreduce:
-				err = a.(core.AllreduceAlgorithm).Allreduce(x, src, dst, n, core.Sum)
-			case core.KindBroadcast:
-				err = a.(core.BroadcastAlgorithm).Broadcast(x, 0, src, n)
-			case core.KindReduce:
-				err = a.(core.ReduceAlgorithm).Reduce(x, 0, src, dst, n, core.Sum)
-			}
-			if err != nil {
-				panic(fmt.Sprintf("bench: synth %s np=%d n=%d: %v", sched.Op, np, n, err))
-			}
-		}
-		x.Barrier()
-		runOnce() // warm-up, as in Measure
-		for r := 0; r < reps; r++ {
-			x.Barrier()
-			t0 := c.Now()
-			runOnce()
-			if c.ID == 0 {
-				perRep[r] = c.Now() - t0
-			}
-		}
-		x.Release()
+		return fmt.Errorf("bench: synth: unknown op kind %s", k)
 	})
-	if err := chip.Run(); err != nil {
-		putReps(rp)
+	if err != nil {
 		return 0, fmt.Errorf("bench: synth %s np=%d n=%d: %w", sched.Op, np, n, err)
 	}
-	if runErr != nil {
-		putReps(rp)
-		return 0, runErr
-	}
-	var total simtime.Duration
-	for _, d := range perRep {
-		total += d
-	}
-	putReps(rp)
-	return total / simtime.Time(reps), nil
+	return lat, nil
 }
 
 // Synthesize runs the sweep on the runner's worker pool and returns

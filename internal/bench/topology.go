@@ -9,7 +9,6 @@ import (
 	"scc/internal/core"
 	"scc/internal/fabric"
 	"scc/internal/rcce"
-	"scc/internal/scc"
 	"scc/internal/simtime"
 	"scc/internal/timing"
 )
@@ -104,65 +103,19 @@ func MeasureHier(model *timing.Model, chips int, intra string, op Op, n, reps in
 	if op != OpAllreduce && op != OpBroadcast {
 		panic("bench: hierarchical measurement supports allreduce and broadcast, not " + string(op))
 	}
-	if reps < 1 {
-		reps = 1
-	}
-	sys := fabric.New(model, chips)
-	rp := getReps(reps)
-	perRep := *rp
-	for ci := 0; ci < chips; ci++ {
-		ci := ci
-		comm := rcce.NewComm(sys.Chips[ci])
-		port := sys.Port(ci)
-		sys.Chips[ci].Launch(func(c *scc.Core) {
-			x, err := core.NewCtxFabric(comm.UE(c.ID), core.ConfigBalanced, &core.Fabric{
-				Port: port, Chip: ci, Chips: chips, Intra: intra,
+	pr := program{
+		model: model, chips: chips, reps: reps, op: op, n: n, bufN: n,
+		ctx: func(sys *fabric.System, chip int, ue *rcce.UE) (*core.Ctx, error) {
+			return core.NewCtxFabric(ue, core.ConfigBalanced, &core.Fabric{
+				Port: sys.Port(chip), Chip: chip, Chips: chips, Intra: intra,
 			})
-			if err != nil {
-				panic(fmt.Sprintf("bench: hier ctx: %v", err))
-			}
-			src := c.AllocF64(n)
-			dst := c.AllocF64(n)
-			vp := getStage(n)
-			v := *vp
-			for i := range v {
-				v[i] = float64(c.ID) + float64(i)*0.001
-			}
-			c.WriteF64s(src, v)
-			putStage(vp)
-			runOnce := func() {
-				var err error
-				if op == OpAllreduce {
-					err = x.Allreduce(src, dst, n, core.Sum)
-				} else {
-					err = x.Broadcast(0, src, n)
-				}
-				if err != nil {
-					panic(fmt.Sprintf("bench: hier %s n=%d: %v", op, n, err))
-				}
-			}
-			x.Barrier()
-			runOnce() // warm-up, as in Measure
-			for r := 0; r < reps; r++ {
-				x.Barrier()
-				t0 := c.Now()
-				runOnce()
-				if ci == 0 && c.ID == 0 {
-					perRep[r] = c.Now() - t0
-				}
-			}
-			x.Release()
-		})
+		},
 	}
-	if err := sys.Run(); err != nil {
+	lat, err := pr.run()
+	if err != nil {
 		panic(fmt.Sprintf("bench: hier %s n=%d over %d chips: %v", op, n, chips, err))
 	}
-	var total simtime.Duration
-	for _, d := range perRep {
-		total += d
-	}
-	putReps(rp)
-	return total / simtime.Time(reps)
+	return lat
 }
 
 // HierSweep measures the hierarchical latency curve of one op across

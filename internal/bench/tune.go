@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
 	"scc/internal/core"
+	"scc/internal/fabric"
 	"scc/internal/rcce"
 	"scc/internal/scc"
 	"scc/internal/simtime"
@@ -126,94 +128,39 @@ func MeasureAlgorithm(model *timing.Model, cfg core.Config, k core.OpKind, algo 
 	if a == nil {
 		return 0, false
 	}
-	if reps < 1 {
-		reps = 1
-	}
 	cfg.Selector = core.Fixed(algo)
-	chip := scc.New(model)
-	comm := rcce.NewComm(chip)
-	var grp *core.Group
-	if np < chip.NumCores() {
-		members := make([]int, np)
-		for i := range members {
-			members[i] = i
-		}
-		g, err := core.NewGroup(members, chip.NumCores())
-		if err != nil {
-			panic(fmt.Sprintf("bench: tune group: %v", err))
-		}
-		grp = g
-	}
-	rp := getReps(reps)
-	perRep := *rp
-	applicable := true
-	chip.Launch(func(c *scc.Core) {
-		if c.ID >= np {
-			return // idle spectator outside the communicator
-		}
-		ue := comm.UE(c.ID)
-		x, err := core.NewCtxGroup(ue, cfg, grp)
-		if err != nil {
-			panic(fmt.Sprintf("bench: tune ctx: %v", err))
-		}
-		// Applicability is uniform across members (it depends only on
-		// group/config), so every member takes the same early exit.
-		if !a.Applicable(x, n) {
-			if c.ID == 0 {
-				applicable = false
-			}
-			return
-		}
-		src := c.AllocF64(n)
-		dst := c.AllocF64(n)
-		vp := getStage(n)
-		v := *vp
-		for i := range v {
-			v[i] = float64(c.ID) + float64(i)*0.001
-		}
-		c.WriteF64s(src, v)
-		putStage(vp)
-		runOnce := func() {
-			var err error
-			switch k {
-			case core.KindAllreduce:
-				err = x.Allreduce(src, dst, n, core.Sum)
-			case core.KindBroadcast:
-				err = x.Broadcast(0, src, n)
-			case core.KindReduce:
-				err = x.Reduce(0, src, dst, n, core.Sum)
-			default:
-				panic("bench: tune: unknown op kind " + k.String())
-			}
-			if err != nil {
-				panic(fmt.Sprintf("bench: tune %s[%s] np=%d n=%d: %v", k, algo, np, n, err))
-			}
-		}
-		x.Barrier()
-		runOnce() // warm-up, as in Measure
-		for r := 0; r < reps; r++ {
-			x.Barrier()
-			t0 := c.Now()
-			runOnce()
-			if c.ID == 0 {
-				perRep[r] = c.Now() - t0
-			}
-		}
-		x.Release()
-	})
-	if err := chip.Run(); err != nil {
-		panic(fmt.Sprintf("bench: tune %s[%s] np=%d n=%d: %v", k, algo, np, n, err))
-	}
-	if !applicable {
-		putReps(rp)
+	// The registry's kinds are named like their Fig. 9 panels.
+	lat, err := measureGroup(model, cfg, a, Op(k.String()), np, n, reps, nil)
+	if errors.Is(err, errNotApplicable) {
 		return 0, false
 	}
-	var total simtime.Duration
-	for _, d := range perRep {
-		total += d
+	if err != nil {
+		panic(fmt.Sprintf("bench: tune %s[%s] np=%d n=%d: %v", k, algo, np, n, err))
 	}
-	putReps(rp)
-	return total / simtime.Time(reps), true
+	return lat, true
+}
+
+// measureGroup runs the measured program of the tuner and the synthesis
+// sweep: op over the communicator of cores 0..np-1 (the rest of the chip
+// idle) with n-element buffers — dispatched through the context, where
+// the caller has pinned algorithm a, or through direct when that is set.
+// The error is errNotApplicable when a cannot serve that communicator.
+func measureGroup(model *timing.Model, cfg core.Config, a core.Algorithm, op Op, np, n, reps int, direct func(x *core.Ctx, src, dst scc.Addr) error) (simtime.Duration, error) {
+	grp, err := prefixGroup(np, model.NumCores())
+	if err != nil {
+		return 0, err
+	}
+	pr := program{
+		model: model, np: np, reps: reps, op: op, n: n, bufN: n, direct: direct,
+		ctx: func(_ *fabric.System, _ int, ue *rcce.UE) (*core.Ctx, error) {
+			x, err := core.NewCtxGroup(ue, cfg, grp)
+			if err == nil && !a.Applicable(x, n) {
+				err = errNotApplicable
+			}
+			return x, err
+		},
+	}
+	return pr.run()
 }
 
 // CellResult records one tuner cell: the measured latency of every

@@ -136,6 +136,28 @@ type RecoveryReport struct {
 	LastAgreeAt    simtime.Time // last committed agreement (-1 = none)
 }
 
+// Merge folds one core's report into a system-wide aggregate (start from
+// RecoveryReport{FirstSuspectAt: -1, LastAgreeAt: -1}). Per-core activity
+// counts (suspicions, clears, votes) are summed; global-event counts
+// (reconfigurations, re-executions, evictions — every member observes
+// the same committed events) and the epoch are maxima; FirstSuspectAt is
+// the earliest suspicion on any core and LastAgreeAt the latest
+// committed agreement.
+func (a *RecoveryReport) Merge(r RecoveryReport) {
+	a.Suspicions += r.Suspicions
+	a.Clears += r.Clears
+	a.Votes += r.Votes
+	a.VotesFailed += r.VotesFailed
+	a.Reconfigs = max(a.Reconfigs, r.Reconfigs)
+	a.Reexecs = max(a.Reexecs, r.Reexecs)
+	a.Evicted = max(a.Evicted, r.Evicted)
+	a.Epoch = max(a.Epoch, r.Epoch)
+	if r.FirstSuspectAt >= 0 && (a.FirstSuspectAt < 0 || r.FirstSuspectAt < a.FirstSuspectAt) {
+		a.FirstSuspectAt = r.FirstSuspectAt
+	}
+	a.LastAgreeAt = max(a.LastAgreeAt, r.LastAgreeAt)
+}
+
 // Healer is one core's self-healing state machine. It persists across
 // collective calls (and across façade Runs): suspicions, the agreed
 // member set and the communicator epoch are durable, so a second

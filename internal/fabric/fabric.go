@@ -14,11 +14,18 @@
 // All chips share one simtime.Engine, so a multi-chip run is a single
 // deterministic event sequence: same seed, same byte-identical result,
 // at any host worker count.
+//
+// System is also the one place where simulated systems are built: a
+// single chip is the 1-chip fabric, indistinguishable from a bare
+// scc.Chip (same process names, same errors, same event sequence). The
+// façade and every measurement of internal/bench construct their chips
+// and communicators here.
 package fabric
 
 import (
 	"fmt"
 
+	"scc/internal/rcce"
 	"scc/internal/scc"
 	"scc/internal/simtime"
 	"scc/internal/timing"
@@ -30,12 +37,15 @@ import (
 type System struct {
 	Engine *simtime.Engine
 	Chips  []*scc.Chip
-	model  *timing.Model
+	// Comms holds one RCCE communicator per chip, in chip order.
+	Comms []*rcce.Comm
+	model *timing.Model
 
 	// links holds the K*K directed mailboxes, indexed src*K+dst. The
 	// diagonal entries exist but are never used (same-chip traffic
 	// stays on the mesh).
 	links []link
+	ports []Port
 }
 
 // link is the rendezvous mailbox of one directed chip pair plus the
@@ -56,26 +66,33 @@ type link struct {
 }
 
 // New builds a System of k chips, all instances of the same model, on a
-// fresh engine. Core process names get a "chip<i>." prefix so notes and
-// deadlock reports stay unambiguous. It panics on an invalid model or
-// k < 1, mirroring scc.New.
+// fresh engine, each with its RCCE communicator. With k > 1, core
+// process names get a "chip<i>." prefix so notes and deadlock reports
+// stay unambiguous; the single chip of k = 1 keeps the bare names. It
+// panics on an invalid model, k < 1 or (for k > 1) a fabric without
+// width, mirroring scc.New; validate first when the arguments come from
+// user input.
 func New(model *timing.Model, k int) *System {
 	if k < 1 {
 		panic(fmt.Sprintf("fabric: system needs at least one chip, got %d", k))
 	}
-	if model.FabricBytesPerMeshCycle <= 0 {
+	if k > 1 && model.FabricBytesPerMeshCycle <= 0 {
 		panic(fmt.Sprintf("fabric: fabric width must be positive, got %d",
 			model.FabricBytesPerMeshCycle))
 	}
-	s := &System{
-		Engine: simtime.NewEngine(),
-		model:  model,
-		links:  make([]link, k*k),
+	s := &System{Engine: simtime.NewEngine(), model: model}
+	if k > 1 { // a single chip has nobody to talk to: no links, no ports
+		s.links = make([]link, k*k)
+		s.ports = make([]Port, k)
 	}
 	for i := 0; i < k; i++ {
 		chip := scc.NewOnEngine(model, s.Engine)
-		chip.NamePrefix = fmt.Sprintf("chip%d.", i)
 		s.Chips = append(s.Chips, chip)
+		s.Comms = append(s.Comms, rcce.NewComm(chip))
+		if k > 1 {
+			chip.NamePrefix = fmt.Sprintf("chip%d.", i)
+			s.ports[i] = Port{sys: s, chip: i}
+		}
 	}
 	return s
 }
@@ -83,22 +100,42 @@ func New(model *timing.Model, k int) *System {
 // NumChips returns how many chips the system spans.
 func (s *System) NumChips() int { return len(s.Chips) }
 
+// NumCores returns the core count over all chips.
+func (s *System) NumCores() int { return len(s.Chips) * s.model.NumCores() }
+
 // Model returns the shared timing model.
 func (s *System) Model() *timing.Model { return s.model }
 
-// Port returns chip's handle to the fabric. Any core of the chip may
-// drive it, but the hierarchical collectives use core 0 as the gateway.
+// Now returns the system's virtual time.
+func (s *System) Now() simtime.Time { return s.Engine.Now() }
+
+// Port returns chip's handle to the fabric (a 1-chip system has none).
+// Any core of the chip may drive it, but the hierarchical collectives
+// use core 0 as the gateway.
 func (s *System) Port(chip int) *Port {
-	if chip < 0 || chip >= len(s.Chips) {
-		panic(fmt.Sprintf("fabric: no chip %d in a %d-chip system", chip, len(s.Chips)))
+	if chip < 0 || chip >= len(s.ports) {
+		panic(fmt.Sprintf("fabric: no port %d in a %d-chip system", chip, len(s.Chips)))
 	}
-	return &Port{sys: s, chip: chip}
+	return &s.ports[chip]
+}
+
+// Launch spawns fn on every live core of every chip (SPMD), passing the
+// chip index along with the core. Call Run afterwards.
+func (s *System) Launch(fn func(chip int, c *scc.Core)) {
+	for ci, chip := range s.Chips {
+		ci := ci
+		chip.Launch(func(c *scc.Core) { fn(ci, c) })
+	}
 }
 
 // Run executes the whole system to completion: one engine, one error.
 // Per-chip Run must not be used in a multi-chip system (the chips share
-// the engine); this is the only run entry point.
+// the engine); this is the only run entry point. A 1-chip system reports
+// exactly scc.Chip.Run's error.
 func (s *System) Run() error {
+	if len(s.Chips) == 1 {
+		return s.Chips[0].Run()
+	}
 	err := s.Engine.Run()
 	if err == nil {
 		return nil

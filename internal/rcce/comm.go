@@ -39,7 +39,8 @@ const (
 	FlagMPBReady0 = 6
 	FlagMPBReady1 = 7
 	// FlagChk0..FlagChk0+3: sender -> receiver, FNV-1a checksum of the
-	// staged chunk (hardened protocol only; lives in the sent-flag line).
+	// staged chunk and its sequence number (hardened protocol only; lives
+	// in the sent-flag line).
 	FlagChk0 = 8
 	// FlagProgress: receiver -> sender, sequence number of the last chunk
 	// the receiver fully consumed. The hardened sender probes it on

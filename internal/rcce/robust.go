@@ -16,8 +16,13 @@ import (
 //
 //   - Flags carry sequence numbers (1..127) instead of 0/1, so a
 //     duplicate chunk is recognized and re-acknowledged, not re-consumed.
-//   - Every chunk travels with an FNV-1a checksum in the sent-flag line;
-//     a mismatch is NACKed (ready = seq|0x80) and the chunk is re-staged.
+//   - Every chunk travels with an FNV-1a checksum in the sent-flag line
+//     that authenticates (payload, epoch, sequence number); a mismatch is
+//     NACKed (ready = seq|0x80) and the chunk is re-staged. The sequence
+//     number is part of the sum because payload and checksum are two
+//     separate bulk writes: were both lost, the staging region and the
+//     checksum of the previous chunk would still verify against each
+//     other, and only the sequence number tells them from fresh data.
 //   - All waits are bounded. On timeout the sender probes the receiver's
 //     progress byte (the last consumed sequence number): if it equals the
 //     outstanding chunk the ACK was lost and the chunk is complete;
@@ -136,14 +141,16 @@ func prevSeq(s byte) byte {
 	return s - 1
 }
 
-// fnv1a is the per-chunk checksum (FNV-1a, 32-bit).
-func fnv1a(b []byte) uint32 {
-	h := uint32(2166136261)
-	for _, c := range b {
+// chunkSum is the per-chunk checksum: FNV-1a (32-bit) over the chunk's
+// sequence number followed by its payload, salted with the epoch. Sender
+// and receiver both compute it over their private-memory copy.
+func chunkSum(seq byte, payload []byte, epochSalt uint32) uint32 {
+	h := (uint32(2166136261) ^ uint32(seq)) * 16777619
+	for _, c := range payload {
 		h ^= uint32(c)
 		h *= 16777619
 	}
-	return h
+	return h ^ epochSalt
 }
 
 // robustOp is one direction of a hardened transfer: a chunked state
@@ -273,14 +280,16 @@ func (r *robustOp) chargeChecksum(n int) {
 
 // stage copies the current chunk into the peer's staging region along
 // with its checksum, then announces it with the sequence-valued sent
-// flag. The checksum is computed over the private-memory source, so
-// corruption or loss anywhere on the MPB path is detectable.
+// flag. The checksum is computed over the private-memory source and
+// covers the sequence number, so a corrupted write, a lost write, and
+// the loss of both writes (which leaves the previous chunk and its own
+// checksum in place) all fail verification on the receiver.
 func (r *robustOp) stage() {
 	u := r.u
 	n := r.chunkLen()
 	u.Put(r.addr+scc.Addr(r.off), u.comm.DataBase(u.ID()), n)
 	r.chargeChecksum(n)
-	sum := fnv1a(u.core.PrivBytes(r.addr+scc.Addr(r.off), n)) ^ u.epochSalt
+	sum := chunkSum(r.seq, u.core.PrivBytes(r.addr+scc.Addr(r.off), n), u.epochSalt)
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], sum)
 	u.core.MPBWrite(r.chkOff(), b[:])
@@ -350,12 +359,12 @@ func (r *robustOp) advance(v byte) {
 	n := r.chunkLen()
 	u.Get(u.comm.DataBase(r.peer), r.addr+scc.Addr(r.off), n)
 	r.chargeChecksum(n)
-	sum := fnv1a(u.core.PrivBytes(r.addr+scc.Addr(r.off), n)) ^ u.epochSalt
+	sum := chunkSum(r.seq, u.core.PrivBytes(r.addr+scc.Addr(r.off), n), u.epochSalt)
 	var b [4]byte
 	u.core.MPBRead(r.chkOff(), b[:])
 	if binary.LittleEndian.Uint32(b[:]) != sum {
-		// Corrupt (or partially lost) chunk: NACK and wait for the
-		// retransmission of the same sequence number.
+		// Corrupt, lost, or stale (another sequence number's) chunk:
+		// NACK and wait for the retransmission of this sequence number.
 		u.core.SetFlag(r.readyOff(), r.seq|nackBit)
 		u.stats.Nacks++
 		r.armDeadline()

@@ -26,6 +26,7 @@ import (
 // steps that turn a 2,500-core run from seconds into minutes.
 func largeMeshDigest(t *testing.T, rows, cols, n int) [sha256.Size]byte {
 	t.Helper()
+	skipUnderRace(t)
 	sys := sccsim.New(sccsim.WithTopology(rows, cols, 1), sccsim.WithTuned())
 	cores := rows * cols
 	sums := make([]float64, cores) // disjoint per-rank slots
@@ -78,6 +79,15 @@ func largeMeshDigest(t *testing.T, rows, cols, n int) [sha256.Size]byte {
 	return d
 }
 
+// skipUnderRace keeps the thousands-of-coroutines tests out of -race
+// runs; CI's large-mesh-smoke job runs them without the detector.
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("large-mesh run under the race detector (OOM at 16 GB); covered by the non-race large-mesh job")
+	}
+}
+
 func TestLargeMeshDeterminism50x50(t *testing.T) {
 	first := largeMeshDigest(t, 50, 50, 64)
 	if again := largeMeshDigest(t, 50, 50, 64); again != first {
@@ -100,6 +110,7 @@ func TestLargeMeshDeterminism100x100(t *testing.T) {
 // worker count — the pooled trampoline workers underneath change which
 // OS goroutine runs a simulated process, never what it computes.
 func TestLargeMeshPanelAnyWorkerCount(t *testing.T) {
+	skipUnderRace(t)
 	model := timing.Topology(50, 50, 1)
 	sizes := []int{8, 16}
 	serial := bench.NewRunner(1).Panel(model, bench.OpBroadcast, sizes, 1)
@@ -108,5 +119,24 @@ func TestLargeMeshPanelAnyWorkerCount(t *testing.T) {
 		if !reflect.DeepEqual(serial, par) {
 			t.Fatalf("50x50 broadcast panel differs between 1 and %d workers", workers)
 		}
+	}
+}
+
+// TestLargeMeshFootprintBudget bounds the live heap per simulated core
+// at the 10k-core scaling target (101.7 KB/core when the budget was
+// set): a dense per-core structure creeping back in multiplies by
+// 10,240 here long before anyone notices at 48 cores. The small
+// geometries are bounded by TestFootprintBudget in internal/bench.
+func TestLargeMeshFootprintBudget(t *testing.T) {
+	skipUnderRace(t)
+	if testing.Short() {
+		t.Skip("10,240-core run in -short mode")
+	}
+	fp := bench.MeasureFootprint(timing.Topology(80, 128, 1))
+	if fp.BarrierTicks <= 0 || fp.BroadcastTicks <= 0 {
+		t.Fatalf("the chip did not synchronize: %+v", fp)
+	}
+	if limit := 160.0 * 1024; fp.BytesPerCore > limit {
+		t.Fatalf("%d cores retain %.0f B/core, budget %.0f", fp.Cores, fp.BytesPerCore, limit)
 	}
 }

@@ -218,6 +218,7 @@ type Metrics = metrics.Snapshot
 // config collects construction options.
 type config struct {
 	model    *timing.Model
+	bugFixed bool
 	stack    Stack
 	chips    int
 	intra    string
@@ -226,6 +227,41 @@ type config struct {
 	selfheal *core.HealPolicy
 	selector core.Selector
 	metrics  bool
+}
+
+// validate is the one place where option combinations are judged: it
+// returns an error wrapping ErrInvalid for a geometry the simulator
+// cannot build and for every subsystem that is single-chip scoped but
+// was combined with WithChips(k > 1).
+func (c *config) validate() error {
+	invalid := func(format string, args ...any) error {
+		return fmt.Errorf("sccsim: %w: %s", ErrInvalid, fmt.Sprintf(format, args...))
+	}
+	if c.model == nil {
+		return invalid("nil timing model")
+	}
+	if err := c.model.Validate(); err != nil {
+		return invalid("%v", err)
+	}
+	if c.chips <= 1 {
+		return nil
+	}
+	switch {
+	case c.stack == StackRCKMPI:
+		return invalid("WithChips: StackRCKMPI is single-chip only")
+	case c.faults != nil:
+		return invalid("WithChips: fault plans are single-chip only")
+	case c.selfheal != nil:
+		return invalid("WithChips: self-healing is single-chip only")
+	case c.metrics:
+		return invalid("WithChips: metrics are single-chip only")
+	case c.model.FabricBytesPerMeshCycle <= 0:
+		return invalid("WithChips: fabric width must be positive, got %d", c.model.FabricBytesPerMeshCycle)
+	case c.intra != "" && core.LookupAlgorithm(core.KindAllreduce, c.intra) == nil:
+		return invalid("WithIntraAlgorithm: unknown algorithm %q (have %v)",
+			c.intra, core.AlgorithmNames(core.KindAllreduce))
+	}
+	return nil
 }
 
 // Option customizes a System.
@@ -245,8 +281,7 @@ func WithModel(m *timing.Model) Option { return func(c *config) { c.model = m } 
 // model: latency constants are unchanged while the MPB flag layout and
 // per-core MPB size are resized for the new core count (see
 // timing.Topology). WithTopology(4, 6, 2) is the paper's default chip.
-// New panics on an impossible geometry; pre-validate user input with
-// timing.Topology(...).Validate().
+// An impossible geometry is a typed error (ErrInvalid) from Run.
 func WithTopology(rows, cols, coresPerTile int) Option {
 	return func(c *config) { c.model = timing.Topology(rows, cols, coresPerTile) }
 }
@@ -257,9 +292,9 @@ func WithTopology(rows, cols, coresPerTile int) Option {
 // gateway exchange, intra-chip phase) and rank IDs become system-global
 // (Rank.ID in [0, NumCores)). k <= 1 is the plain single-chip system.
 // Multi-chip systems support the RCCE-based stacks, WithRecovery,
-// WithSelector and WithIntraAlgorithm; New panics when combined with
-// StackRCKMPI, WithFaults, WithSelfHealing or WithMetrics (those
-// subsystems are single-chip scoped).
+// WithSelector and WithIntraAlgorithm; combined with StackRCKMPI,
+// WithFaults, WithSelfHealing or WithMetrics (those subsystems are
+// single-chip scoped) Run returns a typed error (ErrInvalid).
 func WithChips(k int) Option { return func(c *config) { c.chips = k } }
 
 // WithIntraAlgorithm forces the intra-chip phases of the hierarchical
@@ -271,13 +306,7 @@ func WithIntraAlgorithm(name string) Option { return func(c *config) { c.intra =
 // WithHardwareBugFixed removes the SCC's local-MPB erratum workaround,
 // probing the paper's prediction that fixed silicon would make the
 // MPB-direct Allreduce win clearly (Sec. IV-D).
-func WithHardwareBugFixed() Option {
-	return func(c *config) {
-		m := *c.model
-		m.HardwareBugFixed = true
-		c.model = &m
-	}
-}
+func WithHardwareBugFixed() Option { return func(c *config) { c.bugFixed = true } }
 
 // WithFaults installs a deterministic fault plan on the chip: the
 // scheduled link stalls, lost or corrupted MPB writes and core faults
@@ -337,15 +366,14 @@ func WithSelfHealing(pol HealPolicy) Option {
 // System is one simulated SCC — or, with WithChips(k > 1), k of them
 // joined by the inter-chip fabric — ready to run SPMD programs.
 type System struct {
-	cfg  config
-	chip *scc.Chip
-	comm *rcce.Comm
-	// fab and comms are the multi-chip state (nil for a single chip):
-	// the shared-engine fabric system plus one communicator per chip.
-	// chip and comm then alias chip 0 so the single-chip accessors
-	// (Model, Elapsed) keep working off the shared engine.
-	fab   *fabric.System
-	comms []*rcce.Comm
+	cfg config
+	// err is config.validate's verdict. A System built from invalid
+	// options is inert: fab is nil, accessors return zero values, and
+	// Run/RunResult return err without simulating anything.
+	err error
+	// fab holds the chips, their communicators and the shared engine; a
+	// single chip is the 1-chip fabric.
+	fab *fabric.System
 	// healers persist per core across Run calls (nil without
 	// WithSelfHealing): suspicions, the agreed member set and the
 	// communicator epoch are durable state of the runtime, not of one
@@ -354,108 +382,102 @@ type System struct {
 }
 
 // New builds a simulated SCC. Options default to the paper's hardware
-// and the lightweight balanced stack.
+// and the lightweight balanced stack. New never fails: options that do
+// not describe a buildable system (an impossible geometry, a
+// single-chip subsystem combined with WithChips) yield an inert System
+// whose Run and RunResult return the typed error (ErrInvalid).
 func New(opts ...Option) *System {
 	cfg := config{model: timing.Default(), stack: StackLightweightBalanced}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.chips > 1 {
-		return newMultiChip(cfg)
+	s := &System{cfg: cfg, err: cfg.validate()}
+	if s.err != nil {
+		return s
 	}
-	chip := scc.New(cfg.model)
+	if cfg.bugFixed {
+		m := *cfg.model
+		m.HardwareBugFixed = true
+		cfg.model = &m
+	}
+	s.fab = fabric.New(cfg.model, max(cfg.chips, 1))
+	// Metrics, faults and self-healing are single-chip scoped (validate
+	// rejected them otherwise), so chip 0 is the chip.
+	chip := s.fab.Chips[0]
 	if cfg.metrics {
 		chip.SetMetrics(metrics.New(chip.NumCores()))
 	}
 	if cfg.faults != nil {
 		fault.Install(chip, cfg.faults)
 	}
-	s := &System{cfg: cfg, chip: chip, comm: rcce.NewComm(chip)}
 	if cfg.selfheal != nil {
 		s.healers = make([]*core.Healer, chip.NumCores())
 	}
 	return s
 }
 
-// newMultiChip builds the fabric-joined variant (WithChips > 1).
-func newMultiChip(cfg config) *System {
-	switch {
-	case cfg.stack == StackRCKMPI:
-		panic("sccsim: WithChips: StackRCKMPI is single-chip only")
-	case cfg.faults != nil:
-		panic("sccsim: WithChips: fault plans are single-chip only")
-	case cfg.selfheal != nil:
-		panic("sccsim: WithChips: self-healing is single-chip only")
-	case cfg.metrics:
-		panic("sccsim: WithChips: metrics are single-chip only")
-	}
-	fab := fabric.New(cfg.model, cfg.chips)
-	s := &System{cfg: cfg, fab: fab, chip: fab.Chips[0]}
-	for _, chip := range fab.Chips {
-		s.comms = append(s.comms, rcce.NewComm(chip))
-	}
-	s.comm = s.comms[0]
-	return s
-}
-
 // NumCores returns the total rank count: the core count of the chip
 // (48 on the paper's default geometry) times the chip count.
 func (s *System) NumCores() int {
-	if s.fab != nil {
-		return s.fab.NumChips() * s.chip.NumCores()
+	if s.fab == nil {
+		return 0
 	}
-	return s.chip.NumCores()
+	return s.fab.NumCores()
 }
 
 // Chips returns how many chips the system spans (1 without WithChips).
 func (s *System) Chips() int {
-	if s.fab != nil {
-		return s.fab.NumChips()
+	if s.fab == nil {
+		return 0
 	}
-	return 1
+	return s.fab.NumChips()
 }
 
 // Model exposes the timing model in use.
-func (s *System) Model() *timing.Model { return s.chip.Model }
+func (s *System) Model() *timing.Model {
+	if s.fab == nil {
+		return nil
+	}
+	return s.fab.Model()
+}
 
 // Stack returns the configured communication stack.
 func (s *System) Stack() Stack { return s.cfg.stack }
 
 // Run executes program on every core simultaneously (SPMD) and blocks
 // until the virtual machine is idle. It returns the simulation error
-// (nil, deadlock, or a propagated panic from the program). A System can
+// (nil, deadlock, or a propagated panic from the program) or, for a
+// System built from invalid options, the validation error. A System can
 // run several programs in sequence; virtual time keeps advancing. On a
 // multi-chip system the program runs on every core of every chip, with
 // system-global rank IDs.
 func (s *System) Run(program func(r *Rank)) error {
-	if s.fab != nil {
-		for ci, chip := range s.fab.Chips {
-			ci := ci
-			chip.Launch(func(c *scc.Core) {
-				program(s.newRankOnChip(ci, c))
-			})
-		}
-		return s.fab.Run()
+	if s.err != nil {
+		return s.err
 	}
-	s.chip.Launch(func(c *scc.Core) {
-		program(s.newRank(c))
+	s.fab.Launch(func(chip int, c *scc.Core) {
+		program(s.newRank(chip, c))
 	})
-	return s.chip.Run()
+	return s.fab.Run()
 }
 
-// Elapsed reports the chip's virtual time.
-func (s *System) Elapsed() Duration { return s.chip.Now() }
+// Elapsed reports the system's virtual time.
+func (s *System) Elapsed() Duration {
+	if s.fab == nil {
+		return 0
+	}
+	return s.fab.Now()
+}
 
 // Metrics returns a snapshot of everything counted so far, or nil when
 // the System was built without WithMetrics. Snapshots are independent:
 // taking one does not reset the counters, and later runs do not mutate
 // snapshots already taken.
 func (s *System) Metrics() *Metrics {
-	reg := s.chip.Metrics()
-	if reg == nil {
+	if !s.cfg.metrics || s.fab == nil {
 		return nil
 	}
-	return reg.Snapshot()
+	return s.fab.Chips[0].Metrics().Snapshot()
 }
 
 // Heal aggregates the self-healing activity of all ranks so far, or
@@ -464,38 +486,16 @@ func (s *System) Metrics() *Metrics {
 // counts (reconfigurations, re-executions, evictions — every member
 // observes the same committed events) and the epoch are maxima;
 // FirstSuspectAt is the earliest suspicion on any core (detection
-// latency) and LastAgreeAt the latest committed agreement.
+// latency) and LastAgreeAt the latest committed agreement (see
+// core.RecoveryReport.Merge).
 func (s *System) Heal() *HealReport {
 	if s.healers == nil {
 		return nil
 	}
 	agg := HealReport{FirstSuspectAt: -1, LastAgreeAt: -1}
 	for _, h := range s.healers {
-		if h == nil {
-			continue
-		}
-		r := h.Report()
-		agg.Suspicions += r.Suspicions
-		agg.Clears += r.Clears
-		agg.Votes += r.Votes
-		agg.VotesFailed += r.VotesFailed
-		if r.Reconfigs > agg.Reconfigs {
-			agg.Reconfigs = r.Reconfigs
-		}
-		if r.Reexecs > agg.Reexecs {
-			agg.Reexecs = r.Reexecs
-		}
-		if r.Evicted > agg.Evicted {
-			agg.Evicted = r.Evicted
-		}
-		if r.Epoch > agg.Epoch {
-			agg.Epoch = r.Epoch
-		}
-		if r.FirstSuspectAt >= 0 && (agg.FirstSuspectAt < 0 || r.FirstSuspectAt < agg.FirstSuspectAt) {
-			agg.FirstSuspectAt = r.FirstSuspectAt
-		}
-		if r.LastAgreeAt > agg.LastAgreeAt {
-			agg.LastAgreeAt = r.LastAgreeAt
+		if h != nil {
+			agg.Merge(h.Report())
 		}
 	}
 	return &agg
@@ -525,9 +525,9 @@ func (r *Result) Heal() *HealReport { return r.heal }
 // returns how long it took in virtual time together with a metrics
 // snapshot (when WithMetrics is active). The error is Run's error.
 func (s *System) RunResult(program func(r *Rank)) (*Result, error) {
-	t0 := s.chip.Now()
+	t0 := s.Elapsed()
 	err := s.Run(program)
-	return &Result{elapsed: s.chip.Now() - t0, metrics: s.Metrics(), heal: s.Heal()}, err
+	return &Result{elapsed: s.Elapsed() - t0, metrics: s.Metrics(), heal: s.Heal()}, err
 }
 
 // Rank is the per-core handle inside a Run program: private memory,
@@ -547,8 +547,20 @@ type Rank struct {
 	evicted error
 }
 
-func (s *System) newRank(c *scc.Core) *Rank {
-	r := &Rank{core: c, ue: s.comm.UE(c.ID), gid: c.ID, gn: s.chip.NumCores()}
+// newRank is the one rank constructor: chip ci's core c, on whatever
+// stack, recovery, self-healing and fabric placement the System was
+// configured with. A rank whose context cannot be built (evicted by an
+// earlier membership agreement) carries the typed error instead and
+// returns it from every collective.
+func (s *System) newRank(ci int, c *scc.Core) *Rank {
+	perChip := s.fab.Model().NumCores()
+	r := &Rank{
+		core:    c,
+		ue:      s.fab.Comms[ci].UE(c.ID),
+		gid:     ci*perChip + c.ID,
+		gn:      s.fab.NumCores(),
+		chipIdx: ci,
+	}
 	if s.cfg.stack == StackRCKMPI {
 		r.mpi = rckmpi.New(r.ue)
 		return r
@@ -556,54 +568,25 @@ func (s *System) newRank(c *scc.Core) *Rank {
 	cfg := s.cfg.stack.coreConfig()
 	cfg.Recovery = s.cfg.recovery
 	cfg.Selector = s.cfg.selector
-	if s.cfg.selfheal != nil {
-		cfg.SelfHeal = s.cfg.selfheal
-		h := s.healers[c.ID]
-		if h == nil {
-			h = core.NewHealer(r.ue, *s.cfg.selfheal)
-			s.healers[c.ID] = h
+	cfg.SelfHeal = s.cfg.selfheal
+	switch {
+	case s.healers != nil:
+		if s.healers[c.ID] == nil {
+			s.healers[c.ID] = core.NewHealer(r.ue, *s.cfg.selfheal)
 		}
-		ctx, err := core.NewCtxHealer(r.ue, cfg, h)
-		if err != nil {
-			r.evicted = err
-			return r
-		}
-		r.ctx = ctx
-		return r
+		r.ctx, r.evicted = core.NewCtxHealer(r.ue, cfg, s.healers[c.ID])
+	case s.fab.NumChips() > 1:
+		// The context carries the chip's fabric port, so Allreduce/
+		// Broadcast/Barrier dispatch to the hierarchical composition.
+		r.ctx, r.evicted = core.NewCtxFabric(r.ue, cfg, &core.Fabric{
+			Port:  s.fab.Port(ci),
+			Chip:  ci,
+			Chips: s.fab.NumChips(),
+			Intra: s.cfg.intra,
+		})
+	default:
+		r.ctx = core.NewCtx(r.ue, cfg)
 	}
-	r.ctx = core.NewCtx(r.ue, cfg)
-	return r
-}
-
-// newRankOnChip builds a rank of a multi-chip system: the collectives
-// context carries the chip's fabric port, so Allreduce/Broadcast/
-// Barrier dispatch to the hierarchical "hier" composition.
-func (s *System) newRankOnChip(ci int, c *scc.Core) *Rank {
-	perChip := s.chip.NumCores()
-	r := &Rank{
-		core:    c,
-		ue:      s.comms[ci].UE(c.ID),
-		gid:     ci*perChip + c.ID,
-		gn:      s.fab.NumChips() * perChip,
-		chipIdx: ci,
-	}
-	cfg := s.cfg.stack.coreConfig()
-	cfg.Recovery = s.cfg.recovery
-	cfg.Selector = s.cfg.selector
-	ctx, err := core.NewCtxFabric(r.ue, cfg, &core.Fabric{
-		Port:  s.fab.Port(ci),
-		Chip:  ci,
-		Chips: s.fab.NumChips(),
-		Intra: s.cfg.intra,
-	})
-	if err != nil {
-		// Construction only fails on malformed fabric parameters, which
-		// New's own wiring cannot produce — except an unknown
-		// WithIntraAlgorithm name, surfaced on first collective call.
-		r.evicted = err
-		return r
-	}
-	r.ctx = ctx
 	return r
 }
 
