@@ -120,18 +120,18 @@ func (treeAlg) Allreduce(x *Ctx, src, dst scc.Addr, n int, op Op) error {
 	// Tree Reduce to the lowest member followed by tree Broadcast
 	// (RCCE_comm's composition; 2*log2(p) levels beat 2*(p-1) ring
 	// rounds for tiny vectors).
-	if err := x.ReduceTree(x.member(0), src, dst, n, op); err != nil {
+	if err := x.reduceTree(x.member(0), src, dst, n, op); err != nil {
 		return err
 	}
-	return x.BroadcastTree(x.member(0), dst, n)
+	return x.broadcastTree(x.member(0), dst, n)
 }
 
 func (treeAlg) Broadcast(x *Ctx, root int, addr scc.Addr, n int) error {
-	return x.BroadcastTree(root, addr, n)
+	return x.broadcastTree(root, addr, n)
 }
 
 func (treeAlg) Reduce(x *Ctx, root int, src, dst scc.Addr, n int, op Op) error {
-	return x.ReduceTree(root, src, dst, n, op)
+	return x.reduceTree(root, src, dst, n, op)
 }
 
 // recdoubleAlg is log-depth Allreduce moving the full vector each
@@ -146,7 +146,7 @@ func (recdoubleAlg) Describe() string {
 func (recdoubleAlg) Applicable(x *Ctx, n int) bool { return true }
 
 func (recdoubleAlg) Allreduce(x *Ctx, src, dst scc.Addr, n int, op Op) error {
-	return x.AllreduceRecursiveDoubling(src, dst, n, op)
+	return x.allreduceRecDouble(src, dst, n, op)
 }
 
 // mpbAlg is the hardware-specific Allreduce of Sec. IV-D: the ring

@@ -92,7 +92,8 @@ func Configs() []Config {
 
 // Ctx is the per-core collectives context: one UE plus its transport
 // endpoint and scratch buffers. Create one per core inside the simulated
-// program via NewCtx (full chip) or NewCtxGroup (survivor set).
+// program via NewCtx (full chip) or NewCtxWith (survivor set, fabric
+// placement, persistent healer).
 type Ctx struct {
 	ue  *rcce.UE
 	ep  Endpoint
@@ -205,62 +206,91 @@ func (c Config) withSelfHealDefaults() Config {
 	return c
 }
 
-// NewCtx builds a collectives context for one UE, spanning all cores.
-func NewCtx(ue *rcce.UE, cfg Config) *Ctx {
-	cfg = cfg.withSelfHealDefaults()
-	x := &Ctx{ue: ue, ep: newEndpoint(ue, cfg), cfg: cfg, scratchLen: -1}
-	x.adoptScratch()
-	if cfg.SelfHeal != nil {
-		x.healer = NewHealer(ue, *cfg.SelfHeal)
-	}
-	return x
+// CtxOpts are the optional ingredients of a context; the zero value is
+// the plain full-chip, single-chip one.
+type CtxOpts struct {
+	// Group restricts the collectives to a member subset (the
+	// failure-aware mode: typically Survivors of the dead set). The UE
+	// must be a member.
+	Group *Group
+	// Fabric places the core in a multi-chip system; nil or a single
+	// chip is the plain chip.
+	Fabric *Fabric
+	// Healer is a persistent self-healing state machine (the façade
+	// keeps one per core across Runs: suspicions, the agreed member set
+	// and the epoch survive a Run boundary). The context starts on the
+	// healer's current member set, which takes the place of Group, and
+	// on the healer's policy unless cfg.SelfHeal is set.
+	Healer *Healer
 }
 
-// NewCtxGroup builds a collectives context restricted to a group (the
-// failure-aware mode: g is typically Survivors of the dead set). The UE
-// must be a member.
-func NewCtxGroup(ue *rcce.UE, cfg Config, g *Group) (*Ctx, error) {
-	if g == nil {
-		return NewCtx(ue, cfg), nil
+// NewCtxWith is the one constructor: every context — full chip, group,
+// fabric-placed, healing — is built here. It returns ErrInvalid for a
+// group the UE is not a member of and for a malformed fabric placement,
+// and ErrEvicted for a core the persistent healer's last agreement
+// excluded.
+func NewCtxWith(ue *rcce.UE, cfg Config, o CtxOpts) (*Ctx, error) {
+	g, f, h := o.Group, o.Fabric, o.Healer
+	switch {
+	case f == nil || f.Chips <= 1:
+		f = nil
+	case f.Port == nil:
+		return nil, fmt.Errorf("core: %w: fabric context needs a port", ErrInvalid)
+	case f.Chip < 0 || f.Chip >= f.Chips:
+		return nil, fmt.Errorf("core: %w: chip %d outside [0,%d)", ErrInvalid, f.Chip, f.Chips)
+	case f.Intra != "" && LookupAlgorithm(KindAllreduce, f.Intra) == nil:
+		return nil, fmt.Errorf("core: %w: unknown intra-chip algorithm %q (have %v)",
+			ErrInvalid, f.Intra, AlgorithmNames(KindAllreduce))
 	}
-	if !g.Contains(ue.ID()) {
+	if h != nil {
+		if cfg.SelfHeal == nil {
+			p := h.pol
+			cfg.SelfHeal = &p
+		}
+		h.Bind(ue)
+		var err error
+		if g, err = h.groupFor(); err != nil {
+			return nil, err
+		}
+		if g != nil && !g.Contains(ue.ID()) {
+			return nil, fmt.Errorf("core: %w: core %d (epoch %d)", ErrEvicted, ue.ID(), h.epoch)
+		}
+	} else if g != nil && !g.Contains(ue.ID()) {
 		return nil, fmt.Errorf("core: %w: core %d is not a member of the group", ErrInvalid, ue.ID())
 	}
 	cfg = cfg.withSelfHealDefaults()
-	x := &Ctx{ue: ue, ep: newEndpoint(ue, cfg), cfg: cfg, grp: g, scratchLen: -1}
+	x := &Ctx{ue: ue, ep: newEndpoint(ue, cfg), cfg: cfg, grp: g, fab: f, healer: h, scratchLen: -1}
 	x.adoptScratch()
-	if cfg.SelfHeal != nil {
+	if h == nil && cfg.SelfHeal != nil {
 		x.healer = NewHealer(ue, *cfg.SelfHeal)
-		x.healer.seedMembers(g.Members())
+		if g != nil {
+			x.healer.seedMembers(g.Members())
+		}
 	}
 	return x, nil
 }
 
-// NewCtxHealer builds a self-healing context around a persistent Healer
-// (the façade keeps one healer per core across Runs: suspicions, the
-// agreed member set and the epoch survive a Run boundary). The context
-// starts on the healer's current member set; a core the previous
-// agreement evicted gets ErrEvicted instead of a context.
+// NewCtx builds a collectives context for one UE, spanning all cores of
+// its chip. (Every error of NewCtxWith needs an option, so none can
+// occur here.)
+func NewCtx(ue *rcce.UE, cfg Config) *Ctx {
+	x, _ := NewCtxWith(ue, cfg, CtxOpts{})
+	return x
+}
+
+// NewCtxGroup is NewCtxWith restricted to a group.
+func NewCtxGroup(ue *rcce.UE, cfg Config, g *Group) (*Ctx, error) {
+	return NewCtxWith(ue, cfg, CtxOpts{Group: g})
+}
+
+// NewCtxHealer is NewCtxWith around a persistent Healer.
 func NewCtxHealer(ue *rcce.UE, cfg Config, h *Healer) (*Ctx, error) {
-	if h == nil {
-		return NewCtx(ue, cfg), nil
-	}
-	if cfg.SelfHeal == nil {
-		p := h.pol
-		cfg.SelfHeal = &p
-	}
-	cfg = cfg.withSelfHealDefaults()
-	h.Bind(ue)
-	g, err := h.groupFor()
-	if err != nil {
-		return nil, err
-	}
-	if g != nil && !g.Contains(ue.ID()) {
-		return nil, fmt.Errorf("core: %w: core %d (epoch %d)", ErrEvicted, ue.ID(), h.epoch)
-	}
-	x := &Ctx{ue: ue, ep: newEndpoint(ue, cfg), cfg: cfg, grp: g, scratchLen: -1, healer: h}
-	x.adoptScratch()
-	return x, nil
+	return NewCtxWith(ue, cfg, CtxOpts{Healer: h})
+}
+
+// NewCtxFabric is NewCtxWith for one core of a multi-chip system.
+func NewCtxFabric(ue *rcce.UE, cfg Config, f *Fabric) (*Ctx, error) {
+	return NewCtxWith(ue, cfg, CtxOpts{Fabric: f})
 }
 
 // Healer returns the self-healing state machine, or nil when the
@@ -315,12 +345,31 @@ func (x *Ctx) rootRank(fn string, root int) (int, error) {
 	return root, nil
 }
 
-// checkCount rejects negative element counts.
-func checkCount(fn string, n int) error {
+// collective is the one door every collective call comes in through.
+// In this order: argument validation (a negative count, a malformed
+// per-rank layout — ErrInvalid before anything is simulated), the typed
+// ErrCrossChip refusal for an operation that has no hierarchical
+// composition, and the self-healing loop around body. body is one
+// attempt: whatever depends on the membership — group size, root rank,
+// block layout, algorithm pick (and with it the traced span, which is
+// labelled with the algorithm) — is decided inside it, so a re-execution
+// after the group shrank decides again for the survivors.
+func (x *Ctx) collective(fn string, n int, spansChips bool, body func() error, layouts ...[]Block) error {
 	if n < 0 {
 		return fmt.Errorf("core: %s: %w: negative count %d", fn, ErrInvalid, n)
 	}
-	return nil
+	for _, blocks := range layouts {
+		if err := validateBlocks(fn, blocks, x.np()); err != nil {
+			return err
+		}
+	}
+	if !spansChips && x.multiChip() {
+		return fmt.Errorf("core: %s: %w", fn, ErrCrossChip)
+	}
+	if x.healer != nil {
+		return x.healer.run(x, body)
+	}
+	return body()
 }
 
 // partitionFor returns the (read-only) partition for the given shape,
@@ -397,26 +446,15 @@ func (x *Ctx) copyPriv(dst, src scc.Addr, n int) {
 // the bucket/ring algorithm of Fig. 2: p-1 rounds, each core pushing
 // partial blocks to its right neighbor. dst must hold at least the
 // largest block. It returns the partition used.
-func (x *Ctx) ReduceScatter(src, dst scc.Addr, n int, op Op) ([]Block, error) {
-	if err := checkCount("ReduceScatter", n); err != nil {
-		return nil, err
-	}
-	if x.healer != nil {
-		var blocks []Block
-		err := x.healer.run(x, func() error {
-			var e error
-			blocks, e = x.reduceScatterBody(src, dst, n, op)
-			return e
-		})
-		return blocks, err
-	}
-	return x.reduceScatterBody(src, dst, n, op)
+func (x *Ctx) ReduceScatter(src, dst scc.Addr, n int, op Op) (blocks []Block, err error) {
+	err = x.collective("ReduceScatter", n, false, func() (e error) {
+		blocks, e = x.reduceScatterBody(src, dst, n, op)
+		return e
+	})
+	return blocks, err
 }
 
 func (x *Ctx) reduceScatterBody(src, dst scc.Addr, n int, op Op) ([]Block, error) {
-	if x.multiChip() {
-		return nil, fmt.Errorf("core: ReduceScatter: %w", ErrCrossChip)
-	}
 	p := x.np()
 	me := x.rank()
 	blocks := x.partitionFor(n, p, x.cfg.Balanced)
@@ -449,42 +487,13 @@ func (x *Ctx) reduceScatterBody(src, dst scc.Addr, n int, op Op) ([]Block, error
 	return blocks, nil
 }
 
-// allgatherBlocks runs the ring allgather over an arbitrary partition:
-// each core starts owning blocks[me] inside dst (at its block offset)
-// and after p-1 rounds every block is present in every core's dst.
-func (x *Ctx) allgatherBlocks(dst scc.Addr, blocks []Block) error {
-	p := x.np()
-	me := x.rank()
-	if p == 1 {
-		return nil
-	}
-	right := x.member(mod(me+1, p))
-	left := x.member(mod(me-1, p))
-	for r := 0; r < p-1; r++ {
-		sendIdx := mod(me-r, p)
-		recvIdx := mod(me-1-r, p)
-		sb, rb := blocks[sendIdx], blocks[recvIdx]
-		if err := x.ep.Exchange(right, dst+scc.Addr(8*sb.Off), 8*sb.Len,
-			left, dst+scc.Addr(8*rb.Off), 8*rb.Len); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Allreduce reduces p vectors of n elements element-wise and leaves the
 // full result at dst on every core. The algorithm — ring
 // ReduceScatter+Allgather, binomial tree composition, recursive
 // doubling, or the MPB-direct variant — is picked per call by the
 // configured Selector (default: the paper's size heuristic).
 func (x *Ctx) Allreduce(src, dst scc.Addr, n int, op Op) error {
-	if err := checkCount("Allreduce", n); err != nil {
-		return err
-	}
-	if x.healer != nil {
-		return x.healer.run(x, func() error { return x.allreduceBody(src, dst, n, op) })
-	}
-	return x.allreduceBody(src, dst, n, op)
+	return x.collective("Allreduce", n, true, func() error { return x.allreduceBody(src, dst, n, op) })
 }
 
 // allreduceBody is one attempt: the group size, algorithm pick and
@@ -505,22 +514,13 @@ func (x *Ctx) allreduceBody(src, dst scc.Addr, n int, op Op) error {
 // The algorithm (ring ReduceScatter+gather, binomial tree, or the
 // linear baseline) is picked per call by the configured Selector.
 func (x *Ctx) Reduce(root int, src, dst scc.Addr, n int, op Op) error {
-	if err := checkCount("Reduce", n); err != nil {
-		return err
-	}
-	if x.healer != nil {
-		return x.healer.run(x, func() error { return x.reduceBody(root, src, dst, n, op) })
-	}
-	return x.reduceBody(root, src, dst, n, op)
+	return x.collective("Reduce", n, false, func() error { return x.reduceBody(root, src, dst, n, op) })
 }
 
 // reduceBody validates the root inside the healed region: if the root
 // itself died, the re-execution surfaces a deterministic ErrInvalid on
 // every survivor instead of retrying a rootless collective.
 func (x *Ctx) reduceBody(root int, src, dst scc.Addr, n int, op Op) error {
-	if x.multiChip() {
-		return fmt.Errorf("core: Reduce: %w (use Allreduce)", ErrCrossChip)
-	}
 	if _, err := x.rootRank("Reduce", root); err != nil {
 		return err
 	}
@@ -538,13 +538,7 @@ func (x *Ctx) reduceBody(root int, src, dst scc.Addr, n int, op Op) error {
 // algorithm (scatter+allgather ring, binomial tree, or the linear
 // baseline) is picked per call by the configured Selector.
 func (x *Ctx) Broadcast(root int, addr scc.Addr, n int) error {
-	if err := checkCount("Broadcast", n); err != nil {
-		return err
-	}
-	if x.healer != nil {
-		return x.healer.run(x, func() error { return x.broadcastBody(root, addr, n) })
-	}
-	return x.broadcastBody(root, addr, n)
+	return x.collective("Broadcast", n, true, func() error { return x.broadcastBody(root, addr, n) })
 }
 
 func (x *Ctx) broadcastBody(root int, addr scc.Addr, n int) error {
@@ -567,85 +561,11 @@ func (x *Ctx) broadcastBody(root int, addr scc.Addr, n int) error {
 	})
 }
 
-// Allgather concatenates each core's nPer-element contribution (at src)
-// into dst (p*nPer elements, ordered by rank) on every core, using the
-// ring algorithm.
-func (x *Ctx) Allgather(src scc.Addr, nPer int, dst scc.Addr) error {
-	if err := checkCount("Allgather", nPer); err != nil {
-		return err
-	}
-	if x.healer != nil {
-		return x.healer.run(x, func() error { return x.allgatherBody(src, nPer, dst) })
-	}
-	return x.allgatherBody(src, nPer, dst)
-}
-
-func (x *Ctx) allgatherBody(src scc.Addr, nPer int, dst scc.Addr) error {
-	if x.multiChip() {
-		return fmt.Errorf("core: Allgather: %w", ErrCrossChip)
-	}
-	p := x.np()
-	me := x.rank()
-	// Place my contribution, then ring-rotate contributions.
-	x.copyPriv(dst+scc.Addr(8*nPer*me), src, nPer)
-	if cap(x.blocksBuf) < p {
-		x.blocksBuf = make([]Block, p)
-	}
-	blocks := x.blocksBuf[:p]
-	for i := range blocks {
-		blocks[i] = Block{Off: i * nPer, Len: nPer}
-	}
-	return x.allgatherBlocks(dst, blocks)
-}
-
-// Alltoall performs a complete exchange: src holds p blocks of nPer
-// elements (block q destined for rank q); after the call dst holds p
-// blocks of nPer elements (block q received from rank q). The schedule
-// is the linear pairwise exchange (partner = (round - me) mod p), which
-// pairs cores symmetrically in every round and therefore stays
-// deadlock-free even with the blocking transport ordered by rank.
-func (x *Ctx) Alltoall(src, dst scc.Addr, nPer int) error {
-	if err := checkCount("Alltoall", nPer); err != nil {
-		return err
-	}
-	if x.healer != nil {
-		return x.healer.run(x, func() error { return x.alltoallBody(src, dst, nPer) })
-	}
-	return x.alltoallBody(src, dst, nPer)
-}
-
-func (x *Ctx) alltoallBody(src, dst scc.Addr, nPer int) error {
-	if x.multiChip() {
-		return fmt.Errorf("core: Alltoall: %w", ErrCrossChip)
-	}
-	p := x.np()
-	me := x.rank()
-	for r := 0; r < p; r++ {
-		partner := mod(r-me, p)
-		sAddr := src + scc.Addr(8*nPer*partner)
-		rAddr := dst + scc.Addr(8*nPer*partner)
-		if partner == me {
-			x.copyPriv(rAddr, sAddr, nPer)
-			continue
-		}
-		if nPer == 0 {
-			continue
-		}
-		if err := x.ep.ExchangePair(x.member(partner), sAddr, 8*nPer, rAddr, 8*nPer); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Barrier synchronizes the communicator. The full-chip, fault-free case
 // delegates to RCCE's barrier; group or hardened contexts use the group
 // barrier (bounded waits under Recovery).
 func (x *Ctx) Barrier() error {
-	if x.healer != nil {
-		return x.healer.run(x, x.barrierBody)
-	}
-	return x.barrierBody()
+	return x.collective("Barrier", 0, true, x.barrierBody)
 }
 
 func (x *Ctx) barrierBody() error {

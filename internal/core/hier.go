@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"scc/internal/fabric"
-	"scc/internal/rcce"
 	"scc/internal/scc"
 )
 
@@ -34,32 +33,6 @@ type Fabric struct {
 // chips; the rest return this typed error instead of silently running
 // chip-local.
 var ErrCrossChip = fmt.Errorf("%w: collective does not span chips", ErrInvalid)
-
-// NewCtxFabric builds a collectives context for one core of a
-// multi-chip system. With a nil fabric (or a single chip) it degrades
-// to the plain full-chip context.
-func NewCtxFabric(ue *rcce.UE, cfg Config, f *Fabric) (*Ctx, error) {
-	if f == nil || f.Chips <= 1 {
-		return NewCtx(ue, cfg), nil
-	}
-	if f.Port == nil {
-		return nil, fmt.Errorf("core: %w: fabric context needs a port", ErrInvalid)
-	}
-	if f.Chip < 0 || f.Chip >= f.Chips {
-		return nil, fmt.Errorf("core: %w: chip %d outside [0,%d)", ErrInvalid, f.Chip, f.Chips)
-	}
-	if f.Intra != "" && LookupAlgorithm(KindAllreduce, f.Intra) == nil {
-		return nil, fmt.Errorf("core: %w: unknown intra-chip algorithm %q (have %v)",
-			ErrInvalid, f.Intra, AlgorithmNames(KindAllreduce))
-	}
-	cfg = cfg.withSelfHealDefaults()
-	x := &Ctx{ue: ue, ep: newEndpoint(ue, cfg), cfg: cfg, scratchLen: -1, fab: f}
-	x.adoptScratch()
-	if cfg.SelfHeal != nil {
-		x.healer = NewHealer(ue, *cfg.SelfHeal)
-	}
-	return x, nil
-}
 
 // Fabric returns the context's fabric placement, or nil on single-chip
 // contexts.

@@ -15,9 +15,10 @@ import "scc/internal/scc"
 // latency-dominated short vectors and loses on copy-dominated long
 // ones. BenchmarkRingVsRecursiveDoubling locates the crossover.
 func (x *Ctx) AllreduceRecursiveDoubling(src, dst scc.Addr, n int, op Op) error {
-	if err := checkCount("AllreduceRecursiveDoubling", n); err != nil {
-		return err
-	}
+	return x.collective("AllreduceRecursiveDoubling", n, false, func() error { return x.allreduceRecDouble(src, dst, n, op) })
+}
+
+func (x *Ctx) allreduceRecDouble(src, dst scc.Addr, n int, op Op) error {
 	p := x.np()
 	me := x.rank()
 	x.copyPriv(dst, src, n)

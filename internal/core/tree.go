@@ -18,9 +18,10 @@ const shortMessageThresholdBytes = 512
 // BroadcastTree distributes n float64 values from root (a core ID) along
 // a binomial tree, regardless of size.
 func (x *Ctx) BroadcastTree(root int, addr scc.Addr, n int) error {
-	if err := checkCount("BroadcastTree", n); err != nil {
-		return err
-	}
+	return x.collective("BroadcastTree", n, false, func() error { return x.broadcastTree(root, addr, n) })
+}
+
+func (x *Ctx) broadcastTree(root int, addr scc.Addr, n int) error {
 	rootR, err := x.rootRank("BroadcastTree", root)
 	if err != nil {
 		return err
@@ -70,9 +71,10 @@ func (x *Ctx) BroadcastTree(root int, addr scc.Addr, n int) error {
 // inner node combines its children's partials before forwarding one
 // message up. dst is only meaningful on the root; src is left untouched.
 func (x *Ctx) ReduceTree(root int, src, dst scc.Addr, n int, op Op) error {
-	if err := checkCount("ReduceTree", n); err != nil {
-		return err
-	}
+	return x.collective("ReduceTree", n, false, func() error { return x.reduceTree(root, src, dst, n, op) })
+}
+
+func (x *Ctx) reduceTree(root int, src, dst scc.Addr, n int, op Op) error {
 	rootR, err := x.rootRank("ReduceTree", root)
 	if err != nil {
 		return err

@@ -6,9 +6,13 @@ import (
 	"scc/internal/scc"
 )
 
-// Variable-count collectives (the MPI "v" variants). RCCE_comm-era
-// applications with irregular decompositions need per-rank counts; the
-// ring and pairwise schedules generalize directly, reusing the Block
+// The block-wise collectives — Allgather, Alltoall, Scatter, Gather —
+// and their variable-count "v" variants. One body exists per operation
+// (one ring, one pairwise loop, one root loop each way) and it runs on a
+// per-rank block layout; the fixed-count call is the uniform layout
+// (block q = nPer elements at q*nPer), the V call brings its own.
+// RCCE_comm-era applications with irregular decompositions need the
+// per-rank counts; the schedules generalize directly, reusing the Block
 // machinery of the partitioned collectives.
 
 // validateBlocks rejects malformed per-rank layouts.
@@ -24,18 +28,101 @@ func validateBlocks(fn string, blocks []Block, p int) error {
 	return nil
 }
 
+// uniformBlocks returns the layout of a fixed-count call over the
+// current communicator: one nPer-element block per rank, rank-ordered,
+// in the context's reusable buffer. Computed per attempt, so a healed
+// re-execution lays the survivors out densely.
+func (x *Ctx) uniformBlocks(nPer int) []Block {
+	p := x.np()
+	if cap(x.blocksBuf) < p {
+		x.blocksBuf = make([]Block, p)
+	}
+	blocks := x.blocksBuf[:p]
+	for i := range blocks {
+		blocks[i] = Block{Off: i * nPer, Len: nPer}
+	}
+	return blocks
+}
+
+// liveBlocks returns the layout a V body runs on. blocks has one entry
+// per rank of the communicator the call was made on (entry: its group,
+// nil for all cores); when a healed re-execution runs on fewer members,
+// the survivors keep their own blocks — same offsets, the dead ranks'
+// blocks are simply not moved.
+func (x *Ctx) liveBlocks(blocks []Block, entry *Group) []Block {
+	p := x.np()
+	if len(blocks) == p {
+		return blocks // membership only ever shrinks within a call
+	}
+	live := make([]Block, p)
+	for q := range live {
+		r := x.member(q)
+		if entry != nil {
+			r = entry.RankOf(r)
+		}
+		live[q] = blocks[r]
+	}
+	return live
+}
+
+// Allgather concatenates each core's nPer-element contribution (at src)
+// into dst (p*nPer elements, ordered by rank) on every core, using the
+// ring algorithm.
+func (x *Ctx) Allgather(src scc.Addr, nPer int, dst scc.Addr) error {
+	return x.collective("Allgather", nPer, false, func() error {
+		return x.allgatherBody(src, x.uniformBlocks(nPer), dst)
+	})
+}
+
 // AllgatherV concatenates variable-sized contributions: rank q owns
 // blocks[q] of the destination layout and provides blocks[q].Len
 // elements at src. After the call every rank's dst holds all blocks at
 // their offsets.
 func (x *Ctx) AllgatherV(src scc.Addr, blocks []Block, dst scc.Addr) error {
+	entry := x.grp
+	return x.collective("AllgatherV", 0, false, func() error {
+		return x.allgatherBody(src, x.liveBlocks(blocks, entry), dst)
+	}, blocks)
+}
+
+func (x *Ctx) allgatherBody(src scc.Addr, blocks []Block, dst scc.Addr) error {
+	// Place my contribution, then ring-rotate contributions.
+	mine := blocks[x.rank()]
+	x.copyPriv(dst+scc.Addr(8*mine.Off), src, mine.Len)
+	return x.allgatherBlocks(dst, blocks)
+}
+
+// allgatherBlocks runs the ring allgather over an arbitrary partition:
+// each core starts owning blocks[me] inside dst (at its block offset)
+// and after p-1 rounds every block is present in every core's dst.
+func (x *Ctx) allgatherBlocks(dst scc.Addr, blocks []Block) error {
 	p := x.np()
 	me := x.rank()
-	if err := validateBlocks("AllgatherV", blocks, p); err != nil {
-		return err
+	if p == 1 {
+		return nil
 	}
-	x.copyPriv(dst+scc.Addr(8*blocks[me].Off), src, blocks[me].Len)
-	return x.allgatherBlocks(dst, blocks)
+	right := x.member(mod(me+1, p))
+	left := x.member(mod(me-1, p))
+	for r := 0; r < p-1; r++ {
+		sendIdx := mod(me-r, p)
+		recvIdx := mod(me-1-r, p)
+		sb, rb := blocks[sendIdx], blocks[recvIdx]
+		if err := x.ep.Exchange(right, dst+scc.Addr(8*sb.Off), 8*sb.Len,
+			left, dst+scc.Addr(8*rb.Off), 8*rb.Len); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Alltoall performs a complete exchange: src holds p blocks of nPer
+// elements (block q destined for rank q); after the call dst holds p
+// blocks of nPer elements (block q received from rank q).
+func (x *Ctx) Alltoall(src, dst scc.Addr, nPer int) error {
+	return x.collective("Alltoall", nPer, false, func() error {
+		blocks := x.uniformBlocks(nPer)
+		return x.alltoallBody(src, blocks, dst, blocks)
+	})
 }
 
 // AlltoallV performs a complete exchange with per-pair counts:
@@ -43,16 +130,20 @@ func (x *Ctx) AllgatherV(src scc.Addr, blocks []Block, dst scc.Addr) error {
 // recvBlocks[q] the slice of dst receiving from rank q. Lengths must
 // agree pairwise across ranks (sendBlocks[q].Len here ==
 // recvBlocks[me].Len there); the simulation deadlock detector flags
-// violations. Uses the same symmetric pairwise schedule as Alltoall.
+// violations.
 func (x *Ctx) AlltoallV(src scc.Addr, sendBlocks []Block, dst scc.Addr, recvBlocks []Block) error {
+	entry := x.grp
+	return x.collective("AlltoallV", 0, false, func() error {
+		return x.alltoallBody(src, x.liveBlocks(sendBlocks, entry), dst, x.liveBlocks(recvBlocks, entry))
+	}, sendBlocks, recvBlocks)
+}
+
+// alltoallBody is the linear pairwise exchange (partner = (round - me)
+// mod p), which pairs cores symmetrically in every round and therefore
+// stays deadlock-free even with the blocking transport ordered by rank.
+func (x *Ctx) alltoallBody(src scc.Addr, sendBlocks []Block, dst scc.Addr, recvBlocks []Block) error {
 	p := x.np()
 	me := x.rank()
-	if err := validateBlocks("AlltoallV", sendBlocks, p); err != nil {
-		return err
-	}
-	if err := validateBlocks("AlltoallV", recvBlocks, p); err != nil {
-		return err
-	}
 	for r := 0; r < p; r++ {
 		partner := mod(r-me, p)
 		sb, rb := sendBlocks[partner], recvBlocks[partner]
@@ -72,68 +163,118 @@ func (x *Ctx) AlltoallV(src scc.Addr, sendBlocks []Block, dst scc.Addr, recvBloc
 	return nil
 }
 
-// GatherV collects variable-sized blocks to the root: rank q sends
-// blocks[q].Len elements from src, landing at blocks[q].Off in the
-// root's dst.
-func (x *Ctx) GatherV(root int, src scc.Addr, blocks []Block, dst scc.Addr) error {
-	rootR, err := x.rootRank("GatherV", root)
-	if err != nil {
-		return err
-	}
-	p := x.np()
-	me := x.rank()
-	if err := validateBlocks("GatherV", blocks, p); err != nil {
-		return err
-	}
-	if me == rootR {
-		for q := 0; q < p; q++ {
-			if q == rootR {
-				x.copyPriv(dst+scc.Addr(8*blocks[q].Off), src, blocks[q].Len)
-				continue
-			}
-			if blocks[q].Len > 0 {
-				if err := x.ep.Recv(x.member(q), dst+scc.Addr(8*blocks[q].Off), 8*blocks[q].Len); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	if blocks[me].Len > 0 {
-		return x.ep.Send(root, src, 8*blocks[me].Len)
-	}
-	return nil
+// Scatter distributes block q of the root's src buffer (p blocks of nPer
+// elements) to rank q's dst. src is only read on the root.
+func (x *Ctx) Scatter(root int, src scc.Addr, nPer int, dst scc.Addr) error {
+	return x.collective("Scatter", nPer, false, func() error {
+		return x.scatterBody(root, src, x.uniformBlocks(nPer), dst)
+	})
 }
 
 // ScatterV distributes variable-sized blocks from the root: rank q
 // receives blocks[q].Len elements into dst, taken from blocks[q].Off of
 // the root's src.
 func (x *Ctx) ScatterV(root int, src scc.Addr, blocks []Block, dst scc.Addr) error {
-	rootR, err := x.rootRank("ScatterV", root)
+	entry := x.grp
+	return x.collective("ScatterV", 0, false, func() error {
+		return x.scatterBody(root, src, x.liveBlocks(blocks, entry), dst)
+	}, blocks)
+}
+
+// scatterBody is the linear root loop: the root's injection bandwidth
+// dominates a scatter anyway. The root is validated per attempt: if it
+// died, the re-execution surfaces ErrInvalid on every survivor.
+func (x *Ctx) scatterBody(root int, src scc.Addr, blocks []Block, dst scc.Addr) error {
+	rootR, err := x.rootRank("Scatter", root)
 	if err != nil {
 		return err
 	}
-	p := x.np()
 	me := x.rank()
-	if err := validateBlocks("ScatterV", blocks, p); err != nil {
-		return err
-	}
-	if me == rootR {
-		for q := 0; q < p; q++ {
-			if q == rootR {
-				x.copyPriv(dst, src+scc.Addr(8*blocks[q].Off), blocks[q].Len)
-				continue
-			}
-			if blocks[q].Len > 0 {
-				if err := x.ep.Send(x.member(q), src+scc.Addr(8*blocks[q].Off), 8*blocks[q].Len); err != nil {
-					return err
-				}
-			}
+	if me != rootR {
+		if blocks[me].Len > 0 {
+			return x.ep.Recv(root, dst, 8*blocks[me].Len)
 		}
 		return nil
 	}
-	if blocks[me].Len > 0 {
-		return x.ep.Recv(root, dst, 8*blocks[me].Len)
+	for q, b := range blocks {
+		if q == rootR {
+			x.copyPriv(dst, src+scc.Addr(8*b.Off), b.Len)
+		} else if b.Len > 0 {
+			if err := x.ep.Send(x.member(q), src+scc.Addr(8*b.Off), 8*b.Len); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// Gather collects each rank's nPer-element src block into the root's dst
+// buffer (p blocks, rank-ordered). dst is only written on the root.
+func (x *Ctx) Gather(root int, src scc.Addr, nPer int, dst scc.Addr) error {
+	return x.collective("Gather", nPer, false, func() error {
+		return x.gatherBody(root, src, x.uniformBlocks(nPer), dst)
+	})
+}
+
+// GatherV collects variable-sized blocks to the root: rank q sends
+// blocks[q].Len elements from src, landing at blocks[q].Off in the
+// root's dst.
+func (x *Ctx) GatherV(root int, src scc.Addr, blocks []Block, dst scc.Addr) error {
+	entry := x.grp
+	return x.collective("GatherV", 0, false, func() error {
+		return x.gatherBody(root, src, x.liveBlocks(blocks, entry), dst)
+	}, blocks)
+}
+
+// gatherBody mirrors scatterBody.
+func (x *Ctx) gatherBody(root int, src scc.Addr, blocks []Block, dst scc.Addr) error {
+	rootR, err := x.rootRank("Gather", root)
+	if err != nil {
+		return err
+	}
+	me := x.rank()
+	if me != rootR {
+		if blocks[me].Len > 0 {
+			return x.ep.Send(root, src, 8*blocks[me].Len)
+		}
+		return nil
+	}
+	for q, b := range blocks {
+		if q == rootR {
+			x.copyPriv(dst+scc.Addr(8*b.Off), src, b.Len)
+		} else if b.Len > 0 {
+			if err := x.ep.Recv(x.member(q), dst+scc.Addr(8*b.Off), 8*b.Len); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// Scan computes an inclusive prefix reduction: rank k's dst receives
+// op(v_0, ..., v_k) element-wise. Implemented as the linear pipeline
+// used by small-communicator MPI implementations: rank k receives the
+// prefix from k-1, combines its contribution, and forwards to k+1.
+func (x *Ctx) Scan(src, dst scc.Addr, n int, op Op) error {
+	return x.collective("Scan", n, false, func() error { return x.scanBody(src, dst, n, op) })
+}
+
+func (x *Ctx) scanBody(src, dst scc.Addr, n int, op Op) error {
+	p := x.np()
+	me := x.rank()
+	x.copyPriv(dst, src, n)
+	if p == 1 || n == 0 {
+		return nil
+	}
+	if me > 0 {
+		x.ensureScratch(n)
+		if err := x.ep.Recv(x.member(me-1), x.rbufAddr, 8*n); err != nil {
+			return err
+		}
+		x.reduceInto(dst, x.rbufAddr, src, n, op)
+	}
+	if me < p-1 {
+		return x.ep.Send(x.member(me+1), dst, 8*n)
 	}
 	return nil
 }
