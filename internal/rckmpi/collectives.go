@@ -95,11 +95,8 @@ func (l *Lib) Allreduce(src, dst scc.Addr, n int, op Op) {
 func (l *Lib) Allgather(src scc.Addr, nPer int, dst scc.Addr) {
 	p := l.ue.NumUEs()
 	me := l.ue.ID()
-	c := l.core()
 	// Place own contribution.
-	v := make([]float64, nPer)
-	c.ReadF64s(src, v)
-	c.WriteF64s(dst+scc.Addr(8*nPer*me), v)
+	l.copyPriv(dst+scc.Addr(8*nPer*me), src, nPer)
 	right := mod(me+1, p)
 	left := mod(me-1, p)
 	for r := 0; r < p-1; r++ {
@@ -122,15 +119,12 @@ func (l *Lib) Allgather(src scc.Addr, nPer int, dst scc.Addr) {
 func (l *Lib) Alltoall(src, dst scc.Addr, nPer int) {
 	p := l.ue.NumUEs()
 	me := l.ue.ID()
-	c := l.core()
 	for r := 0; r < p; r++ {
 		partner := mod(r-me, p)
 		sAddr := src + scc.Addr(8*nPer*partner)
 		rAddr := dst + scc.Addr(8*nPer*partner)
 		if partner == me {
-			v := make([]float64, nPer)
-			c.ReadF64s(sAddr, v)
-			c.WriteF64s(rAddr, v)
+			l.copyPriv(rAddr, sAddr, nPer)
 			continue
 		}
 		if nPer == 0 {
@@ -138,6 +132,48 @@ func (l *Lib) Alltoall(src, dst scc.Addr, nPer int) {
 		}
 		l.sendRecvPair(partner, sAddr, 8*nPer, rAddr, 8*nPer)
 	}
+}
+
+// Scatter distributes block q of the root's src (p blocks of nPer
+// float64 values) to rank q's dst as a root loop of point-to-point
+// sends through the channel — a degenerate alltoall, with a handshake
+// per peer even for empty blocks.
+func (l *Lib) Scatter(root int, src scc.Addr, nPer int, dst scc.Addr) {
+	if l.ue.ID() != root {
+		l.Recv(root, dst, 8*nPer)
+		return
+	}
+	for q := 0; q < l.ue.NumUEs(); q++ {
+		if q == root {
+			l.copyPriv(dst, src+scc.Addr(8*nPer*q), nPer)
+			continue
+		}
+		l.Send(q, src+scc.Addr(8*nPer*q), 8*nPer)
+	}
+}
+
+// Gather collects each rank's nPer values into the root's dst,
+// rank-ordered; the mirror image of Scatter.
+func (l *Lib) Gather(root int, src scc.Addr, nPer int, dst scc.Addr) {
+	if l.ue.ID() != root {
+		l.Send(root, src, 8*nPer)
+		return
+	}
+	for q := 0; q < l.ue.NumUEs(); q++ {
+		if q == root {
+			l.copyPriv(dst+scc.Addr(8*nPer*q), src, nPer)
+			continue
+		}
+		l.Recv(q, dst+scc.Addr(8*nPer*q), 8*nPer)
+	}
+}
+
+// copyPriv copies n float64 values between private addresses through a
+// host-side staging vector (cache-priced read, then write).
+func (l *Lib) copyPriv(dst, src scc.Addr, n int) {
+	v := make([]float64, n)
+	l.core().ReadF64s(src, v)
+	l.core().WriteF64s(dst, v)
 }
 
 // ReduceScatter reduces element-wise and scatters equal consecutive
@@ -169,9 +205,7 @@ func (l *Lib) ReduceScatter(src, dst scc.Addr, n int, op Op) {
 			}
 		}
 		_, ln := offOf(0)
-		v := make([]float64, ln)
-		c.ReadF64s(full, v)
-		c.WriteF64s(dst, v)
+		l.copyPriv(dst, full, ln)
 		return
 	}
 	_, ln := offOf(me)

@@ -536,22 +536,35 @@ func (s *System) RunResult(program func(r *Rank)) (*Result, error) {
 type Rank struct {
 	core *scc.Core
 	ue   *rcce.UE
-	ctx  *core.Ctx   // nil for RCKMPI and evicted ranks
-	mpi  *rckmpi.Lib // nil for core stacks
+	// coll is what every collective method calls: the rank's *core.Ctx,
+	// the RCKMPI comparator (mpiStack), or — for a rank whose context
+	// could not be built, i.e. one an earlier membership agreement
+	// evicted — the typed error itself (refused).
+	coll collectives
 	// gid and gn are the system-global rank ID and rank count; on a
 	// single chip they equal the core ID and core count. chipIdx is
 	// which chip the rank lives on (0 on a single chip).
 	gid, gn, chipIdx int
-	// evicted holds the typed error a rank evicted by an earlier
-	// membership agreement gets from every collective call.
-	evicted error
+}
+
+// collectives is the operation set of a stack, with *core.Ctx's
+// signatures.
+type collectives interface {
+	Barrier() error
+	Allreduce(src, dst Addr, n int, op core.Op) error
+	Reduce(root int, src, dst Addr, n int, op core.Op) error
+	Broadcast(root int, addr Addr, n int) error
+	Allgather(src Addr, nPer int, dst Addr) error
+	Alltoall(src, dst Addr, nPer int) error
+	ReduceScatter(src, dst Addr, n int, op core.Op) ([]core.Block, error)
+	Scatter(root int, src Addr, nPer int, dst Addr) error
+	Gather(root int, src Addr, nPer int, dst Addr) error
+	Scan(src, dst Addr, n int, op core.Op) error
 }
 
 // newRank is the one rank constructor: chip ci's core c, on whatever
 // stack, recovery, self-healing and fabric placement the System was
-// configured with. A rank whose context cannot be built (evicted by an
-// earlier membership agreement) carries the typed error instead and
-// returns it from every collective.
+// configured with.
 func (s *System) newRank(ci int, c *scc.Core) *Rank {
 	perChip := s.fab.Model().NumCores()
 	r := &Rank{
@@ -562,58 +575,99 @@ func (s *System) newRank(ci int, c *scc.Core) *Rank {
 		chipIdx: ci,
 	}
 	if s.cfg.stack == StackRCKMPI {
-		r.mpi = rckmpi.New(r.ue)
+		r.coll = mpiStack{rckmpi.New(r.ue)}
 		return r
 	}
 	cfg := s.cfg.stack.coreConfig()
 	cfg.Recovery = s.cfg.recovery
 	cfg.Selector = s.cfg.selector
 	cfg.SelfHeal = s.cfg.selfheal
-	switch {
-	case s.healers != nil:
-		if s.healers[c.ID] == nil {
-			s.healers[c.ID] = core.NewHealer(r.ue, *s.cfg.selfheal)
-		}
-		r.ctx, r.evicted = core.NewCtxHealer(r.ue, cfg, s.healers[c.ID])
-	case s.fab.NumChips() > 1:
+	var o core.CtxOpts
+	if s.fab.NumChips() > 1 {
 		// The context carries the chip's fabric port, so Allreduce/
 		// Broadcast/Barrier dispatch to the hierarchical composition.
-		r.ctx, r.evicted = core.NewCtxFabric(r.ue, cfg, &core.Fabric{
-			Port:  s.fab.Port(ci),
-			Chip:  ci,
-			Chips: s.fab.NumChips(),
-			Intra: s.cfg.intra,
-		})
-	default:
-		r.ctx = core.NewCtx(r.ue, cfg)
+		o.Fabric = &core.Fabric{Port: s.fab.Port(ci), Chip: ci, Chips: s.fab.NumChips(), Intra: s.cfg.intra}
 	}
+	if s.healers != nil {
+		o.Healer = s.healers[c.ID] // nil on the first Run: the context makes one
+	}
+	x, err := core.NewCtxWith(r.ue, cfg, o)
+	if err != nil {
+		r.coll = refused{err}
+		return r
+	}
+	if s.healers != nil {
+		s.healers[c.ID] = x.Healer()
+	}
+	r.coll = x
 	return r
 }
 
-// collectiveCtx returns the rank's context, or the eviction error for a
-// rank an earlier membership agreement excluded.
-func (r *Rank) collectiveCtx() (*core.Ctx, error) {
-	if r.evicted != nil {
-		return nil, r.evicted
-	}
-	return r.ctx, nil
+// refused stands in for the collectives of a rank that has no context:
+// every operation returns the error that said why (ErrEvicted).
+type refused struct{ err error }
+
+func (e refused) Barrier() error                                          { return e.err }
+func (e refused) Allreduce(src, dst Addr, n int, op core.Op) error        { return e.err }
+func (e refused) Reduce(root int, src, dst Addr, n int, op core.Op) error { return e.err }
+func (e refused) Broadcast(root int, addr Addr, n int) error              { return e.err }
+func (e refused) Allgather(src Addr, nPer int, dst Addr) error            { return e.err }
+func (e refused) Alltoall(src, dst Addr, nPer int) error                  { return e.err }
+func (e refused) Scatter(root int, src Addr, nPer int, dst Addr) error    { return e.err }
+func (e refused) Gather(root int, src Addr, nPer int, dst Addr) error     { return e.err }
+func (e refused) Scan(src, dst Addr, n int, op core.Op) error             { return e.err }
+func (e refused) ReduceScatter(src, dst Addr, n int, op core.Op) ([]core.Block, error) {
+	return nil, e.err
 }
 
-// checkRoot validates a root rank for the RCKMPI comparator paths (the
-// core stacks validate inside internal/core).
-func (r *Rank) checkRoot(fn string, root int) error {
-	if root < 0 || root >= r.N() {
-		return fmt.Errorf("sccsim: %s: %w: root %d outside [0,%d)", fn, ErrInvalid, root, r.N())
-	}
-	return nil
-}
+// mpiStack adapts the RCKMPI comparator to the collectives interface. The
+// library itself neither validates nor fails (it models a C MPI), so the
+// argument checks the core stacks make inside internal/core are made
+// here; selectors, recovery and self-healing do not reach it.
+type mpiStack struct{ lib *rckmpi.Lib }
 
-// checkN rejects negative element counts on the RCKMPI paths.
-func checkN(fn string, n int) error {
+// do runs one RCKMPI collective after validating its count and root.
+func (m mpiStack) do(fn string, n, root int, run func()) error {
 	if n < 0 {
 		return fmt.Errorf("sccsim: %s: %w: negative count %d", fn, ErrInvalid, n)
 	}
+	if np := m.lib.UE().NumUEs(); root < 0 || root >= np {
+		return fmt.Errorf("sccsim: %s: %w: root %d outside [0,%d)", fn, ErrInvalid, root, np)
+	}
+	run()
 	return nil
+}
+
+func (m mpiStack) Barrier() error {
+	m.lib.UE().Barrier()
+	return nil
+}
+func (m mpiStack) Allreduce(src, dst Addr, n int, op core.Op) error {
+	return m.do("Allreduce", n, 0, func() { m.lib.Allreduce(src, dst, n, rckmpi.Op(op)) })
+}
+func (m mpiStack) Reduce(root int, src, dst Addr, n int, op core.Op) error {
+	return m.do("Reduce", n, root, func() { m.lib.Reduce(root, src, dst, n, rckmpi.Op(op)) })
+}
+func (m mpiStack) Broadcast(root int, addr Addr, n int) error {
+	return m.do("Broadcast", n, root, func() { m.lib.Bcast(root, addr, n) })
+}
+func (m mpiStack) Allgather(src Addr, nPer int, dst Addr) error {
+	return m.do("Allgather", nPer, 0, func() { m.lib.Allgather(src, nPer, dst) })
+}
+func (m mpiStack) Alltoall(src, dst Addr, nPer int) error {
+	return m.do("Alltoall", nPer, 0, func() { m.lib.Alltoall(src, dst, nPer) })
+}
+func (m mpiStack) ReduceScatter(src, dst Addr, n int, op core.Op) ([]core.Block, error) {
+	return nil, m.do("ReduceScatter", n, 0, func() { m.lib.ReduceScatter(src, dst, n, rckmpi.Op(op)) })
+}
+func (m mpiStack) Scatter(root int, src Addr, nPer int, dst Addr) error {
+	return m.do("Scatter", nPer, root, func() { m.lib.Scatter(root, src, nPer, dst) })
+}
+func (m mpiStack) Gather(root int, src Addr, nPer int, dst Addr) error {
+	return m.do("Gather", nPer, root, func() { m.lib.Gather(root, src, nPer, dst) })
+}
+func (m mpiStack) Scan(src, dst Addr, n int, op core.Op) error {
+	return fmt.Errorf("sccsim: Scan: %w: not implemented by the RCKMPI comparator", ErrInvalid)
 }
 
 // ID returns this rank's system-global number, in [0, N()). On a single
@@ -647,137 +701,44 @@ func (r *Rank) Profile() scc.Profile { return r.core.Prof() }
 
 // Barrier synchronizes all ranks. It can only fail under WithRecovery,
 // when a peer stays silent past the retry budget.
-func (r *Rank) Barrier() error {
-	if r.mpi != nil {
-		r.ue.Barrier()
-		return nil
-	}
-	x, err := r.collectiveCtx()
-	if err != nil {
-		return err
-	}
-	return x.Barrier()
-}
+func (r *Rank) Barrier() error { return r.coll.Barrier() }
 
 // Allreduce sums n float64 values element-wise across all ranks,
 // leaving the full result at dst on every rank.
 func (r *Rank) Allreduce(src, dst Addr, n int) error {
-	if r.mpi != nil {
-		if err := checkN("Allreduce", n); err != nil {
-			return err
-		}
-		r.mpi.Allreduce(src, dst, n, func(a, b float64) float64 { return a + b })
-		return nil
-	}
-	x, err := r.collectiveCtx()
-	if err != nil {
-		return err
-	}
-	return x.Allreduce(src, dst, n, core.Sum)
+	return r.coll.Allreduce(src, dst, n, core.Sum)
 }
 
 // AllreduceOp is Allreduce with a custom associative operator.
 func (r *Rank) AllreduceOp(src, dst Addr, n int, op func(a, b float64) float64) error {
-	if r.mpi != nil {
-		if err := checkN("AllreduceOp", n); err != nil {
-			return err
-		}
-		r.mpi.Allreduce(src, dst, n, op)
-		return nil
-	}
-	x, err := r.collectiveCtx()
-	if err != nil {
-		return err
-	}
-	return x.Allreduce(src, dst, n, core.Op(op))
+	return r.coll.Allreduce(src, dst, n, op)
 }
 
 // Reduce reduces to the root rank only.
 func (r *Rank) Reduce(root int, src, dst Addr, n int) error {
-	if r.mpi != nil {
-		if err := checkN("Reduce", n); err != nil {
-			return err
-		}
-		if err := r.checkRoot("Reduce", root); err != nil {
-			return err
-		}
-		r.mpi.Reduce(root, src, dst, n, func(a, b float64) float64 { return a + b })
-		return nil
-	}
-	x, err := r.collectiveCtx()
-	if err != nil {
-		return err
-	}
-	return x.Reduce(root, src, dst, n, core.Sum)
+	return r.coll.Reduce(root, src, dst, n, core.Sum)
 }
 
 // Broadcast distributes n values at addr from root to every rank.
 func (r *Rank) Broadcast(root int, addr Addr, n int) error {
-	if r.mpi != nil {
-		if err := checkN("Broadcast", n); err != nil {
-			return err
-		}
-		if err := r.checkRoot("Broadcast", root); err != nil {
-			return err
-		}
-		r.mpi.Bcast(root, addr, n)
-		return nil
-	}
-	x, err := r.collectiveCtx()
-	if err != nil {
-		return err
-	}
-	return x.Broadcast(root, addr, n)
+	return r.coll.Broadcast(root, addr, n)
 }
 
 // Allgather concatenates each rank's nPer values into dst (N()*nPer,
 // rank-ordered) on every rank.
 func (r *Rank) Allgather(src Addr, nPer int, dst Addr) error {
-	if r.mpi != nil {
-		if err := checkN("Allgather", nPer); err != nil {
-			return err
-		}
-		r.mpi.Allgather(src, nPer, dst)
-		return nil
-	}
-	x, err := r.collectiveCtx()
-	if err != nil {
-		return err
-	}
-	return x.Allgather(src, nPer, dst)
+	return r.coll.Allgather(src, nPer, dst)
 }
 
 // Alltoall exchanges nPer-value blocks between every pair of ranks.
 func (r *Rank) Alltoall(src, dst Addr, nPer int) error {
-	if r.mpi != nil {
-		if err := checkN("Alltoall", nPer); err != nil {
-			return err
-		}
-		r.mpi.Alltoall(src, dst, nPer)
-		return nil
-	}
-	x, err := r.collectiveCtx()
-	if err != nil {
-		return err
-	}
-	return x.Alltoall(src, dst, nPer)
+	return r.coll.Alltoall(src, dst, nPer)
 }
 
 // ReduceScatter reduces element-wise and scatters blocks; dst receives
 // this rank's block of the partition.
 func (r *Rank) ReduceScatter(src, dst Addr, n int) error {
-	if r.mpi != nil {
-		if err := checkN("ReduceScatter", n); err != nil {
-			return err
-		}
-		r.mpi.ReduceScatter(src, dst, n, func(a, b float64) float64 { return a + b })
-		return nil
-	}
-	x, err := r.collectiveCtx()
-	if err != nil {
-		return err
-	}
-	_, err = x.ReduceScatter(src, dst, n, core.Sum)
+	_, err := r.coll.ReduceScatter(src, dst, n, core.Sum)
 	return err
 }
 
@@ -785,79 +746,20 @@ func (r *Rank) ReduceScatter(src, dst Addr, n int) error {
 // values) to rank q's dst. src is only read on the root. (RCKMPI
 // implements scatter as a degenerate alltoall through its channel.)
 func (r *Rank) Scatter(root int, src Addr, nPer int, dst Addr) error {
-	if r.mpi != nil {
-		if err := checkN("Scatter", nPer); err != nil {
-			return err
-		}
-		if err := r.checkRoot("Scatter", root); err != nil {
-			return err
-		}
-		if r.ID() == root {
-			for q := 0; q < r.N(); q++ {
-				if q == root {
-					v := make([]float64, nPer)
-					r.core.ReadF64s(src+Addr(8*nPer*q), v)
-					r.core.WriteF64s(dst, v)
-					continue
-				}
-				r.mpi.Send(q, src+Addr(8*nPer*q), 8*nPer)
-			}
-			return nil
-		}
-		r.mpi.Recv(root, dst, 8*nPer)
-		return nil
-	}
-	x, err := r.collectiveCtx()
-	if err != nil {
-		return err
-	}
-	return x.Scatter(root, src, nPer, dst)
+	return r.coll.Scatter(root, src, nPer, dst)
 }
 
 // Gather collects each rank's nPer values into the root's dst buffer,
 // rank-ordered. dst is only written on the root.
 func (r *Rank) Gather(root int, src Addr, nPer int, dst Addr) error {
-	if r.mpi != nil {
-		if err := checkN("Gather", nPer); err != nil {
-			return err
-		}
-		if err := r.checkRoot("Gather", root); err != nil {
-			return err
-		}
-		if r.ID() == root {
-			for q := 0; q < r.N(); q++ {
-				if q == root {
-					v := make([]float64, nPer)
-					r.core.ReadF64s(src, v)
-					r.core.WriteF64s(dst+Addr(8*nPer*q), v)
-					continue
-				}
-				r.mpi.Recv(q, dst+Addr(8*nPer*q), 8*nPer)
-			}
-			return nil
-		}
-		r.mpi.Send(root, src, 8*nPer)
-		return nil
-	}
-	x, err := r.collectiveCtx()
-	if err != nil {
-		return err
-	}
-	return x.Gather(root, src, nPer, dst)
+	return r.coll.Gather(root, src, nPer, dst)
 }
 
 // Scan computes an inclusive prefix sum: rank k's dst receives the
 // element-wise sum of ranks 0..k. Only available on the RCCE-based
 // stacks (RCKMPI's scan is out of the comparator's scope).
 func (r *Rank) Scan(src, dst Addr, n int) error {
-	if r.mpi != nil {
-		return fmt.Errorf("sccsim: Scan: %w: not implemented by the RCKMPI comparator", ErrInvalid)
-	}
-	x, err := r.collectiveCtx()
-	if err != nil {
-		return err
-	}
-	return x.Scan(src, dst, n, core.Sum)
+	return r.coll.Scan(src, dst, n, core.Sum)
 }
 
 // Recovery reports this rank's accumulated hardened-protocol statistics
@@ -867,10 +769,11 @@ func (r *Rank) Recovery() rcce.RecoveryStats { return r.ue.Recovery() }
 // HealReport returns this rank's self-healing activity, or nil without
 // WithSelfHealing.
 func (r *Rank) HealReport() *HealReport {
-	if r.ctx == nil || r.ctx.Healer() == nil {
+	x, ok := r.coll.(*core.Ctx)
+	if !ok || x.Healer() == nil {
 		return nil
 	}
-	rep := r.ctx.Healer().Report()
+	rep := x.Healer().Report()
 	return &rep
 }
 
