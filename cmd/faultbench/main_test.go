@@ -6,6 +6,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"scc/internal/bench"
 )
 
 // TestCommittedResultsRegenerate holds results/README.md to its promise
@@ -44,14 +46,14 @@ func TestCommittedResultsRegenerate(t *testing.T) {
 	}
 }
 
-// TestBadFlagsAreUsageErrors: rejected values come back as usageError
+// TestBadFlagsAreUsageErrors: rejected values come back as bench.UsageError
 // (exit code 2 in main), not as a run failure.
 func TestBadFlagsAreUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-n", "0"}, {"-faults", "1,x"}, {"-chips", "2"}, {"-mesh", "bogus"}, {"-algo", "nope"}, {"-no-such-flag"},
 	} {
 		var out bytes.Buffer
-		if err := run(args, &out); !errors.As(err, new(usageError)) {
+		if err := run(args, &out); !errors.As(err, new(bench.UsageError)) {
 			t.Errorf("faultbench %v: err = %v, want a usage error", args, err)
 		}
 		if out.Len() != 0 {
