@@ -243,6 +243,9 @@ func NewCtxWith(ue *rcce.UE, cfg Config, o CtxOpts) (*Ctx, error) {
 			ErrInvalid, f.Intra, AlgorithmNames(KindAllreduce))
 	}
 	if h != nil {
+		if h.evicted != nil {
+			return nil, h.evicted
+		}
 		if cfg.SelfHeal == nil {
 			p := h.pol
 			cfg.SelfHeal = &p
@@ -251,9 +254,6 @@ func NewCtxWith(ue *rcce.UE, cfg Config, o CtxOpts) (*Ctx, error) {
 		var err error
 		if g, err = h.groupFor(); err != nil {
 			return nil, err
-		}
-		if g != nil && !g.Contains(ue.ID()) {
-			return nil, fmt.Errorf("core: %w: core %d (epoch %d)", ErrEvicted, ue.ID(), h.epoch)
 		}
 	} else if g != nil && !g.Contains(ue.ID()) {
 		return nil, fmt.Errorf("core: %w: core %d is not a member of the group", ErrInvalid, ue.ID())

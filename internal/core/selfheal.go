@@ -172,6 +172,11 @@ type Healer struct {
 	voteSeq uint32 // vote-token counter within the epoch
 	collSeq uint32 // wrapped-collective call counter (mod 256 on the wire)
 	active  bool   // reentrancy guard: algorithms call wrapped collectives
+	// evicted is the verdict of the agreement that excluded this core. It
+	// is final: every later collective, and every later context built on
+	// this healer, gets it back instead of timing out against a group
+	// that has moved on to another epoch.
+	evicted error
 
 	rep RecoveryReport
 
@@ -342,6 +347,9 @@ func (h *Healer) run(x *Ctx, body func() error) error {
 	if h.active {
 		return body()
 	}
+	if h.evicted != nil {
+		return h.evicted
+	}
 	h.active = true
 	h.collSeq++
 	defer func() { h.active = false }()
@@ -488,8 +496,9 @@ func (h *Healer) reconfigure(x *Ctx) error {
 		}
 		if ok && len(view) >= h.quorum(oldSize) {
 			if !containsInt(view, me) {
-				return fmt.Errorf("core: self-heal: %w: view of %d cores at epoch %d excludes core %d",
+				h.evicted = fmt.Errorf("core: self-heal: %w: view of %d cores at epoch %d excludes core %d",
 					ErrEvicted, len(view), epoch, me)
+				return h.evicted
 			}
 			// Tentative adoption: salt the hardened protocol with the new
 			// epoch and wipe this core's data-protocol flag bytes so the
