@@ -1,9 +1,12 @@
 package sccsim_test
 
 import (
+	"bytes"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -84,4 +87,50 @@ func TestDocsMentionEveryFacadeOption(t *testing.T) {
 	if checked < 10 {
 		t.Fatalf("found only %d With* options — the source scan is broken", checked)
 	}
+}
+
+// TestNonTestLineBudget gates ROADMAP aim 2's tracked number: the lines
+// (newline count, comments and blanks included — the rule PR 19 counted
+// with, `wc -l`) of every .go file that is neither a test nor under
+// benchmarks/. The count may not exceed testdata/line_budget.txt; a PR
+// that brings it down commits the lower number, a PR that needs more
+// raises the budget in the open, where a reviewer sees it.
+func TestNonTestLineBudget(t *testing.T) {
+	raw, err := os.ReadFile("testdata/line_budget.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget, err := strconv.Atoi(strings.TrimSpace(string(raw)))
+	if err != nil {
+		t.Fatalf("testdata/line_budget.txt: %v", err)
+	}
+	total, files := 0, 0
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "benchmarks" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir // .git, .bench_build, .claude
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		total += bytes.Count(src, []byte("\n"))
+		files++
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files < 50 {
+		t.Fatalf("found only %d non-test .go files — the source scan is broken", files)
+	}
+	if total > budget {
+		t.Errorf("non-test Go outside benchmarks/: %d lines in %d files, budget %d (testdata/line_budget.txt)", total, files, budget)
+	}
+	t.Logf("non-test Go outside benchmarks/: %d lines in %d files (budget %d)", total, files, budget)
 }

@@ -188,7 +188,7 @@ func (x *Ctx) selectAlg(k OpKind, n int) Algorithm {
 	// A multi-chip context must span chips, so the hierarchical
 	// composition overrides any selector; the selector still steers the
 	// intra-chip phases through Fabric.Intra or the inner context.
-	if x.multiChip() {
+	if x.MultiChip() {
 		if a := LookupAlgorithm(k, "hier"); a != nil && a.Applicable(x, n) {
 			return a
 		}

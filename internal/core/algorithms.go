@@ -29,8 +29,8 @@ func (ringAlg) Describe() string {
 func (ringAlg) Applicable(x *Ctx, n int) bool { return true }
 
 func (ringAlg) Allreduce(x *Ctx, src, dst scc.Addr, n int, op Op) error {
-	p := x.np()
-	me := x.rank()
+	p := x.NP()
+	me := x.Rank()
 	blocks := x.partitionFor(n, p, x.cfg.Balanced)
 	// Reduce-scatter phase, with my block landing directly in dst.
 	x.ensureScratch(maxBlockLen(blocks))
@@ -42,27 +42,10 @@ func (ringAlg) Allreduce(x *Ctx, src, dst scc.Addr, n int, op Op) error {
 }
 
 func (ringAlg) Broadcast(x *Ctx, root int, addr scc.Addr, n int) error {
-	rootR, err := x.rootRank("Broadcast", root)
-	if err != nil {
+	blocks := x.partitionFor(n, x.NP(), x.cfg.Balanced)
+	// Scatter phase: the root ships block q to rank q, in place.
+	if err := x.scatterBody(root, addr, blocks, addr+scc.Addr(8*blocks[x.Rank()].Off)); err != nil {
 		return err
-	}
-	p := x.np()
-	me := x.rank()
-	blocks := x.partitionFor(n, p, x.cfg.Balanced)
-	// Scatter phase: the root ships block q to rank q.
-	if me == rootR {
-		for q := 0; q < p; q++ {
-			if q == rootR || blocks[q].Len == 0 {
-				continue
-			}
-			if err := x.ep.Send(x.member(q), addr+scc.Addr(8*blocks[q].Off), 8*blocks[q].Len); err != nil {
-				return err
-			}
-		}
-	} else if blocks[me].Len > 0 {
-		if err := x.ep.Recv(root, addr+scc.Addr(8*blocks[me].Off), 8*blocks[me].Len); err != nil {
-			return err
-		}
 	}
 	// Allgather phase over the same partition reassembles the vector
 	// everywhere.
@@ -70,17 +53,14 @@ func (ringAlg) Broadcast(x *Ctx, root int, addr scc.Addr, n int) error {
 }
 
 func (ringAlg) Reduce(x *Ctx, root int, src, dst scc.Addr, n int, op Op) error {
-	rootR, err := x.rootRank("Reduce", root)
+	rootR, err := x.RootRank("Reduce", root)
 	if err != nil {
 		return err
 	}
-	p := x.np()
-	me := x.rank()
-	blocks := x.partitionFor(n, p, x.cfg.Balanced)
-	var blockDst scc.Addr
-	if me == rootR {
-		blockDst = dst + scc.Addr(8*blocks[me].Off)
-	} else {
+	me := x.Rank()
+	blocks := x.partitionFor(n, x.NP(), x.cfg.Balanced)
+	blockDst := dst + scc.Addr(8*blocks[me].Off) // the root reduces its block into place
+	if me != rootR {
 		x.ensureScratch(maxBlockLen(blocks))
 		blockDst = x.curAddr // reduced block staged in scratch
 	}
@@ -88,21 +68,7 @@ func (ringAlg) Reduce(x *Ctx, root int, src, dst scc.Addr, n int, op Op) error {
 		return err
 	}
 	// Gather phase: everyone ships its block to the root.
-	if me == rootR {
-		for q := 0; q < p; q++ {
-			if q == rootR || blocks[q].Len == 0 {
-				continue
-			}
-			if err := x.ep.Recv(x.member(q), dst+scc.Addr(8*blocks[q].Off), 8*blocks[q].Len); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if blocks[me].Len > 0 {
-		return x.ep.Send(root, blockDst, 8*blocks[me].Len)
-	}
-	return nil
+	return x.gatherBody(root, blockDst, blocks, dst)
 }
 
 // treeAlg is the short-vector variant suite: binomial trees finish in
@@ -120,10 +86,10 @@ func (treeAlg) Allreduce(x *Ctx, src, dst scc.Addr, n int, op Op) error {
 	// Tree Reduce to the lowest member followed by tree Broadcast
 	// (RCCE_comm's composition; 2*log2(p) levels beat 2*(p-1) ring
 	// rounds for tiny vectors).
-	if err := x.reduceTree(x.member(0), src, dst, n, op); err != nil {
+	if err := x.reduceTree(x.Member(0), src, dst, n, op); err != nil {
 		return err
 	}
-	return x.broadcastTree(x.member(0), dst, n)
+	return x.broadcastTree(x.Member(0), dst, n)
 }
 
 func (treeAlg) Broadcast(x *Ctx, root int, addr scc.Addr, n int) error {
@@ -181,12 +147,12 @@ func (linearAlg) Describe() string {
 func (linearAlg) Applicable(x *Ctx, n int) bool { return true }
 
 func (linearAlg) Broadcast(x *Ctx, root int, addr scc.Addr, n int) error {
-	rootR, err := x.rootRank("Broadcast", root)
+	rootR, err := x.RootRank("Broadcast", root)
 	if err != nil {
 		return err
 	}
-	p := x.np()
-	me := x.rank()
+	p := x.NP()
+	me := x.Rank()
 	if n == 0 {
 		return nil
 	}
@@ -195,7 +161,7 @@ func (linearAlg) Broadcast(x *Ctx, root int, addr scc.Addr, n int) error {
 			if q == rootR {
 				continue
 			}
-			if err := x.ep.Send(x.member(q), addr, 8*n); err != nil {
+			if err := x.ep.Send(x.Member(q), addr, 8*n); err != nil {
 				return err
 			}
 		}
@@ -205,19 +171,19 @@ func (linearAlg) Broadcast(x *Ctx, root int, addr scc.Addr, n int) error {
 }
 
 func (linearAlg) Reduce(x *Ctx, root int, src, dst scc.Addr, n int, op Op) error {
-	rootR, err := x.rootRank("Reduce", root)
+	rootR, err := x.RootRank("Reduce", root)
 	if err != nil {
 		return err
 	}
-	p := x.np()
-	me := x.rank()
+	p := x.NP()
+	me := x.Rank()
 	if me != rootR {
 		if n == 0 {
 			return nil
 		}
 		return x.ep.Send(root, src, 8*n)
 	}
-	x.copyPriv(dst, src, n)
+	x.CopyPrivate(dst, src, n)
 	if n == 0 {
 		return nil
 	}
@@ -226,16 +192,16 @@ func (linearAlg) Reduce(x *Ctx, root int, src, dst scc.Addr, n int, op Op) error
 		if q == rootR {
 			continue
 		}
-		if err := x.ep.Recv(x.member(q), x.rbufAddr, 8*n); err != nil {
+		if err := x.ep.Recv(x.Member(q), x.rbufAddr, 8*n); err != nil {
 			return err
 		}
-		x.reduceInto(dst, dst, x.rbufAddr, n, op)
+		x.ReduceInto(dst, dst, x.rbufAddr, n, op)
 	}
 	return nil
 }
 
 func (a linearAlg) Allreduce(x *Ctx, src, dst scc.Addr, n int, op Op) error {
-	root := x.member(0)
+	root := x.Member(0)
 	if err := a.Reduce(x, root, src, dst, n, op); err != nil {
 		return err
 	}

@@ -119,7 +119,7 @@ type Ctx struct {
 	scratchLen        int
 
 	// Reusable host-side scratch for the reduction steps: vecA/vecB back
-	// reduceInto and copyPriv, gatherBuf backs the MPB-direct phase-2
+	// ReduceInto and CopyPrivate, gatherBuf backs the MPB-direct phase-2
 	// staging, blocksBuf backs Allgather's uniform partition. Reuse is
 	// safe because a Ctx runs one collective step at a time.
 	vecA, vecB []float64
@@ -300,38 +300,33 @@ func (x *Ctx) Healer() *Healer { return x.healer }
 // UE returns the underlying unit of execution.
 func (x *Ctx) UE() *rcce.UE { return x.ue }
 
-// Config returns the active configuration.
-func (x *Ctx) Config() Config { return x.cfg }
-
-// Group returns the member group (nil when spanning all cores).
-func (x *Ctx) Group() *Group { return x.grp }
-
-// np returns the communicator size (group size, or all cores).
-func (x *Ctx) np() int {
+// NP returns the communicator size (group size, or the whole chip).
+func (x *Ctx) NP() int {
 	if x.grp != nil {
 		return x.grp.Size()
 	}
 	return x.ue.NumUEs()
 }
 
-// rank returns this core's rank within the communicator.
-func (x *Ctx) rank() int {
+// Rank returns this core's rank within the communicator.
+func (x *Ctx) Rank() int {
 	if x.grp != nil {
 		return x.grp.RankOf(x.ue.ID())
 	}
 	return x.ue.ID()
 }
 
-// member translates a communicator rank to a core ID.
-func (x *Ctx) member(r int) int {
+// Member translates a communicator rank to a core ID.
+func (x *Ctx) Member(r int) int {
 	if x.grp != nil {
 		return x.grp.Member(r)
 	}
 	return r
 }
 
-// rootRank validates a root core ID and returns its communicator rank.
-func (x *Ctx) rootRank(fn string, root int) (int, error) {
+// RootRank validates a root core ID for collective fn and returns its
+// communicator rank.
+func (x *Ctx) RootRank(fn string, root int) (int, error) {
 	if x.grp != nil {
 		r := x.grp.RankOf(root)
 		if r < 0 {
@@ -359,11 +354,11 @@ func (x *Ctx) collective(fn string, n int, spansChips bool, body func() error, l
 		return fmt.Errorf("core: %s: %w: negative count %d", fn, ErrInvalid, n)
 	}
 	for _, blocks := range layouts {
-		if err := validateBlocks(fn, blocks, x.np()); err != nil {
+		if err := validateBlocks(fn, blocks, x.NP()); err != nil {
 			return err
 		}
 	}
-	if !spansChips && x.multiChip() {
+	if !spansChips && x.MultiChip() {
 		return fmt.Errorf("core: %s: %w", fn, ErrCrossChip)
 	}
 	if x.healer != nil {
@@ -411,10 +406,10 @@ func maxBlockLen(blocks []Block) int {
 	return m
 }
 
-// reduceInto computes dst[i] = op(a[i], b[i]) for n elements, charging
+// ReduceInto computes dst[i] = op(a[i], b[i]) for n elements, charging
 // cached private-memory reads/writes plus per-element FP work. a, b and
 // dst are private addresses.
-func (x *Ctx) reduceInto(dst, a, b scc.Addr, n int, op Op) {
+func (x *Ctx) ReduceInto(dst, a, b scc.Addr, n int, op Op) {
 	if n == 0 {
 		return
 	}
@@ -430,8 +425,9 @@ func (x *Ctx) reduceInto(dst, a, b scc.Addr, n int, op Op) {
 	core.WriteF64s(dst, va)
 }
 
-// copyPriv copies n elements between private addresses, with costs.
-func (x *Ctx) copyPriv(dst, src scc.Addr, n int) {
+// CopyPrivate copies n elements between private addresses, with the
+// usual cached read/write costs.
+func (x *Ctx) CopyPrivate(dst, src scc.Addr, n int) {
 	if n == 0 {
 		return
 	}
@@ -455,16 +451,16 @@ func (x *Ctx) ReduceScatter(src, dst scc.Addr, n int, op Op) (blocks []Block, er
 }
 
 func (x *Ctx) reduceScatterBody(src, dst scc.Addr, n int, op Op) ([]Block, error) {
-	p := x.np()
-	me := x.rank()
+	p := x.NP()
+	me := x.Rank()
 	blocks := x.partitionFor(n, p, x.cfg.Balanced)
 	if p == 1 {
-		x.copyPriv(dst, src, n)
+		x.CopyPrivate(dst, src, n)
 		return blocks, nil
 	}
 	x.ensureScratch(maxBlockLen(blocks))
-	right := x.member(mod(me+1, p))
-	left := x.member(mod(me-1, p))
+	right := x.Member(mod(me+1, p))
+	left := x.Member(mod(me-1, p))
 
 	for r := 0; r < p-1; r++ {
 		sendIdx := mod(me-1-r, p)
@@ -480,10 +476,10 @@ func (x *Ctx) reduceScatterBody(src, dst scc.Addr, n int, op Op) ([]Block, error
 		}
 		// Combine the received partial with my own contribution; the
 		// result is next round's send (or the final block).
-		x.reduceInto(x.curAddr, x.rbufAddr, src+scc.Addr(8*rb.Off), rb.Len, op)
+		x.ReduceInto(x.curAddr, x.rbufAddr, src+scc.Addr(8*rb.Off), rb.Len, op)
 	}
 	myBlock := blocks[me]
-	x.copyPriv(dst, x.curAddr, myBlock.Len)
+	x.CopyPrivate(dst, x.curAddr, myBlock.Len)
 	return blocks, nil
 }
 
@@ -500,8 +496,8 @@ func (x *Ctx) Allreduce(src, dst scc.Addr, n int, op Op) error {
 // execution all happen inside the healed region, so a re-execution
 // after membership shrank re-selects for the survivor count.
 func (x *Ctx) allreduceBody(src, dst scc.Addr, n int, op Op) error {
-	if x.np() == 1 && !x.multiChip() {
-		x.copyPriv(dst, src, n)
+	if x.NP() == 1 && !x.MultiChip() {
+		x.CopyPrivate(dst, src, n)
 		return nil
 	}
 	a := x.selectAlg(KindAllreduce, n).(AllreduceAlgorithm)
@@ -521,11 +517,11 @@ func (x *Ctx) Reduce(root int, src, dst scc.Addr, n int, op Op) error {
 // itself died, the re-execution surfaces a deterministic ErrInvalid on
 // every survivor instead of retrying a rootless collective.
 func (x *Ctx) reduceBody(root int, src, dst scc.Addr, n int, op Op) error {
-	if _, err := x.rootRank("Reduce", root); err != nil {
+	if _, err := x.RootRank("Reduce", root); err != nil {
 		return err
 	}
-	if x.np() == 1 {
-		x.copyPriv(dst, src, n)
+	if x.NP() == 1 {
+		x.CopyPrivate(dst, src, n)
 		return nil
 	}
 	a := x.selectAlg(KindReduce, n).(ReduceAlgorithm)
@@ -542,17 +538,17 @@ func (x *Ctx) Broadcast(root int, addr scc.Addr, n int) error {
 }
 
 func (x *Ctx) broadcastBody(root int, addr scc.Addr, n int) error {
-	if x.multiChip() {
+	if x.MultiChip() {
 		// The root is a system-global core ID: chip root/NumUEs, local
 		// core root%NumUEs (the "hier" algorithm decodes it the same way).
 		if root < 0 || root >= x.GlobalNP() {
 			return fmt.Errorf("core: Broadcast: %w: root %d outside [0,%d)",
 				ErrInvalid, root, x.GlobalNP())
 		}
-	} else if _, err := x.rootRank("Broadcast", root); err != nil {
+	} else if _, err := x.RootRank("Broadcast", root); err != nil {
 		return err
 	}
-	if x.np() == 1 && !x.multiChip() {
+	if x.NP() == 1 && !x.MultiChip() {
 		return nil
 	}
 	a := x.selectAlg(KindBroadcast, n).(BroadcastAlgorithm)
@@ -569,7 +565,7 @@ func (x *Ctx) Barrier() error {
 }
 
 func (x *Ctx) barrierBody() error {
-	if x.multiChip() {
+	if x.MultiChip() {
 		return x.hierBarrier()
 	}
 	if x.grp == nil && x.cfg.Recovery == nil {
@@ -590,9 +586,4 @@ func (x *Ctx) barrierBody() error {
 	}
 	x.ue.BarrierGroup(members)
 	return nil
-}
-
-// sanity guard used by tests.
-func (x *Ctx) String() string {
-	return fmt.Sprintf("Ctx(ue=%d, %s)", x.ue.ID(), x.cfg.Name())
 }

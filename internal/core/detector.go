@@ -115,9 +115,7 @@ func (d *Detector) Clears() int64 { return d.clears }
 // fillBitmap writes the suspicion set as a little-endian bitmap (bit
 // i%8 of byte i/8 set = core i suspected) into buf.
 func (d *Detector) fillBitmap(buf []byte) {
-	for i := range buf {
-		buf[i] = 0
-	}
+	clear(buf)
 	for i, s := range d.suspected {
 		if s {
 			buf[i/8] |= 1 << (i % 8)

@@ -2,33 +2,17 @@ package core
 
 import "scc/internal/scc"
 
-// This file is the extension surface for algorithms implemented outside
-// internal/core (today: the synthesized schedules in internal/synth).
-// The built-in algorithms use the unexported helpers directly; external
-// packages get the same primitives through these thin exported
-// wrappers, so an out-of-package Algorithm is a peer of the built-ins
-// rather than a special case. Nothing here adds simulated work.
-
-// NP returns the communicator size (group size, or the whole chip).
-func (x *Ctx) NP() int { return x.np() }
-
-// Rank returns the caller's rank within the communicator.
-func (x *Ctx) Rank() int { return x.rank() }
-
-// Member maps a communicator rank to its core ID.
-func (x *Ctx) Member(r int) int { return x.member(r) }
-
-// MultiChip reports whether collectives on this context must span
-// chips (see Fabric); single-chip algorithms are not applicable then.
-func (x *Ctx) MultiChip() bool { return x.multiChip() }
+// Algorithms implemented outside internal/core (today: the synthesized
+// schedules in internal/synth) run on the same primitives as the
+// built-in ones — NP, Rank, Member, MultiChip, RootRank, ReduceInto and
+// CopyPrivate are the Ctx methods the built-ins call — plus these two
+// accessors for state the built-ins reach through fields. An
+// out-of-package Algorithm is a peer of the built-ins rather than a
+// special case. Nothing here adds simulated work.
 
 // Endpoint exposes the context's point-to-point transport, the same
 // layer the built-in algorithms run over.
 func (x *Ctx) Endpoint() Endpoint { return x.ep }
-
-// RootRank validates a root core ID for collective fn and returns its
-// communicator rank, exactly as the built-in rooted collectives do.
-func (x *Ctx) RootRank(fn string, root int) (int, error) { return x.rootRank(fn, root) }
 
 // ScratchPair sizes the two private scratch vectors to at least n
 // elements and returns their addresses (working copy, receive staging).
@@ -38,11 +22,3 @@ func (x *Ctx) ScratchPair(n int) (cur, rbuf scc.Addr) {
 	x.ensureScratch(n)
 	return x.curAddr, x.rbufAddr
 }
-
-// ReduceInto computes dst[i] = op(a[i], b[i]) over n elements of
-// private memory, charging the model's per-element reduction cost.
-func (x *Ctx) ReduceInto(dst, a, b scc.Addr, n int, op Op) { x.reduceInto(dst, a, b, n, op) }
-
-// CopyPrivate copies n elements between private addresses, with the
-// usual cached read/write costs.
-func (x *Ctx) CopyPrivate(dst, src scc.Addr, n int) { x.copyPriv(dst, src, n) }

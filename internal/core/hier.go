@@ -34,19 +34,16 @@ type Fabric struct {
 // chip-local.
 var ErrCrossChip = fmt.Errorf("%w: collective does not span chips", ErrInvalid)
 
-// Fabric returns the context's fabric placement, or nil on single-chip
-// contexts.
-func (x *Ctx) Fabric() *Fabric { return x.fab }
-
-// multiChip reports whether collectives must span chips.
-func (x *Ctx) multiChip() bool { return x.fab != nil && x.fab.Chips > 1 }
+// MultiChip reports whether collectives on this context must span chips
+// (see Fabric); single-chip algorithms are not applicable then.
+func (x *Ctx) MultiChip() bool { return x.fab != nil && x.fab.Chips > 1 }
 
 // GlobalNP returns the system-wide rank count (all chips).
 func (x *Ctx) GlobalNP() int {
-	if x.multiChip() {
+	if x.MultiChip() {
 		return x.fab.Chips * x.ue.NumUEs()
 	}
-	return x.np()
+	return x.NP()
 }
 
 // hierAlg is the sixth-layer composition. Applicable only on fabric
@@ -58,7 +55,7 @@ func (hierAlg) Name() string { return "hier" }
 func (hierAlg) Describe() string {
 	return "hierarchical multi-chip composition: intra-chip reduce, gateway fabric exchange, intra-chip broadcast"
 }
-func (hierAlg) Applicable(x *Ctx, n int) bool { return x.multiChip() }
+func (hierAlg) Applicable(x *Ctx, n int) bool { return x.MultiChip() }
 
 // inner returns the chip-local sub-context the intra-chip phases run
 // on: same UE, transport and healer, no fabric, optionally a forced

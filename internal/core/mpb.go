@@ -139,7 +139,7 @@ func (x *Ctx) allreduceMPB(src, dst scc.Addr, n int, op Op) error {
 	me := ue.ID()
 	blocks := x.partitionFor(n, p, true) // Sec. IV-D builds on all prior optimizations
 	if p == 1 {
-		x.copyPriv(dst, src, n)
+		x.CopyPrivate(dst, src, n)
 		return nil
 	}
 	if maxBlockLen(blocks)*8 > ue.Comm().DataBytes()/2 {

@@ -19,9 +19,9 @@ func (x *Ctx) AllreduceRecursiveDoubling(src, dst scc.Addr, n int, op Op) error 
 }
 
 func (x *Ctx) allreduceRecDouble(src, dst scc.Addr, n int, op Op) error {
-	p := x.np()
-	me := x.rank()
-	x.copyPriv(dst, src, n)
+	p := x.NP()
+	me := x.Rank()
+	x.CopyPrivate(dst, src, n)
 	if p == 1 || n == 0 {
 		return nil
 	}
@@ -38,14 +38,14 @@ func (x *Ctx) allreduceRecDouble(src, dst scc.Addr, n int, op Op) error {
 	newRank := -1
 	switch {
 	case me < 2*rem && me%2 == 0:
-		if err := x.ep.Send(x.member(me+1), dst, 8*n); err != nil {
+		if err := x.ep.Send(x.Member(me+1), dst, 8*n); err != nil {
 			return err
 		}
 	case me < 2*rem:
-		if err := x.ep.Recv(x.member(me-1), x.rbufAddr, 8*n); err != nil {
+		if err := x.ep.Recv(x.Member(me-1), x.rbufAddr, 8*n); err != nil {
 			return err
 		}
-		x.reduceInto(dst, dst, x.rbufAddr, n, op)
+		x.ReduceInto(dst, dst, x.rbufAddr, n, op)
 		newRank = me / 2
 	default:
 		newRank = me - rem
@@ -59,11 +59,11 @@ func (x *Ctx) allreduceRecDouble(src, dst scc.Addr, n int, op Op) error {
 			return nr + rem
 		}
 		for mask := 1; mask < pof2; mask <<= 1 {
-			partner := x.member(realOf(newRank ^ mask))
+			partner := x.Member(realOf(newRank ^ mask))
 			if err := x.ep.ExchangePair(partner, dst, 8*n, x.rbufAddr, 8*n); err != nil {
 				return err
 			}
-			x.reduceInto(dst, dst, x.rbufAddr, n, op)
+			x.ReduceInto(dst, dst, x.rbufAddr, n, op)
 		}
 	}
 
@@ -71,9 +71,9 @@ func (x *Ctx) allreduceRecDouble(src, dst scc.Addr, n int, op Op) error {
 	// neighbor that carried their contribution.
 	switch {
 	case me < 2*rem && me%2 == 0:
-		return x.ep.Recv(x.member(me+1), dst, 8*n)
+		return x.ep.Recv(x.Member(me+1), dst, 8*n)
 	case me < 2*rem:
-		return x.ep.Send(x.member(me-1), dst, 8*n)
+		return x.ep.Send(x.Member(me-1), dst, 8*n)
 	}
 	return nil
 }

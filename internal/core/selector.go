@@ -195,7 +195,7 @@ func (s tunedSel) Select(x *Ctx, k OpKind, n int) string {
 	if s.table == nil {
 		return ""
 	}
-	return s.table.Lookup(k, x.np(), n)
+	return s.table.Lookup(k, x.NP(), n)
 }
 
 // tunedDefaultJSON is the committed table measured by the tuner sweep

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"scc/internal/metrics"
 	"scc/internal/rcce"
@@ -495,7 +496,7 @@ func (h *Healer) reconfigure(x *Ctx) error {
 			}
 		}
 		if ok && len(view) >= h.quorum(oldSize) {
-			if !containsInt(view, me) {
+			if !slices.Contains(view, me) {
 				h.evicted = fmt.Errorf("core: self-heal: %w: view of %d cores at epoch %d excludes core %d",
 					ErrEvicted, len(view), epoch, me)
 				return h.evicted
@@ -704,19 +705,8 @@ func (h *Healer) epochBarrier(view []int, epoch uint32, ta simtime.Time, B simti
 // fillViewBitmap encodes a member list as the wire bitmap (bit i%8 of
 // byte i/8 = core i in view).
 func fillViewBitmap(buf []byte, view []int) {
-	for i := range buf {
-		buf[i] = 0
-	}
+	clear(buf)
 	for _, id := range view {
 		buf[id/8] |= 1 << (id % 8)
 	}
-}
-
-func containsInt(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

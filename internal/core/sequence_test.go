@@ -113,13 +113,13 @@ func TestRandomCollectiveSequences(t *testing.T) {
 					switch op.kind {
 					case "allreduce":
 						x.Allreduce(work, tmp, op.n, Sum)
-						x.copyPriv(work, tmp, op.n)
+						x.CopyPrivate(work, tmp, op.n)
 					case "broadcast":
 						x.Broadcast(op.root, work, op.n)
 					case "reduce":
 						x.Reduce(op.root, work, tmp, op.n, Sum)
 						if c.ID == op.root {
-							x.copyPriv(work, tmp, op.n)
+							x.CopyPrivate(work, tmp, op.n)
 						}
 					}
 				}

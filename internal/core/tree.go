@@ -22,12 +22,12 @@ func (x *Ctx) BroadcastTree(root int, addr scc.Addr, n int) error {
 }
 
 func (x *Ctx) broadcastTree(root int, addr scc.Addr, n int) error {
-	rootR, err := x.rootRank("BroadcastTree", root)
+	rootR, err := x.RootRank("BroadcastTree", root)
 	if err != nil {
 		return err
 	}
-	p := x.np()
-	me := x.rank()
+	p := x.NP()
+	me := x.Rank()
 	if p == 1 || n == 0 {
 		return nil
 	}
@@ -38,14 +38,14 @@ func (x *Ctx) broadcastTree(root int, addr scc.Addr, n int) error {
 		for vrank&mask == 0 {
 			mask <<= 1
 		}
-		parent := x.member(mod(rootR+(vrank&^mask), p))
+		parent := x.Member(mod(rootR+(vrank&^mask), p))
 		if err := x.ep.Recv(parent, addr, 8*n); err != nil {
 			return err
 		}
 		// Forward to my subtree (bits below my lowest set bit).
 		for mask >>= 1; mask > 0; mask >>= 1 {
 			if child := vrank | mask; child < p {
-				if err := x.ep.Send(x.member(mod(rootR+child, p)), addr, 8*n); err != nil {
+				if err := x.ep.Send(x.Member(mod(rootR+child, p)), addr, 8*n); err != nil {
 					return err
 				}
 			}
@@ -59,7 +59,7 @@ func (x *Ctx) broadcastTree(root int, addr scc.Addr, n int) error {
 	}
 	for mask >>= 1; mask > 0; mask >>= 1 {
 		if mask < p {
-			if err := x.ep.Send(x.member(mod(rootR+mask, p)), addr, 8*n); err != nil {
+			if err := x.ep.Send(x.Member(mod(rootR+mask, p)), addr, 8*n); err != nil {
 				return err
 			}
 		}
@@ -75,36 +75,36 @@ func (x *Ctx) ReduceTree(root int, src, dst scc.Addr, n int, op Op) error {
 }
 
 func (x *Ctx) reduceTree(root int, src, dst scc.Addr, n int, op Op) error {
-	rootR, err := x.rootRank("ReduceTree", root)
+	rootR, err := x.RootRank("ReduceTree", root)
 	if err != nil {
 		return err
 	}
-	p := x.np()
-	me := x.rank()
+	p := x.NP()
+	me := x.Rank()
 	if p == 1 {
-		x.copyPriv(dst, src, n)
+		x.CopyPrivate(dst, src, n)
 		return nil
 	}
 	vrank := mod(me-rootR, p)
 	x.ensureScratch(n)
 	acc := x.curAddr
-	x.copyPriv(acc, src, n)
+	x.CopyPrivate(acc, src, n)
 
 	mask := 1
 	for mask < p {
 		if vrank&mask != 0 {
-			parent := x.member(mod(rootR+(vrank&^mask), p))
+			parent := x.Member(mod(rootR+(vrank&^mask), p))
 			return x.ep.Send(parent, acc, 8*n)
 		}
 		if child := vrank | mask; child < p {
-			if err := x.ep.Recv(x.member(mod(rootR+child, p)), x.rbufAddr, 8*n); err != nil {
+			if err := x.ep.Recv(x.Member(mod(rootR+child, p)), x.rbufAddr, 8*n); err != nil {
 				return err
 			}
-			x.reduceInto(acc, acc, x.rbufAddr, n, op)
+			x.ReduceInto(acc, acc, x.rbufAddr, n, op)
 		}
 		mask <<= 1
 	}
-	x.copyPriv(dst, acc, n)
+	x.CopyPrivate(dst, acc, n)
 	return nil
 }
 

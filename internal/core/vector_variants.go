@@ -33,7 +33,7 @@ func validateBlocks(fn string, blocks []Block, p int) error {
 // in the context's reusable buffer. Computed per attempt, so a healed
 // re-execution lays the survivors out densely.
 func (x *Ctx) uniformBlocks(nPer int) []Block {
-	p := x.np()
+	p := x.NP()
 	if cap(x.blocksBuf) < p {
 		x.blocksBuf = make([]Block, p)
 	}
@@ -50,13 +50,13 @@ func (x *Ctx) uniformBlocks(nPer int) []Block {
 // the survivors keep their own blocks — same offsets, the dead ranks'
 // blocks are simply not moved.
 func (x *Ctx) liveBlocks(blocks []Block, entry *Group) []Block {
-	p := x.np()
+	p := x.NP()
 	if len(blocks) == p {
 		return blocks // membership only ever shrinks within a call
 	}
 	live := make([]Block, p)
 	for q := range live {
-		r := x.member(q)
+		r := x.Member(q)
 		if entry != nil {
 			r = entry.RankOf(r)
 		}
@@ -87,8 +87,8 @@ func (x *Ctx) AllgatherV(src scc.Addr, blocks []Block, dst scc.Addr) error {
 
 func (x *Ctx) allgatherBody(src scc.Addr, blocks []Block, dst scc.Addr) error {
 	// Place my contribution, then ring-rotate contributions.
-	mine := blocks[x.rank()]
-	x.copyPriv(dst+scc.Addr(8*mine.Off), src, mine.Len)
+	mine := blocks[x.Rank()]
+	x.CopyPrivate(dst+scc.Addr(8*mine.Off), src, mine.Len)
 	return x.allgatherBlocks(dst, blocks)
 }
 
@@ -96,13 +96,13 @@ func (x *Ctx) allgatherBody(src scc.Addr, blocks []Block, dst scc.Addr) error {
 // each core starts owning blocks[me] inside dst (at its block offset)
 // and after p-1 rounds every block is present in every core's dst.
 func (x *Ctx) allgatherBlocks(dst scc.Addr, blocks []Block) error {
-	p := x.np()
-	me := x.rank()
+	p := x.NP()
+	me := x.Rank()
 	if p == 1 {
 		return nil
 	}
-	right := x.member(mod(me+1, p))
-	left := x.member(mod(me-1, p))
+	right := x.Member(mod(me+1, p))
+	left := x.Member(mod(me-1, p))
 	for r := 0; r < p-1; r++ {
 		sendIdx := mod(me-r, p)
 		recvIdx := mod(me-1-r, p)
@@ -142,21 +142,21 @@ func (x *Ctx) AlltoallV(src scc.Addr, sendBlocks []Block, dst scc.Addr, recvBloc
 // mod p), which pairs cores symmetrically in every round and therefore
 // stays deadlock-free even with the blocking transport ordered by rank.
 func (x *Ctx) alltoallBody(src scc.Addr, sendBlocks []Block, dst scc.Addr, recvBlocks []Block) error {
-	p := x.np()
-	me := x.rank()
+	p := x.NP()
+	me := x.Rank()
 	for r := 0; r < p; r++ {
 		partner := mod(r-me, p)
 		sb, rb := sendBlocks[partner], recvBlocks[partner]
 		sAddr := src + scc.Addr(8*sb.Off)
 		rAddr := dst + scc.Addr(8*rb.Off)
 		if partner == me {
-			x.copyPriv(rAddr, sAddr, min(sb.Len, rb.Len))
+			x.CopyPrivate(rAddr, sAddr, min(sb.Len, rb.Len))
 			continue
 		}
 		if sb.Len == 0 && rb.Len == 0 {
 			continue
 		}
-		if err := x.ep.ExchangePair(x.member(partner), sAddr, 8*sb.Len, rAddr, 8*rb.Len); err != nil {
+		if err := x.ep.ExchangePair(x.Member(partner), sAddr, 8*sb.Len, rAddr, 8*rb.Len); err != nil {
 			return err
 		}
 	}
@@ -183,13 +183,15 @@ func (x *Ctx) ScatterV(root int, src scc.Addr, blocks []Block, dst scc.Addr) err
 
 // scatterBody is the linear root loop: the root's injection bandwidth
 // dominates a scatter anyway. The root is validated per attempt: if it
-// died, the re-execution surfaces ErrInvalid on every survivor.
+// died, the re-execution surfaces ErrInvalid on every survivor. A root
+// whose dst already is its block of src (the scatter phase of the ring
+// Broadcast) moves nothing for itself.
 func (x *Ctx) scatterBody(root int, src scc.Addr, blocks []Block, dst scc.Addr) error {
-	rootR, err := x.rootRank("Scatter", root)
+	rootR, err := x.RootRank("Scatter", root)
 	if err != nil {
 		return err
 	}
-	me := x.rank()
+	me := x.Rank()
 	if me != rootR {
 		if blocks[me].Len > 0 {
 			return x.ep.Recv(root, dst, 8*blocks[me].Len)
@@ -197,10 +199,12 @@ func (x *Ctx) scatterBody(root int, src scc.Addr, blocks []Block, dst scc.Addr) 
 		return nil
 	}
 	for q, b := range blocks {
-		if q == rootR {
-			x.copyPriv(dst, src+scc.Addr(8*b.Off), b.Len)
+		if at := src + scc.Addr(8*b.Off); q == rootR {
+			if dst != at {
+				x.CopyPrivate(dst, at, b.Len)
+			}
 		} else if b.Len > 0 {
-			if err := x.ep.Send(x.member(q), src+scc.Addr(8*b.Off), 8*b.Len); err != nil {
+			if err := x.ep.Send(x.Member(q), at, 8*b.Len); err != nil {
 				return err
 			}
 		}
@@ -226,13 +230,14 @@ func (x *Ctx) GatherV(root int, src scc.Addr, blocks []Block, dst scc.Addr) erro
 	}, blocks)
 }
 
-// gatherBody mirrors scatterBody.
+// gatherBody mirrors scatterBody (in place: the gather phase of the ring
+// Reduce).
 func (x *Ctx) gatherBody(root int, src scc.Addr, blocks []Block, dst scc.Addr) error {
-	rootR, err := x.rootRank("Gather", root)
+	rootR, err := x.RootRank("Gather", root)
 	if err != nil {
 		return err
 	}
-	me := x.rank()
+	me := x.Rank()
 	if me != rootR {
 		if blocks[me].Len > 0 {
 			return x.ep.Send(root, src, 8*blocks[me].Len)
@@ -240,10 +245,12 @@ func (x *Ctx) gatherBody(root int, src scc.Addr, blocks []Block, dst scc.Addr) e
 		return nil
 	}
 	for q, b := range blocks {
-		if q == rootR {
-			x.copyPriv(dst+scc.Addr(8*b.Off), src, b.Len)
+		if at := dst + scc.Addr(8*b.Off); q == rootR {
+			if at != src {
+				x.CopyPrivate(at, src, b.Len)
+			}
 		} else if b.Len > 0 {
-			if err := x.ep.Recv(x.member(q), dst+scc.Addr(8*b.Off), 8*b.Len); err != nil {
+			if err := x.ep.Recv(x.Member(q), at, 8*b.Len); err != nil {
 				return err
 			}
 		}
@@ -260,21 +267,21 @@ func (x *Ctx) Scan(src, dst scc.Addr, n int, op Op) error {
 }
 
 func (x *Ctx) scanBody(src, dst scc.Addr, n int, op Op) error {
-	p := x.np()
-	me := x.rank()
-	x.copyPriv(dst, src, n)
+	p := x.NP()
+	me := x.Rank()
+	x.CopyPrivate(dst, src, n)
 	if p == 1 || n == 0 {
 		return nil
 	}
 	if me > 0 {
 		x.ensureScratch(n)
-		if err := x.ep.Recv(x.member(me-1), x.rbufAddr, 8*n); err != nil {
+		if err := x.ep.Recv(x.Member(me-1), x.rbufAddr, 8*n); err != nil {
 			return err
 		}
-		x.reduceInto(dst, x.rbufAddr, src, n, op)
+		x.ReduceInto(dst, x.rbufAddr, src, n, op)
 	}
 	if me < p-1 {
-		return x.ep.Send(x.member(me+1), dst, 8*n)
+		return x.ep.Send(x.Member(me+1), dst, 8*n)
 	}
 	return nil
 }

@@ -368,10 +368,3 @@ func chunkSpan(n, chunks, ch int) (off, length int) {
 	}
 	return off, length
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -134,22 +134,13 @@ const (
 
 // String names the stack like the paper's figure legends.
 func (s Stack) String() string {
-	switch s {
-	case StackBlocking:
-		return "blocking"
-	case StackIRCCE:
-		return "iRCCE"
-	case StackLightweight:
-		return "lightweight non-blocking"
-	case StackLightweightBalanced:
-		return "lightweight non-blocking, balanced"
-	case StackMPB:
-		return "MPB-based Allreduce"
-	case StackRCKMPI:
+	switch {
+	case s == StackRCKMPI:
 		return "RCKMPI"
-	default:
+	case s < StackBlocking || s > StackRCKMPI:
 		return fmt.Sprintf("Stack(%d)", int(s))
 	}
+	return s.coreConfig().Name()
 }
 
 // Stacks lists all six stacks in presentation order.
@@ -158,23 +149,14 @@ func Stacks() []Stack {
 		StackLightweight, StackLightweightBalanced, StackMPB}
 }
 
-// coreConfig maps a Stack to the collectives configuration (not
-// meaningful for StackRCKMPI).
+// coreConfig maps a Stack to the collectives configuration: the five
+// core stacks are declared in the order of core.Configs (not meaningful
+// for StackRCKMPI).
 func (s Stack) coreConfig() core.Config {
-	switch s {
-	case StackBlocking:
-		return core.ConfigBlocking
-	case StackIRCCE:
-		return core.ConfigIRCCE
-	case StackLightweight:
-		return core.ConfigLightweight
-	case StackLightweightBalanced:
-		return core.ConfigBalanced
-	case StackMPB:
-		return core.ConfigMPB
-	default:
-		return core.ConfigBalanced
+	if s >= StackBlocking && s <= StackMPB {
+		return core.Configs()[s]
 	}
+	return core.ConfigBalanced
 }
 
 // Selector is the per-call algorithm-selection policy of the registry
