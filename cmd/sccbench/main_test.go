@@ -15,13 +15,12 @@ import (
 
 // TestOneModePerInvocation: selecting two modes, or setting a flag the
 // selected mode never reads, is a usage error (exit status 2 in main)
-// and nothing is simulated or written — on the parent the first command
-// line printed the algorithm list and exited 0.
+// and nothing is simulated or written — no flag is silently ignored.
 func TestOneModePerInvocation(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "x.out")
 	for _, args := range [][]string{
-		{"-summary", "-list-algos", "-csv", out}, // the issue's example
+		{"-summary", "-list-algos", "-csv", out},
 		{"-tune", "-synth"},
 		{"-scale", "-summary"},
 		{"-metricsout", out, "-tune"}, // -metricsout implies the metrics mode

@@ -47,7 +47,9 @@
 // exposes the same data from the command line (-metrics, -metricsout)
 // and can emit a Chrome Trace Event JSON (-tracejson) that loads
 // directly into Perfetto; see the "Inspecting a run" section of the
-// README.
+// README. One sccbench invocation runs one mode: selecting two, or
+// passing a flag the selected mode never reads, is a usage error (exit
+// status 2), like any rejected flag value.
 //
 // The heavy lifting lives in the internal packages: internal/simtime
 // (deterministic discrete-event engine; simulated processes are pooled
@@ -65,5 +67,7 @@
 // Chrome-trace exporter) and internal/bench (the harness that
 // regenerates every figure).
 // DESIGN.md maps each to the paper; EXPERIMENTS.md records the
-// reproduction outcomes.
+// reproduction outcomes. How much non-test Go all of this may take is a
+// committed number: TestNonTestLineBudget fails when the count outgrows
+// testdata/line_budget.txt.
 package sccsim

@@ -253,9 +253,9 @@ func TestFeatureMatrixEveryCollective(t *testing.T) {
 // one extra (failed) collective call, which puts its call sequence ahead
 // of everyone else's; when rank 17's death forces an agreement, rank 0
 // coordinates it, finds itself outside the largest same-call cohort and
-// publishes a view without itself. Before the verdict was kept, rank 0
-// got a full 48-core context again in the next Run and every collective
-// ran into the survivors' new epoch until ErrNoQuorum.
+// publishes a view without itself. Were the verdict not kept, rank 0
+// would get a full 48-core context again in the next Run and every
+// collective would run into the survivors' new epoch until ErrNoQuorum.
 func TestEvictedRankIsRefusedEverything(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates seconds of virtual agreement timeouts")

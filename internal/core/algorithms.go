@@ -38,18 +38,18 @@ func (ringAlg) Allreduce(x *Ctx, src, dst scc.Addr, n int, op Op) error {
 		return err
 	}
 	// Allgather phase over the same partition.
-	return x.allgatherBlocks(dst, blocks)
+	return x.allgatherBlocks(dst, layout{blocks: blocks})
 }
 
 func (ringAlg) Broadcast(x *Ctx, root int, addr scc.Addr, n int) error {
 	blocks := x.partitionFor(n, x.NP(), x.cfg.Balanced)
 	// Scatter phase: the root ships block q to rank q, in place.
-	if err := x.scatterBody(root, addr, blocks, addr+scc.Addr(8*blocks[x.Rank()].Off)); err != nil {
+	if err := x.scatterBody(root, addr, layout{blocks: blocks}, addr+scc.Addr(8*blocks[x.Rank()].Off)); err != nil {
 		return err
 	}
 	// Allgather phase over the same partition reassembles the vector
 	// everywhere.
-	return x.allgatherBlocks(addr, blocks)
+	return x.allgatherBlocks(addr, layout{blocks: blocks})
 }
 
 func (ringAlg) Reduce(x *Ctx, root int, src, dst scc.Addr, n int, op Op) error {
@@ -68,7 +68,7 @@ func (ringAlg) Reduce(x *Ctx, root int, src, dst scc.Addr, n int, op Op) error {
 		return err
 	}
 	// Gather phase: everyone ships its block to the root.
-	return x.gatherBody(root, blockDst, blocks, dst)
+	return x.gatherBody(root, blockDst, layout{blocks: blocks}, dst)
 }
 
 // treeAlg is the short-vector variant suite: binomial trees finish in

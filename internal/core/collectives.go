@@ -120,11 +120,10 @@ type Ctx struct {
 
 	// Reusable host-side scratch for the reduction steps: vecA/vecB back
 	// ReduceInto and CopyPrivate, gatherBuf backs the MPB-direct phase-2
-	// staging, blocksBuf backs Allgather's uniform partition. Reuse is
-	// safe because a Ctx runs one collective step at a time.
+	// staging. Reuse is safe because a Ctx runs one collective step at a
+	// time.
 	vecA, vecB []float64
 	gatherBuf  []float64
-	blocksBuf  []Block
 
 	// Memoized partition: collectives over the same shape (the common
 	// case — every rep of a sweep cell) share one read-only block list.
@@ -144,7 +143,7 @@ type Ctx struct {
 // in the steady state.
 type ctxScratch struct {
 	vecA, vecB, gatherBuf []float64
-	blocksBuf, partBuf    []Block
+	partBuf               []Block
 }
 
 var ctxScratchPool sync.Pool
@@ -156,7 +155,7 @@ func (x *Ctx) adoptScratch() {
 		return
 	}
 	x.vecA, x.vecB, x.gatherBuf = s.vecA, s.vecB, s.gatherBuf
-	x.blocksBuf, x.partBuf = s.blocksBuf, s.partBuf
+	x.partBuf = s.partBuf
 	*s = ctxScratch{}
 	x.scrNode = s
 }
@@ -171,11 +170,9 @@ func (x *Ctx) Release() {
 		s = &ctxScratch{}
 	}
 	*s = ctxScratch{
-		vecA: x.vecA, vecB: x.vecB, gatherBuf: x.gatherBuf,
-		blocksBuf: x.blocksBuf, partBuf: x.partBuf,
+		vecA: x.vecA, vecB: x.vecB, gatherBuf: x.gatherBuf, partBuf: x.partBuf,
 	}
-	x.vecA, x.vecB, x.gatherBuf = nil, nil, nil
-	x.blocksBuf, x.partBuf = nil, nil
+	x.vecA, x.vecB, x.gatherBuf, x.partBuf = nil, nil, nil, nil
 	x.partN, x.partP, x.partBal = 0, 0, false
 	x.scrNode = nil
 	x.hierInner = nil

@@ -13,15 +13,14 @@ import (
 	"scc/internal/timing"
 )
 
-// Every collective enters through Ctx.collective, so the guards hold for
-// all of them by construction. These tests pin the three places where
-// the hand-copied prologues had diverged: the V variants carried neither
-// the cross-chip refusal nor the self-healing loop.
+// Every collective enters through Ctx.collective, so its guards hold for
+// all of them by construction. These tests exercise each guard on the
+// operations a hand-copied prologue is most easily left off: the V
+// variants and the algorithm-named entry points.
 
 // TestEveryChipLocalCollectiveRefusesAFabric: on a 2-chip context every
 // operation without a hierarchical composition returns ErrCrossChip and
-// simulates nothing. On the parent AllgatherV, AlltoallV, GatherV and
-// ScatterV returned nil here, with a chip-local result.
+// simulates nothing — never nil with a chip-local result.
 func TestEveryChipLocalCollectiveRefusesAFabric(t *testing.T) {
 	const chips = 2
 	model := timing.Topology(1, 2, 2)
@@ -173,9 +172,9 @@ func healedAllgatherV(t *testing.T, blocks []Block, victim int, killAt simtime.T
 // TestAllgatherVHealsAroundADeadCore: with one core killed in the middle
 // of an AllgatherV the survivors detect it, vote the attempt down, agree
 // on the 47-member group, re-execute on it and all end with every
-// survivor's block at its original offset. On the parent the V variants
-// bypassed the healing loop: the ring stalled on the dead core and every
-// survivor returned ErrUnreachable.
+// survivor's block at its original offset. Outside the healing loop the
+// ring would stall on the dead core and every survivor return
+// ErrUnreachable.
 func TestAllgatherVHealsAroundADeadCore(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates seconds of virtual agreement timeouts")

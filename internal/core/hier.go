@@ -70,7 +70,7 @@ func (x *Ctx) inner() *Ctx {
 		}
 		// Fresh scratch: the parent's buffers may be live mid-call.
 		in.vecA, in.vecB, in.gatherBuf = nil, nil, nil
-		in.blocksBuf, in.partBuf = nil, nil
+		in.partBuf = nil
 		in.partN, in.partP, in.partBal = 0, 0, false
 		in.scratchLen = -1
 		in.scrNode = nil

@@ -83,7 +83,7 @@ func TestRingVsRecursiveDoublingCrossover(t *testing.T) {
 				// Force the ring (bypass the short-message selection).
 				blocks := PartitionFor(n, 48, false)
 				x.ReduceScatter(src, dst+scc.Addr(8*blocks[c.ID].Off), n, Sum)
-				x.allgatherBlocks(dst, blocks)
+				x.allgatherBlocks(dst, layout{blocks: blocks})
 			}
 		})
 		if err := chip.Run(); err != nil {

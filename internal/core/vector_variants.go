@@ -10,7 +10,7 @@ import (
 // and their variable-count "v" variants. One body exists per operation
 // (one ring, one pairwise loop, one root loop each way) and it runs on a
 // per-rank block layout; the fixed-count call is the uniform layout
-// (block q = nPer elements at q*nPer), the V call brings its own.
+// (block q = nPer elements at q*nPer), the V call brings its own list.
 // RCCE_comm-era applications with irregular decompositions need the
 // per-rank counts; the schedules generalize directly, reusing the Block
 // machinery of the partitioned collectives.
@@ -28,20 +28,20 @@ func validateBlocks(fn string, blocks []Block, p int) error {
 	return nil
 }
 
-// uniformBlocks returns the layout of a fixed-count call over the
-// current communicator: one nPer-element block per rank, rank-ordered,
-// in the context's reusable buffer. Computed per attempt, so a healed
-// re-execution lays the survivors out densely.
-func (x *Ctx) uniformBlocks(nPer int) []Block {
-	p := x.NP()
-	if cap(x.blocksBuf) < p {
-		x.blocksBuf = make([]Block, p)
+// layout is a per-rank block layout: an explicit list (blocks[q] for
+// rank q), or — blocks nil — the uniform one of a fixed-count call, which
+// needs no list and is dense for whatever group an attempt runs on.
+type layout struct {
+	blocks []Block
+	nPer   int
+}
+
+// at returns rank q's block.
+func (l layout) at(q int) Block {
+	if l.blocks != nil {
+		return l.blocks[q]
 	}
-	blocks := x.blocksBuf[:p]
-	for i := range blocks {
-		blocks[i] = Block{Off: i * nPer, Len: nPer}
-	}
-	return blocks
+	return Block{Off: q * l.nPer, Len: l.nPer}
 }
 
 // liveBlocks returns the layout a V body runs on. blocks has one entry
@@ -49,10 +49,10 @@ func (x *Ctx) uniformBlocks(nPer int) []Block {
 // nil for all cores); when a healed re-execution runs on fewer members,
 // the survivors keep their own blocks — same offsets, the dead ranks'
 // blocks are simply not moved.
-func (x *Ctx) liveBlocks(blocks []Block, entry *Group) []Block {
+func (x *Ctx) liveBlocks(blocks []Block, entry *Group) layout {
 	p := x.NP()
 	if len(blocks) == p {
-		return blocks // membership only ever shrinks within a call
+		return layout{blocks: blocks} // membership only ever shrinks within a call
 	}
 	live := make([]Block, p)
 	for q := range live {
@@ -62,7 +62,7 @@ func (x *Ctx) liveBlocks(blocks []Block, entry *Group) []Block {
 		}
 		live[q] = blocks[r]
 	}
-	return live
+	return layout{blocks: live}
 }
 
 // Allgather concatenates each core's nPer-element contribution (at src)
@@ -70,7 +70,7 @@ func (x *Ctx) liveBlocks(blocks []Block, entry *Group) []Block {
 // ring algorithm.
 func (x *Ctx) Allgather(src scc.Addr, nPer int, dst scc.Addr) error {
 	return x.collective("Allgather", nPer, false, func() error {
-		return x.allgatherBody(src, x.uniformBlocks(nPer), dst)
+		return x.allgatherBody(src, layout{nPer: nPer}, dst)
 	})
 }
 
@@ -85,17 +85,17 @@ func (x *Ctx) AllgatherV(src scc.Addr, blocks []Block, dst scc.Addr) error {
 	}, blocks)
 }
 
-func (x *Ctx) allgatherBody(src scc.Addr, blocks []Block, dst scc.Addr) error {
+func (x *Ctx) allgatherBody(src scc.Addr, l layout, dst scc.Addr) error {
 	// Place my contribution, then ring-rotate contributions.
-	mine := blocks[x.Rank()]
+	mine := l.at(x.Rank())
 	x.CopyPrivate(dst+scc.Addr(8*mine.Off), src, mine.Len)
-	return x.allgatherBlocks(dst, blocks)
+	return x.allgatherBlocks(dst, l)
 }
 
-// allgatherBlocks runs the ring allgather over an arbitrary partition:
-// each core starts owning blocks[me] inside dst (at its block offset)
+// allgatherBlocks runs the ring allgather over an arbitrary layout:
+// each core starts owning its block inside dst (at its block offset)
 // and after p-1 rounds every block is present in every core's dst.
-func (x *Ctx) allgatherBlocks(dst scc.Addr, blocks []Block) error {
+func (x *Ctx) allgatherBlocks(dst scc.Addr, l layout) error {
 	p := x.NP()
 	me := x.Rank()
 	if p == 1 {
@@ -104,9 +104,7 @@ func (x *Ctx) allgatherBlocks(dst scc.Addr, blocks []Block) error {
 	right := x.Member(mod(me+1, p))
 	left := x.Member(mod(me-1, p))
 	for r := 0; r < p-1; r++ {
-		sendIdx := mod(me-r, p)
-		recvIdx := mod(me-1-r, p)
-		sb, rb := blocks[sendIdx], blocks[recvIdx]
+		sb, rb := l.at(mod(me-r, p)), l.at(mod(me-1-r, p))
 		if err := x.ep.Exchange(right, dst+scc.Addr(8*sb.Off), 8*sb.Len,
 			left, dst+scc.Addr(8*rb.Off), 8*rb.Len); err != nil {
 			return err
@@ -120,8 +118,7 @@ func (x *Ctx) allgatherBlocks(dst scc.Addr, blocks []Block) error {
 // blocks of nPer elements (block q received from rank q).
 func (x *Ctx) Alltoall(src, dst scc.Addr, nPer int) error {
 	return x.collective("Alltoall", nPer, false, func() error {
-		blocks := x.uniformBlocks(nPer)
-		return x.alltoallBody(src, blocks, dst, blocks)
+		return x.alltoallBody(src, layout{nPer: nPer}, dst, layout{nPer: nPer})
 	})
 }
 
@@ -141,12 +138,12 @@ func (x *Ctx) AlltoallV(src scc.Addr, sendBlocks []Block, dst scc.Addr, recvBloc
 // alltoallBody is the linear pairwise exchange (partner = (round - me)
 // mod p), which pairs cores symmetrically in every round and therefore
 // stays deadlock-free even with the blocking transport ordered by rank.
-func (x *Ctx) alltoallBody(src scc.Addr, sendBlocks []Block, dst scc.Addr, recvBlocks []Block) error {
+func (x *Ctx) alltoallBody(src scc.Addr, send layout, dst scc.Addr, recv layout) error {
 	p := x.NP()
 	me := x.Rank()
 	for r := 0; r < p; r++ {
 		partner := mod(r-me, p)
-		sb, rb := sendBlocks[partner], recvBlocks[partner]
+		sb, rb := send.at(partner), recv.at(partner)
 		sAddr := src + scc.Addr(8*sb.Off)
 		rAddr := dst + scc.Addr(8*rb.Off)
 		if partner == me {
@@ -167,7 +164,7 @@ func (x *Ctx) alltoallBody(src scc.Addr, sendBlocks []Block, dst scc.Addr, recvB
 // elements) to rank q's dst. src is only read on the root.
 func (x *Ctx) Scatter(root int, src scc.Addr, nPer int, dst scc.Addr) error {
 	return x.collective("Scatter", nPer, false, func() error {
-		return x.scatterBody(root, src, x.uniformBlocks(nPer), dst)
+		return x.scatterBody(root, src, layout{nPer: nPer}, dst)
 	})
 }
 
@@ -186,19 +183,19 @@ func (x *Ctx) ScatterV(root int, src scc.Addr, blocks []Block, dst scc.Addr) err
 // died, the re-execution surfaces ErrInvalid on every survivor. A root
 // whose dst already is its block of src (the scatter phase of the ring
 // Broadcast) moves nothing for itself.
-func (x *Ctx) scatterBody(root int, src scc.Addr, blocks []Block, dst scc.Addr) error {
+func (x *Ctx) scatterBody(root int, src scc.Addr, l layout, dst scc.Addr) error {
 	rootR, err := x.RootRank("Scatter", root)
 	if err != nil {
 		return err
 	}
-	me := x.Rank()
-	if me != rootR {
-		if blocks[me].Len > 0 {
-			return x.ep.Recv(root, dst, 8*blocks[me].Len)
+	if me := x.Rank(); me != rootR {
+		if n := l.at(me).Len; n > 0 {
+			return x.ep.Recv(root, dst, 8*n)
 		}
 		return nil
 	}
-	for q, b := range blocks {
+	for q := 0; q < x.NP(); q++ {
+		b := l.at(q)
 		if at := src + scc.Addr(8*b.Off); q == rootR {
 			if dst != at {
 				x.CopyPrivate(dst, at, b.Len)
@@ -216,7 +213,7 @@ func (x *Ctx) scatterBody(root int, src scc.Addr, blocks []Block, dst scc.Addr) 
 // buffer (p blocks, rank-ordered). dst is only written on the root.
 func (x *Ctx) Gather(root int, src scc.Addr, nPer int, dst scc.Addr) error {
 	return x.collective("Gather", nPer, false, func() error {
-		return x.gatherBody(root, src, x.uniformBlocks(nPer), dst)
+		return x.gatherBody(root, src, layout{nPer: nPer}, dst)
 	})
 }
 
@@ -232,19 +229,19 @@ func (x *Ctx) GatherV(root int, src scc.Addr, blocks []Block, dst scc.Addr) erro
 
 // gatherBody mirrors scatterBody (in place: the gather phase of the ring
 // Reduce).
-func (x *Ctx) gatherBody(root int, src scc.Addr, blocks []Block, dst scc.Addr) error {
+func (x *Ctx) gatherBody(root int, src scc.Addr, l layout, dst scc.Addr) error {
 	rootR, err := x.RootRank("Gather", root)
 	if err != nil {
 		return err
 	}
-	me := x.Rank()
-	if me != rootR {
-		if blocks[me].Len > 0 {
-			return x.ep.Send(root, src, 8*blocks[me].Len)
+	if me := x.Rank(); me != rootR {
+		if n := l.at(me).Len; n > 0 {
+			return x.ep.Send(root, src, 8*n)
 		}
 		return nil
 	}
-	for q, b := range blocks {
+	for q := 0; q < x.NP(); q++ {
+		b := l.at(q)
 		if at := dst + scc.Addr(8*b.Off); q == rootR {
 			if at != src {
 				x.CopyPrivate(at, src, b.Len)

@@ -368,3 +368,10 @@ func chunkSpan(n, chunks, ch int) (off, length int) {
 	}
 	return off, length
 }
+
+func min(a, b int) int {
+	if a < b {
+		return a
+	}
+	return b
+}
