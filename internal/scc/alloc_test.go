@@ -78,3 +78,54 @@ func TestWaitFlagUnblockedAllocFree(t *testing.T) {
 		t.Fatalf("unblocked WaitFlag round allocates %.3f objects; budget 0.05", got)
 	}
 }
+
+// runArriveRelease runs master-gather barrier rounds, the way rcce lays
+// them out, on a fresh 48-core chip: every core sets its arrive byte in
+// core 0's MPB and waits on the release byte in its own; core 0 collects
+// the 47 arrive bytes in turn and then releases everybody. Every round
+// uses flag bytes no earlier round touched. With rounds == 0 the cores
+// are launched but do nothing, which prices the chip and its processes
+// alone.
+func runArriveRelease(rounds int) {
+	chip := New(timing.Default())
+	n := chip.NumCores()
+	chip.Launch(func(c *Core) {
+		for r := 0; r < rounds; r++ {
+			if c.ID != 0 {
+				c.SetFlag(chip.MPBBase(0)+r*n+c.ID, 1)
+				c.WaitFlag(chip.MPBBase(c.ID)+r, 1)
+				continue
+			}
+			for i := 1; i < n; i++ {
+				c.WaitFlag(chip.MPBBase(0)+r*n+i, 1)
+			}
+			for i := 1; i < n; i++ {
+				c.SetFlag(chip.MPBBase(i)+r, 1)
+			}
+		}
+	})
+	if err := chip.Run(); err != nil {
+		panic(err)
+	}
+}
+
+// TestFlagWaitsAllocatePerCoreNotPerFlag: what a wait leaves behind is
+// per core (its signal's waiter list, its owner's parked list), never
+// per flag byte. The per-flag Signal map this replaced paid a map entry
+// and slab storage for every flag ever set: 254 objects for the first
+// round and half an object per fresh flag byte after it.
+func TestFlagWaitsAllocatePerCoreNotPerFlag(t *testing.T) {
+	const cores, flagsPerRound = 48, 2 * 47
+	allocs := func(rounds int) float64 {
+		return testing.AllocsPerRun(5, func() { runArriveRelease(rounds) })
+	}
+	idle, one, three := allocs(0), allocs(1), allocs(3)
+	// The first round on a fresh chip: per core the MPB page its flags
+	// live in (two objects), one waiter list and one parked list.
+	if first := one - idle; first > 4*cores+8 {
+		t.Errorf("first barrier round on a fresh chip allocates %.0f objects; budget %d", first, 4*cores+8)
+	}
+	if perFlag := (three - one) / (2 * flagsPerRound); perFlag > 0.02 {
+		t.Errorf("a round on fresh flag bytes allocates %.3f objects per flag; budget 0.02", perFlag)
+	}
+}

@@ -58,27 +58,17 @@ type Chip struct {
 	// injection. Install it before Run (typically right after New).
 	Fault FaultHook
 
-	mpb      *mpbArena
-	flagSigs map[int]*simtime.Signal
-	// sigSlab hands out Signal storage for flagSigs in chunks, so a
-	// fresh chip's first barrier does not allocate once per flag.
-	sigSlab []simtime.Signal
-	// anyWaiters holds one-shot signals registered by WaitFlagAny under
-	// every offset the waiter watches.
-	anyWaiters map[int][]*simtime.Signal
-	// waiting tracks MPB offsets with at least one blocked waiter,
-	// indexed by the owning core, so a bulk write scans only the waiters
-	// parked on the region it actually lands in — on a big chip during a
+	mpb *mpbArena
+	// parked[owner] lists, in park order, the cores blocked on a flag byte
+	// of owner's MPB (see wait.go). Indexed by owner so a write scans only
+	// the waiters of the cores it lands in — on a big chip during a
 	// broadcast, thousands of cores block on their own flags at once, and
 	// a per-write scan over all of them would be O(cores) per message.
-	// waitingTotal keeps the no-waiters-anywhere fast path O(1).
-	waiting      []map[int]int
-	waitingTotal int
+	parked [][]int32
 
 	// Hardware test-and-set registers, one per core (see tas.go).
-	tasTaken   []bool
-	tasSigs    map[int]*simtime.Signal
-	tasWaiting map[int]int
+	tasTaken []bool
+	tasSigs  map[int]*simtime.Signal
 
 	// metrics, when non-nil, receives phase/counter observations from
 	// every core and the mesh (see internal/metrics). Recording never
@@ -108,16 +98,13 @@ func NewOnEngine(model *timing.Model, eng *simtime.Engine) *Chip {
 		panic(err)
 	}
 	c := &Chip{
-		Model:      model,
-		Engine:     eng,
-		Net:        mesh.New(model),
-		mpb:        newMPBArena(model.NumCores(), model.MPBBytesPerCore),
-		flagSigs:   make(map[int]*simtime.Signal),
-		anyWaiters: make(map[int][]*simtime.Signal),
-		waiting:    make([]map[int]int, model.NumCores()),
-		tasTaken:   make([]bool, model.NumCores()),
-		tasSigs:    make(map[int]*simtime.Signal),
-		tasWaiting: make(map[int]int),
+		Model:    model,
+		Engine:   eng,
+		Net:      mesh.New(model),
+		mpb:      newMPBArena(model.NumCores(), model.MPBBytesPerCore),
+		parked:   make([][]int32, model.NumCores()),
+		tasTaken: make([]bool, model.NumCores()),
+		tasSigs:  make(map[int]*simtime.Signal),
 	}
 	for id := 0; id < model.NumCores(); id++ {
 		c.Cores = append(c.Cores, newCore(c, id))
@@ -182,41 +169,6 @@ func (c *Chip) MPBBase(coreID int) int { return coreID * c.Model.MPBBytesPerCore
 // contiguous backing slice to alias; mutations must go through the Core
 // API anyway.)
 func (c *Chip) MPBSlice(off, n int) []byte { return c.mpb.snapshot(off, n) }
-
-// incWaiting registers one blocked waiter on the flag byte at off.
-func (c *Chip) incWaiting(off int) {
-	owner := c.MPBOwner(off)
-	m := c.waiting[owner]
-	if m == nil {
-		m = make(map[int]int)
-		c.waiting[owner] = m
-	}
-	m[off]++
-	c.waitingTotal++
-}
-
-// decWaiting deregisters one blocked waiter from the flag byte at off.
-func (c *Chip) decWaiting(off int) {
-	m := c.waiting[c.MPBOwner(off)]
-	if m[off]--; m[off] == 0 {
-		delete(m, off)
-	}
-	c.waitingTotal--
-}
-
-// flagSignal returns the waiter list for an MPB flag offset.
-func (c *Chip) flagSignal(off int) *simtime.Signal {
-	s, ok := c.flagSigs[off]
-	if !ok {
-		if len(c.sigSlab) == 0 {
-			c.sigSlab = make([]simtime.Signal, 64)
-		}
-		s = &c.sigSlab[0]
-		c.sigSlab = c.sigSlab[1:]
-		c.flagSigs[off] = s
-	}
-	return s
-}
 
 // Launch spawns one simulated process per core, all running fn with their
 // own core handle (SPMD style). Call Run afterwards. A core killed by an

@@ -55,7 +55,9 @@ type Core struct {
 	// performs no per-message allocation. All of it is safe to reuse
 	// because a core is a single simulated process: no two of its MPB
 	// operations are ever in flight at once.
-	anySig   simtime.Signal // one-shot signal reused by waitAnyBlock*
+	sig      simtime.Signal // the one signal every flag wait of this core blocks on
+	watch    []int          // flags watched while parked (see park); nil otherwise
+	oneOff   [1]int         // WaitFlag/WaitFlagMatch's one-element flag list
 	xferBuf  []byte         // MPBWriteF64s/MPBReadF64s staging
 	faultBuf []byte         // fault-hook scratch copy for MPBWrite
 	redA     []float64      // ReduceMPBToMPB operand vector
@@ -444,7 +446,7 @@ func (c *Core) MPBWrite(off int, src []byte) {
 	}
 	c.chip.mpb.write(off, src)
 	c.prof.MPBBytesWritten += int64(len(src))
-	c.notifyFlagWaiters(off, len(src))
+	c.chip.wake(off, len(src))
 }
 
 // MPBRead copies n bytes from the MPB at global offset off into dst,
@@ -501,10 +503,7 @@ func (c *Core) SetFlag(off int, v byte) {
 		return // flag write lost in flight: cost paid, no update, no wake-up
 	}
 	c.chip.mpb.setByte(off, v)
-	c.chip.flagSignal(off).Broadcast(c.chip.Engine)
-	for _, s := range c.chip.anyWaiters[off] {
-		s.Broadcast(c.chip.Engine)
-	}
+	c.chip.wake(off, 1)
 }
 
 // ProbeFlag reads and returns the MPB flag byte at off, paying one MPB
@@ -517,159 +516,6 @@ func (c *Core) ProbeFlag(off int) byte {
 		r.Count(c.ID, metrics.CtrFlagProbes)
 	}
 	return c.chip.mpb.byteAt(off)
-}
-
-// WaitFlag blocks until the MPB flag byte at off equals want. Every probe
-// pays one MPB read; time spent blocked is recorded in the profile (the
-// paper's rcce_wait_until time). Returns the time spent waiting.
-func (c *Core) WaitFlag(off int, want byte) simtime.Duration {
-	c.checkMPBRange(off, 1)
-	owner := c.chip.MPBOwner(off)
-	// Flush deferred local latency first: it is work that happened before
-	// the wait, so it must not inflate the wait interval (which becomes
-	// the "wait-flag" span and the flag-wait phase).
-	begin := c.Now()
-	reg := c.chip.metrics
-	blocked := false
-	site := simtime.WaitSite{Kind: simtime.WaitFlagEq, Core: int32(c.ID), Off: int32(off), Want: int32(want)}
-	for {
-		c.mpbLineAccess(owner, true)
-		if reg != nil {
-			reg.Count(c.ID, metrics.CtrFlagProbes)
-		}
-		if c.chip.mpb.byteAt(off) == want {
-			break
-		}
-		blocked = true
-		c.chip.incWaiting(off)
-		c.proc.WaitOn(c.chip.flagSignal(off), site)
-		c.chip.decWaiting(off)
-	}
-	waited := c.proc.Now() - begin
-	c.prof.FlagWait += waited
-	c.recordWait(reg, waited, blocked)
-	if blocked {
-		c.prof.FlagWaits++
-		c.RecordSpan("wait-flag", begin, c.proc.Now())
-	}
-	return waited
-}
-
-// recordWait attributes one wait interval to the metrics registry: the
-// whole interval (probes included) counts as PhaseFlagWait when the
-// wait actually blocked — the exact extent of the "wait-*" trace span —
-// and as unblocked flag traffic (PhaseFlagSync) otherwise.
-func (c *Core) recordWait(reg *metrics.Registry, waited simtime.Duration, blocked bool) {
-	if reg == nil {
-		return
-	}
-	if blocked {
-		reg.AddPhase(c.ID, metrics.PhaseFlagWait, waited)
-		reg.Count(c.ID, metrics.CtrBlockedWaits)
-		reg.ObserveWait(waited)
-	} else {
-		reg.AddPhase(c.ID, metrics.PhaseFlagSync, waited)
-	}
-}
-
-// WaitFlagAny blocks until at least one of the MPB flag bytes in offs
-// equals want, and returns the index of the first (lowest-index) match.
-// Each probe round pays one MPB read per checked flag, stopping at the
-// first match (short-circuit polling, like a sequential flag scan on the
-// real core). Used by non-blocking wait-all loops that must make progress
-// on whichever request completes first.
-func (c *Core) WaitFlagAny(offs []int, want byte) int {
-	if len(offs) == 0 {
-		panic("scc: WaitFlagAny with no flags")
-	}
-	begin := c.Now() // flush deferred local latency before the wait interval
-	reg := c.chip.metrics
-	blocked := false
-	for {
-		for i, off := range offs {
-			c.checkMPBRange(off, 1)
-			c.mpbLineAccess(c.chip.MPBOwner(off), true)
-			if reg != nil {
-				reg.Count(c.ID, metrics.CtrFlagProbes)
-			}
-			if c.chip.mpb.byteAt(off) == want {
-				waited := c.proc.Now() - begin
-				c.prof.FlagWait += waited
-				c.recordWait(reg, waited, blocked)
-				if blocked {
-					c.prof.FlagWaits++
-					c.RecordSpan("wait-any", begin, c.proc.Now())
-				}
-				return i
-			}
-		}
-		blocked = true
-		c.waitAnyBlock(offs)
-	}
-}
-
-// waitAnyBlock blocks until any of the given flags is written. A single
-// one-shot signal is registered under every offset, so the first write
-// wakes the core exactly once (Broadcast empties the signal's waiter
-// list; later writes find it empty). The signal is the core's reusable
-// anySig: by the time the wait returns, the core has deregistered it
-// from every list and its waiter slice is empty again, so the next wait
-// can reuse it without allocating.
-func (c *Core) waitAnyBlock(offs []int) {
-	one := &c.anySig
-	for _, off := range offs {
-		c.chip.anyWaiters[off] = append(c.chip.anyWaiters[off], one)
-		c.chip.incWaiting(off)
-	}
-	c.proc.WaitOn(one, c.anySite(offs))
-	for _, off := range offs {
-		c.chip.anyWaiters[off] = removeSignal(c.chip.anyWaiters[off], one)
-		c.chip.decWaiting(off)
-	}
-}
-
-// anySite describes an any-flag blocking point: the watched-flag count
-// and the first offset stand in for the full list, which cannot be
-// stored without allocating.
-func (c *Core) anySite(offs []int) simtime.WaitSite {
-	return simtime.WaitSite{
-		Kind: simtime.WaitFlagsAny,
-		Core: int32(c.ID),
-		Off:  int32(offs[0]),
-		Want: int32(len(offs)),
-	}
-}
-
-func removeSignal(list []*simtime.Signal, s *simtime.Signal) []*simtime.Signal {
-	for i, v := range list {
-		if v == s {
-			return append(list[:i], list[i+1:]...)
-		}
-	}
-	return list
-}
-
-// notifyFlagWaiters wakes waiters whose flag byte lies inside a bulk MPB
-// write range (a data write can legitimately overwrite a flag area). The
-// waiting index is keyed by owning core, so the scan touches only the
-// waiters parked inside the cores this write actually lands in — on a
-// 10,000-core chip with thousands of cores blocked on their own flags, a
-// whole-index scan per write would turn every collective quadratic.
-func (c *Core) notifyFlagWaiters(off, n int) {
-	if c.chip.waitingTotal == 0 || n <= 0 {
-		return
-	}
-	last := c.chip.MPBOwner(off + n - 1)
-	for owner := c.chip.MPBOwner(off); owner <= last; owner++ {
-		for o := range c.chip.waiting[owner] {
-			if o >= off && o < off+n {
-				c.chip.flagSignal(o).Broadcast(c.chip.Engine)
-				for _, s := range c.chip.anyWaiters[o] {
-					s.Broadcast(c.chip.Engine)
-				}
-			}
-		}
-	}
 }
 
 // --- MPB-direct reduction (Sec. IV-D) ---

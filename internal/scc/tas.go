@@ -73,20 +73,10 @@ func (c *Core) TASAcquire(target int) {
 			break
 		}
 		blocked = true
-		c.chip.tasWaiting[target]++
 		c.proc.WaitOn(c.chip.tasSignal(target),
 			simtime.WaitSite{Kind: simtime.WaitTAS, Core: int32(c.ID), Off: int32(target)})
-		if c.chip.tasWaiting[target]--; c.chip.tasWaiting[target] == 0 {
-			delete(c.chip.tasWaiting, target)
-		}
 	}
-	waited := c.proc.Now() - begin
-	c.prof.FlagWait += waited
-	c.recordWait(c.chip.metrics, waited, blocked)
-	if blocked {
-		c.prof.FlagWaits++
-		c.RecordSpan("wait-tas", begin, c.proc.Now())
-	}
+	c.endWait(begin, blocked, "wait-tas")
 }
 
 // TASRelease frees core target's register and wakes spinners.
