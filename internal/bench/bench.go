@@ -141,21 +141,13 @@ type Series struct {
 
 // Sweep measures one stack across the given vector sizes.
 func Sweep(model *timing.Model, op Op, st Stack, sizes []int, reps int) Series {
-	s := Series{Stack: st}
-	for _, n := range sizes {
-		s.Points = append(s.Points, Point{N: n, Latency: Measure(model, op, st, n, reps)})
-	}
-	return s
+	return NewRunner(1).panels(model, []Op{op}, func(Op) []Stack { return []Stack{st} }, sizes, reps)[0][0]
 }
 
 // Panel runs the complete Fig. 9 panel for op: every legend stack over
 // the size range.
 func Panel(model *timing.Model, op Op, sizes []int, reps int) []Series {
-	var out []Series
-	for _, st := range StacksFor(op) {
-		out = append(out, Sweep(model, op, st, sizes, reps))
-	}
-	return out
+	return NewRunner(1).Panel(model, op, sizes, reps)
 }
 
 // Sizes returns the paper's x-axis: every vector size in [lo, hi].
@@ -291,11 +283,7 @@ type SummaryRow struct {
 // an error if any panel lacks the blocking baseline every speedup is
 // measured against.
 func Summary(model *timing.Model, sizes []int, reps int) ([]SummaryRow, error) {
-	panels := make([][]Series, 0, len(AllOps()))
-	for _, op := range AllOps() {
-		panels = append(panels, Panel(model, op, sizes, reps))
-	}
-	return SummarizePanels(AllOps(), panels)
+	return NewRunner(1).Summary(model, sizes, reps)
 }
 
 // SummarizePanels reduces already-measured panels (one per op, in op

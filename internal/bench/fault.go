@@ -65,26 +65,13 @@ func measureFaultedAllreduce(model *timing.Model, kind core.TransportKind, pol r
 // count derives its own deterministic sub-seed, so adding a count to the
 // sweep never perturbs the other points.
 func FaultSweep(model *timing.Model, kind core.TransportKind, pol rcce.Policy, seed int64, n int, counts []int) []FaultPoint {
-	return FaultSweepAlgo(model, kind, pol, "", seed, n, counts)
+	return NewRunner(1).FaultSweep(model, kind, pol, seed, n, counts)
 }
 
 // FaultSweepAlgo is FaultSweep with the Allreduce algorithm pinned to a
 // registry name ("" = the paper heuristic, identical to FaultSweep).
 func FaultSweepAlgo(model *timing.Model, kind core.TransportKind, pol rcce.Policy, algo string, seed int64, n int, counts []int) []FaultPoint {
-	base := measureFaultedAllreduce(model, kind, pol, algo, nil, n)
-	horizon := base.Latency
-	out := make([]FaultPoint, 0, len(counts))
-	for _, count := range counts {
-		if count == 0 {
-			out = append(out, base)
-			continue
-		}
-		plan := fault.Random(seed+int64(count)*7919, count, horizon, model)
-		pt := measureFaultedAllreduce(model, kind, pol, algo, plan, n)
-		pt.Faults = count
-		out = append(out, pt)
-	}
-	return out
+	return NewRunner(1).FaultSweepAlgo(model, kind, pol, algo, seed, n, counts)
 }
 
 // WriteFaultTable renders one transport's sweep as an aligned table

@@ -15,11 +15,12 @@ import (
 // scc.Chip, so the cells are embarrassingly parallel; the runner only
 // has to reassemble results in deterministic order. Because each cell's
 // virtual-time result is independent of scheduling, the output of every
-// Runner method is byte-identical to the serial bench functions at any
-// worker count.
+// Runner method is byte-identical at any worker count.
 //
-// The zero value runs with GOMAXPROCS workers; Workers=1 degenerates to
-// the serial path (still through the pool, same results).
+// The zero value runs with GOMAXPROCS workers; Workers=1 is the serial
+// path — a plain loop on the caller's goroutine — and what the
+// package-level Sweep, Panel, Summary, FaultSweep and FaultSweepAlgo
+// run on.
 type Runner struct {
 	// Workers is the worker-pool size. Values < 1 mean GOMAXPROCS.
 	Workers int
@@ -86,17 +87,15 @@ func (r *Runner) runCells(n int, fn func(i int)) {
 	}
 }
 
-// Panel measures the complete Fig. 9 panel for op in parallel. The
-// returned series are identical to Panel(model, op, sizes, reps).
+// Panel measures the complete Fig. 9 panel for op: every legend stack
+// over the size range, one pool cell per (stack, n).
 func (r *Runner) Panel(model *timing.Model, op Op, sizes []int, reps int) []Series {
-	panels := r.Panels(model, []Op{op}, sizes, reps)
-	return panels[0]
+	return r.Panels(model, []Op{op}, sizes, reps)[0]
 }
 
 // Panels measures several panels at once, fanning every (op, stack, n)
 // cell of all of them into one pool so small panels cannot strand idle
-// workers. Results come back in (ops, legend, sizes) order, identical to
-// calling Panel serially per op.
+// workers. Results come back in (ops, legend, sizes) order.
 func (r *Runner) Panels(model *timing.Model, ops []Op, sizes []int, reps int) [][]Series {
 	return r.PanelsAlgo(model, ops, "", sizes, reps)
 }
@@ -104,6 +103,13 @@ func (r *Runner) Panels(model *timing.Model, ops []Op, sizes []int, reps int) []
 // PanelsAlgo is Panels over StacksForAlgo: every non-RCKMPI stack
 // pinned to the named registry algorithm ("" = identical to Panels).
 func (r *Runner) PanelsAlgo(model *timing.Model, ops []Op, algo string, sizes []int, reps int) [][]Series {
+	return r.panels(model, ops, func(op Op) []Stack { return StacksForAlgo(op, algo) }, sizes, reps)
+}
+
+// panels measures every (op, stack, n) cell of the given ops, with the
+// stacks of each panel chosen by stacksOf. It is the one sweep body:
+// the serial bench functions are this on a one-worker runner.
+func (r *Runner) panels(model *timing.Model, ops []Op, stacksOf func(Op) []Stack, sizes []int, reps int) [][]Series {
 	// Pre-size the result grid so workers write to disjoint slots.
 	out := make([][]Series, len(ops))
 	type cell struct {
@@ -114,7 +120,7 @@ func (r *Runner) PanelsAlgo(model *timing.Model, ops []Op, algo string, sizes []
 	}
 	var cells []cell
 	for pi, op := range ops {
-		stacks := StacksForAlgo(op, algo)
+		stacks := stacksOf(op)
 		out[pi] = make([]Series, len(stacks))
 		for si, st := range stacks {
 			out[pi][si] = Series{Stack: st, Points: make([]Point, len(sizes))}
@@ -131,21 +137,20 @@ func (r *Runner) PanelsAlgo(model *timing.Model, ops []Op, algo string, sizes []
 }
 
 // Summary computes the Sec. V-A summary table with all panels' cells
-// pooled across the workers. Output is identical to Summary.
+// pooled across the workers.
 func (r *Runner) Summary(model *timing.Model, sizes []int, reps int) ([]SummaryRow, error) {
 	return SummarizePanels(AllOps(), r.Panels(model, AllOps(), sizes, reps))
 }
 
 // FaultSweep parallelizes the Fig. R1 fault sweep. The fault-free
 // baseline must run first (its latency seeds every plan's activation
-// horizon), then the faulted counts fan out. Output is identical to
-// FaultSweep.
+// horizon), then the faulted counts fan out.
 func (r *Runner) FaultSweep(model *timing.Model, kind core.TransportKind, pol rcce.Policy, seed int64, n int, counts []int) []FaultPoint {
 	return r.FaultSweepAlgo(model, kind, pol, "", seed, n, counts)
 }
 
-// FaultSweepAlgo parallelizes FaultSweepAlgo: the fault sweep with the
-// Allreduce algorithm pinned to a registry name ("" = paper heuristic).
+// FaultSweepAlgo is FaultSweep with the Allreduce algorithm pinned to a
+// registry name ("" = paper heuristic).
 func (r *Runner) FaultSweepAlgo(model *timing.Model, kind core.TransportKind, pol rcce.Policy, algo string, seed int64, n int, counts []int) []FaultPoint {
 	base := measureFaultedAllreduce(model, kind, pol, algo, nil, n)
 	horizon := base.Latency

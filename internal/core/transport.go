@@ -76,9 +76,9 @@ func newEndpoint(ue *rcce.UE, cfg Config) Endpoint {
 	case TransportBlocking:
 		return &blockingEP{ue: ue}
 	case TransportIRCCE:
-		return &ircceEP{lib: ircce.New(ue)}
+		return &nbEP{lib: ircce.New(ue)}
 	case TransportLightweight:
-		return &lwEP{lib: lwnb.New(ue)}
+		return &nbEP{lib: lwnb.New(ue)}
 	default:
 		panic(fmt.Sprintf("core: unknown transport kind %d", int(cfg.Transport)))
 	}
@@ -124,55 +124,43 @@ func (e *blockingEP) ExchangePair(peer int, sAddr scc.Addr, sBytes int, rAddr sc
 	return nil
 }
 
-// ircceEP drives the iRCCE library: both legs posted, then waited.
-type ircceEP struct {
-	lib *ircce.Lib
+// nbLib is what an endpoint needs of a non-blocking library; ircce.Lib
+// and lwnb.Lib both have it.
+type nbLib interface {
+	ISend(dest int, addr scc.Addr, nBytes int) *rcce.Request
+	IRecv(src int, addr scc.Addr, nBytes int) *rcce.Request
+	Wait(r *rcce.Request)
+	WaitAll(reqs ...*rcce.Request)
 }
 
-func (e *ircceEP) Send(to int, addr scc.Addr, n int) error {
+// nbEP drives a non-blocking library (iRCCE or the lightweight
+// primitives): both legs posted, then waited.
+type nbEP struct {
+	lib nbLib
+	// legs is Exchange's WaitAll argument list. It lives here because a
+	// variadic call through an interface heap-allocates its slice, once
+	// per exchange.
+	legs [2]*rcce.Request
+}
+
+func (e *nbEP) Send(to int, addr scc.Addr, n int) error {
 	e.lib.Wait(e.lib.ISend(to, addr, n))
 	return nil
 }
 
-func (e *ircceEP) Recv(from int, addr scc.Addr, n int) error {
+func (e *nbEP) Recv(from int, addr scc.Addr, n int) error {
 	e.lib.Wait(e.lib.IRecv(from, addr, n))
 	return nil
 }
 
-func (e *ircceEP) Exchange(to int, sAddr scc.Addr, sBytes int, from int, rAddr scc.Addr, rBytes int) error {
-	s := e.lib.ISend(to, sAddr, sBytes)
-	r := e.lib.IRecv(from, rAddr, rBytes)
-	e.lib.WaitAll(s, r)
+func (e *nbEP) Exchange(to int, sAddr scc.Addr, sBytes int, from int, rAddr scc.Addr, rBytes int) error {
+	e.legs[0] = e.lib.ISend(to, sAddr, sBytes)
+	e.legs[1] = e.lib.IRecv(from, rAddr, rBytes)
+	e.lib.WaitAll(e.legs[:]...)
 	return nil
 }
 
-func (e *ircceEP) ExchangePair(peer int, sAddr scc.Addr, sBytes int, rAddr scc.Addr, rBytes int) error {
-	return e.Exchange(peer, sAddr, sBytes, peer, rAddr, rBytes)
-}
-
-// lwEP drives the lightweight non-blocking library.
-type lwEP struct {
-	lib *lwnb.Lib
-}
-
-func (e *lwEP) Send(to int, addr scc.Addr, n int) error {
-	e.lib.Wait(e.lib.ISend(to, addr, n))
-	return nil
-}
-
-func (e *lwEP) Recv(from int, addr scc.Addr, n int) error {
-	e.lib.Wait(e.lib.IRecv(from, addr, n))
-	return nil
-}
-
-func (e *lwEP) Exchange(to int, sAddr scc.Addr, sBytes int, from int, rAddr scc.Addr, rBytes int) error {
-	s := e.lib.ISend(to, sAddr, sBytes)
-	r := e.lib.IRecv(from, rAddr, rBytes)
-	e.lib.WaitAll(s, r)
-	return nil
-}
-
-func (e *lwEP) ExchangePair(peer int, sAddr scc.Addr, sBytes int, rAddr scc.Addr, rBytes int) error {
+func (e *nbEP) ExchangePair(peer int, sAddr scc.Addr, sBytes int, rAddr scc.Addr, rBytes int) error {
 	return e.Exchange(peer, sAddr, sBytes, peer, rAddr, rBytes)
 }
 
