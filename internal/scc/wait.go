@@ -149,14 +149,11 @@ func (c *Core) endWait(begin simtime.Time, blocked bool, label string) {
 		c.prof.FlagWaits++
 		c.RecordSpan(label, begin, now)
 	}
-	reg := c.chip.metrics
-	switch {
-	case reg == nil:
-	case blocked:
+	if reg := c.chip.metrics; reg != nil && blocked {
 		reg.AddPhase(c.ID, metrics.PhaseFlagWait, waited)
 		reg.Count(c.ID, metrics.CtrBlockedWaits)
 		reg.ObserveWait(waited)
-	default:
+	} else if reg != nil {
 		reg.AddPhase(c.ID, metrics.PhaseFlagSync, waited)
 	}
 }

@@ -143,11 +143,10 @@ func pinCell(w int, scen string) string {
 	})
 	chip.LaunchOne(pinWaiter, func(c *Core) {
 		c.ComputeCycles(100) // deferred local latency the wait must flush first
-		switch {
-		case tas:
+		if tas {
 			c.TASAcquire(pinTAS)
 			ret = "held"
-		default:
+		} else {
 			if preset {
 				c.SetFlag(flags[0], 1)
 			}
