@@ -46,13 +46,18 @@ type FootprintResult struct {
 // Goroutine stacks are not part of HeapAlloc, so the number isolates the
 // simulator's data structures; the pooled process workers are accounted
 // for by the scheduler benchmarks instead.
+//
+// The chip pool is drained first: a chip built on storage that is
+// already in the baseline would seem to cost nothing.
 func MeasureFootprint(model *timing.Model) FootprintResult {
+	scc.DrainChipPool()
 	runtime.GC()
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)
 	t0 := time.Now()
 
 	sys := fabric.New(model, 1)
+	defer sys.Release() // after the last reading: the chip is what is measured
 	var barrier, bcast simtime.Duration
 	sys.Launch(func(_ int, c *scc.Core) {
 		x := core.NewCtx(sys.Comms[0].UE(c.ID), core.ConfigLightweight)

@@ -40,6 +40,7 @@ func (r GCMCResult) WaitFraction() float64 {
 // returns core 0's result (all cores agree on physics by construction).
 func RunGCMC(model *timing.Model, st Stack, p gcmc.Params) GCMCResult {
 	sys := fabric.New(model, 1)
+	defer sys.Release()
 	comm := sys.Comms[0]
 	var out GCMCResult
 	out.Stack = st

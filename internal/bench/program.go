@@ -154,7 +154,9 @@ type program struct {
 // latency of the timed repetitions as seen by rank 0 (chip 0, core 0).
 // The first, cache-cold execution is a warm-up and excluded.
 func (pr *program) run() (simtime.Duration, error) {
-	return pr.runOn(fabric.New(pr.model, max(pr.chips, 1)))
+	sys := fabric.New(pr.model, max(pr.chips, 1))
+	defer sys.Release()
+	return pr.runOn(sys)
 }
 
 // runOn is run on a system the caller built (and can inspect afterwards).
@@ -294,6 +296,7 @@ func allreduceWant(p, n, without int) []float64 {
 // not hide).
 func checkedAllreduce(model *timing.Model, cfg core.Config, plan *fault.Plan, group *core.Group, n int, outcome func(allreduceOutcome)) (simtime.Duration, error) {
 	sys := fabric.New(model, 1)
+	defer sys.Release()
 	if plan != nil {
 		fault.Install(sys.Chips[0], plan)
 	}

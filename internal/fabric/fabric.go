@@ -154,6 +154,14 @@ func (s *System) Run() error {
 	return fmt.Errorf("%w (system cores %v): %v", scc.ErrCoreDead, dead, err)
 }
 
+// Release ends the life of every chip (see scc.Chip.Release), whether Run
+// succeeded, failed or never happened. The system must not be used again.
+func (s *System) Release() {
+	for _, chip := range s.Chips {
+		chip.Release()
+	}
+}
+
 // Port is one chip's endpoint on the fabric.
 type Port struct {
 	sys  *System

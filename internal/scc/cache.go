@@ -24,15 +24,12 @@ type cacheLevel struct {
 	// a core's cache storage grows with the lines it actually touches,
 	// never with the level's nominal capacity (a 256 KB L2 would
 	// otherwise pin 8192 node structs per core on a chip where most
-	// cores touch a handful of lines). Each chunk is allocated at full
-	// cap and only ever appended within it, so node pointers stay valid
-	// for the chunk's lifetime. Nodes freed by invalidate go on the free
-	// list and are reused before a new chunk is cut.
+	// cores touch a handful of lines). Chunks are cut at full length and
+	// handed out node by node, so node pointers stay valid for the
+	// chunk's lifetime and a recycled level (see recycle) refills the
+	// chunks it kept in place.
 	slabs     [][]cacheNode
-	allocated int        // nodes handed out across all chunks
-	free      *cacheNode // singly linked through next
-
-	hits, misses int64
+	allocated int // nodes handed out across all chunks
 }
 
 // cacheChunk is the slab growth quantum in nodes: small enough that a
@@ -44,10 +41,6 @@ type cacheNode struct {
 	line       int64
 	slot       int32 // 1-based index in slab, stable for the node's lifetime
 	prev, next *cacheNode
-}
-
-func newCacheLevel(capacityLines int) *cacheLevel {
-	return &cacheLevel{capacity: capacityLines}
 }
 
 // get returns the resident node for line, or nil.
@@ -80,32 +73,24 @@ func (c *cacheLevel) setIdx(line int64, slot int32) {
 	c.idx[line] = slot
 }
 
-// newNode hands out node storage: free list first, then the chunked
-// slabs, cutting a new fixed-cap chunk only when the current one fills.
+// newNode hands out node storage from the chunked slabs, cutting a new
+// chunk only when the current one is used up.
 func (c *cacheLevel) newNode(line int64) *cacheNode {
-	if n := c.free; n != nil {
-		c.free = n.next
-		n.line = line
-		n.prev, n.next = nil, nil
-		return n
-	}
 	if c.allocated/cacheChunk == len(c.slabs) {
-		c.slabs = append(c.slabs, make([]cacheNode, 0, cacheChunk))
+		c.slabs = append(c.slabs, make([]cacheNode, cacheChunk))
 	}
-	ch := &c.slabs[len(c.slabs)-1]
+	n := &c.slabs[c.allocated/cacheChunk][c.allocated%cacheChunk]
 	c.allocated++
-	*ch = append(*ch, cacheNode{line: line, slot: int32(c.allocated)})
-	return &(*ch)[len(*ch)-1]
+	*n = cacheNode{line: line, slot: int32(c.allocated)}
+	return n
 }
 
 // lookup probes the cache; on hit the line becomes most recently used.
 func (c *cacheLevel) lookup(line int64) bool {
 	n := c.get(line)
 	if n == nil {
-		c.misses++
 		return false
 	}
-	c.hits++
 	c.moveToFront(n)
 	return true
 }
@@ -139,24 +124,15 @@ func (c *cacheLevel) insert(line int64) (evicted int64, ok bool) {
 	return 0, false
 }
 
-// invalidate drops a line if present; the node returns to the free list.
-func (c *cacheLevel) invalidate(line int64) {
-	if n := c.get(line); n != nil {
-		c.unlink(n)
-		c.idx[line] = 0
-		c.used--
-		n.next = c.free
-		c.free = n
+// recycle empties the cache and returns its storage for the next chip
+// (see arena.go): the index table, zeroed again by walking the resident
+// lines only (at most capacity of them, whatever the footprint was), and
+// the node chunks, which newNode overwrites as it hands them out.
+func (c *cacheLevel) recycle() cacheLevel {
+	for n := c.head; n != nil; n = n.next {
+		c.idx[n.line] = 0
 	}
-}
-
-// flush empties the cache; storage is re-acquired lazily on next use.
-func (c *cacheLevel) flush() {
-	c.idx = nil
-	c.slabs = nil
-	c.allocated = 0
-	c.head, c.tail, c.free = nil, nil, nil
-	c.used = 0
+	return cacheLevel{idx: c.idx, slabs: c.slabs}
 }
 
 func (c *cacheLevel) pushFront(n *cacheNode) {

@@ -58,6 +58,9 @@ type Chip struct {
 	// injection. Install it before Run (typically right after New).
 	Fault FaultHook
 
+	// kit is the chip's recyclable host storage (see arena.go): the cores'
+	// memories and caches, mpb and parked. Nil once the chip is released.
+	kit *kit
 	mpb *mpbArena
 	// parked[owner] lists, in park order, the cores blocked on a flag byte
 	// of owner's MPB (see wait.go). Indexed by owner so a write scans only
@@ -93,21 +96,28 @@ func New(model *timing.Model) *Chip {
 
 // NewOnEngine builds a chip on an existing engine, so several chips (a
 // multi-chip fabric.System) can share one virtual clock and scheduler.
+// A parked kit that fits is built on (see arena.go); the chip is the same.
 func NewOnEngine(model *timing.Model, eng *simtime.Engine) *Chip {
 	if err := model.Validate(); err != nil {
 		panic(err)
 	}
+	k, n := adoptKit(model), model.NumCores()
 	c := &Chip{
 		Model:    model,
 		Engine:   eng,
 		Net:      mesh.New(model),
-		mpb:      newMPBArena(model.NumCores(), model.MPBBytesPerCore),
-		parked:   make([][]int32, model.NumCores()),
-		tasTaken: make([]bool, model.NumCores()),
+		Cores:    make([]*Core, n),
+		kit:      k,
+		mpb:      k.mpb,
+		parked:   k.parked,
+		tasTaken: make([]bool, n),
 		tasSigs:  make(map[int]*simtime.Signal),
 	}
-	for id := 0; id < model.NumCores(); id++ {
-		c.Cores = append(c.Cores, newCore(c, id))
+	cores := make([]Core, n)
+	for id := range cores {
+		cores[id].init(c, id, k.cores[id])
+		k.cores[id] = coreStore{} // given away: a slab the core outgrows must not stay reachable
+		c.Cores[id] = &cores[id]
 	}
 	return c
 }
@@ -168,7 +178,11 @@ func (c *Chip) MPBBase(coreID int) int { return coreID * c.Model.MPBBytesPerCore
 // instead. (The MPB is stored as a paged sparse arena, so there is no
 // contiguous backing slice to alias; mutations must go through the Core
 // API anyway.)
-func (c *Chip) MPBSlice(off, n int) []byte { return c.mpb.snapshot(off, n) }
+func (c *Chip) MPBSlice(off, n int) []byte {
+	out := make([]byte, n)
+	c.mpb.read(c.MPBOwner(off), off, out)
+	return out
+}
 
 // Launch spawns one simulated process per core, all running fn with their
 // own core handle (SPMD style). Call Run afterwards. A core killed by an
@@ -176,27 +190,23 @@ func (c *Chip) MPBSlice(off, n int) []byte { return c.mpb.snapshot(off, n) }
 // respawned — exactly like real silicon, a died core does not come back
 // for the next program.
 func (c *Chip) Launch(fn func(core *Core)) {
+	c.mustLive()
 	for _, core := range c.Cores {
-		core := core
-		if core.dead {
-			continue
+		if !core.dead {
+			c.LaunchOne(core.ID, fn)
 		}
-		core.proc = c.Engine.Spawn(fmt.Sprintf("%score%02d", c.NamePrefix, core.ID), func(p *simtime.Proc) {
-			defer recoverCoreDeath(core, p)
-			fn(core)
-			core.flushLocal() // apply trailing deferred latency
-		})
 	}
 }
 
 // LaunchOne spawns a simulated process on a single core. Mixing Launch
 // and LaunchOne on the same chip is allowed before Run.
 func (c *Chip) LaunchOne(coreID int, fn func(core *Core)) {
+	c.mustLive()
 	core := c.Cores[coreID]
 	core.proc = c.Engine.Spawn(fmt.Sprintf("%score%02d", c.NamePrefix, coreID), func(p *simtime.Proc) {
 		defer recoverCoreDeath(core, p)
 		fn(core)
-		core.flushLocal()
+		core.flushLocal() // apply trailing deferred latency
 	})
 }
 
@@ -228,6 +238,7 @@ var ErrCoreDead = errors.New("scc: core died mid-run")
 // ErrCoreDead naming the dead cores — a deadlock with a core down is a
 // consequence of the death, not a protocol bug.
 func (c *Chip) Run() error {
+	c.mustLive()
 	err := c.Engine.Run()
 	if err == nil {
 		return nil

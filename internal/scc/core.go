@@ -24,10 +24,8 @@ type Core struct {
 	memHops int
 	proc    *simtime.Proc
 
-	priv []byte
-	brk  Addr
-
-	l1, l2 cacheLevel
+	coreStore // private memory, caches, scratch: what a released chip recycles
+	brk       Addr
 
 	// pending accumulates purely local latency (compute, cache hits,
 	// private-memory misses) that no other core can observe until this
@@ -51,33 +49,17 @@ type Core struct {
 	// permanent-failure fault.
 	dead bool
 
-	// Steady-state scratch, reused across calls so the protocol hot path
-	// performs no per-message allocation. All of it is safe to reuse
-	// because a core is a single simulated process: no two of its MPB
-	// operations are ever in flight at once.
-	sig      simtime.Signal // the one signal every flag wait of this core blocks on
-	watch    []int          // flags watched while parked (see park); nil otherwise
-	oneOff   [1]int         // WaitFlag/WaitFlagMatch's one-element flag list
-	xferBuf  []byte         // MPBWriteF64s/MPBReadF64s staging
-	faultBuf []byte         // fault-hook scratch copy for MPBWrite
-	redA     []float64      // ReduceMPBToMPB operand vector
-	redB     []float64      // ReduceMPBToMPB local vector
+	sig    simtime.Signal // the one signal every flag wait of this core blocks on
+	watch  []int          // flags watched while parked (see park); nil otherwise
+	oneOff [1]int         // WaitFlag/WaitFlagMatch's one-element flag list
 
 	prof Profile
 }
 
-// growBytes returns (*buf)[:n], reallocating only when capacity grows.
-func growBytes(buf *[]byte, n int) []byte {
+// grow returns (*buf)[:n], reallocating only when capacity grows.
+func grow[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]byte, n)
-	}
-	return (*buf)[:n]
-}
-
-// growF64 returns (*buf)[:n], reallocating only when capacity grows.
-func growF64(buf *[]float64, n int) []float64 {
-	if cap(*buf) < n {
-		*buf = make([]float64, n)
+		*buf = make([]T, n)
 	}
 	return (*buf)[:n]
 }
@@ -161,17 +143,19 @@ type Profile struct {
 	FlagWaits int64
 }
 
-func newCore(chip *Chip, id int) *Core {
+// init makes c core id of chip on the storage st, fresh or recycled.
+func (c *Core) init(chip *Chip, id int, st coreStore) {
 	m := chip.Model
 	tile := chip.TileOf(id)
-	return &Core{
-		ID:      id,
-		chip:    chip,
-		tile:    tile,
-		memHops: mesh.Hops(tile, chip.memControllerFor(id)),
-		l1:      cacheLevel{capacity: m.L1DataBytes / m.CacheLineBytes},
-		l2:      cacheLevel{capacity: m.L2Bytes / m.CacheLineBytes},
+	*c = Core{
+		ID:        id,
+		chip:      chip,
+		tile:      tile,
+		memHops:   mesh.Hops(tile, chip.memControllerFor(id)),
+		coreStore: st,
 	}
+	c.l1.capacity = m.L1DataBytes / m.CacheLineBytes
+	c.l2.capacity = m.L2Bytes / m.CacheLineBytes
 }
 
 // Chip returns the chip this core belongs to.
@@ -201,6 +185,7 @@ func (c *Core) ResetProfile() { c.prof = Profile{} }
 // Alloc reserves n bytes of private memory, line-aligned, and returns its
 // address. Allocation itself is free (it models static/stack data).
 func (c *Core) Alloc(n int) Addr {
+	c.chip.mustLive()
 	line := c.chip.Model.CacheLineBytes
 	c.brk = Addr((int(c.brk) + line - 1) / line * line)
 	a := c.brk
@@ -411,7 +396,7 @@ func (c *Core) mpbAccessCost(owner, nLines int, read bool) simtime.Duration {
 
 // checkMPBRange panics on out-of-bounds MPB access.
 func (c *Core) checkMPBRange(off, n int) {
-	if off < 0 || n < 0 || off+n > c.chip.mpb.size() {
+	if off < 0 || n < 0 || off+n > c.chip.mpb.total {
 		panic(fmt.Sprintf("scc: MPB access out of range: off=%d n=%d", off, n))
 	}
 }
@@ -434,7 +419,7 @@ func (c *Core) MPBWrite(off int, src []byte) {
 		// Clone src into a per-core scratch buffer so the hook may corrupt
 		// the payload without mutating the caller's bytes. The fault-free
 		// path (h == nil) never copies.
-		data := growBytes(&c.faultBuf, len(src))
+		data := grow(&c.faultBuf, len(src))
 		copy(data, src)
 		if h.FilterMPBWrite(c.ID, off, data, c.proc.Now()) {
 			// Lost in flight: the cost is paid, nothing lands, nobody
@@ -444,7 +429,7 @@ func (c *Core) MPBWrite(off int, src []byte) {
 		}
 		src = data
 	}
-	c.chip.mpb.write(off, src)
+	c.chip.mpb.write(owner, off, src)
 	c.prof.MPBBytesWritten += int64(len(src))
 	c.chip.wake(off, len(src))
 }
@@ -463,7 +448,7 @@ func (c *Core) MPBRead(off int, dst []byte) {
 		r.Count(c.ID, metrics.CtrMPBReads)
 		r.CountN(c.ID, metrics.CtrMPBBytesRead, int64(len(dst)))
 	}
-	c.chip.mpb.read(off, dst)
+	c.chip.mpb.read(owner, off, dst)
 	c.prof.MPBBytesRead += int64(len(dst))
 }
 
@@ -471,7 +456,7 @@ func (c *Core) MPBRead(off int, dst []byte) {
 // through a per-core scratch buffer (a core's MPB operations never
 // overlap, so reuse is safe).
 func (c *Core) MPBWriteF64s(off int, src []float64) {
-	buf := growBytes(&c.xferBuf, 8*len(src))
+	buf := grow(&c.xferBuf, 8*len(src))
 	for i, v := range src {
 		binary.LittleEndian.PutUint64(buf[8*i:], f64bits(v))
 	}
@@ -480,7 +465,7 @@ func (c *Core) MPBWriteF64s(off int, src []float64) {
 
 // MPBReadF64s reads n float64 values from the MPB.
 func (c *Core) MPBReadF64s(off int, dst []float64) {
-	buf := growBytes(&c.xferBuf, 8*len(dst))
+	buf := grow(&c.xferBuf, 8*len(dst))
 	c.MPBRead(off, buf)
 	for i := range dst {
 		dst[i] = f64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
@@ -502,7 +487,7 @@ func (c *Core) SetFlag(off int, v byte) {
 	if h := c.chip.Fault; h != nil && h.DropFlagWrite(c.ID, off, c.proc.Now()) {
 		return // flag write lost in flight: cost paid, no update, no wake-up
 	}
-	c.chip.mpb.setByte(off, v)
+	c.chip.mpb.setByte(owner, off, v)
 	c.chip.wake(off, 1)
 }
 
@@ -510,12 +495,13 @@ func (c *Core) SetFlag(off int, v byte) {
 // line read (a non-blocking test).
 func (c *Core) ProbeFlag(off int) byte {
 	c.checkMPBRange(off, 1)
-	cost := c.mpbLineAccess(c.chip.MPBOwner(off), true)
+	owner := c.chip.MPBOwner(off)
+	cost := c.mpbLineAccess(owner, true)
 	if r := c.chip.metrics; r != nil {
 		r.AddPhase(c.ID, metrics.PhaseFlagSync, cost)
 		r.Count(c.ID, metrics.CtrFlagProbes)
 	}
-	return c.chip.mpb.byteAt(off)
+	return c.chip.mpb.byteAt(owner, off)
 }
 
 // --- MPB-direct reduction (Sec. IV-D) ---
@@ -528,9 +514,9 @@ func (c *Core) ProbeFlag(off int) byte {
 // cached private reads, per-element FP work, per-line local writes.
 func (c *Core) ReduceMPBToMPB(srcOff int, privAddr Addr, dstOff, n int, op func(a, b float64) float64) {
 	m := c.chip.Model
-	operand := growF64(&c.redA, n)
+	operand := grow(&c.redA, n)
 	c.MPBReadF64s(srcOff, operand) // remote per-line round trips
-	local := growF64(&c.redB, n)
+	local := grow(&c.redB, n)
 	c.ReadF64s(privAddr, local) // cached private reads
 	perElem := m.MPBReducePerElementCoreCycles
 	if m.HardwareBugFixed {

@@ -11,147 +11,152 @@ package scc
 // in the few writer regions of its actual communication partners plus
 // its chunk-staging area.
 //
-// The arena therefore pages each core's MPB region: a per-core page
-// directory, allocated on that core's first MPB write, maps fixed-size
-// pages that are themselves allocated on first write. Reads of
-// never-written bytes return zero without allocating anything — exactly
-// the all-zeroes initial state of the dense slice, so a blocked waiter
-// polling a flag nobody has set yet costs no memory. Contents and
-// out-of-range behavior are bit-identical to the dense slice; only the
-// host-side representation changes, so virtual time and all golden
+// The arena therefore pages each core's MPB region: fixed-size pages cut
+// on first write and found through a two-level directory. Reads of
+// never-written bytes return zero without allocating — the dense slice's
+// all-zeroes initial state — so a blocked waiter polling a flag nobody
+// has set yet costs no memory. Contents and out-of-range behavior are
+// bit-identical to the dense slice, so virtual time and all golden
 // digests are unaffected.
+//
+// The directory holds 1-based indices (0 = untouched), not pointers: a
+// 100x100 chip has 3,128 pages per core and touches about four, and a
+// slice header per page was 75 KB per core, scanned by every GC cycle. A
+// core now costs dirLen entries up front (196 B at 100x100), each naming
+// a leaf of mpbLeaf page slots cut on the first write into its span; a
+// slot names a page of the chip-wide store.
 type mpbArena struct {
-	perCore  int // MPBBytesPerCore
-	pageSize int
-	pages    int // pages per core (ceil(perCore / pageSize))
-	total    int // NumCores * perCore
-	cores    [][][]byte
+	perCore int // MPBBytesPerCore
+	dirLen  int // directory entries per core: ceil(pages per core / mpbLeaf)
+	total   int // NumCores * perCore: the addressable extent (the dense slice's len)
+
+	dir    []int32          // core*dirLen + page/mpbLeaf -> leaf
+	leaves [][mpbLeaf]int32 // leaf, page%mpbLeaf -> page
+	store  [][]byte         // pages, mpbChunk to a chunk; a recycled arena keeps its chunks
+	nPages int              // pages handed out
 }
 
-// mpbPageSize is the write granularity of the arena. 4 KB spans a few
+// mpbPageSize is the write granularity of the arena: 4 KB spans a few
 // per-writer flag regions, so one collective's flag working set per core
-// stays within a couple of pages while an untouched core costs only its
-// nil directory slot.
-const mpbPageSize = 4096
+// stays within a couple of pages. The store grows mpbChunk pages at a time:
+// a chunk per page is a pointer per page again, one flat store a copy per growth.
+const (
+	mpbPageSize = 4096
+	mpbLeaf     = 64
+	mpbChunk    = 16
+)
 
 func newMPBArena(numCores, perCore int) *mpbArena {
-	pageSize := mpbPageSize
-	if perCore < pageSize {
-		pageSize = perCore
-	}
-	return &mpbArena{
-		perCore:  perCore,
-		pageSize: pageSize,
-		pages:    (perCore + pageSize - 1) / pageSize,
-		total:    numCores * perCore,
-		cores:    make([][][]byte, numCores),
-	}
+	pages := (perCore + mpbPageSize - 1) / mpbPageSize
+	dirLen := (pages + mpbLeaf - 1) / mpbLeaf
+	return &mpbArena{perCore: perCore, dirLen: dirLen, total: numCores * perCore, dir: make([]int32, numCores*dirLen)}
 }
 
-// size returns the arena's addressable extent in bytes (the dense
-// slice's len).
-func (a *mpbArena) size() int { return a.total }
-
-// byteAt reads one byte; untouched storage reads as zero.
-func (a *mpbArena) byteAt(off int) byte {
-	core := off / a.perCore
-	dir := a.cores[core]
-	if dir == nil {
-		return 0
+// slot returns the 1-based store index of core's pg-th page, or 0 if the
+// page was never written. (Page numbers and offsets are unsigned here so
+// that / and % by the constants compile to one shift or mask each.)
+func (a *mpbArena) slot(core int, pg uint) uint {
+	if l := a.dir[core*a.dirLen+int(pg/mpbLeaf)]; l != 0 {
+		return uint(a.leaves[l-1][pg%mpbLeaf])
 	}
-	rem := off - core*a.perCore
-	pg := dir[rem/a.pageSize]
-	if pg == nil {
-		return 0
-	}
-	return pg[rem%a.pageSize]
+	return 0
 }
 
-// setByte writes one byte, allocating its page on first touch.
-func (a *mpbArena) setByte(off int, v byte) {
-	core := off / a.perCore
-	rem := off - core*a.perCore
-	a.page(core, rem/a.pageSize)[rem%a.pageSize] = v
+// pageAt returns the page with store index p, from byte po on.
+func (a *mpbArena) pageAt(p, po uint) []byte {
+	o := (p - 1) % mpbChunk * mpbPageSize
+	return a.store[(p-1)/mpbChunk][o+po : o+mpbPageSize]
 }
 
-// page returns core's pg-th page, allocating directory and page on
-// demand.
-func (a *mpbArena) page(core, pg int) []byte {
-	dir := a.cores[core]
-	if dir == nil {
-		dir = make([][]byte, a.pages)
-		a.cores[core] = dir
+// byteAt reads the byte at off, which lies in core's region (the callers
+// have the owner at hand; finding it again is a division on the flag
+// path). Untouched storage reads as zero.
+func (a *mpbArena) byteAt(core, off int) byte {
+	rem := uint(off - core*a.perCore)
+	if p := a.slot(core, rem/mpbPageSize); p != 0 {
+		return a.pageAt(p, rem%mpbPageSize)[0]
 	}
-	p := dir[pg]
-	if p == nil {
-		p = make([]byte, a.pageSize)
-		dir[pg] = p
-	}
-	return p
+	return 0
 }
 
-// read copies [off, off+len(dst)) into dst. Untouched ranges read as
-// zeroes without allocating pages.
-func (a *mpbArena) read(off int, dst []byte) {
-	for len(dst) > 0 {
-		core := off / a.perCore
-		rem := off - core*a.perCore
-		pg := rem / a.pageSize
-		po := rem - pg*a.pageSize
-		chunk := a.chunkLen(rem, po, len(dst))
-		dir := a.cores[core]
-		var p []byte
-		if dir != nil {
-			p = dir[pg]
+// setByte writes the byte at off in core's region, allocating its page
+// on first touch.
+func (a *mpbArena) setByte(core, off int, v byte) {
+	rem := uint(off - core*a.perCore)
+	p := a.slot(core, rem/mpbPageSize)
+	if p == 0 {
+		p = a.cut(core, rem/mpbPageSize)
+	}
+	a.pageAt(p, rem%mpbPageSize)[0] = v
+}
+
+// cut hands out core's pg-th page, and the leaf naming it if pg is the
+// first page written in the leaf's span. Out of line: it runs once per
+// page, and inlined it crowds the per-byte paths (+1.5 ns a SetFlag).
+//
+//go:noinline
+func (a *mpbArena) cut(core int, pg uint) uint {
+	l := &a.dir[core*a.dirLen+int(pg/mpbLeaf)]
+	if *l == 0 {
+		a.leaves = append(a.leaves, [mpbLeaf]int32{})
+		*l = int32(len(a.leaves))
+	}
+	if a.nPages == len(a.store)*mpbChunk {
+		a.store = append(a.store, make([]byte, mpbChunk*mpbPageSize))
+	}
+	a.nPages++
+	a.leaves[*l-1][pg%mpbLeaf] = int32(a.nPages)
+	return uint(a.nPages)
+}
+
+// recycle zeroes what the arena's chip wrote and keeps the storage for
+// the next chip of the same geometry (see arena.go).
+func (a *mpbArena) recycle() {
+	clear(a.dir)
+	a.leaves = a.leaves[:0] // cut appends zero leaves over them
+	for _, chunk := range a.store[:(a.nPages+mpbChunk-1)/mpbChunk] {
+		clear(chunk)
+	}
+	a.nPages = 0
+}
+
+// read copies [off, off+len(dst)), which starts in core's region, into
+// dst. Untouched ranges read as zeroes without allocating pages.
+func (a *mpbArena) read(core, off int, dst []byte) {
+	for rem := uint(off - core*a.perCore); len(dst) > 0; core, rem = core+1, 0 {
+		for rem < uint(a.perCore) && len(dst) > 0 {
+			po := rem % mpbPageSize
+			chunk := a.chunkLen(rem, po, len(dst))
+			if p := a.slot(core, rem/mpbPageSize); p == 0 {
+				clear(dst[:chunk])
+			} else {
+				copy(dst[:chunk], a.pageAt(p, po))
+			}
+			dst, rem = dst[chunk:], rem+chunk
 		}
-		if p == nil {
-			clearBytes(dst[:chunk])
-		} else {
-			copy(dst[:chunk], p[po:])
-		}
-		dst = dst[chunk:]
-		off += chunk
 	}
 }
 
-// write copies src into [off, off+len(src)), allocating pages on demand.
-func (a *mpbArena) write(off int, src []byte) {
-	for len(src) > 0 {
-		core := off / a.perCore
-		rem := off - core*a.perCore
-		pg := rem / a.pageSize
-		po := rem - pg*a.pageSize
-		chunk := a.chunkLen(rem, po, len(src))
-		copy(a.page(core, pg)[po:], src[:chunk])
-		src = src[chunk:]
-		off += chunk
+// write copies src into [off, off+len(src)), which starts in core's
+// region, allocating pages on demand.
+func (a *mpbArena) write(core, off int, src []byte) {
+	for rem := uint(off - core*a.perCore); len(src) > 0; core, rem = core+1, 0 {
+		for rem < uint(a.perCore) && len(src) > 0 {
+			po := rem % mpbPageSize
+			chunk := a.chunkLen(rem, po, len(src))
+			p := a.slot(core, rem/mpbPageSize)
+			if p == 0 {
+				p = a.cut(core, rem/mpbPageSize)
+			}
+			copy(a.pageAt(p, po), src[:chunk])
+			src, rem = src[chunk:], rem+chunk
+		}
 	}
 }
 
 // chunkLen bounds one copy step: it may not cross the page end, the
 // core-region end (the last page of a region may have slack that
 // belongs to no address), or the remaining request.
-func (a *mpbArena) chunkLen(rem, po, want int) int {
-	chunk := a.pageSize - po
-	if r := a.perCore - rem; r < chunk {
-		chunk = r
-	}
-	if want < chunk {
-		chunk = want
-	}
-	return chunk
-}
-
-// snapshot materializes a copy of [off, off+n). Test/debug accessor
-// (Chip.MPBSlice); never on a simulated hot path.
-func (a *mpbArena) snapshot(off, n int) []byte {
-	out := make([]byte, n)
-	a.read(off, out)
-	return out
-}
-
-func clearBytes(b []byte) {
-	for i := range b {
-		b[i] = 0
-	}
+func (a *mpbArena) chunkLen(rem, po uint, want int) uint {
+	return min(mpbPageSize-po, uint(a.perCore)-rem, uint(want))
 }

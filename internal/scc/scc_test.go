@@ -353,7 +353,7 @@ func TestPrivateMemoryFidelityProperty(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	cl := newCacheLevel(2)
+	cl := &cacheLevel{capacity: 2}
 	cl.insert(1)
 	cl.insert(2)
 	if ev, did := cl.insert(3); !did || ev != 1 {
@@ -367,9 +367,14 @@ func TestCacheLRUEviction(t *testing.T) {
 	if ev, did := cl.insert(4); !did || ev != 3 {
 		t.Fatalf("expected eviction of line 3, got %d/%v", ev, did)
 	}
-	cl.invalidate(2)
-	if cl.lookup(2) {
-		t.Fatal("line 2 still present after invalidate")
+	// A recycled level is empty, on the storage of the old one.
+	re := cl.recycle()
+	re.capacity = 2
+	if re.lookup(2) || re.lookup(4) || re.used != 0 || len(re.slabs) != len(cl.slabs) {
+		t.Fatal("recycled level is not empty on the kept storage")
+	}
+	if ev, did := re.insert(4); did || !re.lookup(4) {
+		t.Fatalf("insert into a recycled level evicted %d", ev)
 	}
 }
 

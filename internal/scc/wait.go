@@ -112,11 +112,12 @@ func (c *Core) waitFlags(offs []int, limit simtime.Duration, pred func(i int, v 
 	for {
 		var v byte
 		for i, off := range offs {
-			c.mpbLineAccess(c.chip.MPBOwner(off), true)
+			owner := c.chip.MPBOwner(off)
+			c.mpbLineAccess(owner, true)
 			if reg != nil {
 				reg.Count(c.ID, metrics.CtrFlagProbes)
 			}
-			if v = c.chip.mpb.byteAt(off); pred(i, v) {
+			if v = c.chip.mpb.byteAt(owner, off); pred(i, v) {
 				c.endWait(begin, blocked, label)
 				return i, v, true
 			}

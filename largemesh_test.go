@@ -123,10 +123,11 @@ func TestLargeMeshPanelAnyWorkerCount(t *testing.T) {
 }
 
 // TestLargeMeshFootprintBudget bounds the live heap per simulated core
-// at the 10k-core scaling target (101.7 KB/core when the budget was
-// set): a dense per-core structure creeping back in multiplies by
-// 10,240 here long before anyone notices at 48 cores. The small
-// geometries are bounded by TestFootprintBudget in internal/bench.
+// at the 10k-core scaling target (20.5 KB/core when the budget was set;
+// 101.7 before the MPB page directory became pointer-free indices): a
+// dense per-core structure creeping back in multiplies by 10,240 here
+// long before anyone notices at 48 cores. The small geometries are
+// bounded by TestFootprintBudget in internal/bench.
 func TestLargeMeshFootprintBudget(t *testing.T) {
 	skipUnderRace(t)
 	if testing.Short() {
@@ -136,7 +137,7 @@ func TestLargeMeshFootprintBudget(t *testing.T) {
 	if fp.BarrierTicks <= 0 || fp.BroadcastTicks <= 0 {
 		t.Fatalf("the chip did not synchronize: %+v", fp)
 	}
-	if limit := 160.0 * 1024; fp.BytesPerCore > limit {
+	if limit := 40.0 * 1024; fp.BytesPerCore > limit {
 		t.Fatalf("%d cores retain %.0f B/core, budget %.0f", fp.Cores, fp.BytesPerCore, limit)
 	}
 }
