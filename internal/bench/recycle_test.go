@@ -8,6 +8,7 @@ import (
 	"scc/internal/core"
 	"scc/internal/fabric"
 	"scc/internal/fault"
+	"scc/internal/gcmc"
 	"scc/internal/mesh"
 	"scc/internal/metrics"
 	"scc/internal/rcce"
@@ -220,5 +221,31 @@ func TestWarmPoolCellAllocation(t *testing.T) {
 				t.Logf("pass %d allreduce/%s: %.2f MB", pass, st.Name, mb)
 			}
 		}
+	}
+}
+
+// TestGCMCUnitAllocation pins, without a clock, that the application's
+// host kernels keep their derived state instead of rebuilding it: one
+// Fig. 10 bar at the paper's size (720 molecules, 276 k-vectors, 4
+// cycles) on a fresh pool allocated 40.3 MB when every core built its
+// own k-vector table from 2,601 candidates, cloned molecules and made
+// four vectors a longEn call; it allocates about 16 now, nearly all of
+// it the chip.
+func TestGCMCUnitAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budget under the race detector")
+	}
+	defer scc.DrainChipPool()
+	scc.DrainChipPool()
+	p := gcmc.DefaultParams()
+	p.Cycles = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	RunGCMC(timing.Default(), GCMCStacks()[4], p)
+	runtime.ReadMemStats(&after)
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb > 20 {
+		t.Errorf("one default-size GCMC unit allocates %.1f MB, budget 20", mb)
+	} else {
+		t.Logf("%.1f MB", mb)
 	}
 }

@@ -102,23 +102,6 @@ func (k moveKind) String() string {
 	return fmt.Sprintf("moveKind(%d)", int(k))
 }
 
-// particle is one rigid molecule: a center position plus atom offsets.
-// Atom charges alternate so molecules are net-neutral for odd atom
-// counts sum to q0; charges live in the simulation (same for all).
-type particle struct {
-	center [3]float64
-	off    [][3]float64 // atom offsets from center
-}
-
-// clone returns a deep copy (the offset slice must not be shared, or a
-// rejected rotation could never be rolled back).
-func (p particle) clone() particle {
-	c := p
-	c.off = make([][3]float64, len(p.off))
-	copy(c.off, p.off)
-	return c
-}
-
 // Stats accumulates move outcomes.
 type Stats struct {
 	Attempted, Accepted              int
@@ -148,10 +131,17 @@ type Simulation struct {
 	rank  int
 	procs int
 
-	particles []particle
-	charges   []float64
-	kvecs     []KVec
-	enOld     float64
+	// The configuration: n rigid molecules, each a row of mol (its
+	// center, then the na atom offsets from it), and the wrapped position
+	// of every atom in pos[i*na+a]. pos is derived state kept next to
+	// what it derives from: setMol and dropLast are the only writers of
+	// all three, so the energy kernels read pos and never wrap.
+	n       int
+	mol     [][3]float64
+	pos     [][3]float64
+	charges []float64
+	kvecs   []KVec // shared and read-only, see sharedKVectors
+	enOld   float64
 
 	rng *rand.Rand // replicated stream: same decisions on every core
 
@@ -159,6 +149,16 @@ type Simulation struct {
 	fSrc, fDst     scc.Addr
 	oneSrc, oneDst scc.Addr
 	bcastBuf       scc.Addr
+
+	// Host-side scratch, sized once in New.
+	trial, saved []([3]float64) // one molecule row each: the move being built, SaveCurrentConfig
+	one, bcast   []float64      // what oneSrc/oneDst and bcastBuf are staged through
+	ftot         []float64
+
+	// longEn's memo: F_local as last summed, and the local atom positions
+	// it was summed from (see localF).
+	fLocal []float64
+	fFrom  [][3]float64
 
 	stats     Stats
 	allreduce int
@@ -177,7 +177,14 @@ func New(c *scc.Core, comm Collectives, nprocs int, p Params) *Simulation {
 		rank:  c.ID,
 		procs: nprocs,
 		rng:   rand.New(rand.NewSource(p.Seed)),
-		kvecs: makeKVectors(p.BoxSide, p.Alpha, p.KMax, p.NumKVecs),
+		kvecs: sharedKVectors(p.BoxSide, p.Alpha, p.KMax, p.NumKVecs),
+
+		trial:  make([][3]float64, 1+p.AtomsPerParticle),
+		saved:  make([][3]float64, 1+p.AtomsPerParticle),
+		one:    make([]float64, 1),
+		bcast:  make([]float64, 8+3*p.AtomsPerParticle),
+		ftot:   make([]float64, 2*p.NumKVecs),
+		fLocal: make([]float64, 2*p.NumKVecs),
 	}
 	// Alternating charges, slight asymmetry so the net molecular charge
 	// is nonzero and the Fourier sum does not degenerate.
@@ -189,32 +196,70 @@ func New(c *scc.Core, comm Collectives, nprocs int, p Params) *Simulation {
 			s.charges[a] = -0.4
 		}
 	}
-	// Initial configuration: particles on a jittered lattice.
+	// Initial configuration: particles at random positions. The stores
+	// get room for an eighth more molecules, or the first insertion would
+	// have append move 120 KB on every core.
+	room := p.NumParticles + p.NumParticles/8 + 1
+	s.mol = make([][3]float64, 0, room*(1+p.AtomsPerParticle))
+	s.pos = make([][3]float64, 0, room*p.AtomsPerParticle)
 	for i := 0; i < p.NumParticles; i++ {
-		s.particles = append(s.particles, s.randomParticle())
+		s.setMol(i, s.randomMol())
 	}
 	s.fSrc = c.AllocF64(2 * p.NumKVecs)
 	s.fDst = c.AllocF64(2 * p.NumKVecs)
 	s.oneSrc = c.AllocF64(1)
 	s.oneDst = c.AllocF64(1)
-	s.bcastBuf = c.AllocF64(8 + 3*p.AtomsPerParticle)
+	s.bcastBuf = c.AllocF64(len(s.bcast))
 	return s
 }
 
-// randomParticle places a molecule at a random position with a compact
-// random rigid geometry.
-func (s *Simulation) randomParticle() particle {
-	pt := particle{}
-	for d := 0; d < 3; d++ {
-		pt.center[d] = s.rng.Float64() * s.P.BoxSide
+// molAt returns molecule i's row of mol: center, then atom offsets.
+func (s *Simulation) molAt(i int) [][3]float64 {
+	w := 1 + s.P.AtomsPerParticle
+	return s.mol[i*w : (i+1)*w]
+}
+
+// setMol makes molecule i equal to the row m (i == n appends) and
+// re-wraps its atoms into pos. Every change of the configuration -
+// initial placement, trial move, restore on reject, insert, the swap of
+// a delete and its undo - is a setMol or a dropLast.
+func (s *Simulation) setMol(i int, m [][3]float64) {
+	na := s.P.AtomsPerParticle
+	if i == s.n {
+		s.n++
+		s.mol = append(s.mol, m...)
+		s.pos = append(s.pos, m[1:]...)
+	} else {
+		copy(s.molAt(i), m)
 	}
-	pt.off = make([][3]float64, s.P.AtomsPerParticle)
-	for a := 1; a < s.P.AtomsPerParticle; a++ {
+	for a := 0; a < na; a++ {
 		for d := 0; d < 3; d++ {
-			pt.off[a][d] = (s.rng.Float64() - 0.5) * 0.8
+			s.pos[i*na+a][d] = wrap(m[0][d]+m[1+a][d], s.P.BoxSide)
 		}
 	}
-	return pt
+}
+
+// dropLast removes the last molecule.
+func (s *Simulation) dropLast() {
+	s.n--
+	s.mol = s.mol[:s.n*(1+s.P.AtomsPerParticle)]
+	s.pos = s.pos[:s.n*s.P.AtomsPerParticle]
+}
+
+// randomMol builds, in s.trial, a molecule at a random position with a
+// compact random rigid geometry.
+func (s *Simulation) randomMol() [][3]float64 {
+	m := s.trial
+	for d := 0; d < 3; d++ {
+		m[0][d] = s.rng.Float64() * s.P.BoxSide
+	}
+	m[1] = [3]float64{}
+	for a := 1; a < s.P.AtomsPerParticle; a++ {
+		for d := 0; d < 3; d++ {
+			m[1+a][d] = (s.rng.Float64() - 0.5) * 0.8
+		}
+	}
+	return m
 }
 
 // ownerOf returns the core owning particle index i (block-cyclic).
@@ -225,7 +270,11 @@ func (s *Simulation) isLocal(i int) bool { return s.ownerOf(i) == s.rank }
 
 // Run executes the GCMC main loop (Algorithm 1) and returns this core's
 // result summary.
-func (s *Simulation) Run() Result {
+func (s *Simulation) Run() Result { return s.run(func(int) {}) }
+
+// run is the main loop; afterStep is called with the cycle just finished
+// (RunSampled's sampling point).
+func (s *Simulation) run(afterStep func(cycle int)) Result {
 	c := s.core
 	start := c.Now()
 	prof0 := c.Prof()
@@ -235,13 +284,14 @@ func (s *Simulation) Run() Result {
 
 	for cycle := 0; cycle < s.P.Cycles; cycle++ {
 		s.step()
+		afterStep(cycle)
 	}
 	s.comm.Barrier()
 
 	prof1 := c.Prof()
 	return Result{
 		FinalEnergy:   s.enOld,
-		FinalN:        len(s.particles),
+		FinalN:        s.n,
 		Stats:         s.stats,
 		WallTime:      c.Now() - start,
 		ComputeTime:   prof1.Compute - prof0.Compute,
@@ -267,7 +317,7 @@ func (s *Simulation) step() {
 // pickAction draws the move type (replicated RNG: every core draws the
 // same value).
 func (s *Simulation) pickAction() moveKind {
-	if len(s.particles) == 0 {
+	if s.n == 0 {
 		return moveInsert
 	}
 	return moveKind(s.rng.Intn(int(numMoveKinds)))
@@ -276,21 +326,22 @@ func (s *Simulation) pickAction() moveKind {
 // displaceMove translates or rotates one particle and applies the
 // Metropolis criterion.
 func (s *Simulation) displaceMove(kind moveKind) {
-	idx := s.rng.Intn(len(s.particles))
-	saved := s.particles[idx].clone() // SaveCurrentConfig
+	idx := s.rng.Intn(s.n)
+	copy(s.saved, s.molAt(idx)) // SaveCurrentConfig
 	enNew := s.enOld - s.shortEn(idx) - s.longEn()
 
+	trial := s.trial
+	copy(trial, s.saved)
 	if kind == moveTranslate {
 		s.stats.Translations++
 		for d := 0; d < 3; d++ {
-			s.particles[idx].center[d] = wrap(
-				s.particles[idx].center[d]+(s.rng.Float64()-0.5)*2*s.P.MaxDisplacement,
-				s.P.BoxSide)
+			trial[0][d] = wrap(trial[0][d]+(s.rng.Float64()-0.5)*2*s.P.MaxDisplacement, s.P.BoxSide)
 		}
 	} else {
 		s.stats.Rotations++
-		s.rotate(&s.particles[idx])
+		s.rotate(trial[1:])
 	}
+	s.setMol(idx, trial)
 	s.chargeMoveGeneration()
 
 	enNew += s.shortEn(idx) + s.longEn()
@@ -298,7 +349,7 @@ func (s *Simulation) displaceMove(kind moveKind) {
 		s.stats.Accepted++
 		s.enOld = enNew
 	} else {
-		s.particles[idx] = saved // RestoreConfig
+		s.setMol(idx, s.saved) // RestoreConfig
 	}
 	s.broadcastUpdate(idx)
 }
@@ -307,18 +358,18 @@ func (s *Simulation) displaceMove(kind moveKind) {
 func (s *Simulation) insertMove() {
 	s.stats.Insertions++
 	enNew := s.enOld - s.longEn()
-	s.particles = append(s.particles, s.randomParticle())
-	idx := len(s.particles) - 1
+	idx := s.n
+	s.setMol(idx, s.randomMol())
 	s.chargeMoveGeneration()
 	enNew += s.shortEn(idx) + s.longEn()
 	delta := enNew - s.enOld
-	acc := math.Exp(s.P.AdamsB-s.P.Beta*delta) / float64(len(s.particles))
+	acc := math.Exp(s.P.AdamsB-s.P.Beta*delta) / float64(s.n)
 	if s.rng.Float64() < math.Min(1, acc) {
 		s.stats.Accepted++
 		s.stats.AcceptedInserts++
 		s.enOld = enNew
 	} else {
-		s.particles = s.particles[:idx]
+		s.dropLast()
 	}
 	s.broadcastUpdate(idx)
 }
@@ -326,30 +377,29 @@ func (s *Simulation) insertMove() {
 // deleteMove attempts a grand-canonical deletion.
 func (s *Simulation) deleteMove() {
 	s.stats.Deletions++
-	idx := s.rng.Intn(len(s.particles))
-	saved := s.particles[idx].clone()
+	idx := s.rng.Intn(s.n)
+	copy(s.saved, s.molAt(idx))
 	enNew := s.enOld - s.shortEn(idx) - s.longEn()
 	// Remove by swapping with the tail (keeps ownership block-cyclic on
 	// the index, which is all the cost model depends on).
-	last := len(s.particles) - 1
-	s.particles[idx] = s.particles[last]
-	s.particles = s.particles[:last]
+	last := s.n - 1
+	s.setMol(idx, s.molAt(last))
+	s.dropLast()
 	s.chargeMoveGeneration()
 	enNew += s.longEn()
 	delta := enNew - s.enOld
-	acc := float64(len(s.particles)+1) * math.Exp(-s.P.AdamsB-s.P.Beta*delta)
+	acc := float64(s.n+1) * math.Exp(-s.P.AdamsB-s.P.Beta*delta)
 	if s.rng.Float64() < math.Min(1, acc) {
 		s.stats.Accepted++
 		s.stats.AcceptedDeletes++
 		s.enOld = enNew
 	} else {
-		// Restore: undo the swap-removal.
-		if idx == last {
-			s.particles = append(s.particles, saved)
-		} else {
-			s.particles = append(s.particles, s.particles[idx])
-			s.particles[idx] = saved
+		// Restore: undo the swap-removal (the moved molecule back to the
+		// tail, the saved one back to idx - one append when idx was last).
+		if idx != last {
+			s.setMol(last, s.molAt(idx))
 		}
+		s.setMol(idx, s.saved)
 	}
 	s.broadcastUpdate(idx)
 }
@@ -362,9 +412,9 @@ func (s *Simulation) metropolis(delta float64) bool {
 	return s.rng.Float64() < math.Exp(-s.P.Beta*delta)
 }
 
-// rotate applies a random rigid rotation (Rodrigues formula) to the
+// rotate applies a random rigid rotation (Rodrigues formula) to a
 // molecule's atom offsets.
-func (s *Simulation) rotate(pt *particle) {
+func (s *Simulation) rotate(off [][3]float64) {
 	// Random unit axis.
 	var axis [3]float64
 	for {
@@ -383,8 +433,8 @@ func (s *Simulation) rotate(pt *particle) {
 	}
 	theta := (s.rng.Float64() - 0.5) * math.Pi / 2
 	sin, cos := math.Sin(theta), math.Cos(theta)
-	for a := range pt.off {
-		v := pt.off[a]
+	for a := range off {
+		v := off[a]
 		// v' = v cos + (axis x v) sin + axis (axis.v)(1-cos)
 		cross := [3]float64{
 			axis[1]*v[2] - axis[2]*v[1],
@@ -393,7 +443,7 @@ func (s *Simulation) rotate(pt *particle) {
 		}
 		dot := axis[0]*v[0] + axis[1]*v[1] + axis[2]*v[2]
 		for d := 0; d < 3; d++ {
-			pt.off[a][d] = v[d]*cos + cross[d]*sin + axis[d]*dot*(1-cos)
+			off[a][d] = v[d]*cos + cross[d]*sin + axis[d]*dot*(1-cos)
 		}
 	}
 }
@@ -404,21 +454,22 @@ func (s *Simulation) rotate(pt *particle) {
 // cost is what the application-level benchmark measures.
 func (s *Simulation) broadcastUpdate(idx int) {
 	root := s.ownerOf(idx)
-	n := 8 + 3*s.P.AtomsPerParticle
 	if root == s.rank {
-		buf := make([]float64, n)
+		buf := s.bcast
+		clear(buf)
 		buf[0] = float64(idx)
 		buf[1] = s.enOld
-		buf[2] = float64(len(s.particles))
-		if idx < len(s.particles) {
-			copy(buf[3:6], s.particles[idx].center[:])
-			for a, off := range s.particles[idx].off {
+		buf[2] = float64(s.n)
+		if idx < s.n {
+			m := s.molAt(idx)
+			copy(buf[3:6], m[0][:])
+			for a, off := range m[1:] {
 				copy(buf[8+3*a:], off[:])
 			}
 		}
 		s.core.WriteF64s(s.bcastBuf, buf)
 	}
-	s.comm.Broadcast(root, s.bcastBuf, n)
+	s.comm.Broadcast(root, s.bcastBuf, len(s.bcast))
 }
 
 // chargeMoveGeneration prices the bookkeeping of generating a trial move.

@@ -26,7 +26,13 @@ func testParams() Params {
 // and returns every core's result.
 func runAll(t *testing.T, cfg core.Config, p Params) []Result {
 	t.Helper()
-	chip := scc.New(timing.Default())
+	return runAllOn(t, timing.Default(), cfg, p)
+}
+
+// runAllOn is runAll on every core of a model chip.
+func runAllOn(t *testing.T, model *timing.Model, cfg core.Config, p Params) []Result {
+	t.Helper()
+	chip := scc.New(model)
 	comm := rcce.NewComm(chip)
 	results := make([]Result, chip.NumCores())
 	chip.Launch(func(c *scc.Core) {

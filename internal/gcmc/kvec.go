@@ -3,6 +3,7 @@ package gcmc
 import (
 	"math"
 	"sort"
+	"sync"
 )
 
 // KVec is one reciprocal-space vector of the Ewald sum.
@@ -18,7 +19,8 @@ type KVec struct {
 // (F(-k) is the conjugate of F(k), so half-space suffices - this is why
 // the paper's 276 complex coefficients cover the whole sum). kmax bounds
 // the per-axis integer search; it panics if the search space is too
-// small for count vectors.
+// small for count vectors. The result is a right-sized copy: the
+// candidate array (2,601 entries at kmax 8) is garbage on return.
 func makeKVectors(boxSide, alpha float64, kmax, count int) []KVec {
 	twoPiL := 2 * math.Pi / boxSide
 	var vecs []KVec
@@ -56,5 +58,31 @@ func makeKVectors(boxSide, alpha float64, kmax, count int) []KVec {
 		}
 		return a.N[2] < b.N[2]
 	})
-	return vecs[:count]
+	out := make([]KVec, count)
+	copy(out, vecs)
+	return out
+}
+
+// kTable memoises the last k-vector table built. The 48 cores of a chip
+// - and the chips bench.Runner's workers build side by side - all ask
+// for the same (boxSide, alpha, kmax, count), so one entry is the whole
+// working set: a different key replaces it, nothing accumulates, and a
+// table lives as long as a Simulation or the memo refers to it.
+var kTable struct {
+	sync.Mutex
+	boxSide, alpha float64
+	kmax           int
+	vecs           []KVec
+}
+
+// sharedKVectors returns makeKVectors' table for the parameters, built
+// once and shared: callers must not write to it.
+func sharedKVectors(boxSide, alpha float64, kmax, count int) []KVec {
+	kTable.Lock()
+	defer kTable.Unlock()
+	if len(kTable.vecs) != count || kTable.boxSide != boxSide || kTable.alpha != alpha || kTable.kmax != kmax {
+		kTable.vecs = makeKVectors(boxSide, alpha, kmax, count)
+		kTable.boxSide, kTable.alpha, kTable.kmax = boxSide, alpha, kmax
+	}
+	return kTable.vecs
 }

@@ -41,19 +41,9 @@ func (o *Observables) sample(energy float64, n int, virial, vol, beta float64) {
 // r.F = 24(2 inv12 - inv6); the screened-Coulomb contribution uses
 // -r dU/dr of q_i q_j erfc(alpha r)/r.
 func (s *Simulation) pairVirial(pi, ai, pj, aj int) float64 {
-	ri := s.atomPos(pi, ai)
-	rj := s.atomPos(pj, aj)
-	var r2 float64
-	for d := 0; d < 3; d++ {
-		dd := minImage(ri[d]-rj[d], s.P.BoxSide)
-		r2 += dd * dd
-	}
-	rc := s.P.BoxSide / 2
-	if r2 >= rc*rc {
+	r2, ok := s.pairR2(pi, ai, pj, aj)
+	if !ok {
 		return 0
-	}
-	if r2 < 0.6 {
-		r2 = 0.6
 	}
 	inv6 := 1 / (r2 * r2 * r2)
 	ljVirial := 24 * (2*inv6*inv6 - inv6)
@@ -69,15 +59,14 @@ func (s *Simulation) pairVirial(pi, ai, pj, aj int) float64 {
 // combines it across cores with a one-element Allreduce (the same
 // communication signature as the short-range energy).
 func (s *Simulation) shortVirial() float64 {
-	m := s.core.Chip().Model
 	na := s.P.AtomsPerParticle
 	local := 0.0
 	pairs := 0
-	for i := range s.particles {
+	for i := 0; i < s.n; i++ {
 		if !s.isLocal(i) {
 			continue
 		}
-		for j := range s.particles {
+		for j := 0; j < s.n; j++ {
 			if j == i {
 				continue
 			}
@@ -90,12 +79,7 @@ func (s *Simulation) shortVirial() float64 {
 		}
 	}
 	local /= 2
-	s.core.ComputeCycles(m.FlopCoreCycles * int64(50*pairs))
-	s.core.WriteF64s(s.oneSrc, []float64{local})
-	s.comm.Allreduce(s.oneSrc, s.oneDst, 1)
-	out := make([]float64, 1)
-	s.core.ReadF64s(s.oneDst, out)
-	return out[0]
+	return s.sumOverCores(local, 50*pairs)
 }
 
 // RunSampled is Run plus observable sampling every sampleEvery cycles
@@ -105,32 +89,13 @@ func (s *Simulation) RunSampled(warmup, sampleEvery int) (Result, Observables) {
 	if sampleEvery < 1 {
 		sampleEvery = 1
 	}
-	c := s.core
-	start := c.Now()
-	prof0 := c.Prof()
 	var obs Observables
-
-	s.comm.Barrier()
-	s.enOld = s.totalEnergy()
 	vol := s.P.BoxSide * s.P.BoxSide * s.P.BoxSide
-
-	for cycle := 0; cycle < s.P.Cycles; cycle++ {
-		s.step()
+	res := s.run(func(cycle int) {
 		if cycle >= warmup && (cycle-warmup)%sampleEvery == 0 {
 			w := s.shortVirial()
-			obs.sample(s.enOld, len(s.particles), w, vol, s.P.Beta)
+			obs.sample(s.enOld, s.n, w, vol, s.P.Beta)
 		}
-	}
-	s.comm.Barrier()
-
-	prof1 := c.Prof()
-	return Result{
-		FinalEnergy:   s.enOld,
-		FinalN:        len(s.particles),
-		Stats:         s.stats,
-		WallTime:      c.Now() - start,
-		ComputeTime:   prof1.Compute - prof0.Compute,
-		FlagWaitTime:  prof1.FlagWait - prof0.FlagWait,
-		CommAllreduce: s.allreduce,
-	}, obs
+	})
+	return res, obs
 }

@@ -32,7 +32,7 @@ const physicsPinPath = "testdata/physics_pin.txt"
 
 // molecules is the one spot of the tests that knows how a Simulation
 // stores its configuration.
-func molecules(s *Simulation) int { return len(s.particles) }
+func molecules(s *Simulation) int { return s.n }
 
 // recordingSource hands out the wrapped source's values and keeps them,
 // so a test can replay one step's draws (decodeMove) and learn which
@@ -84,8 +84,9 @@ type moveRecord struct {
 }
 
 // runStepped runs p on every core of a model chip like Run does, calling
-// after on core 0's simulation once the initial energy is known
-// (mv == nil) and after every move. It returns every core's Result.
+// after on every core's simulation once the initial energy is known
+// (mv == nil) and after every move; a collective inside after is legal,
+// the cores reach it together. It returns every core's Result.
 func runStepped(t *testing.T, model *timing.Model, p Params, stack func(*rcce.UE) Collectives, after func(s *Simulation, mv *moveRecord)) []Result {
 	t.Helper()
 	chip := scc.New(model)
@@ -93,37 +94,26 @@ func runStepped(t *testing.T, model *timing.Model, p Params, stack func(*rcce.UE
 	results := make([]Result, chip.NumCores())
 	chip.Launch(func(c *scc.Core) {
 		s := New(c, stack(comm.UE(c.ID)), comm.NumUEs(), p)
-		var rec *recordingSource
-		if c.ID == 0 {
-			rec = &recordingSource{src: rand.NewSource(p.Seed)}
-			fresh := rand.New(rec)
-			// New consumed the stream for the initial placement; bring
-			// the recorded one to the same point.
-			for i := 0; i < p.NumParticles*(3+3*(p.AtomsPerParticle-1)); i++ {
-				fresh.Float64()
-			}
-			s.rng = fresh
+		// New consumed the stream for the initial placement; bring a
+		// recorded one to the same point.
+		rec := &recordingSource{src: rand.NewSource(p.Seed)}
+		s.rng = rand.New(rec)
+		for i := 0; i < p.NumParticles*(3+3*(p.AtomsPerParticle-1)); i++ {
+			s.rng.Float64()
 		}
 		start := c.Now()
 		prof0 := c.Prof()
 		s.comm.Barrier()
 		s.enOld = s.totalEnergy()
-		if rec != nil {
-			after(s, nil)
-		}
+		after(s, nil)
 		for cycle := 0; cycle < p.Cycles; cycle++ {
-			var mv moveRecord
-			if rec != nil {
-				rec.drawn = rec.drawn[:0]
-				mv.nBefore = molecules(s)
-			}
+			rec.drawn = rec.drawn[:0]
+			mv := moveRecord{nBefore: molecules(s)}
 			accepted := s.stats.Accepted
 			s.step()
-			if rec != nil {
-				mv.kind, mv.idx = decodeMove(rec.drawn, mv.nBefore)
-				mv.accepted = s.stats.Accepted > accepted
-				after(s, &mv)
-			}
+			mv.kind, mv.idx = decodeMove(rec.drawn, mv.nBefore)
+			mv.accepted = s.stats.Accepted > accepted
+			after(s, &mv)
 		}
 		s.comm.Barrier()
 		prof1 := c.Prof()
@@ -167,9 +157,9 @@ func summaryLine(r Result) string {
 // the run Run makes.
 func TestRecorderIsTransparent(t *testing.T) {
 	p := testParams()
-	p.Cycles = 12
-	plain := runAll(t, core.ConfigBalanced, p)[0]
-	stepped := runStepped(t, timing.Default(), p, coreStack(core.ConfigBalanced), func(*Simulation, *moveRecord) {})[0]
+	p.Cycles = 40
+	plain := runAllOn(t, smallChip(), core.ConfigBalanced, p)[0]
+	stepped := runStepped(t, smallChip(), p, coreStack(core.ConfigBalanced), func(*Simulation, *moveRecord) {})[0]
 	if plain != stepped {
 		t.Fatalf("stepped run differs from Run:\n%+v\n%+v", stepped, plain)
 	}
@@ -224,6 +214,9 @@ func TestGCMCPhysicsPin(t *testing.T) {
 		move := 0
 		t0 := time.Now()
 		res := runStepped(t, c.model, c.p, c.stack, func(s *Simulation, mv *moveRecord) {
+			if s.rank != 0 {
+				return
+			}
 			n := molecules(s)
 			if mv == nil {
 				lines = append(lines, fmt.Sprintf("%s: initial N=%d E=%#016x", c.name, n, math.Float64bits(s.enOld)))
