@@ -151,9 +151,8 @@ type Simulation struct {
 	bcastBuf       scc.Addr
 
 	// Host-side scratch, sized once in New.
-	trial, saved []([3]float64) // one molecule row each: the move being built, SaveCurrentConfig
-	one, bcast   []float64      // what oneSrc/oneDst and bcastBuf are staged through
-	ftot         []float64
+	trial, saved     [][3]float64 // one molecule row each: the move being built, SaveCurrentConfig
+	one, bcast, ftot []float64    // what oneSrc/oneDst, bcastBuf and fDst are staged through
 
 	// longEn's memo: F_local as last summed, and the local atom positions
 	// it was summed from (see localF).
@@ -196,9 +195,8 @@ func New(c *scc.Core, comm Collectives, nprocs int, p Params) *Simulation {
 			s.charges[a] = -0.4
 		}
 	}
-	// Initial configuration: particles at random positions. The stores
-	// get room for an eighth more molecules, or the first insertion would
-	// have append move 120 KB on every core.
+	// Initial configuration: particles at random positions, with room for
+	// an eighth more (the first insertion would move 120 KB on every core).
 	room := p.NumParticles + p.NumParticles/8 + 1
 	s.mol = make([][3]float64, 0, room*(1+p.AtomsPerParticle))
 	s.pos = make([][3]float64, 0, room*p.AtomsPerParticle)
@@ -394,8 +392,7 @@ func (s *Simulation) deleteMove() {
 		s.stats.AcceptedDeletes++
 		s.enOld = enNew
 	} else {
-		// Restore: undo the swap-removal (the moved molecule back to the
-		// tail, the saved one back to idx - one append when idx was last).
+		// Restore: undo the swap-removal (one append when idx was last).
 		if idx != last {
 			s.setMol(last, s.molAt(idx))
 		}
