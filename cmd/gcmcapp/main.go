@@ -27,6 +27,7 @@ func main() { bench.Exit("gcmcapp", run(os.Args[1:], os.Stdout)) }
 // that output against results/fig10.txt). A rejected command line comes
 // back as a bench.UsageError, already reported on stderr.
 func run(args []string, stdout io.Writer) error {
+	// bench.CLI for its usage-error plumbing alone: none of the sweep flags.
 	fs := bench.CLI{FlagSet: flag.NewFlagSet("gcmcapp", flag.ContinueOnError)}
 	cycles := fs.Int("cycles", 40, "GCMC cycles to simulate")
 	particles := fs.Int("particles", 0, "override particle count (0 = default workload)")

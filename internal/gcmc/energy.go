@@ -92,15 +92,15 @@ func (s *Simulation) shortEn(idx int) float64 {
 
 // localF returns F_local, this core's share of the structure factor
 // (interleaved re/im over the k-vectors), and the number of local atoms
-// it sums. The sum is memoised: fFrom holds the bit patterns' worth of
-// the local atom positions fLocal was summed from, and while this core's
-// atoms are exactly those - in a step at most one molecule on at most
-// two cores is not - the previous vector is the answer. Otherwise *all*
-// local atoms are summed again from +0 in the one order (molecule, atom,
-// k-vector): adding and subtracting the changed rows would be cheaper
-// still but rounds differently, and the physics pin holds every double.
-// The memo validates itself against pos, so no move has to invalidate
-// it; charges and k-vectors are fixed before the first call.
+// it sums. The sum is memoised: fFrom holds the local atom positions
+// fLocal was summed from, and while this core's atoms are bit for bit
+// those - in a step at most one molecule on at most two cores is not -
+// the previous vector is the answer. Otherwise *all* local atoms are
+// summed again from +0 in the one order (molecule, atom, k-vector):
+// patching only the changed rows would be cheaper still but rounds
+// differently, and the physics pin holds every double. The memo
+// validates itself against pos, so no move has to invalidate it;
+// charges and k-vectors are fixed before the first call.
 func (s *Simulation) localF() ([]float64, int) {
 	na := s.P.AtomsPerParticle
 	atoms, stale := 0, false

@@ -226,7 +226,7 @@ func (s *Simulation) setMol(i int, m [][3]float64) {
 	if i == s.n {
 		s.n++
 		s.mol = append(s.mol, m...)
-		s.pos = append(s.pos, m[1:]...)
+		s.pos = append(s.pos, m[1:]...) // na slots, wrapped below
 	} else {
 		copy(s.molAt(i), m)
 	}
