@@ -119,85 +119,6 @@ func BenchmarkAblationBugFixed(b *testing.B) {
 	}
 }
 
-// BenchmarkNativeRCCECollectives measures the naive serial-root RCCE
-// collectives the paper's Sec. III dismisses ("do not scale well"),
-// against the optimized ones - the related work ([8], [9]) reports >20x
-// for Broadcast and >6x for Reduce over these.
-func BenchmarkNativeRCCECollectives(b *testing.B) {
-	run := func(b *testing.B, naive bool) float64 {
-		chip := scc.New(timing.Default())
-		comm := rcce.NewComm(chip)
-		chip.Launch(func(c *scc.Core) {
-			ue := comm.UE(c.ID)
-			addr := c.AllocF64(552)
-			if naive {
-				ue.NativeBcast(0, addr, 552)
-			} else {
-				x := core.NewCtx(ue, core.ConfigBalanced)
-				x.Broadcast(0, addr, 552)
-			}
-		})
-		if err := chip.Run(); err != nil {
-			b.Fatal(err)
-		}
-		return chip.Now().Micros()
-	}
-	for _, naive := range []bool{true, false} {
-		naive := naive
-		name := "optimized-broadcast"
-		if naive {
-			name = "native-serial-broadcast"
-		}
-		b.Run(name, func(b *testing.B) {
-			var last float64
-			for i := 0; i < b.N; i++ {
-				last = run(b, naive)
-			}
-			b.ReportMetric(last, "simlat_us")
-		})
-	}
-}
-
-// BenchmarkBarriers compares RCCE's centralized barrier with the
-// dissemination barrier added as an extension (both reusable,
-// generation-counted). Not a paper figure, but the same
-// "synchronize with fewer serialized flag waits" theme as Sec. IV-A.
-func BenchmarkBarriers(b *testing.B) {
-	run := func(b *testing.B, dissem bool) float64 {
-		chip := scc.New(timing.Default())
-		comm := rcce.NewComm(chip)
-		const rounds = 10
-		chip.Launch(func(c *scc.Core) {
-			ue := comm.UE(c.ID)
-			for i := 0; i < rounds; i++ {
-				if dissem {
-					ue.BarrierDissemination()
-				} else {
-					ue.Barrier()
-				}
-			}
-		})
-		if err := chip.Run(); err != nil {
-			b.Fatal(err)
-		}
-		return chip.Now().Micros() / rounds
-	}
-	for _, dissem := range []bool{false, true} {
-		dissem := dissem
-		name := "centralized"
-		if dissem {
-			name = "dissemination"
-		}
-		b.Run(name, func(b *testing.B) {
-			var perBarrier float64
-			for i := 0; i < b.N; i++ {
-				perBarrier = run(b, dissem)
-			}
-			b.ReportMetric(perBarrier, "simlat_us")
-		})
-	}
-}
-
 // BenchmarkRingVsRecursiveDoubling locates the algorithm crossover that
 // justifies RCCE_comm's (and the paper's) use of the ring for long
 // vectors: log-depth recursive doubling wins on latency-bound short

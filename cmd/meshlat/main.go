@@ -9,6 +9,7 @@ import (
 	"flag"
 	"fmt"
 
+	"scc/internal/fabric"
 	"scc/internal/scc"
 	"scc/internal/simtime"
 	"scc/internal/timing"
@@ -22,21 +23,8 @@ func main() {
 	for _, fixed := range []bool{false, true} {
 		model := timing.Default()
 		model.HardwareBugFixed = fixed
-		chip := scc.New(model)
-		lat := make([]simtime.Duration, chip.NumCores())
-		chip.LaunchOne(*from, func(c *scc.Core) {
-			buf := make([]byte, model.CacheLineBytes)
-			for target := 0; target < chip.NumCores(); target++ {
-				t0 := c.Now()
-				if *write {
-					c.MPBWrite(chip.MPBBase(target), buf)
-				} else {
-					c.MPBRead(chip.MPBBase(target), buf)
-				}
-				lat[target] = c.Now() - t0
-			}
-		})
-		if err := chip.Run(); err != nil {
+		lat, err := measure(model, *from, *write)
+		if err != nil {
 			fmt.Println(err)
 			return
 		}
@@ -65,4 +53,25 @@ func main() {
 		}
 		fmt.Println()
 	}
+}
+
+// measure times one line access from core `from` to every core's MPB.
+func measure(model *timing.Model, from int, write bool) ([]simtime.Duration, error) {
+	sys := fabric.New(model, 1)
+	defer sys.Release()
+	chip := sys.Chips[0]
+	lat := make([]simtime.Duration, chip.NumCores())
+	chip.LaunchOne(from, func(c *scc.Core) {
+		buf := make([]byte, model.CacheLineBytes)
+		for target := 0; target < chip.NumCores(); target++ {
+			t0 := c.Now()
+			if write {
+				c.MPBWrite(chip.MPBBase(target), buf)
+			} else {
+				c.MPBRead(chip.MPBBase(target), buf)
+			}
+			lat[target] = c.Now() - t0
+		}
+	})
+	return lat, sys.Run()
 }

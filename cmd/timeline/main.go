@@ -15,7 +15,7 @@ import (
 	"os"
 
 	"scc/internal/core"
-	"scc/internal/rcce"
+	"scc/internal/fabric"
 	"scc/internal/scc"
 	"scc/internal/simtime"
 	"scc/internal/timing"
@@ -89,10 +89,11 @@ func main() {
 // runRing executes the ring rounds and returns the recorded spans of the
 // first `record` cores.
 func runRing(kind core.TransportKind, rounds, nElems, record int) *trace.Recorder {
-	chip := scc.New(timing.Default())
-	comm := rcce.NewComm(chip)
+	sys := fabric.New(timing.Default(), 1)
+	defer sys.Release()
+	comm := sys.Comms[0]
 	rec := &trace.Recorder{}
-	chip.Launch(func(c *scc.Core) {
+	sys.Launch(func(_ int, c *scc.Core) {
 		if c.ID < record {
 			c.SetSpanRecorder(rec.Hook(c.ID))
 		}
@@ -108,7 +109,7 @@ func runRing(kind core.TransportKind, rounds, nElems, record int) *trace.Recorde
 			ep.Exchange(right, src, 8*nElems, left, dst, 8*nElems)
 		}
 	})
-	if err := chip.Run(); err != nil {
+	if err := sys.Run(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}

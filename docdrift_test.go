@@ -89,6 +89,35 @@ func TestDocsMentionEveryFacadeOption(t *testing.T) {
 	}
 }
 
+// docPathRE matches a repository path the docs name: anything under
+// internal/ or cmd/ (a package directory, or a file with one of the
+// listed extensions), and example programs' .go files. A dotted Go
+// identifier after a package path (internal/bench.Tune) is not part of
+// the path.
+var docPathRE = regexp.MustCompile(`(?:^|[^\w/.-])((?:internal|cmd)/[\w/-]*\w(?:\.(?:go|txt|json|csv|md|sh))?|examples/[\w/-]+\.go)`)
+
+// TestDocsNameOnlyFilesThatExist: a path in the prose must lead to
+// something. Deleting a file without rewriting the docs that describe it
+// fails here.
+func TestDocsNameOnlyFilesThatExist(t *testing.T) {
+	checked := 0
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range docPathRE.FindAllStringSubmatch(string(data), -1) {
+			checked++
+			if _, err := os.Stat(m[1]); err != nil {
+				t.Errorf("%s names %s, which does not exist", doc, m[1])
+			}
+		}
+	}
+	if checked < 50 {
+		t.Fatalf("found only %d paths in the docs — the scan is broken", checked)
+	}
+}
+
 // TestNonTestLineBudget gates ROADMAP aim 2's tracked number: the lines
 // (newline count, comments and blanks included — the rule PR 19 counted
 // with, `wc -l`) of every .go file that is neither a test nor under

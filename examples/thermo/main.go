@@ -14,8 +14,8 @@ import (
 	sccsim "scc"
 	"scc/internal/bench"
 	"scc/internal/core"
+	"scc/internal/fabric"
 	"scc/internal/gcmc"
-	"scc/internal/rcce"
 	"scc/internal/scc"
 	"scc/internal/timing"
 )
@@ -52,10 +52,11 @@ func main() {
 
 	// Sampled run: the thermodynamic observables the application exists
 	// to estimate (internal energy, density, virial pressure).
-	chip := scc.New(timing.Default())
-	comm := rcce.NewComm(chip)
+	sys := fabric.New(timing.Default(), 1)
+	defer sys.Release()
+	comm := sys.Comms[0]
 	var obs gcmc.Observables
-	chip.Launch(func(c *scc.Core) {
+	sys.Launch(func(_ int, c *scc.Core) {
 		ctx := core.NewCtx(comm.UE(c.ID), core.ConfigBalanced)
 		sim := gcmc.New(c, gcmc.CoreStack{Ctx: ctx}, comm.NumUEs(), p)
 		_, o := sim.RunSampled(5, 3)
@@ -63,7 +64,7 @@ func main() {
 			obs = o
 		}
 	})
-	if err := chip.Run(); err != nil {
+	if err := sys.Run(); err != nil {
 		panic(err)
 	}
 	fmt.Printf("\nobservables over %d samples:  <E> %.2f   <N> %.1f   density %.4f   pressure %.4f\n",

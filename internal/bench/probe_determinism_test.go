@@ -7,17 +7,16 @@ import (
 )
 
 // TestProbeCountersDeterministic audits the wait-path probe accounting:
-// flag-probes and tas-probes must be exact functions of the simulated
-// program — one count per probe, per flag, per round — and in particular
-// must not depend on how (or whether) blocked-wait diagnostics are
-// rendered. Two identical instrumented runs across every transport
+// flag-probes must be an exact function of the simulated program — one
+// count per probe, per flag, per round — and in particular must not
+// depend on how (or whether) blocked-wait diagnostics are rendered. Two identical instrumented runs across every transport
 // family must agree per core, exactly.
 func TestProbeCountersDeterministic(t *testing.T) {
 	model := timing.Default()
 	for _, cell := range instrumentCells() {
 		a := MeasureInstrumented(model, cell.op, cell.st, 96, 2)
 		b := MeasureInstrumented(model, cell.op, cell.st, 96, 2)
-		for _, ctr := range []string{"flag-probes", "tas-probes", "blocked-waits", "flag-sets"} {
+		for _, ctr := range []string{"flag-probes", "blocked-waits", "flag-sets"} {
 			for id := range a.Metrics.Cores {
 				va := a.Metrics.Cores[id].Counters[ctr]
 				vb := b.Metrics.Cores[id].Counters[ctr]

@@ -165,13 +165,3 @@ func WriteTopologyCSV(w io.Writer, model *timing.Model, chips int, series []Seri
 	}
 	return nil
 }
-
-// WriteTopologyTable renders a panel as an aligned text table titled
-// with the system geometry.
-func WriteTopologyTable(w io.Writer, title string, model *timing.Model, chips int, series []Series) error {
-	if chips < 1 {
-		chips = 1
-	}
-	full := fmt.Sprintf("%s  [mesh %s, %d cores]", title, MeshLabel(model, chips), chips*model.NumCores())
-	return WriteTable(w, full, series)
-}

@@ -39,18 +39,12 @@ type TuneSpec struct {
 	Transport string
 }
 
-// DefaultTuneSpec is the sweep behind the committed default table:
-// the lightweight balanced transport, power-of-two communicator sizes
-// plus the full chip, and size buckets bracketing the paper's 512-byte
-// short-message threshold (64 float64 elements).
-func DefaultTuneSpec() TuneSpec {
-	return TuneSpecFor(timing.Default().NumCores())
-}
-
 // TuneSpecFor builds the default sweep shape for a chip of numCores
-// cores: communicator sizes doubling from 4 up to (and including) the
-// full chip, with the default buckets and transport. On the paper's
-// 48-core chip this reproduces the committed table's spec exactly.
+// cores: the lightweight balanced transport, communicator sizes doubling
+// from 4 up to (and including) the full chip, and size buckets
+// bracketing the paper's 512-byte short-message threshold (64 float64
+// elements). On the paper's 48-core chip this is the sweep behind the
+// committed default table.
 func TuneSpecFor(numCores int) TuneSpec {
 	var nps []int
 	for np := 4; np < numCores; np *= 2 {

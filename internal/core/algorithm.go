@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"scc/internal/metrics"
 	"scc/internal/scc"
@@ -147,23 +146,6 @@ func AlgorithmNames(k OpKind) []string {
 	for i, a := range algs {
 		names[i] = a.Name()
 	}
-	return names
-}
-
-// AllAlgorithmNames returns the union of registered names across all
-// collectives, sorted (for flag validation messages).
-func AllAlgorithmNames() []string {
-	seen := map[string]bool{}
-	var names []string
-	for _, k := range OpKinds() {
-		for _, a := range registry[k] {
-			if !seen[a.Name()] {
-				seen[a.Name()] = true
-				names = append(names, a.Name())
-			}
-		}
-	}
-	sort.Strings(names)
 	return names
 }
 

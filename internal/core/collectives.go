@@ -280,11 +280,6 @@ func NewCtxGroup(ue *rcce.UE, cfg Config, g *Group) (*Ctx, error) {
 	return NewCtxWith(ue, cfg, CtxOpts{Group: g})
 }
 
-// NewCtxHealer is NewCtxWith around a persistent Healer.
-func NewCtxHealer(ue *rcce.UE, cfg Config, h *Healer) (*Ctx, error) {
-	return NewCtxWith(ue, cfg, CtxOpts{Healer: h})
-}
-
 // NewCtxFabric is NewCtxWith for one core of a multi-chip system.
 func NewCtxFabric(ue *rcce.UE, cfg Config, f *Fabric) (*Ctx, error) {
 	return NewCtxWith(ue, cfg, CtxOpts{Fabric: f})

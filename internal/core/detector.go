@@ -21,23 +21,15 @@ import (
 type Detector struct {
 	ue        *rcce.UE
 	suspected []bool
-	firstAt   []simtime.Time // virtual time of first (current) suspicion, -1 = none
-	susp      int64          // suspicion transitions (cumulative)
-	clears    int64          // suspicion clears (cumulative)
-	firstEver simtime.Time   // first suspicion ever, -1 = never (detection latency anchor)
+	susp      int64        // suspicion transitions (cumulative)
+	clears    int64        // suspicion clears (cumulative)
+	firstEver simtime.Time // first suspicion ever, -1 = never (detection latency anchor)
 }
 
 // newDetector builds a detector for the UE and installs itself as the
 // UE's peer observer.
 func newDetector(ue *rcce.UE) *Detector {
-	d := &Detector{
-		suspected: make([]bool, ue.NumUEs()),
-		firstAt:   make([]simtime.Time, ue.NumUEs()),
-	}
-	for i := range d.firstAt {
-		d.firstAt[i] = -1
-	}
-	d.firstEver = -1
+	d := &Detector{suspected: make([]bool, ue.NumUEs()), firstEver: -1}
 	d.bind(ue)
 	return d
 }
@@ -58,16 +50,15 @@ func (d *Detector) observe(peer int, alive bool) {
 	}
 }
 
-// Suspect marks a peer suspected (idempotent); the first transition
-// records the current virtual time.
+// Suspect marks a peer suspected (idempotent); the detector's first
+// transition ever records the current virtual time.
 func (d *Detector) Suspect(peer int) {
 	if peer < 0 || peer >= len(d.suspected) || d.suspected[peer] {
 		return
 	}
 	d.suspected[peer] = true
-	d.firstAt[peer] = d.ue.Core().Now()
 	if d.firstEver < 0 {
-		d.firstEver = d.firstAt[peer]
+		d.firstEver = d.ue.Core().Now()
 	}
 	d.susp++
 	if reg := d.ue.Core().Metrics(); reg != nil {
@@ -81,25 +72,10 @@ func (d *Detector) Clear(peer int) {
 		return
 	}
 	d.suspected[peer] = false
-	d.firstAt[peer] = -1
 	d.clears++
 	if reg := d.ue.Core().Metrics(); reg != nil {
 		reg.Count(d.ue.ID(), metrics.CtrSuspicionClears)
 	}
-}
-
-// Suspected reports whether the peer is currently suspected.
-func (d *Detector) Suspected(peer int) bool {
-	return peer >= 0 && peer < len(d.suspected) && d.suspected[peer]
-}
-
-// FirstSuspectedAt returns the virtual time the current suspicion of the
-// peer began, or -1 when the peer is not suspected.
-func (d *Detector) FirstSuspectedAt(peer int) simtime.Time {
-	if !d.Suspected(peer) {
-		return -1
-	}
-	return d.firstAt[peer]
 }
 
 // FirstSuspicionAt returns the virtual time of the first suspicion this

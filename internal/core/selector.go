@@ -186,9 +186,6 @@ type tunedSel struct {
 	table *DecisionTable
 }
 
-// NewTuned returns a selector driven by a measured decision table.
-func NewTuned(t *DecisionTable) Selector { return tunedSel{table: t} }
-
 func (s tunedSel) Name() string { return "tuned" }
 
 func (s tunedSel) Select(x *Ctx, k OpKind, n int) string {

@@ -43,27 +43,6 @@ func New(ue *rcce.UE) *Lib {
 	return &Lib{ue: ue, costs: Costs(ue.Core().Chip().Model)}
 }
 
-// SendRobust / RecvRobust / ExchangeRobust run the hardened protocol
-// (sequence numbers, checksums, retransmit with backoff) at iRCCE's
-// software-overhead profile.
-func (l *Lib) SendRobust(pol rcce.Policy, dest int, addr scc.Addr, nBytes int) error {
-	return l.ue.SendRobust(l.costs, pol, dest, addr, nBytes)
-}
-
-func (l *Lib) RecvRobust(pol rcce.Policy, src int, addr scc.Addr, nBytes int) error {
-	return l.ue.RecvRobust(l.costs, pol, src, addr, nBytes)
-}
-
-func (l *Lib) ExchangeRobust(pol rcce.Policy, dest int, sAddr scc.Addr, sBytes int, src int, rAddr scc.Addr, rBytes int) error {
-	return l.ue.ExchangeRobust(l.costs, pol, dest, sAddr, sBytes, src, rAddr, rBytes)
-}
-
-// UE returns the underlying unit of execution.
-func (l *Lib) UE() *rcce.UE { return l.ue }
-
-// Pending returns the number of outstanding requests in the list.
-func (l *Lib) Pending() int { return l.length }
-
 // ISend posts a non-blocking send of nBytes to dest. The request is
 // inserted into the pending list.
 func (l *Lib) ISend(dest int, addr scc.Addr, nBytes int) *rcce.Request {
@@ -91,19 +70,6 @@ func (l *Lib) WaitAll(reqs ...*rcce.Request) {
 	for _, r := range reqs {
 		l.remove(r)
 	}
-}
-
-// Test reports whether r has completed, making progress if possible, and
-// unlinks it when done (like iRCCE_test).
-func (l *Lib) Test(r *rcce.Request) bool {
-	if !r.Done() {
-		r.TryProgress(l.costs)
-	}
-	if r.Done() {
-		l.remove(r)
-		return true
-	}
-	return false
 }
 
 // insert links a request at the list head; the list walk on removal is

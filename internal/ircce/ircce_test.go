@@ -23,12 +23,12 @@ func TestISendIRecvDelivers(t *testing.T) {
 		}
 		core.WriteF64s(a, v)
 		s := lib.ISend(9, a, 8*n)
-		if lib.Pending() != 1 {
-			t.Errorf("pending = %d, want 1", lib.Pending())
+		if lib.length != 1 {
+			t.Errorf("pending = %d, want 1", lib.length)
 		}
 		lib.Wait(s)
-		if lib.Pending() != 0 {
-			t.Errorf("pending after wait = %d, want 0", lib.Pending())
+		if lib.length != 0 {
+			t.Errorf("pending after wait = %d, want 0", lib.length)
 		}
 	})
 	chip.LaunchOne(9, func(core *scc.Core) {
@@ -46,33 +46,6 @@ func TestISendIRecvDelivers(t *testing.T) {
 		if got[i] != float64(i)*3 {
 			t.Fatalf("payload wrong at %d", i)
 		}
-	}
-}
-
-func TestTestCompletesAndUnlinks(t *testing.T) {
-	chip := scc.New(timing.Default())
-	comm := rcce.NewComm(chip)
-	chip.LaunchOne(0, func(core *scc.Core) {
-		lib := New(comm.UE(0))
-		a := core.AllocF64(4)
-		s := lib.ISend(1, a, 32)
-		// Poll with Test until done (receiver will pick it up).
-		for !lib.Test(s) {
-			core.ComputeCycles(500)
-		}
-		if lib.Pending() != 0 {
-			t.Errorf("pending = %d after Test completion", lib.Pending())
-		}
-	})
-	chip.LaunchOne(1, func(core *scc.Core) {
-		lib := New(comm.UE(1))
-		a := core.AllocF64(4)
-		core.Compute(simtime.Microseconds(40))
-		r := lib.IRecv(0, a, 32)
-		lib.Wait(r)
-	})
-	if err := chip.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -44,24 +44,6 @@ func New(ue *rcce.UE) *Lib {
 	return &Lib{ue: ue, costs: Costs(ue.Core().Chip().Model)}
 }
 
-// SendRobust / RecvRobust / ExchangeRobust run the hardened protocol
-// (sequence numbers, checksums, retransmit with backoff) at the
-// lightweight library's software-overhead profile.
-func (l *Lib) SendRobust(pol rcce.Policy, dest int, addr scc.Addr, nBytes int) error {
-	return l.ue.SendRobust(l.costs, pol, dest, addr, nBytes)
-}
-
-func (l *Lib) RecvRobust(pol rcce.Policy, src int, addr scc.Addr, nBytes int) error {
-	return l.ue.RecvRobust(l.costs, pol, src, addr, nBytes)
-}
-
-func (l *Lib) ExchangeRobust(pol rcce.Policy, dest int, sAddr scc.Addr, sBytes int, src int, rAddr scc.Addr, rBytes int) error {
-	return l.ue.ExchangeRobust(l.costs, pol, dest, sAddr, sBytes, src, rAddr, rBytes)
-}
-
-// UE returns the underlying unit of execution.
-func (l *Lib) UE() *rcce.UE { return l.ue }
-
 // ISend posts the (single) non-blocking send. It panics if a send is
 // already outstanding - the restriction that buys the low overhead.
 func (l *Lib) ISend(dest int, addr scc.Addr, nBytes int) *rcce.Request {
@@ -110,11 +92,3 @@ func (l *Lib) Wait(r *rcce.Request) { l.ue.Wait(l.costs, r) }
 // WaitAll blocks until all given requests complete, progressing whichever
 // can move first.
 func (l *Lib) WaitAll(reqs ...*rcce.Request) { l.ue.WaitAll(l.costs, reqs...) }
-
-// Test reports whether r completed, making progress if possible.
-func (l *Lib) Test(r *rcce.Request) bool {
-	if !r.Done() {
-		r.TryProgress(l.costs)
-	}
-	return r.Done()
-}

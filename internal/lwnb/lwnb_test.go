@@ -159,34 +159,3 @@ func TestWaitAllMixedSendRecv(t *testing.T) {
 		}
 	}
 }
-
-func TestTestProgressesRequests(t *testing.T) {
-	chip := scc.New(timing.Default())
-	comm := rcce.NewComm(chip)
-	chip.LaunchOne(0, func(core *scc.Core) {
-		lib := New(comm.UE(0))
-		a := core.AllocF64(2)
-		r := lib.IRecv(1, a, 16)
-		polls := 0
-		for !lib.Test(r) {
-			polls++
-			core.ComputeCycles(2000)
-			if polls > 10000 {
-				t.Error("Test never completed")
-				return
-			}
-		}
-		if polls == 0 {
-			t.Error("request completed before the sender even started")
-		}
-	})
-	chip.LaunchOne(1, func(core *scc.Core) {
-		lib := New(comm.UE(1))
-		core.Compute(simtime.Microseconds(100))
-		a := core.AllocF64(2)
-		lib.Wait(lib.ISend(0, a, 16))
-	})
-	if err := chip.Run(); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -7,9 +7,9 @@
 // registry splits every core's virtual time into disjoint protocol
 // phases (flag-wait, flag-sync, MPB transfer, private memory, software
 // overhead, compute), counts the events behind each phase (MPB
-// reads/writes, flag probes and test-and-set spins, cache hits/misses,
-// request postings), and tracks per-directed-link busy and queued time
-// on the mesh. A per-collective breakdown (one row per
+// reads/writes, flag probes, cache hits/misses, request postings), and
+// tracks per-directed-link busy and queued time on the mesh. A
+// per-collective breakdown (one row per
 // "allreduce[ring]"-style span) attributes those phases to individual
 // collective calls, which is what the EXPERIMENTS.md "Where the cycles
 // go" table is generated from.
@@ -42,12 +42,13 @@ type Phase uint8
 // The protocol phases.
 const (
 	// PhaseFlagWait is time spent blocked in WaitFlag / WaitFlagAny /
-	// TASAcquire — the paper's rcce_wait_until time. The interval runs
-	// from wait entry to wake-up, so it includes the probe reads issued
-	// while blocked (exactly matching the "wait-*" trace spans).
+	// WaitFlagMatch / WaitFlagsMatch — the paper's rcce_wait_until time.
+	// The interval runs from wait entry to wake-up, so it includes the
+	// probe reads issued while blocked (exactly matching the "wait-*"
+	// trace spans).
 	PhaseFlagWait Phase = iota
-	// PhaseFlagSync is unblocked flag traffic: SetFlag, ProbeFlag,
-	// test-and-set probes, and waits that found their flag already set.
+	// PhaseFlagSync is unblocked flag traffic: SetFlag, ProbeFlag, and
+	// waits that found their flag already set.
 	PhaseFlagSync
 	// PhaseTransfer is bulk MPB data movement (MPBRead/MPBWrite line
 	// transactions, including mesh link time and queueing).
@@ -95,7 +96,6 @@ const (
 	CtrFlagSets
 	CtrFlagProbes // probe reads, incl. every probe inside wait loops
 	CtrBlockedWaits
-	CtrTASProbes
 	CtrL1Hits
 	CtrL1Misses
 	CtrL2Hits
@@ -127,7 +127,7 @@ const (
 
 var counterNames = [NumCounters]string{
 	"mpb-reads", "mpb-writes", "mpb-bytes-read", "mpb-bytes-written",
-	"flag-sets", "flag-probes", "blocked-waits", "tas-probes",
+	"flag-sets", "flag-probes", "blocked-waits",
 	"l1-hits", "l1-misses", "l2-hits", "l2-misses",
 	"reqs-posted", "req-wait-rounds", "pending-reqs-max", "slot-drains",
 	"sends", "recvs", "send-ticks", "recv-ticks",

@@ -1,12 +1,12 @@
 // Package rcce reimplements the SCC's native communication library RCCE
 // on the simulated chip: line-granular put/get through the MPBs, the
-// two-flag blocking send/receive protocol of the paper's Fig. 3, a
-// generation-counted barrier, and the very basic native collectives whose
-// poor scaling motivates the paper (Sec. III).
+// two-flag blocking send/receive protocol of the paper's Fig. 3 and a
+// generation-counted barrier.
 //
 // The package also hosts the shared non-blocking request engine that the
 // iRCCE and lightweight libraries (packages ircce and lwnb) instantiate
-// with their respective software-overhead constants.
+// with their respective software-overhead constants, and the hardened
+// protocol (robust.go) that fault-tolerant collectives run on.
 package rcce
 
 import (
@@ -105,18 +105,12 @@ const (
 // model's FlagBytesPerWriter); the rest is the chunk data region.
 type Comm struct {
 	chip *scc.Chip
-	// userFlags tracks per-core allocation of gory-interface user flags
-	// (see gory.go).
-	userFlags map[int][]bool
 }
 
 // NewComm lays an RCCE communicator over the chip.
 func NewComm(chip *scc.Chip) *Comm {
 	return &Comm{chip: chip}
 }
-
-// Chip returns the underlying chip.
-func (c *Comm) Chip() *scc.Chip { return c.chip }
 
 // NumUEs returns the number of units of execution (cores).
 func (c *Comm) NumUEs() int { return c.chip.NumCores() }
@@ -128,11 +122,12 @@ func (c *Comm) FlagAddr(owner, writer, role int) int {
 	return c.chip.MPBBase(owner) + writer*c.chip.Model.FlagBytesPerWriter() + role
 }
 
-// DataBase returns the global MPB offset of a core's chunk data region
-// (after the per-writer flag regions and the gory-interface user-flag
-// region).
+// DataBase returns the global MPB offset of a core's chunk data region:
+// the last DataBytes of the core's MPB, behind the per-writer flag
+// regions and the model's reserved gap (see timing.Model.MPBDataBytes).
 func (c *Comm) DataBase(core int) int {
-	return c.userFlagBase(core) + c.UserFlagCount()
+	m := c.chip.Model
+	return c.chip.MPBBase(core) + m.MPBBytesPerCore - m.MPBDataBytes()
 }
 
 // DataBytes returns the usable size of each core's chunk data region
@@ -162,13 +157,11 @@ type UE struct {
 	core *scc.Core
 
 	// barrierGen tracks the barrier generation per root so barriers are
-	// reusable without extra clearing round trips; dissemGen does the
-	// same for the dissemination barrier, groupGen for group barriers.
-	// The per-peer counters are sparse paged arrays indexed by peer
-	// core ID; untouched peers cost nothing.
+	// reusable without extra clearing round trips; groupGen does the same
+	// for group barriers. The per-peer counters are sparse paged arrays
+	// indexed by peer core ID; untouched peers cost nothing.
 	barrierGen peerBytes
 	groupGen   peerBytes
-	dissemGen  byte
 
 	// activeSend is the send request currently occupying the core's MPB
 	// staging region (see PostSend).
@@ -374,10 +367,6 @@ func (u *UE) Recv(src int, addr scc.Addr, nBytes int) {
 		reg.CountN(u.core.ID, metrics.CtrRecvTicks, int64(u.core.Now()-t0))
 	}
 }
-
-// SendF64s / RecvF64s are float64-vector conveniences.
-func (u *UE) SendF64s(dest int, addr scc.Addr, n int) { u.Send(dest, addr, 8*n) }
-func (u *UE) RecvF64s(src int, addr scc.Addr, n int)  { u.Recv(src, addr, 8*n) }
 
 // Barrier synchronizes all UEs: members report arrival to UE 0 with a
 // generation-valued flag; UE 0 releases everyone by writing the same

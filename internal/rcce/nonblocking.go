@@ -66,28 +66,6 @@ type Request struct {
 // Done reports whether the request has completed.
 func (r *Request) Done() bool { return r.done }
 
-// Started reports whether the request has made wire-level progress
-// (consumed or announced at least one chunk). Unstarted receives can
-// still be cancelled.
-func (r *Request) Started() bool { return r.off > 0 || r.staged > 0 }
-
-// Abort marks an unstarted receive as completed without transferring
-// data. Callers (iRCCE's Cancel) must check Started first; aborting a
-// request whose peer already staged data would strand the sender, so
-// Abort panics on sends and on started requests.
-func (r *Request) Abort() {
-	if r.kind == ReqSend || r.Started() {
-		panic("rcce: aborting a request that has wire-level state")
-	}
-	r.done = true
-}
-
-// Kind returns the request kind.
-func (r *Request) Kind() ReqKind { return r.kind }
-
-// Peer returns the remote UE id.
-func (r *Request) Peer() int { return r.peer }
-
 // PostSend begins a non-blocking send: it stages the first chunk into the
 // local MPB, raises the sent flag and returns without waiting for the
 // receiver. Completion (the ready flag, plus any further chunks) happens
@@ -168,10 +146,6 @@ func (r *Request) pendingFlag() int {
 	}
 	return u.comm.FlagAddr(u.ID(), r.peer, flagSent)
 }
-
-// TryProgress advances the request as far as possible without blocking
-// (the Test operation). It returns true if any transition fired.
-func (r *Request) TryProgress(costs NBCosts) bool { return r.tryProgress(costs) }
 
 // tryProgress advances the request as far as possible without blocking.
 // It returns true if any transition fired.

@@ -17,11 +17,6 @@ func TestLayoutConstants(t *testing.T) {
 	if c.NumUEs() != 48 {
 		t.Fatalf("NumUEs = %d", c.NumUEs())
 	}
-	// 48 pair-flag lines + 4 user-flag lines of 32 B leave
-	// 8192-1664 = 6528 B of chunk space.
-	if got := c.DataBytes(); got != 6528 {
-		t.Fatalf("DataBytes = %d, want 6528", got)
-	}
 	// Flag lines precede the data region and are owned correctly.
 	for owner := 0; owner < 48; owner += 13 {
 		for writer := 0; writer < 48; writer += 11 {
@@ -33,6 +28,34 @@ func TestLayoutConstants(t *testing.T) {
 				t.Fatalf("flag (%d,%d) overlaps data region", owner, writer)
 			}
 		}
+	}
+	// The chunk data region sits behind the NumUEs per-writer flag
+	// regions and a 4-line reserved gap, with the calibrated chunk size of
+	// every geometry (48 pair-flag lines + 4 gap lines of 32 B leave
+	// 8192-1664 = 6528 B on the default chip). Every measured latency
+	// depends on these numbers.
+	for _, tc := range []struct {
+		model     *timing.Model
+		dataBytes int
+	}{
+		{timing.Default(), 6528},
+		{timing.Topology(4, 4, 1), 7552},
+		{timing.Topology(8, 8, 2), 8064},
+		{timing.Topology(50, 50, 1), 12800},
+	} {
+		m := tc.model
+		chip := scc.New(m)
+		c := NewComm(chip)
+		if got := c.DataBytes(); got != tc.dataBytes {
+			t.Errorf("%d cores: DataBytes = %d, want %d", m.NumCores(), got, tc.dataBytes)
+		}
+		for _, core := range []int{0, c.NumUEs() / 2, c.NumUEs() - 1} {
+			want := chip.MPBBase(core) + c.NumUEs()*m.FlagBytesPerWriter() + 4*m.CacheLineBytes
+			if got := c.DataBase(core); got != want {
+				t.Errorf("%d cores: DataBase(%d) = %d, want %d", m.NumCores(), core, got, want)
+			}
+		}
+		chip.Release()
 	}
 }
 
@@ -49,12 +72,12 @@ func TestBlockingSendRecvDeliversPayload(t *testing.T) {
 		ue := comm.UE(7)
 		a := core.AllocF64(len(payload))
 		core.WriteF64s(a, payload)
-		ue.SendF64s(31, a, len(payload))
+		ue.Send(31, a, 8*len(payload))
 	})
 	chip.LaunchOne(31, func(core *scc.Core) {
 		ue := comm.UE(31)
 		a := core.AllocF64(len(payload))
-		ue.RecvF64s(7, a, len(payload))
+		ue.Recv(7, a, 8*len(payload))
 		got = make([]float64, len(payload))
 		core.ReadF64s(a, got)
 	})
@@ -83,12 +106,12 @@ func TestBlockingSendChunksLargeMessages(t *testing.T) {
 		ue := comm.UE(0)
 		a := core.AllocF64(n)
 		core.WriteF64s(a, payload)
-		ue.SendF64s(1, a, n)
+		ue.Send(1, a, 8*n)
 	})
 	chip.LaunchOne(1, func(core *scc.Core) {
 		ue := comm.UE(1)
 		a := core.AllocF64(n)
-		ue.RecvF64s(0, a, n)
+		ue.Recv(0, a, 8*n)
 		got = make([]float64, n)
 		core.ReadF64s(a, got)
 	})
@@ -113,14 +136,14 @@ func TestBlockingSendWaitsForReceiver(t *testing.T) {
 	chip.LaunchOne(0, func(core *scc.Core) {
 		ue := comm.UE(0)
 		a := core.AllocF64(4)
-		ue.SendF64s(1, a, 4)
+		ue.Send(1, a, 8*4)
 		sendDone = core.Now()
 	})
 	chip.LaunchOne(1, func(core *scc.Core) {
 		ue := comm.UE(1)
 		core.Compute(delay) // receiver is late
 		a := core.AllocF64(4)
-		ue.RecvF64s(0, a, 4)
+		ue.Recv(0, a, 8*4)
 	})
 	if err := chip.Run(); err != nil {
 		t.Fatal(err)
@@ -177,71 +200,6 @@ func TestBarrierIsReusable(t *testing.T) {
 	}
 	if rounds != 5 {
 		t.Fatal("barrier rounds did not complete")
-	}
-}
-
-func TestNativeBcastDelivers(t *testing.T) {
-	chip := newChip()
-	comm := NewComm(chip)
-	n := 40
-	results := make([][]float64, 48)
-	chip.Launch(func(core *scc.Core) {
-		ue := comm.UE(core.ID)
-		a := core.AllocF64(n)
-		if core.ID == 3 {
-			v := make([]float64, n)
-			for i := range v {
-				v[i] = float64(i) + 0.5
-			}
-			core.WriteF64s(a, v)
-		}
-		ue.NativeBcast(3, a, n)
-		got := make([]float64, n)
-		core.ReadF64s(a, got)
-		results[core.ID] = got
-	})
-	if err := chip.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for id, got := range results {
-		for i := range got {
-			if got[i] != float64(i)+0.5 {
-				t.Fatalf("core %d element %d = %v", id, i, got[i])
-			}
-		}
-	}
-}
-
-func TestNativeReduceSumsAllCores(t *testing.T) {
-	chip := newChip()
-	comm := NewComm(chip)
-	n := 20
-	var got []float64
-	chip.Launch(func(core *scc.Core) {
-		ue := comm.UE(core.ID)
-		src := core.AllocF64(n)
-		dst := core.AllocF64(n)
-		v := make([]float64, n)
-		for i := range v {
-			v[i] = float64(core.ID) + float64(i)*0.01
-		}
-		core.WriteF64s(src, v)
-		ue.NativeReduce(0, src, dst, n, func(a, b float64) float64 { return a + b })
-		if core.ID == 0 {
-			got = make([]float64, n)
-			core.ReadF64s(dst, got)
-		}
-	})
-	if err := chip.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// sum over cores of (id + i*0.01) = sum(ids) + 48*i*0.01
-	sumIDs := float64(47 * 48 / 2)
-	for i := range got {
-		want := sumIDs + 48*float64(i)*0.01
-		if diff := got[i] - want; diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("reduce element %d = %v, want %v", i, got[i], want)
-		}
 	}
 }
 
@@ -372,12 +330,12 @@ func TestPartialLineMessageCostsMore(t *testing.T) {
 		chip.LaunchOne(0, func(core *scc.Core) {
 			ue := comm.UE(0)
 			a := core.AllocF64(n)
-			ue.SendF64s(1, a, n)
+			ue.Send(1, a, 8*n)
 		})
 		chip.LaunchOne(1, func(core *scc.Core) {
 			ue := comm.UE(1)
 			a := core.AllocF64(n)
-			ue.RecvF64s(0, a, n)
+			ue.Recv(0, a, 8*n)
 		})
 		if err := chip.Run(); err != nil {
 			t.Fatal(err)
@@ -396,7 +354,7 @@ func TestSendToSelfPanics(t *testing.T) {
 	chip.LaunchOne(0, func(core *scc.Core) {
 		ue := comm.UE(0)
 		a := core.AllocF64(1)
-		ue.SendF64s(0, a, 1)
+		ue.Send(0, a, 8*1)
 	})
 	if err := chip.Run(); err == nil {
 		t.Fatal("self-send should fail the simulation")

@@ -116,9 +116,6 @@ func (s *RecoveryStats) Add(s2 RecoveryStats) {
 // Recovery returns the UE's accumulated recovery statistics.
 func (u *UE) Recovery() RecoveryStats { return u.stats }
 
-// ResetRecovery clears the UE's recovery statistics.
-func (u *UE) ResetRecovery() { u.stats = RecoveryStats{} }
-
 // Sequence numbers occupy 1..127; 0 means "consumed / idle" and the top
 // bit turns an ACK value into a NACK.
 const (

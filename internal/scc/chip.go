@@ -69,10 +69,6 @@ type Chip struct {
 	// a per-write scan over all of them would be O(cores) per message.
 	parked [][]int32
 
-	// Hardware test-and-set registers, one per core (see tas.go).
-	tasTaken []bool
-	tasSigs  map[int]*simtime.Signal
-
 	// metrics, when non-nil, receives phase/counter observations from
 	// every core and the mesh (see internal/metrics). Recording never
 	// advances virtual time, so an instrumented run is bit-identical
@@ -103,15 +99,13 @@ func NewOnEngine(model *timing.Model, eng *simtime.Engine) *Chip {
 	}
 	k, n := adoptKit(model), model.NumCores()
 	c := &Chip{
-		Model:    model,
-		Engine:   eng,
-		Net:      mesh.New(model),
-		Cores:    make([]*Core, n),
-		kit:      k,
-		mpb:      k.mpb,
-		parked:   k.parked,
-		tasTaken: make([]bool, n),
-		tasSigs:  make(map[int]*simtime.Signal),
+		Model:  model,
+		Engine: eng,
+		Net:    mesh.New(model),
+		Cores:  make([]*Core, n),
+		kit:    k,
+		mpb:    k.mpb,
+		parked: k.parked,
 	}
 	cores := make([]Core, n)
 	for id := range cores {

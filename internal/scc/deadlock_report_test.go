@@ -36,19 +36,3 @@ func TestDeadlockReportGolden(t *testing.T) {
 		}
 	}
 }
-
-// TestDeadlockReportTAS pins the test-and-set wait rendering.
-func TestDeadlockReportTAS(t *testing.T) {
-	chip := New(timing.Default())
-	chip.LaunchOne(0, func(c *Core) {
-		c.TASAcquire(5)
-		c.TASAcquire(5) // self-deadlock on an already-held register
-	})
-	err := chip.Run()
-	if err == nil {
-		t.Fatal("expected a deadlock error")
-	}
-	if !strings.Contains(err.Error(), "core00 T&S 5") {
-		t.Errorf("deadlock report missing TAS wait site:\n%s", err.Error())
-	}
-}

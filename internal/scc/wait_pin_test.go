@@ -17,7 +17,9 @@ import (
 // charge and no accounting: per (public wait, scenario) the return
 // values, the tick the waiter resumes at, its Profile, the flag
 // counters, the flag phases, the wait histogram, every recorded span
-// and the run error.
+// and the run error. The test-and-set row and the TAS probe counter were
+// later deleted from the file line by line with the registers themselves;
+// every remaining cell is the one first recorded.
 //
 // Regenerate only when the workload below changes, never to absorb a
 // difference:
@@ -28,7 +30,6 @@ const waitPinPath = "testdata/wait_pin.txt"
 const (
 	pinWaiter = 0 // the core whose wait is recorded
 	pinWriter = 5 // the remote core that satisfies it
-	pinTAS    = 7 // the test-and-set register the TAS cells contend for
 )
 
 // dropFirstFlag is a FaultHook that loses the writer's first flag write.
@@ -47,7 +48,7 @@ func (h *dropFirstFlag) DropFlagWrite(writer, _ int, _ simtime.Time) bool {
 	return true
 }
 
-// pinWaits names the five public waits; bounded says whether the wait
+// pinWaits names the four public waits; bounded says whether the wait
 // takes a limit, multi whether it watches several flags.
 var pinWaits = []struct {
 	name           string
@@ -68,18 +69,16 @@ var pinWaits = []struct {
 		i, v, ok := c.WaitFlagsMatch(offs, limit, func(_ int, v byte) bool { return v == 1 })
 		return fmt.Sprintf("i=%d,v=%d,ok=%t", i, v, ok)
 	}},
-	{"TASAcquire", false, false, nil},
 }
 
 var pinScenarios = []string{"satisfied", "set-later", "bulk-write", "expires", "past-deadline", "dropped", "second-of-three"}
 
 // pinCell runs one (wait, scenario) cell on a fresh chip and renders its
 // line. Cells that do not exist (a limit on an unbounded wait, a second
-// flag for a single-flag wait, a flag for a register) render "n/a" so
-// the file stays a full grid.
+// flag for a single-flag wait) render "n/a" so the file stays a full
+// grid.
 func pinCell(w int, scen string) string {
 	wait := pinWaits[w]
-	tas := wait.call == nil
 	chip := New(timing.Default())
 	reg := metrics.New(chip.NumCores())
 	chip.SetMetrics(reg)
@@ -102,9 +101,6 @@ func pinCell(w int, scen string) string {
 	case "set-later":
 		write = setFlag(flags[0])
 	case "bulk-write":
-		if tas {
-			return "n/a"
-		}
 		write = func(c *Core) {
 			buf := make([]byte, 32)
 			buf[3] = 1
@@ -119,9 +115,6 @@ func pinCell(w int, scen string) string {
 			limit = 1 // shorter than the first probe
 		}
 	case "dropped":
-		if tas {
-			return "n/a"
-		}
 		chip.Fault = &dropFirstFlag{}
 		write = setFlag(flags[0])
 		if wait.bounded {
@@ -143,26 +136,13 @@ func pinCell(w int, scen string) string {
 	})
 	chip.LaunchOne(pinWaiter, func(c *Core) {
 		c.ComputeCycles(100) // deferred local latency the wait must flush first
-		if tas {
-			c.TASAcquire(pinTAS)
-			ret = "held"
-		} else {
-			if preset {
-				c.SetFlag(flags[0], 1)
-			}
-			ret = wait.call(c, offs, limit)
+		if preset {
+			c.SetFlag(flags[0], 1)
 		}
+		ret = wait.call(c, offs, limit)
 		resume = c.Now()
 	})
-	switch {
-	case tas && write != nil:
-		// The writer takes the register first and holds it over the delay.
-		chip.LaunchOne(pinWriter, func(c *Core) {
-			c.TASAcquire(pinTAS)
-			c.ComputeCycles(2000)
-			c.TASRelease(pinTAS)
-		})
-	case write != nil:
+	if write != nil {
 		chip.LaunchOne(pinWriter, func(c *Core) {
 			c.ComputeCycles(2000)
 			write(c)
@@ -178,9 +158,9 @@ func pinCell(w int, scen string) string {
 	if err != nil {
 		errText = strings.ReplaceAll(err.Error(), "\n", " ")
 	}
-	return fmt.Sprintf("ret=%s resume=%d prof.wait=%d prof.waits=%d probes=%d tasprobes=%d blocked=%d phase.wait=%d phase.sync=%d hist=%v spans=%v err=%s",
+	return fmt.Sprintf("ret=%s resume=%d prof.wait=%d prof.waits=%d probes=%d blocked=%d phase.wait=%d phase.sync=%d hist=%v spans=%v err=%s",
 		ret, resume, prof.FlagWait, prof.FlagWaits,
-		ctr[metrics.CtrFlagProbes.String()], ctr[metrics.CtrTASProbes.String()], ctr[metrics.CtrBlockedWaits.String()],
+		ctr[metrics.CtrFlagProbes.String()], ctr[metrics.CtrBlockedWaits.String()],
 		ph[metrics.PhaseFlagWait.String()], ph[metrics.PhaseFlagSync.String()],
 		snap.WaitHist, spans, errText)
 }

@@ -179,9 +179,6 @@ func (p *Proc) WaitOnTimeout(s *Signal, d Duration, site WaitSite) bool {
 // deadlock report is.
 func (p *Proc) SetNote(n Note) { p.note = n }
 
-// LastNote returns the last note set with SetNote.
-func (p *Proc) LastNote() Note { return p.note }
-
 // Signal is a broadcast wake-up point: processes block on it with WaitOn
 // and are all released by Broadcast. The zero value is ready to use.
 type Signal struct {

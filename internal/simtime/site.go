@@ -14,7 +14,7 @@ import "fmt"
 // without carrying a formatted string.
 type WaitKind uint8
 
-// Wait-site kinds. The flag/TAS kinds mirror the scc package's wait
+// Wait-site kinds. The flag kinds mirror the scc package's wait
 // primitives; WaitGeneric covers everything else via a static label.
 const (
 	// WaitNone is the zero value: no site recorded.
@@ -29,9 +29,6 @@ const (
 	// WaitFlagsAny: core Core blocked on Want flags at once, the first
 	// of which lives at Off.
 	WaitFlagsAny
-	// WaitTAS: core Core blocked on the test-and-set register of core
-	// Off.
-	WaitTAS
 )
 
 // WaitSite is a compact, allocation-free description of a blocking
@@ -42,7 +39,7 @@ type WaitSite struct {
 	Kind WaitKind
 	// Core is the waiting core's ID (-1 when the waiter is not a core).
 	Core int32
-	// Off is the MPB flag offset (or register index) being watched.
+	// Off is the MPB flag offset being watched.
 	Off int32
 	// Want is the expected flag value (WaitFlagEq) or the number of
 	// watched flags (WaitFlagsAny).
@@ -69,8 +66,6 @@ func (s WaitSite) String() string {
 		return fmt.Sprintf("core%02d flag@%d match", s.Core, s.Off)
 	case WaitFlagsAny:
 		return fmt.Sprintf("core%02d any-flag (%d flags, first@%d)", s.Core, s.Want, s.Off)
-	case WaitTAS:
-		return fmt.Sprintf("core%02d T&S %d", s.Core, s.Off)
 	default:
 		return "unknown"
 	}

@@ -32,9 +32,11 @@ const (
 	// FlagViewEpochBytes is the width of the agreed-epoch word that
 	// follows the view bitmap (little-endian uint32).
 	FlagViewEpochBytes = 4
-	// UserFlagLines is the size of each core's gory-interface user-flag
-	// region in cache lines (see internal/rcce/gory.go).
-	UserFlagLines = 4
+	// reservedGapLines is a gap of cache lines between each core's flag
+	// regions and its chunk data region. Nothing lives there; it is kept
+	// because the calibrated chunk size depends on it (6,528 B at 48
+	// cores), and reclaiming it would move every measured latency.
+	reservedGapLines = 4
 )
 
 // Model holds every tunable latency parameter of the simulated chip and
@@ -315,10 +317,9 @@ func (m *Model) FlagBytesPerWriter() int {
 func (m *Model) ViewBitmapBytes() int { return (m.NumCores() + 7) / 8 }
 
 // MPBDataBytes returns the usable chunk-data capacity of each core's
-// MPB after the per-writer flag regions and the gory-interface
-// user-flag lines are reserved.
+// MPB after the per-writer flag regions and the reserved gap lines.
 func (m *Model) MPBDataBytes() int {
-	return m.MPBBytesPerCore - m.NumCores()*m.FlagBytesPerWriter() - UserFlagLines*m.CacheLineBytes
+	return m.MPBBytesPerCore - m.NumCores()*m.FlagBytesPerWriter() - reservedGapLines*m.CacheLineBytes
 }
 
 // --- Composite latencies ---
@@ -396,8 +397,8 @@ func (m *Model) Validate() error {
 			m.NumCores(), need, FlagFixedRoles, m.ViewBitmapBytes(), m.FlagBytesPerWriter())
 	}
 	if m.MPBDataBytes() <= 0 {
-		return errf("MPB layout leaves no data region: %d cores x %d-byte flag regions + %d user-flag lines exceed %d bytes per core",
-			m.NumCores(), m.FlagBytesPerWriter(), UserFlagLines, m.MPBBytesPerCore)
+		return errf("MPB layout leaves no data region: %d cores x %d-byte flag regions + %d reserved gap lines exceed %d bytes per core",
+			m.NumCores(), m.FlagBytesPerWriter(), reservedGapLines, m.MPBBytesPerCore)
 	}
 	// The chip-wide MPB address space is NumCores x MPBBytesPerCore and
 	// must stay int-addressable: the MPB arena, offset arithmetic, and

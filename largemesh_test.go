@@ -108,17 +108,20 @@ func TestLargeMeshDeterminism100x100(t *testing.T) {
 // TestLargeMeshPanelAnyWorkerCount: the parallel sweep runner must
 // produce byte-identical panels on a 2,500-core mesh whatever the
 // worker count — the pooled trampoline workers underneath change which
-// OS goroutine runs a simulated process, never what it computes.
+// OS goroutine runs a simulated process, never what it computes. It
+// compares 1 against 2 workers: every live worker holds a whole
+// 2,500-core chip with n·np-double staging buffers, and four of them at
+// once exceed 7 GB. The 4-worker identity is pinned at 48 cores, by
+// TestSchedulerGoldenEquivalence (NewRunner(4) against serial) and by
+// internal/bench's TestParallelPanelsOnWarmPool.
 func TestLargeMeshPanelAnyWorkerCount(t *testing.T) {
 	skipUnderRace(t)
 	model := timing.Topology(50, 50, 1)
 	sizes := []int{8, 16}
 	serial := bench.NewRunner(1).Panel(model, bench.OpBroadcast, sizes, 1)
-	for _, workers := range []int{2, 4} {
-		par := bench.NewRunner(workers).Panel(model, bench.OpBroadcast, sizes, 1)
-		if !reflect.DeepEqual(serial, par) {
-			t.Fatalf("50x50 broadcast panel differs between 1 and %d workers", workers)
-		}
+	par := bench.NewRunner(2).Panel(model, bench.OpBroadcast, sizes, 1)
+	if !reflect.DeepEqual(serial, par) {
+		t.Fatal("50x50 broadcast panel differs between 1 and 2 workers")
 	}
 }
 
