@@ -111,15 +111,14 @@ func Measure(model *timing.Model, op Op, st Stack, n, reps int) simtime.Duration
 }
 
 // stackProgram is the measured program of one Fig. 9 cell: op under
-// stack st, buffers sized for the worst case (alltoall/allgather need
-// p*n), repetitions separated by the native barrier.
+// stack st on every core, repetitions separated by the native barrier.
 func stackProgram(model *timing.Model, op Op, st Stack, n, reps int) *program {
 	cfg := st.Cfg
 	if st.Algo != "" {
 		cfg.Selector = core.Fixed(st.Algo)
 	}
 	return &program{
-		model: model, reps: reps, op: op, n: n, bufN: n * model.NumCores(),
+		model: model, reps: reps, op: op, n: n,
 		ueBarrier: true, rckmpi: st.RCKMPI,
 		ctx: func(_ *fabric.System, _ int, ue *rcce.UE) (*core.Ctx, error) {
 			return core.NewCtx(ue, cfg), nil

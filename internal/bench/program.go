@@ -26,13 +26,14 @@ import (
 // change is made here once.
 //
 // Fences: the cache model sees private-memory addresses, so the order
-// and sizes of the AllocF64 calls (src, dst, then whatever scratch the
-// context allocates on first use) and the fill patterns are measured
-// behaviour — the digests of testdata/scheduler_equiv.json move if they
-// do. And a sweep runs tens of thousands of core programs, so nothing
-// here allocates per core beyond the rank's own handle: staging vectors
-// are pooled, and the per-measurement callbacks take values instead of
-// being per-core closures.
+// and sizes of the AllocF64 calls (src, then dst, at the op's extents,
+// then whatever scratch the context allocates on first use) and the fill
+// patterns are measured behaviour — the digests of
+// testdata/scheduler_equiv.json move if they do. And a sweep runs tens
+// of thousands of core programs, so nothing here allocates per core
+// beyond the rank's own handle: staging vectors are pooled, and the
+// per-measurement callbacks take values instead of being per-core
+// closures.
 
 // stagePool recycles the per-core host-side staging vectors across
 // measurements (48 per chip otherwise). sync.Pool keeps it safe under
@@ -51,12 +52,24 @@ func getStage(n int) *[]float64 {
 
 func putStage(vp *[]float64) { stagePool.Put(vp) }
 
-// stageInput allocates the src and dst buffers of n doubles, in that
-// order, and fills src with first, first+step, ...
-func stageInput(c *scc.Core, n int, first, step float64) (src, dst scc.Addr) {
-	src = c.AllocF64(n)
-	dst = c.AllocF64(n)
-	vp := getStage(n)
+// extents returns the doubles per rank that op reads from src and writes
+// to dst at n doubles over np ranks.
+func extents(op Op, n, np int) (srcN, dstN int) {
+	switch op {
+	case OpAllgather:
+		return n, n * np
+	case OpAlltoall:
+		return n * np, n * np
+	}
+	return n, n
+}
+
+// stageInput allocates the src buffer of srcN doubles and the dst buffer
+// of dstN, in that order, and fills src with first, first+step, ...
+func stageInput(c *scc.Core, srcN, dstN int, first, step float64) (src, dst scc.Addr) {
+	src = c.AllocF64(srcN)
+	dst = c.AllocF64(dstN)
+	vp := getStage(srcN)
 	v := *vp
 	for i := range v {
 		v[i] = first + float64(i)*step
@@ -124,9 +137,8 @@ type program struct {
 	np    int // cores 0..np-1 of every chip take part, the rest idle; 0 = all
 	reps  int // timed repetitions (< 1 = 1)
 
-	op   Op  // the collective under test
-	n    int // its vector size in doubles per rank
-	bufN int // doubles in the src and in the dst buffer
+	op Op  // the collective under test; extents sizes its buffers
+	n  int // its vector size in doubles per rank
 
 	// rckmpi runs op through the MPI comparator; otherwise ctx builds the
 	// core's collectives context. An error from ctx ends that core's
@@ -194,7 +206,8 @@ func (pr *program) runOn(sys *fabric.System) (simtime.Duration, error) {
 				return
 			}
 		}
-		src, dst := stageInput(c, pr.bufN, float64(c.ID), 0.001)
+		srcN, dstN := extents(pr.op, pr.n, np)
+		src, dst := stageInput(c, srcN, dstN, float64(c.ID), 0.001)
 		// Repetition -1 is the warm-up: first touch of all buffers. A
 		// failing barrier or operation fails the run (a panic in a
 		// simulated process surfaces as the run's error) rather than
@@ -308,7 +321,7 @@ func checkedAllreduce(model *timing.Model, cfg core.Config, plan *fault.Plan, gr
 		if err != nil {
 			panic(err) // c is a member; cannot fail
 		}
-		src, dst := stageInput(c, n, float64(c.ID+1), 0.5)
+		src, dst := stageInput(c, n, n, float64(c.ID+1), 0.5)
 		outcome(allreduceOutcome{x: x, dst: dst, err: x.Allreduce(src, dst, n, core.Sum)})
 	})
 	err := sys.Run()

@@ -50,7 +50,8 @@ func programCell(t *testing.T, model *timing.Model, op Op, st Stack, n int) cell
 	p.observe(sys.Chips[0])
 	// stageInput puts src at 0 and dst on the next line after it.
 	line := model.CacheLineBytes
-	extent := (8*pr.bufN+line-1)/line*line + 8*pr.bufN
+	srcN, dstN := extents(op, n, model.NumCores())
+	extent := (8*srcN+line-1)/line*line + 8*dstN
 	for _, c := range sys.Chips[0].Cores {
 		p.Results = append(p.Results, append([]byte(nil), c.PrivBytes(0, extent)...))
 	}

@@ -104,7 +104,7 @@ func MeasureHier(model *timing.Model, chips int, intra string, op Op, n, reps in
 		panic("bench: hierarchical measurement supports allreduce and broadcast, not " + string(op))
 	}
 	pr := program{
-		model: model, chips: chips, reps: reps, op: op, n: n, bufN: n,
+		model: model, chips: chips, reps: reps, op: op, n: n,
 		ctx: func(sys *fabric.System, chip int, ue *rcce.UE) (*core.Ctx, error) {
 			return core.NewCtxFabric(ue, core.ConfigBalanced, &core.Fabric{
 				Port: sys.Port(chip), Chip: chip, Chips: chips, Intra: intra,

@@ -136,8 +136,8 @@ func MeasureAlgorithm(model *timing.Model, cfg core.Config, k core.OpKind, algo 
 
 // measureGroup runs the measured program of the tuner and the synthesis
 // sweep: op over the communicator of cores 0..np-1 (the rest of the chip
-// idle) with n-element buffers — dispatched through the context, where
-// the caller has pinned algorithm a, or through direct when that is set.
+// idle) — dispatched through the context, where the caller has pinned
+// algorithm a, or through direct when that is set.
 // The error is errNotApplicable when a cannot serve that communicator.
 func measureGroup(model *timing.Model, cfg core.Config, a core.Algorithm, op Op, np, n, reps int, direct func(x *core.Ctx, src, dst scc.Addr) error) (simtime.Duration, error) {
 	grp, err := prefixGroup(np, model.NumCores())
@@ -145,7 +145,7 @@ func measureGroup(model *timing.Model, cfg core.Config, a core.Algorithm, op Op,
 		return 0, err
 	}
 	pr := program{
-		model: model, np: np, reps: reps, op: op, n: n, bufN: n, direct: direct,
+		model: model, np: np, reps: reps, op: op, n: n, direct: direct,
 		ctx: func(_ *fabric.System, _ int, ue *rcce.UE) (*core.Ctx, error) {
 			x, err := core.NewCtxGroup(ue, cfg, grp)
 			if err == nil && !a.Applicable(x, n) {

@@ -3,11 +3,14 @@ package sccsim_test
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"os"
 	"reflect"
+	"runtime"
 	"testing"
 
 	sccsim "scc"
 	"scc/internal/bench"
+	"scc/internal/scc"
 	"scc/internal/timing"
 )
 
@@ -95,33 +98,62 @@ func TestLargeMeshDeterminism50x50(t *testing.T) {
 	}
 }
 
-func TestLargeMeshDeterminism100x100(t *testing.T) {
-	if testing.Short() {
-		t.Skip("10,000-core run in -short mode")
+// tenKSide returns the mesh side a 10,000-core test runs at: side when
+// LARGE_MESH_10K is set, which CI's large-mesh-smoke job does, as
+// CHAOS_SOAK_SEEDS widens the chaos soak; half of it otherwise, so the
+// same check runs on a quarter of the cores, in seconds instead of half
+// a minute.
+func tenKSide(side int) int {
+	if os.Getenv("LARGE_MESH_10K") != "" {
+		return side
 	}
-	first := largeMeshDigest(t, 100, 100, 8)
-	if again := largeMeshDigest(t, 100, 100, 8); again != first {
-		t.Fatalf("100x100 same-seed digests differ:\n  %x\n  %x", first, again)
+	return side / 2
+}
+
+func TestLargeMeshDeterminism100x100(t *testing.T) {
+	side := tenKSide(100)
+	first := largeMeshDigest(t, side, side, 8)
+	if again := largeMeshDigest(t, side, side, 8); again != first {
+		t.Fatalf("%dx%d same-seed digests differ:\n  %x\n  %x", side, side, first, again)
 	}
 }
 
 // TestLargeMeshPanelAnyWorkerCount: the parallel sweep runner must
 // produce byte-identical panels on a 2,500-core mesh whatever the
 // worker count — the pooled trampoline workers underneath change which
-// OS goroutine runs a simulated process, never what it computes. It
-// compares 1 against 2 workers: every live worker holds a whole
-// 2,500-core chip with n·np-double staging buffers, and four of them at
-// once exceed 7 GB. The 4-worker identity is pinned at 48 cores, by
-// TestSchedulerGoldenEquivalence (NewRunner(4) against serial) and by
-// internal/bench's TestParallelPanelsOnWarmPool.
+// OS goroutine runs a simulated process, never what it computes. Every
+// live worker holds a whole 2,500-core chip, which the per-op staging
+// extents keep to tens of megabytes, so four at once fit beside the rest
+// of the suite.
 func TestLargeMeshPanelAnyWorkerCount(t *testing.T) {
 	skipUnderRace(t)
 	model := timing.Topology(50, 50, 1)
 	sizes := []int{8, 16}
 	serial := bench.NewRunner(1).Panel(model, bench.OpBroadcast, sizes, 1)
-	par := bench.NewRunner(2).Panel(model, bench.OpBroadcast, sizes, 1)
-	if !reflect.DeepEqual(serial, par) {
-		t.Fatal("50x50 broadcast panel differs between 1 and 2 workers")
+	for _, workers := range []int{2, 4} {
+		if par := bench.NewRunner(workers).Panel(model, bench.OpBroadcast, sizes, 1); !reflect.DeepEqual(serial, par) {
+			t.Fatalf("50x50 broadcast panel differs between 1 and %d workers", workers)
+		}
+	}
+}
+
+// TestLargeMeshCellAllocation bounds what one 2,500-core Fig. 9 cell —
+// a 16-double Broadcast, built from an empty chip pool — allocates: 47
+// MB, nearly all of it the chip. When every op staged n·np doubles in
+// src and in dst it was 1.8 GB, buffers the Broadcast never reads.
+func TestLargeMeshCellAllocation(t *testing.T) {
+	skipUnderRace(t)
+	defer scc.DrainChipPool()
+	scc.DrainChipPool()
+	st := bench.StacksFor(bench.OpBroadcast)[3] // lightweight non-blocking
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	bench.Measure(timing.Topology(50, 50, 1), bench.OpBroadcast, st, 16, 1)
+	runtime.ReadMemStats(&after)
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb > 100 {
+		t.Errorf("broadcast/%s n=16 on 2,500 cores allocates %.1f MB, budget 100", st.Name, mb)
+	} else {
+		t.Logf("%.1f MB", mb)
 	}
 }
 
@@ -129,18 +161,17 @@ func TestLargeMeshPanelAnyWorkerCount(t *testing.T) {
 // at the 10k-core scaling target (20.5 KB/core when the budget was set;
 // 101.7 before the MPB page directory became pointer-free indices): a
 // dense per-core structure creeping back in multiplies by 10,240 here
-// long before anyone notices at 48 cores. The small geometries are
+// long before anyone notices at 48 cores. Without LARGE_MESH_10K it
+// checks 2,560 cores against the same budget. The small geometries are
 // bounded by TestFootprintBudget in internal/bench.
 func TestLargeMeshFootprintBudget(t *testing.T) {
 	skipUnderRace(t)
-	if testing.Short() {
-		t.Skip("10,240-core run in -short mode")
-	}
-	fp := bench.MeasureFootprint(timing.Topology(80, 128, 1))
+	fp := bench.MeasureFootprint(timing.Topology(tenKSide(80), tenKSide(128), 1))
 	if fp.BarrierTicks <= 0 || fp.BroadcastTicks <= 0 {
 		t.Fatalf("the chip did not synchronize: %+v", fp)
 	}
 	if limit := 40.0 * 1024; fp.BytesPerCore > limit {
 		t.Fatalf("%d cores retain %.0f B/core, budget %.0f", fp.Cores, fp.BytesPerCore, limit)
 	}
+	t.Logf("%d cores retain %.0f B/core", fp.Cores, fp.BytesPerCore)
 }
