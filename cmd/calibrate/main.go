@@ -76,7 +76,7 @@ func main() {
 	fmt.Println("== Per-collective average speedups over [500..700] sample (Sec. V-A) ==")
 	sizes := []int{500, 524, 552, 575, 600, 648, 700}
 	for _, op := range bench.AllOps() {
-		panel := bench.Panel(model, op, sizes, *reps)
+		panel := bench.NewRunner(1).Panel(model, op, sizes, *reps)
 		var baseline, best bench.Series
 		for _, s := range panel {
 			if s.Stack.Name == "blocking" {

@@ -130,7 +130,7 @@ func TestFaultSweepNoSilentCorruption(t *testing.T) {
 	counts := []int{0, 1, 2, 4, 8, 16}
 	for _, seed := range seeds {
 		for _, kind := range []core.TransportKind{core.TransportBlocking, core.TransportLightweight} {
-			pts := bench.FaultSweepAlgo(timing.Default(), kind, rcce.DefaultPolicy(), "", seed, 552, counts)
+			pts := bench.NewRunner(1).FaultSweepAlgo(timing.Default(), kind, rcce.DefaultPolicy(), "", seed, 552, counts)
 			for i, pt := range pts {
 				if pt.Errs != 0 || pt.Wrong != 0 || pt.Fired > counts[i] {
 					t.Errorf("seed %d, %v, %d faults: errs=%d wrong=%d fired=%d",

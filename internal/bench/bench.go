@@ -138,17 +138,6 @@ type Series struct {
 	Points []Point
 }
 
-// Sweep measures one stack across the given vector sizes.
-func Sweep(model *timing.Model, op Op, st Stack, sizes []int, reps int) Series {
-	return NewRunner(1).panels(model, []Op{op}, func(Op) []Stack { return []Stack{st} }, sizes, reps)[0][0]
-}
-
-// Panel runs the complete Fig. 9 panel for op: every legend stack over
-// the size range.
-func Panel(model *timing.Model, op Op, sizes []int, reps int) []Series {
-	return NewRunner(1).Panel(model, op, sizes, reps)
-}
-
 // Sizes returns the paper's x-axis: every vector size in [lo, hi].
 func Sizes(lo, hi, step int) []int {
 	if step < 1 {
@@ -275,14 +264,6 @@ type SummaryRow struct {
 	Op       Op
 	Speedup  float64
 	BestName string
-}
-
-// Summary computes the paper's closing table ("all collectives show
-// speedups between approximately 1.6x and 2.8x on average"). It returns
-// an error if any panel lacks the blocking baseline every speedup is
-// measured against.
-func Summary(model *timing.Model, sizes []int, reps int) ([]SummaryRow, error) {
-	return NewRunner(1).Summary(model, sizes, reps)
 }
 
 // SummarizePanels reduces already-measured panels (one per op, in op

@@ -76,8 +76,11 @@ func TestSizes(t *testing.T) {
 
 func TestSweepAndStats(t *testing.T) {
 	m := timing.Default()
-	base := Sweep(m, OpAllreduce, Stack{Name: "blocking", Cfg: core.ConfigBlocking}, []int{96, 144}, 1)
-	fast := Sweep(m, OpAllreduce, Stack{Name: "bal", Cfg: core.ConfigBalanced}, []int{96, 144}, 1)
+	sweep := func(st Stack) Series {
+		return NewRunner(1).panels(m, []Op{OpAllreduce}, func(Op) []Stack { return []Stack{st} }, []int{96, 144}, 1)[0][0]
+	}
+	base := sweep(Stack{Name: "blocking", Cfg: core.ConfigBlocking})
+	fast := sweep(Stack{Name: "bal", Cfg: core.ConfigBalanced})
 	if len(base.Points) != 2 || base.Points[0].N != 96 {
 		t.Fatalf("sweep points wrong: %+v", base.Points)
 	}

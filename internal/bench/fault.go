@@ -58,22 +58,6 @@ func measureFaultedAllreduce(model *timing.Model, kind core.TransportKind, pol r
 	return pt
 }
 
-// FaultSweep measures completion latency vs injected fault count for one
-// transport. The fault-free point (count 0) doubles as the horizon
-// estimate: random fault activation times are drawn from the fault-free
-// run length, so higher counts genuinely overlap the collective. Each
-// count derives its own deterministic sub-seed, so adding a count to the
-// sweep never perturbs the other points.
-func FaultSweep(model *timing.Model, kind core.TransportKind, pol rcce.Policy, seed int64, n int, counts []int) []FaultPoint {
-	return NewRunner(1).FaultSweep(model, kind, pol, seed, n, counts)
-}
-
-// FaultSweepAlgo is FaultSweep with the Allreduce algorithm pinned to a
-// registry name ("" = the paper heuristic, identical to FaultSweep).
-func FaultSweepAlgo(model *timing.Model, kind core.TransportKind, pol rcce.Policy, algo string, seed int64, n int, counts []int) []FaultPoint {
-	return NewRunner(1).FaultSweepAlgo(model, kind, pol, algo, seed, n, counts)
-}
-
 // WriteFaultTable renders one transport's sweep as an aligned table
 // (the "Fig. R1" deliverable).
 func WriteFaultTable(w io.Writer, title string, points []FaultPoint) error {

@@ -17,10 +17,8 @@ import (
 // virtual-time result is independent of scheduling, the output of every
 // Runner method is byte-identical at any worker count.
 //
-// The zero value runs with GOMAXPROCS workers; Workers=1 is the serial
-// path — a plain loop on the caller's goroutine — and what the
-// package-level Sweep, Panel, Summary, FaultSweep and FaultSweepAlgo
-// run on.
+// The zero value runs with GOMAXPROCS workers; NewRunner(1) is the
+// serial path — a plain loop on the caller's goroutine.
 type Runner struct {
 	// Workers is the worker-pool size. Values < 1 mean GOMAXPROCS.
 	Workers int
@@ -107,8 +105,7 @@ func (r *Runner) PanelsAlgo(model *timing.Model, ops []Op, algo string, sizes []
 }
 
 // panels measures every (op, stack, n) cell of the given ops, with the
-// stacks of each panel chosen by stacksOf. It is the one sweep body:
-// the serial bench functions are this on a one-worker runner.
+// stacks of each panel chosen by stacksOf. It is the one sweep body.
 func (r *Runner) panels(model *timing.Model, ops []Op, stacksOf func(Op) []Stack, sizes []int, reps int) [][]Series {
 	// Pre-size the result grid so workers write to disjoint slots.
 	out := make([][]Series, len(ops))
@@ -136,15 +133,18 @@ func (r *Runner) panels(model *timing.Model, ops []Op, stacksOf func(Op) []Stack
 	return out
 }
 
-// Summary computes the Sec. V-A summary table with all panels' cells
-// pooled across the workers.
+// Summary computes the paper's closing Sec. V-A table with all panels'
+// cells pooled across the workers. It returns an error if any panel lacks
+// the blocking baseline every speedup is measured against.
 func (r *Runner) Summary(model *timing.Model, sizes []int, reps int) ([]SummaryRow, error) {
 	return SummarizePanels(AllOps(), r.Panels(model, AllOps(), sizes, reps))
 }
 
-// FaultSweep parallelizes the Fig. R1 fault sweep. The fault-free
-// baseline must run first (its latency seeds every plan's activation
-// horizon), then the faulted counts fan out.
+// FaultSweep measures the Fig. R1 latency vs injected fault count for one
+// transport. The fault-free baseline runs first: fault activation times
+// are drawn from its run length, so higher counts overlap the collective.
+// The faulted counts then fan out, each on its own deterministic
+// sub-seed, so adding a count never perturbs the other points.
 func (r *Runner) FaultSweep(model *timing.Model, kind core.TransportKind, pol rcce.Policy, seed int64, n int, counts []int) []FaultPoint {
 	return r.FaultSweepAlgo(model, kind, pol, "", seed, n, counts)
 }

@@ -31,7 +31,7 @@ func BenchmarkPanelSerial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Panel(m, OpAllreduce, benchSizes, 1)
+		NewRunner(1).Panel(m, OpAllreduce, benchSizes, 1)
 	}
 }
 

@@ -23,7 +23,7 @@ func TestParallelPanelMatchesSerial(t *testing.T) {
 	sizes := []int{24, 52}
 	simtime.DrainWorkerPool()
 	for _, op := range AllOps() {
-		serial := Panel(m, op, sizes, 1)
+		serial := NewRunner(1).Panel(m, op, sizes, 1)
 		before := simtime.WorkerPoolStats()
 		parallel := NewRunner(4).Panel(m, op, sizes, 1)
 		if !reflect.DeepEqual(serial, parallel) {
@@ -46,7 +46,7 @@ func TestParallelPanelMatchesSerial(t *testing.T) {
 func TestParallelPanelAnyWorkerCount(t *testing.T) {
 	m := timing.Default()
 	sizes := []int{24, 52}
-	serial := Panel(m, OpAllreduce, sizes, 1)
+	serial := NewRunner(1).Panel(m, OpAllreduce, sizes, 1)
 	for _, w := range []int{1, 2, 7, 64} {
 		got := NewRunner(w).Panel(m, OpAllreduce, sizes, 1)
 		if !reflect.DeepEqual(serial, got) {
@@ -63,7 +63,7 @@ func TestRunnerPanelsMatchesPerOpPanels(t *testing.T) {
 	ops := []Op{OpBroadcast, OpReduce}
 	got := NewRunner(3).Panels(m, ops, sizes, 1)
 	for i, op := range ops {
-		want := Panel(m, op, sizes, 1)
+		want := NewRunner(1).Panel(m, op, sizes, 1)
 		if !reflect.DeepEqual(want, got[i]) {
 			t.Fatalf("%s: pooled Panels result differs from serial Panel", op)
 		}
@@ -77,7 +77,7 @@ func TestParallelFaultSweepMatchesSerial(t *testing.T) {
 	m := timing.Default()
 	pol := rcce.Policy{Timeout: simtime.Microseconds(300), Backoff: 2, MaxRetries: 8}
 	counts := []int{0, 3}
-	serial := FaultSweep(m, core.TransportLightweight, pol, 1, 64, counts)
+	serial := NewRunner(1).FaultSweep(m, core.TransportLightweight, pol, 1, 64, counts)
 	parallel := NewRunner(4).FaultSweep(m, core.TransportLightweight, pol, 1, 64, counts)
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("parallel fault sweep differs from serial:\nserial:   %+v\nparallel: %+v", serial, parallel)
@@ -90,7 +90,7 @@ func TestRunnerSummaryMatchesSerial(t *testing.T) {
 	}
 	m := timing.Default()
 	sizes := []int{32}
-	serial, err := Summary(m, sizes, 1)
+	serial, err := NewRunner(1).Summary(m, sizes, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,32 +25,54 @@ type event struct {
 	gen uint64
 }
 
-// eventQueue is a sorted ring deque of events ordered ascending by
-// (at, seq). It replaced a 4-ary min-heap once process switching was
-// cheap enough for the heap's O(log n) sift-down on every pop to be the
-// next largest term. The deque makes pop O(1) — take the head, advance
-// the ring index — and puts the cost on push, where the simulator's
-// real insertion patterns are nearly free: a sleeping process schedules
-// the latest event so far (append at the tail, zero shifts), and a
-// Broadcast schedules at the current instant (insert at or near the
-// head, shifting only the same-time band). Arbitrary deadlines (WaitOnTimeout) binary-search
-// their slot and shift the smaller side. (at, seq) is a total order
-// because seq is unique, so the pop sequence is identical to both heap
-// implementations before it; TestEventQueueMatchesContainerHeap pins
-// that.
+// eventQueue holds the pending events in two tiers, each ordered by
+// (at, seq); min and pop take the lesser of the two heads. (at, seq) is a
+// total order because seq is unique, so the pop sequence does not depend
+// on which tier holds an event and is that of the container/heap
+// reference (TestEventQueueMatchesContainerHeap and its Deep twin).
+//
+// The near tier is a sorted ring deque with an O(1) pop. A push that sorts
+// last appends at the tail (every Sleep in a forward-moving simulation);
+// any other binary-searches its slot and shifts the smaller side, which
+// for a Broadcast's same-instant wake-ups is only the band at the head.
+// The far tier is a 4-ary min-heap on (at, seq). It takes every push whose
+// shift would exceed farShift: on a mesh of thousands of cores, wake-ups
+// come after distance-dependent latencies and land mid-queue, where the
+// deque alone would memmove O(n) events per push.
 //
 // The zero value is an empty queue.
 type eventQueue struct {
-	buf  []event // ring storage; len(buf) is zero or a power of two
-	head int     // ring index of the minimum event
-	n    int     // live events
+	buf  []event // near tier: ring storage; len(buf) is zero or a power of two
+	head int     // ring index of the near tier's minimum
+	near int     // near-tier events
+	far  []event // far tier: 4-ary min-heap
+	n    int     // events in both tiers
 }
+
+// farShift is the longest shift a near-tier push may pay. The smaller side
+// of d events is at most d/2, so nothing spills below 2*farShift near-tier
+// events. A 48-core chip's standing population (a wake-up per core plus
+// the stale deadlines of WaitOnTimeout races a signal won) rarely gets
+// there, so at the paper's scale the far heap is seldom even allocated; at
+// 32 or 64 the fault sweeps' deadlines spilled into it, +2.5 % allocation.
+const farShift = 128
 
 func (h *eventQueue) Len() int { return h.n }
 
+// nearFirst reports whether the near tier holds the minimum event. The
+// queue must be non-empty.
+func (h *eventQueue) nearFirst() bool {
+	return len(h.far) == 0 || h.near > 0 && eventLess(h.buf[h.head], h.far[0])
+}
+
 // min returns the minimum event without removing it. The queue must be
 // non-empty.
-func (h *eventQueue) min() *event { return &h.buf[h.head] }
+func (h *eventQueue) min() *event {
+	if h.nearFirst() {
+		return &h.buf[h.head]
+	}
+	return &h.far[0]
+}
 
 func eventLess(a, b event) bool {
 	if a.at != b.at {
@@ -59,22 +81,23 @@ func eventLess(a, b event) bool {
 	return a.seq < b.seq
 }
 
-// push inserts e at its sorted position.
+// push inserts e at its sorted position in the near tier, or into the far
+// tier if that position is more than farShift events from either end.
 func (h *eventQueue) push(e event) {
-	if h.n == len(h.buf) {
+	h.n++
+	if h.near == len(h.buf) {
 		h.grow()
 	}
 	mask := len(h.buf) - 1
-	// Tail fast path: the new event sorts after everything queued (every
-	// Sleep in a forward-moving simulation lands here).
-	if h.n == 0 || !eventLess(e, h.buf[(h.head+h.n-1)&mask]) {
-		h.buf[(h.head+h.n)&mask] = e
-		h.n++
+	// Tail fast path: the new event sorts after the whole near tier.
+	if h.near == 0 || !eventLess(e, h.buf[(h.head+h.near-1)&mask]) {
+		h.buf[(h.head+h.near)&mask] = e
+		h.near++
 		return
 	}
-	// Binary search the logical positions [0, n) for the first event
+	// Binary search the logical positions [0, near) for the first event
 	// that sorts after e; unique (at, seq) keys mean no equal case.
-	lo, hi := 0, h.n
+	lo, hi := 0, h.near
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if eventLess(e, h.buf[(h.head+mid)&mask]) {
@@ -83,31 +106,38 @@ func (h *eventQueue) push(e event) {
 			lo = mid + 1
 		}
 	}
+	if min(lo, h.near-lo) > farShift {
+		h.pushFar(e)
+		return
+	}
 	// Insert at logical position lo, shifting whichever side is smaller.
-	if lo >= h.n-lo {
-		for i := h.n; i > lo; i-- {
+	if lo >= h.near-lo {
+		for i := h.near; i > lo; i-- {
 			h.buf[(h.head+i)&mask] = h.buf[(h.head+i-1)&mask]
 		}
-		h.buf[(h.head+lo)&mask] = e
 	} else {
 		h.head = (h.head - 1) & mask
 		for i := 0; i < lo; i++ {
 			h.buf[(h.head+i)&mask] = h.buf[(h.head+i+1)&mask]
 		}
-		h.buf[(h.head+lo)&mask] = e
 	}
-	h.n++
+	h.buf[(h.head+lo)&mask] = e
+	h.near++
 }
 
 // pop removes and returns the minimum event. The queue must be non-empty.
 func (h *eventQueue) pop() event {
+	h.n--
+	if !h.nearFirst() {
+		return h.popFar()
+	}
 	e := h.buf[h.head]
 	h.head = (h.head + 1) & (len(h.buf) - 1)
-	h.n--
+	h.near--
 	return e
 }
 
-// grow doubles the ring, linearizing the live events to the front.
+// grow doubles the ring, linearizing the near tier to the front.
 func (h *eventQueue) grow() {
 	c := len(h.buf) * 2
 	if c == 0 {
@@ -118,6 +148,50 @@ func (h *eventQueue) grow() {
 	copy(nb[k:], h.buf[:h.head])
 	h.buf = nb
 	h.head = 0
+}
+
+// pushFar sifts e up the far tier's heap. It stays out of line: inlined
+// into push, its append slowed every near-tier push at depth 48 by ~8 %
+// (BenchmarkEventQueue/depth=48).
+//
+//go:noinline
+func (h *eventQueue) pushFar(e event) {
+	q := append(h.far, e)
+	i := len(q) - 1
+	for i > 0 && eventLess(e, q[(i-1)/4]) {
+		q[i] = q[(i-1)/4]
+		i = (i - 1) / 4
+	}
+	q[i] = e
+	h.far = q
+}
+
+// popFar removes and returns the far tier's minimum, sifting its last
+// event down from the root.
+func (h *eventQueue) popFar() event {
+	q := h.far
+	top, last := q[0], q[len(q)-1]
+	q[len(q)-1] = event{} // drop the *Proc reference
+	q = q[:len(q)-1]
+	h.far = q
+	i := 0
+	for c := 1; c < len(q); c = 4*i + 1 {
+		m := c
+		for j := c + 1; j < min(c+4, len(q)); j++ {
+			if eventLess(q[j], q[m]) {
+				m = j
+			}
+		}
+		if !eventLess(q[m], last) {
+			break
+		}
+		q[i] = q[m]
+		i = m
+	}
+	if len(q) > 0 {
+		q[i] = last
+	}
+	return top
 }
 
 // Engine is a deterministic discrete-event scheduler. Create one with

@@ -1,6 +1,10 @@
 package simtime
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
 
 // BenchmarkEventLoop measures the engine's schedule/pop/context-switch
 // cycle: 48 processes (one simulated chip's worth) each sleeping
@@ -101,19 +105,31 @@ func BenchmarkTimeoutManyWaiters(b *testing.B) {
 }
 
 // BenchmarkEventQueue isolates the event queue itself (no process
-// switch): push/pop cycles at a steady queue depth of 48, the
-// simulator's standing population.
+// switch): push/pop cycles at a steady queue depth, each wake-up a random
+// step past the event just popped. Depth 48 is one chip's standing
+// population with short steps; depths 2,500 and 10,000 are the 50x50 and
+// 100x100 meshes, where distance-dependent latencies spread wake-ups over
+// the whole queue and most pushes land mid-queue.
 func BenchmarkEventQueue(b *testing.B) {
-	b.ReportAllocs()
-	var q eventQueue
-	for i := 0; i < 48; i++ {
-		q.push(event{at: Time(i % 7), seq: uint64(i)})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := q.pop()
-		e.at += Time(i % 13)
-		e.seq = uint64(48 + i)
-		q.push(e)
+	for _, c := range []struct{ depth, spread int }{{48, 13}, {2_500, 2_500}, {10_000, 10_000}} {
+		b.Run(fmt.Sprintf("depth=%d", c.depth), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			var q eventQueue
+			for i := 0; i < c.depth; i++ {
+				q.push(event{at: Time(rng.Intn(c.spread)), seq: uint64(i)})
+			}
+			var step [1024]Time
+			for i := range step {
+				step[i] = Time(rng.Intn(c.spread))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e := q.pop()
+				e.at += step[i%len(step)]
+				e.seq = uint64(c.depth + i)
+				q.push(e)
+			}
+		})
 	}
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // refHeap is the old container/heap-based implementation, kept here as
-// the executable specification: the 4-ary eventQueue must pop events in
-// exactly the same (time, seq) order.
+// the executable specification: the two-tier eventQueue must pop events
+// in exactly the same (time, seq) order.
 type refHeap []event
 
 func (h refHeap) Len() int { return len(h) }
@@ -28,7 +28,7 @@ func (h *refHeap) Pop() interface{} {
 	return e
 }
 
-// TestEventQueueMatchesContainerHeap drives the 4-ary heap and the
+// TestEventQueueMatchesContainerHeap drives the event queue and the
 // container/heap reference through identical random push/pop sequences
 // and requires identical pop orders. Timestamps collide on purpose (many
 // events share an instant in real simulations), so the seq tie-break is
@@ -69,8 +69,9 @@ func TestEventQueueMatchesContainerHeap(t *testing.T) {
 	}
 }
 
-// TestEventQueueAscendingPops double-checks the heap invariant directly:
-// pops from a randomly filled queue never go backwards in (at, seq).
+// TestEventQueueAscendingPops double-checks the ordering directly: pops
+// from a randomly filled queue, whichever tier holds each event, never go
+// backwards in (at, seq).
 func TestEventQueueAscendingPops(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var q eventQueue
@@ -85,5 +86,63 @@ func TestEventQueueAscendingPops(t *testing.T) {
 				cur.at, cur.seq, prev.at, prev.seq)
 		}
 		prev = cur
+	}
+}
+
+// TestEventQueueDeepMatchesContainerHeap holds the queue at the depth of a
+// 10,000-core mesh, where wake-ups land mid-queue and spill into the far
+// tier, and requires the reference's pop order throughout: 10,000 events
+// standing, then pushes and pops interleaved over a time spread wide
+// enough to fill both tiers yet narrow enough for many equal-at
+// collisions. A queue held at a depth no greater than farShift (a 48-core
+// chip's population) must never touch the far tier.
+func TestEventQueueDeepMatchesContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	var q eventQueue
+	var ref refHeap
+	var seq uint64
+	var now Time
+	push := func(spread int) {
+		seq++
+		e := event{at: now + Time(rng.Intn(spread)), seq: seq}
+		q.push(e)
+		heap.Push(&ref, e)
+	}
+	pop := func(step int) {
+		got, want := q.pop(), heap.Pop(&ref).(event)
+		if got != want {
+			t.Fatalf("step %d: pop mismatch: got (at=%d seq=%d), want (at=%d seq=%d)",
+				step, got.at, got.seq, want.at, want.seq)
+		}
+		now = got.at
+	}
+	const depth = 10_000
+	for i := 0; i < depth; i++ {
+		push(2_000)
+	}
+	for step := 0; step < 100_000; step++ {
+		if q.Len() < depth || rng.Intn(2) == 0 {
+			push(2_000)
+		} else {
+			pop(step)
+		}
+		if step == 50_000 && (len(q.far) == 0 || q.near <= farShift) {
+			t.Fatalf("tiers not both filled: near %d, far %d", q.near, len(q.far))
+		}
+	}
+	for q.Len() > 0 {
+		pop(-1)
+	}
+
+	q = eventQueue{}
+	for step := 0; step < 100_000; step++ {
+		if q.Len() < farShift && rng.Intn(4) != 0 {
+			push(50)
+		} else if q.Len() > 0 {
+			pop(step)
+		}
+		if q.far != nil {
+			t.Fatalf("step %d: depth %d spilled into the far tier", step, q.Len())
+		}
 	}
 }

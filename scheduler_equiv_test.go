@@ -148,7 +148,7 @@ func schedGoldenSections(t *testing.T) map[string][]byte {
 	sections["hier.2chip"] = []byte(fmt.Sprint(hierLines))
 
 	// The fault suite: hardened transport under a seeded burst plan.
-	fp := bench.FaultSweep(model, core.TransportLightweight, rcce.DefaultPolicy(), 42, 256, []int{0, 2, 4})
+	fp := bench.NewRunner(1).FaultSweep(model, core.TransportLightweight, rcce.DefaultPolicy(), 42, 256, []int{0, 2, 4})
 	var faultLines []string
 	for _, p := range fp {
 		faultLines = append(faultLines, fmt.Sprintf(
