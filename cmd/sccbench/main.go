@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"scc/internal/bench"
@@ -377,24 +378,18 @@ func writeCSV(stdout io.Writer, path string, model *timing.Model, nChips int, pa
 	return err
 }
 
-// stackByName maps the -stack flag's short names to bench stacks.
+// stackByName maps the -stack flag's short names to bench stacks; the
+// five core stacks are named in the order of core.Configs.
 func stackByName(name string) (bench.Stack, bool) {
-	switch name {
-	case "rckmpi":
+	if name == "rckmpi" {
 		return bench.Stack{Name: "RCKMPI", RCKMPI: true}, true
-	case "blocking":
-		return bench.Stack{Name: "blocking", Cfg: core.ConfigBlocking}, true
-	case "ircce":
-		return bench.Stack{Name: "iRCCE", Cfg: core.ConfigIRCCE}, true
-	case "lwnb":
-		return bench.Stack{Name: "lightweight non-blocking", Cfg: core.ConfigLightweight}, true
-	case "balanced":
-		return bench.Stack{Name: "lightweight non-blocking, balanced", Cfg: core.ConfigBalanced}, true
-	case "mpb":
-		return bench.Stack{Name: "MPB-based Allreduce", Cfg: core.ConfigMPB}, true
-	default:
+	}
+	i := slices.Index([]string{"blocking", "ircce", "lwnb", "balanced", "mpb"}, name)
+	if i < 0 {
 		return bench.Stack{}, false
 	}
+	cfg := core.Configs()[i]
+	return bench.Stack{Name: cfg.Name(), Cfg: cfg}, true
 }
 
 // writeMetricsSnapshot renders the snapshot as a table on stdout, or as

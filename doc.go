@@ -55,13 +55,14 @@
 // (deterministic discrete-event engine; simulated processes are pooled
 // coroutines, so a system must not be run from a goroutine that holds
 // runtime.LockOSThread), internal/mesh (2D mesh NoC),
-// internal/scc (cores, caches, message-passing buffers), internal/rcce,
-// internal/ircce, internal/lwnb (the three point-to-point libraries),
-// internal/core (the paper's optimized collectives), internal/rckmpi
-// (the MPI comparator), internal/fabric (the inter-chip bus behind
-// WithChips), internal/fault (deterministic fault injection behind
-// WithFaults/WithRecovery/WithSelfHealing), internal/synth (schedule
-// search and compilation), internal/gcmc (the thermodynamic
+// internal/scc (cores, caches, message-passing buffers), internal/rcce
+// (RCCE and the request engine every non-blocking stack posts into),
+// internal/core (the paper's optimized collectives and the transport
+// table that prices iRCCE and the lightweight primitives),
+// internal/rckmpi (the MPI comparator), internal/fabric (the inter-chip
+// bus behind WithChips), internal/fault (deterministic fault injection
+// behind WithFaults/WithRecovery/WithSelfHealing), internal/synth
+// (schedule search and compilation), internal/gcmc (the thermodynamic
 // application), internal/metrics (the zero-allocation counter registry
 // behind WithMetrics), internal/trace (span recording and the
 // Chrome-trace exporter) and internal/bench (the harness that

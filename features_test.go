@@ -337,6 +337,8 @@ func TestInvalidOptionsYieldInertSystem(t *testing.T) {
 		"chips + self-heal":   {sccsim.WithChips(2), sccsim.WithSelfHealing(sccsim.DefaultHealPolicy())},
 		"chips + RCKMPI":      {sccsim.WithChips(2), sccsim.WithStack(sccsim.StackRCKMPI)},
 		"chips + bad intra":   {sccsim.WithChips(2), sccsim.WithIntraAlgorithm("no-such-algorithm")},
+		"unknown stack":       {sccsim.WithStack(42)},
+		"negative stack":      {sccsim.WithStack(-1)},
 	} {
 		sys := sccsim.New(opts...)
 		if sys.NumCores() != 0 || sys.Chips() != 0 || sys.Model() != nil || sys.Elapsed() != 0 ||

@@ -61,22 +61,19 @@ func (st Stack) Label() string {
 // the paper's order. The MPB-based stack exists only for Allreduce; the
 // balanced stack only for the block-partitioned collectives.
 func StacksFor(op Op) []Stack {
-	s := []Stack{
-		{Name: "RCKMPI", RCKMPI: true},
-		{Name: "blocking", Cfg: core.ConfigBlocking},
-		{Name: "iRCCE", Cfg: core.ConfigIRCCE},
-		{Name: "lightweight non-blocking", Cfg: core.ConfigLightweight},
-	}
+	// core.Configs is blocking, iRCCE, lightweight, balanced, MPB.
+	// Allgather and Alltoall move whole vectors, so block balancing does
+	// not apply to them.
+	cfgs := core.Configs()[:3]
 	switch op {
-	case OpAllgather, OpAlltoall:
-		// These move whole vectors; block balancing does not apply.
 	case OpReduceScatter, OpBroadcast, OpReduce:
-		s = append(s, Stack{Name: "lightweight non-blocking, balanced", Cfg: core.ConfigBalanced})
+		cfgs = core.Configs()[:4]
 	case OpAllreduce:
-		s = append(s,
-			Stack{Name: "lightweight non-blocking, balanced", Cfg: core.ConfigBalanced},
-			Stack{Name: "MPB-based Allreduce", Cfg: core.ConfigMPB},
-		)
+		cfgs = core.Configs()
+	}
+	s := []Stack{{Name: "RCKMPI", RCKMPI: true}}
+	for _, cfg := range cfgs {
+		s = append(s, Stack{Name: cfg.Name(), Cfg: cfg})
 	}
 	return s
 }

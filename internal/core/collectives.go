@@ -222,10 +222,10 @@ type CtxOpts struct {
 }
 
 // NewCtxWith is the one constructor: every context — full chip, group,
-// fabric-placed, healing — is built here. It returns ErrInvalid for a
-// group the UE is not a member of and for a malformed fabric placement,
-// and ErrEvicted for a core the persistent healer's last agreement
-// excluded.
+// fabric-placed, healing — is built here. It returns ErrInvalid for an
+// unknown transport kind, a group the UE is not a member of and a
+// malformed fabric placement, and ErrEvicted for a core the persistent
+// healer's last agreement excluded.
 func NewCtxWith(ue *rcce.UE, cfg Config, o CtxOpts) (*Ctx, error) {
 	g, f, h := o.Group, o.Fabric, o.Healer
 	switch {
@@ -256,7 +256,11 @@ func NewCtxWith(ue *rcce.UE, cfg Config, o CtxOpts) (*Ctx, error) {
 		return nil, fmt.Errorf("core: %w: core %d is not a member of the group", ErrInvalid, ue.ID())
 	}
 	cfg = cfg.withSelfHealDefaults()
-	x := &Ctx{ue: ue, ep: newEndpoint(ue, cfg), cfg: cfg, grp: g, fab: f, healer: h, scratchLen: -1}
+	ep, err := newEndpoint(ue, cfg)
+	if err != nil {
+		return nil, err
+	}
+	x := &Ctx{ue: ue, ep: ep, cfg: cfg, grp: g, fab: f, healer: h, scratchLen: -1}
 	x.adoptScratch()
 	if h == nil && cfg.SelfHeal != nil {
 		x.healer = NewHealer(ue, *cfg.SelfHeal)
@@ -268,10 +272,13 @@ func NewCtxWith(ue *rcce.UE, cfg Config, o CtxOpts) (*Ctx, error) {
 }
 
 // NewCtx builds a collectives context for one UE, spanning all cores of
-// its chip. (Every error of NewCtxWith needs an option, so none can
-// occur here.)
+// its chip. Without options the only error NewCtxWith can return is an
+// unknown transport kind, a programmer error, so NewCtx panics on it.
 func NewCtx(ue *rcce.UE, cfg Config) *Ctx {
-	x, _ := NewCtxWith(ue, cfg, CtxOpts{})
+	x, err := NewCtxWith(ue, cfg, CtxOpts{})
+	if err != nil {
+		panic(err)
+	}
 	return x
 }
 

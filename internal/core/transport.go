@@ -3,10 +3,9 @@ package core
 import (
 	"fmt"
 
-	"scc/internal/ircce"
-	"scc/internal/lwnb"
 	"scc/internal/rcce"
 	"scc/internal/scc"
+	"scc/internal/timing"
 )
 
 // TransportKind selects the point-to-point layer under the collectives.
@@ -24,19 +23,48 @@ const (
 	TransportLightweight
 )
 
+// transportRow is one point-to-point stack: its figure-legend name and
+// the software-overhead row the request engine and the hardened
+// transport charge for it. iRCCE and the lightweight primitives run the
+// same chunk protocol out of the same two request slots (Sec. IV-B);
+// their rows are the whole difference between them.
+type transportRow struct {
+	name  string
+	costs func(m *timing.Model) rcce.NBCosts
+}
+
+var transports = [...]transportRow{
+	TransportBlocking: {"blocking", func(m *timing.Model) rcce.NBCosts {
+		// Blocking RCCE has no post/progress machinery; its per-call
+		// overhead all lands on the synchronous call itself. Only the
+		// hardened endpoint charges this row.
+		return rcce.NBCosts{Post: m.OverheadBlockingCall}
+	}},
+	TransportIRCCE: {"iRCCE", func(m *timing.Model) rcce.NBCosts {
+		// Request allocation and pending-list management on every post
+		// and completion.
+		return rcce.NBCosts{Post: m.OverheadIRCCEPost, Wait: m.OverheadIRCCEWait, Progress: m.OverheadIRCCEWait / 4}
+	}},
+	TransportLightweight: {"lightweight non-blocking", func(m *timing.Model) rcce.NBCosts {
+		// Fixed slots, no lists, no allocation.
+		return rcce.NBCosts{Post: m.OverheadLightweightPost, Wait: m.OverheadLightweightWait, Progress: m.OverheadLightweightWait / 4}
+	}},
+}
+
+// valid reports whether k names a row of the transport table.
+func (k TransportKind) valid() bool { return k >= 0 && int(k) < len(transports) }
+
 // String names the transport like the paper's figure legends.
 func (k TransportKind) String() string {
-	switch k {
-	case TransportBlocking:
-		return "blocking"
-	case TransportIRCCE:
-		return "iRCCE"
-	case TransportLightweight:
-		return "lightweight non-blocking"
-	default:
+	if !k.valid() {
 		return fmt.Sprintf("TransportKind(%d)", int(k))
 	}
+	return transports[k].name
 }
+
+// Costs returns the transport's software-overhead row under model m.
+// It panics on an unknown kind.
+func (k TransportKind) Costs(m *timing.Model) rcce.NBCosts { return transports[k].costs(m) }
 
 // Endpoint is the per-core transport instance the collectives call into.
 // The fault-free transports never fail and always return nil; the
@@ -61,27 +89,30 @@ type Endpoint interface {
 }
 
 // NewEndpoint builds the fault-free endpoint of the given kind for one
-// UE.
+// UE. An unknown kind is a programmer error and panics.
 func NewEndpoint(ue *rcce.UE, kind TransportKind) Endpoint {
-	return newEndpoint(ue, Config{Transport: kind})
+	ep, err := newEndpoint(ue, Config{Transport: kind})
+	if err != nil {
+		panic(err)
+	}
+	return ep
 }
 
 // newEndpoint builds the endpoint for a configuration: the plain
-// transport, or its hardened counterpart when Recovery is set.
-func newEndpoint(ue *rcce.UE, cfg Config) Endpoint {
-	if cfg.Recovery != nil {
-		return newRobustEP(ue, cfg.Transport, *cfg.Recovery)
+// transport, or its hardened counterpart when Recovery is set. It
+// returns ErrInvalid for an unknown transport kind.
+func newEndpoint(ue *rcce.UE, cfg Config) (Endpoint, error) {
+	if !cfg.Transport.valid() {
+		return nil, fmt.Errorf("core: %w: unknown transport kind %d", ErrInvalid, int(cfg.Transport))
 	}
-	switch cfg.Transport {
-	case TransportBlocking:
-		return &blockingEP{ue: ue}
-	case TransportIRCCE:
-		return &nbEP{lib: ircce.New(ue)}
-	case TransportLightweight:
-		return &nbEP{lib: lwnb.New(ue)}
-	default:
-		panic(fmt.Sprintf("core: unknown transport kind %d", int(cfg.Transport)))
+	costs := cfg.Transport.Costs(ue.Core().Chip().Model)
+	switch {
+	case cfg.Recovery != nil:
+		return &robustEP{ue: ue, costs: costs, pol: *cfg.Recovery}, nil
+	case cfg.Transport == TransportBlocking:
+		return &blockingEP{ue: ue}, nil
 	}
+	return &nbEP{ue: ue, costs: costs}, nil
 }
 
 // blockingEP drives plain RCCE. Exchange must order its two blocking
@@ -124,39 +155,28 @@ func (e *blockingEP) ExchangePair(peer int, sAddr scc.Addr, sBytes int, rAddr sc
 	return nil
 }
 
-// nbLib is what an endpoint needs of a non-blocking library; ircce.Lib
-// and lwnb.Lib both have it.
-type nbLib interface {
-	ISend(dest int, addr scc.Addr, nBytes int) *rcce.Request
-	IRecv(src int, addr scc.Addr, nBytes int) *rcce.Request
-	Wait(r *rcce.Request)
-	WaitAll(reqs ...*rcce.Request)
-}
-
-// nbEP drives a non-blocking library (iRCCE or the lightweight
-// primitives): both legs posted, then waited.
+// nbEP drives the request engine at a non-blocking stack's cost row
+// (iRCCE or the lightweight primitives): both legs posted into the UE's
+// two slots, then waited.
 type nbEP struct {
-	lib nbLib
-	// legs is Exchange's WaitAll argument list. It lives here because a
-	// variadic call through an interface heap-allocates its slice, once
-	// per exchange.
-	legs [2]*rcce.Request
+	ue    *rcce.UE
+	costs rcce.NBCosts
 }
 
 func (e *nbEP) Send(to int, addr scc.Addr, n int) error {
-	e.lib.Wait(e.lib.ISend(to, addr, n))
+	e.ue.WaitAll(e.costs, e.ue.PostSend(e.costs, to, addr, n))
 	return nil
 }
 
 func (e *nbEP) Recv(from int, addr scc.Addr, n int) error {
-	e.lib.Wait(e.lib.IRecv(from, addr, n))
+	e.ue.WaitAll(e.costs, e.ue.PostRecv(e.costs, from, addr, n))
 	return nil
 }
 
 func (e *nbEP) Exchange(to int, sAddr scc.Addr, sBytes int, from int, rAddr scc.Addr, rBytes int) error {
-	e.legs[0] = e.lib.ISend(to, sAddr, sBytes)
-	e.legs[1] = e.lib.IRecv(from, rAddr, rBytes)
-	e.lib.WaitAll(e.legs[:]...)
+	s := e.ue.PostSend(e.costs, to, sAddr, sBytes)
+	r := e.ue.PostRecv(e.costs, from, rAddr, rBytes)
+	e.ue.WaitAll(e.costs, s, r)
 	return nil
 }
 
@@ -174,24 +194,6 @@ type robustEP struct {
 	ue    *rcce.UE
 	costs rcce.NBCosts
 	pol   rcce.Policy
-}
-
-func newRobustEP(ue *rcce.UE, kind TransportKind, pol rcce.Policy) Endpoint {
-	m := ue.Core().Chip().Model
-	var costs rcce.NBCosts
-	switch kind {
-	case TransportBlocking:
-		// Blocking RCCE has no post/progress machinery; its per-call
-		// overhead all lands on the synchronous call itself.
-		costs = rcce.NBCosts{Post: m.OverheadBlockingCall, Wait: 0, Progress: 0}
-	case TransportIRCCE:
-		costs = ircce.Costs(m)
-	case TransportLightweight:
-		costs = lwnb.Costs(m)
-	default:
-		panic(fmt.Sprintf("core: unknown transport kind %d", int(kind)))
-	}
-	return &robustEP{ue: ue, costs: costs, pol: pol}
 }
 
 func (e *robustEP) Send(to int, addr scc.Addr, n int) error {

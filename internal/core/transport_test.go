@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"scc/internal/rcce"
@@ -52,6 +53,108 @@ func TestNewEndpointUnknownKindPanics(t *testing.T) {
 		}
 	}()
 	NewEndpoint(comm.UE(0), TransportKind(42))
+}
+
+// TestNewCtxWithUnknownTransportIsInvalid: a transport kind outside
+// the table is a user error at the context constructor, not a panic.
+func TestNewCtxWithUnknownTransportIsInvalid(t *testing.T) {
+	chip := scc.New(timing.Default())
+	comm := rcce.NewComm(chip)
+	for _, k := range []TransportKind{-1, TransportKind(len(transports)), 42} {
+		x, err := NewCtxWith(comm.UE(0), Config{Transport: k}, CtxOpts{})
+		if x != nil || !errors.Is(err, ErrInvalid) {
+			t.Errorf("NewCtxWith(%v) = %v, %v; want nil, ErrInvalid", k, x, err)
+		}
+	}
+}
+
+// pingPong runs ten 64-byte round trips between cores 0 and 1 over the
+// endpoint cfg builds and returns the end time.
+func pingPong(t *testing.T, m *timing.Model, cfg Config) simtime.Time {
+	t.Helper()
+	chip := scc.New(m)
+	comm := rcce.NewComm(chip)
+	for id := 0; id < 2; id++ {
+		chip.LaunchOne(id, func(c *scc.Core) {
+			ep, err := newEndpoint(comm.UE(id), cfg)
+			if err != nil {
+				panic(err)
+			}
+			a := c.AllocF64(8)
+			for i := 0; i < 10; i++ {
+				if id == 0 {
+					ep.Send(1, a, 64)
+					ep.Recv(1, a, 64)
+				} else {
+					ep.Recv(0, a, 64)
+					ep.Send(0, a, 64)
+				}
+			}
+		})
+	}
+	if err := chip.Run(); err != nil {
+		t.Fatalf("%v: %v", cfg.Transport, err)
+	}
+	return chip.Now()
+}
+
+// TestTransportRowsComeFromModel: every row of the transport table
+// prices from the timing model, so raising the row's post constant slows
+// a ping-pong on both the plain and the hardened endpoint.
+func TestTransportRowsComeFromModel(t *testing.T) {
+	raise := map[TransportKind]func(m *timing.Model){
+		TransportBlocking:    func(m *timing.Model) { m.OverheadBlockingCall += 4000 },
+		TransportIRCCE:       func(m *timing.Model) { m.OverheadIRCCEPost += 4000 },
+		TransportLightweight: func(m *timing.Model) { m.OverheadLightweightPost += 4000 },
+	}
+	if len(raise) != len(transports) {
+		t.Fatalf("test covers %d rows, table has %d", len(raise), len(transports))
+	}
+	pol := rcce.DefaultPolicy()
+	for kind, bump := range raise {
+		for _, cfg := range []Config{{Transport: kind}, {Transport: kind, Recovery: &pol}} {
+			slow := timing.Default()
+			bump(slow)
+			if s, f := pingPong(t, slow, cfg), pingPong(t, timing.Default(), cfg); s <= f {
+				t.Errorf("%v (hardened: %v): raised row not reflected: %v vs %v", kind, cfg.Recovery != nil, s, f)
+			}
+		}
+	}
+}
+
+// runExchangePairs runs rounds 552-element pairwise exchanges between
+// cores 0 and 1 over a fault-free endpoint of the given kind.
+func runExchangePairs(kind TransportKind, rounds int) {
+	const n = 8 * 552
+	chip := scc.New(timing.Default())
+	comm := rcce.NewComm(chip)
+	for id := 0; id < 2; id++ {
+		chip.LaunchOne(id, func(c *scc.Core) {
+			ep := NewEndpoint(comm.UE(id), kind)
+			src, dst := c.Alloc(n), c.Alloc(n)
+			for i := 0; i < rounds; i++ {
+				ep.ExchangePair(1-id, src, n, dst, n)
+			}
+		})
+	}
+	if err := chip.Run(); err != nil {
+		panic(err)
+	}
+}
+
+// TestExchangePairAllocFree: no transport allocates per exchange — the
+// non-blocking stacks post into the UE's two request slots. The
+// per-exchange cost is the slope between a short and a long run
+// (construction cancels).
+func TestExchangePairAllocFree(t *testing.T) {
+	for k := range transports {
+		kind := TransportKind(k)
+		a := testing.AllocsPerRun(3, func() { runExchangePairs(kind, 10) })
+		b := testing.AllocsPerRun(3, func() { runExchangePairs(kind, 110) })
+		if got := (b - a) / 100; got > 0.05 {
+			t.Errorf("%v: ExchangePair allocates %.3f objects per exchange; budget 0.05", kind, got)
+		}
+	}
 }
 
 // exchangeRing runs one full ring round on every core with the given

@@ -3,6 +3,7 @@ package lwnb
 import (
 	"testing"
 
+	"scc/internal/core"
 	"scc/internal/rcce"
 	"scc/internal/scc"
 	"scc/internal/simtime"
@@ -41,25 +42,6 @@ func TestLightweightDelivers(t *testing.T) {
 	}
 }
 
-func TestSecondConcurrentSendPanics(t *testing.T) {
-	chip := scc.New(timing.Default())
-	comm := rcce.NewComm(chip)
-	chip.LaunchOne(0, func(core *scc.Core) {
-		lib := New(comm.UE(0))
-		a := core.AllocF64(4)
-		lib.ISend(1, a, 32)
-		lib.ISend(2, a, 32) // second outstanding send: must panic
-	})
-	chip.LaunchOne(1, func(core *scc.Core) {
-		lib := New(comm.UE(1))
-		a := core.AllocF64(4)
-		lib.Wait(lib.IRecv(0, a, 32))
-	})
-	if err := chip.Run(); err == nil {
-		t.Fatal("expected the one-slot restriction to fail the simulation")
-	}
-}
-
 func TestSlotReusableAfterCompletion(t *testing.T) {
 	chip := scc.New(timing.Default())
 	comm := rcce.NewComm(chip)
@@ -90,25 +72,25 @@ func TestSlotReusableAfterCompletion(t *testing.T) {
 func TestLightweightCheaperThanIRCCEPingPong(t *testing.T) {
 	// Same protocol, lower software overhead: a lightweight ping-pong of
 	// small messages must beat an iRCCE-cost ping-pong (Sec. IV-B).
-	run := func(post, wait int64) simtime.Time {
+	run := func(kind core.TransportKind) simtime.Time {
 		m := timing.Default()
 		chip := scc.New(m)
 		comm := rcce.NewComm(chip)
-		costs := rcce.NBCosts{Post: post, Wait: wait, Progress: wait / 4}
+		costs := kind.Costs(m)
 		chip.LaunchOne(0, func(core *scc.Core) {
 			ue := comm.UE(0)
 			a := core.AllocF64(8)
 			for i := 0; i < 20; i++ {
-				ue.Wait(costs, ue.PostSend(costs, 1, a, 64))
-				ue.Wait(costs, ue.PostRecv(costs, 1, a, 64))
+				ue.WaitAll(costs, ue.PostSend(costs, 1, a, 64))
+				ue.WaitAll(costs, ue.PostRecv(costs, 1, a, 64))
 			}
 		})
 		chip.LaunchOne(1, func(core *scc.Core) {
 			ue := comm.UE(1)
 			a := core.AllocF64(8)
 			for i := 0; i < 20; i++ {
-				ue.Wait(costs, ue.PostRecv(costs, 0, a, 64))
-				ue.Wait(costs, ue.PostSend(costs, 0, a, 64))
+				ue.WaitAll(costs, ue.PostRecv(costs, 0, a, 64))
+				ue.WaitAll(costs, ue.PostSend(costs, 0, a, 64))
 			}
 		})
 		if err := chip.Run(); err != nil {
@@ -116,9 +98,8 @@ func TestLightweightCheaperThanIRCCEPingPong(t *testing.T) {
 		}
 		return chip.Now()
 	}
-	m := timing.Default()
-	ircceTime := run(m.OverheadIRCCEPost, m.OverheadIRCCEWait)
-	lwTime := run(m.OverheadLightweightPost, m.OverheadLightweightWait)
+	ircceTime := run(core.TransportIRCCE)
+	lwTime := run(core.TransportLightweight)
 	if lwTime >= ircceTime {
 		t.Fatalf("lightweight (%v) not faster than iRCCE (%v)", lwTime, ircceTime)
 	}
@@ -131,24 +112,26 @@ func TestWaitAllMixedSendRecv(t *testing.T) {
 	comm := rcce.NewComm(chip)
 	var got []float64
 	chip.LaunchOne(4, func(core *scc.Core) {
-		lib := New(comm.UE(4))
+		ue := comm.UE(4)
+		lib := New(ue)
 		src := core.AllocF64(8)
 		dst := core.AllocF64(8)
 		core.WriteF64s(src, []float64{4, 4, 4, 4, 4, 4, 4, 4})
 		s := lib.ISend(5, src, 64)
 		r := lib.IRecv(5, dst, 64)
-		lib.WaitAll(s, r)
+		ue.WaitAll(Costs(core.Chip().Model), s, r)
 		got = make([]float64, 8)
 		core.ReadF64s(dst, got)
 	})
 	chip.LaunchOne(5, func(core *scc.Core) {
-		lib := New(comm.UE(5))
+		ue := comm.UE(5)
+		lib := New(ue)
 		src := core.AllocF64(8)
 		dst := core.AllocF64(8)
 		core.WriteF64s(src, []float64{5, 5, 5, 5, 5, 5, 5, 5})
 		s := lib.ISend(4, src, 64)
 		r := lib.IRecv(4, dst, 64)
-		lib.WaitAll(s, r)
+		ue.WaitAll(Costs(core.Chip().Model), s, r)
 	})
 	if err := chip.Run(); err != nil {
 		t.Fatal(err)

@@ -102,8 +102,8 @@ const (
 	CtrL2Misses
 	CtrReqsPosted // non-blocking requests posted (isend/irecv)
 	CtrReqWaitRounds
-	CtrPendingReqsMax // high-water mark of iRCCE's pending list (max, not sum)
-	CtrSlotDrains     // lwnb posts that had to drain the busy send slot
+	CtrPendingReqsMax // high-water mark of request slots in flight at a post (max, not sum)
+	CtrSlotDrains     // posts that first had to complete the request in their busy slot
 	CtrSends
 	CtrRecvs
 	CtrSendTicks

@@ -3,10 +3,11 @@
 // two-flag blocking send/receive protocol of the paper's Fig. 3 and a
 // generation-counted barrier.
 //
-// The package also hosts the shared non-blocking request engine that the
-// iRCCE and lightweight libraries (packages ircce and lwnb) instantiate
-// with their respective software-overhead constants, and the hardened
-// protocol (robust.go) that fault-tolerant collectives run on.
+// The package also hosts the shared non-blocking request engine - one
+// send slot and one receive slot per UE, which iRCCE, the lightweight
+// primitives and RCKMPI's pairwise exchange all post into at their own
+// software-overhead constants - and the hardened protocol (robust.go)
+// that fault-tolerant collectives run on.
 package rcce
 
 import (
@@ -163,9 +164,12 @@ type UE struct {
 	barrierGen peerBytes
 	groupGen   peerBytes
 
-	// activeSend is the send request currently occupying the core's MPB
-	// staging region (see PostSend).
-	activeSend *Request
+	// slots are the request engine's send and receive slot, indexed by
+	// ReqKind (see nonblocking.go): every non-blocking stack posts into
+	// them. They are allocated on the UE's first post, because UEs of
+	// the blocking and hardened stacks never post and two inline slots
+	// would move every UE up an allocation size class.
+	slots *[2]Request
 
 	// sendSeq / recvSeq hold the hardened protocol's next sequence
 	// number per peer (see robust.go); stats accumulates its recovery

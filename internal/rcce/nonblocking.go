@@ -7,13 +7,14 @@ import (
 	"scc/internal/scc"
 )
 
-// This file implements the shared non-blocking request engine. Both the
-// iRCCE library (package ircce) and the paper's lightweight primitives
-// (package lwnb) drive the same wire protocol - the difference the paper
-// measures is purely the per-call software overhead (request lists and
-// dynamic memory in iRCCE versus fixed slots in the lightweight library,
-// Sec. IV-B) - so the protocol lives here once and the two packages
-// instantiate it with their own NBCosts.
+// This file implements the shared non-blocking request engine. iRCCE,
+// the paper's lightweight primitives and RCKMPI's pairwise exchange all
+// drive the same wire protocol - the difference the paper measures is
+// purely the per-call software overhead (request lists and dynamic
+// memory in iRCCE versus fixed slots in the lightweight library,
+// Sec. IV-B) - so the protocol and its request storage live here once:
+// each UE has one send slot and one receive slot, and every stack posts
+// into them at its own NBCosts.
 
 // NBCosts parameterizes the software overhead of a non-blocking
 // primitive implementation, in core cycles.
@@ -43,11 +44,11 @@ func (k ReqKind) String() string {
 	return "recv"
 }
 
-// Request is a pending non-blocking operation. Its state machine mirrors
-// the chunked two-flag protocol of the blocking primitives, but posting
-// returns as soon as the first local action is done, so a core can have
-// a send and a receive in flight at once and overlap their copies
-// (Fig. 5).
+// Request is a pending non-blocking operation, held in one of its UE's
+// two slots. Its state machine mirrors the chunked two-flag protocol of
+// the blocking primitives, but posting returns as soon as the first
+// local action is done, so a core can have a send and a receive in
+// flight at once and overlap their copies (Fig. 5).
 type Request struct {
 	kind ReqKind
 	ue   *UE
@@ -63,66 +64,65 @@ type Request struct {
 	staged int // bytes staged for the current chunk (send only)
 }
 
-// Done reports whether the request has completed.
-func (r *Request) Done() bool { return r.done }
+// busy reports whether the slot holds a request still in flight.
+func (r *Request) busy() bool { return r.ue != nil && !r.done }
 
-// PostSend begins a non-blocking send: it stages the first chunk into the
-// local MPB, raises the sent flag and returns without waiting for the
-// receiver. Completion (the ready flag, plus any further chunks) happens
-// in Wait/WaitAll.
+// PostSend begins a non-blocking send in the UE's send slot: it stages
+// the first chunk into the local MPB, raises the sent flag and returns
+// without waiting for the receiver. Completion (the ready flag, plus any
+// further chunks) happens in WaitAll. The returned request is the
+// slot itself, valid until the next PostSend.
 func (u *UE) PostSend(costs NBCosts, dest int, addr scc.Addr, nBytes int) *Request {
-	return u.PostSendInto(new(Request), costs, dest, addr, nBytes)
+	return u.post(costs, ReqSend, dest, addr, nBytes)
 }
 
-// PostSendInto is PostSend with caller-owned request storage: r is
-// overwritten and returned, so fixed-slot libraries (package lwnb)
-// repost into the same record without allocating. The previous contents
-// of r must not be an in-flight request.
-func (u *UE) PostSendInto(r *Request, costs NBCosts, dest int, addr scc.Addr, nBytes int) *Request {
-	if dest == u.ID() {
-		panic(fmt.Sprintf("rcce: UE %d isend to itself", dest))
+// PostRecv begins a non-blocking receive in the UE's receive slot. If
+// the sender's chunk is already staged, the data is consumed immediately
+// (and the request may complete on the spot); otherwise completion
+// happens in WaitAll.
+func (u *UE) PostRecv(costs NBCosts, src int, addr scc.Addr, nBytes int) *Request {
+	return u.post(costs, ReqRecv, src, addr, nBytes)
+}
+
+// post (re)fills the slot of the given kind. A request still in flight
+// there is completed first: the chunk staging area is a single region
+// per core, so only one send can be on the wire, and a receive slot
+// follows the same rule (iRCCE would queue the second request; the
+// wire-level serialization is the same).
+func (u *UE) post(costs NBCosts, kind ReqKind, peer int, addr scc.Addr, nBytes int) *Request {
+	if peer == u.ID() {
+		panic(fmt.Sprintf("rcce: UE %d posted a %s to itself", peer, kind))
 	}
-	// The chunk staging area is a single region per core, so only one
-	// send can be on the wire. A second post drains the first (iRCCE
-	// would queue it; the wire-level serialization is the same).
-	if u.activeSend != nil && !u.activeSend.done {
-		if reg := u.core.Metrics(); reg != nil {
+	if u.slots == nil {
+		u.slots = new([2]Request)
+	}
+	r := &u.slots[kind]
+	reg := u.core.Metrics()
+	if r.busy() {
+		if reg != nil {
 			reg.Count(u.core.ID, metrics.CtrSlotDrains)
 		}
-		u.WaitAll(costs, u.activeSend)
+		u.WaitAll(costs, r)
 	}
 	u.core.OverheadCycles(costs.Post)
 	u.chargePartialLine(nBytes)
-	if reg := u.core.Metrics(); reg != nil {
+	*r = Request{kind: kind, ue: u, peer: peer, addr: addr, n: nBytes}
+	if kind == ReqSend {
+		r.stageChunk()
+	} else {
+		// Opportunistic probe, like iRCCE_irecv's immediate push.
+		r.tryProgress(costs)
+	}
+	if reg != nil {
 		reg.Count(u.core.ID, metrics.CtrReqsPosted)
+		var inFlight int64
+		for i := range u.slots {
+			if u.slots[i].busy() {
+				inFlight++
+			}
+		}
+		reg.SetMax(u.core.ID, metrics.CtrPendingReqsMax, inFlight)
 	}
-	*r = Request{kind: ReqSend, ue: u, peer: dest, addr: addr, n: nBytes}
-	r.stageChunk()
-	u.activeSend = r
-	return r
-}
-
-// PostRecv begins a non-blocking receive. If the sender's chunk is
-// already staged, the data is consumed immediately (and the request may
-// complete on the spot); otherwise completion happens in Wait/WaitAll.
-func (u *UE) PostRecv(costs NBCosts, src int, addr scc.Addr, nBytes int) *Request {
-	return u.PostRecvInto(new(Request), costs, src, addr, nBytes)
-}
-
-// PostRecvInto is PostRecv with caller-owned request storage (see
-// PostSendInto).
-func (u *UE) PostRecvInto(r *Request, costs NBCosts, src int, addr scc.Addr, nBytes int) *Request {
-	if src == u.ID() {
-		panic(fmt.Sprintf("rcce: UE %d irecv from itself", src))
-	}
-	u.core.OverheadCycles(costs.Post)
-	u.chargePartialLine(nBytes)
-	if reg := u.core.Metrics(); reg != nil {
-		reg.Count(u.core.ID, metrics.CtrReqsPosted)
-	}
-	*r = Request{kind: ReqRecv, ue: u, peer: src, addr: addr, n: nBytes}
-	// Opportunistic probe, like iRCCE_irecv's immediate push.
-	r.tryProgress(costs)
 	return r
 }
 
@@ -148,21 +148,18 @@ func (r *Request) pendingFlag() int {
 }
 
 // tryProgress advances the request as far as possible without blocking.
-// It returns true if any transition fired.
-func (r *Request) tryProgress(costs NBCosts) bool {
+func (r *Request) tryProgress(costs NBCosts) {
 	if r.done {
-		return false
+		return
 	}
 	u := r.ue
 	u.core.OverheadCycles(costs.Progress)
-	advanced := false
 	for !r.done {
 		flag := r.pendingFlag()
 		// One probe read; charged like any MPB access (local line).
 		if u.core.ProbeFlag(flag) != 1 {
 			break
 		}
-		advanced = true
 		u.core.SetFlag(flag, 0) // consume the flag (local line write)
 		if r.kind == ReqSend {
 			// Receiver consumed the staged chunk.
@@ -184,13 +181,6 @@ func (r *Request) tryProgress(costs NBCosts) bool {
 			}
 		}
 	}
-	return advanced
-}
-
-// Wait blocks until the request completes, making progress on its state
-// machine as flags arrive.
-func (u *UE) Wait(costs NBCosts, r *Request) {
-	u.WaitAll(costs, r)
 }
 
 // WaitAll blocks until every request completes. Progress is made on
@@ -204,8 +194,8 @@ func (u *UE) WaitAll(costs NBCosts, reqs ...*Request) {
 		}
 	}
 	// The round scratch lives on the UE: WaitAll cannot nest within one
-	// UE (the PostSendInto drain happens before any wait), so reuse is
-	// safe and the steady state allocates nothing.
+	// UE (a post's slot drain happens before any wait), so reuse is safe
+	// and the steady state allocates nothing.
 	for {
 		flags := u.waitFlags[:0]
 		pending := u.waitPend[:0]

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"scc/internal/metrics"
 	"scc/internal/scc"
 	"scc/internal/simtime"
 	"scc/internal/timing"
@@ -262,13 +263,13 @@ func TestNonBlockingChunkedMessage(t *testing.T) {
 		}
 		core.WriteF64s(a, v)
 		s := ue.PostSend(costs, 6, a, 8*n)
-		ue.Wait(costs, s)
+		ue.WaitAll(costs, s)
 	})
 	chip.LaunchOne(6, func(core *scc.Core) {
 		ue := comm.UE(6)
 		a := core.AllocF64(n)
 		r := ue.PostRecv(costs, 5, a, 8*n)
-		ue.Wait(costs, r)
+		ue.WaitAll(costs, r)
 		got = make([]float64, n)
 		core.ReadF64s(a, got)
 	})
@@ -302,9 +303,9 @@ func TestSecondPostSendDrainsFirst(t *testing.T) {
 		a := core.AllocF64(8)
 		b := core.AllocF64(8)
 		r1 := ue.PostRecv(costs, 0, a, 64)
-		ue.Wait(costs, r1)
+		ue.WaitAll(costs, r1)
 		r2 := ue.PostRecv(costs, 0, b, 64)
-		ue.Wait(costs, r2)
+		ue.WaitAll(costs, r2)
 		got1 = make([]float64, 8)
 		got2 = make([]float64, 8)
 		core.ReadF64s(a, got1)
@@ -316,6 +317,72 @@ func TestSecondPostSendDrainsFirst(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		if got1[i] != 1 || got2[i] != 2 {
 			t.Fatalf("ordered sends arrived wrong: %v / %v", got1, got2)
+		}
+	}
+}
+
+// TestSecondPostDrainsBusySlot: each UE has one send slot and one
+// receive slot. A second post in either direction while the first
+// request is still in flight completes the first, delivers both
+// payloads in order and counts one slot drain on the posting core.
+func TestSecondPostDrainsBusySlot(t *testing.T) {
+	for _, kind := range []ReqKind{ReqSend, ReqRecv} {
+		chip := newChip()
+		reg := metrics.New(chip.NumCores())
+		chip.SetMetrics(reg)
+		comm := NewComm(chip)
+		costs := NBCosts{Post: 100, Wait: 100, Progress: 25}
+		var got1, got2 []float64
+		chip.LaunchOne(0, func(core *scc.Core) {
+			ue := comm.UE(0)
+			a := core.AllocF64(8)
+			b := core.AllocF64(8)
+			core.WriteF64s(a, []float64{1, 1, 1, 1, 1, 1, 1, 1})
+			core.WriteF64s(b, []float64{2, 2, 2, 2, 2, 2, 2, 2})
+			if kind == ReqSend {
+				ue.PostSend(costs, 1, a, 64)
+				ue.WaitAll(costs, ue.PostSend(costs, 1, b, 64))
+				return
+			}
+			core.OverheadCycles(100_000) // the receiver posts both first
+			ue.WaitAll(costs, ue.PostSend(costs, 1, a, 64))
+			ue.WaitAll(costs, ue.PostSend(costs, 1, b, 64))
+		})
+		chip.LaunchOne(1, func(core *scc.Core) {
+			ue := comm.UE(1)
+			a := core.AllocF64(8)
+			b := core.AllocF64(8)
+			if kind == ReqSend {
+				core.OverheadCycles(100_000) // the sender posts both first
+				ue.WaitAll(costs, ue.PostRecv(costs, 0, a, 64))
+				ue.WaitAll(costs, ue.PostRecv(costs, 0, b, 64))
+			} else {
+				ue.PostRecv(costs, 0, a, 64)
+				ue.WaitAll(costs, ue.PostRecv(costs, 0, b, 64))
+			}
+			got1 = make([]float64, 8)
+			got2 = make([]float64, 8)
+			core.ReadF64s(a, got1)
+			core.ReadF64s(b, got2)
+		})
+		if err := chip.Run(); err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		for i := 0; i < 8; i++ {
+			if got1[i] != 1 || got2[i] != 2 {
+				t.Fatalf("%v: payloads arrived wrong: %v / %v", kind, got1, got2)
+			}
+		}
+		poster := 0
+		if kind == ReqRecv {
+			poster = 1
+		}
+		snap := reg.Snapshot()
+		if d := snap.Cores[poster].Counters["slot-drains"]; d != 1 {
+			t.Errorf("%v: core %d slot-drains = %d, want 1", kind, poster, d)
+		}
+		if d := snap.Cores[1-poster].Counters["slot-drains"]; d != 0 {
+			t.Errorf("%v: core %d slot-drains = %d, want 0", kind, 1-poster, d)
 		}
 	}
 }

@@ -53,7 +53,7 @@ type Policy struct {
 	Jitter int
 }
 
-// jitterOf returns the deterministic window stretch for one retry of one
+// JitterOf returns the deterministic window stretch for one retry of one
 // peer pairing: window * (h mod (Jitter+1)) / 16 with h an FNV-1a mix of
 // the identifying tuple. Pure function of its arguments — no clocks, no
 // global state — so determinism is preserved by construction.

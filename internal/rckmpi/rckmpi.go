@@ -152,7 +152,8 @@ func (l *Lib) Recv(src int, addr scc.Addr, nBytes int) {
 }
 
 // sendRecvPair exchanges with one symmetric partner. MPICH's pairwise
-// exchange posts both legs as non-blocking requests and waits on both,
+// exchange posts both legs as non-blocking requests (here into the UE's
+// two request slots) and waits on both,
 // so the two directions overlap on the wire; this is why RCKMPI stays
 // competitive on Alltoall (Sec. V-A) while losing everywhere
 // overhead-bound. The per-byte channel cost is still charged on both

@@ -2,6 +2,7 @@ package sccsim
 
 import (
 	"fmt"
+	"slices"
 
 	"scc/internal/core"
 	"scc/internal/fabric"
@@ -151,13 +152,8 @@ func Stacks() []Stack {
 
 // coreConfig maps a Stack to the collectives configuration: the five
 // core stacks are declared in the order of core.Configs (not meaningful
-// for StackRCKMPI).
-func (s Stack) coreConfig() core.Config {
-	if s >= StackBlocking && s <= StackMPB {
-		return core.Configs()[s]
-	}
-	return core.ConfigBalanced
-}
+// for StackRCKMPI, and config.validate rejects stacks outside Stacks()).
+func (s Stack) coreConfig() core.Config { return core.Configs()[s] }
 
 // Selector is the per-call algorithm-selection policy of the registry
 // layer; install one with WithSelector. Build them with Fixed,
@@ -224,6 +220,9 @@ func (c *config) validate() error {
 	}
 	if err := c.model.Validate(); err != nil {
 		return invalid("%v", err)
+	}
+	if !slices.Contains(Stacks(), c.stack) {
+		return invalid("WithStack: unknown stack %d", int(c.stack))
 	}
 	if c.chips <= 1 {
 		return nil
