@@ -83,7 +83,7 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintln(fs.Output(), "faultbench: note: \"mpb\" is not applicable under the hardened protocol; the sweep falls back to the paper heuristic")
 	}
 	return fs.Profiled(func() error {
-		pol := rcce.Policy{Timeout: simtime.Microseconds(*timeoutUs), Backoff: 2, MaxRetries: *retries, Jitter: *jitter}
+		pol := rcce.Policy{Timeout: simtime.Microseconds(*timeoutUs), MaxRetries: *retries, Jitter: *jitter}
 		transports := []core.TransportKind{core.TransportBlocking, core.TransportLightweight}
 
 		if *selfheal {

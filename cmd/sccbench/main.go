@@ -315,15 +315,21 @@ func tune(stdout io.Writer, runner *bench.Runner, model *timing.Model, out strin
 		}
 		fmt.Fprintln(stdout)
 	}
-	data, err := json.MarshalIndent(table, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
+	if err := writeJSON(out, table); err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "wrote %s\n", out)
 	return nil
+}
+
+// writeJSON writes v as indented JSON: the committed form of both the
+// tuner's and the synthesizer's tables.
+func writeJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // synthesize runs the schedule-synthesis sweep, prints every cell's
@@ -345,16 +351,12 @@ func synthesize(stdout io.Writer, runner *bench.Runner, model *timing.Model, out
 				cand.Gen, cand.Steps, cand.Moves, cand.Latency.Micros())
 		}
 		for _, name := range core.AlgorithmNames(c.Op) {
-			if lat, ok := c.Hand[name]; ok {
+			if lat, ok := c.Latency[name]; ok {
 				fmt.Fprintf(stdout, "    hand  %-8s %29.1fus\n", name, lat.Micros())
 			}
 		}
 	}
-	data, err := table.Marshal()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
+	if err := writeJSON(out, table); err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "wrote %s (%d schedules; * = beats all hand-written algorithms on its cell)\n",

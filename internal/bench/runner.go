@@ -169,15 +169,16 @@ func (r *Runner) FaultSweepAlgo(model *timing.Model, kind core.TransportKind, po
 	return out
 }
 
-// SelfHealSweep parallelizes SelfHealSweep across algorithms. Each
-// algorithm's kill times derive from its own fault-free baseline, so
-// the per-algorithm pipeline stays serial; the algorithms themselves
-// are independent cells. Output is identical to bench.SelfHealSweep.
+// SelfHealSweep measures the Fig. R2 self-healing sweep: for each
+// algorithm in order, its fault-free row and one row per kill fraction
+// (selfHealRows). Each algorithm's kill times derive from its own
+// fault-free baseline, so the per-algorithm pipeline stays serial; the
+// algorithms themselves are independent cells.
 func (r *Runner) SelfHealSweep(model *timing.Model, kind core.TransportKind, pol core.HealPolicy, algos []string, n int, fracs []float64) []HealPoint {
 	rows := 1 + len(fracs)
 	out := make([]HealPoint, len(algos)*rows)
 	r.runCells(len(algos), func(i int) {
-		copy(out[i*rows:(i+1)*rows], SelfHealSweep(model, kind, pol, algos[i:i+1], n, fracs))
+		copy(out[i*rows:(i+1)*rows], selfHealRows(model, kind, pol, algos[i], n, fracs))
 	})
 	return out
 }

@@ -75,7 +75,7 @@ func TestRunnerPanelsMatchesPerOpPanels(t *testing.T) {
 // fault-free baseline) to the serial implementation.
 func TestParallelFaultSweepMatchesSerial(t *testing.T) {
 	m := timing.Default()
-	pol := rcce.Policy{Timeout: simtime.Microseconds(300), Backoff: 2, MaxRetries: 8}
+	pol := rcce.Policy{Timeout: simtime.Microseconds(300), MaxRetries: 8}
 	counts := []int{0, 3}
 	serial := NewRunner(1).FaultSweep(m, core.TransportLightweight, pol, 1, 64, counts)
 	parallel := NewRunner(4).FaultSweep(m, core.TransportLightweight, pol, 1, 64, counts)

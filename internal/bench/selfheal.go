@@ -133,33 +133,31 @@ func measureOracleAllreduce(model *timing.Model, kind core.TransportKind, pol rc
 	return total
 }
 
-// SelfHealSweep measures, for each algorithm, the fault-free self-healing
-// overhead and the full recovery decomposition with the victim killed at
-// each fraction of the plain fault-free latency. Kill times derive from
-// each algorithm's own baseline, so "killed at 0.5" means mid-collective
-// for every algorithm regardless of how long it runs.
-func SelfHealSweep(model *timing.Model, kind core.TransportKind, pol core.HealPolicy, algos []string, n int, fracs []float64) []HealPoint {
-	var out []HealPoint
-	for _, algo := range algos {
-		// plain: the hardened-but-unhealed fault-free baseline.
-		plain := measureFaultedAllreduce(model, kind, pol.Detect, algo, nil, n).Latency
-		oracle := measureOracleAllreduce(model, kind, pol.Detect, algo, n)
-		overhead := measureSelfHealAllreduce(model, kind, pol, algo, n, 0)
-		overhead.Plain = plain
-		overhead.Oracle = oracle
-		overhead.Overhead = overhead.Total
-		out = append(out, overhead)
-		for _, f := range fracs {
-			killAt := simtime.Duration(float64(plain) * f)
-			if killAt < 1 {
-				killAt = 1
-			}
-			pt := measureSelfHealAllreduce(model, kind, pol, algo, n, killAt)
-			pt.Plain = plain
-			pt.Oracle = oracle
-			pt.Overhead = overhead.Total
-			out = append(out, pt)
+// selfHealRows measures one algorithm's rows of the self-healing sweep:
+// the fault-free self-healing overhead, then the full recovery
+// decomposition with the victim killed at each fraction of the plain
+// fault-free latency. Kill times derive from the algorithm's own
+// baseline, so "killed at 0.5" means mid-collective for every algorithm
+// regardless of how long it runs.
+func selfHealRows(model *timing.Model, kind core.TransportKind, pol core.HealPolicy, algo string, n int, fracs []float64) []HealPoint {
+	// plain: the hardened-but-unhealed fault-free baseline.
+	plain := measureFaultedAllreduce(model, kind, pol.Detect, algo, nil, n).Latency
+	oracle := measureOracleAllreduce(model, kind, pol.Detect, algo, n)
+	overhead := measureSelfHealAllreduce(model, kind, pol, algo, n, 0)
+	overhead.Plain = plain
+	overhead.Oracle = oracle
+	overhead.Overhead = overhead.Total
+	out := []HealPoint{overhead}
+	for _, f := range fracs {
+		killAt := simtime.Duration(float64(plain) * f)
+		if killAt < 1 {
+			killAt = 1
 		}
+		pt := measureSelfHealAllreduce(model, kind, pol, algo, n, killAt)
+		pt.Plain = plain
+		pt.Oracle = oracle
+		pt.Overhead = overhead.Total
+		out = append(out, pt)
 	}
 	return out
 }

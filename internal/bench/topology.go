@@ -81,7 +81,7 @@ func ParseChips(val string) (int, error) {
 // MeshLabel renders a system geometry for titles and CSV rows:
 // "6x4x2" for one chip, "2x 6x4x2" for a multi-chip system.
 func MeshLabel(model *timing.Model, chips int) string {
-	mesh := fmt.Sprintf("%dx%dx%d", model.MeshHeight, model.MeshWidth, model.CoresPerTile)
+	mesh := model.MeshSpec()
 	if chips > 1 {
 		return fmt.Sprintf("%dx %s", chips, mesh)
 	}
@@ -152,7 +152,7 @@ func WriteTopologyCSV(w io.Writer, model *timing.Model, chips int, series []Seri
 	if _, err := fmt.Fprintln(w, strings.Join(headers, ",")); err != nil {
 		return err
 	}
-	mesh := fmt.Sprintf("%dx%dx%d", model.MeshHeight, model.MeshWidth, model.CoresPerTile)
+	mesh := model.MeshSpec()
 	cores := chips * model.NumCores()
 	for i, pt := range series[0].Points {
 		row := []string{mesh, fmt.Sprintf("%d", cores), fmt.Sprintf("%d", chips), fmt.Sprintf("%d", pt.N)}

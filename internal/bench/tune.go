@@ -19,7 +19,8 @@ import (
 // `sccbench -tune` runs it and writes the JSON that internal/core
 // embeds as the default table.
 
-// TuneSpec parameterizes a tuner sweep.
+// TuneSpec parameterizes a tuner sweep, and the synthesis sweep that
+// races searched schedules against the tuner's cells (synth.go).
 type TuneSpec struct {
 	// NPs are the communicator sizes to measure (cores 0..np-1 active,
 	// the rest of the chip idle). Must be ascending.
@@ -27,13 +28,15 @@ type TuneSpec struct {
 	// Buckets are the message-size boundaries in elements: one table
 	// entry per bucket with MaxN = boundary, plus a trailing unbounded
 	// entry (MaxN = 0) when the last boundary is 0. Must be ascending
-	// with 0 (unbounded) last.
+	// with 0 (unbounded) last, after at least one bounded boundary.
 	Buckets []int
-	// Reps is the timed repetition count per measurement.
+	// Reps is the timed repetition count per measurement. The simulator
+	// is deterministic, so 1 suffices; higher values only smooth
+	// warm-up effects.
 	Reps int
 	// Cfg is the point-to-point configuration every algorithm runs
-	// over. The tuner clears MPBDirect/Selector itself: the algorithm
-	// under test is pinned per cell.
+	// over. The sweeps clear MPBDirect/Selector themselves: the
+	// algorithm under test is pinned per cell.
 	Cfg core.Config
 	// Transport labels the table's provenance (DecisionTable.Transport).
 	Transport string
@@ -62,29 +65,35 @@ func TuneSpecFor(numCores int) TuneSpec {
 	}
 }
 
-// validate rejects specs the sweep cannot interpret deterministically.
+// validate rejects specs the sweeps cannot interpret deterministically.
 func (sp TuneSpec) validate(numCores int) error {
 	if len(sp.NPs) == 0 || len(sp.Buckets) == 0 {
-		return fmt.Errorf("bench: tune spec needs at least one np and one bucket")
+		return fmt.Errorf("bench: sweep spec needs at least one np and one bucket")
 	}
 	for i, np := range sp.NPs {
 		if np < 2 || np > numCores {
-			return fmt.Errorf("bench: tune spec np=%d outside [2,%d]", np, numCores)
+			return fmt.Errorf("bench: sweep spec np=%d outside [2,%d]", np, numCores)
 		}
 		if i > 0 && np <= sp.NPs[i-1] {
-			return fmt.Errorf("bench: tune spec nps must be ascending")
+			return fmt.Errorf("bench: sweep spec nps must be ascending")
 		}
 	}
 	for i, b := range sp.Buckets {
 		if b == 0 {
 			if i != len(sp.Buckets)-1 {
-				return fmt.Errorf("bench: tune spec unbounded bucket (0) must be last")
+				return fmt.Errorf("bench: sweep spec unbounded bucket (0) must be last")
+			}
+			if i == 0 {
+				return fmt.Errorf("bench: sweep spec needs a bounded bucket before the unbounded one")
 			}
 			continue
 		}
-		if b < 1 || (i > 0 && sp.Buckets[i-1] != 0 && b <= sp.Buckets[i-1]) {
-			return fmt.Errorf("bench: tune spec buckets must be ascending")
+		if b < 1 || (i > 0 && b <= sp.Buckets[i-1]) {
+			return fmt.Errorf("bench: sweep spec buckets must be ascending")
 		}
+	}
+	if sp.Reps < 1 {
+		return fmt.Errorf("bench: sweep spec reps=%d", sp.Reps)
 	}
 	return nil
 }
@@ -101,9 +110,6 @@ func (sp TuneSpec) bucketSizes(i int) []int {
 	hi := sp.Buckets[i]
 	if hi == 0 {
 		hi = 4 * sp.Buckets[i-1]
-		if hi < lo {
-			hi = 4 * lo
-		}
 	}
 	if lo == hi {
 		return []int{hi}
@@ -163,7 +169,8 @@ func measureGroup(model *timing.Model, cfg core.Config, a core.Algorithm, op Op,
 type CellResult struct {
 	Op      core.OpKind
 	NP      int
-	MaxN    int // 0 = unbounded
+	MaxN    int   // 0 = unbounded
+	NS      []int // the bucket's representative sizes
 	Winner  string
 	Latency map[string]simtime.Duration // total over representative sizes; applicable algorithms only
 }
@@ -239,7 +246,7 @@ func Tune(r *Runner, model *timing.Model, sp TuneSpec) (*core.DecisionTable, []C
 		m := results[i]
 		cell, seen := byCell[j.cellKey]
 		if !seen {
-			cell = &CellResult{Op: j.k, NP: j.np, MaxN: sp.Buckets[j.bi], Latency: map[string]simtime.Duration{}}
+			cell = &CellResult{Op: j.k, NP: j.np, MaxN: sp.Buckets[j.bi], NS: j.ns, Latency: map[string]simtime.Duration{}}
 			byCell[j.cellKey] = cell
 			order = append(order, j.cellKey)
 		}

@@ -57,7 +57,9 @@ func TestTuneSweepDeterministic(t *testing.T) {
 	}
 }
 
-// TestTuneSpecValidation rejects malformed sweeps.
+// TestTuneSpecValidation rejects malformed sweeps: among them a bucket
+// list that is only the unbounded bucket, which has no bounded edge to
+// size it from, and a sweep without repetitions.
 func TestTuneSpecValidation(t *testing.T) {
 	bad := []TuneSpec{
 		{},
@@ -65,6 +67,8 @@ func TestTuneSpecValidation(t *testing.T) {
 		{NPs: []int{8, 4}, Buckets: []int{0}, Cfg: core.ConfigBalanced},
 		{NPs: []int{8}, Buckets: []int{0, 16}, Cfg: core.ConfigBalanced},
 		{NPs: []int{8}, Buckets: []int{64, 16}, Cfg: core.ConfigBalanced},
+		{NPs: []int{8}, Buckets: []int{0}, Reps: 1, Cfg: core.ConfigBalanced},
+		{NPs: []int{8}, Buckets: []int{16, 0}, Cfg: core.ConfigBalanced},
 	}
 	for i, sp := range bad {
 		if _, _, err := Tune(NewRunner(1), timing.Default(), sp); err == nil {

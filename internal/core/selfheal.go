@@ -102,8 +102,8 @@ type HealPolicy struct {
 // the worst-case entry skew (a peer's full Detect budget).
 func DefaultHealPolicy() HealPolicy {
 	return HealPolicy{
-		Detect:    rcce.Policy{Timeout: simtime.Microseconds(300), Backoff: 2, MaxRetries: 7, Jitter: 4},
-		Member:    rcce.Policy{Timeout: simtime.Microseconds(2000), Backoff: 2, MaxRetries: 6},
+		Detect:    rcce.Policy{Timeout: simtime.Microseconds(300), MaxRetries: 7, Jitter: 4},
+		Member:    rcce.Policy{Timeout: simtime.Microseconds(2000), MaxRetries: 6},
 		MaxRounds: 8,
 	}
 }
@@ -275,7 +275,7 @@ func policyBudget(pol rcce.Policy) simtime.Duration {
 	w := pol.Timeout
 	for i := 0; i <= pol.MaxRetries; i++ {
 		total += w
-		w *= simtime.Duration(pol.Backoff)
+		w *= rcce.Backoff
 	}
 	return total
 }

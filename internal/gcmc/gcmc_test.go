@@ -2,6 +2,7 @@ package gcmc
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"scc/internal/core"
@@ -273,5 +274,29 @@ func TestGCMCUnderRCKMPI(t *testing.T) {
 	if viaMPI.WallTime <= viaCore.WallTime {
 		t.Fatalf("RCKMPI (%v) should be slower than the optimized stack (%v)",
 			viaMPI.WallTime, viaCore.WallTime)
+	}
+}
+
+// TestCoreStackFailureFailsTheRun: the Collectives interface has no
+// error results, so a collective that fails must fail the chip run
+// instead of being dropped.
+func TestCoreStackFailureFailsTheRun(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		call func(s CoreStack, buf scc.Addr)
+		want string
+	}{
+		{"allreduce", func(s CoreStack, buf scc.Addr) { s.Allreduce(buf, buf, -1) }, "negative count"},
+		{"broadcast", func(s CoreStack, buf scc.Addr) { s.Broadcast(-1, buf, 1) }, "root"},
+	} {
+		chip := scc.New(timing.Default())
+		comm := rcce.NewComm(chip)
+		chip.Launch(func(c *scc.Core) {
+			tc.call(CoreStack{Ctx: core.NewCtx(comm.UE(c.ID), core.ConfigBalanced)}, c.AllocF64(1))
+		})
+		err := chip.Run()
+		if err == nil || !strings.Contains(err.Error(), core.ErrInvalid.Error()) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: run error %v, want the collective's invalid-argument error (%s)", tc.name, err, tc.want)
+		}
 	}
 }

@@ -7,23 +7,31 @@ import (
 )
 
 // CoreStack adapts the optimized collectives (package core) to the
-// application's Collectives interface.
+// application's Collectives interface, which has no error results: a
+// collective that fails panics with its error, and the simulator's run
+// reports the panic.
 type CoreStack struct {
 	Ctx *core.Ctx
 }
 
 // Allreduce sums element-wise across all cores.
 func (s CoreStack) Allreduce(src, dst scc.Addr, n int) {
-	s.Ctx.Allreduce(src, dst, n, core.Sum)
+	must(s.Ctx.Allreduce(src, dst, n, core.Sum))
 }
 
 // Broadcast distributes from root.
 func (s CoreStack) Broadcast(root int, addr scc.Addr, n int) {
-	s.Ctx.Broadcast(root, addr, n)
+	must(s.Ctx.Broadcast(root, addr, n))
 }
 
 // Barrier synchronizes all cores.
-func (s CoreStack) Barrier() { s.Ctx.Barrier() }
+func (s CoreStack) Barrier() { must(s.Ctx.Barrier()) }
+
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
 
 // RCKMPIStack adapts the RCKMPI comparator.
 type RCKMPIStack struct {

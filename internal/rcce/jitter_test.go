@@ -13,7 +13,7 @@ import (
 // global state), bounded by window*Jitter/16, zero when disabled, and
 // actually spreads distinct pairings apart.
 func TestJitterOfPureAndBounded(t *testing.T) {
-	pol := Policy{Timeout: simtime.Microseconds(300), Backoff: 2, MaxRetries: 5, Jitter: 4}
+	pol := Policy{Timeout: simtime.Microseconds(300), MaxRetries: 5, Jitter: 4}
 	window := simtime.Microseconds(600)
 	max := window * simtime.Duration(pol.Jitter) / 16
 
@@ -51,7 +51,7 @@ func jitteredGiveUpTime(t *testing.T, jitter int) simtime.Time {
 	t.Helper()
 	chip := scc.New(timing.Default())
 	comm := NewComm(chip)
-	pol := Policy{Timeout: simtime.Microseconds(50), Backoff: 2, MaxRetries: 4, Jitter: jitter}
+	pol := Policy{Timeout: simtime.Microseconds(50), MaxRetries: 4, Jitter: jitter}
 	var end simtime.Time
 	chip.LaunchOne(0, func(core *scc.Core) {
 		u := comm.UE(0)

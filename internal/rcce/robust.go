@@ -36,12 +36,14 @@ import (
 // exhausted — the peer is presumed dead (or unreachable mid-protocol).
 var ErrUnreachable = errors.New("rcce: peer unreachable, retries exhausted")
 
+// Backoff multiplies a hardened wait's window after each timeout.
+const Backoff = 2
+
 // Policy bounds the hardened protocol's waits and retries.
 type Policy struct {
-	// Timeout is the initial bounded-wait window per chunk handshake.
+	// Timeout is the initial bounded-wait window per chunk handshake;
+	// each timeout widens it by Backoff.
 	Timeout simtime.Duration
-	// Backoff multiplies the window after each timeout (>= 1).
-	Backoff int
 	// MaxRetries is the per-chunk retry budget before ErrUnreachable.
 	MaxRetries int
 	// Jitter spreads the retransmit deadlines of concurrent peers: each
@@ -74,16 +76,13 @@ func (p Policy) JitterOf(window simtime.Duration, self, peer int, seq byte, try 
 // initial window (comfortably above one fault-free chunk handshake),
 // doubling per retry, eight retries.
 func DefaultPolicy() Policy {
-	return Policy{Timeout: simtime.Microseconds(300), Backoff: 2, MaxRetries: 8}
+	return Policy{Timeout: simtime.Microseconds(300), MaxRetries: 8}
 }
 
 func (p Policy) withDefaults() Policy {
 	d := DefaultPolicy()
 	if p.Timeout <= 0 {
 		p.Timeout = d.Timeout
-	}
-	if p.Backoff < 1 {
-		p.Backoff = d.Backoff
 	}
 	if p.MaxRetries <= 0 {
 		p.MaxRetries = d.MaxRetries
@@ -260,7 +259,7 @@ func (r *robustOp) armDeadline() {
 }
 
 func (r *robustOp) backoff() {
-	r.window *= simtime.Duration(r.pol.Backoff)
+	r.window *= Backoff
 	r.deadline = r.u.core.Now() + r.window +
 		r.pol.JitterOf(r.window, r.u.ID(), r.peer, r.seq, r.retries)
 }
@@ -569,7 +568,7 @@ func (u *UE) barrierGroup(members []int, pol *Policy) error {
 			if onRetry != nil {
 				onRetry()
 			}
-			window *= simtime.Duration(pol.Backoff)
+			window *= Backoff
 		}
 	}
 

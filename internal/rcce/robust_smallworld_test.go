@@ -108,7 +108,7 @@ func runSmallWorld(hook scc.FaultHook, duplex bool) (violation string, stats Rec
 	chip.Fault = hook
 	comm := NewComm(chip)
 	costs := NBCosts{Post: 500, Wait: 400, Progress: 300}
-	pol := Policy{Timeout: simtime.Microseconds(50), Backoff: 2, MaxRetries: 5}
+	pol := Policy{Timeout: simtime.Microseconds(50), MaxRetries: 5}
 	report := func(format string, args ...any) {
 		if violation == "" {
 			violation = fmt.Sprintf(format, args...)

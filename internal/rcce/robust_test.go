@@ -71,7 +71,7 @@ func runRobustPair(t *testing.T, hook scc.FaultHook, n int) (simtime.Time, Recov
 	chip.Fault = hook
 	comm := NewComm(chip)
 	costs := NBCosts{Post: 500, Wait: 400, Progress: 300}
-	pol := Policy{Timeout: simtime.Microseconds(200), Backoff: 2, MaxRetries: 8}
+	pol := Policy{Timeout: simtime.Microseconds(200), MaxRetries: 8}
 	var stats RecoveryStats
 	chip.LaunchOne(0, func(core *scc.Core) {
 		u := comm.UE(0)
@@ -178,7 +178,7 @@ func TestRobustUnreachablePeer(t *testing.T) {
 	// instead of hanging, and the engine must not report a deadlock.
 	chip := scc.New(timing.Default())
 	comm := NewComm(chip)
-	pol := Policy{Timeout: simtime.Microseconds(50), Backoff: 2, MaxRetries: 3}
+	pol := Policy{Timeout: simtime.Microseconds(50), MaxRetries: 3}
 	var sendErr error
 	chip.LaunchOne(0, func(core *scc.Core) {
 		u := comm.UE(0)

@@ -34,16 +34,20 @@ func Compile(s *Schedule, name string) (core.Algorithm, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	return compile(s, name), nil
+}
+
+// compile wraps a schedule that has passed Validate, which rejects every
+// op but the three below.
+func compile(s *Schedule, name string) core.Algorithm {
 	b := base{s: s, name: name}
 	switch s.Op {
 	case "allreduce":
-		return allreduceAlg{b}, nil
+		return allreduceAlg{b}
 	case "broadcast":
-		return broadcastAlg{b}, nil
-	case "reduce":
-		return reduceAlg{b}, nil
+		return broadcastAlg{b}
 	}
-	return nil, fmt.Errorf("synth: compile: unknown op %q", s.Op)
+	return reduceAlg{b}
 }
 
 type base struct {

@@ -2,7 +2,10 @@ package synth
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
 	"scc/internal/simtime"
 	"scc/internal/timing"
@@ -34,28 +37,21 @@ type Candidate struct {
 	Cost  simtime.Duration
 }
 
+// The search's fixed bounds. They are constants, not options, because
+// a committed recipe names a generator and nothing else: "beam" must
+// mean the same width on every rebuild.
+const (
+	// beamWidth is the beam width of the flavor-mixing search.
+	beamWidth = 4
+	// maxChunkPow caps the halving-doubling chunk count at 2^maxChunkPow
+	// (4 chunks), to keep schedules small.
+	maxChunkPow = 2
+)
+
 // Options bounds the search.
 type Options struct {
-	// Beam is the beam width of the flavor-mixing search (default 4).
-	Beam int
 	// MaxCands is how many candidates Enumerate returns (default 4).
 	MaxCands int
-	// MaxChunkPow caps the halving-doubling chunk count at 2^MaxChunkPow
-	// (default 2, i.e. up to 4 chunks) to keep committed schedules small.
-	MaxChunkPow int
-}
-
-func (o Options) withDefaults() Options {
-	if o.Beam <= 0 {
-		o.Beam = 4
-	}
-	if o.MaxCands <= 0 {
-		o.MaxCands = 4
-	}
-	if o.MaxChunkPow <= 0 {
-		o.MaxChunkPow = 2
-	}
-	return o
 }
 
 // flavor is one move-generator configuration.
@@ -76,58 +72,97 @@ func flavorsFor(op string) []flavor {
 	return []flavor{{"near", 1}, {"near", 2}, {"xy", 1}, {"xy", 2}}
 }
 
+// checkCell rejects a cell no generator can serve.
+func checkCell(model *timing.Model, op string, np, n int) error {
+	if np < 2 {
+		return fmt.Errorf("synth: np=%d (need at least 2)", np)
+	}
+	if np > model.NumCores() {
+		return fmt.Errorf("synth: np=%d exceeds the %d-core mesh", np, model.NumCores())
+	}
+	if n < 1 {
+		return fmt.Errorf("synth: n=%d", n)
+	}
+	switch op {
+	case "allreduce", "broadcast", "reduce":
+		return nil
+	}
+	return fmt.Errorf("synth: unknown op %q", op)
+}
+
+// generators lists, in candidate order, the labels of the generators
+// Enumerate runs for op: the greedy rollout of every flavor, the
+// flavor-mixing beam, and for allreduce the halving-doubling template
+// at each chunk count.
+func generators(op string) []string {
+	var gens []string
+	for _, f := range flavorsFor(op) {
+		gens = append(gens, f.label())
+	}
+	gens = append(gens, "beam")
+	if op == "allreduce" {
+		for j := 1; j <= maxChunkPow; j++ {
+			gens = append(gens, "hd:"+strconv.Itoa(1<<uint(j)))
+		}
+	}
+	return gens
+}
+
+// generate runs the generator labelled gen on the coster's np ranks at
+// vector size n and returns its schedule with the header filled in and
+// validated, or nil when the generator does not apply (halving-doubling
+// on a communicator that is not a power of two). Every generator is
+// deterministic, so a label, a cell and a mesh rebuild the same moves —
+// which is what lets the committed table store recipes (table.go). The
+// label a schedule carries can differ from gen: a beam whose best path
+// never mixed flavors is that flavor's greedy rollout and says so.
+func generate(c *coster, op string, n int, gen string) (*Schedule, error) {
+	var s *Schedule
+	switch {
+	case gen == "beam":
+		s = beamSearch(c, op, n, flavorsFor(op), beamWidth)
+	case op == "allreduce" && strings.HasPrefix(gen, "hd:"):
+		chunks, err := strconv.Atoi(strings.TrimPrefix(gen, "hd:"))
+		if err != nil {
+			return nil, fmt.Errorf("synth: generator %q: %w", gen, err)
+		}
+		s = halvingDoubling(c.np, chunks)
+	default:
+		fs := flavorsFor(op)
+		i := slices.IndexFunc(fs, func(f flavor) bool { return f.label() == gen })
+		if i < 0 {
+			return nil, fmt.Errorf("synth: no generator %q for %s", gen, op)
+		}
+		s = beamSearch(c, op, n, fs[i:i+1], 1)
+	}
+	if s == nil {
+		return nil, nil
+	}
+	s.Op, s.NP, s.NumSteps = op, c.np, len(s.Steps)
+	if err := s.Validate(); err != nil {
+		return nil, fmt.Errorf("synth: generator %q produced an invalid schedule: %w", gen, err)
+	}
+	return s, nil
+}
+
 // Enumerate searches schedules for one collective on np ranks (mapped
 // onto cores 0..np-1 of the model's mesh) at vector size n, and returns
 // the best candidates by model cost, provenance-deduplicated and
 // validated. op is an OpKind string: "allreduce", "broadcast", or
 // "reduce" (root = rank 0).
 func Enumerate(model *timing.Model, op string, np, n int, opt Options) ([]Candidate, error) {
-	if np < 2 {
-		return nil, fmt.Errorf("synth: np=%d (need at least 2)", np)
-	}
-	if np > model.NumCores() {
-		return nil, fmt.Errorf("synth: np=%d exceeds the %d-core mesh", np, model.NumCores())
-	}
-	if n < 1 {
-		return nil, fmt.Errorf("synth: n=%d", n)
-	}
-	switch op {
-	case "allreduce", "broadcast", "reduce":
-	default:
-		return nil, fmt.Errorf("synth: unknown op %q", op)
-	}
-	opt = opt.withDefaults()
-	c := newCoster(model, np)
-
-	var cands []Candidate
-	add := func(s *Schedule) error {
-		if s == nil {
-			return nil
-		}
-		s.Op = op
-		s.NP = np
-		s.NumSteps = len(s.Steps)
-		if err := s.Validate(); err != nil {
-			return fmt.Errorf("synth: generator %q produced an invalid schedule: %w", s.Gen, err)
-		}
-		cands = append(cands, Candidate{Sched: s, Cost: c.scheduleCost(s, n)})
-		return nil
-	}
-
-	flavors := flavorsFor(op)
-	for _, f := range flavors {
-		if err := add(beamSearch(c, op, np, n, []flavor{f}, 1)); err != nil {
-			return nil, err
-		}
-	}
-	if err := add(beamSearch(c, op, np, n, flavors, opt.Beam)); err != nil {
+	if err := checkCell(model, op, np, n); err != nil {
 		return nil, err
 	}
-	if op == "allreduce" {
-		for j := 1; j <= opt.MaxChunkPow; j++ {
-			if err := add(halvingDoubling(np, 1<<uint(j))); err != nil {
-				return nil, err
-			}
+	c := newCoster(model, np)
+	var cands []Candidate
+	for _, gen := range generators(op) {
+		s, err := generate(c, op, n, gen)
+		if err != nil {
+			return nil, err
+		}
+		if s != nil {
+			cands = append(cands, Candidate{Sched: s, Cost: c.scheduleCost(s, n)})
 		}
 	}
 	sort.SliceStable(cands, func(i, j int) bool { return cands[i].Cost < cands[j].Cost })
@@ -144,6 +179,9 @@ func Enumerate(model *timing.Model, op string, np, n int, opt Options) ([]Candid
 		uniq = append(uniq, cand)
 	}
 	cands = uniq
+	if opt.MaxCands <= 0 {
+		opt.MaxCands = 4
+	}
 	if len(cands) > opt.MaxCands {
 		cands = cands[:opt.MaxCands]
 	}
@@ -245,7 +283,8 @@ func (s *searchState) done(op string, np int) bool {
 // returns the best terminal schedule, or nil when no flavor can finish
 // within the step budget. With a single flavor and width 1 it is a
 // greedy rollout of that flavor.
-func beamSearch(c *coster, op string, np, n int, flavors []flavor, width int) *Schedule {
+func beamSearch(c *coster, op string, n int, flavors []flavor, width int) *Schedule {
+	np := c.np
 	init := &searchState{masks: make([]mask, np)}
 	for r := 0; r < np; r++ {
 		m := newMask(np)

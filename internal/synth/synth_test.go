@@ -1,6 +1,9 @@
 package synth
 
 import (
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -254,9 +257,10 @@ func TestTableRoundTrip(t *testing.T) {
 	}
 	tab := &Table{
 		Transport: "test",
-		Entries:   []TableEntry{{Op: "broadcast", NP: 8, MaxN: 16, Sched: cands[0].Sched}},
+		Entries: []TableEntry{{Op: "broadcast", NP: 8, MaxN: 16,
+			Gen: cands[0].Sched.Gen, N: 16, Mesh: model.MeshSpec()}},
 	}
-	data, err := tab.Marshal()
+	data, err := json.Marshal(tab)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,8 +268,8 @@ func TestTableRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Entries) != 1 || back.Entries[0].Sched.TotalMoves() != cands[0].Sched.TotalMoves() {
-		t.Fatal("table did not survive the JSON round trip")
+	if len(back.Entries) != 1 || movesFingerprint(back.Entries[0].Sched) != movesFingerprint(cands[0].Sched) {
+		t.Fatal("the recipe did not rebuild the enumerated schedule")
 	}
 	if err := back.Register(); err != nil {
 		t.Fatal(err)
@@ -275,5 +279,89 @@ func TestTableRoundTrip(t *testing.T) {
 	}
 	if core.LookupAlgorithm(core.KindBroadcast, "synth:broadcast:8:16") == nil {
 		t.Fatal("round-tripped table entry not registered")
+	}
+}
+
+// TestDefaultTableRebuildsCommittedMoves pins every recipe of the
+// committed table to the moves of the schedule it stood for when the
+// table still stored move lists: step count, move count and a SHA-256
+// prefix of movesFingerprint, recorded from those lists. The 512-core
+// rows are too slow to re-sweep in a unit test; this is their check.
+func TestDefaultTableRebuildsCommittedMoves(t *testing.T) {
+	if len(defaultTableJSON) >= 4096 {
+		t.Errorf("synth_default.json is %d bytes; recipes fit in 4 KB", len(defaultTableJSON))
+	}
+	want := []struct {
+		op          string
+		np, maxN    int
+		gen         string
+		steps, mvs  int
+		fingerprint string
+	}{
+		{"allreduce", 48, 64, "beam", 7, 280, "0fc8c6b9d7b2c3c3"},
+		{"allreduce", 48, 552, "beam", 7, 280, "0fc8c6b9d7b2c3c3"},
+		{"broadcast", 48, 64, "beam", 4, 47, "af1e21a067efd8dd"},
+		{"broadcast", 48, 552, "beam", 4, 47, "af1e21a067efd8dd"},
+		{"reduce", 48, 64, "near:f1", 6, 47, "a68aab5d1f7dda72"},
+		{"reduce", 48, 552, "near:f1", 6, 47, "a68aab5d1f7dda72"},
+		{"allreduce", 512, 64, "hd:4", 11, 6656, "0978f390cdaf57a7"},
+		{"allreduce", 512, 552, "hd:4", 11, 6656, "0978f390cdaf57a7"},
+		{"broadcast", 512, 64, "xy:f2", 6, 511, "efc5332bad123af8"},
+		{"broadcast", 512, 552, "xy:f2", 6, 511, "efc5332bad123af8"},
+		{"reduce", 512, 64, "near:f1", 9, 511, "e8b9763502c846a2"},
+		{"reduce", 512, 552, "near:f1", 9, 511, "e8b9763502c846a2"},
+	}
+	tab, err := DefaultTable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tab.Entries) != len(want) {
+		t.Fatalf("committed table has %d entries, want %d", len(tab.Entries), len(want))
+	}
+	for i, w := range want {
+		e := tab.Entries[i]
+		s := e.Sched
+		sum := sha256.Sum256([]byte(movesFingerprint(s)))
+		got := fmt.Sprintf("%s %d %d %s %d %d %x", e.Op, e.NP, e.MaxN, s.Gen, s.NumSteps, s.TotalMoves(), sum[:8])
+		if exp := fmt.Sprintf("%s %d %d %s %d %d %s", w.op, w.np, w.maxN, w.gen, w.steps, w.mvs, w.fingerprint); got != exp {
+			t.Errorf("entry %d rebuilt as %q, want %q", i, got, exp)
+		}
+	}
+}
+
+// TestParseTableRejectsBadRecipes: a recipe that cannot rebuild its
+// schedule fails the parse instead of registering something else.
+func TestParseTableRejectsBadRecipes(t *testing.T) {
+	good := TableEntry{Op: "broadcast", NP: 8, MaxN: 16, Gen: "near:f1", N: 16, Mesh: "4x6x2"}
+	for _, tc := range []struct {
+		name  string
+		edit  func(e *TableEntry)
+		twice bool
+		want  string
+	}{
+		{"unknown generator", func(e *TableEntry) { e.Gen = "zigzag" }, false, "no generator"},
+		{"template for the wrong op", func(e *TableEntry) { e.Gen = "hd:2" }, false, "no generator"},
+		{"template off a power of two", func(e *TableEntry) { e.Op, e.NP, e.Gen = "allreduce", 12, "hd:2" }, false, "does not rebuild"},
+		{"padded label", func(e *TableEntry) { e.Op, e.Gen = "allreduce", "hd:02" }, false, "does not rebuild"},
+		{"mesh syntax", func(e *TableEntry) { e.Mesh = "4x6" }, false, "mesh"},
+		{"mesh suffix", func(e *TableEntry) { e.Mesh = "4x6x2x1" }, false, "mesh"},
+		{"np beyond the mesh", func(e *TableEntry) { e.NP = 64 }, false, "exceeds"},
+		{"no search size", func(e *TableEntry) { e.N = 0 }, false, "n=0"},
+		{"unknown op", func(e *TableEntry) { e.Op = "scan" }, false, "unknown op"},
+		{"duplicate cell", func(*TableEntry) {}, true, "duplicate"},
+	} {
+		e := good
+		tc.edit(&e)
+		tab := Table{Entries: []TableEntry{e}}
+		if tc.twice {
+			tab.Entries = append(tab.Entries, e)
+		}
+		data, err := json.Marshal(tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ParseTable(data); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: ParseTable error %v, want one mentioning %q", tc.name, err, tc.want)
+		}
 	}
 }

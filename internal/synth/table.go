@@ -7,13 +7,18 @@ import (
 	"sync"
 
 	"scc/internal/core"
+	"scc/internal/timing"
 )
 
 // The committed schedule table: like internal/core's tuned_default.json
 // it is a data artifact produced by a sweep (`sccbench -synth`) and
-// checked in, so every build ships the same winning schedules. Each
-// entry is a full Schedule for one (op, np, size-bucket) cell; Register
-// compiles the entries into algorithms named
+// checked in, so every build ships the same winning schedules. An entry
+// is a recipe, not a move list: the (op, np, size-bucket) cell, the
+// label of the generator that won it, and the vector size and mesh that
+// generator ran on. Every generator is deterministic, so ParseTable
+// rebuilds each schedule move for move through the dispatch Enumerate
+// uses (generate), which validates it. Register compiles the entries
+// into algorithms named
 //
 //	synth:<op>:<np>:<bucket>
 //
@@ -25,10 +30,14 @@ import (
 
 // TableEntry is one committed cell.
 type TableEntry struct {
-	Op    string    `json:"op"`
-	NP    int       `json:"np"`
-	MaxN  int       `json:"max_n"` // bucket upper edge in elements; 0 = unbounded
-	Sched *Schedule `json:"sched"`
+	Op   string `json:"op"`
+	NP   int    `json:"np"`
+	MaxN int    `json:"max_n"` // bucket upper edge in elements; 0 = unbounded
+	Gen  string `json:"gen"`   // winning generator's label: "beam", "near:f1", "hd:4", ...
+	N    int    `json:"n"`     // vector size the generator ranked moves at
+	Mesh string `json:"mesh"`  // the searched mesh, ROWSxCOLSxCORES_PER_TILE
+	// Sched is the validated schedule the recipe builds.
+	Sched *Schedule `json:"-"`
 }
 
 // Table is the committed schedule set.
@@ -47,99 +56,74 @@ func NameFor(op string, np, maxN int) string {
 	return fmt.Sprintf("synth:%s:%d:%d", op, np, maxN)
 }
 
-// Validate checks every entry: schedule validity, op consistency, and
-// name uniqueness.
-func (t *Table) Validate() error {
+// build rebuilds the entry's schedule from its recipe.
+func (e *TableEntry) build() error {
+	var rows, cols, perTile int
+	if _, err := fmt.Sscanf(e.Mesh, "%dx%dx%d", &rows, &cols, &perTile); err != nil {
+		return fmt.Errorf("mesh %q: %w", e.Mesh, err)
+	}
+	model := timing.Topology(rows, cols, perTile)
+	if model.MeshSpec() != e.Mesh {
+		return fmt.Errorf("mesh %q is not ROWSxCOLSxCORES_PER_TILE", e.Mesh)
+	}
+	if err := model.Validate(); err != nil {
+		return err
+	}
+	if err := checkCell(model, e.Op, e.NP, e.N); err != nil {
+		return err
+	}
+	s, err := generate(newCoster(model, e.NP), e.Op, e.N, e.Gen)
+	if err != nil {
+		return err
+	}
+	if s == nil {
+		return fmt.Errorf("generator %q does not rebuild: it does not apply to this cell", e.Gen)
+	}
+	if s.Gen != e.Gen {
+		return fmt.Errorf("generator %q does not rebuild: it yields a %q schedule here", e.Gen, s.Gen)
+	}
+	e.Sched = s
+	return nil
+}
+
+// ParseTable decodes a committed table and rebuilds every entry's
+// schedule.
+func ParseTable(data []byte) (*Table, error) {
+	var t Table
+	if err := json.Unmarshal(data, &t); err != nil {
+		return nil, fmt.Errorf("synth: parse table: %w", err)
+	}
 	seen := map[string]bool{}
-	for i, e := range t.Entries {
-		if e.Sched == nil {
-			return fmt.Errorf("synth: table entry %d has no schedule", i)
-		}
-		if e.Sched.Op != e.Op || e.Sched.NP != e.NP {
-			return fmt.Errorf("synth: table entry %d header (%s,np=%d) disagrees with schedule (%s,np=%d)",
-				i, e.Op, e.NP, e.Sched.Op, e.Sched.NP)
-		}
+	for i := range t.Entries {
+		e := &t.Entries[i]
 		name := NameFor(e.Op, e.NP, e.MaxN)
 		if seen[name] {
-			return fmt.Errorf("synth: duplicate table entry %s", name)
+			return nil, fmt.Errorf("synth: duplicate table entry %s", name)
 		}
 		seen[name] = true
-		if err := e.Sched.Validate(); err != nil {
-			return fmt.Errorf("synth: table entry %s: %w", name, err)
+		if err := e.build(); err != nil {
+			return nil, fmt.Errorf("synth: table entry %s: %w", name, err)
 		}
 	}
-	return nil
+	return &t, nil
 }
 
 // Register compiles and registers every entry not already present in
 // the algorithm registry (idempotent: re-registering an existing name
-// is a no-op, so tables may be loaded more than once).
+// is a no-op, so tables may be loaded more than once). The schedules
+// are the validated ones ParseTable or the synthesis sweep built.
 func (t *Table) Register() error {
-	if err := t.Validate(); err != nil {
-		return err
-	}
 	for _, e := range t.Entries {
 		name := NameFor(e.Op, e.NP, e.MaxN)
 		k, err := core.ParseOpKind(e.Op)
 		if err != nil {
 			return err
 		}
-		if core.LookupAlgorithm(k, name) != nil {
-			continue
+		if core.LookupAlgorithm(k, name) == nil {
+			core.RegisterAlgorithm(compile(e.Sched, name))
 		}
-		a, err := Compile(e.Sched, name)
-		if err != nil {
-			return err
-		}
-		core.RegisterAlgorithm(a)
 	}
 	return nil
-}
-
-// Marshal renders the table as the committed JSON form: one compact
-// line per entry. A 512-rank chunked schedule carries thousands of
-// moves, so pretty-printing every move object would multiply the
-// committed artifact's size by ~5 for no reviewability gain — diffs on
-// this file are regenerations, not hand edits.
-func (t *Table) Marshal() ([]byte, error) {
-	var b []byte
-	b = append(b, "{\n"...)
-	if t.Transport != "" {
-		tr, err := json.Marshal(t.Transport)
-		if err != nil {
-			return nil, err
-		}
-		b = append(b, ` "transport": `...)
-		b = append(b, tr...)
-		b = append(b, ',')
-		b = append(b, '\n')
-	}
-	b = append(b, ` "entries": [`...)
-	for i, e := range t.Entries {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, "\n  "...)
-		line, err := json.Marshal(e)
-		if err != nil {
-			return nil, err
-		}
-		b = append(b, line...)
-	}
-	b = append(b, "\n ]\n}"...)
-	return b, nil
-}
-
-// ParseTable decodes and validates a committed table.
-func ParseTable(data []byte) (*Table, error) {
-	var t Table
-	if err := json.Unmarshal(data, &t); err != nil {
-		return nil, fmt.Errorf("synth: parse table: %w", err)
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return &t, nil
 }
 
 //go:embed synth_default.json

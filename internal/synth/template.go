@@ -1,6 +1,9 @@
 package synth
 
-import "math/bits"
+import (
+	"math/bits"
+	"strconv"
+)
 
 // halvingDoubling emits the chunked Rabenseifner allreduce for a
 // power-of-two communicator: j = log2(chunks) recursive-halving
@@ -120,20 +123,6 @@ func halvingDoubling(np, chunks int) *Schedule {
 	return &Schedule{
 		Chunks: chunks,
 		Steps:  steps,
-		Gen:    "hd:" + itoa(chunks),
+		Gen:    "hd:" + strconv.Itoa(chunks),
 	}
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [8]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
 }

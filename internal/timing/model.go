@@ -287,6 +287,12 @@ func Topology(rows, cols, coresPerTile int) *Model {
 	return m
 }
 
+// MeshSpec renders the geometry as ROWSxCOLSxCORES_PER_TILE, the syntax
+// of the -mesh flag ("4x6x2" for the paper's chip).
+func (m *Model) MeshSpec() string {
+	return fmt.Sprintf("%dx%dx%d", m.MeshHeight, m.MeshWidth, m.CoresPerTile)
+}
+
 // NumTiles returns the tile count of the mesh.
 func (m *Model) NumTiles() int { return m.MeshWidth * m.MeshHeight }
 

@@ -24,9 +24,9 @@ var ErrInvalid = core.ErrInvalid
 // Barrier run system-wide; the rest return this typed error.
 var ErrCrossChip = core.ErrCrossChip
 
-// RecoveryPolicy bounds the hardened protocol's waits: Timeout per
-// attempt, exponential Backoff factor, MaxRetries before a peer is
-// declared unreachable.
+// RecoveryPolicy bounds the hardened protocol's waits: Timeout for the
+// first attempt, doubled after every timeout, and MaxRetries before a
+// peer is declared unreachable.
 type RecoveryPolicy = rcce.Policy
 
 // DefaultRecoveryPolicy returns the standard hardened-protocol policy.

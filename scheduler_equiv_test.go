@@ -161,7 +161,7 @@ func schedGoldenSections(t *testing.T) map[string][]byte {
 	// The self-heal suite: mid-collective core death, detection,
 	// agreement and re-execution — the deepest consumer of signals,
 	// timeouts and deadline arithmetic.
-	hp := bench.SelfHealSweep(model, core.TransportLightweight, core.DefaultHealPolicy(),
+	hp := bench.NewRunner(1).SelfHealSweep(model, core.TransportLightweight, core.DefaultHealPolicy(),
 		[]string{"ring", "recdouble"}, 552, []float64{0.5})
 	var healLines []string
 	for _, p := range hp {
