@@ -171,10 +171,12 @@ func TestRenderChart(t *testing.T) {
 
 // TestFootprintBudget bounds the live heap one simulated core costs
 // after a Barrier and a Broadcast: 9.4 KB/core at 48 cores and 17.2 at
-// 1,024 in a fresh process when the budgets were set. The budgets are
-// generous — the regressions they exist for, a dense per-core structure
-// creeping back in, are 10-100x — because a heap delta across a GC is
-// only good to a few hundred KB in total. The 10,240-core budget sits
+// 1,024 in a fresh process when the budgets were set, 5.8 and 6.6 since
+// every flag region is one line and arena pages are 512 B. The 1,024-core
+// budget is that measurement plus 50 %; the 48-core one is older and
+// more generous. The regressions they exist for, a dense per-core
+// structure creeping back in, are 10-100x, and a heap delta across a GC
+// is only good to a few hundred KB in total. The 10,240-core budget sits
 // with the LargeMesh tests in the root package.
 func TestFootprintBudget(t *testing.T) {
 	for _, c := range []struct {
@@ -182,7 +184,7 @@ func TestFootprintBudget(t *testing.T) {
 		kb    float64
 	}{
 		{timing.Default(), 16},
-		{timing.Topology(32, 32, 1), 30},
+		{timing.Topology(32, 32, 1), 10},
 	} {
 		fp := MeasureFootprint(c.model)
 		if fp.BarrierTicks <= 0 || fp.BroadcastTicks <= 0 {
@@ -191,5 +193,6 @@ func TestFootprintBudget(t *testing.T) {
 		if fp.BytesPerCore > c.kb*1024 {
 			t.Errorf("%d cores retain %.0f B/core, budget %.0f KB/core", fp.Cores, fp.BytesPerCore, c.kb)
 		}
+		t.Logf("%d cores retain %.0f B/core", fp.Cores, fp.BytesPerCore)
 	}
 }

@@ -3,8 +3,10 @@ package bench
 import (
 	"bytes"
 	"errors"
+	"math/big"
 	"strings"
 	"testing"
+	"time"
 
 	"scc/internal/timing"
 )
@@ -52,6 +54,45 @@ func TestParseMeshSpec(t *testing.T) {
 			t.Errorf("ParseMeshSpec(%q): error %v is not a *SpecError", spec, err)
 		} else if se.Flag != "-mesh" || se.Value != spec {
 			t.Errorf("ParseMeshSpec(%q): SpecError names %s=%q", spec, se.Flag, se.Value)
+		}
+	}
+}
+
+// TestMeshSpecOverflow: a huge -mesh spec returns at once, either as a
+// *SpecError or as a model whose core count and MPB layout are the true
+// products. Deriving 4000x4000 once took 11 s in an 8 KB-step loop, and
+// 100000x100000 passed Validate on a wrapped layout product.
+func TestMeshSpecOverflow(t *testing.T) {
+	for _, c := range []struct {
+		spec       string
+		rows, cols int
+	}{
+		{"4000x4000", 4000, 4000},
+		{"100000x100000", 100000, 100000},
+		{"3037000500x3037000500", 3037000500, 3037000500},
+	} {
+		start := time.Now()
+		m, err := ParseMeshSpec(c.spec)
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("ParseMeshSpec(%q) took %v", c.spec, d)
+		}
+		if err != nil {
+			var se *SpecError
+			if !errors.As(err, &se) {
+				t.Errorf("ParseMeshSpec(%q): error %v is not a *SpecError", c.spec, err)
+			}
+			continue
+		}
+		cores := new(big.Int).Mul(big.NewInt(int64(c.rows)), big.NewInt(int64(c.cols)))
+		space := new(big.Int).Mul(cores, big.NewInt(int64(m.MPBBytesPerCore)))
+		flags := new(big.Int).Mul(cores, big.NewInt(int64(m.CacheLineBytes)))
+		room := new(big.Int).Sub(big.NewInt(int64(m.MPBBytesPerCore)), flags)
+		if !cores.IsInt64() || int64(m.NumCores()) != cores.Int64() ||
+			!space.IsInt64() || int64(m.MPBTotalBytes()) != space.Int64() ||
+			room.Cmp(big.NewInt(int64(m.MPBDataBytes()))) < 0 ||
+			m.MPBDataBytes() < timing.Default().MPBDataBytes() {
+			t.Errorf("ParseMeshSpec(%q) accepted a wrapped model: %d cores, %d-byte MPB, %d data bytes",
+				c.spec, m.NumCores(), m.MPBBytesPerCore, m.MPBDataBytes())
 		}
 	}
 }

@@ -36,8 +36,10 @@ import (
 //     coordinator collects exact attempt-derived arrive tokens under a
 //     deadline shared by the whole collection phase (dead members run
 //     the clock down together instead of each consuming a private
-//     budget), assembles the view from the arrivals, and publishes view
-//     bitmap + epoch through each member's MPB line. Members stuck on a
+//     budget), assembles the view from the arrivals, writes the view
+//     bitmap once into its own MPB view slot and the epoch word into
+//     each member's MPB line, and releases the members, which then read
+//     the view from the coordinator's slot. Members stuck on a
 //     different collective call (a dropped vote release can strand one)
 //     ship their call sequence with the arrival; only the largest
 //     same-call cohort enters the view, so desynchronized members are
@@ -191,18 +193,11 @@ type Healer struct {
 // spanning all cores at epoch 0.
 func NewHealer(ue *rcce.UE, pol HealPolicy) *Healer {
 	n := ue.NumUEs()
-	comm := ue.Comm()
-	bl := comm.ViewBitmapBytes()
-	if bl != (n+7)/8 || rcce.FlagSuspBase+bl != comm.FlagViewEpoch() ||
-		comm.FlagViewEpoch()+4 > comm.FlagCollSeq() {
-		panic(fmt.Sprintf("core: %d cores need a %d-byte suspicion bitmap plus epoch word; flag region ends at %d",
-			n, bl, comm.FlagCollSeq()))
-	}
 	h := &Healer{
 		ue:      ue,
 		pol:     pol.withDefaults(),
 		members: make([]int, n),
-		bitmap:  make([]byte, bl),
+		bitmap:  make([]byte, ue.Core().Chip().Model.ViewBitmapBytes()),
 		viewBuf: make([]int, 0, n),
 		seqBuf:  make([]byte, n),
 	}
@@ -535,7 +530,8 @@ func (h *Healer) reconfigure(x *Ctx) error {
 // for each current member's exact arrive token under the shared 2B
 // collection deadline, read the arrivals' call-sequence bytes, keep the
 // largest same-call cohort (ties to the cohort that is further along),
-// and publish view bitmap + epoch + release token to every view member.
+// and publish: the view bitmap once into this core's view slot, then
+// the epoch word and release token to every view member.
 // Returns ok=false when the cohort falls short of quorum. A coordinator
 // whose own call sequence is in the minority publishes the view it
 // assembled and is then evicted by its caller — the view members commit
@@ -560,7 +556,7 @@ func (h *Healer) coordinate(epoch uint32, attempt int, ta simtime.Time, B simtim
 			continue
 		}
 		h.det.Clear(p)
-		h.seqBuf[p] = c.ProbeFlag(comm.FlagAddr(me, p, comm.FlagCollSeq()))
+		h.seqBuf[p] = c.ProbeFlag(comm.FlagAddr(me, p, rcce.FlagCollSeq))
 		arrived = append(arrived, p)
 	}
 
@@ -592,10 +588,12 @@ func (h *Healer) coordinate(epoch uint32, attempt int, ta simtime.Time, B simtim
 		return nil, false
 	}
 
-	// Publish: payload first (bitmap + epoch), release flag last — the
-	// flag write lands after the payload in virtual time, so a member
-	// that sees the release reads a complete proposal.
+	// Publish: payload first (the view bitmap once, into this core's
+	// own view slot; the epoch word into each member's line), release
+	// flag last — the flag write lands after the payload in virtual
+	// time, so a member that sees the release reads a complete proposal.
 	fillViewBitmap(h.bitmap, view)
+	c.MPBWrite(comm.ViewSlot(me), h.bitmap)
 	var eb [4]byte
 	binary.LittleEndian.PutUint32(eb[:], epoch)
 	rel := byte(1 + epoch%127)
@@ -603,8 +601,7 @@ func (h *Healer) coordinate(epoch uint32, attempt int, ta simtime.Time, B simtim
 		if p == me {
 			continue
 		}
-		c.MPBWrite(comm.FlagAddr(p, me, rcce.FlagSuspBase), h.bitmap)
-		c.MPBWrite(comm.FlagAddr(p, me, comm.FlagViewEpoch()), eb[:])
+		c.MPBWrite(comm.FlagAddr(p, me, rcce.FlagViewEpoch), eb[:])
 		c.SetFlag(comm.FlagAddr(p, me, rcce.FlagMemberRelease), rel)
 	}
 	h.viewBuf = view
@@ -613,12 +610,13 @@ func (h *Healer) coordinate(epoch uint32, attempt int, ta simtime.Time, B simtim
 
 // follow runs the member side of one agreement attempt against coord:
 // clear my own release line (so a stale proposal can't be re-adopted),
-// ship my suspicion bitmap and call-sequence byte, raise the exact
-// attempt-derived arrive token, and wait for the proposal until the 6B
-// mark — long enough for the coordinator's full 2B collection plus
-// publication, short enough that a dead candidate costs one padded
-// attempt. A timeout suspects the coordinator (a diagnostic hint only;
-// rotation moves past it regardless).
+// ship my call-sequence byte, raise the exact attempt-derived arrive
+// token, and wait for the release until the 6B mark — long enough for
+// the coordinator's full 2B collection plus publication, short enough
+// that a dead candidate costs one padded attempt — then read the view
+// from the coordinator's view slot and the epoch from my line. A
+// timeout suspects the coordinator (a diagnostic hint only; rotation
+// moves past it regardless).
 func (h *Healer) follow(coord, attempt int, ta simtime.Time, B simtime.Duration) ([]int, uint32, bool) {
 	u, c := h.ue, h.ue.Core()
 	comm := u.Comm()
@@ -627,9 +625,7 @@ func (h *Healer) follow(coord, attempt int, ta simtime.Time, B simtime.Duration)
 	relOff := comm.FlagAddr(me, coord, rcce.FlagMemberRelease)
 	c.SetFlag(relOff, 0)
 
-	h.det.fillBitmap(h.bitmap)
-	c.MPBWrite(comm.FlagAddr(coord, me, rcce.FlagSuspBase), h.bitmap)
-	c.SetFlag(comm.FlagAddr(coord, me, comm.FlagCollSeq()), byte(h.collSeq))
+	c.SetFlag(comm.FlagAddr(coord, me, rcce.FlagCollSeq), byte(h.collSeq))
 	c.SetFlag(comm.FlagAddr(coord, me, rcce.FlagMemberArrive), arriveTok(h.epoch, attempt))
 
 	_, ok := h.waitUntil(relOff, ta+6*B, func(v byte) bool { return v != 0 })
@@ -639,9 +635,9 @@ func (h *Healer) follow(coord, attempt int, ta simtime.Time, B simtime.Duration)
 	}
 	h.det.Clear(coord)
 
-	c.MPBRead(comm.FlagAddr(me, coord, rcce.FlagSuspBase), h.bitmap)
+	c.MPBRead(comm.ViewSlot(coord), h.bitmap)
 	var eb [4]byte
-	c.MPBRead(comm.FlagAddr(me, coord, comm.FlagViewEpoch()), eb[:])
+	c.MPBRead(comm.FlagAddr(me, coord, rcce.FlagViewEpoch), eb[:])
 	epoch := binary.LittleEndian.Uint32(eb[:])
 
 	view := h.viewBuf[:0]

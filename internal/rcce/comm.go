@@ -16,6 +16,7 @@ import (
 	"scc/internal/metrics"
 	"scc/internal/scc"
 	"scc/internal/simtime"
+	"scc/internal/timing"
 )
 
 // Flag roles within a core's per-writer flag line. Writer p owns line p
@@ -59,7 +60,8 @@ const (
 	FlagVoteRelease = 16
 	// FlagMemberArrive/Release: membership-agreement participation and
 	// view-publication flags. Arrive carries a per-member monotonic
-	// token; Release announces that the view payload below is valid.
+	// token; Release announces that the coordinator's view slot and the
+	// epoch word below hold a complete proposal.
 	FlagMemberArrive  = 17
 	FlagMemberRelease = 18
 	// FlagEpochArrive/Release: the commit barrier that seals a newly
@@ -67,30 +69,17 @@ const (
 	// epochs cannot alias.
 	FlagEpochArrive  = 19
 	FlagEpochRelease = 20
-	// FlagSuspBase starts the membership bitmap payload region (one bit
-	// per core, so ceil(NumCores/8) bytes — Comm.ViewBitmapBytes).
-	// member -> coordinator lines carry the member's suspicion bitmap;
-	// coordinator -> member lines carry the agreed view bitmap. The
-	// agreed-epoch word and the call-sequence byte follow; their offsets
-	// depend on the core count, so they are Comm methods (FlagViewEpoch,
-	// FlagCollSeq) rather than constants.
-	FlagSuspBase = 21
+	// FlagViewEpoch: coordinator -> member, the agreed epoch of a
+	// self-heal view (little-endian uint32). The view itself is in the
+	// coordinator's own view slot (Comm.ViewSlot), not in the flag line;
+	// a member reads it there after FlagMemberRelease.
+	FlagViewEpoch = timing.FlagFixedRoles
+	// FlagCollSeq: member -> coordinator, the wrapped-collective call
+	// sequence (mod 256), shipped with each agreement arrival so a member
+	// stranded on a different collective call than the majority cohort
+	// is evicted instead of exchanging mismatched payloads.
+	FlagCollSeq = FlagViewEpoch + timing.FlagViewEpochBytes
 )
-
-// ViewBitmapBytes returns the size of the membership bitmaps shipped
-// through the flag region: one bit per core.
-func (c *Comm) ViewBitmapBytes() int { return c.chip.Model.ViewBitmapBytes() }
-
-// FlagViewEpoch returns the role offset of the agreed epoch
-// (little-endian uint32), right after the view bitmap.
-func (c *Comm) FlagViewEpoch() int { return FlagSuspBase + c.ViewBitmapBytes() }
-
-// FlagCollSeq returns the role offset of the wrapped-collective call
-// sequence (mod 256), shipped with each agreement arrival so a member
-// stranded on a different collective call than the majority cohort is
-// evicted instead of exchanging mismatched payloads. Last byte of the
-// per-writer flag region.
-func (c *Comm) FlagCollSeq() int { return c.chip.Model.FlagBytesPerWriter() - 1 }
 
 // Unexported aliases keep the package-internal protocol code terse.
 const (
@@ -101,9 +90,10 @@ const (
 )
 
 // Comm is an RCCE communicator spanning all cores of a chip. It owns
-// the MPB layout: the first NumCores flag regions of every core's MPB
-// belong to the potential writers (one region each, sized by the
-// model's FlagBytesPerWriter); the rest is the chunk data region.
+// the MPB layout: the first NumCores cache lines of every core's MPB
+// are the flag lines of the potential writers (one each); the reserved
+// gap behind them starts with the core's view slot; the rest is the
+// chunk data region.
 type Comm struct {
 	chip *scc.Chip
 }
@@ -123,9 +113,16 @@ func (c *Comm) FlagAddr(owner, writer, role int) int {
 	return c.chip.MPBBase(owner) + writer*c.chip.Model.FlagBytesPerWriter() + role
 }
 
+// ViewSlot returns the global MPB offset of a core's view slot: the
+// ViewBitmapBytes at the start of the reserved gap, which only the core
+// itself writes (see timing.Model.ViewSlot).
+func (c *Comm) ViewSlot(core int) int {
+	return c.chip.MPBBase(core) + c.chip.Model.ViewSlot()
+}
+
 // DataBase returns the global MPB offset of a core's chunk data region:
 // the last DataBytes of the core's MPB, behind the per-writer flag
-// regions and the model's reserved gap (see timing.Model.MPBDataBytes).
+// lines and the model's reserved gap (see timing.Model.MPBDataBytes).
 func (c *Comm) DataBase(core int) int {
 	m := c.chip.Model
 	return c.chip.MPBBase(core) + m.MPBBytesPerCore - m.MPBDataBytes()

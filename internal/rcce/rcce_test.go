@@ -30,19 +30,20 @@ func TestLayoutConstants(t *testing.T) {
 			}
 		}
 	}
-	// The chunk data region sits behind the NumUEs per-writer flag
-	// regions and a 4-line reserved gap, with the calibrated chunk size of
-	// every geometry (48 pair-flag lines + 4 gap lines of 32 B leave
-	// 8192-1664 = 6528 B on the default chip). Every measured latency
-	// depends on these numbers.
+	// The chunk data region sits behind the NumUEs one-line flag regions
+	// and the reserved gap — four lines, or as many as the view bitmap
+	// needs — with the calibrated chunk size of every geometry (48 flag
+	// lines + 4 gap lines of 32 B leave 8192-1664 = 6528 B on the default
+	// chip). Every measured latency depends on these numbers. The view
+	// slot opens the gap.
 	for _, tc := range []struct {
-		model     *timing.Model
-		dataBytes int
+		model               *timing.Model
+		gapLines, dataBytes int
 	}{
-		{timing.Default(), 6528},
-		{timing.Topology(4, 4, 1), 7552},
-		{timing.Topology(8, 8, 2), 8064},
-		{timing.Topology(50, 50, 1), 12800},
+		{timing.Default(), 4, 6528},
+		{timing.Topology(4, 4, 1), 4, 7552},
+		{timing.Topology(8, 8, 2), 4, 12160},
+		{timing.Topology(50, 50, 1), 10, 9792},
 	} {
 		m := tc.model
 		chip := scc.New(m)
@@ -51,9 +52,15 @@ func TestLayoutConstants(t *testing.T) {
 			t.Errorf("%d cores: DataBytes = %d, want %d", m.NumCores(), got, tc.dataBytes)
 		}
 		for _, core := range []int{0, c.NumUEs() / 2, c.NumUEs() - 1} {
-			want := chip.MPBBase(core) + c.NumUEs()*m.FlagBytesPerWriter() + 4*m.CacheLineBytes
-			if got := c.DataBase(core); got != want {
-				t.Errorf("%d cores: DataBase(%d) = %d, want %d", m.NumCores(), core, got, want)
+			slot := chip.MPBBase(core) + c.NumUEs()*m.CacheLineBytes
+			if got := c.ViewSlot(core); got != slot {
+				t.Errorf("%d cores: ViewSlot(%d) = %d, want %d", m.NumCores(), core, got, slot)
+			}
+			if want := slot + tc.gapLines*m.CacheLineBytes; c.DataBase(core) != want {
+				t.Errorf("%d cores: DataBase(%d) = %d, want %d", m.NumCores(), core, c.DataBase(core), want)
+			}
+			if c.FlagAddr(core, c.NumUEs()-1, FlagCollSeq) >= slot {
+				t.Errorf("%d cores: the last writer's flag line runs into the view slot", m.NumCores())
 			}
 		}
 		chip.Release()

@@ -4,12 +4,12 @@ package scc
 // representation it replaces — one flat byte slice of
 // NumCores x MPBBytesPerCore — is fine for the paper's 48-core chip
 // (384 KB) but scales quadratically with the core count, because the
-// per-core MPB itself grows with NumCores (every core reserves a flag
-// region for every potential writer). A 100x100-core mesh needs
-// ~12.8 MB of MPB per core, ~128 GB for the chip, of which a real
+// per-core MPB itself grows with NumCores (every core reserves a 32-byte
+// flag line for every potential writer). A 100x100-core mesh needs
+// 336 KB of MPB per core, 3.4 GB for the chip, of which a real
 // collective touches a vanishing fraction: a core's flag traffic lands
-// in the few writer regions of its actual communication partners plus
-// its chunk-staging area.
+// in the few writer lines of its actual communication partners plus its
+// chunk-staging area.
 //
 // The arena therefore pages each core's MPB region: fixed-size pages cut
 // on first write and found through a two-level directory. Reads of
@@ -20,11 +20,11 @@ package scc
 // digests are unaffected.
 //
 // The directory holds 1-based indices (0 = untouched), not pointers: a
-// 100x100 chip has 3,128 pages per core and touches about four, and a
-// slice header per page was 75 KB per core, scanned by every GC cycle. A
-// core now costs dirLen entries up front (196 B at 100x100), each naming
-// a leaf of mpbLeaf page slots cut on the first write into its span; a
-// slot names a page of the chip-wide store.
+// 100x100 chip has 656 pages per core and touches a few, and a slice
+// header per page would be scanned by every GC cycle. A core costs
+// dirLen entries up front (44 B at 100x100), each naming a leaf of
+// mpbLeaf page slots cut on the first write into its span; a slot names
+// a page of the chip-wide store.
 type mpbArena struct {
 	perCore int // MPBBytesPerCore
 	dirLen  int // directory entries per core: ceil(pages per core / mpbLeaf)
@@ -36,14 +36,15 @@ type mpbArena struct {
 	nPages int              // pages handed out
 }
 
-// mpbPageSize is the write granularity of the arena: 4 KB spans a few
-// per-writer flag regions, so one collective's flag working set per core
-// stays within a couple of pages. The store grows mpbChunk pages at a time:
-// a chunk per page is a pointer per page again, one flat store a copy per growth.
+// mpbPageSize is the write granularity of the arena: 512 B spans 16
+// writers' flag lines, so a flag set by one writer cuts a page that
+// holds a few flag bytes rather than the 4 KB of flag lines around it.
+// The store grows mpbChunk pages (64 KB) at a time: a chunk per page is
+// a pointer per page again, one flat store a copy per growth.
 const (
-	mpbPageSize = 4096
+	mpbPageSize = 512
 	mpbLeaf     = 64
-	mpbChunk    = 16
+	mpbChunk    = 128
 )
 
 func newMPBArena(numCores, perCore int) *mpbArena {

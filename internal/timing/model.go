@@ -13,30 +13,38 @@ package timing
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"scc/internal/simtime"
 )
 
 // Flag-region layout constants shared by the timing model and the RCCE
-// layer above it. They describe roles, not geometry: the number of
-// *bytes* a writer's flag region needs grows with the core count (the
-// membership view bitmap is one bit per core), which is exactly what
-// FlagBytesPerWriter and Validate account for.
+// layer above it. Every writer owns exactly one cache line in every
+// core's MPB, as in RCCE; these count the bytes of that line in use.
 const (
 	// FlagFixedRoles counts the fixed-position flag roles at the start
-	// of every per-writer flag region (sent/ready, barrier, MPB-direct
+	// of every per-writer flag line (sent/ready, barrier, MPB-direct
 	// double-buffer, checksum, progress, group/vote/member/epoch
-	// arrive-release — see internal/rcce). The membership view bitmap
-	// starts right after them.
+	// arrive-release — see internal/rcce).
 	FlagFixedRoles = 21
 	// FlagViewEpochBytes is the width of the agreed-epoch word that
-	// follows the view bitmap (little-endian uint32).
+	// follows the fixed roles (little-endian uint32).
 	FlagViewEpochBytes = 4
-	// reservedGapLines is a gap of cache lines between each core's flag
-	// regions and its chunk data region. Nothing lives there; it is kept
-	// because the calibrated chunk size depends on it (6,528 B at 48
-	// cores), and reclaiming it would move every measured latency.
-	reservedGapLines = 4
+	// FlagLineBytes is what a flag line must hold: the fixed roles, the
+	// epoch word and the call-sequence byte. Validate rejects cache
+	// lines narrower than that.
+	FlagLineBytes = FlagFixedRoles + FlagViewEpochBytes + 1
+	// minGapLines is the floor of the reserved gap between each core's
+	// flag lines and its chunk data region. The gap holds the core's view
+	// slot (the membership bitmap it publishes as a self-heal
+	// coordinator); it is at least four lines because the calibrated
+	// chunk size depends on it (6,528 B at 48 cores), and reclaiming it
+	// would move every measured latency.
+	minGapLines = 4
+	// maxMPBSpace bounds the chip-wide MPB address space: ~9000x the
+	// largest supported topology, far from wrapping an int offset.
+	maxMPBSpace = 1 << 56
 )
 
 // Model holds every tunable latency parameter of the simulated chip and
@@ -53,13 +61,6 @@ type Model struct {
 	// MPBBytesPerCore is the per-core share of the on-die SRAM
 	// (8 KB per core on the SCC: 16 KB per tile, 384 KB total).
 	MPBBytesPerCore int
-	// FlagLinesPerWriter sizes each writer's flag region in every core's
-	// MPB, in cache lines. One line suffices up to the point where the
-	// fixed roles plus the ceil(NumCores/8)-byte membership view bitmap
-	// plus the epoch word and call-sequence byte no longer fit; larger
-	// meshes need more (Validate rejects regions that are too small).
-	// Zero means one line, so legacy literal Models stay valid.
-	FlagLinesPerWriter int
 	// CacheLineBytes is the L1/L2 line size and the write-combining
 	// granularity (32 B = 4 doubles). This produces the period-4
 	// latency spikes of Fig. 9.
@@ -209,14 +210,13 @@ type Model struct {
 // the paper's reported per-step speedups.
 func Default() *Model {
 	return &Model{
-		MeshWidth:          6,
-		MeshHeight:         4,
-		CoresPerTile:       2,
-		MPBBytesPerCore:    8192,
-		FlagLinesPerWriter: 1,
-		CacheLineBytes:     32,
-		L1DataBytes:        16 * 1024,
-		L2Bytes:            256 * 1024,
+		MeshWidth:       6,
+		MeshHeight:      4,
+		CoresPerTile:    2,
+		MPBBytesPerCore: 8192,
+		CacheLineBytes:  32,
+		L1DataBytes:     16 * 1024,
+		L2Bytes:         256 * 1024,
 
 		L1HitCoreCycles:      1,
 		L2HitCoreCycles:      18,
@@ -260,31 +260,24 @@ func Default() *Model {
 
 // Topology derives a model for an arbitrary rows x cols mesh with
 // coresPerTile cores per tile from the paper's Default calibration: all
-// latency constants are kept, while the flag-region and MPB geometry
-// are resized so the layout invariants hold at the new core count. The
-// per-writer flag region grows to fit the membership view bitmap
-// (ceil(NumCores/8) bytes) plus the fixed roles, the epoch word and the
-// call-sequence byte; the per-core MPB grows in 8 KB steps until the
-// chunk data region is at least as large as the default chip's. Called
-// with the default geometry (4 rows, 6 cols, 2 cores/tile) it returns a
-// model identical to Default().
+// latency constants are kept, while the per-core MPB is resized so the
+// layout invariants hold at the new core count. The MPB grows in
+// default-sized (8 KB) steps to the smallest size whose chunk data
+// region, behind one flag line per writer and the reserved gap, is at
+// least as large as the default chip's. Called with the default
+// geometry (4 rows, 6 cols, 2 cores/tile) it returns a model identical
+// to Default().
 func Topology(rows, cols, coresPerTile int) *Model {
 	m := Default()
 	m.MeshHeight = rows
 	m.MeshWidth = cols
 	m.CoresPerTile = coresPerTile
-	if rows <= 0 || cols <= 0 || coresPerTile <= 0 {
-		return m // Validate reports the error with full context
+	step := m.MPBBytesPerCore
+	if flags, ok := mulInt(rows, cols, coresPerTile, m.CacheLineBytes); ok && flags <= maxMPBSpace {
+		need := flags + m.GapLines()*m.CacheLineBytes + Default().MPBDataBytes()
+		m.MPBBytesPerCore = (need + step - 1) / step * step
 	}
-	dataFloor := Default().MPBDataBytes()
-	need := FlagFixedRoles + m.ViewBitmapBytes() + FlagViewEpochBytes + 1
-	m.FlagLinesPerWriter = (need + m.CacheLineBytes - 1) / m.CacheLineBytes
-	step := Default().MPBBytesPerCore
-	m.MPBBytesPerCore = step
-	for m.MPBDataBytes() < dataFloor {
-		m.MPBBytesPerCore += step
-	}
-	return m
+	return m // an empty or unaddressable mesh keeps 8 KB; Validate rejects it
 }
 
 // MeshSpec renders the geometry as ROWSxCOLSxCORES_PER_TILE, the syntax
@@ -296,7 +289,8 @@ func (m *Model) MeshSpec() string {
 // NumTiles returns the tile count of the mesh.
 func (m *Model) NumTiles() int { return m.MeshWidth * m.MeshHeight }
 
-// NumCores returns the core count of the chip.
+// NumCores returns the core count of the chip. It wraps for meshes whose
+// core count exceeds an int; Validate rejects those.
 func (m *Model) NumCores() int { return m.NumTiles() * m.CoresPerTile }
 
 // MPBTotalBytes returns the size of the chip-wide MPB SRAM.
@@ -308,24 +302,41 @@ func (m *Model) Lines(nBytes int) int {
 }
 
 // FlagBytesPerWriter returns the size of one writer's flag region in
-// every core's MPB. A zero FlagLinesPerWriter counts as one line, so
-// Models built as plain literals keep the legacy single-line layout.
-func (m *Model) FlagBytesPerWriter() int {
-	lines := m.FlagLinesPerWriter
-	if lines <= 0 {
-		lines = 1
-	}
-	return lines * m.CacheLineBytes
-}
+// every core's MPB: one cache line at every geometry.
+func (m *Model) FlagBytesPerWriter() int { return m.CacheLineBytes }
 
-// ViewBitmapBytes returns the size of the membership view bitmap the
-// self-healing agreement ships through a flag region: one bit per core.
+// ViewBitmapBytes returns the size of the membership view bitmap a
+// self-heal coordinator publishes in its view slot: one bit per core.
 func (m *Model) ViewBitmapBytes() int { return (m.NumCores() + 7) / 8 }
 
+// ViewSlot returns the offset, within a core's MPB, of its view slot:
+// the first byte behind the NumCores flag lines, where the reserved gap
+// starts.
+func (m *Model) ViewSlot() int { return m.NumCores() * m.FlagBytesPerWriter() }
+
+// GapLines returns the reserved gap between the flag lines and the chunk
+// data region, in cache lines: large enough for the view bitmap, and
+// never below minGapLines.
+func (m *Model) GapLines() int { return max(minGapLines, m.Lines(m.ViewBitmapBytes())) }
+
 // MPBDataBytes returns the usable chunk-data capacity of each core's
-// MPB after the per-writer flag regions and the reserved gap lines.
+// MPB after the per-writer flag lines and the reserved gap.
 func (m *Model) MPBDataBytes() int {
-	return m.MPBBytesPerCore - m.NumCores()*m.FlagBytesPerWriter() - reservedGapLines*m.CacheLineBytes
+	return m.MPBBytesPerCore - m.ViewSlot() - m.GapLines()*m.CacheLineBytes
+}
+
+// mulInt returns the product of non-negative factors and whether it
+// fits in an int.
+func mulInt(factors ...int) (int, bool) {
+	p := uint64(1)
+	for _, f := range factors {
+		hi, lo := bits.Mul64(p, uint64(f))
+		if f < 0 || hi != 0 || lo > math.MaxInt {
+			return 0, false
+		}
+		p = lo
+	}
+	return int(p), true
 }
 
 // --- Composite latencies ---
@@ -374,11 +385,10 @@ func (m *Model) LineSerializationMeshCycles() int64 {
 }
 
 // Validate checks the model for impossible configurations, including
-// the geometry-dependent MPB layout invariants: every writer's flag
-// region must hold the fixed roles plus the ceil(NumCores/8)-byte
-// membership view bitmap, the epoch word and the call-sequence byte,
-// and reserving NumCores flag regions per core must still leave a
-// non-empty chunk data region.
+// the geometry-dependent MPB layout invariants: a cache line must hold a
+// writer's flag roles, the chip-wide MPB must be addressable with int
+// offsets, and reserving NumCores flag lines plus the gap per core must
+// still leave a non-empty chunk data region.
 func (m *Model) Validate() error {
 	switch {
 	case m.MeshWidth <= 0 || m.MeshHeight <= 0:
@@ -386,35 +396,28 @@ func (m *Model) Validate() error {
 			m.MeshWidth, m.MeshHeight)
 	case m.CoresPerTile <= 0:
 		return errf("cores per tile must be positive, got %d", m.CoresPerTile)
-	case m.CacheLineBytes <= 0 || m.CacheLineBytes%8 != 0:
-		return errf("cache line must be a positive multiple of 8, got %d", m.CacheLineBytes)
+	case m.CacheLineBytes < FlagLineBytes || m.CacheLineBytes%8 != 0:
+		return errf("cache line must be a multiple of 8 holding the %d flag-line bytes, got %d",
+			FlagLineBytes, m.CacheLineBytes)
 	case m.MPBBytesPerCore < 4*m.CacheLineBytes:
 		return errf("MPB per core too small: %d bytes", m.MPBBytesPerCore)
 	case m.L1DataBytes < m.CacheLineBytes || m.L2Bytes < m.L1DataBytes:
 		return errf("cache hierarchy sizes invalid: L1=%d L2=%d", m.L1DataBytes, m.L2Bytes)
 	case m.MeshLinkBytesPerCycle <= 0:
 		return errf("mesh link width must be positive, got %d", m.MeshLinkBytesPerCycle)
-	case m.FlagLinesPerWriter < 0:
-		return errf("flag lines per writer must be non-negative, got %d", m.FlagLinesPerWriter)
-	}
-	if need := FlagFixedRoles + m.ViewBitmapBytes() + FlagViewEpochBytes + 1; need > m.FlagBytesPerWriter() {
-		return errf("flag region too small: %d cores need %d bytes per writer "+
-			"(%d fixed roles + %d-byte view bitmap + epoch + sequence), have %d",
-			m.NumCores(), need, FlagFixedRoles, m.ViewBitmapBytes(), m.FlagBytesPerWriter())
-	}
-	if m.MPBDataBytes() <= 0 {
-		return errf("MPB layout leaves no data region: %d cores x %d-byte flag regions + %d reserved gap lines exceed %d bytes per core",
-			m.NumCores(), m.FlagBytesPerWriter(), reservedGapLines, m.MPBBytesPerCore)
 	}
 	// The chip-wide MPB address space is NumCores x MPBBytesPerCore and
 	// must stay int-addressable: the MPB arena, offset arithmetic, and
 	// flag indexing all use int offsets. The space is virtual (sparse
-	// storage allocates only touched pages), but a product that overflows
-	// would silently wrap offsets. 1<<56 bounds ~9000x the largest
-	// supported topology while rejecting any wrapped product.
-	if total := int64(m.NumCores()) * int64(m.MPBBytesPerCore); total <= 0 || total > 1<<56 {
-		return errf("MPB address space %d cores x %d bytes overflows addressable range",
-			m.NumCores(), m.MPBBytesPerCore)
+	// storage allocates only touched pages). Checked before anything
+	// multiplies the core count, so no layout product below can wrap.
+	if total, ok := mulInt(m.MeshWidth, m.MeshHeight, m.CoresPerTile, m.MPBBytesPerCore); !ok || total > maxMPBSpace {
+		return errf("MPB address space of a %s mesh x %d bytes per core overflows the addressable range",
+			m.MeshSpec(), m.MPBBytesPerCore)
+	}
+	if m.MPBDataBytes() <= 0 {
+		return errf("MPB layout leaves no data region: %d cores x %d-byte flag lines + %d reserved gap lines exceed %d bytes per core",
+			m.NumCores(), m.FlagBytesPerWriter(), m.GapLines(), m.MPBBytesPerCore)
 	}
 	return nil
 }

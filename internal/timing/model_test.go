@@ -118,20 +118,21 @@ func TestOverheadOrdering(t *testing.T) {
 }
 
 // TestTopologyDerivation pins the derived layout facts for a spread of
-// geometries: the flag region grows with ceil(NumCores/8), the MPB
-// grows in default-sized steps until the chunk-data region is at least
-// the default chip's, and the default geometry reproduces Default()
-// exactly.
+// geometries: one flag line per writer, a reserved gap of at least four
+// lines that holds the view bitmap, an MPB grown in default-sized steps
+// to the smallest size whose chunk-data region is at least the default
+// chip's, and the default geometry reproducing Default() exactly.
 func TestTopologyDerivation(t *testing.T) {
 	floor := Default().MPBDataBytes()
 	cases := []struct {
-		rows, cols, per                int
-		cores, flagLines, mpbPer, data int
+		rows, cols, per               int
+		cores, gapLines, mpbPer, data int
 	}{
-		{4, 6, 2, 48, 1, 8192, 6528},   // the paper's chip
-		{4, 4, 1, 16, 1, 8192, 7552},   // small mesh, single-core tiles
-		{8, 8, 2, 128, 2, 16384, 8064}, // two flag lines, grown MPB
-		{16, 16, 2, 512, 3, 57344, 8064},
+		{4, 4, 1, 16, 4, 8192, 7552}, // small mesh, single-core tiles
+		{4, 6, 2, 48, 4, 8192, 6528}, // the paper's chip
+		{8, 8, 2, 128, 4, 16384, 12160},
+		{32, 32, 1, 1024, 4, 40960, 8064},
+		{100, 100, 1, 10000, 40, 335872, 14592}, // 1,250-byte view bitmap
 	}
 	for _, c := range cases {
 		m := Topology(c.rows, c.cols, c.per)
@@ -142,8 +143,11 @@ func TestTopologyDerivation(t *testing.T) {
 		if m.NumCores() != c.cores {
 			t.Errorf("Topology(%d,%d,%d): %d cores, want %d", c.rows, c.cols, c.per, m.NumCores(), c.cores)
 		}
-		if got := m.FlagLinesPerWriter; got != c.flagLines {
-			t.Errorf("Topology(%d,%d,%d): %d flag lines, want %d", c.rows, c.cols, c.per, got, c.flagLines)
+		if got := m.FlagBytesPerWriter(); got != m.CacheLineBytes {
+			t.Errorf("Topology(%d,%d,%d): %d-byte flag region, want one %d-byte line", c.rows, c.cols, c.per, got, m.CacheLineBytes)
+		}
+		if got := m.GapLines(); got != c.gapLines {
+			t.Errorf("Topology(%d,%d,%d): %d gap lines, want %d", c.rows, c.cols, c.per, got, c.gapLines)
 		}
 		if m.MPBBytesPerCore != c.mpbPer {
 			t.Errorf("Topology(%d,%d,%d): %d MPB bytes/core, want %d", c.rows, c.cols, c.per, m.MPBBytesPerCore, c.mpbPer)
@@ -154,8 +158,8 @@ func TestTopologyDerivation(t *testing.T) {
 		if got := m.MPBDataBytes(); got < floor {
 			t.Errorf("Topology(%d,%d,%d): data region %d below the default floor %d", c.rows, c.cols, c.per, got, floor)
 		}
-		if got := m.ViewBitmapBytes(); got != (c.cores+7)/8 {
-			t.Errorf("Topology(%d,%d,%d): view bitmap %d bytes, want %d", c.rows, c.cols, c.per, got, (c.cores+7)/8)
+		if got := m.ViewBitmapBytes(); got != (c.cores+7)/8 || got > m.GapLines()*m.CacheLineBytes {
+			t.Errorf("Topology(%d,%d,%d): view bitmap %d bytes, want %d inside the gap", c.rows, c.cols, c.per, got, (c.cores+7)/8)
 		}
 	}
 	if d := Topology(4, 6, 2); *d != *Default() {
@@ -174,19 +178,16 @@ func TestTopologyValidateRejectsGeometry(t *testing.T) {
 		{"zero cols", func() *Model { return Topology(4, 0, 2) }},
 		{"zero cores per tile", func() *Model { return Topology(4, 6, 0) }},
 		{"negative rows", func() *Model { return Topology(-1, 6, 2) }},
-		{"flag region too small for the view bitmap", func() *Model {
-			m := Topology(8, 8, 2) // needs 2 flag lines
-			m.FlagLinesPerWriter = 1
-			return m
-		}},
-		{"negative flag lines", func() *Model {
+		{"cache line narrower than the flag roles", func() *Model {
 			m := Default()
-			m.FlagLinesPerWriter = -1
+			m.CacheLineBytes = 24
 			return m
 		}},
+		{"core count overflows", func() *Model { return Topology(3037000500, 3037000500, 1) }},
+		{"address space overflows", func() *Model { return Topology(100000, 100000, 1) }},
 		{"no data region left", func() *Model {
-			m := Topology(16, 16, 2) // 512 cores x 96 B of flags
-			m.MPBBytesPerCore = 8192
+			m := Topology(16, 16, 2) // 512 cores x 32 B of flags
+			m.MPBBytesPerCore = 16384
 			return m
 		}},
 	}
