@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"scc/internal/core"
@@ -55,5 +56,29 @@ func TestAllreduceAlgorithmsAllocBudget(t *testing.T) {
 			}
 			t.Logf("Allreduce[%s]: %.2f allocs/op", algo, perOp)
 		})
+	}
+}
+
+// TestReleaseWithoutScratchAllocatesNothing pins Release on a context
+// that holds no scratch buffers (one that found the pool empty and ran
+// no collective needing scratch, like every core of a 10,000-core tree
+// Barrier + Broadcast): it returns without allocating a pool node.
+func TestReleaseWithoutScratchAllocatesNothing(t *testing.T) {
+	const runs = 100
+	chip := scc.New(timing.Default())
+	defer chip.Release()
+	comm := rcce.NewComm(chip)
+	runtime.GC() // two cycles empty the scratch pool and its victim cache
+	runtime.GC()
+	ctxs := make([]*core.Ctx, runs+1)
+	for i := range ctxs {
+		ctxs[i] = core.NewCtx(comm.UE(i%comm.NumUEs()), core.ConfigLightweight)
+	}
+	next := 0
+	if a := testing.AllocsPerRun(runs, func() {
+		ctxs[next].Release()
+		next++
+	}); a != 0 {
+		t.Fatalf("Release of a scratch-free context allocates %.2f objects, want 0", a)
 	}
 }

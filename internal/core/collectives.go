@@ -166,17 +166,17 @@ func (x *Ctx) adoptScratch() {
 // simply garbage collected.
 func (x *Ctx) Release() {
 	s := x.scrNode
-	if s == nil {
-		s = &ctxScratch{}
+	if s == nil && (x.vecA != nil || x.vecB != nil || x.gatherBuf != nil || x.partBuf != nil) {
+		s = &ctxScratch{} // a context that holds no scratch pools nothing
 	}
-	*s = ctxScratch{
-		vecA: x.vecA, vecB: x.vecB, gatherBuf: x.gatherBuf, partBuf: x.partBuf,
+	if s != nil {
+		*s = ctxScratch{vecA: x.vecA, vecB: x.vecB, gatherBuf: x.gatherBuf, partBuf: x.partBuf}
+		ctxScratchPool.Put(s)
 	}
 	x.vecA, x.vecB, x.gatherBuf, x.partBuf = nil, nil, nil, nil
 	x.partN, x.partP, x.partBal = 0, 0, false
 	x.scrNode = nil
 	x.hierInner = nil
-	ctxScratchPool.Put(s)
 }
 
 // scratchF64 returns (*buf)[:n], reallocating only when capacity grows.
@@ -556,9 +556,15 @@ func (x *Ctx) broadcastBody(root int, addr scc.Addr, n int) error {
 	})
 }
 
+// paperChipCores is the paper chip's core count. Up to it a full-chip,
+// fault-free Barrier is RCCE's central barrier, which Figs. 9-10
+// measured; above it the binomial tree barrier replaces the central
+// one's O(p) walk on core 0.
+const paperChipCores = 48
+
 // Barrier synchronizes the communicator. The full-chip, fault-free case
-// delegates to RCCE's barrier; group or hardened contexts use the group
-// barrier (bounded waits under Recovery).
+// delegates to RCCE's barrier (see paperChipCores); group or hardened
+// contexts use the group barrier (bounded waits under Recovery).
 func (x *Ctx) Barrier() error {
 	return x.collective("Barrier", 0, true, x.barrierBody)
 }
@@ -567,22 +573,19 @@ func (x *Ctx) barrierBody() error {
 	if x.MultiChip() {
 		return x.hierBarrier()
 	}
-	if x.grp == nil && x.cfg.Recovery == nil {
-		x.ue.Barrier()
-		return nil
-	}
-	var members []int
+	var members []int // nil: every core
 	if x.grp != nil {
 		members = x.grp.Members()
-	} else {
-		members = make([]int, x.ue.NumUEs())
-		for i := range members {
-			members[i] = i
-		}
 	}
-	if x.cfg.Recovery != nil {
+	switch {
+	case x.cfg.Recovery != nil:
 		return x.ue.BarrierGroupRobust(members, *x.cfg.Recovery)
+	case x.grp != nil:
+		x.ue.BarrierGroup(members)
+	case x.ue.NumUEs() > paperChipCores:
+		x.ue.BarrierTree()
+	default:
+		x.ue.Barrier()
 	}
-	x.ue.BarrierGroup(members)
 	return nil
 }

@@ -79,14 +79,11 @@ const (
 	// stranded on a different collective call than the majority cohort
 	// is evicted instead of exchanging mismatched payloads.
 	FlagCollSeq = FlagViewEpoch + timing.FlagViewEpochBytes
-)
-
-// Unexported aliases keep the package-internal protocol code terse.
-const (
-	flagSent           = FlagSent
-	flagReady          = FlagReady
-	flagBarrierArrive  = FlagBarrierArrive
-	flagBarrierRelease = FlagBarrierRelease
+	// FlagTreeArrive/Release: BarrierTree's child -> parent arrival (on
+	// the line of the child's ready flag) and parent -> child release (on
+	// the line of the parent's sent flag), with their own generation.
+	FlagTreeArrive  = FlagCollSeq + 1
+	FlagTreeRelease = FlagCollSeq + 2
 )
 
 // Comm is an RCCE communicator spanning all cores of a chip. It owns
@@ -157,7 +154,8 @@ type UE struct {
 	// barrierGen tracks the barrier generation per root so barriers are
 	// reusable without extra clearing round trips; groupGen does the same
 	// for group barriers. The per-peer counters are sparse paged arrays
-	// indexed by peer core ID; untouched peers cost nothing.
+	// indexed by peer core ID; untouched peers cost nothing. treeGen is
+	// the tree barrier's generation (it has one root).
 	barrierGen peerBytes
 	groupGen   peerBytes
 
@@ -181,6 +179,7 @@ type UE struct {
 	// being consumed as fresh data. Zero (epoch 0) is the unsalted
 	// legacy behavior.
 	epochSalt uint32
+	treeGen   byte
 
 	// peerObs, when installed, observes per-peer protocol outcomes: it
 	// is called with alive=false when a peer exhausts a retry budget and
@@ -315,8 +314,8 @@ func (u *UE) Send(dest int, addr scc.Addr, nBytes int) {
 	u.chargeCall(m.OverheadBlockingCall)
 	u.chargePartialLine(nBytes)
 	chunk := u.comm.DataBytes()
-	sent := u.comm.FlagAddr(dest, u.ID(), flagSent)   // I set this in dest's MPB
-	ready := u.comm.FlagAddr(u.ID(), dest, flagReady) // dest sets this in my MPB
+	sent := u.comm.FlagAddr(dest, u.ID(), FlagSent)   // I set this in dest's MPB
+	ready := u.comm.FlagAddr(u.ID(), dest, FlagReady) // dest sets this in my MPB
 	for off := 0; off < nBytes || nBytes == 0; off += chunk {
 		n := min(chunk, nBytes-off)
 		u.Put(addr+scc.Addr(off), u.comm.DataBase(u.ID()), n)
@@ -349,8 +348,8 @@ func (u *UE) Recv(src int, addr scc.Addr, nBytes int) {
 	u.chargeCall(m.OverheadBlockingCall)
 	u.chargePartialLine(nBytes)
 	chunk := u.comm.DataBytes()
-	sent := u.comm.FlagAddr(u.ID(), src, flagSent)   // src sets this in my MPB
-	ready := u.comm.FlagAddr(src, u.ID(), flagReady) // I set this in src's MPB
+	sent := u.comm.FlagAddr(u.ID(), src, FlagSent)   // src sets this in my MPB
+	ready := u.comm.FlagAddr(src, u.ID(), FlagReady) // I set this in src's MPB
 	for off := 0; off < nBytes || nBytes == 0; off += chunk {
 		n := min(chunk, nBytes-off)
 		u.core.WaitFlag(sent, 1)
@@ -369,35 +368,119 @@ func (u *UE) Recv(src int, addr scc.Addr, nBytes int) {
 	}
 }
 
-// Barrier synchronizes all UEs: members report arrival to UE 0 with a
-// generation-valued flag; UE 0 releases everyone by writing the same
-// generation into their release flags. Generations make the barrier
-// reusable with no clearing round trips.
+// Barrier synchronizes all UEs with RCCE's central barrier rooted at
+// UE 0 (see centralBarrier), which walks all p flags on UE 0; above the
+// paper chip the collectives layer runs BarrierTree instead.
 func (u *UE) Barrier() {
-	const root = 0
+	_ = u.centralBarrier(nil, FlagBarrierArrive, FlagBarrierRelease, &u.barrierGen, nil) // cannot fail with unbounded waits
+}
+
+// centralBarrier is the gather-then-release barrier under Barrier and
+// BarrierGroup: every member but the first raises a generation-valued
+// arrive flag in the first member's MPB and waits for its release; the
+// first member waits on every arrival, then releases every member.
+// members nil means every core; gens counts generations per root, so no
+// round trip clears a flag. A non-nil pol bounds the waits: members
+// re-raise their arrival on timeout (recovering a lost write) and give
+// up with ErrUnreachable once the retry budget is spent.
+func (u *UE) centralBarrier(members []int, arrive, release int, gens *peerBytes, pol *Policy) error {
 	m := u.core.Chip().Model
 	u.chargeCall(m.OverheadBlockingCall)
-	gen := u.barrierGen.get(root)
-	gen++
+	n, member := len(members), func(i int) int { return members[i] }
+	if members == nil {
+		n, member = u.NumUEs(), func(i int) int { return i }
+	}
+	switch n {
+	case 0:
+		panic("rcce: barrier with no members")
+	case 1:
+		return nil
+	}
+	root := member(0)
+	gen := gens.get(root) + 1
 	if gen == 0 {
 		gen = 1
 	}
-	u.barrierGen.set(root, gen)
-	if u.ID() == root {
-		for p := 0; p < u.NumUEs(); p++ {
-			if p == root {
-				continue
-			}
-			u.core.WaitFlag(u.comm.FlagAddr(root, p, flagBarrierArrive), gen)
+	gens.set(root, gen)
+	isGen := func(v byte) bool { return v == gen }
+
+	boundedWait := func(peer, off int, onRetry func()) error {
+		if pol == nil {
+			u.core.WaitFlag(off, gen)
+			u.notifyPeer(peer, true)
+			return nil
 		}
-		for p := 0; p < u.NumUEs(); p++ {
-			if p == root {
-				continue
+		window := pol.Timeout
+		for try := 0; ; try++ {
+			if _, ok := u.core.WaitFlagMatch(off, window+pol.JitterOf(window, u.ID(), peer, gen, try), isGen); ok {
+				u.notifyPeer(peer, true)
+				return nil
 			}
-			u.core.SetFlag(u.comm.FlagAddr(p, root, flagBarrierRelease), gen)
+			u.core.OverheadCycles(m.OverheadTimeoutCheck)
+			u.stats.Timeouts++
+			if try >= pol.MaxRetries {
+				u.notifyPeer(peer, false)
+				return fmt.Errorf("%w: barrier (root %02d, gen %d)", ErrUnreachable, root, gen)
+			}
+			if onRetry != nil {
+				onRetry()
+			}
+			window *= Backoff
 		}
-		return
 	}
-	u.core.SetFlag(u.comm.FlagAddr(root, u.ID(), flagBarrierArrive), gen)
-	u.core.WaitFlag(u.comm.FlagAddr(u.ID(), root, flagBarrierRelease), gen)
+
+	if u.ID() == root {
+		for i := 1; i < n; i++ {
+			if err := boundedWait(member(i), u.comm.FlagAddr(root, member(i), arrive), nil); err != nil {
+				return err
+			}
+		}
+		for i := 1; i < n; i++ {
+			u.core.SetFlag(u.comm.FlagAddr(member(i), root, release), gen)
+		}
+		u.core.Note(simtime.Note1("barrier gen %d released", int64(gen)))
+		return nil
+	}
+	a := u.comm.FlagAddr(root, u.ID(), arrive)
+	u.core.SetFlag(a, gen)
+	err := boundedWait(root, u.comm.FlagAddr(u.ID(), root, release), func() {
+		u.core.SetFlag(a, gen) // our arrival may have been lost
+		u.stats.Retransmits++
+	})
+	if err == nil {
+		u.core.Note(simtime.Note1("barrier gen %d passed", int64(gen)))
+	}
+	return err
+}
+
+// BarrierTree synchronizes all UEs along the binomial tree from UE 0
+// that the tree Broadcast and Reduce use (parent v &^ lowbit(v),
+// children v|mask for every mask < lowbit(v)): a UE waits for its
+// children's arrivals, smallest subtree first, reports to its parent and
+// waits for its release, then releases its children, largest subtree
+// first. Its flags sit on writer lines the tree Broadcast already uses,
+// and its generation counter is its own. O(log p) waits per core.
+func (u *UE) BarrierTree() {
+	u.chargeCall(u.core.Chip().Model.OverheadBlockingCall)
+	if u.treeGen++; u.treeGen == 0 {
+		u.treeGen = 1
+	}
+	gen, me, p := u.treeGen, u.ID(), u.NumUEs()
+	mask := 1
+	for ; mask < p; mask <<= 1 {
+		if me&mask != 0 {
+			u.core.SetFlag(u.comm.FlagAddr(me&^mask, me, FlagTreeArrive), gen)
+			u.core.WaitFlag(u.comm.FlagAddr(me, me&^mask, FlagTreeRelease), gen)
+			break
+		}
+		if child := me | mask; child < p {
+			u.core.WaitFlag(u.comm.FlagAddr(me, child, FlagTreeArrive), gen)
+		}
+	}
+	for mask >>= 1; mask > 0; mask >>= 1 {
+		if child := me | mask; child < p {
+			u.core.SetFlag(u.comm.FlagAddr(child, me, FlagTreeRelease), gen)
+		}
+	}
+	u.core.Note(simtime.Note1("tree barrier gen %d passed", int64(gen)))
 }

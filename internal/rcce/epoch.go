@@ -50,7 +50,7 @@ func (u *UE) SetEpoch(e uint32) {
 // resetRoles lists the flag-line bytes wiped by ResetProtocolFlags: the
 // data-protocol roles (sent/ready, MPB-direct double-buffer, checksum,
 // progress), the group-barrier generations (restarted by SetEpoch), and
-// the outcome-vote flags. The full-chip barrier generations (roles 2,3)
+// the outcome-vote flags. The full-chip and tree barrier generations
 // survive — they are monotonic and never reset — as do the agreement
 // roles (member/epoch arrive-release, the view bitmap and epoch word,
 // the call-sequence byte), which are live while an adoption runs.

@@ -133,7 +133,7 @@ func (r *Request) stageChunk() {
 	chunk := u.comm.DataBytes()
 	n := min(chunk, r.n-r.off)
 	u.Put(r.addr+scc.Addr(r.off), u.comm.DataBase(u.ID()), n)
-	u.core.SetFlag(u.comm.FlagAddr(r.peer, u.ID(), flagSent), 1)
+	u.core.SetFlag(u.comm.FlagAddr(r.peer, u.ID(), FlagSent), 1)
 	r.staged = n
 }
 
@@ -142,9 +142,9 @@ func (r *Request) stageChunk() {
 func (r *Request) pendingFlag() int {
 	u := r.ue
 	if r.kind == ReqSend {
-		return u.comm.FlagAddr(u.ID(), r.peer, flagReady)
+		return u.comm.FlagAddr(u.ID(), r.peer, FlagReady)
 	}
-	return u.comm.FlagAddr(u.ID(), r.peer, flagSent)
+	return u.comm.FlagAddr(u.ID(), r.peer, FlagSent)
 }
 
 // tryProgress advances the request as far as possible without blocking.
@@ -174,7 +174,7 @@ func (r *Request) tryProgress(costs NBCosts) {
 			chunk := u.comm.DataBytes()
 			n := min(chunk, r.n-r.off)
 			u.Get(u.comm.DataBase(r.peer), r.addr+scc.Addr(r.off), n)
-			u.core.SetFlag(u.comm.FlagAddr(r.peer, u.ID(), flagReady), 1)
+			u.core.SetFlag(u.comm.FlagAddr(r.peer, u.ID(), FlagReady), 1)
 			r.off += n
 			if r.off >= r.n {
 				r.done = true

@@ -21,7 +21,7 @@ func TestLayoutConstants(t *testing.T) {
 	// Flag lines precede the data region and are owned correctly.
 	for owner := 0; owner < 48; owner += 13 {
 		for writer := 0; writer < 48; writer += 11 {
-			a := c.FlagAddr(owner, writer, flagSent)
+			a := c.FlagAddr(owner, writer, FlagSent)
 			if chip.MPBOwner(a) != owner {
 				t.Fatalf("flag (%d,%d) lands in core %d's MPB", owner, writer, chip.MPBOwner(a))
 			}

@@ -199,43 +199,24 @@ func (u *UE) initRobustOp(r *robustOp, kind ReqKind, costs NBCosts, pol Policy, 
 	return r
 }
 
-// Flag offsets. For a send, "sent" and the checksum live in the peer's
-// MPB (we write them); "ready" and "progress" live in ours (the peer
-// writes them). A receive mirrors this.
-func (r *robustOp) sentOff() int {
-	if r.kind == ReqSend {
-		return r.u.comm.FlagAddr(r.peer, r.u.ID(), FlagSent)
+// flagOff returns the offset of one of the op's flags. For a send,
+// "sent" and the checksum live in the peer's MPB (we write them);
+// "ready" and "progress" live in ours (the peer writes them). A receive
+// mirrors this.
+func (r *robustOp) flagOff(role int) int {
+	owner, writer := r.peer, r.u.ID()
+	if (role == FlagSent || role == FlagChk0) != (r.kind == ReqSend) {
+		owner, writer = writer, owner
 	}
-	return r.u.comm.FlagAddr(r.u.ID(), r.peer, FlagSent)
-}
-
-func (r *robustOp) chkOff() int {
-	if r.kind == ReqSend {
-		return r.u.comm.FlagAddr(r.peer, r.u.ID(), FlagChk0)
-	}
-	return r.u.comm.FlagAddr(r.u.ID(), r.peer, FlagChk0)
-}
-
-func (r *robustOp) readyOff() int {
-	if r.kind == ReqSend {
-		return r.u.comm.FlagAddr(r.u.ID(), r.peer, FlagReady)
-	}
-	return r.u.comm.FlagAddr(r.peer, r.u.ID(), FlagReady)
-}
-
-func (r *robustOp) progressOff() int {
-	if r.kind == ReqSend {
-		return r.u.comm.FlagAddr(r.u.ID(), r.peer, FlagProgress)
-	}
-	return r.u.comm.FlagAddr(r.peer, r.u.ID(), FlagProgress)
+	return r.u.comm.FlagAddr(owner, writer, role)
 }
 
 // watchOff is the local flag whose change can advance this op.
 func (r *robustOp) watchOff() int {
 	if r.kind == ReqSend {
-		return r.readyOff()
+		return r.flagOff(FlagReady)
 	}
-	return r.sentOff()
+	return r.flagOff(FlagSent)
 }
 
 // match reports whether a watched-flag value advances this op.
@@ -288,8 +269,8 @@ func (r *robustOp) stage() {
 	sum := chunkSum(r.seq, u.core.PrivBytes(r.addr+scc.Addr(r.off), n), u.epochSalt)
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], sum)
-	u.core.MPBWrite(r.chkOff(), b[:])
-	u.core.SetFlag(r.sentOff(), r.seq)
+	u.core.MPBWrite(r.flagOff(FlagChk0), b[:])
+	u.core.SetFlag(r.flagOff(FlagSent), r.seq)
 }
 
 // completeChunk records one finished chunk and either finishes the op or
@@ -333,7 +314,7 @@ func (r *robustOp) retransmit() {
 func (r *robustOp) advance(v byte) {
 	u := r.u
 	if r.kind == ReqSend {
-		u.core.SetFlag(r.readyOff(), 0) // consume the ACK/NACK (local line)
+		u.core.SetFlag(r.flagOff(FlagReady), 0) // consume the ACK/NACK (local line)
 		if v == r.seq {
 			r.completeChunk(r.chunkLen())
 		} else { // NACK: the receiver saw a corrupt chunk
@@ -342,12 +323,12 @@ func (r *robustOp) advance(v byte) {
 		return
 	}
 	// Receive side.
-	u.core.SetFlag(r.sentOff(), 0) // consume the announcement (local line)
+	u.core.SetFlag(r.flagOff(FlagSent), 0) // consume the announcement (local line)
 	if v == prevSeq(r.seq) && v != r.seq {
 		// Duplicate of the previous chunk: our ACK was lost in flight.
 		// Re-acknowledge; do not consume the data again.
-		u.core.SetFlag(r.readyOff(), v)
-		u.core.SetFlag(r.progressOff(), v)
+		u.core.SetFlag(r.flagOff(FlagReady), v)
+		u.core.SetFlag(r.flagOff(FlagProgress), v)
 		u.stats.DupAcks++
 		r.armDeadline()
 		return
@@ -357,17 +338,17 @@ func (r *robustOp) advance(v byte) {
 	r.chargeChecksum(n)
 	sum := chunkSum(r.seq, u.core.PrivBytes(r.addr+scc.Addr(r.off), n), u.epochSalt)
 	var b [4]byte
-	u.core.MPBRead(r.chkOff(), b[:])
+	u.core.MPBRead(r.flagOff(FlagChk0), b[:])
 	if binary.LittleEndian.Uint32(b[:]) != sum {
 		// Corrupt, lost, or stale (another sequence number's) chunk:
 		// NACK and wait for the retransmission of this sequence number.
-		u.core.SetFlag(r.readyOff(), r.seq|nackBit)
+		u.core.SetFlag(r.flagOff(FlagReady), r.seq|nackBit)
 		u.stats.Nacks++
 		r.armDeadline()
 		return
 	}
-	u.core.SetFlag(r.readyOff(), r.seq)
-	u.core.SetFlag(r.progressOff(), r.seq)
+	u.core.SetFlag(r.flagOff(FlagReady), r.seq)
+	u.core.SetFlag(r.flagOff(FlagProgress), r.seq)
 	r.completeChunk(n)
 }
 
@@ -378,11 +359,11 @@ func (r *robustOp) onTimeout() error {
 	m := u.core.Chip().Model
 	u.core.OverheadCycles(m.OverheadTimeoutCheck)
 	u.stats.Timeouts++
-	if r.kind == ReqSend && u.core.ProbeFlag(r.progressOff()) == r.seq {
+	if r.kind == ReqSend && u.core.ProbeFlag(r.flagOff(FlagProgress)) == r.seq {
 		// The receiver consumed this chunk; its ACK was lost. Treat as
 		// acknowledged.
 		u.stats.LostAcks++
-		u.core.SetFlag(r.readyOff(), 0)
+		u.core.SetFlag(r.flagOff(FlagReady), 0)
 		r.completeChunk(r.chunkLen())
 		return nil
 	}
@@ -513,85 +494,16 @@ func (u *UE) ExchangeRobust(costs NBCosts, pol Policy, dest int, sAddr scc.Addr,
 }
 
 // BarrierGroup synchronizes the given members (sorted core IDs, which
-// must include this UE): members report arrival to the first member with
-// a generation-valued flag and wait for its release. Distinct flag roles
-// and generation counters keep group barriers independent of the
-// full-chip Barrier.
+// must include this UE; nil means every core) with the central barrier
+// rooted at the first member. Distinct flag roles and generation
+// counters keep group barriers independent of the full-chip Barrier.
 func (u *UE) BarrierGroup(members []int) {
-	_ = u.barrierGroup(members, nil) // cannot fail with unbounded waits
+	_ = u.centralBarrier(members, FlagGroupArrive, FlagGroupRelease, &u.groupGen, nil) // cannot fail with unbounded waits
 }
 
-// BarrierGroupRobust is BarrierGroup with bounded waits: members re-raise
-// their arrival flag on timeout (recovering a lost arrive write) and give
-// up with ErrUnreachable once the retry budget is spent.
+// BarrierGroupRobust is BarrierGroup with bounded waits (see
+// centralBarrier).
 func (u *UE) BarrierGroupRobust(members []int, pol Policy) error {
 	pol = pol.withDefaults()
-	return u.barrierGroup(members, &pol)
-}
-
-func (u *UE) barrierGroup(members []int, pol *Policy) error {
-	if len(members) == 0 {
-		panic("rcce: BarrierGroup with no members")
-	}
-	m := u.core.Chip().Model
-	u.chargeCall(m.OverheadBlockingCall)
-	if len(members) == 1 {
-		return nil
-	}
-	root := members[0]
-	gen := u.groupGen.get(root)
-	gen++
-	if gen == 0 {
-		gen = 1
-	}
-	u.groupGen.set(root, gen)
-	isGen := func(v byte) bool { return v == gen }
-
-	boundedWait := func(peer, off int, onRetry func()) error {
-		if pol == nil {
-			u.core.WaitFlag(off, gen)
-			u.notifyPeer(peer, true)
-			return nil
-		}
-		window := pol.Timeout
-		for try := 0; ; try++ {
-			if _, ok := u.core.WaitFlagMatch(off, window+pol.JitterOf(window, u.ID(), peer, gen, try), isGen); ok {
-				u.notifyPeer(peer, true)
-				return nil
-			}
-			u.core.OverheadCycles(m.OverheadTimeoutCheck)
-			u.stats.Timeouts++
-			if try >= pol.MaxRetries {
-				u.notifyPeer(peer, false)
-				return fmt.Errorf("%w: group barrier (root %02d, gen %d)", ErrUnreachable, root, gen)
-			}
-			if onRetry != nil {
-				onRetry()
-			}
-			window *= Backoff
-		}
-	}
-
-	if u.ID() == root {
-		for _, p := range members[1:] {
-			if err := boundedWait(p, u.comm.FlagAddr(root, p, FlagGroupArrive), nil); err != nil {
-				return err
-			}
-		}
-		for _, p := range members[1:] {
-			u.core.SetFlag(u.comm.FlagAddr(p, root, FlagGroupRelease), gen)
-		}
-		u.core.Note(simtime.Note1("group barrier gen %d released", int64(gen)))
-		return nil
-	}
-	arrive := u.comm.FlagAddr(root, u.ID(), FlagGroupArrive)
-	u.core.SetFlag(arrive, gen)
-	err := boundedWait(root, u.comm.FlagAddr(u.ID(), root, FlagGroupRelease), func() {
-		u.core.SetFlag(arrive, gen) // our arrival may have been lost
-		u.stats.Retransmits++
-	})
-	if err == nil {
-		u.core.Note(simtime.Note1("group barrier gen %d passed", int64(gen)))
-	}
-	return err
+	return u.centralBarrier(members, FlagGroupArrive, FlagGroupRelease, &u.groupGen, &pol)
 }

@@ -9,29 +9,48 @@ import (
 	"scc/internal/timing"
 )
 
-// TestMPBPagesAtScale bounds the MPB arena pages a 2,560-core Barrier +
-// Broadcast cuts. Page counts are deterministic, so the bound is the
-// measurement itself: 6,845 pages of 512 B (3.5 MB). The same run cut
-// 7,468 pages of 4 KB (31 MB) when every flag region carried an
-// 11-line membership bitmap. A layout or page-size change that spreads
-// the flag working set over more pages fails here by count, where a
-// heap delta would hide it in noise.
-func TestMPBPagesAtScale(t *testing.T) {
-	const maxPages = 6845
+// pagesCut runs a small Broadcast on every core of a 2,560-core chip,
+// after a Barrier when barrier is set, and returns the MPB arena pages
+// the run cut.
+func pagesCut(t *testing.T, barrier bool) int {
+	t.Helper()
 	chip := scc.New(timing.Topology(40, 64, 1))
 	defer chip.Release()
 	comm := rcce.NewComm(chip)
 	chip.Launch(func(c *scc.Core) {
 		x := core.NewCtx(comm.UE(c.ID), core.ConfigLightweight)
 		src := c.AllocF64(8)
-		x.Barrier()
+		if barrier {
+			x.Barrier()
+		}
 		x.Broadcast(0, src, 8)
 		x.Release()
 	})
 	if err := chip.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := scc.MPBPagesCut(chip); got > maxPages {
-		t.Errorf("2,560-core Barrier + Broadcast cut %d MPB pages, bound %d", got, maxPages)
+	return scc.MPBPagesCut(chip)
+}
+
+// TestMPBPagesAtScale bounds the MPB arena pages a 2,560-core Barrier +
+// Broadcast cuts. Page counts are deterministic, so the bound is the
+// measurement itself: 4,158 pages of 512 B (2.1 MB). The same run cut
+// 6,845 pages while the Barrier was RCCE's central one (every core's
+// arrive flag in core 0's MPB, every release flag on core 0's line),
+// and 7,468 pages of 4 KB (31 MB) when every flag region carried an
+// 11-line membership bitmap. A layout or page-size change that spreads
+// the flag working set over more pages fails here by count, where a
+// heap delta would hide it in noise.
+//
+// The tree barrier writes only on the writer lines the tree Broadcast
+// already uses, so adding it must cut no page at all.
+func TestMPBPagesAtScale(t *testing.T) {
+	const maxPages = 4158
+	both := pagesCut(t, true)
+	if both > maxPages {
+		t.Errorf("2,560-core Barrier + Broadcast cut %d MPB pages, bound %d", both, maxPages)
+	}
+	if alone := pagesCut(t, false); both != alone {
+		t.Errorf("Barrier + Broadcast cut %d MPB pages, Broadcast alone %d: the barrier touches lines the Broadcast does not", both, alone)
 	}
 }

@@ -32,9 +32,10 @@ const (
 	// follows the fixed roles (little-endian uint32).
 	FlagViewEpochBytes = 4
 	// FlagLineBytes is what a flag line must hold: the fixed roles, the
-	// epoch word and the call-sequence byte. Validate rejects cache
-	// lines narrower than that.
-	FlagLineBytes = FlagFixedRoles + FlagViewEpochBytes + 1
+	// epoch word, the call-sequence byte and the tree barrier's
+	// arrive/release pair. Validate rejects cache lines narrower than
+	// that.
+	FlagLineBytes = FlagFixedRoles + FlagViewEpochBytes + 1 + 2
 	// minGapLines is the floor of the reserved gap between each core's
 	// flag lines and its chunk data region. The gap holds the core's view
 	// slot (the membership bitmap it publishes as a self-heal
