@@ -15,51 +15,35 @@ import (
 // died. Instead the runtime closes the loop in-band:
 //
 //  1. Detection. The hardened transport's bounded waits feed a per-peer
-//     Detector (detector.go): a retry budget exhausted toward a peer
-//     raises a suspicion, any later successful handshake clears it.
-//     Suspicions are fallible local hints — a live core is routinely
-//     suspected when a shared neighbor dies and stalls it — so they are
-//     recorded (detection latency is a measured quantity) but never
-//     filter membership or steer coordinator choice.
+//     Detector (detector.go). Suspicions are fallible local hints — a
+//     live core is routinely suspected when a shared neighbor dies and
+//     stalls it — so they are recorded (detection latency is a measured
+//     quantity) but never filter membership or steer coordinator choice.
 //
-//  2. Outcome vote. After every wrapped collective each member reaches
-//     the vote (its attempt either failed or completed); a flag-token
-//     round over the MPB establishes whether *all* members succeeded.
-//     Only a unanimous success commits the collective — otherwise
-//     everyone proceeds to reconfiguration together, including members
-//     whose own attempt happened to complete.
+//  2. Outcome vote (vote). After every wrapped collective a flag-token
+//     round over the MPB establishes whether *all* members succeeded;
+//     anything else sends everyone to reconfiguration together. When the
+//     vote's root gathered a quorum but not every member, its failed
+//     release carries the arrivals as the new view: one gather both
+//     finds and removes the dead.
 //
-//  3. Membership agreement. Coordinator choice is attempt-indexed
-//     rotation over the current member list — a pure function of shared
-//     state, so every live member tries the same candidate at the same
-//     attempt no matter how their local suspicion sets diverge. The
-//     coordinator collects exact attempt-derived arrive tokens under a
-//     deadline shared by the whole collection phase (dead members run
-//     the clock down together instead of each consuming a private
-//     budget), assembles the view from the arrivals, writes the view
-//     bitmap once into its own MPB view slot and the epoch word into
-//     each member's MPB line, and releases the members, which then read
-//     the view from the coordinator's slot. Members stuck on a
-//     different collective call (a dropped vote release can strand one)
-//     ship their call sequence with the arrival; only the largest
-//     same-call cohort enters the view, so desynchronized members are
-//     evicted with a typed error instead of exchanging mismatched
-//     payloads. Every phase of a failed attempt ends with an idle pad
-//     to a fixed attempt-relative deadline, so the drift between
-//     members stays bounded by their initial skew instead of
-//     compounding across attempts.
+//  3. Membership agreement (reconfigure), when the vote carried no view
+//     (its root is dead or below quorum) or that view failed to commit:
+//     attempts led by a rotating coordinator, a pure function of shared
+//     state, collect arrivals under shared deadlines and keep the
+//     largest same-call cohort, so a member stranded on another call is
+//     evicted with a typed error. Failed attempts pad to a fixed length,
+//     so members stay aligned instead of drifting apart.
 //
-//  4. Epoch adoption. Each member salts the hardened protocol's
-//     checksums with the new epoch, restarts its sequence counters and
-//     wipes its own data-protocol flag bytes (rcce.SetEpoch +
-//     ResetProtocolFlags), so no stale chunk, ACK or progress byte of
-//     the aborted attempt can be mistaken for fresh traffic. The epoch
-//     barrier doubles as the commit point: only members that passed it
-//     re-execute the collective on the agreed survivor group.
+//  4. Epoch adoption (adopt). Each member re-salts the hardened
+//     protocol with the new epoch and wipes its own data-protocol flag
+//     bytes, so no stale chunk, ACK or progress byte of the aborted
+//     attempt passes for fresh traffic. The epoch barrier is the commit
+//     point: only members that passed it re-execute the collective on
+//     the agreed survivor group.
 //
-// Everything above runs on simulated cores over the MPB with priced
-// flag traffic and deterministic timeouts, so same-seed runs are
-// bit-identical and recovery cost is a measured quantity.
+// All of it runs on simulated cores over the MPB with priced flags and
+// deterministic timeouts: same-seed runs are bit-identical.
 
 // Sentinel errors of the self-healing runtime.
 var (
@@ -83,10 +67,12 @@ type HealPolicy struct {
 	Detect rcce.Policy
 	// Member's total budget is the agreement protocol's unit of time B:
 	// collection phases run against a shared deadline of 2B, release
-	// waits against 4B (vote) or 6B (membership), and a failed attempt
-	// is padded to 7B. B must cover the worst-case skew between members
-	// entering the protocol — a live member still burning its own
-	// Detect budget toward the dead core — with ample margin.
+	// waits against 4B (vote) or 6B (membership). A view carried by the
+	// vote commits by 3B (its epoch barrier's root) or 4B (members), a
+	// failed vote is padded to 4B and a failed rotating attempt to 7B.
+	// B must cover the worst-case skew between members entering the
+	// protocol — a live member still burning its own Detect budget
+	// toward the dead core — with ample margin.
 	Member rcce.Policy
 	// MaxRounds caps vote → reconfigure → re-execute cycles per
 	// collective call before ErrHealGiveUp.
@@ -359,14 +345,15 @@ func (h *Healer) run(x *Ctx, body func() error) error {
 		if len(h.members) <= 1 {
 			return err // nobody left to vote with
 		}
-		if h.vote(err == nil) && err == nil {
+		t0, agreed, carried := h.vote(err == nil)
+		if agreed && err == nil {
 			return nil // unanimous success
 		}
 		if round+1 >= h.pol.MaxRounds {
 			return fmt.Errorf("core: self-heal: %w: %d rounds at epoch %d (last error: %v)",
 				ErrHealGiveUp, round+1, h.epoch, err)
 		}
-		if rerr := h.reconfigure(x); rerr != nil {
+		if rerr := h.reconfigure(x, t0, carried); rerr != nil {
 			return rerr
 		}
 		h.rep.Reexecs++
@@ -374,28 +361,27 @@ func (h *Healer) run(x *Ctx, body func() error) error {
 	}
 }
 
-// vote runs one outcome-vote round over the current members and reports
-// whether all of them succeeded. The lowest member collects a per-member
-// token (tok = success, tok|0x80 = failure) from each member's
-// vote-arrive flag under a shared 2B deadline and publishes the verdict
-// through the vote-release flags; members wait for the verdict until
-// 4B. Tokens are derived from (epoch, voteSeq), so consecutive votes
-// use distinct values and a stale flag can never satisfy the wait; the
-// vote flags are wiped at epoch adoption, which kills the cross-epoch
-// aliasing case. A member that cannot reach the collector treats the
-// vote as failed (and suspects the collector), which safely funnels it
-// into reconfiguration. A failed vote pads every member to the same
-// 4B mark so they enter reconfiguration aligned.
-func (h *Healer) vote(ok bool) bool {
+// vote runs one outcome-vote round: the lowest member collects a token
+// (tok = success, tok|0x80 = failure) from each member under a shared 2B
+// deadline and releases the verdict; members wait for it until 4B, and
+// raise their arrival again after B in case a flag write was dropped.
+// Tokens bind (epoch, voteSeq, collSeq): no stale flag satisfies a wait,
+// and a member on another collective call never counts as an arrival.
+// A root that ran out its deadline with a quorum of arrivals but not all
+// of them publishes them as the view of epoch + 1 before the failed
+// release, which a member looks for behind any failed verdict (its own
+// call's or another's). Without a view, a failed vote pads to the 4B
+// mark, so the members enter the rotating agreement aligned. Reports
+// the vote's start, unanimous success, and whether a view was carried.
+func (h *Healer) vote(ok bool) (t0 simtime.Time, agreed, carried bool) {
 	u, c := h.ue, h.ue.Core()
 	comm := u.Comm()
-	m := c.Chip().Model
-	c.OverheadCycles(m.OverheadBlockingCall)
-	t0 := c.Now()
+	c.OverheadCycles(c.Chip().Model.OverheadBlockingCall)
+	t0 = c.Now()
 	B := h.unit()
 
 	h.voteSeq++
-	tok := byte(1 + (h.epoch*31+h.voteSeq)%127)
+	tok := byte(1 + (h.epoch*31+h.voteSeq+h.collSeq*53)%127)
 	fail := tok | 0x80
 	isVote := func(v byte) bool { return v == tok || v == fail }
 
@@ -404,14 +390,11 @@ func (h *Healer) vote(ok bool) bool {
 	h.rep.Votes++
 	h.count(metrics.CtrVotes)
 
-	agreed := false
 	if me == root {
 		all := ok
 		deadline := t0 + 2*B
-		for _, p := range h.members {
-			if p == me {
-				continue
-			}
+		arrived := append(h.viewBuf[:0], me)
+		for _, p := range h.members[1:] {
 			v, got := h.waitUntil(comm.FlagAddr(root, p, rcce.FlagVoteArrive), deadline, isVote)
 			if !got {
 				h.det.Suspect(p)
@@ -419,18 +402,22 @@ func (h *Healer) vote(ok bool) bool {
 				continue
 			}
 			h.det.Clear(p)
+			arrived = append(arrived, p)
 			if v != tok {
 				all = false
 			}
+		}
+		h.viewBuf = arrived
+		carried = len(arrived) < len(h.members) && len(arrived) >= h.quorum(len(h.members))
+		if carried {
+			h.publish(arrived, h.members, h.epoch+1)
 		}
 		rel := tok
 		if !all {
 			rel = fail
 		}
-		for _, p := range h.members {
-			if p != me {
-				c.SetFlag(comm.FlagAddr(p, root, rcce.FlagVoteRelease), rel)
-			}
+		for _, p := range h.members[1:] {
+			c.SetFlag(comm.FlagAddr(p, root, rcce.FlagVoteRelease), rel)
 		}
 		agreed = all
 	} else {
@@ -438,39 +425,61 @@ func (h *Healer) vote(ok bool) bool {
 		if !ok {
 			val = fail
 		}
-		c.SetFlag(comm.FlagAddr(root, me, rcce.FlagVoteArrive), val)
-		v, got := h.waitUntil(comm.FlagAddr(me, root, rcce.FlagVoteRelease), t0+4*B, isVote)
+		arrive, release := comm.FlagAddr(root, me, rcce.FlagVoteArrive), comm.FlagAddr(me, root, rcce.FlagVoteRelease)
+		c.SetFlag(arrive, val)
+		v, got := h.waitUntil(release, t0+B, isVote)
+		if !got {
+			c.SetFlag(arrive, val)
+			v, got = h.waitUntil(release, t0+4*B, isVote)
+		}
 		if got {
 			h.det.Clear(root)
 			agreed = v == tok
 		} else {
 			h.det.Suspect(root)
 		}
+		// A failed verdict, ours or one of another call, may carry a view.
+		if !agreed && v&0x80 != 0 && c.ProbeFlag(comm.FlagAddr(me, root, rcce.FlagMemberRelease)) == byte(1+(h.epoch+1)%127) {
+			_, epoch := h.readProposal(root)
+			carried = epoch == h.epoch+1
+		}
 	}
 	if !agreed {
 		h.rep.VotesFailed++
 		h.count(metrics.CtrVotesFailed)
-		h.padTo(t0 + 4*B)
+		if !carried {
+			h.padTo(t0 + 4*B)
+		}
 	}
 	c.RecordSpan("heal-vote", t0, c.Now())
-	return agreed
+	return t0, agreed, carried
 }
 
-// reconfigure drives membership agreement until a quorum view commits.
-// Coordinator choice is attempt-indexed rotation over the member list —
-// identical on every live member regardless of how their suspicion
-// sets diverge — and each attempt proposes epoch = current + attempt,
-// so retries never reuse a token. A failed attempt (dead coordinator,
-// sub-quorum arrivals, failed epoch barrier) pads to the fixed 7B
-// attempt length and moves everyone to the next candidate together.
-// On commit the context's group is rebuilt over the agreed survivors.
-func (h *Healer) reconfigure(x *Ctx) error {
+// reconfigure drives membership agreement, after the vote that started
+// at tv, until a quorum view commits. A view the vote carried is adopted
+// first, its epoch barrier bounded to the 3B (root) and 4B (members)
+// marks. Failing that, the rotating agreement starts at the 4B mark:
+// attempt-indexed coordinator rotation over the member list, identical
+// on every live member however their suspicion sets diverge, where each
+// attempt proposes epoch = current + attempt (+ 1 after a carried view,
+// so no arrival at that view's barrier satisfies a later one). A failed
+// attempt (dead coordinator, sub-quorum arrivals, failed epoch barrier)
+// pads to the fixed 7B attempt length and moves everyone to the next
+// candidate together.
+func (h *Healer) reconfigure(x *Ctx, tv simtime.Time, carried bool) error {
 	u, c := h.ue, h.ue.Core()
-	m := c.Chip().Model
-	c.OverheadCycles(m.OverheadBlockingCall)
+	B := h.unit()
+	skip := uint32(0)
+	if carried {
+		if done, err := h.adopt(x, h.viewBuf, h.epoch+1, tv+3*B, c.Now()); done || err != nil {
+			return err
+		}
+		h.padTo(tv + 4*B)
+		skip = 1
+	}
+	c.OverheadCycles(c.Chip().Model.OverheadBlockingCall)
 	t0 := c.Now()
 	me := u.ID()
-	B := h.unit()
 
 	oldSize := len(h.members)
 	maxAttempts := oldSize + 2
@@ -482,7 +491,7 @@ func (h *Healer) reconfigure(x *Ctx) error {
 		var epoch uint32
 		var ok bool
 		if coord == me {
-			epoch = h.epoch + uint32(attempt)
+			epoch = h.epoch + skip + uint32(attempt)
 			view, ok = h.coordinate(epoch, attempt, ta, B)
 		} else {
 			view, epoch, ok = h.follow(coord, attempt, ta, B)
@@ -490,34 +499,9 @@ func (h *Healer) reconfigure(x *Ctx) error {
 				ok = false // stale or bogus proposal
 			}
 		}
-		if ok && len(view) >= h.quorum(oldSize) {
-			if !slices.Contains(view, me) {
-				h.evicted = fmt.Errorf("core: self-heal: %w: view of %d cores at epoch %d excludes core %d",
-					ErrEvicted, len(view), epoch, me)
-				return h.evicted
-			}
-			// Tentative adoption: salt the hardened protocol with the new
-			// epoch and wipe this core's data-protocol flag bytes so the
-			// aborted attempt's chunks, ACKs and progress bytes are inert.
-			// Committed only if the epoch barrier over the view passes.
-			u.SetEpoch(epoch)
-			u.ResetProtocolFlags()
-			if h.epochBarrier(view, epoch, ta, B) {
-				h.rep.Evicted += int64(len(h.members) - len(view))
-				h.members = append(h.members[:0], view...)
-				h.epoch = epoch
-				h.voteSeq = 0
-				h.rep.Reconfigs++
-				h.rep.LastAgreeAt = c.Now()
-				h.count(metrics.CtrReconfigs)
-
-				g, err := NewGroup(h.members, u.NumUEs())
-				if err != nil {
-					return err
-				}
-				x.grp = g
-				c.RecordSpan("heal-membership", t0, c.Now())
-				return nil
+		if ok {
+			if done, err := h.adopt(x, view, epoch, ta+5*B, t0); done || err != nil {
+				return err
 			}
 		}
 		h.padTo(ta + 7*B)
@@ -526,16 +510,49 @@ func (h *Healer) reconfigure(x *Ctx) error {
 		ErrNoQuorum, maxAttempts, h.epoch)
 }
 
+// adopt commits a quorum view at epoch: it evicts this core, for good,
+// if the view lacks it; otherwise it re-salts the hardened protocol and
+// wipes this core's data-protocol flags (the aborted attempt's bytes go
+// inert), then commits if the epoch barrier passes (root deadline by,
+// members one unit later), rebuilding the context's group over the view.
+func (h *Healer) adopt(x *Ctx, view []int, epoch uint32, by, t0 simtime.Time) (bool, error) {
+	u, c := h.ue, h.ue.Core()
+	if len(view) < h.quorum(len(h.members)) {
+		return false, nil
+	}
+	if !slices.Contains(view, u.ID()) {
+		h.evicted = fmt.Errorf("core: self-heal: %w: view of %d cores at epoch %d excludes core %d",
+			ErrEvicted, len(view), epoch, u.ID())
+		return false, h.evicted
+	}
+	u.SetEpoch(epoch)
+	u.ResetProtocolFlags()
+	if !h.epochBarrier(view, epoch, by, by+h.unit()) {
+		return false, nil
+	}
+	h.rep.Evicted += int64(len(h.members) - len(view))
+	h.members = append(h.members[:0], view...)
+	h.epoch = epoch
+	h.voteSeq = 0
+	h.rep.Reconfigs++
+	h.rep.LastAgreeAt = c.Now()
+	h.count(metrics.CtrReconfigs)
+
+	g, err := NewGroup(h.members, u.NumUEs())
+	if err != nil {
+		return false, err
+	}
+	x.grp = g
+	c.RecordSpan("heal-membership", t0, c.Now())
+	return true, nil
+}
+
 // coordinate runs the coordinator side of one agreement attempt: wait
 // for each current member's exact arrive token under the shared 2B
-// collection deadline, read the arrivals' call-sequence bytes, keep the
-// largest same-call cohort (ties to the cohort that is further along),
-// and publish: the view bitmap once into this core's view slot, then
-// the epoch word and release token to every view member.
-// Returns ok=false when the cohort falls short of quorum. A coordinator
-// whose own call sequence is in the minority publishes the view it
-// assembled and is then evicted by its caller — the view members commit
-// without it.
+// collection deadline, read the arrivals' call-sequence bytes, and
+// publish the largest same-call cohort (ties to the cohort further
+// along) unless it falls short of quorum (ok=false). A coordinator in
+// the minority publishes a view without itself and is then evicted.
 func (h *Healer) coordinate(epoch uint32, attempt int, ta simtime.Time, B simtime.Duration) ([]int, bool) {
 	u, c := h.ue, h.ue.Core()
 	comm := u.Comm()
@@ -588,24 +605,30 @@ func (h *Healer) coordinate(epoch uint32, attempt int, ta simtime.Time, B simtim
 		return nil, false
 	}
 
-	// Publish: payload first (the view bitmap once, into this core's
-	// own view slot; the epoch word into each member's line), release
-	// flag last — the flag write lands after the payload in virtual
-	// time, so a member that sees the release reads a complete proposal.
+	h.publish(view, view, epoch)
+	h.viewBuf = view
+	return view, true
+}
+
+// publish proposes view at epoch to the cores of to: the bitmap once into
+// this core's view slot, the epoch word into each recipient's line, and
+// the release flag last, so a core that sees it reads a whole proposal.
+func (h *Healer) publish(view, to []int, epoch uint32) {
+	u, c := h.ue, h.ue.Core()
+	comm := u.Comm()
+	me := u.ID()
 	fillViewBitmap(h.bitmap, view)
 	c.MPBWrite(comm.ViewSlot(me), h.bitmap)
 	var eb [4]byte
 	binary.LittleEndian.PutUint32(eb[:], epoch)
 	rel := byte(1 + epoch%127)
-	for _, p := range view {
+	for _, p := range to {
 		if p == me {
 			continue
 		}
 		c.MPBWrite(comm.FlagAddr(p, me, rcce.FlagViewEpoch), eb[:])
 		c.SetFlag(comm.FlagAddr(p, me, rcce.FlagMemberRelease), rel)
 	}
-	h.viewBuf = view
-	return view, true
 }
 
 // follow runs the member side of one agreement attempt against coord:
@@ -613,10 +636,8 @@ func (h *Healer) coordinate(epoch uint32, attempt int, ta simtime.Time, B simtim
 // ship my call-sequence byte, raise the exact attempt-derived arrive
 // token, and wait for the release until the 6B mark — long enough for
 // the coordinator's full 2B collection plus publication, short enough
-// that a dead candidate costs one padded attempt — then read the view
-// from the coordinator's view slot and the epoch from my line. A
-// timeout suspects the coordinator (a diagnostic hint only; rotation
-// moves past it regardless).
+// that a dead candidate costs one padded attempt — then read the
+// proposal. A timeout suspects the coordinator (a hint only).
 func (h *Healer) follow(coord, attempt int, ta simtime.Time, B simtime.Duration) ([]int, uint32, bool) {
 	u, c := h.ue, h.ue.Core()
 	comm := u.Comm()
@@ -634,11 +655,18 @@ func (h *Healer) follow(coord, attempt int, ta simtime.Time, B simtime.Duration)
 		return nil, 0, false
 	}
 	h.det.Clear(coord)
+	view, epoch := h.readProposal(coord)
+	return view, epoch, true
+}
 
+// readProposal reads coord's proposal: the view from its view slot (into
+// viewBuf), the epoch from this core's line.
+func (h *Healer) readProposal(coord int) ([]int, uint32) {
+	u, c := h.ue, h.ue.Core()
+	comm := u.Comm()
 	c.MPBRead(comm.ViewSlot(coord), h.bitmap)
 	var eb [4]byte
-	c.MPBRead(comm.FlagAddr(me, coord, rcce.FlagViewEpoch), eb[:])
-	epoch := binary.LittleEndian.Uint32(eb[:])
+	c.MPBRead(comm.FlagAddr(u.ID(), coord, rcce.FlagViewEpoch), eb[:])
 
 	view := h.viewBuf[:0]
 	for i := 0; i < u.NumUEs(); i++ {
@@ -647,13 +675,13 @@ func (h *Healer) follow(coord, attempt int, ta simtime.Time, B simtime.Duration)
 		}
 	}
 	h.viewBuf = view
-	return view, epoch, true
+	return view, binary.LittleEndian.Uint32(eb[:])
 }
 
 // epochBarrier seals a proposed view: every member raises an
 // epoch-derived arrive token toward the view's lowest member, which
-// releases everyone only after all arrivals (collected under a shared
-// deadline at the 5B mark; members wait for the release until 6B). A
+// releases everyone only after all arrivals (collected under the shared
+// deadline rootBy; members wait for the release until memberBy). A
 // member that passes the barrier knows every other view member adopted
 // the same epoch (their arrive write happens after their SetEpoch), so
 // hardened traffic under the new epoch cannot race a peer still on the
@@ -661,14 +689,13 @@ func (h *Healer) follow(coord, attempt int, ta simtime.Time, B simtime.Duration)
 // the release; member-side failure aborts without suspecting the root
 // (the root may have aborted because of a third member — rotation moves
 // everyone to the next candidate together).
-func (h *Healer) epochBarrier(view []int, epoch uint32, ta simtime.Time, B simtime.Duration) bool {
+func (h *Healer) epochBarrier(view []int, epoch uint32, rootBy, memberBy simtime.Time) bool {
 	if len(view) <= 1 {
 		return true
 	}
 	u, c := h.ue, h.ue.Core()
 	comm := u.Comm()
-	m := c.Chip().Model
-	c.OverheadCycles(m.OverheadBlockingCall)
+	c.OverheadCycles(c.Chip().Model.OverheadBlockingCall)
 
 	me := u.ID()
 	root := view[0]
@@ -676,10 +703,9 @@ func (h *Healer) epochBarrier(view []int, epoch uint32, ta simtime.Time, B simti
 	isTok := func(v byte) bool { return v == tok }
 
 	if me == root {
-		deadline := ta + 5*B
 		ok := true
 		for _, p := range view[1:] {
-			if _, got := h.waitUntil(comm.FlagAddr(root, p, rcce.FlagEpochArrive), deadline, isTok); !got {
+			if _, got := h.waitUntil(comm.FlagAddr(root, p, rcce.FlagEpochArrive), rootBy, isTok); !got {
 				h.det.Suspect(p)
 				ok = false
 			}
@@ -694,7 +720,7 @@ func (h *Healer) epochBarrier(view []int, epoch uint32, ta simtime.Time, B simti
 	}
 
 	c.SetFlag(comm.FlagAddr(root, me, rcce.FlagEpochArrive), tok)
-	_, ok := h.waitUntil(comm.FlagAddr(me, root, rcce.FlagEpochRelease), ta+6*B, isTok)
+	_, ok := h.waitUntil(comm.FlagAddr(me, root, rcce.FlagEpochRelease), memberBy, isTok)
 	return ok
 }
 

@@ -2,11 +2,15 @@ package sccsim_test
 
 import (
 	"errors"
+	"maps"
+	"slices"
 	"sync"
 	"testing"
 
 	sccsim "scc"
+	"scc/internal/rcce"
 	"scc/internal/simtime"
+	"scc/internal/timing"
 )
 
 // healRun executes reps Allreduce calls of n elements under
@@ -17,6 +21,25 @@ func healRun(t *testing.T, algo string, n, victim int, killAt sccsim.Duration, r
 	t.Helper()
 	plan := sccsim.NewFaultPlan()
 	plan.Add(sccsim.Fault{Kind: sccsim.FaultCoreDie, At: simtime.Time(killAt), Core: victim})
+	h := healPlanRun(t, algo, n, plan, reps)
+	return h.vals, h.errs, h.members, h.elapsed
+}
+
+// healOutcome is what one self-healing run under a fault plan leaves:
+// per-core final values, errors and member counts, the system-wide
+// healing report and the elapsed virtual time.
+type healOutcome struct {
+	vals    map[int]float64
+	errs    map[int]error
+	members map[int]int
+	heal    sccsim.HealReport
+	elapsed sccsim.Duration
+}
+
+// healPlanRun executes reps Allreduce calls of n elements (core i
+// contributes i+1) under self-healing with the faults of plan.
+func healPlanRun(t *testing.T, algo string, n int, plan *sccsim.FaultPlan, reps int) healOutcome {
+	t.Helper()
 	opts := []sccsim.Option{
 		sccsim.WithFaults(plan),
 		sccsim.WithSelfHealing(sccsim.DefaultHealPolicy()),
@@ -27,9 +50,7 @@ func healRun(t *testing.T, algo string, n, victim int, killAt sccsim.Duration, r
 	sys := sccsim.New(opts...)
 
 	var mu sync.Mutex
-	vals := make(map[int]float64)
-	errs := make(map[int]error)
-	members := make(map[int]int)
+	out := healOutcome{vals: make(map[int]float64), errs: make(map[int]error), members: make(map[int]int)}
 	res, err := sys.RunResult(func(r *sccsim.Rank) {
 		src := r.AllocF64(n)
 		dst := r.AllocF64(n)
@@ -42,21 +63,58 @@ func healRun(t *testing.T, algo string, n, victim int, killAt sccsim.Duration, r
 		for k := 0; k < reps && rerr == nil; k++ {
 			rerr = r.Allreduce(src, dst, n)
 		}
-		out := make([]float64, 1)
-		r.ReadF64s(dst, out)
+		got := make([]float64, 1)
+		r.ReadF64s(dst, got)
 		rep := r.HealReport()
 		mu.Lock()
-		vals[r.ID()] = out[0]
-		errs[r.ID()] = rerr
+		out.vals[r.ID()] = got[0]
+		out.errs[r.ID()] = rerr
 		if rep != nil {
-			members[r.ID()] = 48 - int(rep.Evicted)
+			out.members[r.ID()] = 48 - int(rep.Evicted)
 		}
 		mu.Unlock()
 	})
 	if err != nil {
 		t.Fatalf("algo %q: run failed: %v", algo, err)
 	}
-	return vals, errs, members, res.Elapsed()
+	out.heal = *sys.Heal()
+	out.elapsed = res.Elapsed()
+	return out
+}
+
+// survivorSum is the Allreduce result over every core but the dead
+// ones, each core contributing its ID+1.
+func survivorSum(dead ...int) float64 {
+	s := 0.0
+	for id := 0; id < 48; id++ {
+		if !slices.Contains(dead, id) {
+			s += float64(id + 1)
+		}
+	}
+	return s
+}
+
+// checkSurvivors fails unless every core outside dead completed without
+// error and holds want.
+func checkSurvivors(t *testing.T, h healOutcome, want float64, dead ...int) {
+	t.Helper()
+	for id := 0; id < 48; id++ {
+		if slices.Contains(dead, id) {
+			continue
+		}
+		if h.errs[id] != nil || h.vals[id] != want {
+			t.Errorf("core %d: %v, dst = %v; want survivor sum %v", id, h.errs[id], h.vals[id], want)
+		}
+	}
+}
+
+// dieAt is a fault plan killing each listed core at its time.
+func dieAt(kills map[int]sccsim.Duration) *sccsim.FaultPlan {
+	plan := sccsim.NewFaultPlan()
+	for core, at := range kills {
+		plan.Add(sccsim.Fault{Kind: sccsim.FaultCoreDie, At: simtime.Time(at), Core: core})
+	}
+	return plan
 }
 
 // TestSelfHealingAllreduceCoreDeath is the tentpole acceptance check: a
@@ -155,3 +213,108 @@ func TestCoreDeathWithoutRecoveryTyped(t *testing.T) {
 		t.Fatalf("err = %v, want errors.Is(err, ErrCoreDead)", err)
 	}
 }
+
+// TestSelfHealVoteRootDeath: the outcome vote's root (core 0) dies
+// mid-Allreduce, so nobody collects the vote and no view rides on its
+// release. Every member times out, and the rotating agreement, whose
+// first candidate is the dead root, heals on its second attempt. The
+// elapsed time is pinned: this fallback path is the parent design's.
+func TestSelfHealVoteRootDeath(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates seconds of virtual agreement timeouts")
+	}
+	kill := map[int]sccsim.Duration{0: sccsim.Microseconds(300)}
+	a := healPlanRun(t, "", 552, dieAt(kill), 1)
+	b := healPlanRun(t, "", 552, dieAt(kill), 1)
+	checkSurvivors(t, a, 1175, 0)
+	if a.heal.Evicted != 1 || a.heal.Reconfigs != 1 {
+		t.Errorf("heal report %+v, want 1 evicted in 1 reconfiguration", a.heal)
+	}
+	if a.elapsed != b.elapsed || !maps.Equal(a.vals, b.vals) {
+		t.Fatalf("reruns differ: %d vs %d ticks", a.elapsed, b.elapsed)
+	}
+	if a.elapsed != voteRootDeathTicks {
+		t.Errorf("elapsed %d ticks (%v), want %d", a.elapsed, a.elapsed, voteRootDeathTicks)
+	}
+}
+
+// TestSelfHealTwoDeaths: two cores die inside one collective. Both are
+// missing from the vote, so the view the vote root publishes excludes
+// both and one agreement heals them. In the window case the second core
+// dies after it voted: the view on the vote's release still holds it,
+// its epoch barrier fails, and the rotating agreement heals in no more
+// time than it took before the vote carried views.
+func TestSelfHealTwoDeaths(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates seconds of virtual agreement timeouts")
+	}
+	for _, tc := range []struct {
+		name   string
+		second sccsim.Duration
+		limit  sccsim.Duration
+		epoch  uint32
+	}{
+		{"same-collective", sccsim.Microseconds(350), sccsim.Microseconds(600_000), 1},
+		// The rotating agreement skips the failed view's epoch, so no
+		// arrival at that view's barrier counts at the next one.
+		{"after-voting", sccsim.Microseconds(300_000), sccsim.Microseconds(1_606_000), 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := healPlanRun(t, "", 552, dieAt(map[int]sccsim.Duration{17: sccsim.Microseconds(300), 30: tc.second}), 1)
+			checkSurvivors(t, h, 1127, 17, 30)
+			if h.heal.Evicted != 2 || h.heal.Reconfigs != 1 || h.heal.Epoch != tc.epoch {
+				t.Errorf("heal report %+v, want 2 evicted in 1 reconfiguration, epoch %d", h.heal, tc.epoch)
+			}
+			if h.elapsed >= tc.limit {
+				t.Errorf("elapsed %v, want < %v", h.elapsed, tc.limit)
+			}
+		})
+	}
+}
+
+// TestSelfHealLateMemberEvicted: a live core stalled past the vote
+// root's collection (core 9, 700 ms from 1.5 ms, while core 17 dies)
+// finds the survivors' view on the vote release when it comes back. It
+// is not in it, so it gets ErrEvicted at once instead of running the
+// rotating agreement alone until ErrNoQuorum.
+func TestSelfHealLateMemberEvicted(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates seconds of virtual agreement timeouts")
+	}
+	plan := dieAt(map[int]sccsim.Duration{17: sccsim.Microseconds(300)})
+	plan.Add(sccsim.Fault{Kind: sccsim.FaultCoreStall, At: simtime.Time(sccsim.Microseconds(1500)),
+		Dur: simtime.Duration(sccsim.Microseconds(700_000)), Core: 9})
+	h := healPlanRun(t, "", 552, plan, 1)
+	if !errors.Is(h.errs[9], sccsim.ErrEvicted) {
+		t.Errorf("stalled core 9: %v, want ErrEvicted", h.errs[9])
+	}
+	checkSurvivors(t, h, survivorSum(9, 17), 9, 17)
+	if h.elapsed >= sccsim.Microseconds(1_000_000) {
+		t.Errorf("elapsed %v, want < 1 s", h.elapsed)
+	}
+}
+
+// TestSelfHealDroppedVoteArrival: core 12's vote arrival (a flag write
+// into core 0's MPB, the vote root's) is lost while core 17 dies. Core
+// 12 raises it again when no verdict came within one agreement unit, so
+// the root's view keeps the live core and 47 survivors finish.
+func TestSelfHealDroppedVoteArrival(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates seconds of virtual agreement timeouts")
+	}
+	plan := dieAt(map[int]sccsim.Duration{17: sccsim.Microseconds(300)})
+	plan.Add(sccsim.Fault{Kind: sccsim.FaultFlagDrop, Core: 12,
+		Off: 12*timing.Default().FlagBytesPerWriter() + rcce.FlagVoteArrive})
+	h := healPlanRun(t, "", 552, plan, 1)
+	if ev := plan.Events(); len(ev) != 2 {
+		t.Fatalf("fired %v, want the death and the dropped arrival", ev)
+	}
+	checkSurvivors(t, h, survivorSum(17), 17)
+	if h.heal.Evicted != 1 || h.elapsed >= sccsim.Microseconds(600_000) {
+		t.Errorf("heal report %+v after %v, want 1 evicted within 0.6 s", h.heal, h.elapsed)
+	}
+}
+
+// voteRootDeathTicks is TestSelfHealVoteRootDeath's elapsed time
+// (3.393 s), unchanged since before the vote carried views.
+const voteRootDeathTicks = 5429314144
