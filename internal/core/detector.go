@@ -13,8 +13,8 @@ import (
 // by any successful handshake with it. Suspicion is a local, fallible
 // hint — live cores routinely get suspected when a shared neighbor dies
 // and stalls them — so membership decisions never consume it directly;
-// the agreement protocol in selfheal.go uses participation instead and
-// suspicions only steer coordinator choice and wait budgets.
+// the agreement protocol in selfheal.go uses participation instead, and
+// suspicions are recorded as a measurement (detection latency).
 //
 // The detector mutates host-side state only and never advances virtual
 // time, so installing one keeps runs bit-identical.

@@ -18,24 +18,23 @@ import (
 //     Detector (detector.go). Suspicions are fallible local hints — a
 //     live core is routinely suspected when a shared neighbor dies and
 //     stalls it — so they are recorded (detection latency is a measured
-//     quantity) but never filter membership or steer coordinator choice.
+//     quantity) but never filter membership or steer the choice of root.
 //
-//  2. Outcome vote (vote). After every wrapped collective a flag-token
-//     round over the MPB establishes whether *all* members succeeded;
-//     anything else sends everyone to reconfiguration together. When the
-//     vote's root gathered a quorum but not every member, its failed
-//     release carries the arrivals as the new view: one gather both
-//     finds and removes the dead.
+//  2. Outcome vote and membership agreement (vote, reconfigure). After
+//     every wrapped collective a flag-token round over the MPB
+//     establishes whether *all* members succeeded; anything else sends
+//     everyone to reconfiguration together. A root that fails the vote
+//     but gathered a quorum of same-call arrivals carries them as the
+//     new view on its failed release: one gather both finds and removes
+//     the dead, and a member stranded on another call is left out of
+//     it. While no view commits (the root is dead or below quorum, or
+//     the view's epoch barrier fails), the next round is the same vote
+//     with every member voting failure, rooted at the next member of a
+//     rotation that is a pure function of shared state. Every round that
+//     does not commit pads to the same length, so members stay aligned
+//     instead of drifting apart.
 //
-//  3. Membership agreement (reconfigure), when the vote carried no view
-//     (its root is dead or below quorum) or that view failed to commit:
-//     attempts led by a rotating coordinator, a pure function of shared
-//     state, collect arrivals under shared deadlines and keep the
-//     largest same-call cohort, so a member stranded on another call is
-//     evicted with a typed error. Failed attempts pad to a fixed length,
-//     so members stay aligned instead of drifting apart.
-//
-//  4. Epoch adoption (adopt). Each member re-salts the hardened
+//  3. Epoch adoption (adopt). Each member re-salts the hardened
 //     protocol with the new epoch and wipes its own data-protocol flag
 //     bytes, so no stale chunk, ACK or progress byte of the aborted
 //     attempt passes for fresh traffic. The epoch barrier is the commit
@@ -51,8 +50,8 @@ var (
 	// (it was partitioned away from the quorum, or stranded on a
 	// different collective call than the majority cohort).
 	ErrEvicted = errors.New("core: evicted from agreed survivor group")
-	// ErrNoQuorum: membership agreement could not assemble a majority of
-	// the previous group.
+	// ErrNoQuorum: no agreement round assembled a majority of the
+	// previous group.
 	ErrNoQuorum = errors.New("core: no quorum for membership agreement")
 	// ErrHealGiveUp: the vote/reconfigure/re-execute loop exceeded
 	// HealPolicy.MaxRounds.
@@ -66,13 +65,12 @@ type HealPolicy struct {
 	// quickly and the failure surfaces as ErrUnreachable.
 	Detect rcce.Policy
 	// Member's total budget is the agreement protocol's unit of time B:
-	// collection phases run against a shared deadline of 2B, release
-	// waits against 4B (vote) or 6B (membership). A view carried by the
-	// vote commits by 3B (its epoch barrier's root) or 4B (members), a
-	// failed vote is padded to 4B and a failed rotating attempt to 7B.
-	// B must cover the worst-case skew between members entering the
-	// protocol — a live member still burning its own Detect budget
-	// toward the dead core — with ample margin.
+	// a round's root collects against a shared deadline of 2B, members
+	// wait for its release until 4B. A carried view commits by 3B (its
+	// epoch barrier's root) or 4B (members); a round that does not
+	// commit is padded to 4B. B must cover the worst-case skew between
+	// members entering the protocol — a live member still burning its
+	// own Detect budget toward the dead core — with ample margin.
 	Member rcce.Policy
 	// MaxRounds caps vote → reconfigure → re-execute cycles per
 	// collective call before ErrHealGiveUp.
@@ -114,8 +112,8 @@ func (p HealPolicy) withDefaults() HealPolicy {
 type RecoveryReport struct {
 	Suspicions  int64 // detector suspicion transitions
 	Clears      int64 // suspicions later cleared (false alarms)
-	Votes       int64 // outcome-vote rounds participated in
-	VotesFailed int64 // votes that did not reach unanimous success
+	Votes       int64 // vote rounds participated in: outcome votes and agreement rounds
+	VotesFailed int64 // vote rounds that did not reach unanimous success
 	Reconfigs   int64 // committed membership agreements
 	Reexecs     int64 // collective re-executions after reconfiguration
 	Evicted     int64 // members dropped across all reconfigurations
@@ -159,7 +157,7 @@ type Healer struct {
 	epoch   uint32
 	members []int
 	voteSeq uint32 // vote-token counter within the epoch
-	collSeq uint32 // wrapped-collective call counter (mod 256 on the wire)
+	collSeq uint32 // wrapped-collective call counter (bound into vote tokens)
 	active  bool   // reentrancy guard: algorithms call wrapped collectives
 	// evicted is the verdict of the agreement that excluded this core. It
 	// is final: every later collective, and every later context built on
@@ -172,7 +170,6 @@ type Healer struct {
 	// MPB payload scratch.
 	bitmap  []byte
 	viewBuf []int
-	seqBuf  []byte // per-core call-sequence bytes read during coordination
 }
 
 // NewHealer builds a self-healing state machine for the UE, initially
@@ -185,7 +182,6 @@ func NewHealer(ue *rcce.UE, pol HealPolicy) *Healer {
 		members: make([]int, n),
 		bitmap:  make([]byte, ue.Core().Chip().Model.ViewBitmapBytes()),
 		viewBuf: make([]int, 0, n),
-		seqBuf:  make([]byte, n),
 	}
 	for i := range h.members {
 		h.members[i] = i
@@ -285,11 +281,11 @@ func (h *Healer) waitUntil(off int, deadline simtime.Time, pred func(byte) bool)
 }
 
 // padTo idles the core until absolute time t. Failure paths of one
-// protocol attempt differ in length (a coordinator strikes out after
-// its 2B collection, a follower only after its 6B release wait);
-// padding every failed attempt to the same attempt-relative deadline
-// keeps the members aligned, so the drift between them stays bounded
-// by their initial skew instead of compounding attempt over attempt.
+// round differ in length (a root strikes out after its 2B collection, a
+// member only after its 4B release wait, a failed epoch barrier in
+// between); padding every failed round to the same round-relative
+// deadline keeps the members aligned, so the drift between them stays
+// bounded by their initial skew instead of compounding round over round.
 func (h *Healer) padTo(t simtime.Time) {
 	c := h.ue.Core()
 	if d := t - c.Now(); d > 0 {
@@ -303,21 +299,6 @@ func (h *Healer) padTo(t simtime.Time) {
 // groups both "succeeding" — so sub-majority agreement returns
 // ErrNoQuorum instead.
 func (h *Healer) quorum(oldSize int) int { return oldSize/2 + 1 }
-
-// arriveTok derives the membership arrive token for one agreement
-// attempt. It is a pure function of shared state (epoch, attempt), so
-// aligned members compute identical values and the coordinator matches
-// arrivals exactly — no clearing, no change-detection races. 13 is
-// coprime to 127, so consecutive attempts and epochs never alias; a
-// stale flag from ≥127 attempts ago can alias (and at worst costs one
-// failed attempt when the phantom member misses the epoch barrier).
-func arriveTok(epoch uint32, attempt int) byte {
-	return byte(1 + (epoch+uint32(attempt))*13%127)
-}
-
-// seqAfter reports whether call sequence a is ahead of b in the mod-256
-// window.
-func seqAfter(a, b byte) bool { return a != b && a-b < 128 }
 
 // run executes body under the self-healing loop: every outermost call
 // votes on its outcome, and anything short of unanimous success leads
@@ -345,7 +326,7 @@ func (h *Healer) run(x *Ctx, body func() error) error {
 		if len(h.members) <= 1 {
 			return err // nobody left to vote with
 		}
-		t0, agreed, carried := h.vote(err == nil)
+		t0, agreed, carried := h.vote(err == nil, 0)
 		if agreed && err == nil {
 			return nil // unanimous success
 		}
@@ -361,19 +342,24 @@ func (h *Healer) run(x *Ctx, body func() error) error {
 	}
 }
 
-// vote runs one outcome-vote round: the lowest member collects a token
-// (tok = success, tok|0x80 = failure) from each member under a shared 2B
-// deadline and releases the verdict; members wait for it until 4B, and
-// raise their arrival again after B in case a flag write was dropped.
-// Tokens bind (epoch, voteSeq, collSeq): no stale flag satisfies a wait,
-// and a member on another collective call never counts as an arrival.
-// A root that ran out its deadline with a quorum of arrivals but not all
-// of them publishes them as the view of epoch + 1 before the failed
-// release, which a member looks for behind any failed verdict (its own
-// call's or another's). Without a view, a failed vote pads to the 4B
-// mark, so the members enter the rotating agreement aligned. Reports
-// the vote's start, unanimous success, and whether a view was carried.
-func (h *Healer) vote(ok bool) (t0 simtime.Time, agreed, carried bool) {
+// vote runs round a of the agreement: round 0 is the outcome vote of
+// the call, rooted at the lowest member; round a > 0 is the same vote
+// with every member voting failure, rooted at member (a-1) mod n, so a
+// dead root costs one round and the rotation, identical on every live
+// member however their suspicion sets diverge, moves everyone to the
+// next root together. The root collects a token (tok = success,
+// tok|0x80 = failure) from each member under a shared 2B deadline and
+// releases the verdict; members wait for it until 4B, and raise their
+// arrival again after B in case a flag write was dropped. Tokens bind
+// (epoch, voteSeq, collSeq): no stale flag satisfies a wait, and a
+// member on another collective call never counts as an arrival. A root
+// that fails the vote with a quorum of arrivals publishes them as the
+// view of epoch + 1 + a before the failed release, which a member looks
+// for behind any failed verdict (its own call's or another's). Without
+// a view, a failed round pads to the 4B mark, so the members enter the
+// next round aligned. Reports the round's start, unanimous success, and
+// whether a view was carried.
+func (h *Healer) vote(ok bool, a int) (t0 simtime.Time, agreed, carried bool) {
 	u, c := h.ue, h.ue.Core()
 	comm := u.Comm()
 	c.OverheadCycles(c.Chip().Model.OverheadBlockingCall)
@@ -384,17 +370,22 @@ func (h *Healer) vote(ok bool) (t0 simtime.Time, agreed, carried bool) {
 	tok := byte(1 + (h.epoch*31+h.voteSeq+h.collSeq*53)%127)
 	fail := tok | 0x80
 	isVote := func(v byte) bool { return v == tok || v == fail }
+	epoch := h.epoch + 1 + uint32(a)
 
 	me := u.ID()
-	root := h.members[0]
+	root := h.members[max(a-1, 0)%len(h.members)]
 	h.rep.Votes++
 	h.count(metrics.CtrVotes)
 
 	if me == root {
 		all := ok
 		deadline := t0 + 2*B
-		arrived := append(h.viewBuf[:0], me)
-		for _, p := range h.members[1:] {
+		arrived := h.viewBuf[:0]
+		for _, p := range h.members {
+			if p == me {
+				arrived = append(arrived, me)
+				continue
+			}
 			v, got := h.waitUntil(comm.FlagAddr(root, p, rcce.FlagVoteArrive), deadline, isVote)
 			if !got {
 				h.det.Suspect(p)
@@ -408,16 +399,18 @@ func (h *Healer) vote(ok bool) (t0 simtime.Time, agreed, carried bool) {
 			}
 		}
 		h.viewBuf = arrived
-		carried = len(arrived) < len(h.members) && len(arrived) >= h.quorum(len(h.members))
+		carried = !all && len(arrived) >= h.quorum(len(h.members))
 		if carried {
-			h.publish(arrived, h.members, h.epoch+1)
+			h.publish(arrived, h.members, epoch)
 		}
 		rel := tok
 		if !all {
 			rel = fail
 		}
-		for _, p := range h.members[1:] {
-			c.SetFlag(comm.FlagAddr(p, root, rcce.FlagVoteRelease), rel)
+		for _, p := range h.members {
+			if p != me {
+				c.SetFlag(comm.FlagAddr(p, root, rcce.FlagVoteRelease), rel)
+			}
 		}
 		agreed = all
 	} else {
@@ -439,9 +432,9 @@ func (h *Healer) vote(ok bool) (t0 simtime.Time, agreed, carried bool) {
 			h.det.Suspect(root)
 		}
 		// A failed verdict, ours or one of another call, may carry a view.
-		if !agreed && v&0x80 != 0 && c.ProbeFlag(comm.FlagAddr(me, root, rcce.FlagMemberRelease)) == byte(1+(h.epoch+1)%127) {
-			_, epoch := h.readProposal(root)
-			carried = epoch == h.epoch+1
+		if !agreed && v&0x80 != 0 && c.ProbeFlag(comm.FlagAddr(me, root, rcce.FlagMemberRelease)) == byte(1+epoch%127) {
+			_, e := h.readProposal(root)
+			carried = e == epoch
 		}
 	}
 	if !agreed {
@@ -455,59 +448,30 @@ func (h *Healer) vote(ok bool) (t0 simtime.Time, agreed, carried bool) {
 	return t0, agreed, carried
 }
 
-// reconfigure drives membership agreement, after the vote that started
-// at tv, until a quorum view commits. A view the vote carried is adopted
-// first, its epoch barrier bounded to the 3B (root) and 4B (members)
-// marks. Failing that, the rotating agreement starts at the 4B mark:
-// attempt-indexed coordinator rotation over the member list, identical
-// on every live member however their suspicion sets diverge, where each
-// attempt proposes epoch = current + attempt (+ 1 after a carried view,
-// so no arrival at that view's barrier satisfies a later one). A failed
-// attempt (dead coordinator, sub-quorum arrivals, failed epoch barrier)
-// pads to the fixed 7B attempt length and moves everyone to the next
-// candidate together.
+// reconfigure runs agreement rounds, after the outcome vote that started
+// at tv, until a quorum view commits. A carried view is adopted with its
+// epoch barrier bounded to the round's 3B (root) and 4B (members) marks;
+// a view that fails to commit pads its round to the 4B mark, and the
+// next round proposes the next epoch, so no arrival at one view's
+// barrier satisfies a later one. After n + 2 rounds, enough to pass
+// every root of the rotation, agreement gives up with ErrNoQuorum.
 func (h *Healer) reconfigure(x *Ctx, tv simtime.Time, carried bool) error {
-	u, c := h.ue, h.ue.Core()
-	B := h.unit()
-	skip := uint32(0)
-	if carried {
-		if done, err := h.adopt(x, h.viewBuf, h.epoch+1, tv+3*B, c.Now()); done || err != nil {
+	c, B := h.ue.Core(), h.unit()
+	rounds := len(h.members) + 2
+	for a := 0; a < rounds; a++ {
+		if a > 0 {
+			tv, _, carried = h.vote(false, a)
+		}
+		if !carried {
+			continue
+		}
+		if done, err := h.adopt(x, h.viewBuf, h.epoch+1+uint32(a), tv+3*B, c.Now()); done || err != nil {
 			return err
 		}
 		h.padTo(tv + 4*B)
-		skip = 1
 	}
-	c.OverheadCycles(c.Chip().Model.OverheadBlockingCall)
-	t0 := c.Now()
-	me := u.ID()
-
-	oldSize := len(h.members)
-	maxAttempts := oldSize + 2
-	for attempt := 1; attempt <= maxAttempts; attempt++ {
-		ta := c.Now()
-		coord := h.members[(attempt-1)%oldSize]
-
-		var view []int
-		var epoch uint32
-		var ok bool
-		if coord == me {
-			epoch = h.epoch + skip + uint32(attempt)
-			view, ok = h.coordinate(epoch, attempt, ta, B)
-		} else {
-			view, epoch, ok = h.follow(coord, attempt, ta, B)
-			if ok && epoch <= h.epoch {
-				ok = false // stale or bogus proposal
-			}
-		}
-		if ok {
-			if done, err := h.adopt(x, view, epoch, ta+5*B, t0); done || err != nil {
-				return err
-			}
-		}
-		h.padTo(ta + 7*B)
-	}
-	return fmt.Errorf("core: self-heal: %w: no stable view after %d attempts (epoch %d)",
-		ErrNoQuorum, maxAttempts, h.epoch)
+	return fmt.Errorf("core: self-heal: %w: no stable view after %d rounds (epoch %d)",
+		ErrNoQuorum, rounds, h.epoch)
 }
 
 // adopt commits a quorum view at epoch: it evicts this core, for good,
@@ -547,69 +511,6 @@ func (h *Healer) adopt(x *Ctx, view []int, epoch uint32, by, t0 simtime.Time) (b
 	return true, nil
 }
 
-// coordinate runs the coordinator side of one agreement attempt: wait
-// for each current member's exact arrive token under the shared 2B
-// collection deadline, read the arrivals' call-sequence bytes, and
-// publish the largest same-call cohort (ties to the cohort further
-// along) unless it falls short of quorum (ok=false). A coordinator in
-// the minority publishes a view without itself and is then evicted.
-func (h *Healer) coordinate(epoch uint32, attempt int, ta simtime.Time, B simtime.Duration) ([]int, bool) {
-	u, c := h.ue, h.ue.Core()
-	comm := u.Comm()
-	me := u.ID()
-	tok := arriveTok(h.epoch, attempt)
-	deadline := ta + 2*B
-
-	arrived := h.viewBuf[:0]
-	for _, p := range h.members {
-		if p == me {
-			h.seqBuf[me] = byte(h.collSeq)
-			arrived = append(arrived, me)
-			continue
-		}
-		off := comm.FlagAddr(me, p, rcce.FlagMemberArrive)
-		if _, ok := h.waitUntil(off, deadline, func(v byte) bool { return v == tok }); !ok {
-			h.det.Suspect(p)
-			continue
-		}
-		h.det.Clear(p)
-		h.seqBuf[p] = c.ProbeFlag(comm.FlagAddr(me, p, rcce.FlagCollSeq))
-		arrived = append(arrived, p)
-	}
-
-	// Largest same-call cohort: a member stranded on a different
-	// collective call must not exchange payload with this view.
-	var bestSeq byte
-	best := -1
-	for _, p := range arrived {
-		s := h.seqBuf[p]
-		n := 0
-		for _, q := range arrived {
-			if h.seqBuf[q] == s {
-				n++
-			}
-		}
-		if n > best || (n == best && seqAfter(s, bestSeq)) {
-			best, bestSeq = n, s
-		}
-	}
-	k := 0
-	for _, p := range arrived {
-		if h.seqBuf[p] == bestSeq {
-			arrived[k] = p
-			k++
-		}
-	}
-	view := arrived[:k]
-	if len(view) < h.quorum(len(h.members)) {
-		return nil, false
-	}
-
-	h.publish(view, view, epoch)
-	h.viewBuf = view
-	return view, true
-}
-
 // publish proposes view at epoch to the cores of to: the bitmap once into
 // this core's view slot, the epoch word into each recipient's line, and
 // the release flag last, so a core that sees it reads a whole proposal.
@@ -631,42 +532,14 @@ func (h *Healer) publish(view, to []int, epoch uint32) {
 	}
 }
 
-// follow runs the member side of one agreement attempt against coord:
-// clear my own release line (so a stale proposal can't be re-adopted),
-// ship my call-sequence byte, raise the exact attempt-derived arrive
-// token, and wait for the release until the 6B mark — long enough for
-// the coordinator's full 2B collection plus publication, short enough
-// that a dead candidate costs one padded attempt — then read the
-// proposal. A timeout suspects the coordinator (a hint only).
-func (h *Healer) follow(coord, attempt int, ta simtime.Time, B simtime.Duration) ([]int, uint32, bool) {
-	u, c := h.ue, h.ue.Core()
-	comm := u.Comm()
-	me := u.ID()
-
-	relOff := comm.FlagAddr(me, coord, rcce.FlagMemberRelease)
-	c.SetFlag(relOff, 0)
-
-	c.SetFlag(comm.FlagAddr(coord, me, rcce.FlagCollSeq), byte(h.collSeq))
-	c.SetFlag(comm.FlagAddr(coord, me, rcce.FlagMemberArrive), arriveTok(h.epoch, attempt))
-
-	_, ok := h.waitUntil(relOff, ta+6*B, func(v byte) bool { return v != 0 })
-	if !ok {
-		h.det.Suspect(coord)
-		return nil, 0, false
-	}
-	h.det.Clear(coord)
-	view, epoch := h.readProposal(coord)
-	return view, epoch, true
-}
-
-// readProposal reads coord's proposal: the view from its view slot (into
+// readProposal reads root's proposal: the view from its view slot (into
 // viewBuf), the epoch from this core's line.
-func (h *Healer) readProposal(coord int) ([]int, uint32) {
+func (h *Healer) readProposal(root int) ([]int, uint32) {
 	u, c := h.ue, h.ue.Core()
 	comm := u.Comm()
-	c.MPBRead(comm.ViewSlot(coord), h.bitmap)
+	c.MPBRead(comm.ViewSlot(root), h.bitmap)
 	var eb [4]byte
-	c.MPBRead(comm.FlagAddr(u.ID(), coord, rcce.FlagViewEpoch), eb[:])
+	c.MPBRead(comm.FlagAddr(u.ID(), root, rcce.FlagViewEpoch), eb[:])
 
 	view := h.viewBuf[:0]
 	for i := 0; i < u.NumUEs(); i++ {
@@ -687,8 +560,8 @@ func (h *Healer) readProposal(coord int) ([]int, uint32) {
 // hardened traffic under the new epoch cannot race a peer still on the
 // old one. Root-side failure suspects the missing members and withholds
 // the release; member-side failure aborts without suspecting the root
-// (the root may have aborted because of a third member — rotation moves
-// everyone to the next candidate together).
+// (the root may have aborted because of a third member — the next
+// agreement round moves everyone on together).
 func (h *Healer) epochBarrier(view []int, epoch uint32, rootBy, memberBy simtime.Time) bool {
 	if len(view) <= 1 {
 		return true

@@ -58,32 +58,28 @@ const (
 	// on epoch adoption so a stale vote can never alias a fresh one.
 	FlagVoteArrive  = 15
 	FlagVoteRelease = 16
-	// FlagMemberArrive/Release: membership-agreement participation and
-	// view-publication flags. Arrive carries a per-member monotonic
-	// token; Release announces that the coordinator's view slot and the
-	// epoch word below hold a complete proposal.
-	FlagMemberArrive  = 17
+	// Byte 17 is a hole: no role uses it.
+	//
+	// FlagMemberRelease: a vote root that carries a view announces that
+	// its view slot and the epoch word below hold a complete proposal.
 	FlagMemberRelease = 18
 	// FlagEpochArrive/Release: the commit barrier that seals a newly
 	// agreed epoch. Token = 1 + epoch mod 127, so attempts at distinct
 	// epochs cannot alias.
 	FlagEpochArrive  = 19
 	FlagEpochRelease = 20
-	// FlagViewEpoch: coordinator -> member, the agreed epoch of a
+	// FlagViewEpoch: vote root -> member, the proposed epoch of a
 	// self-heal view (little-endian uint32). The view itself is in the
-	// coordinator's own view slot (Comm.ViewSlot), not in the flag line;
-	// a member reads it there after FlagMemberRelease.
+	// root's own view slot (Comm.ViewSlot), not in the flag line; a
+	// member reads it there after FlagMemberRelease.
 	FlagViewEpoch = timing.FlagFixedRoles
-	// FlagCollSeq: member -> coordinator, the wrapped-collective call
-	// sequence (mod 256), shipped with each agreement arrival so a member
-	// stranded on a different collective call than the majority cohort
-	// is evicted instead of exchanging mismatched payloads.
-	FlagCollSeq = FlagViewEpoch + timing.FlagViewEpochBytes
+	// The byte after the epoch word is a hole: no role uses it.
+	//
 	// FlagTreeArrive/Release: BarrierTree's child -> parent arrival (on
 	// the line of the child's ready flag) and parent -> child release (on
 	// the line of the parent's sent flag), with their own generation.
-	FlagTreeArrive  = FlagCollSeq + 1
-	FlagTreeRelease = FlagCollSeq + 2
+	FlagTreeArrive  = FlagViewEpoch + timing.FlagViewEpochBytes + 1
+	FlagTreeRelease = FlagTreeArrive + 1
 )
 
 // Comm is an RCCE communicator spanning all cores of a chip. It owns

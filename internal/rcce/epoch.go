@@ -15,7 +15,7 @@ package rcce
 //     ACK or progress byte cannot fake a completed handshake (the
 //     lost-ACK probe would otherwise trust it).
 //
-// The flag roles of the agreement protocol itself (member/epoch
+// The flag roles that seal an agreement (member release, epoch
 // arrive/release) are deliberately NOT wiped here: they are in use while
 // the adoption runs, and their token disciplines make stale values
 // harmless (see internal/core/selfheal.go).
@@ -51,9 +51,9 @@ func (u *UE) SetEpoch(e uint32) {
 // data-protocol roles (sent/ready, MPB-direct double-buffer, checksum,
 // progress), the group-barrier generations (restarted by SetEpoch), and
 // the outcome-vote flags. The full-chip and tree barrier generations
-// survive — they are monotonic and never reset — as do the agreement
-// roles (member/epoch arrive-release, the view bitmap and epoch word,
-// the call-sequence byte), which are live while an adoption runs.
+// survive — they are monotonic and never reset — as do the roles that
+// seal an agreement (member release, epoch arrive-release, the view
+// bitmap and epoch word), which are live while an adoption runs.
 var resetRoles = []int{
 	FlagSent, FlagReady,
 	FlagMPBSent0, FlagMPBSent1, FlagMPBReady0, FlagMPBReady1,

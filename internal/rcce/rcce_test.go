@@ -59,7 +59,7 @@ func TestLayoutConstants(t *testing.T) {
 			if want := slot + tc.gapLines*m.CacheLineBytes; c.DataBase(core) != want {
 				t.Errorf("%d cores: DataBase(%d) = %d, want %d", m.NumCores(), core, c.DataBase(core), want)
 			}
-			if c.FlagAddr(core, c.NumUEs()-1, FlagCollSeq) >= slot {
+			if c.FlagAddr(core, c.NumUEs()-1, FlagTreeRelease) >= slot {
 				t.Errorf("%d cores: the last writer's flag line runs into the view slot", m.NumCores())
 			}
 		}

@@ -25,23 +25,22 @@ import (
 const (
 	// FlagFixedRoles counts the fixed-position flag roles at the start
 	// of every per-writer flag line (sent/ready, barrier, MPB-direct
-	// double-buffer, checksum, progress, group/vote/member/epoch
-	// arrive-release — see internal/rcce).
+	// double-buffer, checksum, progress, group/vote/epoch arrive-release,
+	// member release and the unused byte 17 — see internal/rcce).
 	FlagFixedRoles = 21
 	// FlagViewEpochBytes is the width of the agreed-epoch word that
 	// follows the fixed roles (little-endian uint32).
 	FlagViewEpochBytes = 4
 	// FlagLineBytes is what a flag line must hold: the fixed roles, the
-	// epoch word, the call-sequence byte and the tree barrier's
-	// arrive/release pair. Validate rejects cache lines narrower than
-	// that.
+	// epoch word, one unused byte and the tree barrier's arrive/release
+	// pair. Validate rejects cache lines narrower than that.
 	FlagLineBytes = FlagFixedRoles + FlagViewEpochBytes + 1 + 2
 	// minGapLines is the floor of the reserved gap between each core's
 	// flag lines and its chunk data region. The gap holds the core's view
-	// slot (the membership bitmap it publishes as a self-heal
-	// coordinator); it is at least four lines because the calibrated
-	// chunk size depends on it (6,528 B at 48 cores), and reclaiming it
-	// would move every measured latency.
+	// slot (the membership bitmap it publishes as a self-heal vote
+	// root); it is at least four lines because the calibrated chunk size
+	// depends on it (6,528 B at 48 cores), and reclaiming it would move
+	// every measured latency.
 	minGapLines = 4
 	// maxMPBSpace bounds the chip-wide MPB address space: ~9000x the
 	// largest supported topology, far from wrapping an int offset.
@@ -307,7 +306,7 @@ func (m *Model) Lines(nBytes int) int {
 func (m *Model) FlagBytesPerWriter() int { return m.CacheLineBytes }
 
 // ViewBitmapBytes returns the size of the membership view bitmap a
-// self-heal coordinator publishes in its view slot: one bit per core.
+// self-heal vote root publishes in its view slot: one bit per core.
 func (m *Model) ViewBitmapBytes() int { return (m.NumCores() + 7) / 8 }
 
 // ViewSlot returns the offset, within a core's MPB, of its view slot:

@@ -108,6 +108,15 @@ func checkSurvivors(t *testing.T, h healOutcome, want float64, dead ...int) {
 	}
 }
 
+// typedHealErr reports whether err is one of the typed errors a
+// self-healing collective may return instead of a result.
+func typedHealErr(err error) bool {
+	return errors.Is(err, sccsim.ErrUnreachable) ||
+		errors.Is(err, sccsim.ErrEvicted) ||
+		errors.Is(err, sccsim.ErrNoQuorum) ||
+		errors.Is(err, sccsim.ErrHealGiveUp)
+}
+
 // dieAt is a fault plan killing each listed core at its time.
 func dieAt(kills map[int]sccsim.Duration) *sccsim.FaultPlan {
 	plan := sccsim.NewFaultPlan()
@@ -149,10 +158,7 @@ func TestSelfHealingAllreduceCoreDeath(t *testing.T) {
 				if err != nil {
 					// A typed, honest error is permitted for cores on the
 					// wrong side of an agreement window, never a wrong value.
-					if !errors.Is(err, sccsim.ErrUnreachable) &&
-						!errors.Is(err, sccsim.ErrEvicted) &&
-						!errors.Is(err, sccsim.ErrNoQuorum) &&
-						!errors.Is(err, sccsim.ErrHealGiveUp) {
+					if !typedHealErr(err) {
 						t.Fatalf("core %d: untyped error: %v", id, err)
 					}
 					continue
@@ -216,9 +222,10 @@ func TestCoreDeathWithoutRecoveryTyped(t *testing.T) {
 
 // TestSelfHealVoteRootDeath: the outcome vote's root (core 0) dies
 // mid-Allreduce, so nobody collects the vote and no view rides on its
-// release. Every member times out, and the rotating agreement, whose
-// first candidate is the dead root, heals on its second attempt. The
-// elapsed time is pinned: this fallback path is the parent design's.
+// release. Every member times out; agreement round 1 is rooted at the
+// dead core again and times out too, and round 2, rooted at core 1,
+// carries the 47 arrivals as the view of epoch 3. The elapsed time is
+// pinned: three padded 4B rounds and one commit.
 func TestSelfHealVoteRootDeath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates seconds of virtual agreement timeouts")
@@ -242,8 +249,8 @@ func TestSelfHealVoteRootDeath(t *testing.T) {
 // missing from the vote, so the view the vote root publishes excludes
 // both and one agreement heals them. In the window case the second core
 // dies after it voted: the view on the vote's release still holds it,
-// its epoch barrier fails, and the rotating agreement heals in no more
-// time than it took before the vote carried views.
+// its epoch barrier fails, and agreement round 1, rooted at core 0
+// again, carries the 46 live arrivals.
 func TestSelfHealTwoDeaths(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates seconds of virtual agreement timeouts")
@@ -255,7 +262,7 @@ func TestSelfHealTwoDeaths(t *testing.T) {
 		epoch  uint32
 	}{
 		{"same-collective", sccsim.Microseconds(350), sccsim.Microseconds(600_000), 1},
-		// The rotating agreement skips the failed view's epoch, so no
+		// Round 1 proposes the epoch after the failed view's, so no
 		// arrival at that view's barrier counts at the next one.
 		{"after-voting", sccsim.Microseconds(300_000), sccsim.Microseconds(1_606_000), 2},
 	} {
@@ -276,7 +283,7 @@ func TestSelfHealTwoDeaths(t *testing.T) {
 // root's collection (core 9, 700 ms from 1.5 ms, while core 17 dies)
 // finds the survivors' view on the vote release when it comes back. It
 // is not in it, so it gets ErrEvicted at once instead of running the
-// rotating agreement alone until ErrNoQuorum.
+// agreement rounds alone until ErrNoQuorum.
 func TestSelfHealLateMemberEvicted(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates seconds of virtual agreement timeouts")
@@ -315,6 +322,100 @@ func TestSelfHealDroppedVoteArrival(t *testing.T) {
 	}
 }
 
-// voteRootDeathTicks is TestSelfHealVoteRootDeath's elapsed time
-// (3.393 s), unchanged since before the vote carried views.
-const voteRootDeathTicks = 5429314144
+// TestSelfHealStallWithoutDeath: core 9 stalls 100 ms inside the
+// Allreduce, so its peers give up on it and the collective fails, but
+// nobody dies and every member arrives at the outcome vote. The root,
+// which failed the vote with all 48 arrivals, carries them as the view:
+// one epoch later the same 48 cores re-execute, in < 0.2 s. A root that
+// carried only views missing a member would never carry here, in this
+// round or any later one, and every member would end in ErrNoQuorum.
+func TestSelfHealStallWithoutDeath(t *testing.T) {
+	plan := sccsim.NewFaultPlan().Add(sccsim.Fault{Kind: sccsim.FaultCoreStall,
+		At: simtime.Time(sccsim.Microseconds(300)), Dur: simtime.Duration(sccsim.Microseconds(100_000)), Core: 9})
+	h := healPlanRun(t, "", 552, plan, 1)
+	checkSurvivors(t, h, survivorSum())
+	if h.heal.Evicted != 0 || h.heal.Reconfigs != 1 || h.heal.Epoch != 1 {
+		t.Errorf("heal report %+v, want 0 evicted in 1 reconfiguration, epoch 1", h.heal)
+	}
+	if h.elapsed >= sccsim.Microseconds(200_000) {
+		t.Errorf("elapsed %v, want < 0.2 s", h.elapsed)
+	}
+}
+
+// TestSelfHealDeathInAgreement: a second core dies inside the agreement
+// rounds that follow a dead vote root (core 0). In the first case it is
+// core 1, the root of round 2, so round 3 (rooted at core 2) carries the
+// view. In the second it is core 30, after it arrived at round 2: the
+// view round 2 carries still holds it, its epoch barrier fails, and
+// round 3 carries the 46 live arrivals. Both cost four rounds (3.640 s)
+// and commit epoch 4; the pinned times differ only in the third round's
+// commit.
+func TestSelfHealDeathInAgreement(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates seconds of virtual agreement timeouts")
+	}
+	for _, tc := range []struct {
+		name   string
+		second int
+		at     sccsim.Duration
+		ticks  sccsim.Duration
+	}{
+		{"next-root", 1, sccsim.Microseconds(1_500_000), 5824230270},
+		{"after-arriving", 30, sccsim.Microseconds(2_300_000), 5824220251},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			kill := map[int]sccsim.Duration{0: sccsim.Microseconds(300), tc.second: tc.at}
+			a := healPlanRun(t, "", 552, dieAt(kill), 1)
+			b := healPlanRun(t, "", 552, dieAt(kill), 1)
+			for id, err := range a.errs {
+				if err != nil && !typedHealErr(err) {
+					t.Errorf("core %d: untyped error: %v", id, err)
+				}
+			}
+			checkSurvivors(t, a, survivorSum(0, tc.second), 0, tc.second)
+			if a.heal.Evicted != 2 || a.heal.Reconfigs != 1 || a.heal.Epoch != 4 {
+				t.Errorf("heal report %+v, want 2 evicted in 1 reconfiguration at epoch 4", a.heal)
+			}
+			if a.elapsed != b.elapsed || !maps.Equal(a.vals, b.vals) {
+				t.Fatalf("reruns differ: %d vs %d ticks", a.elapsed, b.elapsed)
+			}
+			if a.elapsed != tc.ticks {
+				t.Errorf("elapsed %d ticks (%v), want %d", a.elapsed, a.elapsed, tc.ticks)
+			}
+		})
+	}
+}
+
+// TestSelfHealHalfChipLoss: cores 24-47 die together, so no round can
+// gather a majority of the 48 members. Every survivor runs all n + 2
+// agreement rounds and returns ErrNoQuorum, none a result.
+func TestSelfHealHalfChipLoss(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates seconds of virtual agreement timeouts")
+	}
+	kill := make(map[int]sccsim.Duration)
+	for id := 24; id < 48; id++ {
+		kill[id] = sccsim.Microseconds(300)
+	}
+	a := healPlanRun(t, "", 552, dieAt(kill), 1)
+	b := healPlanRun(t, "", 552, dieAt(kill), 1)
+	for id := 0; id < 24; id++ {
+		if !errors.Is(a.errs[id], sccsim.ErrNoQuorum) {
+			t.Errorf("core %d: %v, dst = %v; want ErrNoQuorum", id, a.errs[id], a.vals[id])
+		}
+	}
+	if a.elapsed != b.elapsed || !maps.Equal(a.vals, b.vals) {
+		t.Fatalf("reruns differ: %d vs %d ticks", a.elapsed, b.elapsed)
+	}
+	if a.elapsed != halfChipLossTicks {
+		t.Errorf("elapsed %d ticks (%v), want %d", a.elapsed, a.elapsed, halfChipLossTicks)
+	}
+}
+
+// Pinned elapsed times of agreement paths: TestSelfHealVoteRootDeath
+// (2.631 s, two padded rounds and a commit in the third) and
+// TestSelfHealHalfChipLoss (50.889 s, all 50 rounds padded).
+const (
+	voteRootDeathTicks = 4210124534
+	halfChipLossTicks  = 81422321041
+)
