@@ -252,8 +252,10 @@ func TestFeatureMatrixEveryCollective(t *testing.T) {
 // survivors carry on among themselves. Rank 0 is made the odd one out by
 // one extra (failed) collective call, which puts its call sequence ahead
 // of everyone else's; when rank 17's death forces an agreement, rank 0
-// coordinates it, finds itself outside the largest same-call cohort and
-// publishes a view without itself. Were the verdict not kept, rank 0
+// roots the outcome vote and agreement round 1 but gathers no same-call
+// arrival, so neither carries a view, and round 2's root, rank 1,
+// carries the 46 same-call arrivals: a view without rank 0, which
+// rank 0 finds behind the failed release. Were the verdict not kept, rank 0
 // would get a full 48-core context again in the next Run and every
 // collective would run into the survivors' new epoch until ErrNoQuorum.
 func TestEvictedRankIsRefusedEverything(t *testing.T) {

@@ -65,12 +65,12 @@ type HealPolicy struct {
 	// quickly and the failure surfaces as ErrUnreachable.
 	Detect rcce.Policy
 	// Member's total budget is the agreement protocol's unit of time B:
-	// a round's root collects against a shared deadline of 2B, members
-	// wait for its release until 4B. A carried view commits by 3B (its
-	// epoch barrier's root) or 4B (members); a round that does not
-	// commit is padded to 4B. B must cover the worst-case skew between
-	// members entering the protocol — a live member still burning its
-	// own Detect budget toward the dead core — with ample margin.
+	// a round's root collects against a shared deadline of B, members
+	// re-raise their arrival after Member's first window and wait for
+	// the release until 4B; a carried view commits by 3B (root) or 4B
+	// (members), and a round that does not commit is padded to 4B. B
+	// must exceed the worst-case entry skew between members (a live one
+	// still burning its Detect budget) plus that window, or it is evicted.
 	Member rcce.Policy
 	// MaxRounds caps vote → reconfigure → re-execute cycles per
 	// collective call before ErrHealGiveUp.
@@ -281,7 +281,7 @@ func (h *Healer) waitUntil(off int, deadline simtime.Time, pred func(byte) bool)
 }
 
 // padTo idles the core until absolute time t. Failure paths of one
-// round differ in length (a root strikes out after its 2B collection, a
+// round differ in length (a root strikes out after its B collection, a
 // member only after its 4B release wait, a failed epoch barrier in
 // between); padding every failed round to the same round-relative
 // deadline keeps the members aligned, so the drift between them stays
@@ -348,9 +348,9 @@ func (h *Healer) run(x *Ctx, body func() error) error {
 // dead root costs one round and the rotation, identical on every live
 // member however their suspicion sets diverge, moves everyone to the
 // next root together. The root collects a token (tok = success,
-// tok|0x80 = failure) from each member under a shared 2B deadline and
-// releases the verdict; members wait for it until 4B, and raise their
-// arrival again after B in case a flag write was dropped. Tokens bind
+// tok|0x80 = failure) from each member under a shared B deadline and
+// releases the verdict; members wait for it until 4B and, in case a
+// write was dropped, re-raise their arrival after Member.Timeout. Tokens bind
 // (epoch, voteSeq, collSeq): no stale flag satisfies a wait, and a
 // member on another collective call never counts as an arrival. A root
 // that fails the vote with a quorum of arrivals publishes them as the
@@ -379,7 +379,7 @@ func (h *Healer) vote(ok bool, a int) (t0 simtime.Time, agreed, carried bool) {
 
 	if me == root {
 		all := ok
-		deadline := t0 + 2*B
+		deadline := t0 + B
 		arrived := h.viewBuf[:0]
 		for _, p := range h.members {
 			if p == me {
@@ -420,7 +420,7 @@ func (h *Healer) vote(ok bool, a int) (t0 simtime.Time, agreed, carried bool) {
 		}
 		arrive, release := comm.FlagAddr(root, me, rcce.FlagVoteArrive), comm.FlagAddr(me, root, rcce.FlagVoteRelease)
 		c.SetFlag(arrive, val)
-		v, got := h.waitUntil(release, t0+B, isVote)
+		v, got := h.waitUntil(release, t0+h.pol.Member.Timeout, isVote)
 		if !got {
 			c.SetFlag(arrive, val)
 			v, got = h.waitUntil(release, t0+4*B, isVote)

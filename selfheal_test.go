@@ -225,7 +225,7 @@ func TestCoreDeathWithoutRecoveryTyped(t *testing.T) {
 // release. Every member times out; agreement round 1 is rooted at the
 // dead core again and times out too, and round 2, rooted at core 1,
 // carries the 47 arrivals as the view of epoch 3. The elapsed time is
-// pinned: three padded 4B rounds and one commit.
+// pinned: two padded 4B rounds and a commit in the third.
 func TestSelfHealVoteRootDeath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates seconds of virtual agreement timeouts")
@@ -261,10 +261,10 @@ func TestSelfHealTwoDeaths(t *testing.T) {
 		limit  sccsim.Duration
 		epoch  uint32
 	}{
-		{"same-collective", sccsim.Microseconds(350), sccsim.Microseconds(600_000), 1},
+		{"same-collective", sccsim.Microseconds(350), sccsim.Microseconds(340_000), 1},
 		// Round 1 proposes the epoch after the failed view's, so no
 		// arrival at that view's barrier counts at the next one.
-		{"after-voting", sccsim.Microseconds(300_000), sccsim.Microseconds(1_606_000), 2},
+		{"after-voting", sccsim.Microseconds(300_000), sccsim.Microseconds(1_360_000), 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			h := healPlanRun(t, "", 552, dieAt(map[int]sccsim.Duration{17: sccsim.Microseconds(300), 30: tc.second}), 1)
@@ -301,24 +301,89 @@ func TestSelfHealLateMemberEvicted(t *testing.T) {
 	}
 }
 
-// TestSelfHealDroppedVoteArrival: core 12's vote arrival (a flag write
+// TestSelfHealLateVoterMargin pins the HealPolicy.Member contract from
+// both sides: the vote root collects for one unit B (254 ms), so a live
+// member entering the vote less than B after it is kept, and one
+// entering later is evicted. Core 17 dies at 300 µs and core 9 stalls
+// from 1.5 ms: a 250 ms stall leaves it inside the collection, a 300 ms
+// stall outside it, where it finds the 46 survivors' view on the
+// release and gets ErrEvicted, never a wrong sum.
+func TestSelfHealLateVoterMargin(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates seconds of virtual agreement timeouts")
+	}
+	for _, tc := range []struct {
+		name  string
+		stall sccsim.Duration
+		kept  bool
+	}{
+		{"inside-B", sccsim.Microseconds(250_000), true},
+		{"past-B", sccsim.Microseconds(300_000), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan := func() *sccsim.FaultPlan {
+				p := dieAt(map[int]sccsim.Duration{17: sccsim.Microseconds(300)})
+				return p.Add(sccsim.Fault{Kind: sccsim.FaultCoreStall, At: simtime.Time(sccsim.Microseconds(1500)),
+					Dur: simtime.Duration(tc.stall), Core: 9})
+			}
+			a := healPlanRun(t, "", 552, plan(), 1)
+			b := healPlanRun(t, "", 552, plan(), 1)
+			if a.elapsed != b.elapsed || !maps.Equal(a.vals, b.vals) {
+				t.Fatalf("reruns differ: %d vs %d ticks", a.elapsed, b.elapsed)
+			}
+			if tc.kept {
+				checkSurvivors(t, a, survivorSum(17), 17)
+				if a.heal.Evicted != 1 {
+					t.Errorf("heal report %+v, want only the dead core evicted", a.heal)
+				}
+				return
+			}
+			if !errors.Is(a.errs[9], sccsim.ErrEvicted) {
+				t.Errorf("late core 9: %v, want ErrEvicted", a.errs[9])
+			}
+			checkSurvivors(t, a, survivorSum(9, 17), 9, 17)
+			if a.heal.Evicted != 2 {
+				t.Errorf("heal report %+v, want the dead and the late core evicted", a.heal)
+			}
+			if a.elapsed != lateVoterEvictedTicks {
+				t.Errorf("elapsed %d ticks (%v), want %d", a.elapsed, a.elapsed, lateVoterEvictedTicks)
+			}
+		})
+	}
+}
+
+// TestSelfHealDroppedVoteArrival: a core's vote arrival (a flag write
 // into core 0's MPB, the vote root's) is lost while core 17 dies. Core
-// 12 raises it again when no verdict came within one agreement unit, so
-// the root's view keeps the live core and 47 survivors finish.
+// 12 enters the vote 0.3 ms before the root, core 15 last, 11 ms after
+// it. Each raises its arrival again when no verdict came within the
+// Member policy's first window, well inside the root's one-unit
+// collection, so the root's view keeps the live core and 47 survivors
+// finish. Raised only after a full B, core 15's arrival would land past
+// the root's deadline and evict it.
 func TestSelfHealDroppedVoteArrival(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates seconds of virtual agreement timeouts")
 	}
-	plan := dieAt(map[int]sccsim.Duration{17: sccsim.Microseconds(300)})
-	plan.Add(sccsim.Fault{Kind: sccsim.FaultFlagDrop, Core: 12,
-		Off: 12*timing.Default().FlagBytesPerWriter() + rcce.FlagVoteArrive})
-	h := healPlanRun(t, "", 552, plan, 1)
-	if ev := plan.Events(); len(ev) != 2 {
-		t.Fatalf("fired %v, want the death and the dropped arrival", ev)
-	}
-	checkSurvivors(t, h, survivorSum(17), 17)
-	if h.heal.Evicted != 1 || h.elapsed >= sccsim.Microseconds(600_000) {
-		t.Errorf("heal report %+v after %v, want 1 evicted within 0.6 s", h.heal, h.elapsed)
+	for _, tc := range []struct {
+		name string
+		core int
+	}{
+		{"before-root", 12},
+		{"last", 15},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan := dieAt(map[int]sccsim.Duration{17: sccsim.Microseconds(300)})
+			plan.Add(sccsim.Fault{Kind: sccsim.FaultFlagDrop, Core: tc.core,
+				Off: tc.core*timing.Default().FlagBytesPerWriter() + rcce.FlagVoteArrive})
+			h := healPlanRun(t, "", 552, plan, 1)
+			if ev := plan.Events(); len(ev) != 2 {
+				t.Fatalf("fired %v, want the death and the dropped arrival", ev)
+			}
+			checkSurvivors(t, h, survivorSum(17), 17)
+			if h.heal.Evicted != 1 || h.elapsed >= sccsim.Microseconds(340_000) {
+				t.Errorf("heal report %+v after %v, want 1 evicted within 0.34 s", h.heal, h.elapsed)
+			}
+		})
 	}
 }
 
@@ -347,7 +412,7 @@ func TestSelfHealStallWithoutDeath(t *testing.T) {
 // core 1, the root of round 2, so round 3 (rooted at core 2) carries the
 // view. In the second it is core 30, after it arrived at round 2: the
 // view round 2 carries still holds it, its epoch barrier fails, and
-// round 3 carries the 46 live arrivals. Both cost four rounds (3.640 s)
+// round 3 carries the 46 live arrivals. Both cost four rounds (3.386 s)
 // and commit epoch 4; the pinned times differ only in the third round's
 // commit.
 func TestSelfHealDeathInAgreement(t *testing.T) {
@@ -360,8 +425,8 @@ func TestSelfHealDeathInAgreement(t *testing.T) {
 		at     sccsim.Duration
 		ticks  sccsim.Duration
 	}{
-		{"next-root", 1, sccsim.Microseconds(1_500_000), 5824230270},
-		{"after-arriving", 30, sccsim.Microseconds(2_300_000), 5824220251},
+		{"next-root", 1, sccsim.Microseconds(1_500_000), 5417830270},
+		{"after-arriving", 30, sccsim.Microseconds(2_300_000), 5417820251},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			kill := map[int]sccsim.Duration{0: sccsim.Microseconds(300), tc.second: tc.at}
@@ -413,9 +478,11 @@ func TestSelfHealHalfChipLoss(t *testing.T) {
 }
 
 // Pinned elapsed times of agreement paths: TestSelfHealVoteRootDeath
-// (2.631 s, two padded rounds and a commit in the third) and
-// TestSelfHealHalfChipLoss (50.889 s, all 50 rounds padded).
+// (2.377 s, two padded rounds and a commit in the third),
+// TestSelfHealHalfChipLoss (50.889 s, all 50 rounds padded) and
+// TestSelfHealLateVoterMargin's evicted case (0.382 s, one carried view).
 const (
-	voteRootDeathTicks = 4210124534
-	halfChipLossTicks  = 81422321041
+	voteRootDeathTicks    = 3803724534
+	halfChipLossTicks     = 81422321041
+	lateVoterEvictedTicks = 611289443
 )
