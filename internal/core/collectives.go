@@ -557,13 +557,20 @@ func (x *Ctx) broadcastBody(root int, addr scc.Addr, n int) error {
 }
 
 // paperChipCores is the paper chip's core count. Up to it a full-chip,
-// fault-free Barrier is RCCE's central barrier, which Figs. 9-10
-// measured; above it the binomial tree barrier replaces the central
-// one's O(p) walk on core 0.
+// fault-free Barrier is RCCE's central barrier and a tree Broadcast one
+// rendezvous per edge, which Figs. 9-10 measured; above it rcce's tree
+// primitives replace them (see treePrimitives).
 const paperChipCores = 48
 
+// treePrimitives reports whether the context runs rcce's BarrierTree
+// and stage-once BroadcastTree: a full-chip, fault-free (no Recovery,
+// hence no healer), single-chip context above the paper chip.
+func (x *Ctx) treePrimitives() bool {
+	return !x.MultiChip() && x.grp == nil && x.cfg.Recovery == nil && x.ue.NumUEs() > paperChipCores
+}
+
 // Barrier synchronizes the communicator. The full-chip, fault-free case
-// delegates to RCCE's barrier (see paperChipCores); group or hardened
+// delegates to RCCE's barriers (see paperChipCores); group or hardened
 // contexts use the group barrier (bounded waits under Recovery).
 func (x *Ctx) Barrier() error {
 	return x.collective("Barrier", 0, true, x.barrierBody)
@@ -582,7 +589,7 @@ func (x *Ctx) barrierBody() error {
 		return x.ue.BarrierGroupRobust(members, *x.cfg.Recovery)
 	case x.grp != nil:
 		x.ue.BarrierGroup(members)
-	case x.ue.NumUEs() > paperChipCores:
+	case x.treePrimitives():
 		x.ue.BarrierTree()
 	default:
 		x.ue.Barrier()

@@ -1,6 +1,9 @@
 package core
 
-import "scc/internal/scc"
+import (
+	"scc/internal/rcce"
+	"scc/internal/scc"
+)
 
 // Short-message variants. RCCE_comm "contains the most complete suite of
 // collective operations currently available for the SCC, including
@@ -21,47 +24,26 @@ func (x *Ctx) BroadcastTree(root int, addr scc.Addr, n int) error {
 	return x.collective("BroadcastTree", n, false, func() error { return x.broadcastTree(root, addr, n) })
 }
 
+// broadcastTree runs rcce's stage-once BroadcastTree where treePrimitives
+// holds, and otherwise one transport rendezvous per tree edge.
 func (x *Ctx) broadcastTree(root int, addr scc.Addr, n int) error {
 	rootR, err := x.RootRank("BroadcastTree", root)
-	if err != nil {
+	if err != nil || x.NP() == 1 || n == 0 {
 		return err
 	}
-	p := x.NP()
-	me := x.Rank()
-	if p == 1 || n == 0 {
+	if x.treePrimitives() {
+		x.ue.BroadcastTree(x.cfg.Transport.Costs(x.ue.Core().Chip().Model), rootR, addr, 8*n)
 		return nil
 	}
-	vrank := mod(me-rootR, p)
-	if vrank != 0 {
-		// Find my lowest set bit: the parent holds the rest.
-		mask := 1
-		for vrank&mask == 0 {
-			mask <<= 1
-		}
-		parent := x.Member(mod(rootR+(vrank&^mask), p))
-		if err := x.ep.Recv(parent, addr, 8*n); err != nil {
+	t := rcce.NewBinomial(rootR, x.Rank(), x.NP())
+	if parent := t.Parent; parent >= 0 {
+		if err := x.ep.Recv(x.Member(parent), addr, 8*n); err != nil {
 			return err
 		}
-		// Forward to my subtree (bits below my lowest set bit).
-		for mask >>= 1; mask > 0; mask >>= 1 {
-			if child := vrank | mask; child < p {
-				if err := x.ep.Send(x.Member(mod(rootR+child, p)), addr, 8*n); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
 	}
-	// Root: highest subtree first.
-	mask := 1
-	for mask < p {
-		mask <<= 1
-	}
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		if mask < p {
-			if err := x.ep.Send(x.Member(mod(rootR+mask, p)), addr, 8*n); err != nil {
-				return err
-			}
+	for child := range t.Children(false) {
+		if err := x.ep.Send(x.Member(child), addr, 8*n); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -80,29 +62,22 @@ func (x *Ctx) reduceTree(root int, src, dst scc.Addr, n int, op Op) error {
 		return err
 	}
 	p := x.NP()
-	me := x.Rank()
 	if p == 1 {
 		x.CopyPrivate(dst, src, n)
 		return nil
 	}
-	vrank := mod(me-rootR, p)
 	x.ensureScratch(n)
 	acc := x.curAddr
 	x.CopyPrivate(acc, src, n)
-
-	mask := 1
-	for mask < p {
-		if vrank&mask != 0 {
-			parent := x.Member(mod(rootR+(vrank&^mask), p))
-			return x.ep.Send(parent, acc, 8*n)
+	t := rcce.NewBinomial(rootR, x.Rank(), p)
+	for child := range t.Children(true) {
+		if err := x.ep.Recv(x.Member(child), x.rbufAddr, 8*n); err != nil {
+			return err
 		}
-		if child := vrank | mask; child < p {
-			if err := x.ep.Recv(x.Member(mod(rootR+child, p)), x.rbufAddr, 8*n); err != nil {
-				return err
-			}
-			x.ReduceInto(acc, acc, x.rbufAddr, n, op)
-		}
-		mask <<= 1
+		x.ReduceInto(acc, acc, x.rbufAddr, n, op)
+	}
+	if parent := t.Parent; parent >= 0 {
+		return x.ep.Send(x.Member(parent), acc, 8*n)
 	}
 	x.CopyPrivate(dst, acc, n)
 	return nil

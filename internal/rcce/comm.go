@@ -58,8 +58,9 @@ const (
 	// on epoch adoption so a stale vote can never alias a fresh one.
 	FlagVoteArrive  = 15
 	FlagVoteRelease = 16
-	// Byte 17 is a hole: no role uses it.
-	//
+	// FlagBcastRelease: BroadcastTree's parent -> child, "a chunk is
+	// staged in my data region"; cleared by the child, like FlagSent.
+	FlagBcastRelease = 17
 	// FlagMemberRelease: a vote root that carries a view announces that
 	// its view slot and the epoch word below hold a complete proposal.
 	FlagMemberRelease = 18
@@ -73,8 +74,9 @@ const (
 	// root's own view slot (Comm.ViewSlot), not in the flag line; a
 	// member reads it there after FlagMemberRelease.
 	FlagViewEpoch = timing.FlagFixedRoles
-	// The byte after the epoch word is a hole: no role uses it.
-	//
+	// FlagBcastAck: BroadcastTree's child -> parent, "I consumed your
+	// chunk"; cleared by the parent, like FlagReady.
+	FlagBcastAck = FlagViewEpoch + timing.FlagViewEpochBytes
 	// FlagTreeArrive/Release: BarrierTree's child -> parent arrival (on
 	// the line of the child's ready flag) and parent -> child release (on
 	// the line of the parent's sent flag), with their own generation.
@@ -447,36 +449,4 @@ func (u *UE) centralBarrier(members []int, arrive, release int, gens *peerBytes,
 		u.core.Note(simtime.Note1("barrier gen %d passed", int64(gen)))
 	}
 	return err
-}
-
-// BarrierTree synchronizes all UEs along the binomial tree from UE 0
-// that the tree Broadcast and Reduce use (parent v &^ lowbit(v),
-// children v|mask for every mask < lowbit(v)): a UE waits for its
-// children's arrivals, smallest subtree first, reports to its parent and
-// waits for its release, then releases its children, largest subtree
-// first. Its flags sit on writer lines the tree Broadcast already uses,
-// and its generation counter is its own. O(log p) waits per core.
-func (u *UE) BarrierTree() {
-	u.chargeCall(u.core.Chip().Model.OverheadBlockingCall)
-	if u.treeGen++; u.treeGen == 0 {
-		u.treeGen = 1
-	}
-	gen, me, p := u.treeGen, u.ID(), u.NumUEs()
-	mask := 1
-	for ; mask < p; mask <<= 1 {
-		if me&mask != 0 {
-			u.core.SetFlag(u.comm.FlagAddr(me&^mask, me, FlagTreeArrive), gen)
-			u.core.WaitFlag(u.comm.FlagAddr(me, me&^mask, FlagTreeRelease), gen)
-			break
-		}
-		if child := me | mask; child < p {
-			u.core.WaitFlag(u.comm.FlagAddr(me, child, FlagTreeArrive), gen)
-		}
-	}
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		if child := me | mask; child < p {
-			u.core.SetFlag(u.comm.FlagAddr(child, me, FlagTreeRelease), gen)
-		}
-	}
-	u.core.Note(simtime.Note1("tree barrier gen %d passed", int64(gen)))
 }

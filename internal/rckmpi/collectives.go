@@ -1,6 +1,9 @@
 package rckmpi
 
-import "scc/internal/scc"
+import (
+	"scc/internal/rcce"
+	"scc/internal/scc"
+)
 
 // Op is an associative binary reduction operator (mirrors core.Op; the
 // package does not import internal/core to stay independently usable).
@@ -11,48 +14,20 @@ func mod(a, p int) int { return ((a % p) + p) % p }
 // Bcast broadcasts n float64 values at addr from root along a binomial
 // tree (the MPICH default for this message range).
 func (l *Lib) Bcast(root int, addr scc.Addr, n int) {
-	p := l.ue.NumUEs()
-	me := l.ue.ID()
-	vrank := mod(me-root, p)
-	// Receive from parent.
-	if vrank != 0 {
-		mask := 1
-		for mask < p {
-			if vrank&mask != 0 {
-				parent := mod(root+(vrank&^mask), p)
-				l.Recv(parent, addr, 8*n)
-				break
-			}
-			mask <<= 1
-		}
-		// Forward to children below the found mask.
-		for mask >>= 1; mask > 0; mask >>= 1 {
-			if child := vrank | mask; child < p && child != vrank {
-				l.Send(mod(root+child, p), addr, 8*n)
-			}
-		}
-		return
+	t := rcce.NewBinomial(root, l.ue.ID(), l.ue.NumUEs())
+	if parent := t.Parent; parent >= 0 {
+		l.Recv(parent, addr, 8*n)
 	}
-	// Root: send to each subtree, highest mask first.
-	mask := 1
-	for mask < p {
-		mask <<= 1
-	}
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		if child := mask; child < p {
-			l.Send(mod(root+child, p), addr, 8*n)
-		}
+	for child := range t.Children(false) {
+		l.Send(child, addr, 8*n)
 	}
 }
 
 // Reduce reduces n float64 values element-wise to the root along a
 // binomial tree. dst is only meaningful on the root; src is unchanged.
 func (l *Lib) Reduce(root int, src, dst scc.Addr, n int, op Op) {
-	p := l.ue.NumUEs()
-	me := l.ue.ID()
 	c := l.core()
 	m := c.Chip().Model
-	vrank := mod(me-root, p)
 
 	// Working accumulator starts as a copy of src.
 	acc := make([]float64, n)
@@ -60,25 +35,21 @@ func (l *Lib) Reduce(root int, src, dst scc.Addr, n int, op Op) {
 	tmpAddr := c.AllocF64(n)
 	tmp := make([]float64, n)
 
-	mask := 1
-	for mask < p {
-		if vrank&mask != 0 {
-			parent := mod(root+(vrank&^mask), p)
-			// Ship the accumulator up and stop.
-			accAddr := c.AllocF64(n)
-			c.WriteF64s(accAddr, acc)
-			l.Send(parent, accAddr, 8*n)
-			return
+	t := rcce.NewBinomial(root, l.ue.ID(), l.ue.NumUEs())
+	for child := range t.Children(true) {
+		l.Recv(child, tmpAddr, 8*n)
+		c.ReadF64s(tmpAddr, tmp)
+		c.ComputeCycles(m.ReducePerElementCoreCycles * int64(n))
+		for i := range acc {
+			acc[i] = op(acc[i], tmp[i])
 		}
-		if child := vrank | mask; child < p {
-			l.Recv(mod(root+child, p), tmpAddr, 8*n)
-			c.ReadF64s(tmpAddr, tmp)
-			c.ComputeCycles(m.ReducePerElementCoreCycles * int64(n))
-			for i := range acc {
-				acc[i] = op(acc[i], tmp[i])
-			}
-		}
-		mask <<= 1
+	}
+	if parent := t.Parent; parent >= 0 {
+		// Ship the accumulator up and stop.
+		accAddr := c.AllocF64(n)
+		c.WriteF64s(accAddr, acc)
+		l.Send(parent, accAddr, 8*n)
+		return
 	}
 	c.WriteF64s(dst, acc)
 }

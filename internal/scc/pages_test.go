@@ -43,7 +43,10 @@ func pagesCut(t *testing.T, barrier bool) int {
 // heap delta would hide it in noise.
 //
 // The tree barrier writes only on the writer lines the tree Broadcast
-// already uses, so adding it must cut no page at all.
+// already uses, so adding it must cut no page at all. The stage-once
+// tree Broadcast cuts the same 4,158 pages the rendezvous one did: its
+// release and ack share the sent and ready flags' lines, and only a
+// core with children writes its data region.
 func TestMPBPagesAtScale(t *testing.T) {
 	const maxPages = 4158
 	both := pagesCut(t, true)

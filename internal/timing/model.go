@@ -26,14 +26,14 @@ const (
 	// FlagFixedRoles counts the fixed-position flag roles at the start
 	// of every per-writer flag line (sent/ready, barrier, MPB-direct
 	// double-buffer, checksum, progress, group/vote/epoch arrive-release,
-	// member release and the unused byte 17 — see internal/rcce).
+	// the tree Broadcast's release and member release — see internal/rcce).
 	FlagFixedRoles = 21
 	// FlagViewEpochBytes is the width of the agreed-epoch word that
 	// follows the fixed roles (little-endian uint32).
 	FlagViewEpochBytes = 4
 	// FlagLineBytes is what a flag line must hold: the fixed roles, the
-	// epoch word, one unused byte and the tree barrier's arrive/release
-	// pair. Validate rejects cache lines narrower than that.
+	// epoch word, the tree Broadcast's ack and the tree barrier's
+	// arrive/release pair. Validate rejects cache lines narrower than that.
 	FlagLineBytes = FlagFixedRoles + FlagViewEpochBytes + 1 + 2
 	// minGapLines is the floor of the reserved gap between each core's
 	// flag lines and its chunk data region. The gap holds the core's view
