@@ -14,12 +14,13 @@ import (
 // This file measures the self-healing evaluation ("Fig. R2"): what a
 // mid-collective core death costs when no oracle tells the survivors who
 // died. Each sample kills one core at a fraction of the fault-free run
-// and decomposes the end-to-end latency into detection (kill → first
-// suspicion), agreement (first suspicion → committed membership) and
-// re-execution, against two comparators: the same self-healing stack
-// fault-free (its standing overhead is the outcome vote) and an oracle
-// run where the survivor group is known for free. Everything is
-// deterministic: same model, same kill point, bit-identical numbers.
+// and decomposes the end-to-end latency into detection (kill → the
+// first wait that gave up on a peer), agreement (that give-up →
+// committed membership) and re-execution, against two comparators: the
+// same self-healing stack fault-free (its standing overhead is the
+// outcome vote) and an oracle run where the survivor group is known for
+// free. Everything is deterministic: same model, same kill point,
+// bit-identical numbers.
 
 // HealPoint is one sample of the self-healing sweep.
 type HealPoint struct {
@@ -31,8 +32,8 @@ type HealPoint struct {
 	Oracle   simtime.Duration // survivors-only run with perfect knowledge
 	Total    simtime.Duration // self-healing, victim killed at KillAt
 
-	Detect simtime.Duration // kill → first suspicion on any survivor
-	Agree  simtime.Duration // first suspicion → last committed agreement
+	Detect simtime.Duration // kill → the first wait on any core that gave up on a peer
+	Agree  simtime.Duration // that give-up → last committed agreement
 
 	Reconfigs int64  // committed membership agreements (max over cores)
 	Reexecs   int64  // collective re-executions (max over cores)

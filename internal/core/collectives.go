@@ -214,10 +214,11 @@ type CtxOpts struct {
 	// chip is the plain chip.
 	Fabric *Fabric
 	// Healer is a persistent self-healing state machine (the façade
-	// keeps one per core across Runs: suspicions, the agreed member set
-	// and the epoch survive a Run boundary). The context starts on the
-	// healer's current member set, which takes the place of Group, and
-	// on the healer's policy unless cfg.SelfHeal is set.
+	// keeps one per core across Runs: the first wait that gave up on a
+	// peer, the agreed member set and the epoch survive a Run
+	// boundary). The context starts on the healer's current member set,
+	// which takes the place of Group, and on the healer's policy unless
+	// cfg.SelfHeal is set.
 	Healer *Healer
 }
 

@@ -14,11 +14,12 @@ import (
 // Self-healing collective runtime: no oracle tells the survivors who
 // died. Instead the runtime closes the loop in-band:
 //
-//  1. Detection. The hardened transport's bounded waits feed a per-peer
-//     Detector (detector.go). Suspicions are fallible local hints — a
-//     live core is routinely suspected when a shared neighbor dies and
-//     stalls it — so they are recorded (detection latency is a measured
-//     quantity) but never filter membership or steer the choice of root.
+//  1. Detection is the first wait that gave up on a peer: a hardened
+//     transport retry budget running out (ErrUnreachable) or a vote or
+//     epoch-barrier timeout. It is a fallible local hint — a live core is
+//     routinely given up on when a shared neighbor dies and stalls it —
+//     so its time is recorded (detection latency is a measured quantity)
+//     but it never filters membership or steers the choice of root.
 //
 //  2. Outcome vote and membership agreement (vote, reconfigure). After
 //     every wrapped collective a flag-token round over the MPB
@@ -110,8 +111,6 @@ func (p HealPolicy) withDefaults() HealPolicy {
 
 // RecoveryReport summarizes one core's self-healing activity.
 type RecoveryReport struct {
-	Suspicions  int64 // detector suspicion transitions
-	Clears      int64 // suspicions later cleared (false alarms)
 	Votes       int64 // vote rounds participated in: outcome votes and agreement rounds
 	VotesFailed int64 // vote rounds that did not reach unanimous success
 	Reconfigs   int64 // committed membership agreements
@@ -119,20 +118,18 @@ type RecoveryReport struct {
 	Evicted     int64 // members dropped across all reconfigurations
 
 	Epoch          uint32       // current communicator epoch
-	FirstSuspectAt simtime.Time // first suspicion ever (-1 = none)
+	FirstSuspectAt simtime.Time // first wait that gave up on a peer (-1 = none)
 	LastAgreeAt    simtime.Time // last committed agreement (-1 = none)
 }
 
 // Merge folds one core's report into a system-wide aggregate (start from
-// RecoveryReport{FirstSuspectAt: -1, LastAgreeAt: -1}). Per-core activity
-// counts (suspicions, clears, votes) are summed; global-event counts
-// (reconfigurations, re-executions, evictions — every member observes
-// the same committed events) and the epoch are maxima; FirstSuspectAt is
-// the earliest suspicion on any core and LastAgreeAt the latest
-// committed agreement.
+// RecoveryReport{FirstSuspectAt: -1, LastAgreeAt: -1}). Per-core vote
+// counts are summed; global-event counts (reconfigurations,
+// re-executions, evictions — every member observes the same committed
+// events) and the epoch are maxima; FirstSuspectAt is the first wait on
+// any core that gave up on a peer and LastAgreeAt the latest committed
+// agreement.
 func (a *RecoveryReport) Merge(r RecoveryReport) {
-	a.Suspicions += r.Suspicions
-	a.Clears += r.Clears
 	a.Votes += r.Votes
 	a.VotesFailed += r.VotesFailed
 	a.Reconfigs = max(a.Reconfigs, r.Reconfigs)
@@ -146,12 +143,11 @@ func (a *RecoveryReport) Merge(r RecoveryReport) {
 }
 
 // Healer is one core's self-healing state machine. It persists across
-// collective calls (and across façade Runs): suspicions, the agreed
-// member set and the communicator epoch are durable, so a second
+// collective calls (and across façade Runs): the first give-up, the
+// agreed member set and the communicator epoch are durable, so a second
 // failure starts from the already-shrunk group.
 type Healer struct {
 	ue  *rcce.UE
-	det *Detector
 	pol HealPolicy
 
 	epoch   uint32
@@ -186,7 +182,6 @@ func NewHealer(ue *rcce.UE, pol HealPolicy) *Healer {
 	for i := range h.members {
 		h.members[i] = i
 	}
-	h.det = newDetector(ue)
 	h.rep.FirstSuspectAt = -1
 	h.rep.LastAgreeAt = -1
 	return h
@@ -194,17 +189,15 @@ func NewHealer(ue *rcce.UE, pol HealPolicy) *Healer {
 
 // Bind re-attaches the healer to a fresh UE for the same core (the
 // façade rebuilds UEs per Run) and re-applies the current epoch to the
-// new UE's protocol state.
+// new UE's protocol state. The old UE's first give-up is folded in
+// first, so detection survives the Run boundary.
 func (h *Healer) Bind(ue *rcce.UE) {
+	h.foldGiveUp()
 	h.ue = ue
-	h.det.bind(ue)
 	if h.epoch != 0 {
 		ue.SetEpoch(h.epoch)
 	}
 }
-
-// Detector exposes the failure detector (read-only use).
-func (h *Healer) Detector() *Detector { return h.det }
 
 // Epoch returns the current communicator epoch.
 func (h *Healer) Epoch() uint32 { return h.epoch }
@@ -212,15 +205,28 @@ func (h *Healer) Epoch() uint32 { return h.epoch }
 // Members returns the current agreed member set (a copy).
 func (h *Healer) Members() []int { return append([]int(nil), h.members...) }
 
-// Report returns the healing activity summary, folding in the
-// detector's live counts.
+// Report returns the healing activity summary, folding in the bound
+// UE's first give-up.
 func (h *Healer) Report() RecoveryReport {
+	h.foldGiveUp()
 	r := h.rep
-	r.Suspicions = h.det.Suspicions()
-	r.Clears = h.det.Clears()
-	r.FirstSuspectAt = h.det.FirstSuspicionAt()
 	r.Epoch = h.epoch
 	return r
+}
+
+// suspect records a detection at t: FirstSuspectAt keeps the earliest.
+func (h *Healer) suspect(t simtime.Time) {
+	if h.rep.FirstSuspectAt < 0 || t < h.rep.FirstSuspectAt {
+		h.rep.FirstSuspectAt = t
+	}
+}
+
+// foldGiveUp folds the bound UE's first exhausted retry budget into
+// FirstSuspectAt.
+func (h *Healer) foldGiveUp() {
+	if s := h.ue.Recovery(); s.GiveUps > 0 {
+		h.suspect(s.FirstGiveUp)
+	}
 }
 
 // seedMembers restricts the healer's initial membership (used when a
@@ -346,7 +352,7 @@ func (h *Healer) run(x *Ctx, body func() error) error {
 // the call, rooted at the lowest member; round a > 0 is the same vote
 // with every member voting failure, rooted at member (a-1) mod n, so a
 // dead root costs one round and the rotation, identical on every live
-// member however their suspicion sets diverge, moves everyone to the
+// member however their give-ups diverge, moves everyone to the
 // next root together. The root collects a token (tok = success,
 // tok|0x80 = failure) from each member under a shared B deadline and
 // releases the verdict; members wait for it until 4B and, in case a
@@ -388,11 +394,10 @@ func (h *Healer) vote(ok bool, a int) (t0 simtime.Time, agreed, carried bool) {
 			}
 			v, got := h.waitUntil(comm.FlagAddr(root, p, rcce.FlagVoteArrive), deadline, isVote)
 			if !got {
-				h.det.Suspect(p)
+				h.suspect(c.Now())
 				all = false
 				continue
 			}
-			h.det.Clear(p)
 			arrived = append(arrived, p)
 			if v != tok {
 				all = false
@@ -426,10 +431,9 @@ func (h *Healer) vote(ok bool, a int) (t0 simtime.Time, agreed, carried bool) {
 			v, got = h.waitUntil(release, t0+4*B, isVote)
 		}
 		if got {
-			h.det.Clear(root)
 			agreed = v == tok
 		} else {
-			h.det.Suspect(root)
+			h.suspect(c.Now())
 		}
 		// A failed verdict, ours or one of another call, may carry a view.
 		if !agreed && v&0x80 != 0 && c.ProbeFlag(comm.FlagAddr(me, root, rcce.FlagMemberRelease)) == byte(1+epoch%127) {
@@ -558,10 +562,10 @@ func (h *Healer) readProposal(root int) ([]int, uint32) {
 // member that passes the barrier knows every other view member adopted
 // the same epoch (their arrive write happens after their SetEpoch), so
 // hardened traffic under the new epoch cannot race a peer still on the
-// old one. Root-side failure suspects the missing members and withholds
-// the release; member-side failure aborts without suspecting the root
-// (the root may have aborted because of a third member — the next
-// agreement round moves everyone on together).
+// old one. Root-side failure records a detection and withholds the
+// release; member-side failure aborts without recording one (the root
+// may have aborted because of a third member — the next agreement round
+// moves everyone on together).
 func (h *Healer) epochBarrier(view []int, epoch uint32, rootBy, memberBy simtime.Time) bool {
 	if len(view) <= 1 {
 		return true
@@ -579,7 +583,7 @@ func (h *Healer) epochBarrier(view []int, epoch uint32, rootBy, memberBy simtime
 		ok := true
 		for _, p := range view[1:] {
 			if _, got := h.waitUntil(comm.FlagAddr(root, p, rcce.FlagEpochArrive), rootBy, isTok); !got {
-				h.det.Suspect(p)
+				h.suspect(c.Now())
 				ok = false
 			}
 		}

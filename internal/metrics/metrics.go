@@ -113,10 +113,8 @@ const (
 	CtrPutTicks
 	CtrGetTicks
 	// Self-healing runtime counters (see internal/core/selfheal.go):
-	// detector transitions, outcome votes, committed membership
-	// agreements and collective re-executions.
-	CtrSuspicions
-	CtrSuspicionClears
+	// outcome votes, committed membership agreements and collective
+	// re-executions.
 	CtrVotes
 	CtrVotesFailed
 	CtrReconfigs
@@ -132,8 +130,7 @@ var counterNames = [NumCounters]string{
 	"reqs-posted", "req-wait-rounds", "pending-reqs-max", "slot-drains",
 	"sends", "recvs", "send-ticks", "recv-ticks",
 	"puts", "gets", "put-ticks", "get-ticks",
-	"suspicions", "suspicion-clears", "votes", "votes-failed",
-	"reconfigs", "reexecs",
+	"votes", "votes-failed", "reconfigs", "reexecs",
 }
 
 // String returns the stable snapshot/CSV name of the counter.

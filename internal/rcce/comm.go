@@ -179,12 +179,6 @@ type UE struct {
 	epochSalt uint32
 	treeGen   byte
 
-	// peerObs, when installed, observes per-peer protocol outcomes: it
-	// is called with alive=false when a peer exhausts a retry budget and
-	// alive=true on any successful handshake with it. The in-band
-	// failure detector of internal/core hangs off this hook.
-	peerObs func(peer int, alive bool)
-
 	// stage is the UE's staging arena for Put/Get: a core moves at most
 	// one message chunk at a time, so one reusable buffer replaces the
 	// per-call make([]byte, nBytes).
@@ -405,19 +399,17 @@ func (u *UE) centralBarrier(members []int, arrive, release int, gens *peerBytes,
 	boundedWait := func(peer, off int, onRetry func()) error {
 		if pol == nil {
 			u.core.WaitFlag(off, gen)
-			u.notifyPeer(peer, true)
 			return nil
 		}
 		window := pol.Timeout
 		for try := 0; ; try++ {
 			if _, ok := u.core.WaitFlagMatch(off, window+pol.JitterOf(window, u.ID(), peer, gen, try), isGen); ok {
-				u.notifyPeer(peer, true)
 				return nil
 			}
 			u.core.OverheadCycles(m.OverheadTimeoutCheck)
 			u.stats.Timeouts++
 			if try >= pol.MaxRetries {
-				u.notifyPeer(peer, false)
+				u.giveUp()
 				return fmt.Errorf("%w: barrier (root %02d, gen %d)", ErrUnreachable, root, gen)
 			}
 			if onRetry != nil {

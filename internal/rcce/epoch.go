@@ -20,20 +20,6 @@ package rcce
 // the adoption runs, and their token disciplines make stale values
 // harmless (see internal/core/selfheal.go).
 
-// SetPeerObserver installs fn as the UE's per-peer outcome observer
-// (nil uninstalls). The hardened protocol calls it with alive=false
-// when a retry budget toward a peer is exhausted and with alive=true on
-// every successfully completed chunk or barrier handshake with that
-// peer. Observers must not advance virtual time: they are bookkeeping
-// on the host side only.
-func (u *UE) SetPeerObserver(fn func(peer int, alive bool)) { u.peerObs = fn }
-
-func (u *UE) notifyPeer(peer int, alive bool) {
-	if u.peerObs != nil {
-		u.peerObs(peer, alive)
-	}
-}
-
 // SetEpoch installs communicator epoch e: it salts all hardened-protocol
 // checksums with a mix of e and restarts the per-peer send/receive
 // sequence counters and group-barrier generations. Epoch 0 is the

@@ -92,7 +92,9 @@ func (p Policy) withDefaults() Policy {
 
 // RecoveryStats counts the hardened protocol's defensive actions on one
 // UE. Recovery is the virtual time spent past the first timeout of each
-// operation — the latency attributable to fault handling.
+// operation — the latency attributable to fault handling. A give-up is a
+// retry budget running out (the op or barrier returns ErrUnreachable):
+// the in-band detection signal of the self-healing runtime.
 type RecoveryStats struct {
 	Timeouts    int64
 	Retransmits int64
@@ -100,9 +102,11 @@ type RecoveryStats struct {
 	DupAcks     int64 // duplicate chunks re-acknowledged
 	LostAcks    int64 // completions recovered via the progress byte
 	Recovery    simtime.Duration
+	GiveUps     int64        // retry budgets exhausted
+	FirstGiveUp simtime.Time // the earliest give-up; valid only when GiveUps > 0
 }
 
-// Add accumulates s2 into s.
+// Add accumulates s2 into s, keeping the earlier first give-up.
 func (s *RecoveryStats) Add(s2 RecoveryStats) {
 	s.Timeouts += s2.Timeouts
 	s.Retransmits += s2.Retransmits
@@ -110,6 +114,18 @@ func (s *RecoveryStats) Add(s2 RecoveryStats) {
 	s.DupAcks += s2.DupAcks
 	s.LostAcks += s2.LostAcks
 	s.Recovery += s2.Recovery
+	if s2.GiveUps > 0 && (s.GiveUps == 0 || s2.FirstGiveUp < s.FirstGiveUp) {
+		s.FirstGiveUp = s2.FirstGiveUp
+	}
+	s.GiveUps += s2.GiveUps
+}
+
+// giveUp records an exhausted retry budget at the current virtual time.
+func (u *UE) giveUp() {
+	if u.stats.GiveUps == 0 {
+		u.stats.FirstGiveUp = u.core.Now()
+	}
+	u.stats.GiveUps++
 }
 
 // Recovery returns the UE's accumulated recovery statistics.
@@ -287,7 +303,6 @@ func (r *robustOp) completeChunk(n int) {
 	}
 	r.seq = nextSeq(r.seq)
 	seqm.set(r.peer, r.seq)
-	u.notifyPeer(r.peer, true) // a completed handshake clears suspicion
 	u.core.Note(simtime.Note3(verb, int64(r.off), int64(r.n), int64(r.peer)))
 	if r.chunks == 0 {
 		r.done = true
@@ -369,7 +384,7 @@ func (r *robustOp) onTimeout() error {
 	}
 	r.retries++
 	if r.retries > r.pol.MaxRetries {
-		u.notifyPeer(r.peer, false) // budget exhausted: suspect the peer
+		u.giveUp()
 		return fmt.Errorf("%w: %v peer %02d at byte %d/%d (%d retries)",
 			ErrUnreachable, r.kind, r.peer, r.off, r.n, r.pol.MaxRetries)
 	}

@@ -193,6 +193,77 @@ func TestRobustUnreachablePeer(t *testing.T) {
 	}
 }
 
+// TestRecoveryStatsGiveUps: a give-up is counted where a retry budget
+// runs out (a robust op and the bounded group barrier), and Add keeps
+// the earliest one, which a zero value never sets.
+func TestRecoveryStatsGiveUps(t *testing.T) {
+	// exhaust runs op alone on core 0 of a fresh chip (its peer never
+	// shows up) and returns core 0's stats and when op returned.
+	exhaust := func(op func(u *UE, core *scc.Core) error) (RecoveryStats, simtime.Time) {
+		chip := scc.New(timing.Default())
+		comm := NewComm(chip)
+		var stats RecoveryStats
+		var done simtime.Time
+		chip.LaunchOne(0, func(core *scc.Core) {
+			u := comm.UE(0)
+			if err := op(u, core); !errors.Is(err, ErrUnreachable) {
+				t.Errorf("err = %v, want ErrUnreachable", err)
+			}
+			stats, done = u.Recovery(), core.Now()
+		})
+		if err := chip.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		return stats, done
+	}
+	pol := Policy{Timeout: simtime.Microseconds(50), MaxRetries: 3}
+	sum := func(ss ...RecoveryStats) (RecoveryStats, simtime.Time) {
+		var s RecoveryStats
+		for _, s2 := range ss {
+			s.Add(s2)
+		}
+		return s, -1
+	}
+	for _, tc := range []struct {
+		name     string
+		stats    func() (RecoveryStats, simtime.Time) // stats, and when the give-up surfaced (-1: not run)
+		giveUps  int64
+		firstAt  simtime.Time // checked when the stats were summed
+		timeouts int64
+	}{
+		{"zero values", func() (RecoveryStats, simtime.Time) {
+			return sum(RecoveryStats{}, RecoveryStats{Timeouts: 2}, RecoveryStats{})
+		}, 0, 0, 2},
+		{"earliest kept", func() (RecoveryStats, simtime.Time) {
+			return sum(RecoveryStats{GiveUps: 1, FirstGiveUp: 700}, RecoveryStats{},
+				RecoveryStats{GiveUps: 2, FirstGiveUp: 300}, RecoveryStats{GiveUps: 1, FirstGiveUp: 500})
+		}, 4, 300, 0},
+		{"robust op", func() (RecoveryStats, simtime.Time) {
+			return exhaust(func(u *UE, core *scc.Core) error {
+				return u.SendRobust(NBCosts{Post: 500, Wait: 400}, pol, 1, core.AllocF64(8), 64)
+			})
+		}, 1, 0, 4},
+		{"group barrier", func() (RecoveryStats, simtime.Time) {
+			return exhaust(func(u *UE, core *scc.Core) error {
+				return u.BarrierGroupRobust([]int{0, 1}, pol)
+			})
+		}, 1, 0, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, done := tc.stats()
+			if s.GiveUps != tc.giveUps || s.Timeouts != tc.timeouts {
+				t.Fatalf("%+v: want %d give-ups, %d timeouts", s, tc.giveUps, tc.timeouts)
+			}
+			switch {
+			case done < 0 && s.FirstGiveUp != tc.firstAt:
+				t.Errorf("FirstGiveUp %d, want %d", s.FirstGiveUp, tc.firstAt)
+			case done >= 0 && (s.FirstGiveUp <= 0 || s.FirstGiveUp > done):
+				t.Errorf("FirstGiveUp %d, want in (0, %d]", s.FirstGiveUp, done)
+			}
+		})
+	}
+}
+
 func TestBarrierGroup(t *testing.T) {
 	chip := scc.New(timing.Default())
 	comm := NewComm(chip)

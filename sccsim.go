@@ -42,9 +42,10 @@ type HealPolicy = core.HealPolicy
 // DefaultHealPolicy returns the tuned self-healing defaults.
 func DefaultHealPolicy() HealPolicy { return core.DefaultHealPolicy() }
 
-// HealReport summarizes self-healing activity: detector transitions,
-// outcome votes, committed membership agreements, re-executions, the
-// communicator epoch and the detection/agreement timestamps.
+// HealReport summarizes self-healing activity: outcome votes, committed
+// membership agreements, re-executions, the communicator epoch, the
+// detection time (the first wait that gave up on a peer) and the last
+// agreement time.
 type HealReport = core.RecoveryReport
 
 // Typed failure errors, testable with errors.Is.
@@ -331,15 +332,15 @@ func WithRecovery(pol RecoveryPolicy) Option {
 }
 
 // WithSelfHealing runs the selected stack under the self-healing
-// collective runtime: the hardened transport's bounded waits feed an
-// in-band failure detector, collectives that hit an unreachable peer
+// collective runtime: a hardened-transport wait whose retry budget runs
+// out is the in-band detection, collectives that hit an unreachable peer
 // vote on the outcome, agree on the survivor membership over the MPB
 // (no oracle — the runtime discovers who died), adopt a fresh
 // communicator epoch, and re-execute on the agreed group. It implies
 // WithRecovery(pol.Detect) unless WithRecovery is given explicitly, has
 // no effect on StackRCKMPI, and disables the MPB-direct Allreduce fast
-// path (which is not hardened). Healing state — suspicions, the agreed
-// member set, the epoch — persists across Run calls on one System.
+// path (which is not hardened). Healing state — the first give-up, the
+// agreed member set, the epoch — persists across Run calls on one System.
 func WithSelfHealing(pol HealPolicy) Option {
 	return func(c *config) { p := pol; c.selfheal = &p }
 }
@@ -356,7 +357,7 @@ type System struct {
 	// single chip is the 1-chip fabric.
 	fab *fabric.System
 	// healers persist per core across Run calls (nil without
-	// WithSelfHealing): suspicions, the agreed member set and the
+	// WithSelfHealing): the first give-up, the agreed member set and the
 	// communicator epoch are durable state of the runtime, not of one
 	// program.
 	healers []*core.Healer
@@ -462,13 +463,12 @@ func (s *System) Metrics() *Metrics {
 }
 
 // Heal aggregates the self-healing activity of all ranks so far, or
-// nil when the System was built without WithSelfHealing. Per-core
-// activity counts (suspicions, clears, votes) are summed; global-event
-// counts (reconfigurations, re-executions, evictions — every member
-// observes the same committed events) and the epoch are maxima;
-// FirstSuspectAt is the earliest suspicion on any core (detection
-// latency) and LastAgreeAt the latest committed agreement (see
-// core.RecoveryReport.Merge).
+// nil when the System was built without WithSelfHealing. Per-core vote
+// counts are summed; global-event counts (reconfigurations,
+// re-executions, evictions — every member observes the same committed
+// events) and the epoch are maxima; FirstSuspectAt is the first wait on
+// any core that gave up on a peer (detection) and LastAgreeAt the latest
+// committed agreement (see core.RecoveryReport.Merge).
 func (s *System) Heal() *HealReport {
 	if s.healers == nil {
 		return nil
@@ -748,7 +748,8 @@ func (r *Rank) Scan(src, dst Addr, n int) error {
 func (r *Rank) Recovery() rcce.RecoveryStats { return r.ue.Recovery() }
 
 // HealReport returns this rank's self-healing activity, or nil without
-// WithSelfHealing.
+// WithSelfHealing. Its FirstSuspectAt is the first wait of this rank,
+// in any Run so far, that gave up on a peer.
 func (r *Rank) HealReport() *HealReport {
 	x, ok := r.coll.(*core.Ctx)
 	if !ok || x.Healer() == nil {

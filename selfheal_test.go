@@ -477,6 +477,61 @@ func TestSelfHealHalfChipLoss(t *testing.T) {
 	}
 }
 
+// TestSelfHealDetectionSurvivesRunBoundary: core 17 dies in Run 1 and
+// Run 2 is fault-free. The façade gives every Run fresh UEs, so the
+// detection time — the first exhausted retry budget, recorded on the
+// Run 1 UEs — survives only because the healer folds it in before
+// binding the Run 2 UE. System a reads Heal between the two Runs (which
+// folds it too), system b only after Run 2.
+func TestSelfHealDetectionSurvivesRunBoundary(t *testing.T) {
+	const victim = 17
+	twoRuns := func(readBetween bool) (run1, run2 sccsim.HealReport, giveUps []rcce.RecoveryStats) {
+		plan := sccsim.NewFaultPlan().Add(sccsim.Fault{Kind: sccsim.FaultCoreDie,
+			At: simtime.Time(sccsim.Microseconds(400)), Core: victim})
+		sys := sccsim.New(sccsim.WithFaults(plan), sccsim.WithSelfHealing(sccsim.DefaultHealPolicy()))
+		giveUps = make([]rcce.RecoveryStats, 48)
+		for run := 1; run <= 2; run++ {
+			err := sys.Run(func(r *sccsim.Rank) {
+				src, dst := r.AllocF64(552), r.AllocF64(552)
+				if err := r.Allreduce(src, dst, 552); err != nil {
+					t.Errorf("run %d, core %d: %v", run, r.ID(), err)
+				}
+				if run == 1 {
+					giveUps[r.ID()] = r.Recovery()
+				} else if s := r.Recovery(); s.GiveUps != 0 {
+					t.Errorf("fault-free run 2, core %d: %d give-ups", r.ID(), s.GiveUps)
+				}
+			})
+			if err != nil {
+				t.Fatalf("run %d: %v", run, err)
+			}
+			if run == 1 && readBetween {
+				run1 = *sys.Heal()
+			}
+		}
+		return run1, *sys.Heal(), giveUps
+	}
+
+	run1, run2a, giveUps := twoRuns(true)
+	_, run2b, _ := twoRuns(false)
+	first := simtime.Time(-1)
+	for id, s := range giveUps {
+		if id != victim && s.GiveUps > 0 && (first < 0 || s.FirstGiveUp < first) {
+			first = s.FirstGiveUp
+		}
+	}
+	if first < 0 || first <= simtime.Time(sccsim.Microseconds(400)) {
+		t.Fatalf("earliest Run 1 give-up at %d, want one after the kill", first)
+	}
+	if run1.FirstSuspectAt != first {
+		t.Errorf("after Run 1: FirstSuspectAt %d, want the earliest give-up %d", run1.FirstSuspectAt, first)
+	}
+	if run2a.FirstSuspectAt != run1.FirstSuspectAt || run2b.FirstSuspectAt != run1.FirstSuspectAt {
+		t.Errorf("after Run 2: FirstSuspectAt %d (read between) and %d (not read), want %d",
+			run2a.FirstSuspectAt, run2b.FirstSuspectAt, run1.FirstSuspectAt)
+	}
+}
+
 // Pinned elapsed times of agreement paths: TestSelfHealVoteRootDeath
 // (2.377 s, two padded rounds and a commit in the third),
 // TestSelfHealHalfChipLoss (50.889 s, all 50 rounds padded) and
