@@ -204,8 +204,8 @@ func run(args []string, stdout io.Writer) error {
 			fmt.Fprintf(stdout, "  barrier    %12d ticks virtual\n", fp.BarrierTicks)
 			fmt.Fprintf(stdout, "  broadcast  %12d ticks virtual\n", fp.BroadcastTicks)
 			fmt.Fprintf(stdout, "  wall       %12.0f ms\n", fp.WallMs)
-			fmt.Fprintf(stdout, "  footprint  %12.0f bytes/core live (%.1f MB peak heap)\n",
-				fp.BytesPerCore, fp.PeakHeapMB)
+			fmt.Fprintf(stdout, "  footprint  %12.0f bytes/core live (%.1f MB peak heap, %.1f MB allocated)\n",
+				fp.BytesPerCore, fp.PeakHeapMB, float64(fp.AllocBytes)/(1<<20))
 			return nil
 		case "metrics":
 			o := ops[0]

@@ -58,21 +58,23 @@ func TestModesRunWithTheirOwnFlags(t *testing.T) {
 	dir := t.TempDir()
 	for _, c := range []struct {
 		args []string
-		want string // substring of stdout
+		want []string // substrings of stdout
 	}{
-		{[]string{"-op", "allreduce", "-lo", "64", "-hi", "64", "-mesh", "2x2x2", "-parallel", "1"}, "Fig. 9 (allreduce)"},
-		{[]string{"-op", "broadcast", "-lo", "64", "-hi", "64", "-mesh", "2x2x2", "-csv", filepath.Join(dir, "p.csv")}, "wrote "},
+		{[]string{"-op", "allreduce", "-lo", "64", "-hi", "64", "-mesh", "2x2x2", "-parallel", "1"}, []string{"Fig. 9 (allreduce)"}},
+		{[]string{"-op", "broadcast", "-lo", "64", "-hi", "64", "-mesh", "2x2x2", "-csv", filepath.Join(dir, "p.csv")}, []string{"wrote "}},
 		{[]string{"-op", "allreduce", "-lo", "64", "-hi", "64", "-mesh", "2x2x2", "-metrics", "-stack", "lwnb", "-algo", "ring",
-			"-metricsout", filepath.Join(dir, "m.json"), "-tracejson", filepath.Join(dir, "t.json")}, "instrumented run: op=allreduce"},
-		{[]string{"-scale", "-mesh", "2x2x2"}, "scale run: 8 cores"},
-		{[]string{"-summary", "-lo", "64", "-hi", "64", "-mesh", "2x2x2"}, "Per-collective average speedup"},
+			"-metricsout", filepath.Join(dir, "m.json"), "-tracejson", filepath.Join(dir, "t.json")}, []string{"instrumented run: op=allreduce"}},
+		{[]string{"-scale", "-mesh", "2x2x2"}, []string{"scale run: 8 cores", "MB allocated)"}},
+		{[]string{"-summary", "-lo", "64", "-hi", "64", "-mesh", "2x2x2"}, []string{"Per-collective average speedup"}},
 	} {
 		var stdout bytes.Buffer
 		if err := run(c.args, &stdout); err != nil {
 			t.Errorf("sccbench %v: %v", c.args, err)
 		}
-		if !strings.Contains(stdout.String(), c.want) {
-			t.Errorf("sccbench %v: stdout lacks %q:\n%s", c.args, c.want, stdout.String())
+		for _, want := range c.want {
+			if !strings.Contains(stdout.String(), want) {
+				t.Errorf("sccbench %v: stdout lacks %q:\n%s", c.args, want, stdout.String())
+			}
 		}
 	}
 	for _, f := range []string{"p.csv", "m.json", "t.json"} {

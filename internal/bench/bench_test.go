@@ -172,19 +172,24 @@ func TestRenderChart(t *testing.T) {
 // TestFootprintBudget bounds the live heap one simulated core costs
 // after a Barrier and a Broadcast: 9.4 KB/core at 48 cores and 17.2 at
 // 1,024 in a fresh process when the budgets were set, 5.8 and 6.6 since
-// every flag region is one line and arena pages are 512 B. The 1,024-core
-// budget is that measurement plus 50 %; the 48-core one is older and
-// more generous. The regressions they exist for, a dense per-core
-// structure creeping back in, are 10-100x, and a heap delta across a GC
-// is only good to a few hundred KB in total. The 10,240-core budget sits
-// with the LargeMesh tests in the root package.
+// every flag region is one line and arena pages are 512 B, 3.4-4.8 KB
+// and 3,885 B (3,957 B at most at 1,024 under -race, over twenty fresh
+// processes each way) since a cache level's first slab is 8 nodes. The
+// 1,024-core budget is 4 KB/core, ~140 KB above that worst reading (it
+// was 10 KB/core); the 48-core one is older and more generous. The
+// regressions they exist for, a dense per-core structure creeping back
+// in, are 10-100x. It also bounds the heap allocated over build and run,
+// freed or not: at most 0.28 and 5.02 MB over the same runs, a 64-node
+// first cache slab adds 1.9 MB at 1,024 cores. The 10,240-core budget
+// sits with the LargeMesh tests in the root package.
 func TestFootprintBudget(t *testing.T) {
 	for _, c := range []struct {
-		model *timing.Model
-		kb    float64
+		model   *timing.Model
+		kb      float64
+		allocMB float64
 	}{
-		{timing.Default(), 16},
-		{timing.Topology(32, 32, 1), 10},
+		{timing.Default(), 16, 0.32},
+		{timing.Topology(32, 32, 1), 4, 5.5},
 	} {
 		fp := MeasureFootprint(c.model)
 		if fp.BarrierTicks <= 0 || fp.BroadcastTicks <= 0 {
@@ -193,6 +198,9 @@ func TestFootprintBudget(t *testing.T) {
 		if fp.BytesPerCore > c.kb*1024 {
 			t.Errorf("%d cores retain %.0f B/core, budget %.0f KB/core", fp.Cores, fp.BytesPerCore, c.kb)
 		}
-		t.Logf("%d cores retain %.0f B/core", fp.Cores, fp.BytesPerCore)
+		if mb := float64(fp.AllocBytes) / (1 << 20); mb > c.allocMB {
+			t.Errorf("%d cores allocate %.2f MB, budget %.2f MB", fp.Cores, mb, c.allocMB)
+		}
+		t.Logf("%d cores retain %.0f B/core, allocate %d B", fp.Cores, fp.BytesPerCore, fp.AllocBytes)
 	}
 }

@@ -30,6 +30,10 @@ type FootprintResult struct {
 	// PeakHeapMB is the high-water HeapAlloc observed right after the
 	// run, before the post-run GC.
 	PeakHeapMB float64 `json:"peak_heap_mb"`
+	// AllocBytes is the heap allocated over build and run (the
+	// TotalAlloc delta), freed or not: what a fresh chip costs the
+	// allocator and the collector.
+	AllocBytes uint64 `json:"alloc_bytes"`
 	// WallMs is the host wall-clock time of build + run.
 	WallMs float64 `json:"wall_ms"`
 	// BarrierTicks / BroadcastTicks are the virtual latencies of the
@@ -94,6 +98,7 @@ func MeasureFootprint(model *timing.Model) FootprintResult {
 		LiveBytes:      live,
 		BytesPerCore:   float64(live) / float64(cores),
 		PeakHeapMB:     float64(peak.HeapAlloc) / (1 << 20),
+		AllocBytes:     peak.TotalAlloc - before.TotalAlloc,
 		WallMs:         float64(wall.Nanoseconds()) / 1e6,
 		BarrierTicks:   barrier,
 		BroadcastTicks: bcast,

@@ -88,8 +88,8 @@ func TestDirtyMemoryReadsZero(t *testing.T) {
 		if !bytes.Equal(page, make([]byte, 8192)) {
 			t.Errorf("core %d: unwritten MPB reads non-zero", c.ID)
 		}
-		if c.ID == 0 && (b.mpb.nPages != 0 || len(b.mpb.leaves) != 0) {
-			t.Errorf("reading unwritten MPB cut %d pages and %d leaves", b.mpb.nPages, len(b.mpb.leaves))
+		if c.ID == 0 && (b.mpb.nPages != 0 || b.mpb.nLeaves != 0) {
+			t.Errorf("reading unwritten MPB cut %d pages and %d leaves", b.mpb.nPages, b.mpb.nLeaves)
 		}
 		// Cutting a page A dirtied must not bring A's bytes back with it.
 		c.SetFlag(base+7, 1)

@@ -20,26 +20,32 @@ type cacheLevel struct {
 	tail     *cacheNode
 	used     int // resident lines
 
-	// slabs back every node in fixed-size chunks allocated on demand, so
-	// a core's cache storage grows with the lines it actually touches,
-	// never with the level's nominal capacity (a 256 KB L2 would
-	// otherwise pin 8192 node structs per core on a chip where most
-	// cores touch a handful of lines). Chunks are cut at full length and
-	// handed out node by node, so node pointers stay valid for the
-	// chunk's lifetime and a recycled level (see recycle) refills the
-	// chunks it kept in place.
-	slabs     [][]cacheNode
-	allocated int // nodes handed out across all chunks
+	// slabs back every node in chunks allocated on demand, so a core's
+	// cache storage grows with the lines it actually touches, never with
+	// the level's nominal capacity (a 256 KB L2 would otherwise pin 8192
+	// node structs per core on a chip where most cores touch a handful
+	// of lines). Chunks are cut at full length and handed out node by
+	// node, so node pointers stay valid for the chunk's lifetime and a
+	// recycled level (see recycle) refills the chunks it kept in place.
+	slabs    [][]cacheNode
+	nextSlot int // slot of the next node handed out, less one
 }
 
 // cacheChunk is the slab growth quantum in nodes: small enough that a
 // barely-active core stays cheap, large enough that a hot core cuts a
-// new chunk rarely.
-const cacheChunk = 64
+// new chunk rarely. The first chunk is only cacheFirst nodes: at 10,000
+// cores most levels touch a line or a few, and a full first chunk per
+// level would be 20 MB of a fresh 100x100 chip. Slots keep the
+// cacheChunk grid (1-8 in the first chunk, 65-128 in the second), so
+// get stays one divide.
+const (
+	cacheFirst = 8
+	cacheChunk = 64
+)
 
 type cacheNode struct {
 	line       int64
-	slot       int32 // 1-based index in slab, stable for the node's lifetime
+	slot       int32 // 1-based grid index, stable for the node's lifetime
 	prev, next *cacheNode
 }
 
@@ -76,12 +82,15 @@ func (c *cacheLevel) setIdx(line int64, slot int32) {
 // newNode hands out node storage from the chunked slabs, cutting a new
 // chunk only when the current one is used up.
 func (c *cacheLevel) newNode(line int64) *cacheNode {
-	if c.allocated/cacheChunk == len(c.slabs) {
-		c.slabs = append(c.slabs, make([]cacheNode, cacheChunk))
+	s := c.nextSlot
+	if s/cacheChunk == len(c.slabs) { // s is 0 for the first chunk
+		c.slabs = append(c.slabs, make([]cacheNode, min(cacheFirst+s, cacheChunk)))
 	}
-	n := &c.slabs[c.allocated/cacheChunk][c.allocated%cacheChunk]
-	c.allocated++
-	*n = cacheNode{line: line, slot: int32(c.allocated)}
+	if c.nextSlot++; c.nextSlot == cacheFirst {
+		c.nextSlot = cacheChunk
+	}
+	n := &c.slabs[s/cacheChunk][s%cacheChunk]
+	*n = cacheNode{line: line, slot: int32(s + 1)}
 	return n
 }
 
