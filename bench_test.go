@@ -127,15 +127,13 @@ func BenchmarkRingVsRecursiveDoubling(b *testing.B) {
 	lat := func(n int, recdouble bool) float64 {
 		chip := scc.New(timing.Default())
 		comm := rcce.NewComm(chip)
+		cfg := core.ConfigLightweight
+		if recdouble {
+			cfg.Selector = core.Fixed("recdouble")
+		}
 		chip.Launch(func(c *scc.Core) {
-			x := core.NewCtx(comm.UE(c.ID), core.ConfigLightweight)
-			src := c.AllocF64(n)
-			dst := c.AllocF64(n)
-			if recdouble {
-				x.AllreduceRecursiveDoubling(src, dst, n, core.Sum)
-			} else {
-				x.Allreduce(src, dst, n, core.Sum)
-			}
+			x := core.NewCtx(comm.UE(c.ID), cfg)
+			x.Allreduce(c.AllocF64(n), c.AllocF64(n), n, core.Sum)
 		})
 		if err := chip.Run(); err != nil {
 			b.Fatal(err)

@@ -5,7 +5,11 @@ import (
 	"testing"
 
 	"scc/internal/core"
+	"scc/internal/fabric"
 	"scc/internal/gcmc"
+	"scc/internal/rcce"
+	"scc/internal/rckmpi"
+	"scc/internal/scc"
 	"scc/internal/simtime"
 	"scc/internal/timing"
 )
@@ -202,5 +206,39 @@ func TestFootprintBudget(t *testing.T) {
 			t.Errorf("%d cores allocate %.2f MB, budget %.2f MB", fp.Cores, mb, c.allocMB)
 		}
 		t.Logf("%d cores retain %.0f B/core, allocate %d B", fp.Cores, fp.BytesPerCore, fp.AllocBytes)
+	}
+}
+
+// TestRCKMPIThroughRunOpAllocatesNothing: runOp calls the RCKMPI library
+// through the same interface as a core context. An rckmpi.Lib is one
+// pointer wide, so that costs nothing over calling the value directly;
+// were Lib a pointer again, or a value with a second field, every core
+// program would put one object on the heap (48 per chip run).
+func TestRCKMPIThroughRunOpAllocatesNothing(t *testing.T) {
+	const n = 8
+	allocs := func(call func(ue *rcce.UE, src, dst scc.Addr) error) float64 {
+		return testing.AllocsPerRun(10, func() {
+			sys := fabric.New(timing.Default(), 1)
+			defer sys.Release()
+			sys.Launch(func(_ int, c *scc.Core) {
+				if err := call(sys.Comms[0].UE(c.ID), c.AllocF64(n), c.AllocF64(n)); err != nil {
+					panic(err)
+				}
+			})
+			if err := sys.Run(); err != nil {
+				panic(err)
+			}
+		})
+	}
+	direct := allocs(func(ue *rcce.UE, src, dst scc.Addr) error {
+		return rckmpi.New(ue).Allreduce(src, dst, n, core.Sum)
+	})
+	viaRunOp := allocs(func(ue *rcce.UE, src, dst scc.Addr) error {
+		return runOp(rckmpi.New(ue), OpAllreduce, src, dst, n)
+	})
+	// A leak is one object per core; a quarter of that absorbs the
+	// pools' jitter across chip runs.
+	if slack := float64(timing.Default().NumCores()) / 4; viaRunOp > direct+slack {
+		t.Fatalf("RCKMPI Allreduce through runOp: %.1f objects per chip run, directly: %.1f", viaRunOp, direct)
 	}
 }

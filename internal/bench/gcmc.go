@@ -46,11 +46,9 @@ func RunGCMC(model *timing.Model, st Stack, p gcmc.Params) GCMCResult {
 	out.Stack = st
 	sys.Launch(func(_ int, c *scc.Core) {
 		ue := comm.UE(c.ID)
-		var collectives gcmc.Collectives
-		if st.RCKMPI {
-			collectives = gcmc.RCKMPIStack{Lib: rckmpi.New(ue)}
-		} else {
-			collectives = gcmc.CoreStack{Ctx: core.NewCtx(ue, st.Cfg)}
+		var collectives gcmc.Collectives = rckmpi.New(ue)
+		if !st.RCKMPI {
+			collectives = core.NewCtx(ue, st.Cfg)
 		}
 		sim := gcmc.New(c, collectives, comm.NumUEs(), p)
 		res := sim.Run()

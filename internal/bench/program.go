@@ -79,29 +79,20 @@ func stageInput(c *scc.Core, srcN, dstN int, first, step float64) (src, dst scc.
 	return src, dst
 }
 
-// runOp executes one collective of n doubles per rank: through the MPI
-// library when mp is set (the RCKMPI comparator), through the
-// collectives context x otherwise.
-func runOp(x *core.Ctx, mp *rckmpi.Lib, op Op, src, dst scc.Addr, n int) error {
-	if mp != nil {
-		switch op {
-		case OpAllgather:
-			mp.Allgather(src, n, dst)
-		case OpAlltoall:
-			mp.Alltoall(src, dst, n)
-		case OpReduceScatter:
-			mp.ReduceScatter(src, dst, n, rckmpi.Op(core.Sum))
-		case OpBroadcast:
-			mp.Bcast(0, src, n)
-		case OpReduce:
-			mp.Reduce(0, src, dst, n, rckmpi.Op(core.Sum))
-		case OpAllreduce:
-			mp.Allreduce(src, dst, n, rckmpi.Op(core.Sum))
-		default:
-			panic("bench: unknown op " + string(op))
-		}
-		return nil
-	}
+// collectives is the operation set runOp and the repetition barrier
+// call: a *core.Ctx or, for the RCKMPI comparator, an rckmpi.Lib.
+type collectives interface {
+	Barrier() error
+	Allgather(src scc.Addr, nPer int, dst scc.Addr) error
+	Alltoall(src, dst scc.Addr, nPer int) error
+	ReduceScatter(src, dst scc.Addr, n int, op core.Op) ([]core.Block, error)
+	Broadcast(root int, addr scc.Addr, n int) error
+	Reduce(root int, src, dst scc.Addr, n int, op core.Op) error
+	Allreduce(src, dst scc.Addr, n int, op core.Op) error
+}
+
+// runOp executes one collective of n doubles per rank on stack x.
+func runOp(x collectives, op Op, src, dst scc.Addr, n int) error {
 	switch op {
 	case OpAllgather:
 		return x.Allgather(src, n, dst)
@@ -190,13 +181,10 @@ func (pr *program) runOn(sys *fabric.System) (simtime.Duration, error) {
 		}
 		records := chip == 0 && c.ID == 0
 		ue := sys.Comms[chip].UE(c.ID)
-		// The MPI library is only ever called directly from here, so it
-		// stays off the heap: handing it to a callback would cost one
-		// object per core program.
 		var x *core.Ctx
-		var mp *rckmpi.Lib
+		var stack collectives
 		if pr.rckmpi {
-			mp = rckmpi.New(ue)
+			stack = rckmpi.New(ue)
 		} else {
 			var err error
 			if x, err = pr.ctx(sys, chip, ue); err != nil {
@@ -205,6 +193,7 @@ func (pr *program) runOn(sys *fabric.System) (simtime.Duration, error) {
 				}
 				return
 			}
+			stack = x
 		}
 		srcN, dstN := extents(pr.op, pr.n, np)
 		src, dst := stageInput(c, srcN, dstN, float64(c.ID), 0.001)
@@ -215,7 +204,7 @@ func (pr *program) runOn(sys *fabric.System) (simtime.Duration, error) {
 		for r := -1; r < reps; r++ {
 			if pr.ueBarrier {
 				ue.Barrier()
-			} else if err := x.Barrier(); err != nil {
+			} else if err := stack.Barrier(); err != nil {
 				panic(err)
 			}
 			var t0 simtime.Time
@@ -226,7 +215,7 @@ func (pr *program) runOn(sys *fabric.System) (simtime.Duration, error) {
 			if pr.direct != nil {
 				err = pr.direct(x, src, dst)
 			} else {
-				err = runOp(x, mp, pr.op, src, dst, pr.n)
+				err = runOp(stack, pr.op, src, dst, pr.n)
 			}
 			if err != nil {
 				panic(err)

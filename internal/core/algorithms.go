@@ -100,9 +100,14 @@ func (treeAlg) Reduce(x *Ctx, root int, src, dst scc.Addr, n int, op Op) error {
 	return x.reduceTree(root, src, dst, n, op)
 }
 
-// recdoubleAlg is log-depth Allreduce moving the full vector each
-// level: wins on latency-dominated sizes, loses on copy-dominated ones
+// recdoubleAlg is log-depth Allreduce moving the full vector each level
 // (see recdouble.go for the fold handling of non-power-of-two p).
+//
+// The tradeoff against the ring (Sec. IV's choice for long vectors):
+// recursive doubling moves the FULL vector log2(p) times per core, the
+// ring moves it ~2x total in p-sized pieces - so doubling wins on
+// latency-dominated short vectors and loses on copy-dominated long
+// ones. BenchmarkRingVsRecursiveDoubling locates the crossover.
 type recdoubleAlg struct{}
 
 func (recdoubleAlg) Name() string { return "recdouble" }

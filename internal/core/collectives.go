@@ -257,11 +257,11 @@ func NewCtxWith(ue *rcce.UE, cfg Config, o CtxOpts) (*Ctx, error) {
 		return nil, fmt.Errorf("core: %w: core %d is not a member of the group", ErrInvalid, ue.ID())
 	}
 	cfg = cfg.withSelfHealDefaults()
-	ep, err := newEndpoint(ue, cfg)
-	if err != nil {
+	x := &Ctx{ue: ue, cfg: cfg, grp: g, fab: f, healer: h, scratchLen: -1}
+	var err error
+	if x.ep, err = newEndpoint(ue, cfg, x); err != nil {
 		return nil, err
 	}
-	x := &Ctx{ue: ue, ep: ep, cfg: cfg, grp: g, fab: f, healer: h, scratchLen: -1}
 	x.adoptScratch()
 	if h == nil && cfg.SelfHeal != nil {
 		x.healer = NewHealer(ue, *cfg.SelfHeal)

@@ -14,9 +14,8 @@ import (
 )
 
 // Every collective enters through Ctx.collective, so its guards hold for
-// all of them by construction. These tests exercise each guard on the
-// operations a hand-copied prologue is most easily left off: the V
-// variants and the algorithm-named entry points.
+// all of them by construction. These tests exercise each guard on every
+// operation, the V variants included.
 
 // TestEveryChipLocalCollectiveRefusesAFabric: on a 2-chip context every
 // operation without a hierarchical composition returns ErrCrossChip and
@@ -43,20 +42,17 @@ func TestEveryChipLocalCollectiveRefusesAFabric(t *testing.T) {
 			t0 := c.Now()
 			_, rsErr := x.ReduceScatter(src, dst, np, Sum)
 			for name, err := range map[string]error{
-				"AllgatherV":                 x.AllgatherV(src, blocks, dst),
-				"AlltoallV":                  x.AlltoallV(src, blocks, dst, blocks),
-				"GatherV":                    x.GatherV(0, src, blocks, dst),
-				"ScatterV":                   x.ScatterV(0, src, blocks, dst),
-				"Allgather":                  x.Allgather(src, 1, dst),
-				"Alltoall":                   x.Alltoall(src, dst, 1),
-				"Gather":                     x.Gather(0, src, 1, dst),
-				"Scatter":                    x.Scatter(0, src, 1, dst),
-				"Scan":                       x.Scan(src, dst, 1, Sum),
-				"Reduce":                     x.Reduce(0, src, dst, 1, Sum),
-				"ReduceScatter":              rsErr,
-				"ReduceTree":                 x.ReduceTree(0, src, dst, 1, Sum),
-				"BroadcastTree":              x.BroadcastTree(0, dst, 1),
-				"AllreduceRecursiveDoubling": x.AllreduceRecursiveDoubling(src, dst, 1, Sum),
+				"AllgatherV":    x.AllgatherV(src, blocks, dst),
+				"AlltoallV":     x.AlltoallV(src, blocks, dst, blocks),
+				"GatherV":       x.GatherV(0, src, blocks, dst),
+				"ScatterV":      x.ScatterV(0, src, blocks, dst),
+				"Allgather":     x.Allgather(src, 1, dst),
+				"Alltoall":      x.Alltoall(src, dst, 1),
+				"Gather":        x.Gather(0, src, 1, dst),
+				"Scatter":       x.Scatter(0, src, 1, dst),
+				"Scan":          x.Scan(src, dst, 1, Sum),
+				"Reduce":        x.Reduce(0, src, dst, 1, Sum),
+				"ReduceScatter": rsErr,
 			} {
 				if !errors.Is(err, ErrCrossChip) {
 					t.Errorf("chip %d core %d: %s = %v, want ErrCrossChip", f.Chip, c.ID, name, err)

@@ -215,7 +215,7 @@ func TestGroupCollectivesRootTranslation(t *testing.T) {
 				rootGot = make([]float64, n)
 				core.ReadF64s(dst, rootGot)
 				// Root 4 is alive on the chip but not a member: invalid.
-				badRootErr = x.BroadcastTree(4, dst, n)
+				badRootErr = x.Broadcast(4, dst, n)
 			}
 		})
 	}
@@ -229,5 +229,68 @@ func TestGroupCollectivesRootTranslation(t *testing.T) {
 	}
 	if !errors.Is(badRootErr, ErrInvalid) {
 		t.Fatalf("non-member root: %v, want ErrInvalid", badRootErr)
+	}
+}
+
+// TestBlockingRingOverSameParityGroup: the blocking transport orders an
+// exchange by communicator rank. Ordered by core ID, every member of a
+// group whose IDs share one parity sent first, and the ring deadlocked:
+// Allgather always, Allreduce under every ring-based algorithm.
+func TestBlockingRingOverSameParityGroup(t *testing.T) {
+	const n = 12
+	for _, members := range [][]int{{0, 2}, {1, 3}, {0, 2, 4}, {1, 3, 5, 7}, {0, 2, 3}} {
+		for _, algo := range AlgorithmNames(KindAllreduce) {
+			chip := scc.New(timing.Topology(2, 2, 2))
+			comm := rcce.NewComm(chip)
+			g, err := NewGroup(members, chip.NumCores())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := ConfigBlocking
+			cfg.Selector = Fixed(algo)
+			in := makeInputs(chip.NumCores(), n, 5)
+			want := make([]float64, n)
+			for _, id := range members {
+				for i, v := range in[id] {
+					want[i] += v
+				}
+			}
+			for _, id := range members {
+				chip.LaunchOne(id, func(c *scc.Core) {
+					x, err := NewCtxGroup(comm.UE(id), cfg, g)
+					if err != nil {
+						panic(err)
+					}
+					src, dst, all := c.AllocF64(n), c.AllocF64(n), c.AllocF64(len(members)*n)
+					c.WriteF64s(src, in[id])
+					if err := x.Allreduce(src, dst, n, Sum); err != nil {
+						panic(err)
+					}
+					if err := x.Allgather(src, n, all); err != nil {
+						panic(err)
+					}
+					sum, gathered := make([]float64, n), make([]float64, len(members)*n)
+					c.ReadF64s(dst, sum)
+					c.ReadF64s(all, gathered)
+					for i := range want {
+						if math.Abs(sum[i]-want[i]) > 1e-9 {
+							t.Errorf("%v %s: core %d sum[%d] = %v, want %v", members, algo, id, i, sum[i], want[i])
+							return
+						}
+					}
+					for r, m := range members {
+						for i := 0; i < n; i++ {
+							if gathered[r*n+i] != in[m][i] {
+								t.Errorf("%v %s: core %d block %d wrong", members, algo, id, r)
+								return
+							}
+						}
+					}
+				})
+			}
+			if err := chip.Run(); err != nil {
+				t.Fatalf("group %v, Allreduce %q then Allgather: %v", members, algo, err)
+			}
+		}
 	}
 }

@@ -2,22 +2,12 @@ package core
 
 import "scc/internal/scc"
 
-// AllreduceRecursiveDoubling is the log-depth Allreduce alternative:
-// ceil(log2 p) full-vector exchange+reduce steps instead of the ring's
-// 2(p-1) block rounds. For non-power-of-two communicators the standard
-// fold applies: the first 2*(p - 2^k) ranks collapse pairwise onto the
-// odd member, the surviving 2^k ranks run the doubling, and the folded
-// ranks receive the result afterwards.
-//
-// The tradeoff against the ring (Sec. IV's choice for long vectors):
-// recursive doubling moves the FULL vector log2(p) times per core, the
-// ring moves it ~2x total in p-sized pieces - so doubling wins on
-// latency-dominated short vectors and loses on copy-dominated long
-// ones. BenchmarkRingVsRecursiveDoubling locates the crossover.
-func (x *Ctx) AllreduceRecursiveDoubling(src, dst scc.Addr, n int, op Op) error {
-	return x.collective("AllreduceRecursiveDoubling", n, false, func() error { return x.allreduceRecDouble(src, dst, n, op) })
-}
-
+// allreduceRecDouble is the "recdouble" Allreduce: ceil(log2 p)
+// full-vector exchange+reduce steps instead of the ring's 2(p-1) block
+// rounds. For non-power-of-two communicators the standard fold applies:
+// the first 2*(p - 2^k) ranks collapse pairwise onto the odd member, the
+// surviving 2^k ranks run the doubling, and the folded ranks receive the
+// result afterwards.
 func (x *Ctx) allreduceRecDouble(src, dst scc.Addr, n int, op Op) error {
 	p := x.NP()
 	me := x.Rank()

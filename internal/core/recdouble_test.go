@@ -17,12 +17,14 @@ func runRecDouble(t *testing.T, m *timing.Model, cfg Config, n int, seed int64) 
 	p := chip.NumCores()
 	in := makeInputs(p, n, seed)
 	out := make([][]float64, p)
+	pinned := cfg
+	pinned.Selector = Fixed("recdouble")
 	chip.Launch(func(c *scc.Core) {
-		x := NewCtx(comm.UE(c.ID), cfg)
+		x := NewCtx(comm.UE(c.ID), pinned)
 		src := c.AllocF64(n)
 		dst := c.AllocF64(n)
 		c.WriteF64s(src, in[c.ID])
-		x.AllreduceRecursiveDoubling(src, dst, n, Sum)
+		x.Allreduce(src, dst, n, Sum)
 		got := make([]float64, n)
 		c.ReadF64s(dst, got)
 		out[c.ID] = got
@@ -69,15 +71,17 @@ func TestRingVsRecursiveDoublingCrossover(t *testing.T) {
 	lat := func(n int, recdouble bool) simtime.Time {
 		chip := scc.New(timing.Default())
 		comm := rcce.NewComm(chip)
+		cfg := ConfigLightweight
+		cfg.Selector = Fixed("recdouble")
 		chip.Launch(func(c *scc.Core) {
-			x := NewCtx(comm.UE(c.ID), ConfigLightweight)
+			x := NewCtx(comm.UE(c.ID), cfg)
 			src := c.AllocF64(n)
 			dst := c.AllocF64(n)
 			if recdouble {
-				x.AllreduceRecursiveDoubling(src, dst, n, Sum)
+				x.Allreduce(src, dst, n, Sum)
 				x.Barrier()
 				t0 := c.Now()
-				x.AllreduceRecursiveDoubling(src, dst, n, Sum)
+				x.Allreduce(src, dst, n, Sum)
 				_ = t0
 			} else {
 				// Force the ring (bypass the short-message selection).

@@ -164,8 +164,12 @@ func TestTreeVariantsMatchLongVariants(t *testing.T) {
 			chip := scc.New(timing.Default())
 			comm := rcce.NewComm(chip)
 			out := make([]float64, n)
+			cfg := ConfigBalanced
+			if forceTree {
+				cfg.Selector = Fixed("tree")
+			}
 			chip.Launch(func(c *scc.Core) {
-				x := NewCtx(comm.UE(c.ID), ConfigBalanced)
+				x := NewCtx(comm.UE(c.ID), cfg)
 				src := c.AllocF64(n)
 				dst := c.AllocF64(n)
 				v := make([]float64, n)
@@ -173,11 +177,7 @@ func TestTreeVariantsMatchLongVariants(t *testing.T) {
 					v[i] = float64(c.ID) + float64(i)
 				}
 				c.WriteF64s(src, v)
-				if forceTree {
-					x.ReduceTree(3, src, dst, n, Sum)
-				} else {
-					x.Reduce(3, src, dst, n, Sum)
-				}
+				x.Reduce(3, src, dst, n, Sum)
 				if c.ID == 3 {
 					c.ReadF64s(dst, out)
 				}

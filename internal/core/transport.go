@@ -78,8 +78,9 @@ type Endpoint interface {
 	Recv(from int, addr scc.Addr, nBytes int) error
 	// Exchange performs one ring/pairwise round: send to `to` and
 	// receive from `from`, completing both before returning. With a
-	// blocking transport the two legs are ordered odd-even (Fig. 4);
-	// with non-blocking transports both are posted at once (Fig. 5).
+	// blocking transport the two legs are ordered odd-even by
+	// communicator rank (Fig. 4); with non-blocking transports both are
+	// posted at once (Fig. 5).
 	Exchange(to int, sendAddr scc.Addr, sendBytes int, from int, recvAddr scc.Addr, recvBytes int) error
 	// ExchangePair exchanges with a single symmetric partner (both
 	// directions with the same peer). The blocking transport orders the
@@ -89,9 +90,10 @@ type Endpoint interface {
 }
 
 // NewEndpoint builds the fault-free endpoint of the given kind for one
-// UE. An unknown kind is a programmer error and panics.
+// UE, ranked by core ID (the full chip). An unknown kind is a
+// programmer error and panics.
 func NewEndpoint(ue *rcce.UE, kind TransportKind) Endpoint {
-	ep, err := newEndpoint(ue, Config{Transport: kind})
+	ep, err := newEndpoint(ue, Config{Transport: kind}, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -99,9 +101,10 @@ func NewEndpoint(ue *rcce.UE, kind TransportKind) Endpoint {
 }
 
 // newEndpoint builds the endpoint for a configuration: the plain
-// transport, or its hardened counterpart when Recovery is set. It
-// returns ErrInvalid for an unknown transport kind.
-func newEndpoint(ue *rcce.UE, cfg Config) (Endpoint, error) {
+// transport, or its hardened counterpart when Recovery is set. x is the
+// context whose ranks order a blocking exchange (nil: the full chip).
+// It returns ErrInvalid for an unknown transport kind.
+func newEndpoint(ue *rcce.UE, cfg Config, x *Ctx) (Endpoint, error) {
 	if !cfg.Transport.valid() {
 		return nil, fmt.Errorf("core: %w: unknown transport kind %d", ErrInvalid, int(cfg.Transport))
 	}
@@ -110,17 +113,21 @@ func newEndpoint(ue *rcce.UE, cfg Config) (Endpoint, error) {
 	case cfg.Recovery != nil:
 		return &robustEP{ue: ue, costs: costs, pol: *cfg.Recovery}, nil
 	case cfg.Transport == TransportBlocking:
-		return &blockingEP{ue: ue}, nil
+		return &blockingEP{ue: ue, x: x}, nil
 	}
 	return &nbEP{ue: ue, costs: costs}, nil
 }
 
 // blockingEP drives plain RCCE. Exchange must order its two blocking
-// calls so that the cyclic pattern cannot deadlock: odd cores receive
-// first, even cores send first (the RCCE_comm odd-even scheme whose
-// barrier-like over-synchronization Sec. IV-A identifies).
+// calls so that the cyclic pattern cannot deadlock: odd ranks receive
+// first, even ranks send first (the RCCE_comm odd-even scheme whose
+// barrier-like over-synchronization Sec. IV-A identifies). The parity
+// is the communicator rank's, which the ring runs over: on a group
+// whose core IDs share one parity, ID parity would have every member
+// send first.
 type blockingEP struct {
 	ue *rcce.UE
+	x  *Ctx // the ranking context; nil ranks by core ID
 }
 
 func (e *blockingEP) Send(to int, addr scc.Addr, n int) error {
@@ -134,7 +141,11 @@ func (e *blockingEP) Recv(from int, addr scc.Addr, n int) error {
 }
 
 func (e *blockingEP) Exchange(to int, sAddr scc.Addr, sBytes int, from int, rAddr scc.Addr, rBytes int) error {
-	if e.ue.ID()%2 == 0 {
+	rank := e.ue.ID()
+	if e.x != nil {
+		rank = e.x.Rank()
+	}
+	if rank%2 == 0 {
 		e.ue.Send(to, sAddr, sBytes)
 		e.ue.Recv(from, rAddr, rBytes)
 	} else {

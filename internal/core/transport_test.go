@@ -76,7 +76,7 @@ func pingPong(t *testing.T, m *timing.Model, cfg Config) simtime.Time {
 	comm := rcce.NewComm(chip)
 	for id := 0; id < 2; id++ {
 		chip.LaunchOne(id, func(c *scc.Core) {
-			ep, err := newEndpoint(comm.UE(id), cfg)
+			ep, err := newEndpoint(comm.UE(id), cfg, nil)
 			if err != nil {
 				panic(err)
 			}

@@ -18,16 +18,12 @@ import (
 // per-round handshakes dominate any bandwidth advantage.
 const shortMessageThresholdBytes = 512
 
-// BroadcastTree distributes n float64 values from root (a core ID) along
-// a binomial tree, regardless of size.
-func (x *Ctx) BroadcastTree(root int, addr scc.Addr, n int) error {
-	return x.collective("BroadcastTree", n, false, func() error { return x.broadcastTree(root, addr, n) })
-}
-
-// broadcastTree runs rcce's stage-once BroadcastTree where treePrimitives
-// holds, and otherwise one transport rendezvous per tree edge.
+// broadcastTree distributes n float64 values from root (a core ID) along
+// a binomial tree, regardless of size: rcce's stage-once BroadcastTree
+// where treePrimitives holds, and otherwise one transport rendezvous per
+// tree edge.
 func (x *Ctx) broadcastTree(root int, addr scc.Addr, n int) error {
-	rootR, err := x.RootRank("BroadcastTree", root)
+	rootR, err := x.RootRank("Broadcast", root)
 	if err != nil || x.NP() == 1 || n == 0 {
 		return err
 	}
@@ -49,15 +45,11 @@ func (x *Ctx) broadcastTree(root int, addr scc.Addr, n int) error {
 	return nil
 }
 
-// ReduceTree reduces to root (a core ID) along a binomial tree: each
+// reduceTree reduces to root (a core ID) along a binomial tree: each
 // inner node combines its children's partials before forwarding one
 // message up. dst is only meaningful on the root; src is left untouched.
-func (x *Ctx) ReduceTree(root int, src, dst scc.Addr, n int, op Op) error {
-	return x.collective("ReduceTree", n, false, func() error { return x.reduceTree(root, src, dst, n, op) })
-}
-
 func (x *Ctx) reduceTree(root int, src, dst scc.Addr, n int, op Op) error {
-	rootR, err := x.RootRank("ReduceTree", root)
+	rootR, err := x.RootRank("Reduce", root)
 	if err != nil {
 		return err
 	}

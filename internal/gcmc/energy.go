@@ -1,6 +1,10 @@
 package gcmc
 
-import "math"
+import (
+	"math"
+
+	"scc/internal/core"
+)
 
 // This file implements the energy model: short-range Lennard-Jones plus
 // real-space Ewald electrostatics (incrementally updatable, Algorithm 1
@@ -63,7 +67,7 @@ func (s *Simulation) sumOverCores(local float64, flops int) float64 {
 	s.core.ComputeCycles(s.core.Chip().Model.FlopCoreCycles * int64(flops))
 	s.one[0] = local
 	s.core.WriteF64s(s.oneSrc, s.one)
-	s.comm.Allreduce(s.oneSrc, s.oneDst, 1)
+	must(s.comm.Allreduce(s.oneSrc, s.oneDst, 1, core.Sum))
 	s.core.ReadF64s(s.oneDst, s.one)
 	return s.one[0]
 }
@@ -168,7 +172,7 @@ func (s *Simulation) longEn() float64 {
 
 	// ALLREDUCE(F_local, F_tot, SUM) - the paper's 552-double call.
 	s.core.WriteF64s(s.fSrc, f)
-	s.comm.Allreduce(s.fSrc, s.fDst, 2*nk)
+	must(s.comm.Allreduce(s.fSrc, s.fDst, 2*nk, core.Sum))
 	s.allreduce++
 	ftot := s.ftot
 	s.core.ReadF64s(s.fDst, ftot)

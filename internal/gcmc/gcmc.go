@@ -25,20 +25,33 @@ import (
 	"math"
 	"math/rand"
 
+	"scc/internal/core"
 	"scc/internal/scc"
 	"scc/internal/simtime"
 )
 
-// Collectives is the communication interface the application needs; it
-// is implemented by adapters over the optimized collectives (package
-// core) and over RCKMPI (package rckmpi) - see stacks.go.
+// Collectives is the communication interface the application needs: the
+// error-returning Allreduce, Broadcast and Barrier that *core.Ctx (as
+// CoreStack) and rckmpi.Lib both have. The application sums with
+// core.Sum and panics on an error; the simulator's run reports it.
 type Collectives interface {
-	// Allreduce sums n float64 values element-wise across all cores.
-	Allreduce(src, dst scc.Addr, n int)
+	// Allreduce reduces n float64 values element-wise across all cores.
+	Allreduce(src, dst scc.Addr, n int, op core.Op) error
 	// Broadcast distributes n float64 values from root to all cores.
-	Broadcast(root int, addr scc.Addr, n int)
+	Broadcast(root int, addr scc.Addr, n int) error
 	// Barrier synchronizes all cores.
-	Barrier()
+	Barrier() error
+}
+
+// CoreStack runs the application over the optimized collectives of
+// package core: the context's own methods are Collectives.
+type CoreStack struct{ *core.Ctx }
+
+// must fails the run with a collective's error.
+func must(err error) {
+	if err != nil {
+		panic(err)
+	}
 }
 
 // Params configures a GCMC run. DefaultParams matches the paper's
@@ -277,14 +290,14 @@ func (s *Simulation) run(afterStep func(cycle int)) Result {
 	start := c.Now()
 	prof0 := c.Prof()
 
-	s.comm.Barrier()
+	must(s.comm.Barrier())
 	s.enOld = s.totalEnergy() // InitialEnergy()
 
 	for cycle := 0; cycle < s.P.Cycles; cycle++ {
 		s.step()
 		afterStep(cycle)
 	}
-	s.comm.Barrier()
+	must(s.comm.Barrier())
 
 	prof1 := c.Prof()
 	return Result{
@@ -466,7 +479,7 @@ func (s *Simulation) broadcastUpdate(idx int) {
 		}
 		s.core.WriteF64s(s.bcastBuf, buf)
 	}
-	s.comm.Broadcast(root, s.bcastBuf, len(s.bcast))
+	must(s.comm.Broadcast(root, s.bcastBuf, len(s.bcast)))
 }
 
 // chargeMoveGeneration prices the bookkeeping of generating a trial move.

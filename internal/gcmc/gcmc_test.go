@@ -1,6 +1,7 @@
 package gcmc
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -259,8 +260,7 @@ func TestGCMCUnderRCKMPI(t *testing.T) {
 	commB := rcce.NewComm(chipB)
 	var viaMPI Result
 	chipB.Launch(func(c *scc.Core) {
-		lib := rckmpi.New(commB.UE(c.ID))
-		res := New(c, RCKMPIStack{Lib: lib}, commB.NumUEs(), p).Run()
+		res := New(c, rckmpi.New(commB.UE(c.ID)), commB.NumUEs(), p).Run()
 		if c.ID == 0 {
 			viaMPI = res
 		}
@@ -277,26 +277,51 @@ func TestGCMCUnderRCKMPI(t *testing.T) {
 	}
 }
 
-// TestCoreStackFailureFailsTheRun: the Collectives interface has no
-// error results, so a collective that fails must fail the chip run
-// instead of being dropped.
+// failingStack is CoreStack with one of the three operations replaced
+// by an error.
+type failingStack struct {
+	CoreStack
+	op  string
+	err error
+}
+
+func (s failingStack) Allreduce(src, dst scc.Addr, n int, op core.Op) error {
+	if s.op == "Allreduce" {
+		return s.err
+	}
+	return s.CoreStack.Allreduce(src, dst, n, op)
+}
+
+func (s failingStack) Broadcast(root int, addr scc.Addr, n int) error {
+	if s.op == "Broadcast" {
+		return s.err
+	}
+	return s.CoreStack.Broadcast(root, addr, n)
+}
+
+func (s failingStack) Barrier() error {
+	if s.op == "Barrier" {
+		return s.err
+	}
+	return s.CoreStack.Barrier()
+}
+
+// TestCoreStackFailureFailsTheRun: the application has no error results
+// of its own, so a collective that fails must fail the chip run with its
+// error instead of being dropped — whichever of the three it is.
 func TestCoreStackFailureFailsTheRun(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		call func(s CoreStack, buf scc.Addr)
-		want string
-	}{
-		{"allreduce", func(s CoreStack, buf scc.Addr) { s.Allreduce(buf, buf, -1) }, "negative count"},
-		{"broadcast", func(s CoreStack, buf scc.Addr) { s.Broadcast(-1, buf, 1) }, "root"},
-	} {
-		chip := scc.New(timing.Default())
+	p := testParams()
+	p.Cycles = 2
+	for _, op := range []string{"Allreduce", "Broadcast", "Barrier"} {
+		want := errors.New("stub " + op + " failed")
+		chip := scc.New(timing.Topology(2, 2, 2))
 		comm := rcce.NewComm(chip)
 		chip.Launch(func(c *scc.Core) {
-			tc.call(CoreStack{Ctx: core.NewCtx(comm.UE(c.ID), core.ConfigBalanced)}, c.AllocF64(1))
+			stack := failingStack{CoreStack{core.NewCtx(comm.UE(c.ID), core.ConfigBalanced)}, op, want}
+			New(c, stack, comm.NumUEs(), p).Run()
 		})
-		err := chip.Run()
-		if err == nil || !strings.Contains(err.Error(), core.ErrInvalid.Error()) || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: run error %v, want the collective's invalid-argument error (%s)", tc.name, err, tc.want)
+		if err := chip.Run(); err == nil || !strings.Contains(err.Error(), want.Error()) {
+			t.Errorf("%s: run error %v, want %q", op, err, want)
 		}
 	}
 }

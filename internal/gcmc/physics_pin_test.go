@@ -145,7 +145,7 @@ func coreStack(cfg core.Config) func(*rcce.UE) Collectives {
 	return func(ue *rcce.UE) Collectives { return CoreStack{Ctx: core.NewCtx(ue, cfg)} }
 }
 
-func rckmpiStack(ue *rcce.UE) Collectives { return RCKMPIStack{Lib: rckmpi.New(ue)} }
+func rckmpiStack(ue *rcce.UE) Collectives { return rckmpi.New(ue) }
 
 func summaryLine(r Result) string {
 	return fmt.Sprintf("final E=%#016x N=%d stats=%+v allreduce=%d wall=%d compute=%d flagwait=%d",

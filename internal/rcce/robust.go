@@ -170,13 +170,12 @@ func chunkSum(seq byte, payload []byte, epochSalt uint32) uint32 {
 // engine (runRobust) so a full-duplex exchange interleaves both without
 // deadlock.
 type robustOp struct {
-	u     *UE
-	pol   Policy
-	costs NBCosts
-	kind  ReqKind
-	peer  int
-	addr  scc.Addr
-	n     int
+	u    *UE
+	pol  Policy
+	kind ReqKind
+	peer int
+	addr scc.Addr
+	n    int
 
 	off      int  // bytes completed
 	seq      byte // sequence number of the chunk in flight / expected
@@ -191,7 +190,7 @@ type robustOp struct {
 // entry points pass the UE's opSend/opRecv fields, so a steady state of
 // robust transfers allocates no op records: a UE drives at most one
 // robust operation per direction at a time.
-func (u *UE) initRobustOp(r *robustOp, kind ReqKind, costs NBCosts, pol Policy, peer int, addr scc.Addr, n int) *robustOp {
+func (u *UE) initRobustOp(r *robustOp, kind ReqKind, pol Policy, peer int, addr scc.Addr, n int) *robustOp {
 	if peer == u.ID() {
 		panic(fmt.Sprintf("rcce: UE %d robust %v with itself", peer, kind))
 	}
@@ -209,7 +208,7 @@ func (u *UE) initRobustOp(r *robustOp, kind ReqKind, costs NBCosts, pol Policy, 
 		chunks = 1
 	}
 	*r = robustOp{
-		u: u, pol: pol, costs: costs, kind: kind, peer: peer, addr: addr, n: n,
+		u: u, pol: pol, kind: kind, peer: peer, addr: addr, n: n,
 		seq: seq, chunks: chunks, window: pol.Timeout,
 	}
 	return r
@@ -402,7 +401,8 @@ func (r *robustOp) onTimeout() error {
 // core watches every pending op's flag with one bounded multi-flag wait
 // and advances whichever fires. This is what makes a full-duplex
 // exchange deadlock-free with a single simulated process per core.
-func (u *UE) runRobust(ops []*robustOp) error {
+// wait is the hosting library's software cost of one wait round.
+func (u *UE) runRobust(wait int64, ops []*robustOp) error {
 	for _, r := range ops {
 		if r.kind == ReqSend {
 			r.stage()
@@ -438,7 +438,7 @@ func (u *UE) runRobust(ops []*robustOp) error {
 			settle()
 			return nil
 		}
-		u.core.OverheadCycles(u.costsWaitFor(pend))
+		u.core.OverheadCycles(wait)
 		limit := minDL - u.core.Now()
 		if limit < 1 {
 			limit = 1
@@ -463,18 +463,6 @@ func (u *UE) runRobust(ops []*robustOp) error {
 	}
 }
 
-// costsWaitFor charges one wait-round's software cost (the maximum of the
-// pending ops' Wait costs; they are identical in practice).
-func (u *UE) costsWaitFor(pend []*robustOp) int64 {
-	var c int64
-	for _, r := range pend {
-		if r.costs.Wait > c {
-			c = r.costs.Wait
-		}
-	}
-	return c
-}
-
 // SendRobust transmits nBytes to dest with the hardened protocol. costs
 // selects the software-overhead profile of the hosting library (blocking,
 // iRCCE or lightweight).
@@ -482,8 +470,8 @@ func (u *UE) SendRobust(costs NBCosts, pol Policy, dest int, addr scc.Addr, nByt
 	pol = pol.withDefaults()
 	u.core.OverheadCycles(costs.Post)
 	u.chargePartialLine(nBytes)
-	u.opsBuf[0] = u.initRobustOp(&u.opSend, ReqSend, costs, pol, dest, addr, nBytes)
-	return u.runRobust(u.opsBuf[:1])
+	u.opsBuf[0] = u.initRobustOp(&u.opSend, ReqSend, pol, dest, addr, nBytes)
+	return u.runRobust(costs.Wait, u.opsBuf[:1])
 }
 
 // RecvRobust receives nBytes from src with the hardened protocol.
@@ -491,8 +479,8 @@ func (u *UE) RecvRobust(costs NBCosts, pol Policy, src int, addr scc.Addr, nByte
 	pol = pol.withDefaults()
 	u.core.OverheadCycles(costs.Post)
 	u.chargePartialLine(nBytes)
-	u.opsBuf[0] = u.initRobustOp(&u.opRecv, ReqRecv, costs, pol, src, addr, nBytes)
-	return u.runRobust(u.opsBuf[:1])
+	u.opsBuf[0] = u.initRobustOp(&u.opRecv, ReqRecv, pol, src, addr, nBytes)
+	return u.runRobust(costs.Wait, u.opsBuf[:1])
 }
 
 // ExchangeRobust runs a hardened send to dest and receive from src
@@ -503,9 +491,9 @@ func (u *UE) ExchangeRobust(costs NBCosts, pol Policy, dest int, sAddr scc.Addr,
 	u.core.OverheadCycles(2 * costs.Post)
 	u.chargePartialLine(sBytes)
 	u.chargePartialLine(rBytes)
-	u.opsBuf[0] = u.initRobustOp(&u.opSend, ReqSend, costs, pol, dest, sAddr, sBytes)
-	u.opsBuf[1] = u.initRobustOp(&u.opRecv, ReqRecv, costs, pol, src, rAddr, rBytes)
-	return u.runRobust(u.opsBuf[:2])
+	u.opsBuf[0] = u.initRobustOp(&u.opSend, ReqSend, pol, dest, sAddr, sBytes)
+	u.opsBuf[1] = u.initRobustOp(&u.opRecv, ReqRecv, pol, src, rAddr, rBytes)
+	return u.runRobust(costs.Wait, u.opsBuf[:2])
 }
 
 // BarrierGroup synchronizes the given members (sorted core IDs, which

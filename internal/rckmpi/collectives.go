@@ -1,19 +1,47 @@
 package rckmpi
 
 import (
+	"fmt"
+
+	"scc/internal/core"
 	"scc/internal/rcce"
 	"scc/internal/scc"
 )
 
-// Op is an associative binary reduction operator (mirrors core.Op; the
-// package does not import internal/core to stay independently usable).
-type Op func(a, b float64) float64
-
 func mod(a, p int) int { return ((a % p) + p) % p }
 
-// Bcast broadcasts n float64 values at addr from root along a binomial
-// tree (the MPICH default for this message range).
-func (l *Lib) Bcast(root int, addr scc.Addr, n int) {
+// check refuses a negative count or a root outside [0, p) with
+// core.ErrInvalid before anything is simulated, as the core stacks do.
+// Past it the library never fails (only Scan, which it lacks, is
+// refused): it models a C MPI, and selectors, recovery and
+// self-healing do not reach it.
+func (l Lib) check(fn string, n, root int) error {
+	if n < 0 {
+		return fmt.Errorf("rckmpi: %s: %w: negative count %d", fn, core.ErrInvalid, n)
+	}
+	if np := l.ue.NumUEs(); root < 0 || root >= np {
+		return fmt.Errorf("rckmpi: %s: %w: root %d outside [0,%d)", fn, core.ErrInvalid, root, np)
+	}
+	return nil
+}
+
+// Barrier delegates to the underlying flag barrier.
+func (l Lib) Barrier() error {
+	l.ue.Barrier()
+	return nil
+}
+
+// Broadcast broadcasts n float64 values at addr from root along a
+// binomial tree (the MPICH default for this message range).
+func (l Lib) Broadcast(root int, addr scc.Addr, n int) error {
+	if err := l.check("Broadcast", n, root); err != nil {
+		return err
+	}
+	l.bcast(root, addr, n)
+	return nil
+}
+
+func (l Lib) bcast(root int, addr scc.Addr, n int) {
 	t := rcce.NewBinomial(root, l.ue.ID(), l.ue.NumUEs())
 	if parent := t.Parent; parent >= 0 {
 		l.Recv(parent, addr, 8*n)
@@ -25,7 +53,15 @@ func (l *Lib) Bcast(root int, addr scc.Addr, n int) {
 
 // Reduce reduces n float64 values element-wise to the root along a
 // binomial tree. dst is only meaningful on the root; src is unchanged.
-func (l *Lib) Reduce(root int, src, dst scc.Addr, n int, op Op) {
+func (l Lib) Reduce(root int, src, dst scc.Addr, n int, op core.Op) error {
+	if err := l.check("Reduce", n, root); err != nil {
+		return err
+	}
+	l.reduce(root, src, dst, n, op)
+	return nil
+}
+
+func (l Lib) reduce(root int, src, dst scc.Addr, n int, op core.Op) {
 	c := l.core()
 	m := c.Chip().Model
 
@@ -54,16 +90,23 @@ func (l *Lib) Reduce(root int, src, dst scc.Addr, n int, op Op) {
 	c.WriteF64s(dst, acc)
 }
 
-// Allreduce is RCKMPI's Reduce-to-0 followed by Bcast (the MPICH
+// Allreduce is RCKMPI's Reduce-to-0 followed by Broadcast (the MPICH
 // composition for this communicator size and message range).
-func (l *Lib) Allreduce(src, dst scc.Addr, n int, op Op) {
-	l.Reduce(0, src, dst, n, op)
-	l.Bcast(0, dst, n)
+func (l Lib) Allreduce(src, dst scc.Addr, n int, op core.Op) error {
+	if err := l.check("Allreduce", n, 0); err != nil {
+		return err
+	}
+	l.reduce(0, src, dst, n, op)
+	l.bcast(0, dst, n)
+	return nil
 }
 
 // Allgather gathers each core's nPer elements (at src) into dst
 // (p*nPer, rank-ordered) with the MPICH ring algorithm.
-func (l *Lib) Allgather(src scc.Addr, nPer int, dst scc.Addr) {
+func (l Lib) Allgather(src scc.Addr, nPer int, dst scc.Addr) error {
+	if err := l.check("Allgather", nPer, 0); err != nil {
+		return err
+	}
 	p := l.ue.NumUEs()
 	me := l.ue.ID()
 	// Place own contribution.
@@ -84,10 +127,14 @@ func (l *Lib) Allgather(src scc.Addr, nPer int, dst scc.Addr) {
 			l.Send(right, sAddr, 8*nPer)
 		}
 	}
+	return nil
 }
 
 // Alltoall performs the complete exchange with MPICH's pairwise schedule.
-func (l *Lib) Alltoall(src, dst scc.Addr, nPer int) {
+func (l Lib) Alltoall(src, dst scc.Addr, nPer int) error {
+	if err := l.check("Alltoall", nPer, 0); err != nil {
+		return err
+	}
 	p := l.ue.NumUEs()
 	me := l.ue.ID()
 	for r := 0; r < p; r++ {
@@ -103,16 +150,20 @@ func (l *Lib) Alltoall(src, dst scc.Addr, nPer int) {
 		}
 		l.sendRecvPair(partner, sAddr, 8*nPer, rAddr, 8*nPer)
 	}
+	return nil
 }
 
 // Scatter distributes block q of the root's src (p blocks of nPer
 // float64 values) to rank q's dst as a root loop of point-to-point
 // sends through the channel — a degenerate alltoall, with a handshake
 // per peer even for empty blocks.
-func (l *Lib) Scatter(root int, src scc.Addr, nPer int, dst scc.Addr) {
+func (l Lib) Scatter(root int, src scc.Addr, nPer int, dst scc.Addr) error {
+	if err := l.check("Scatter", nPer, root); err != nil {
+		return err
+	}
 	if l.ue.ID() != root {
 		l.Recv(root, dst, 8*nPer)
-		return
+		return nil
 	}
 	for q := 0; q < l.ue.NumUEs(); q++ {
 		if q == root {
@@ -121,14 +172,18 @@ func (l *Lib) Scatter(root int, src scc.Addr, nPer int, dst scc.Addr) {
 		}
 		l.Send(q, src+scc.Addr(8*nPer*q), 8*nPer)
 	}
+	return nil
 }
 
 // Gather collects each rank's nPer values into the root's dst,
 // rank-ordered; the mirror image of Scatter.
-func (l *Lib) Gather(root int, src scc.Addr, nPer int, dst scc.Addr) {
+func (l Lib) Gather(root int, src scc.Addr, nPer int, dst scc.Addr) error {
+	if err := l.check("Gather", nPer, root); err != nil {
+		return err
+	}
 	if l.ue.ID() != root {
 		l.Send(root, src, 8*nPer)
-		return
+		return nil
 	}
 	for q := 0; q < l.ue.NumUEs(); q++ {
 		if q == root {
@@ -137,11 +192,12 @@ func (l *Lib) Gather(root int, src scc.Addr, nPer int, dst scc.Addr) {
 		}
 		l.Recv(q, dst+scc.Addr(8*nPer*q), 8*nPer)
 	}
+	return nil
 }
 
 // copyPriv copies n float64 values between private addresses through a
 // host-side staging vector (cache-priced read, then write).
-func (l *Lib) copyPriv(dst, src scc.Addr, n int) {
+func (l Lib) copyPriv(dst, src scc.Addr, n int) {
 	v := make([]float64, n)
 	l.core().ReadF64s(src, v)
 	l.core().WriteF64s(dst, v)
@@ -152,13 +208,17 @@ func (l *Lib) copyPriv(dst, src scc.Addr, n int) {
 // partition): implemented as Reduce to 0 plus a scatter of the blocks,
 // MPICH's fallback for irregular communicator sizes. dst receives this
 // core's block; blocks follow the unbalanced RCCE_comm partition so the
-// comparator matches the baseline's data layout.
-func (l *Lib) ReduceScatter(src, dst scc.Addr, n int, op Op) {
+// comparator matches the baseline's data layout. It returns no block
+// list: the layout is fixed.
+func (l Lib) ReduceScatter(src, dst scc.Addr, n int, op core.Op) ([]core.Block, error) {
+	if err := l.check("ReduceScatter", n, 0); err != nil {
+		return nil, err
+	}
 	p := l.ue.NumUEs()
 	me := l.ue.ID()
 	c := l.core()
 	full := c.AllocF64(n)
-	l.Reduce(0, src, full, n, op)
+	l.reduce(0, src, full, n, op)
 	// Scatter the blocks from the root.
 	base := n / p
 	first := base + n%p
@@ -177,10 +237,16 @@ func (l *Lib) ReduceScatter(src, dst scc.Addr, n int, op Op) {
 		}
 		_, ln := offOf(0)
 		l.copyPriv(dst, full, ln)
-		return
+		return nil, nil
 	}
 	_, ln := offOf(me)
 	if ln > 0 {
 		l.Recv(0, dst, 8*ln)
 	}
+	return nil, nil
+}
+
+// Scan is not part of the comparator: ErrInvalid, with nothing simulated.
+func (l Lib) Scan(src, dst scc.Addr, n int, op core.Op) error {
+	return fmt.Errorf("rckmpi: Scan: %w: not implemented by the RCKMPI comparator", core.ErrInvalid)
 }

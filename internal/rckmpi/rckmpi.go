@@ -16,7 +16,9 @@
 //
 // Its collective algorithms follow the MPICH playbook: binomial trees
 // for rooted collectives, a ring for Allgather, pairwise exchange for
-// Alltoall.
+// Alltoall. The collectives have the error-returning method set of
+// internal/core's context (whose Op, Block and ErrInvalid they use), so
+// every layer calls the comparator like any other stack.
 package rckmpi
 
 import (
@@ -26,34 +28,29 @@ import (
 	"scc/internal/scc"
 )
 
-// Lib is a per-UE RCKMPI instance.
+// Lib is a per-UE RCKMPI instance. It is one pointer wide, so storing it
+// in an interface allocates nothing; the channel stages its windows
+// straight between private memory and the MPB.
 type Lib struct {
 	ue *rcce.UE
-	// winBuf is the channel's window staging buffer, sized to Window()
-	// on first use and reused across calls. Safe because a UE runs one
-	// blocking Send or Recv at a time.
-	winBuf []byte
 }
 
 // New creates the RCKMPI instance for one UE. It shares the chip's MPB
 // flag layout with RCCE (RCKMPI also runs its channel through the MPBs)
 // but prices operations through its own cost model.
-func New(ue *rcce.UE) *Lib {
-	return &Lib{ue: ue}
+func New(ue *rcce.UE) Lib {
+	return Lib{ue: ue}
 }
 
-// UE returns the underlying unit of execution.
-func (l *Lib) UE() *rcce.UE { return l.ue }
-
-func (l *Lib) core() *scc.Core { return l.ue.Core() }
+func (l Lib) core() *scc.Core { return l.ue.Core() }
 
 // chargeCall prices one MPI point-to-point call's software layering.
-func (l *Lib) chargeCall() {
+func (l Lib) chargeCall() {
 	l.core().OverheadCycles(l.core().Chip().Model.OverheadRCKMPICall)
 }
 
 // chargeBytes prices the channel's per-byte copy work on one side.
-func (l *Lib) chargeBytes(n int) {
+func (l Lib) chargeBytes(n int) {
 	l.core().OverheadCycles(l.core().Chip().Model.RCKMPIPerByteCoreCycles * int64(n))
 }
 
@@ -65,7 +62,7 @@ func (l *Lib) chargeBytes(n int) {
 // tree collectives (one active pair per step) crawl, while Alltoall
 // (47 windows active at once) stays competitive. The window is rounded
 // down to whole cache lines.
-func (l *Lib) Window() int {
+func (l Lib) Window() int {
 	comm := l.ue.Comm()
 	line := l.core().Chip().Model.CacheLineBytes
 	// Half of each per-sender share holds channel metadata (read/write
@@ -77,18 +74,10 @@ func (l *Lib) Window() int {
 	return w
 }
 
-// scratch returns the reusable window buffer, growing it if needed.
-func (l *Lib) scratch(n int) []byte {
-	if cap(l.winBuf) < n {
-		l.winBuf = make([]byte, n)
-	}
-	return l.winBuf[:n]
-}
-
 // Send transmits nBytes to dest through the RCKMPI channel (blocking
 // rendezvous through the MPB window, with byte-granular software costs:
 // no partial-line padding call, hence the smooth latency curve).
-func (l *Lib) Send(dest int, addr scc.Addr, nBytes int) {
+func (l Lib) Send(dest int, addr scc.Addr, nBytes int) {
 	if dest == l.ue.ID() {
 		panic(fmt.Sprintf("rckmpi: UE %d send to itself", dest))
 	}
@@ -98,7 +87,6 @@ func (l *Lib) Send(dest int, addr scc.Addr, nBytes int) {
 	chunk := l.Window()
 	sent := comm.FlagAddr(dest, l.ue.ID(), rcce.FlagSent)
 	ready := comm.FlagAddr(l.ue.ID(), dest, rcce.FlagReady)
-	buf := l.scratch(chunk)
 	progress := l.core().Chip().Model.OverheadRCKMPICall / 16
 	for off := 0; off < nBytes || nBytes == 0; off += chunk {
 		n := nBytes - off
@@ -108,8 +96,7 @@ func (l *Lib) Send(dest int, addr scc.Addr, nBytes int) {
 		c.OverheadCycles(progress) // channel progress engine, per window
 		l.chargeBytes(n)
 		c.TouchRead(addr+scc.Addr(off), n)
-		copy(buf[:n], c.PrivBytes(addr+scc.Addr(off), n))
-		c.MPBWrite(comm.DataBase(l.ue.ID()), buf[:n])
+		c.MPBWrite(comm.DataBase(l.ue.ID()), c.PrivBytes(addr+scc.Addr(off), n))
 		c.SetFlag(sent, 1)
 		c.WaitFlag(ready, 1)
 		c.SetFlag(ready, 0)
@@ -120,7 +107,7 @@ func (l *Lib) Send(dest int, addr scc.Addr, nBytes int) {
 }
 
 // Recv receives nBytes from src.
-func (l *Lib) Recv(src int, addr scc.Addr, nBytes int) {
+func (l Lib) Recv(src int, addr scc.Addr, nBytes int) {
 	if src == l.ue.ID() {
 		panic(fmt.Sprintf("rckmpi: UE %d recv from itself", src))
 	}
@@ -130,7 +117,6 @@ func (l *Lib) Recv(src int, addr scc.Addr, nBytes int) {
 	chunk := l.Window()
 	sent := comm.FlagAddr(l.ue.ID(), src, rcce.FlagSent)
 	ready := comm.FlagAddr(src, l.ue.ID(), rcce.FlagReady)
-	buf := l.scratch(chunk)
 	progress := l.core().Chip().Model.OverheadRCKMPICall / 16
 	for off := 0; off < nBytes || nBytes == 0; off += chunk {
 		n := nBytes - off
@@ -140,10 +126,9 @@ func (l *Lib) Recv(src int, addr scc.Addr, nBytes int) {
 		c.OverheadCycles(progress) // channel progress engine, per window
 		c.WaitFlag(sent, 1)
 		c.SetFlag(sent, 0)
-		c.MPBRead(comm.DataBase(src), buf[:n])
+		c.MPBRead(comm.DataBase(src), c.PrivBytes(addr+scc.Addr(off), n))
 		l.chargeBytes(n)
 		c.TouchWrite(addr+scc.Addr(off), n)
-		copy(c.PrivBytes(addr+scc.Addr(off), n), buf[:n])
 		c.SetFlag(ready, 1)
 		if nBytes == 0 {
 			break
@@ -158,7 +143,7 @@ func (l *Lib) Recv(src int, addr scc.Addr, nBytes int) {
 // competitive on Alltoall (Sec. V-A) while losing everywhere
 // overhead-bound. The per-byte channel cost is still charged on both
 // buffers.
-func (l *Lib) sendRecvPair(peer int, sAddr scc.Addr, sBytes int, rAddr scc.Addr, rBytes int) {
+func (l Lib) sendRecvPair(peer int, sAddr scc.Addr, sBytes int, rAddr scc.Addr, rBytes int) {
 	m := l.core().Chip().Model
 	costs := rcce.NBCosts{
 		Post:     m.OverheadRCKMPICall,

@@ -10,7 +10,7 @@ import (
 	"scc/internal/timing"
 )
 
-func launchAll(t *testing.T, fn func(l *Lib, c *scc.Core)) {
+func launchAll(t *testing.T, fn func(l Lib, c *scc.Core)) {
 	t.Helper()
 	chip := scc.New(timing.Default())
 	comm := rcce.NewComm(chip)
@@ -77,12 +77,12 @@ func TestBcastTreeCorrect(t *testing.T) {
 			want[i] = float64(i) + float64(root)*0.5
 		}
 		results := make([][]float64, 48)
-		launchAll(t, func(l *Lib, c *scc.Core) {
+		launchAll(t, func(l Lib, c *scc.Core) {
 			a := c.AllocF64(n)
 			if c.ID == root {
 				c.WriteF64s(a, want)
 			}
-			l.Bcast(root, a, n)
+			l.Broadcast(root, a, n)
 			got := make([]float64, n)
 			c.ReadF64s(a, got)
 			results[c.ID] = got
@@ -101,7 +101,7 @@ func TestReduceTreeCorrect(t *testing.T) {
 	for _, root := range []int{0, 11} {
 		n := 64
 		var got []float64
-		launchAll(t, func(l *Lib, c *scc.Core) {
+		launchAll(t, func(l Lib, c *scc.Core) {
 			src := c.AllocF64(n)
 			dst := c.AllocF64(n)
 			v := make([]float64, n)
@@ -128,7 +128,7 @@ func TestReduceTreeCorrect(t *testing.T) {
 func TestAllreduceCorrect(t *testing.T) {
 	n := 552
 	out := make([][]float64, 48)
-	launchAll(t, func(l *Lib, c *scc.Core) {
+	launchAll(t, func(l Lib, c *scc.Core) {
 		src := c.AllocF64(n)
 		dst := c.AllocF64(n)
 		v := make([]float64, n)
@@ -154,7 +154,7 @@ func TestAllreduceCorrect(t *testing.T) {
 func TestAllgatherRingCorrect(t *testing.T) {
 	nPer := 21
 	out := make([][]float64, 48)
-	launchAll(t, func(l *Lib, c *scc.Core) {
+	launchAll(t, func(l Lib, c *scc.Core) {
 		src := c.AllocF64(nPer)
 		dst := c.AllocF64(48 * nPer)
 		v := make([]float64, nPer)
@@ -182,7 +182,7 @@ func TestAllgatherRingCorrect(t *testing.T) {
 func TestAlltoallPairwiseCorrect(t *testing.T) {
 	nPer := 5
 	out := make([][]float64, 48)
-	launchAll(t, func(l *Lib, c *scc.Core) {
+	launchAll(t, func(l Lib, c *scc.Core) {
 		src := c.AllocF64(48 * nPer)
 		dst := c.AllocF64(48 * nPer)
 		v := make([]float64, 48*nPer)
@@ -212,7 +212,7 @@ func TestAlltoallPairwiseCorrect(t *testing.T) {
 func TestReduceScatterCorrect(t *testing.T) {
 	n := 552
 	got := make([][]float64, 48)
-	launchAll(t, func(l *Lib, c *scc.Core) {
+	launchAll(t, func(l Lib, c *scc.Core) {
 		src := c.AllocF64(n)
 		dst := c.AllocF64(n)
 		v := make([]float64, n)

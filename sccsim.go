@@ -518,9 +518,10 @@ type Rank struct {
 	core *scc.Core
 	ue   *rcce.UE
 	// coll is what every collective method calls: the rank's *core.Ctx,
-	// the RCKMPI comparator (mpiStack), or — for a rank whose context
-	// could not be built, i.e. one an earlier membership agreement
-	// evicted — the typed error itself (refused).
+	// the RCKMPI library (an rckmpi.Lib, which validates like the core
+	// stacks), or — for a rank whose context could not be built, i.e.
+	// one an earlier membership agreement evicted — the typed error
+	// itself (refused).
 	coll collectives
 	// gid and gn are the system-global rank ID and rank count; on a
 	// single chip they equal the core ID and core count. chipIdx is
@@ -556,7 +557,7 @@ func (s *System) newRank(ci int, c *scc.Core) *Rank {
 		chipIdx: ci,
 	}
 	if s.cfg.stack == StackRCKMPI {
-		r.coll = mpiStack{rckmpi.New(r.ue)}
+		r.coll = rckmpi.New(r.ue)
 		return r
 	}
 	cfg := s.cfg.stack.coreConfig()
@@ -599,56 +600,6 @@ func (e refused) Gather(root int, src Addr, nPer int, dst Addr) error     { retu
 func (e refused) Scan(src, dst Addr, n int, op core.Op) error             { return e.err }
 func (e refused) ReduceScatter(src, dst Addr, n int, op core.Op) ([]core.Block, error) {
 	return nil, e.err
-}
-
-// mpiStack adapts the RCKMPI comparator to the collectives interface. The
-// library itself neither validates nor fails (it models a C MPI), so the
-// argument checks the core stacks make inside internal/core are made
-// here; selectors, recovery and self-healing do not reach it.
-type mpiStack struct{ lib *rckmpi.Lib }
-
-// do runs one RCKMPI collective after validating its count and root.
-func (m mpiStack) do(fn string, n, root int, run func()) error {
-	if n < 0 {
-		return fmt.Errorf("sccsim: %s: %w: negative count %d", fn, ErrInvalid, n)
-	}
-	if np := m.lib.UE().NumUEs(); root < 0 || root >= np {
-		return fmt.Errorf("sccsim: %s: %w: root %d outside [0,%d)", fn, ErrInvalid, root, np)
-	}
-	run()
-	return nil
-}
-
-func (m mpiStack) Barrier() error {
-	m.lib.UE().Barrier()
-	return nil
-}
-func (m mpiStack) Allreduce(src, dst Addr, n int, op core.Op) error {
-	return m.do("Allreduce", n, 0, func() { m.lib.Allreduce(src, dst, n, rckmpi.Op(op)) })
-}
-func (m mpiStack) Reduce(root int, src, dst Addr, n int, op core.Op) error {
-	return m.do("Reduce", n, root, func() { m.lib.Reduce(root, src, dst, n, rckmpi.Op(op)) })
-}
-func (m mpiStack) Broadcast(root int, addr Addr, n int) error {
-	return m.do("Broadcast", n, root, func() { m.lib.Bcast(root, addr, n) })
-}
-func (m mpiStack) Allgather(src Addr, nPer int, dst Addr) error {
-	return m.do("Allgather", nPer, 0, func() { m.lib.Allgather(src, nPer, dst) })
-}
-func (m mpiStack) Alltoall(src, dst Addr, nPer int) error {
-	return m.do("Alltoall", nPer, 0, func() { m.lib.Alltoall(src, dst, nPer) })
-}
-func (m mpiStack) ReduceScatter(src, dst Addr, n int, op core.Op) ([]core.Block, error) {
-	return nil, m.do("ReduceScatter", n, 0, func() { m.lib.ReduceScatter(src, dst, n, rckmpi.Op(op)) })
-}
-func (m mpiStack) Scatter(root int, src Addr, nPer int, dst Addr) error {
-	return m.do("Scatter", nPer, root, func() { m.lib.Scatter(root, src, nPer, dst) })
-}
-func (m mpiStack) Gather(root int, src Addr, nPer int, dst Addr) error {
-	return m.do("Gather", nPer, root, func() { m.lib.Gather(root, src, nPer, dst) })
-}
-func (m mpiStack) Scan(src, dst Addr, n int, op core.Op) error {
-	return fmt.Errorf("sccsim: Scan: %w: not implemented by the RCKMPI comparator", ErrInvalid)
 }
 
 // ID returns this rank's system-global number, in [0, N()). On a single
