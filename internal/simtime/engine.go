@@ -12,17 +12,12 @@ import (
 // nobody will ever raise.
 var ErrDeadlock = errors.New("simtime: deadlock")
 
-// event is a scheduled wake-up of a process.
+// event is a scheduled wake-up of a process. A process has at most one
+// queued (see Signal.Broadcast).
 type event struct {
 	at   Time
 	seq  uint64 // tie-breaker: insertion order, for determinism
 	proc *Proc
-	// gen snapshots the process's wake generation at schedule time. A
-	// process that blocks with two pending wake-up sources (a signal and
-	// a timeout, see Proc.WaitOnTimeout) is resumed by whichever fires
-	// first; the loser's event is recognized as stale by its generation
-	// and discarded instead of resuming the process at the wrong point.
-	gen uint64
 }
 
 // eventQueue holds the pending events in two tiers, each ordered by
@@ -51,10 +46,9 @@ type eventQueue struct {
 
 // farShift is the longest shift a near-tier push may pay. The smaller side
 // of d events is at most d/2, so nothing spills below 2*farShift near-tier
-// events. A 48-core chip's standing population (a wake-up per core plus
-// the stale deadlines of WaitOnTimeout races a signal won) rarely gets
-// there, so at the paper's scale the far heap is seldom even allocated; at
-// 32 or 64 the fault sweeps' deadlines spilled into it, +2.5 % allocation.
+// events. The queue holds at most one wake-up per process, so an engine
+// of up to 2*farShift processes (the paper's 48-core chip, any fault
+// sweep on it) never allocates the far heap.
 const farShift = 128
 
 func (h *eventQueue) Len() int { return h.n }
@@ -95,17 +89,7 @@ func (h *eventQueue) push(e event) {
 		h.near++
 		return
 	}
-	// Binary search the logical positions [0, near) for the first event
-	// that sorts after e; unique (at, seq) keys mean no equal case.
-	lo, hi := 0, h.near
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if eventLess(e, h.buf[(h.head+mid)&mask]) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
+	lo := h.search(e)
 	if min(lo, h.near-lo) > farShift {
 		h.pushFar(e)
 		return
@@ -125,11 +109,49 @@ func (h *eventQueue) push(e event) {
 	h.near++
 }
 
+// search returns the first logical near-tier position [0, near] whose
+// event does not sort before e; (at, seq) keys are unique.
+func (h *eventQueue) search(e event) int {
+	mask := len(h.buf) - 1
+	lo, hi := 0, h.near
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if eventLess(h.buf[(h.head+mid)&mask], e) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// remove deletes the queued event keyed (at, seq). In the near tier it
+// shifts the events behind it forward: a cancelled deadline sorts near
+// the tail. The far heap, which only a queue deeper than 2*farShift has,
+// is scanned.
+func (h *eventQueue) remove(at Time, seq uint64) {
+	h.n--
+	mask := len(h.buf) - 1
+	if i := h.search(event{at: at, seq: seq}); i < h.near && h.buf[(h.head+i)&mask].seq == seq {
+		for h.near--; i < h.near; i++ {
+			h.buf[(h.head+i)&mask] = h.buf[(h.head+i+1)&mask]
+		}
+		return
+	}
+	for i := range h.far {
+		if h.far[i].seq == seq {
+			h.removeFar(i)
+			return
+		}
+	}
+	panic("simtime: removing an event that is not queued")
+}
+
 // pop removes and returns the minimum event. The queue must be non-empty.
 func (h *eventQueue) pop() event {
 	h.n--
 	if !h.nearFirst() {
-		return h.popFar()
+		return h.removeFar(0)
 	}
 	e := h.buf[h.head]
 	h.head = (h.head + 1) & (len(h.buf) - 1)
@@ -166,16 +188,19 @@ func (h *eventQueue) pushFar(e event) {
 	h.far = q
 }
 
-// popFar removes and returns the far tier's minimum, sifting its last
-// event down from the root.
-func (h *eventQueue) popFar() event {
+// removeFar deletes and returns the far tier's event at heap index i: the
+// last event takes its place and sifts up, or else down.
+func (h *eventQueue) removeFar(i int) event {
 	q := h.far
-	top, last := q[0], q[len(q)-1]
+	top, last := q[i], q[len(q)-1]
 	q[len(q)-1] = event{} // drop the *Proc reference
 	q = q[:len(q)-1]
 	h.far = q
-	i := 0
-	for c := 1; c < len(q); c = 4*i + 1 {
+	for i > 0 && eventLess(last, q[(i-1)/4]) {
+		q[i] = q[(i-1)/4]
+		i = (i - 1) / 4
+	}
+	for c := 4*i + 1; c < len(q); c = 4*i + 1 {
 		m := c
 		for j := c + 1; j < min(c+4, len(q)); j++ {
 			if eventLess(q[j], q[m]) {
@@ -188,7 +213,7 @@ func (h *eventQueue) popFar() event {
 		q[i] = q[m]
 		i = m
 	}
-	if len(q) > 0 {
+	if i < len(q) {
 		q[i] = last
 	}
 	return top
@@ -282,37 +307,33 @@ func (e *Engine) schedule(p *Proc, at Time) {
 		panic(fmt.Sprintf("simtime: scheduling %q in the past (%d < %d)", p.name, at, e.now))
 	}
 	e.seq++
-	e.queue.push(event{at: at, seq: e.seq, proc: p, gen: p.wakeGen})
+	e.queue.push(event{at: at, seq: e.seq, proc: p})
 }
 
-// pop removes the next runnable event, advances the clock to it and
-// returns the process it wakes. Stale wake-ups (finished processes,
-// losers of a signal/timeout race) are discarded on the way. Nil means
-// the run cannot continue: the queue drained, or the event lies beyond
-// the RunUntil limit (recorded in limitHit/limitAt).
+// pop removes the next event, advances the clock to it and returns the
+// process it wakes. Nil means the run cannot continue: the queue drained,
+// or the next event lies beyond the RunUntil limit (recorded in
+// limitHit/limitAt and left queued for shutdown to drop).
 func (e *Engine) pop() *Proc {
-	for e.queue.n > 0 {
-		ev := e.queue.pop()
-		if ev.proc.done || ev.gen != ev.proc.wakeGen {
-			continue
-		}
-		if e.limited && ev.at > e.limit {
-			e.limitHit, e.limitAt = true, ev.at
-			return nil
-		}
-		e.now = ev.at
-		return ev.proc
+	if e.queue.n == 0 {
+		return nil
 	}
-	return nil
+	if e.limited && e.queue.min().at > e.limit {
+		e.limitHit, e.limitAt = true, e.queue.min().at
+		return nil
+	}
+	ev := e.queue.pop()
+	e.now = ev.at
+	return ev.proc
 }
 
 // Run executes the simulation until every process has returned. It returns
 // ErrDeadlock (wrapped with the list of stuck processes) if live processes
 // remain with no pending events, or the panic value if a process panics.
 //
-// Run may be called again after it returns: processes spawned since the
-// previous Run start at the current virtual time, so a sequence of
-// programs accumulates time on one engine.
+// Run may be called again after it returns, failed or not: processes
+// spawned since the previous Run start at the current virtual time, so a
+// sequence of programs accumulates time on one engine.
 //
 // Run must not be called from a goroutine locked to an OS thread
 // (runtime.LockOSThread): pooled coroutines may have been created by
@@ -359,6 +380,7 @@ func (e *Engine) Run() error {
 	}
 	if err != nil {
 		e.shutdown()
+		e.failed = nil // reported once: a later Run starts afresh
 	}
 	e.clearActive()
 	return err
@@ -390,10 +412,11 @@ func (e *Engine) RunUntil(limit Time) error {
 // given limit before all processes finish.
 var ErrTimeLimit = errors.New("simtime: virtual time limit exceeded")
 
-// shutdown force-terminates every still-blocked process so that a failed
-// simulation leaks nothing. Each victim is resumed once with its killed
-// flag set: Proc.block panics with killSentinel, Proc.run swallows it,
-// and the coroutine yields back here to be parked, one victim at a time.
+// shutdown force-terminates every still-blocked process and drops their
+// wake-ups, so a failed simulation leaks nothing into a later Run. Each
+// victim is resumed once with its killed flag set: Proc.block panics with
+// killSentinel, Proc.run swallows it, and the coroutine yields back here
+// to be parked, one victim at a time.
 func (e *Engine) shutdown() {
 	for _, p := range e.active {
 		if !p.done {
@@ -404,6 +427,7 @@ func (e *Engine) shutdown() {
 			}
 		}
 	}
+	e.queue = eventQueue{}
 }
 
 func (e *Engine) deadlockError() error {

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // refHeap is the old container/heap-based implementation, kept here as
@@ -28,23 +29,41 @@ func (h *refHeap) Pop() interface{} {
 	return e
 }
 
+// removeRandom removes one randomly chosen queued event from both the
+// queue and the reference (heap.Remove), as a Broadcast cancelling a
+// deadline does, and counts which tier of q held it.
+func removeRandom(rng *rand.Rand, q *eventQueue, ref *refHeap, tiers *[2]int) {
+	e := heap.Remove(ref, rng.Intn(ref.Len())).(event)
+	far := 0
+	for _, f := range q.far {
+		if f.seq == e.seq {
+			far = 1
+		}
+	}
+	tiers[far]++
+	q.remove(e.at, e.seq)
+}
+
 // TestEventQueueMatchesContainerHeap drives the event queue and the
-// container/heap reference through identical random push/pop sequences
-// and requires identical pop orders. Timestamps collide on purpose (many
-// events share an instant in real simulations), so the seq tie-break is
-// exercised heavily.
+// container/heap reference through identical random push/pop/remove
+// sequences and requires identical pop orders. Timestamps collide on
+// purpose (many events share an instant in real simulations), so the seq
+// tie-break is exercised heavily. Removes must hit both tiers.
 func TestEventQueueMatchesContainerHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	var tiers [2]int // removes from the near and the far tier
 	for trial := 0; trial < 50; trial++ {
 		var q eventQueue
 		var ref refHeap
 		var seq uint64
 		for step := 0; step < 2000; step++ {
-			if q.Len() == 0 || rng.Intn(3) != 0 {
+			if r := rng.Intn(6); q.Len() == 0 || r < 4 {
 				seq++
 				e := event{at: Time(rng.Intn(50)), seq: seq}
 				q.push(e)
 				heap.Push(&ref, e)
+			} else if r == 4 {
+				removeRandom(rng, &q, &ref, &tiers)
 			} else {
 				got := q.pop()
 				want := heap.Pop(&ref).(event)
@@ -67,6 +86,10 @@ func TestEventQueueMatchesContainerHeap(t *testing.T) {
 			t.Fatalf("trial %d: reference has %d leftover events", trial, ref.Len())
 		}
 	}
+	if tiers[0] == 0 || tiers[1] == 0 {
+		t.Fatalf("removes by tier (near, far) = %v, want both", tiers)
+	}
+	t.Logf("removes by tier (near, far): %v", tiers)
 }
 
 // TestEventQueueAscendingPops double-checks the ordering directly: pops
@@ -92,8 +115,8 @@ func TestEventQueueAscendingPops(t *testing.T) {
 // TestEventQueueDeepMatchesContainerHeap holds the queue at the depth of a
 // 10,000-core mesh, where wake-ups land mid-queue and spill into the far
 // tier, and requires the reference's pop order throughout: 10,000 events
-// standing, then pushes and pops interleaved over a time spread wide
-// enough to fill both tiers yet narrow enough for many equal-at
+// standing, then pushes, pops and removes interleaved over a time spread
+// wide enough to fill both tiers yet narrow enough for many equal-at
 // collisions. A queue held at a depth no greater than farShift (a 48-core
 // chip's population) must never touch the far tier.
 func TestEventQueueDeepMatchesContainerHeap(t *testing.T) {
@@ -120,9 +143,12 @@ func TestEventQueueDeepMatchesContainerHeap(t *testing.T) {
 	for i := 0; i < depth; i++ {
 		push(2_000)
 	}
+	var tiers [2]int
 	for step := 0; step < 100_000; step++ {
-		if q.Len() < depth || rng.Intn(2) == 0 {
+		if r := rng.Intn(8); q.Len() < depth || r < 4 {
 			push(2_000)
+		} else if r == 4 {
+			removeRandom(rng, &q, &ref, &tiers)
 		} else {
 			pop(step)
 		}
@@ -133,6 +159,10 @@ func TestEventQueueDeepMatchesContainerHeap(t *testing.T) {
 	for q.Len() > 0 {
 		pop(-1)
 	}
+	if tiers[0] == 0 || tiers[1] == 0 {
+		t.Fatalf("removes by tier (near, far) = %v, want both", tiers)
+	}
+	t.Logf("removes by tier (near, far): %v", tiers)
 
 	q = eventQueue{}
 	for step := 0; step < 100_000; step++ {
@@ -144,5 +174,14 @@ func TestEventQueueDeepMatchesContainerHeap(t *testing.T) {
 		if q.far != nil {
 			t.Fatalf("step %d: depth %d spilled into the far tier", step, q.Len())
 		}
+	}
+}
+
+// TestProcFitsItsSizeClass pins the footprint one simulated core pays:
+// a Proc, deadline key included, stays in the 160-byte size class (a
+// 10,000-core chip allocates one per core), and an event is 24 bytes.
+func TestProcFitsItsSizeClass(t *testing.T) {
+	if p, e := unsafe.Sizeof(Proc{}), unsafe.Sizeof(event{}); p > 160 || e != 24 {
+		t.Fatalf("sizeof Proc = %d B (want <= 160), event = %d B (want 24)", p, e)
 	}
 }

@@ -16,18 +16,19 @@ type Proc struct {
 	w *worker
 
 	done      bool
-	killed    bool     // set by Engine.shutdown to abort the process
+	killed    bool // set by Engine.shutdown to abort the process
+	started   bool
 	blockedAt WaitSite // current blocking point, formatted only for deadlock reports
 	note      Note     // last successful protocol step, for deadlock reports
-	started   bool
 
-	// wakeGen counts resumes. Events snapshot it at schedule time so the
-	// engine can discard wake-ups that lost a race (see event.gen).
-	wakeGen uint64
 	// waitIdx is this process's slot in the waiter list of the signal it
 	// is (or last was) registered on, so a timed-out WaitOnTimeout can
 	// deregister in O(1) instead of scanning the list.
 	waitIdx int
+	// dlAt and dlSeq key the queued deadline of a pending WaitOnTimeout;
+	// dlSeq is zero when there is none (sequence numbers start at 1).
+	dlAt  Time
+	dlSeq uint64
 }
 
 // killSentinel is the panic value used to unwind force-terminated
@@ -92,7 +93,6 @@ func (p *Proc) block(site WaitSite) {
 		e.next = q
 		p.w.yield(struct{}{})
 	}
-	p.wakeGen++ // any event scheduled before this resume is now stale
 	if p.killed {
 		panic(killSentinel{})
 	}
@@ -143,17 +143,20 @@ func (p *Proc) WaitOn(s *Signal, site WaitSite) {
 
 // WaitOnTimeout blocks the process until s is signaled or d ticks elapse,
 // whichever comes first. It reports true if the signal fired, false on
-// timeout. The loser of the race is discarded via the wake-generation
-// mechanism, so a later Broadcast cannot resume the process at the wrong
-// point, and an expired timer event is skipped harmlessly.
+// timeout. Exactly one wake-up stays queued: a Broadcast before the
+// deadline cancels it, one at the deadline tick finds it due first and
+// keeps it, and one after it finds the process no longer registered.
 func (p *Proc) WaitOnTimeout(s *Signal, d Duration, site WaitSite) bool {
 	if d < 0 {
 		d = 0
 	}
-	p.eng.schedule(p, p.eng.now+d)
+	p.dlAt = p.eng.now + d
+	p.eng.schedule(p, p.dlAt)
+	p.dlSeq = p.eng.seq
 	p.waitIdx = len(s.waiters)
 	s.waiters = append(s.waiters, p)
 	p.block(site)
+	p.dlSeq = 0
 	// Broadcast empties the waiter list; if our slot still holds us, the
 	// timer won the race and we must deregister. Clearing the slot (not
 	// splicing) keeps every other waiter's recorded index valid, so
@@ -192,9 +195,16 @@ type Signal struct {
 // Broadcast wakes every process currently waiting on s at the present
 // virtual time. It must be called from within a running process or before
 // Run starts. Waiters resume in the order they began waiting.
+//
+// A waiter keeps one queued wake-up: its WaitOnTimeout deadline, if due
+// now, already sorts first and stays; a later one is cancelled. A process
+// killed by Engine.shutdown while waiting is skipped.
 func (s *Signal) Broadcast(eng *Engine) {
 	for i, w := range s.waiters {
-		if w != nil {
+		if w != nil && !w.done && (w.dlSeq == 0 || w.dlAt != eng.now) {
+			if w.dlSeq != 0 {
+				eng.queue.remove(w.dlAt, w.dlSeq)
+			}
 			eng.schedule(w, eng.now)
 		}
 		// Clear the slot before truncating: the backing array survives

@@ -5,7 +5,7 @@
 // every byte: virtual times across the Fig. 9 panel and all registered
 // algorithms, the fault and self-heal suites, the metrics snapshot and
 // the Chrome trace of an instrumented run, and a seeded random
-// signal/timeout workload that exercises wake-generation races directly.
+// signal/timeout workload that exercises signal/deadline races directly.
 //
 // Regenerate (only when the *workload definition* changes, never to
 // paper over a scheduler difference) — every section, or only the named
@@ -190,7 +190,7 @@ func schedGoldenSections(t *testing.T) map[string][]byte {
 
 	// A pure-simtime seeded workload: random sleeps, broadcasts and
 	// timeout waits racing on shared signals, logging (proc, time) at
-	// every step. Exercises the wake-generation staleness filter and
+	// every step. Exercises a signal cancelling the deadline it beat and
 	// the (at, seq) tie-break away from any protocol code.
 	var simLog bytes.Buffer
 	for seed := int64(1); seed <= 5; seed++ {
