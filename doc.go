@@ -56,7 +56,8 @@
 // coroutines, so a system must not be run from a goroutine that holds
 // runtime.LockOSThread), internal/mesh (2D mesh NoC),
 // internal/scc (cores, caches, message-passing buffers), internal/rcce
-// (RCCE and the request engine every non-blocking stack posts into),
+// (RCCE: one chunk state machine under the blocking, non-blocking and
+// hardened point-to-point drivers),
 // internal/core (the paper's optimized collectives and the transport
 // table that prices iRCCE and the lightweight primitives),
 // internal/rckmpi (the MPI comparator), internal/fabric (the inter-chip

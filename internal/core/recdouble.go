@@ -50,7 +50,7 @@ func (x *Ctx) allreduceRecDouble(src, dst scc.Addr, n int, op Op) error {
 		}
 		for mask := 1; mask < pof2; mask <<= 1 {
 			partner := x.Member(realOf(newRank ^ mask))
-			if err := x.ep.ExchangePair(partner, dst, 8*n, x.rbufAddr, 8*n); err != nil {
+			if err := x.ep.Exchange(partner, dst, 8*n, partner, x.rbufAddr, 8*n); err != nil {
 				return err
 			}
 			x.ReduceInto(dst, dst, x.rbufAddr, n, op)

@@ -79,14 +79,10 @@ type Endpoint interface {
 	// Exchange performs one ring/pairwise round: send to `to` and
 	// receive from `from`, completing both before returning. With a
 	// blocking transport the two legs are ordered odd-even by
-	// communicator rank (Fig. 4); with non-blocking transports both are
-	// posted at once (Fig. 5).
+	// communicator rank (Fig. 4), and by core ID when to == from (a
+	// symmetric partner may share the parity); with non-blocking
+	// transports both are posted at once (Fig. 5).
 	Exchange(to int, sendAddr scc.Addr, sendBytes int, from int, recvAddr scc.Addr, recvBytes int) error
-	// ExchangePair exchanges with a single symmetric partner (both
-	// directions with the same peer). The blocking transport orders the
-	// legs by rank - the odd-even rule is parity-based and would
-	// deadlock when symmetric partners share parity.
-	ExchangePair(peer int, sendAddr scc.Addr, sendBytes int, recvAddr scc.Addr, recvBytes int) error
 }
 
 // NewEndpoint builds the fault-free endpoint of the given kind for one
@@ -124,7 +120,9 @@ func newEndpoint(ue *rcce.UE, cfg Config, x *Ctx) (Endpoint, error) {
 // barrier-like over-synchronization Sec. IV-A identifies). The parity
 // is the communicator rank's, which the ring runs over: on a group
 // whose core IDs share one parity, ID parity would have every member
-// send first.
+// send first. Two symmetric partners may share the rank parity too, so
+// an exchange with one peer sends first from the lower core ID; on a
+// two-rank ring that is the parity order, since ranks follow core IDs.
 type blockingEP struct {
 	ue *rcce.UE
 	x  *Ctx // the ranking context; nil ranks by core ID
@@ -141,27 +139,20 @@ func (e *blockingEP) Recv(from int, addr scc.Addr, n int) error {
 }
 
 func (e *blockingEP) Exchange(to int, sAddr scc.Addr, sBytes int, from int, rAddr scc.Addr, rBytes int) error {
-	rank := e.ue.ID()
-	if e.x != nil {
-		rank = e.x.Rank()
+	sendFirst := e.ue.ID() < to
+	if to != from {
+		rank := e.ue.ID()
+		if e.x != nil {
+			rank = e.x.Rank()
+		}
+		sendFirst = rank%2 == 0
 	}
-	if rank%2 == 0 {
+	if sendFirst {
 		e.ue.Send(to, sAddr, sBytes)
 		e.ue.Recv(from, rAddr, rBytes)
 	} else {
 		e.ue.Recv(from, rAddr, rBytes)
 		e.ue.Send(to, sAddr, sBytes)
-	}
-	return nil
-}
-
-func (e *blockingEP) ExchangePair(peer int, sAddr scc.Addr, sBytes int, rAddr scc.Addr, rBytes int) error {
-	if e.ue.ID() < peer {
-		e.ue.Send(peer, sAddr, sBytes)
-		e.ue.Recv(peer, rAddr, rBytes)
-	} else {
-		e.ue.Recv(peer, rAddr, rBytes)
-		e.ue.Send(peer, sAddr, sBytes)
 	}
 	return nil
 }
@@ -191,10 +182,6 @@ func (e *nbEP) Exchange(to int, sAddr scc.Addr, sBytes int, from int, rAddr scc.
 	return nil
 }
 
-func (e *nbEP) ExchangePair(peer int, sAddr scc.Addr, sBytes int, rAddr scc.Addr, rBytes int) error {
-	return e.Exchange(peer, sAddr, sBytes, peer, rAddr, rBytes)
-}
-
 // robustEP runs every leg over the hardened protocol (sequence numbers,
 // per-line checksums, bounded waits, retransmit with backoff) at the
 // software-overhead profile of the selected transport. Exchanges run
@@ -217,8 +204,4 @@ func (e *robustEP) Recv(from int, addr scc.Addr, n int) error {
 
 func (e *robustEP) Exchange(to int, sAddr scc.Addr, sBytes int, from int, rAddr scc.Addr, rBytes int) error {
 	return e.ue.ExchangeRobust(e.costs, e.pol, to, sAddr, sBytes, from, rAddr, rBytes)
-}
-
-func (e *robustEP) ExchangePair(peer int, sAddr scc.Addr, sBytes int, rAddr scc.Addr, rBytes int) error {
-	return e.ue.ExchangeRobust(e.costs, e.pol, peer, sAddr, sBytes, peer, rAddr, rBytes)
 }

@@ -122,9 +122,9 @@ func TestTransportRowsComeFromModel(t *testing.T) {
 	}
 }
 
-// runExchangePairs runs rounds 552-element pairwise exchanges between
+// runPairExchanges runs rounds 552-element pairwise exchanges between
 // cores 0 and 1 over a fault-free endpoint of the given kind.
-func runExchangePairs(kind TransportKind, rounds int) {
+func runPairExchanges(kind TransportKind, rounds int) {
 	const n = 8 * 552
 	chip := scc.New(timing.Default())
 	comm := rcce.NewComm(chip)
@@ -133,7 +133,7 @@ func runExchangePairs(kind TransportKind, rounds int) {
 			ep := NewEndpoint(comm.UE(id), kind)
 			src, dst := c.Alloc(n), c.Alloc(n)
 			for i := 0; i < rounds; i++ {
-				ep.ExchangePair(1-id, src, n, dst, n)
+				ep.Exchange(1-id, src, n, 1-id, dst, n)
 			}
 		})
 	}
@@ -142,17 +142,17 @@ func runExchangePairs(kind TransportKind, rounds int) {
 	}
 }
 
-// TestExchangePairAllocFree: no transport allocates per exchange — the
+// TestPairExchangeAllocFree: no transport allocates per exchange — the
 // non-blocking stacks post into the UE's two request slots. The
 // per-exchange cost is the slope between a short and a long run
 // (construction cancels).
-func TestExchangePairAllocFree(t *testing.T) {
+func TestPairExchangeAllocFree(t *testing.T) {
 	for k := range transports {
 		kind := TransportKind(k)
-		a := testing.AllocsPerRun(3, func() { runExchangePairs(kind, 10) })
-		b := testing.AllocsPerRun(3, func() { runExchangePairs(kind, 110) })
+		a := testing.AllocsPerRun(3, func() { runPairExchanges(kind, 10) })
+		b := testing.AllocsPerRun(3, func() { runPairExchanges(kind, 110) })
 		if got := (b - a) / 100; got > 0.05 {
-			t.Errorf("%v: ExchangePair allocates %.3f objects per exchange; budget 0.05", kind, got)
+			t.Errorf("%v: a pair exchange allocates %.3f objects per exchange; budget 0.05", kind, got)
 		}
 	}
 }
@@ -213,7 +213,7 @@ func TestBlockingExchangeSlowerThanNonBlocking(t *testing.T) {
 	}
 }
 
-func TestExchangePairSymmetric(t *testing.T) {
+func TestPairExchangeSymmetric(t *testing.T) {
 	// Pairwise symmetric exchange between same-parity partners (the case
 	// odd-even cannot handle) must complete under every transport.
 	for _, kind := range []TransportKind{TransportBlocking, TransportIRCCE, TransportLightweight} {
@@ -229,7 +229,7 @@ func TestExchangePairSymmetric(t *testing.T) {
 				src := c.AllocF64(1)
 				dst := c.AllocF64(1)
 				c.WriteF64s(src, []float64{float64(a)})
-				ep.ExchangePair(b, src, 8, dst, 8)
+				ep.Exchange(b, src, 8, b, dst, 8)
 				v := make([]float64, 1)
 				c.ReadF64s(dst, v)
 				got[0] = v[0]
@@ -240,7 +240,7 @@ func TestExchangePairSymmetric(t *testing.T) {
 				src := c.AllocF64(1)
 				dst := c.AllocF64(1)
 				c.WriteF64s(src, []float64{float64(b)})
-				ep.ExchangePair(a, src, 8, dst, 8)
+				ep.Exchange(a, src, 8, a, dst, 8)
 				v := make([]float64, 1)
 				c.ReadF64s(dst, v)
 				got[1] = v[0]

@@ -153,7 +153,8 @@ func (x *Ctx) alltoallBody(src scc.Addr, send layout, dst scc.Addr, recv layout)
 		if sb.Len == 0 && rb.Len == 0 {
 			continue
 		}
-		if err := x.ep.ExchangePair(x.Member(partner), sAddr, 8*sb.Len, rAddr, 8*rb.Len); err != nil {
+		peer := x.Member(partner)
+		if err := x.ep.Exchange(peer, sAddr, 8*sb.Len, peer, rAddr, 8*rb.Len); err != nil {
 			return err
 		}
 	}

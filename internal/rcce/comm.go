@@ -1,13 +1,16 @@
 // Package rcce reimplements the SCC's native communication library RCCE
 // on the simulated chip: line-granular put/get through the MPBs, the
-// two-flag blocking send/receive protocol of the paper's Fig. 3 and a
+// two-flag send/receive protocol of the paper's Fig. 3 and a
 // generation-counted barrier.
 //
-// The package also hosts the shared non-blocking request engine - one
-// send slot and one receive slot per UE, which iRCCE, the lightweight
-// primitives and RCKMPI's pairwise exchange all post into at their own
-// software-overhead constants - and the hardened protocol (robust.go)
-// that fault-tolerant collectives run on.
+// Every point-to-point transfer is one Request, the protocol's one chunk
+// state machine, in one of two slots per UE (a send and a receive).
+// Three drivers advance it: blocking RCCE (Send/Recv) waits on each
+// flag; the request engine (PostSend/PostRecv/WaitAll), which iRCCE,
+// the lightweight primitives and RCKMPI's pairwise exchange all post
+// into at their own software-overhead constants, probes; and the
+// hardened protocol (robust.go) that fault-tolerant collectives run on
+// adds checksums, sequence numbers and bounded waits.
 package rcce
 
 import (
@@ -157,13 +160,6 @@ type UE struct {
 	barrierGen peerBytes
 	groupGen   peerBytes
 
-	// slots are the request engine's send and receive slot, indexed by
-	// ReqKind (see nonblocking.go): every non-blocking stack posts into
-	// them. They are allocated on the UE's first post, because UEs of
-	// the blocking and hardened stacks never post and two inline slots
-	// would move every UE up an allocation size class.
-	slots *[2]Request
-
 	// sendSeq / recvSeq hold the hardened protocol's next sequence
 	// number per peer (see robust.go); stats accumulates its recovery
 	// counters.
@@ -184,17 +180,15 @@ type UE struct {
 	// per-call make([]byte, nBytes).
 	stage []byte
 
-	// Scratch for the request engine's WaitAll rounds and the robust
-	// path's multi-op wait (see nonblocking.go, robust.go). Safe to
+	// slots are the UE's send and receive transfer, indexed by ReqKind
+	// (see nonblocking.go): every point-to-point driver runs its chunk
+	// state machine out of them.
+	slots [2]Request
+
+	// Scratch for the multi-flag waits of WaitAll and runRobust. Safe to
 	// reuse because these loops never nest within one UE.
-	waitFlags  []int
-	waitPend   []*Request
-	robustOffs []int
-	robustPend []*robustOp
-	// opSend/opRecv are the robust-op storage reused by SendRobust /
-	// RecvRobust / ExchangeRobust, with opsBuf the argument slice.
-	opSend, opRecv robustOp
-	opsBuf         [2]*robustOp
+	waitFlags []int
+	waitPend  []*Request
 }
 
 // scratch returns the staging arena resized to n bytes, reallocating
@@ -293,45 +287,16 @@ func (u *UE) writePriv(a scc.Addr, buf []byte) {
 // Send transmits nBytes from private memory to UE dest using the blocking
 // two-flag protocol of Fig. 3. It returns only after dest has consumed
 // every chunk.
-func (u *UE) Send(dest int, addr scc.Addr, nBytes int) {
-	if dest == u.ID() {
-		panic(fmt.Sprintf("rcce: UE %d sending to itself", dest))
-	}
-	m := u.core.Chip().Model
-	reg := u.core.Metrics()
-	var t0 simtime.Time
-	if reg != nil {
-		t0 = u.core.Now()
-	}
-	u.chargeCall(m.OverheadBlockingCall)
-	u.chargePartialLine(nBytes)
-	chunk := u.comm.DataBytes()
-	sent := u.comm.FlagAddr(dest, u.ID(), FlagSent)   // I set this in dest's MPB
-	ready := u.comm.FlagAddr(u.ID(), dest, FlagReady) // dest sets this in my MPB
-	for off := 0; off < nBytes || nBytes == 0; off += chunk {
-		n := min(chunk, nBytes-off)
-		u.Put(addr+scc.Addr(off), u.comm.DataBase(u.ID()), n)
-		u.core.SetFlag(sent, 1)
-		u.core.WaitFlag(ready, 1)
-		u.core.SetFlag(ready, 0) // clear ready (local line)
-		u.core.Note(simtime.Note3("send->%02d: %d/%d B acked",
-			int64(dest), int64(off+n), int64(nBytes)))
-		if nBytes == 0 {
-			break
-		}
-	}
-	if reg != nil {
-		reg.Count(u.core.ID, metrics.CtrSends)
-		reg.CountN(u.core.ID, metrics.CtrSendTicks, int64(u.core.Now()-t0))
-	}
-}
+func (u *UE) Send(dest int, addr scc.Addr, nBytes int) { u.blocking(ReqSend, dest, addr, nBytes) }
 
 // Recv receives nBytes from UE src into private memory, blocking.
-func (u *UE) Recv(src int, addr scc.Addr, nBytes int) {
-	if src == u.ID() {
-		panic(fmt.Sprintf("rcce: UE %d receiving from itself", src))
-	}
+func (u *UE) Recv(src int, addr scc.Addr, nBytes int) { u.blocking(ReqRecv, src, addr, nBytes) }
+
+// blocking is RCCE's blocking driver of the chunk state machine: it
+// waits on the request's watched flag and advances, chunk by chunk.
+func (u *UE) blocking(kind ReqKind, peer int, addr scc.Addr, nBytes int) {
 	m := u.core.Chip().Model
+	r := u.open(NBCosts{Post: m.OverheadBlockingCall}, kind, nil, peer, addr, nBytes)
 	reg := u.core.Metrics()
 	var t0 simtime.Time
 	if reg != nil {
@@ -339,24 +304,20 @@ func (u *UE) Recv(src int, addr scc.Addr, nBytes int) {
 	}
 	u.chargeCall(m.OverheadBlockingCall)
 	u.chargePartialLine(nBytes)
-	chunk := u.comm.DataBytes()
-	sent := u.comm.FlagAddr(u.ID(), src, FlagSent)   // src sets this in my MPB
-	ready := u.comm.FlagAddr(src, u.ID(), FlagReady) // I set this in src's MPB
-	for off := 0; off < nBytes || nBytes == 0; off += chunk {
-		n := min(chunk, nBytes-off)
-		u.core.WaitFlag(sent, 1)
-		u.core.SetFlag(sent, 0) // clear sent (local line)
-		u.Get(u.comm.DataBase(src), addr+scc.Addr(off), n)
-		u.core.SetFlag(ready, 1)
-		u.core.Note(simtime.Note3("recv<-%02d: %d/%d B consumed",
-			int64(src), int64(off+n), int64(nBytes)))
-		if nBytes == 0 {
-			break
-		}
+	if kind == ReqSend {
+		r.stage()
+	}
+	for !r.done {
+		u.core.WaitFlag(r.watch(), r.seq)
+		r.advance(r.seq)
 	}
 	if reg != nil {
-		reg.Count(u.core.ID, metrics.CtrRecvs)
-		reg.CountN(u.core.ID, metrics.CtrRecvTicks, int64(u.core.Now()-t0))
+		calls, ticks := metrics.CtrSends, metrics.CtrSendTicks
+		if kind == ReqRecv {
+			calls, ticks = metrics.CtrRecvs, metrics.CtrRecvTicks
+		}
+		reg.Count(u.core.ID, calls)
+		reg.CountN(u.core.ID, ticks, int64(u.core.Now()-t0))
 	}
 }
 

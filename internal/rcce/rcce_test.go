@@ -2,7 +2,9 @@ package rcce
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"scc/internal/metrics"
 	"scc/internal/scc"
@@ -422,15 +424,38 @@ func TestPartialLineMessageCostsMore(t *testing.T) {
 	}
 }
 
+// TestSendToSelfPanics: every driver of the chunk state machine refuses
+// a transfer whose peer is the UE itself.
 func TestSendToSelfPanics(t *testing.T) {
-	chip := newChip()
-	comm := NewComm(chip)
-	chip.LaunchOne(0, func(core *scc.Core) {
-		ue := comm.UE(0)
-		a := core.AllocF64(1)
-		ue.Send(0, a, 8*1)
-	})
-	if err := chip.Run(); err == nil {
-		t.Fatal("self-send should fail the simulation")
+	costs := NBCosts{Post: 100, Wait: 100, Progress: 25}
+	pol := DefaultPolicy()
+	for _, tc := range []struct {
+		name string
+		call func(ue *UE, a scc.Addr) error
+	}{
+		{"Send", func(ue *UE, a scc.Addr) error { ue.Send(0, a, 8); return nil }},
+		{"Recv", func(ue *UE, a scc.Addr) error { ue.Recv(0, a, 8); return nil }},
+		{"PostSend", func(ue *UE, a scc.Addr) error { ue.PostSend(costs, 0, a, 8); return nil }},
+		{"PostRecv", func(ue *UE, a scc.Addr) error { ue.PostRecv(costs, 0, a, 8); return nil }},
+		{"SendRobust", func(ue *UE, a scc.Addr) error { return ue.SendRobust(costs, pol, 0, a, 8) }},
+		{"RecvRobust", func(ue *UE, a scc.Addr) error { return ue.RecvRobust(costs, pol, 0, a, 8) }},
+		{"ExchangeRobust", func(ue *UE, a scc.Addr) error { return ue.ExchangeRobust(costs, pol, 1, a, 8, 0, a, 8) }},
+	} {
+		chip := newChip()
+		comm := NewComm(chip)
+		chip.LaunchOne(0, func(core *scc.Core) {
+			_ = tc.call(comm.UE(0), core.AllocF64(1))
+		})
+		if err := chip.Run(); err == nil || !strings.Contains(err.Error(), "to itself") {
+			t.Errorf("%s to self: Run = %v, want the self-transfer panic", tc.name, err)
+		}
+	}
+}
+
+// TestUEFitsItsSizeClass: every core holds a UE, with both transfer
+// slots inline; 512 bytes is the allocation size class it fits.
+func TestUEFitsItsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(UE{}); n > 512 {
+		t.Fatalf("UE is %d bytes, want at most 512", n)
 	}
 }

@@ -10,9 +10,11 @@ import (
 )
 
 // This file implements the hardened (self-recovering) point-to-point
-// protocol. The plain two-flag protocol of comm.go assumes a perfect
-// chip: one lost flag write hangs both peers forever. The hardened
-// variant survives lost and corrupted MPB traffic:
+// protocol: the steps a Request with hard set adds to the one chunk
+// state machine of nonblocking.go, and runRobust, its driver. The plain
+// two-flag protocol assumes a perfect chip: one lost flag write hangs
+// both peers forever. The hardened variant survives lost and corrupted
+// MPB traffic:
 //
 //   - Flags carry sequence numbers (1..127) instead of 0/1, so a
 //     duplicate chunk is recognized and re-acknowledged, not re-consumed.
@@ -165,211 +167,75 @@ func chunkSum(seq byte, payload []byte, epochSalt uint32) uint32 {
 	return h ^ epochSalt
 }
 
-// robustOp is one direction of a hardened transfer: a chunked state
-// machine with bounded waits. Send and receive directions share the
-// engine (runRobust) so a full-duplex exchange interleaves both without
-// deadlock.
-type robustOp struct {
-	u    *UE
-	pol  Policy
-	kind ReqKind
-	peer int
-	addr scc.Addr
-	n    int
-
-	off      int  // bytes completed
-	seq      byte // sequence number of the chunk in flight / expected
-	chunks   int  // chunks remaining (>= 1 even for zero-byte messages)
-	retries  int
-	window   simtime.Duration
-	deadline simtime.Time
-	done     bool
+// seqs is the per-peer sequence counter of the request's direction.
+func (r *Request) seqs() *peerBytes {
+	if r.kind == ReqRecv {
+		return &r.ue.recvSeq
+	}
+	return &r.ue.sendSeq
 }
 
-// initRobustOp (re)initializes caller-owned op storage. The public
-// entry points pass the UE's opSend/opRecv fields, so a steady state of
-// robust transfers allocates no op records: a UE drives at most one
-// robust operation per direction at a time.
-func (u *UE) initRobustOp(r *robustOp, kind ReqKind, pol Policy, peer int, addr scc.Addr, n int) *robustOp {
-	if peer == u.ID() {
-		panic(fmt.Sprintf("rcce: UE %d robust %v with itself", peer, kind))
-	}
-	seqm := &u.sendSeq
-	if kind == ReqRecv {
-		seqm = &u.recvSeq
-	}
-	seq := seqm.get(peer)
-	if seq == 0 {
-		seq = 1
-	}
-	cap := u.comm.DataBytes()
-	chunks := (n + cap - 1) / cap
-	if chunks < 1 {
-		chunks = 1
-	}
-	*r = robustOp{
-		u: u, pol: pol, kind: kind, peer: peer, addr: addr, n: n,
-		seq: seq, chunks: chunks, window: pol.Timeout,
-	}
-	return r
-}
-
-// flagOff returns the offset of one of the op's flags. For a send,
-// "sent" and the checksum live in the peer's MPB (we write them);
-// "ready" and "progress" live in ours (the peer writes them). A receive
-// mirrors this.
-func (r *robustOp) flagOff(role int) int {
-	owner, writer := r.peer, r.u.ID()
-	if (role == FlagSent || role == FlagChk0) != (r.kind == ReqSend) {
-		owner, writer = writer, owner
-	}
-	return r.u.comm.FlagAddr(owner, writer, role)
-}
-
-// watchOff is the local flag whose change can advance this op.
-func (r *robustOp) watchOff() int {
-	if r.kind == ReqSend {
-		return r.flagOff(FlagReady)
-	}
-	return r.flagOff(FlagSent)
-}
-
-// match reports whether a watched-flag value advances this op.
-func (r *robustOp) match(v byte) bool {
+// match reports whether a watched-flag value advances a hardened
+// request: an ACK or NACK of the chunk in flight for a send, the
+// expected chunk or a duplicate of the previous one for a receive.
+func (r *Request) match(v byte) bool {
 	if r.kind == ReqSend {
 		return v == r.seq || v == r.seq|nackBit
 	}
 	return v == r.seq || v == prevSeq(r.seq)
 }
 
-func (r *robustOp) chunkLen() int {
-	n := r.n - r.off
-	if cap := r.u.comm.DataBytes(); n > cap {
-		n = cap
-	}
-	return n
+func (r *Request) armDeadline() {
+	r.deadline = r.ue.core.Now() + r.window
 }
 
-func (r *robustOp) armDeadline() {
-	r.deadline = r.u.core.Now() + r.window
-}
-
-func (r *robustOp) backoff() {
+func (r *Request) backoff() {
 	r.window *= Backoff
-	r.deadline = r.u.core.Now() + r.window +
-		r.pol.JitterOf(r.window, r.u.ID(), r.peer, r.seq, r.retries)
+	r.deadline = r.ue.core.Now() + r.window +
+		r.pol.JitterOf(r.window, r.ue.ID(), r.peer, r.seq, r.retries)
 }
 
-// chargeChecksum prices checksumming n payload bytes (minimum one line).
-func (r *robustOp) chargeChecksum(n int) {
-	m := r.u.core.Chip().Model
-	lines := int64(m.Lines(n))
-	if lines < 1 {
-		lines = 1
-	}
-	r.u.core.OverheadCycles(m.ChecksumPerLineCoreCycles * lines)
+// checksum prices checksumming the n-byte chunk in flight (minimum one
+// line) and computes it over the private-memory copy. It covers the
+// sequence number, so a corrupted write, a lost write, and the loss of
+// both writes (which leaves the previous chunk and its own checksum in
+// place) all fail verification on the receiver.
+func (r *Request) checksum(n int) uint32 {
+	u := r.ue
+	m := u.core.Chip().Model
+	u.core.OverheadCycles(m.ChecksumPerLineCoreCycles * int64(max(1, m.Lines(n))))
+	return chunkSum(r.seq, u.core.PrivBytes(r.addr+scc.Addr(r.off), n), u.epochSalt)
 }
 
-// stage copies the current chunk into the peer's staging region along
-// with its checksum, then announces it with the sequence-valued sent
-// flag. The checksum is computed over the private-memory source and
-// covers the sequence number, so a corrupted write, a lost write, and
-// the loss of both writes (which leaves the previous chunk and its own
-// checksum in place) all fail verification on the receiver.
-func (r *robustOp) stage() {
-	u := r.u
-	n := r.chunkLen()
-	u.Put(r.addr+scc.Addr(r.off), u.comm.DataBase(u.ID()), n)
-	r.chargeChecksum(n)
-	sum := chunkSum(r.seq, u.core.PrivBytes(r.addr+scc.Addr(r.off), n), u.epochSalt)
+// writeSum writes the staged chunk's checksum into the sent-flag line.
+func (r *Request) writeSum(n int) {
 	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], sum)
-	u.core.MPBWrite(r.flagOff(FlagChk0), b[:])
-	u.core.SetFlag(r.flagOff(FlagSent), r.seq)
+	binary.LittleEndian.PutUint32(b[:], r.checksum(n))
+	r.ue.core.MPBWrite(r.flagOff(FlagChk0), b[:])
 }
 
-// completeChunk records one finished chunk and either finishes the op or
-// moves to the next chunk (staging it, for sends).
-func (r *robustOp) completeChunk(n int) {
-	u := r.u
-	r.off += n
-	r.chunks--
-	seqm := &u.sendSeq
-	verb := "robust sent %d/%d B peer %02d"
-	if r.kind == ReqRecv {
-		seqm = &u.recvSeq
-		verb = "robust recvd %d/%d B peer %02d"
-	}
-	r.seq = nextSeq(r.seq)
-	seqm.set(r.peer, r.seq)
-	u.core.Note(simtime.Note3(verb, int64(r.off), int64(r.n), int64(r.peer)))
-	if r.chunks == 0 {
-		r.done = true
-		return
-	}
-	r.retries = 0
-	r.window = r.pol.Timeout
-	if r.kind == ReqSend {
-		r.stage()
-	}
-	r.armDeadline()
+// verify reports whether the received chunk matches the checksum the
+// sender wrote beside it.
+func (r *Request) verify(n int) bool {
+	sum := r.checksum(n)
+	var b [4]byte
+	r.ue.core.MPBRead(r.flagOff(FlagChk0), b[:])
+	return binary.LittleEndian.Uint32(b[:]) == sum
 }
 
 // retransmit re-stages the chunk in flight after a timeout or NACK.
-func (r *robustOp) retransmit() {
-	u := r.u
+func (r *Request) retransmit() {
+	u := r.ue
 	u.core.OverheadCycles(u.core.Chip().Model.OverheadRetransmit)
 	u.stats.Retransmits++
 	r.stage()
 	r.backoff()
 }
 
-// advance consumes one matched watched-flag value.
-func (r *robustOp) advance(v byte) {
-	u := r.u
-	if r.kind == ReqSend {
-		u.core.SetFlag(r.flagOff(FlagReady), 0) // consume the ACK/NACK (local line)
-		if v == r.seq {
-			r.completeChunk(r.chunkLen())
-		} else { // NACK: the receiver saw a corrupt chunk
-			r.retransmit()
-		}
-		return
-	}
-	// Receive side.
-	u.core.SetFlag(r.flagOff(FlagSent), 0) // consume the announcement (local line)
-	if v == prevSeq(r.seq) && v != r.seq {
-		// Duplicate of the previous chunk: our ACK was lost in flight.
-		// Re-acknowledge; do not consume the data again.
-		u.core.SetFlag(r.flagOff(FlagReady), v)
-		u.core.SetFlag(r.flagOff(FlagProgress), v)
-		u.stats.DupAcks++
-		r.armDeadline()
-		return
-	}
-	n := r.chunkLen()
-	u.Get(u.comm.DataBase(r.peer), r.addr+scc.Addr(r.off), n)
-	r.chargeChecksum(n)
-	sum := chunkSum(r.seq, u.core.PrivBytes(r.addr+scc.Addr(r.off), n), u.epochSalt)
-	var b [4]byte
-	u.core.MPBRead(r.flagOff(FlagChk0), b[:])
-	if binary.LittleEndian.Uint32(b[:]) != sum {
-		// Corrupt, lost, or stale (another sequence number's) chunk:
-		// NACK and wait for the retransmission of this sequence number.
-		u.core.SetFlag(r.flagOff(FlagReady), r.seq|nackBit)
-		u.stats.Nacks++
-		r.armDeadline()
-		return
-	}
-	u.core.SetFlag(r.flagOff(FlagReady), r.seq)
-	u.core.SetFlag(r.flagOff(FlagProgress), r.seq)
-	r.completeChunk(n)
-}
-
 // onTimeout handles an expired deadline: lost-ACK recovery via the
 // progress byte for senders, retransmission with backoff otherwise.
-func (r *robustOp) onTimeout() error {
-	u := r.u
+func (r *Request) onTimeout() error {
+	u := r.ue
 	m := u.core.Chip().Model
 	u.core.OverheadCycles(m.OverheadTimeoutCheck)
 	u.stats.Timeouts++
@@ -397,12 +263,14 @@ func (r *robustOp) onTimeout() error {
 	return nil
 }
 
-// runRobust drives a set of robust ops to completion concurrently: the
+// runRobust drives hardened requests to completion concurrently: the
 // core watches every pending op's flag with one bounded multi-flag wait
 // and advances whichever fires. This is what makes a full-duplex
 // exchange deadlock-free with a single simulated process per core.
-// wait is the hosting library's software cost of one wait round.
-func (u *UE) runRobust(wait int64, ops []*robustOp) error {
+// wait is the hosting library's software cost of one wait round. When
+// a retry budget runs out every op is abandoned (marked done), so a
+// later post does not drain a transfer whose peer is gone.
+func (u *UE) runRobust(wait int64, ops ...*Request) error {
 	for _, r := range ops {
 		if r.kind == ReqSend {
 			r.stage()
@@ -415,25 +283,24 @@ func (u *UE) runRobust(wait int64, ops []*robustOp) error {
 			u.stats.Recovery += u.core.Now() - firstTimeout
 		}
 	}
-	// The per-round scratch lives on the UE (robust ops never nest
-	// within one UE), and the match predicate reads the UE field so one
-	// closure serves every round.
-	match := func(i int, val byte) bool { return u.robustPend[i].match(val) }
+	// The per-round scratch is the request engine's (runRobust and
+	// WaitAll never nest within one UE), and the match predicate reads
+	// the UE field so one closure serves every round.
+	match := func(i int, val byte) bool { return u.waitPend[i].match(val) }
 	for {
-		u.robustOffs = u.robustOffs[:0]
-		u.robustPend = u.robustPend[:0]
+		flags, pend := u.waitFlags[:0], u.waitPend[:0]
 		var minDL simtime.Time = -1
 		for _, r := range ops {
 			if r.done {
 				continue
 			}
-			u.robustOffs = append(u.robustOffs, r.watchOff())
-			u.robustPend = append(u.robustPend, r)
+			flags = append(flags, r.watch())
+			pend = append(pend, r)
 			if minDL < 0 || r.deadline < minDL {
 				minDL = r.deadline
 			}
 		}
-		pend := u.robustPend
+		u.waitFlags, u.waitPend = flags, pend
 		if len(pend) == 0 {
 			settle()
 			return nil
@@ -443,7 +310,7 @@ func (u *UE) runRobust(wait int64, ops []*robustOp) error {
 		if limit < 1 {
 			limit = 1
 		}
-		idx, v, ok := u.core.WaitFlagsMatch(u.robustOffs, limit, match)
+		idx, v, ok := u.core.WaitFlagsMatch(flags, limit, match)
 		if ok {
 			pend[idx].advance(v)
 			continue
@@ -455,6 +322,9 @@ func (u *UE) runRobust(wait int64, ops []*robustOp) error {
 		for _, r := range pend {
 			if !r.done && now >= r.deadline {
 				if err := r.onTimeout(); err != nil {
+					for _, op := range ops {
+						op.done = true
+					}
 					settle()
 					return err
 				}
@@ -467,20 +337,21 @@ func (u *UE) runRobust(wait int64, ops []*robustOp) error {
 // selects the software-overhead profile of the hosting library (blocking,
 // iRCCE or lightweight).
 func (u *UE) SendRobust(costs NBCosts, pol Policy, dest int, addr scc.Addr, nBytes int) error {
-	pol = pol.withDefaults()
-	u.core.OverheadCycles(costs.Post)
-	u.chargePartialLine(nBytes)
-	u.opsBuf[0] = u.initRobustOp(&u.opSend, ReqSend, pol, dest, addr, nBytes)
-	return u.runRobust(costs.Wait, u.opsBuf[:1])
+	return u.robust(costs, pol, ReqSend, dest, addr, nBytes)
 }
 
 // RecvRobust receives nBytes from src with the hardened protocol.
 func (u *UE) RecvRobust(costs NBCosts, pol Policy, src int, addr scc.Addr, nBytes int) error {
+	return u.robust(costs, pol, ReqRecv, src, addr, nBytes)
+}
+
+// robust runs one hardened transfer in the slot of the given kind.
+func (u *UE) robust(costs NBCosts, pol Policy, kind ReqKind, peer int, addr scc.Addr, nBytes int) error {
 	pol = pol.withDefaults()
+	r := u.open(costs, kind, &pol, peer, addr, nBytes)
 	u.core.OverheadCycles(costs.Post)
 	u.chargePartialLine(nBytes)
-	u.opsBuf[0] = u.initRobustOp(&u.opRecv, ReqRecv, pol, src, addr, nBytes)
-	return u.runRobust(costs.Wait, u.opsBuf[:1])
+	return u.runRobust(costs.Wait, r)
 }
 
 // ExchangeRobust runs a hardened send to dest and receive from src
@@ -488,12 +359,12 @@ func (u *UE) RecvRobust(costs NBCosts, pol Policy, src int, addr scc.Addr, nByte
 // multi-flag wait, so symmetric exchanges need no odd/even ordering.
 func (u *UE) ExchangeRobust(costs NBCosts, pol Policy, dest int, sAddr scc.Addr, sBytes int, src int, rAddr scc.Addr, rBytes int) error {
 	pol = pol.withDefaults()
+	s := u.open(costs, ReqSend, &pol, dest, sAddr, sBytes)
+	r := u.open(costs, ReqRecv, &pol, src, rAddr, rBytes)
 	u.core.OverheadCycles(2 * costs.Post)
 	u.chargePartialLine(sBytes)
 	u.chargePartialLine(rBytes)
-	u.opsBuf[0] = u.initRobustOp(&u.opSend, ReqSend, pol, dest, sAddr, sBytes)
-	u.opsBuf[1] = u.initRobustOp(&u.opRecv, ReqRecv, pol, src, rAddr, rBytes)
-	return u.runRobust(costs.Wait, u.opsBuf[:2])
+	return u.runRobust(costs.Wait, s, r)
 }
 
 // BarrierGroup synchronizes the given members (sorted core IDs, which

@@ -193,6 +193,59 @@ func TestRobustUnreachablePeer(t *testing.T) {
 	}
 }
 
+// TestAbandonedRobustTransferFreesItsSlot: hardened transfers run out
+// of the same two slots as posted ones, so a transfer that gave up on a
+// silent peer must leave its slot free. A plain post in the same
+// direction afterwards completes with a live peer instead of draining
+// the dead request forever.
+func TestAbandonedRobustTransferFreesItsSlot(t *testing.T) {
+	pol := Policy{Timeout: simtime.Microseconds(50), MaxRetries: 3}
+	costs := NBCosts{Post: 500, Wait: 400, Progress: 100}
+	for _, kind := range []ReqKind{ReqSend, ReqRecv} {
+		chip := scc.New(timing.Default())
+		comm := NewComm(chip)
+		var robustErr error
+		var got []float64
+		chip.LaunchOne(0, func(core *scc.Core) {
+			u := comm.UE(0)
+			a := core.AllocF64(8)
+			fill(core, a, 8, 10)
+			// Core 1 never runs: the hardened transfer gives up on it.
+			if kind == ReqSend {
+				robustErr = u.SendRobust(costs, pol, 1, a, 64)
+				u.WaitAll(costs, u.PostSend(costs, 2, a, 64))
+			} else {
+				robustErr = u.RecvRobust(costs, pol, 1, a, 64)
+				u.WaitAll(costs, u.PostRecv(costs, 2, a, 64))
+				got = make([]float64, 8)
+				core.ReadF64s(a, got)
+			}
+		})
+		chip.LaunchOne(2, func(core *scc.Core) {
+			u := comm.UE(2)
+			a := core.AllocF64(8)
+			fill(core, a, 8, 20)
+			if kind == ReqSend {
+				u.WaitAll(costs, u.PostRecv(costs, 0, a, 64))
+				checkVals(t, core, a, 8, 10)
+			} else {
+				u.WaitAll(costs, u.PostSend(costs, 0, a, 64))
+			}
+		})
+		if err := chip.Run(); err != nil {
+			t.Fatalf("%v: Run: %v", kind, err)
+		}
+		if !errors.Is(robustErr, ErrUnreachable) {
+			t.Fatalf("%v: hardened err = %v, want ErrUnreachable", kind, robustErr)
+		}
+		for i, v := range got {
+			if v != 20+float64(i) {
+				t.Fatalf("%v: value[%d] = %v after the abandoned transfer", kind, i, v)
+			}
+		}
+	}
+}
+
 // TestRecoveryStatsGiveUps: a give-up is counted where a retry budget
 // runs out (a robust op and the bounded group barrier), and Add keeps
 // the earliest one, which a zero value never sets.

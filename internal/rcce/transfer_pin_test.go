@@ -22,10 +22,9 @@ import (
 // ticks, Profiles, put/get/flag counters and RecoveryStats, plus two
 // hardened runs under a lost sent flag and a corrupted chunk.
 //
-// Regenerate only when the workload below changes, never to absorb a
-// difference:
-//
-//	TRANSFER_PIN_UPDATE=1 go test -run TestTransferPin ./internal/rcce/
+// Rewrite it only when the workload below changes, never to absorb a
+// difference: a run whose cell count disagrees with the file logs every
+// line it produced.
 const transferPinPath = "testdata/transfer_pin.txt"
 
 // pinFault is a FaultHook that loses core 0's first flag write or
@@ -171,21 +170,13 @@ func TestTransferPin(t *testing.T) {
 	lines = append(lines,
 		"dropped-sent-flag "+pinCell(t, robust, 6529, "even", &pinFault{drop: true}),
 		"corrupted-chunk "+pinCell(t, robust, 6529, "even", &pinFault{corrupt: true}))
-	got := strings.Join(lines, "\n") + "\n"
-	if os.Getenv("TRANSFER_PIN_UPDATE") != "" {
-		if err := os.WriteFile(transferPinPath, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s (%d cells)", transferPinPath, len(lines))
-		return
-	}
 	raw, err := os.ReadFile(transferPinPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
 	if len(want) != len(lines) {
-		t.Fatalf("%s has %d cells, the workload %d", transferPinPath, len(want), len(lines))
+		t.Fatalf("%s has %d cells, the workload %d:\n%s", transferPinPath, len(want), len(lines), strings.Join(lines, "\n"))
 	}
 	for i := range lines {
 		if lines[i] != want[i] {

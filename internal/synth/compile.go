@@ -13,10 +13,10 @@ import (
 //
 // Execution model. Within a step, the IR's move list is the global
 // total order. Each rank extracts its own moves, fuses every
-// send/receive pair it has with the same peer into one ExchangePair
-// call (both ends derive the same pairing from the same list, so the
-// fusions match), and runs the resulting actions ordered by the
-// position of their earliest constituent move. That is deadlock-free
+// send/receive pair it has with the same peer into one Exchange call
+// with that peer on both legs (both ends derive the same pairing from
+// the same list, so the fusions match), and runs the resulting actions
+// ordered by the position of their earliest constituent move. That is deadlock-free
 // for rendezvous semantics: consider the unfinished action with the
 // globally smallest position; its partner rank cannot be blocked on an
 // earlier action (that action would be smaller), cannot have passed it
@@ -178,7 +178,7 @@ func (b base) runAction(x *core.Ctx, ep core.Endpoint, relabel func(int) int, a 
 		if a.recv.Kind == Combine {
 			recvInto = stage + rOff
 		}
-		if err := ep.ExchangePair(peerCore, work+sOff, 8*sLen, recvInto, 8*rLen); err != nil {
+		if err := ep.Exchange(peerCore, work+sOff, 8*sLen, peerCore, recvInto, 8*rLen); err != nil {
 			return err
 		}
 		if a.recv.Kind == Combine {

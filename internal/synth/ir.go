@@ -221,7 +221,7 @@ func initState(op string, np, chunks int) (state, error) {
 //   - reads use pre-step state: a sender must hold a non-empty mask,
 //     and a (rank, chunk) written in the step may be read in the same
 //     step only as half of a symmetric single-chunk exchange with the
-//     same peer (the one pattern the compiler fuses into ExchangePair,
+//     same peer (the one pattern the compiler fuses into one Exchange,
 //     so the pre-step value is what actually goes on the wire);
 //   - at most one write per (rank, chunk) per step;
 //   - Combine requires disjoint contribution masks (no contribution is
