@@ -250,3 +250,39 @@ func TestGCMCUnitAllocation(t *testing.T) {
 		t.Logf("%.1f MB", mb)
 	}
 }
+
+// TestWarmPoolFaultCellAllocation pins the host scratch on the fault
+// path: on a warm pool, the checked Allreduce cells of Fig. R1 (the
+// baseline and an 8-fault cell of FaultSweepAlgo over "tree", per
+// hardened transport) and of Fig. R2 (SelfHealSweep over "recdouble"
+// with one kill) take every per-core staging vector from the chip kit.
+// They allocate 0.91 MB. While each UE staged chunks through a buffer of
+// its own and each context grew its reduction vectors afresh (an
+// unreleased context's never came back), the same cells allocated
+// 5.56 MB.
+func TestWarmPoolFaultCellAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation budget under the race detector")
+	}
+	defer scc.DrainChipPool()
+	model := timing.Default()
+	pol := rcce.DefaultPolicy()
+	heal := core.DefaultHealPolicy()
+	r := NewRunner(1)
+	cells := func() {
+		for _, kind := range []core.TransportKind{core.TransportBlocking, core.TransportLightweight} {
+			r.FaultSweepAlgo(model, kind, pol, "tree", 7, 552, []int{8})
+		}
+		r.SelfHealSweep(model, core.TransportLightweight, heal, []string{"recdouble"}, 552, []float64{0.5})
+	}
+	cells() // warm the pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	cells()
+	runtime.ReadMemStats(&after)
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	if mb > 2 {
+		t.Errorf("the fault cells on a warm pool allocate %.2f MB, budget 2", mb)
+	}
+	t.Logf("%.2f MB", mb)
+}

@@ -4,9 +4,9 @@ import "scc/internal/scc"
 
 // The built-in algorithm units. Each is a stateless named wrapper over
 // the Ctx helpers (ring rounds, binomial trees, the MPB-direct ring,
-// the naive linear loops); per-call state stays in the Ctx scratch
-// buffers exactly as before the registry existed, so registering an
-// algorithm costs nothing at collective-call time.
+// the naive linear loops); per-call state stays in the Ctx and in its
+// core's scratch (scc.Core.ScratchF64), so registering an algorithm
+// costs nothing at collective-call time.
 
 func init() {
 	RegisterAlgorithm(ringAlg{})

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"scc/internal/rcce"
 	"scc/internal/scc"
@@ -118,73 +117,24 @@ type Ctx struct {
 	curAddr, rbufAddr scc.Addr
 	scratchLen        int
 
-	// Reusable host-side scratch for the reduction steps: vecA/vecB back
-	// ReduceInto and CopyPrivate, gatherBuf backs the MPB-direct phase-2
-	// staging. Reuse is safe because a Ctx runs one collective step at a
-	// time.
-	vecA, vecB []float64
-	gatherBuf  []float64
-
 	// Memoized partition: collectives over the same shape (the common
 	// case — every rep of a sweep cell) share one read-only block list.
 	// Safe because Block slices are never mutated after construction.
+	// The host staging vectors are not the context's: they are the
+	// core's (scc.Core.ScratchF64), recycled with the chip.
 	partBuf      []Block
 	partN, partP int
 	partBal      bool
-
-	// scrNode holds the pool wrapper this context's scratch came from,
-	// so Release can return it without allocating.
-	scrNode *ctxScratch
 }
 
-// ctxScratch bundles a retired context's host-side scratch buffers for
-// reuse by the next Ctx (see Release). Pooling is what keeps a sweep —
-// one fresh chip and one fresh Ctx per core per cell — allocation-free
-// in the steady state.
-type ctxScratch struct {
-	vecA, vecB, gatherBuf []float64
-	partBuf               []Block
-}
-
-var ctxScratchPool sync.Pool
-
-// adoptScratch seeds a new context with pooled scratch, if any.
-func (x *Ctx) adoptScratch() {
-	s, ok := ctxScratchPool.Get().(*ctxScratch)
-	if !ok {
-		return
-	}
-	x.vecA, x.vecB, x.gatherBuf = s.vecA, s.vecB, s.gatherBuf
-	x.partBuf = s.partBuf
-	*s = ctxScratch{}
-	x.scrNode = s
-}
-
-// Release returns the context's scratch buffers to a shared pool for
-// reuse by future contexts. The context must not be used afterwards.
-// Calling Release is optional; an unreleased context's buffers are
-// simply garbage collected.
+// Release drops the context's partition memo and its multi-chip
+// sub-context. The context must not be used afterwards. Calling it is
+// optional: the host scratch a context reduces through belongs to the
+// core and is recycled by scc.Chip.Release.
 func (x *Ctx) Release() {
-	s := x.scrNode
-	if s == nil && (x.vecA != nil || x.vecB != nil || x.gatherBuf != nil || x.partBuf != nil) {
-		s = &ctxScratch{} // a context that holds no scratch pools nothing
-	}
-	if s != nil {
-		*s = ctxScratch{vecA: x.vecA, vecB: x.vecB, gatherBuf: x.gatherBuf, partBuf: x.partBuf}
-		ctxScratchPool.Put(s)
-	}
-	x.vecA, x.vecB, x.gatherBuf, x.partBuf = nil, nil, nil, nil
+	x.partBuf = nil
 	x.partN, x.partP, x.partBal = 0, 0, false
-	x.scrNode = nil
 	x.hierInner = nil
-}
-
-// scratchF64 returns (*buf)[:n], reallocating only when capacity grows.
-func scratchF64(buf *[]float64, n int) []float64 {
-	if cap(*buf) < n {
-		*buf = make([]float64, n)
-	}
-	return (*buf)[:n]
 }
 
 // withSelfHealDefaults normalizes a self-healing configuration:
@@ -262,7 +212,6 @@ func NewCtxWith(ue *rcce.UE, cfg Config, o CtxOpts) (*Ctx, error) {
 	if x.ep, err = newEndpoint(ue, cfg, x); err != nil {
 		return nil, err
 	}
-	x.adoptScratch()
 	if h == nil && cfg.SelfHeal != nil {
 		x.healer = NewHealer(ue, *cfg.SelfHeal)
 		if g != nil {
@@ -414,8 +363,7 @@ func (x *Ctx) ReduceInto(dst, a, b scc.Addr, n int, op Op) {
 		return
 	}
 	core := x.ue.Core()
-	va := scratchF64(&x.vecA, n)
-	vb := scratchF64(&x.vecB, n)
+	va, vb := core.ScratchF64(0, n), core.ScratchF64(1, n)
 	core.ReadF64s(a, va)
 	core.ReadF64s(b, vb)
 	core.ComputeCycles(core.Chip().Model.ReducePerElementCoreCycles * int64(n))
@@ -432,7 +380,7 @@ func (x *Ctx) CopyPrivate(dst, src scc.Addr, n int) {
 		return
 	}
 	core := x.ue.Core()
-	v := scratchF64(&x.vecA, n)
+	v := core.ScratchF64(0, n)
 	core.ReadF64s(src, v)
 	core.WriteF64s(dst, v)
 }

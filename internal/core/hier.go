@@ -59,8 +59,8 @@ func (hierAlg) Applicable(x *Ctx, n int) bool { return x.MultiChip() }
 
 // inner returns the chip-local sub-context the intra-chip phases run
 // on: same UE, transport and healer, no fabric, optionally a forced
-// intra-chip algorithm. Built once per Ctx and cached — its scratch
-// then persists across calls just like the parent's.
+// intra-chip algorithm. Built once per Ctx and cached, with a partition
+// memo and ring vectors of its own.
 func (x *Ctx) inner() *Ctx {
 	if x.hierInner == nil {
 		in := *x
@@ -68,12 +68,9 @@ func (x *Ctx) inner() *Ctx {
 		if x.fab != nil && x.fab.Intra != "" {
 			in.cfg.Selector = Fixed(x.fab.Intra)
 		}
-		// Fresh scratch: the parent's buffers may be live mid-call.
-		in.vecA, in.vecB, in.gatherBuf = nil, nil, nil
 		in.partBuf = nil
 		in.partN, in.partP, in.partBal = 0, 0, false
 		in.scratchLen = -1
-		in.scrNode = nil
 		in.hierInner = nil
 		x.hierInner = &in
 	}
@@ -88,10 +85,10 @@ func (x *Ctx) inner() *Ctx {
 func (x *Ctx) gatewayExchange(dst scc.Addr, n int, op Op) {
 	f := x.fab
 	core := x.ue.Core()
-	v := scratchF64(&x.gatherBuf, n)
+	v := core.ScratchF64(0, n)
 	core.ReadF64s(dst, v)
 	if f.Chip == 0 {
-		r := scratchF64(&x.vecB, n)
+		r := core.ScratchF64(1, n)
 		for c := 1; c < f.Chips; c++ {
 			f.Port.Recv(core, c, r)
 			core.ComputeCycles(core.Chip().Model.ReducePerElementCoreCycles * int64(n))
@@ -134,7 +131,7 @@ func (hierAlg) Broadcast(x *Ctx, root int, addr scc.Addr, n int) error {
 			return err
 		}
 		if x.ue.ID() == 0 {
-			v := scratchF64(&x.gatherBuf, n)
+			v := core.ScratchF64(0, n)
 			core.ReadF64s(addr, v)
 			for c := 0; c < f.Chips; c++ {
 				if c != f.Chip {
@@ -145,7 +142,7 @@ func (hierAlg) Broadcast(x *Ctx, root int, addr scc.Addr, n int) error {
 		return nil
 	}
 	if x.ue.ID() == 0 {
-		v := scratchF64(&x.gatherBuf, n)
+		v := core.ScratchF64(0, n)
 		f.Port.Recv(core, rootChip, v)
 		core.WriteF64s(addr, v)
 	}

@@ -195,7 +195,7 @@ func (x *Ctx) allreduceMPB(src, dst scc.Addr, n int, op Op) error {
 	// Round g: the left neighbor's buffer (B+g)%2 holds block
 	// (me-1-g); I copy it into my buffer (B+g+1)%2 (to forward) and
 	// into my private dst. The final round needs no forwarding.
-	buf := scratchF64(&x.gatherBuf, maxBlockLen(blocks))
+	buf := core.ScratchF64(0, maxBlockLen(blocks)) // phase 1's ReduceMPBToMPB is done with the slots
 	for g := 0; g < p-1; g++ {
 		core.OverheadCycles(roundSoftware)
 		b := (finalBuf + g) % 2

@@ -9,7 +9,7 @@ import (
 )
 
 // Steady-state allocation budgets for the blocking point-to-point path:
-// after the per-UE staging arena warms up on the first message, Send and
+// chunks move straight between private memory and the MPB, so Send and
 // Recv must not allocate per message or per chunk. Per-message cost is
 // the slope between a short and a long run (construction cancels).
 
@@ -50,8 +50,8 @@ func TestSendRecvSmallAllocFree(t *testing.T) {
 }
 
 func TestSendRecvLargeAllocFree(t *testing.T) {
-	// 8 KB spans many MPB chunks: the per-chunk loop must reuse the
-	// staging arena, not allocate per chunk.
+	// 8 KB spans many MPB chunks: the per-chunk loop must not allocate
+	// per chunk.
 	got := perMessage(t, 8192, 5, 55)
 	if got > 0.05 {
 		t.Fatalf("8 KB Send/Recv allocates %.3f objects per message; budget 0.05", got)

@@ -175,11 +175,6 @@ type UE struct {
 	epochSalt uint32
 	treeGen   byte
 
-	// stage is the UE's staging arena for Put/Get: a core moves at most
-	// one message chunk at a time, so one reusable buffer replaces the
-	// per-call make([]byte, nBytes).
-	stage []byte
-
 	// slots are the UE's send and receive transfer, indexed by ReqKind
 	// (see nonblocking.go): every point-to-point driver runs its chunk
 	// state machine out of them.
@@ -189,15 +184,6 @@ type UE struct {
 	// reuse because these loops never nest within one UE.
 	waitFlags []int
 	waitPend  []*Request
-}
-
-// scratch returns the staging arena resized to n bytes, reallocating
-// only when the requested size exceeds the current capacity.
-func (u *UE) scratch(n int) []byte {
-	if cap(u.stage) < n {
-		u.stage = make([]byte, n)
-	}
-	return u.stage[:n]
 }
 
 // ID returns the UE's rank (== core ID).
@@ -227,9 +213,12 @@ func (u *UE) chargePartialLine(nBytes int) {
 	}
 }
 
-// Put stages nBytes from private memory into the MPB at global offset
+// Put moves nBytes from private memory into the MPB at global offset
 // mpbOff: per-line cached reads on the private side, write-combined
-// line writes on the MPB side.
+// line writes on the MPB side. The bytes go straight from the private
+// slab to the MPB, as RCCE's put moves cache lines; only a fault hook
+// sees a copy (MPBWrite's), so a corrupting hook never reaches private
+// memory.
 func (u *UE) Put(privAddr scc.Addr, mpbOff, nBytes int) {
 	m := u.core.Chip().Model
 	reg := u.core.Metrics()
@@ -237,10 +226,9 @@ func (u *UE) Put(privAddr scc.Addr, mpbOff, nBytes int) {
 	if u.core.Tracing() || reg != nil {
 		t0 = u.core.Now()
 	}
-	buf := u.scratch(nBytes)
 	u.core.OverheadCycles(m.PutLineCoreCycles * int64(m.Lines(nBytes)))
-	u.readPriv(privAddr, buf)
-	u.core.MPBWrite(mpbOff, buf)
+	u.core.TouchRead(privAddr, nBytes)
+	u.core.MPBWrite(mpbOff, u.core.PrivBytes(privAddr, nBytes))
 	if u.core.Tracing() {
 		u.core.RecordSpan("put", t0, u.core.Now())
 	}
@@ -250,8 +238,8 @@ func (u *UE) Put(privAddr scc.Addr, mpbOff, nBytes int) {
 	}
 }
 
-// Get copies nBytes from the MPB at global offset mpbOff into private
-// memory at privAddr.
+// Get copies nBytes from the MPB at global offset mpbOff straight into
+// private memory at privAddr, then charges the private-side line writes.
 func (u *UE) Get(mpbOff int, privAddr scc.Addr, nBytes int) {
 	m := u.core.Chip().Model
 	reg := u.core.Metrics()
@@ -259,10 +247,9 @@ func (u *UE) Get(mpbOff int, privAddr scc.Addr, nBytes int) {
 	if u.core.Tracing() || reg != nil {
 		t0 = u.core.Now()
 	}
-	buf := u.scratch(nBytes)
 	u.core.OverheadCycles(m.GetLineCoreCycles * int64(m.Lines(nBytes)))
-	u.core.MPBRead(mpbOff, buf)
-	u.writePriv(privAddr, buf)
+	u.core.MPBRead(mpbOff, u.core.PrivBytes(privAddr, nBytes))
+	u.core.TouchWrite(privAddr, nBytes)
 	if u.core.Tracing() {
 		u.core.RecordSpan("get", t0, u.core.Now())
 	}
@@ -270,18 +257,6 @@ func (u *UE) Get(mpbOff int, privAddr scc.Addr, nBytes int) {
 		reg.Count(u.core.ID, metrics.CtrGets)
 		reg.CountN(u.core.ID, metrics.CtrGetTicks, int64(u.core.Now()-t0))
 	}
-}
-
-// readPriv / writePriv move raw bytes between the simulation and the
-// core's private memory, charging cache costs.
-func (u *UE) readPriv(a scc.Addr, buf []byte) {
-	u.core.TouchRead(a, len(buf))
-	copy(buf, u.core.PrivBytes(a, len(buf)))
-}
-
-func (u *UE) writePriv(a scc.Addr, buf []byte) {
-	u.core.TouchWrite(a, len(buf))
-	copy(u.core.PrivBytes(a, len(buf)), buf)
 }
 
 // Send transmits nBytes from private memory to UE dest using the blocking

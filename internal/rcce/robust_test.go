@@ -1,6 +1,7 @@
 package rcce
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -340,5 +341,75 @@ func TestBarrierGroup(t *testing.T) {
 		if reached[id] < simtime.Time(simtime.Microseconds(500)) {
 			t.Fatalf("core %d passed the barrier at %v, before the straggler", id, reached[id])
 		}
+	}
+}
+
+// bumpHook corrupts every bulk MPB write of one core by adding one to
+// each byte. Not an involution, so a hook that reached the sender's
+// private memory would leave it changed after any number of retransmits.
+type bumpHook struct{ core int }
+
+func (bumpHook) StallCore(int, simtime.Time) simtime.Duration { return 0 }
+func (bumpHook) CoreDead(int, simtime.Time) bool              { return false }
+func (bumpHook) DropFlagWrite(int, int, simtime.Time) bool    { return false }
+func (h bumpHook) FilterMPBWrite(writer, off int, data []byte, now simtime.Time) bool {
+	if writer == h.core {
+		for i := range data {
+			data[i]++
+		}
+	}
+	return false
+}
+
+// TestPutUnderCorruptingHookKeepsPrivateMemory: Put moves bytes straight
+// from private memory to the MPB, so the fault hook must see a copy. A
+// hook that corrupts every bulk write of the sender changes what lands
+// in the MPB and never the sender's private bytes, and the hardened
+// receiver NACKs the corrupted chunks until the sender gives up.
+func TestPutUnderCorruptingHookKeepsPrivateMemory(t *testing.T) {
+	const n = 64 // one chunk
+	chip := scc.New(timing.Default())
+	chip.Fault = bumpHook{core: 0}
+	comm := NewComm(chip)
+	costs := NBCosts{Post: 500, Wait: 400, Progress: 300}
+	pol := Policy{Timeout: simtime.Microseconds(50), MaxRetries: 3}
+	var want []byte
+	var sendErr, recvErr error
+	var recv RecoveryStats
+	chip.LaunchOne(0, func(core *scc.Core) {
+		u := comm.UE(0)
+		a := core.AllocF64(n)
+		fill(core, a, n, 1000)
+		want = append([]byte(nil), core.PrivBytes(a, 8*n)...)
+
+		u.Put(a, comm.DataBase(0), 8*n)
+		if got := core.PrivBytes(a, 8*n); !bytes.Equal(got, want) {
+			t.Error("Put under a corrupting hook changed the sender's private memory")
+		}
+		landed := make([]byte, 8*n)
+		core.MPBRead(comm.DataBase(0), landed)
+		if landed[0] != want[0]+1 || landed[8*n-1] != want[8*n-1]+1 {
+			t.Errorf("the MPB holds % x … % x, want the hook's corruption of % x … % x", landed[0], landed[8*n-1], want[0], want[8*n-1])
+		}
+
+		sendErr = u.SendRobust(costs, pol, 1, a, 8*n)
+		if got := core.PrivBytes(a, 8*n); !bytes.Equal(got, want) {
+			t.Error("SendRobust under a corrupting hook changed the sender's private memory")
+		}
+	})
+	chip.LaunchOne(1, func(core *scc.Core) {
+		u := comm.UE(1)
+		a := core.AllocF64(n)
+		recvErr = u.RecvRobust(costs, pol, 0, a, 8*n)
+		recv = u.Recovery()
+	})
+	if err := chip.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if recv.Nacks == 0 {
+		t.Errorf("the receiver did not NACK a corrupted chunk: %+v", recv)
+	}
+	if !errors.Is(sendErr, ErrUnreachable) || recvErr == nil {
+		t.Errorf("every chunk corrupted, yet send = %v, recv = %v", sendErr, recvErr)
 	}
 }

@@ -66,10 +66,10 @@ func (l Lib) reduce(root int, src, dst scc.Addr, n int, op core.Op) {
 	m := c.Chip().Model
 
 	// Working accumulator starts as a copy of src.
-	acc := make([]float64, n)
+	acc := c.ScratchF64(0, n)
 	c.ReadF64s(src, acc)
 	tmpAddr := c.AllocF64(n)
-	tmp := make([]float64, n)
+	tmp := c.ScratchF64(1, n)
 
 	t := rcce.NewBinomial(root, l.ue.ID(), l.ue.NumUEs())
 	for child := range t.Children(true) {
@@ -195,12 +195,13 @@ func (l Lib) Gather(root int, src scc.Addr, nPer int, dst scc.Addr) error {
 	return nil
 }
 
-// copyPriv copies n float64 values between private addresses through a
-// host-side staging vector (cache-priced read, then write).
+// copyPriv copies n float64 values between private addresses through the
+// core's host scratch (cache-priced read, then write).
 func (l Lib) copyPriv(dst, src scc.Addr, n int) {
-	v := make([]float64, n)
-	l.core().ReadF64s(src, v)
-	l.core().WriteF64s(dst, v)
+	c := l.core()
+	v := c.ScratchF64(0, n)
+	c.ReadF64s(src, v)
+	c.WriteF64s(dst, v)
 }
 
 // ReduceScatter reduces element-wise and scatters equal consecutive

@@ -10,8 +10,11 @@ import (
 // This file gives chip host storage an end of life and a second life
 // (DESIGN.md §13 "Chip storage lifetime"). A sweep builds a chip per cell,
 // uses a fraction of its private memories and cache tables and drops it:
-// 97 % of a Fig. 9 pass's allocation. Chip.Release parks the storage — a
-// kit — on a process-global free list and NewOnEngine adopts it, as
+// 97 % of a Fig. 9 pass's allocation before kits were recycled. The kit
+// is also the only home of per-core host scratch: the transport stages
+// straight between private memory and the MPB, and every layer above
+// takes its staging vectors from Core.ScratchF64. Chip.Release parks the
+// storage on a process-global free list and NewOnEngine adopts it, as
 // simtime's pool does for coroutines. Nothing a simulated program can
 // observe moves: addresses come from Core.brk alone, and a kit is parked
 // with everything its chip wrote zeroed again.
@@ -25,8 +28,8 @@ type coreStore struct {
 	// message. Reuse is safe within a chip because a core is one simulated
 	// process (no two of its MPB operations are ever in flight at once),
 	// across chips because every use overwrites the length it asks for.
-	xferBuf, faultBuf []byte    // MPBWriteF64s/MPBReadF64s staging; MPBWrite's copy for the fault hook
-	redA, redB        []float64 // ReduceMPBToMPB's operand and local vectors
+	xferBuf, faultBuf []byte       // MPBWriteF64s/MPBReadF64s staging; MPBWrite's copy for the fault hook
+	vec               [2][]float64 // ScratchF64's slots
 }
 
 // kit is the recyclable storage of one chip. It fits a model with the same

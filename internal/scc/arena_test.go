@@ -233,3 +233,50 @@ func TestReleaseAfterFailedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestScratchSlotsComeBackWithTheKit: the host scratch every layer stages
+// through is kit storage. The next chip's core hands back the backing
+// arrays the released chip's core grew, for any size up to what they
+// hold, and grows a slot only when asked for more.
+func TestScratchSlotsComeBackWithTheKit(t *testing.T) {
+	DrainChipPool()
+	defer DrainChipPool()
+	model := timing.Default()
+	const n = 552
+
+	a := New(model)
+	var arrays [2]*float64
+	for slot := range arrays {
+		arrays[slot] = &a.Cores[3].ScratchF64(slot, n)[0]
+	}
+	if &a.Cores[3].ScratchF64(0, n/2)[0] != arrays[0] {
+		t.Fatal("a smaller request on the same chip reallocated slot 0")
+	}
+	a.Release()
+
+	b := New(model)
+	defer b.Release()
+	c := b.Cores[3]
+	for slot, want := range arrays {
+		v := c.ScratchF64(slot, 7)
+		if len(v) != 7 || cap(v) < n {
+			t.Errorf("slot %d of the next chip: len %d cap %d, want len 7 cap ≥ %d", slot, len(v), cap(v), n)
+		}
+		if &v[0] != want {
+			t.Errorf("slot %d of the next chip is a new array, not the released chip's", slot)
+		}
+	}
+	if &c.ScratchF64(0, n)[0] != arrays[0] {
+		t.Error("the released chip's full size reallocated slot 0")
+	}
+	grown := c.ScratchF64(1, 2*n)
+	if len(grown) != 2*n || &grown[0] == arrays[1] {
+		t.Errorf("slot 1 asked for %d doubles: len %d, same array %v", 2*n, len(grown), &grown[0] == arrays[1])
+	}
+	if &c.ScratchF64(1, n)[0] != &grown[0] {
+		t.Error("slot 1 shrank back to its old array after growing")
+	}
+	if &b.Cores[4].ScratchF64(0, n)[0] == arrays[0] {
+		t.Error("two cores share a scratch array")
+	}
+}

@@ -303,8 +303,23 @@ func (c *Core) WriteF64s(a Addr, src []float64) {
 	}
 }
 
-// PrivBytes exposes raw private memory (no timing) for tests.
+// PrivBytes exposes raw private memory (no timing): the transport moves
+// chunks between it and the MPB after charging the cache costs itself
+// (TouchRead/TouchWrite), and tests read results through it.
 func (c *Core) PrivBytes(a Addr, n int) []byte { return c.priv[a : a+Addr(n)] }
+
+// ScratchF64 returns n float64s of host scratch from slot 0 or 1: the
+// staging vectors every layer above the chip reduces and copies through
+// (ReduceMPBToMPB, the collectives' ReduceInto and CopyPrivate, the
+// MPB-direct allgather, the multi-chip gateway, RCKMPI's accumulators).
+// The slots live in the chip kit, so they are recycled with the chip and
+// only ever grow. The contents are whatever the last holder left.
+//
+// Slot rule: a holder of a slot calls nothing that takes the same slot
+// while it still needs the vector. ReduceMPBToMPB takes both slots and
+// is a leaf: nothing it calls takes a slot, and no caller may hold one
+// across it.
+func (c *Core) ScratchF64(slot, n int) []float64 { return grow(&c.vec[slot], n) }
 
 // Compute advances the core's clock by d to model pure computation
 // (deferred until the next shared-state interaction).
@@ -514,9 +529,9 @@ func (c *Core) ProbeFlag(off int) byte {
 // cached private reads, per-element FP work, per-line local writes.
 func (c *Core) ReduceMPBToMPB(srcOff int, privAddr Addr, dstOff, n int, op func(a, b float64) float64) {
 	m := c.chip.Model
-	operand := grow(&c.redA, n)
+	operand := c.ScratchF64(0, n)
 	c.MPBReadF64s(srcOff, operand) // remote per-line round trips
-	local := grow(&c.redB, n)
+	local := c.ScratchF64(1, n)
 	c.ReadF64s(privAddr, local) // cached private reads
 	perElem := m.MPBReducePerElementCoreCycles
 	if m.HardwareBugFixed {
