@@ -7,44 +7,51 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"os"
 	"strings"
 
+	"scc/internal/bench"
 	"scc/internal/core"
 )
 
-func main() {
-	p := flag.Int("p", 48, "number of cores/blocks")
-	extra := flag.String("n", "", "comma-separated extra vector lengths to tabulate")
-	flag.Parse()
+func main() { bench.Exit("blocktable", run(os.Args[1:], os.Stdout)) }
 
-	lengths := []int{528, 552, 575}
-	if *extra != "" {
-		for _, s := range strings.Split(*extra, ",") {
-			var n int
-			if _, err := fmt.Sscanf(strings.TrimSpace(s), "%d", &n); err == nil {
-				lengths = append(lengths, n)
-			}
-		}
+// run is the whole command; the package test diffs its default output
+// against results/fig6.txt.
+func run(args []string, stdout io.Writer) error {
+	fs := bench.CLI{FlagSet: flag.NewFlagSet("blocktable", flag.ContinueOnError)}
+	p := fs.Int("p", 48, "number of cores/blocks")
+	extraFlag := fs.String("n", "", "comma-separated extra vector lengths to tabulate")
+	if err := fs.Parse(args); err != nil {
+		return err
 	}
+	if *p < 1 {
+		return fs.Fail("-p must be at least 1, got %d", *p)
+	}
+	extra, err := bench.ParseCounts("-n", *extraFlag)
+	if err != nil {
+		return fs.Fail("%v", err)
+	}
+	lengths := append([]int{528, 552, 575}, extra...)
 
-	fmt.Printf("Fig. 6: block sizes over %d cores\n\n", *p)
+	fmt.Fprintf(stdout, "Fig. 6: block sizes over %d cores\n\n", *p)
 	for _, n := range lengths {
-		std := core.Partition(n, *p)
-		bal := core.PartitionBalanced(n, *p)
-		fmt.Printf("%d elements:\n", n)
-		fmt.Printf("  (a) standard (RCCE_comm):  %s   ratio %.1f:1\n",
+		std, bal := core.Partition(n, *p), core.PartitionBalanced(n, *p)
+		fmt.Fprintf(stdout, "%d elements:\n", n)
+		fmt.Fprintf(stdout, "  (a) standard (RCCE_comm):  %s   ratio %.1f:1\n",
 			sizesSummary(std), core.ImbalanceRatio(std))
-		fmt.Printf("  (b) optimized (balanced):  %s   ratio %.1f:1\n",
+		fmt.Fprintf(stdout, "  (b) optimized (balanced):  %s   ratio %.1f:1\n",
 			sizesSummary(bal), core.ImbalanceRatio(bal))
 	}
-	fmt.Println("\npaper: 528 -> 1:1, 552 -> ~3.2:1 vs ~1.1:1, 575 -> ~5.3:1 vs ~1.1:1")
+	_, err = fmt.Fprintln(stdout, "\npaper: 528 -> 1:1, 552 -> ~3.2:1 vs ~1.1:1, 575 -> ~5.3:1 vs ~1.1:1")
+	return err
 }
 
 // sizesSummary prints the distinct block sizes with their counts, e.g.
 // "1x35 + 47x11".
 func sizesSummary(blocks []core.Block) string {
-	counts := map[int]int{}
-	order := []int{}
+	counts, order := map[int]int{}, []int{}
 	for _, b := range blocks {
 		if counts[b.Len] == 0 {
 			order = append(order, b.Len)

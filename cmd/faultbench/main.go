@@ -18,8 +18,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"scc/internal/bench"
 	"scc/internal/core"
@@ -62,9 +60,12 @@ func run(args []string, stdout io.Writer) error {
 	if *retries < 1 {
 		return fail("-retries must be at least 1, got %d", *retries)
 	}
-	counts, err := parseCounts(*faultsFlag)
+	counts, err := bench.ParseCounts("-faults", *faultsFlag)
 	if err != nil {
 		return fail("%v", err)
+	}
+	if len(counts) == 0 {
+		return fail("-faults must list at least one count")
 	}
 	if *jitter < 0 {
 		return fail("-jitter must be non-negative, got %d", *jitter)
@@ -123,23 +124,4 @@ func run(args []string, stdout io.Writer) error {
 		}
 		return nil
 	})
-}
-
-func parseCounts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.Atoi(part)
-		if err != nil || v < 0 {
-			return nil, fmt.Errorf("-faults entries must be non-negative integers, got %q", part)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-faults must list at least one count")
-	}
-	return out, nil
 }

@@ -8,51 +8,61 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
+	"os"
 
+	"scc/internal/bench"
 	"scc/internal/fabric"
 	"scc/internal/scc"
 	"scc/internal/simtime"
 	"scc/internal/timing"
 )
 
-func main() {
-	from := flag.Int("from", 0, "core issuing the accesses")
-	write := flag.Bool("write", false, "measure line writes instead of reads")
-	flag.Parse()
+func main() { bench.Exit("meshlat", run(os.Args[1:], os.Stdout)) }
 
-	for _, fixed := range []bool{false, true} {
+// run is the whole command: the latency table from -from on the paper's
+// chip, with and without the erratum workaround.
+func run(args []string, stdout io.Writer) error {
+	fs := bench.CLI{FlagSet: flag.NewFlagSet("meshlat", flag.ContinueOnError)}
+	from := fs.Int("from", 0, "core issuing the accesses")
+	write := fs.Bool("write", false, "measure line writes instead of reads")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if np := timing.Default().NumCores(); *from < 0 || *from >= np {
+		return fs.Fail("-from must be a core in [0,%d), got %d", np, *from)
+	}
+
+	kind := "read"
+	if *write {
+		kind = "write"
+	}
+	for i, hw := range []string{"erratum workaround active", "hardware bug fixed"} {
 		model := timing.Default()
-		model.HardwareBugFixed = fixed
+		model.HardwareBugFixed = i == 1
 		lat, err := measure(model, *from, *write)
 		if err != nil {
-			fmt.Println(err)
-			return
+			return err
 		}
-		kind := "read"
-		if *write {
-			kind = "write"
-		}
-		hw := "erratum workaround active"
-		if fixed {
-			hw = "hardware bug fixed"
-		}
-		fmt.Printf("one-line MPB %s latency from core %d (%s):\n", kind, *from, hw)
-		fmt.Printf("%8s", "")
+		fmt.Fprintf(stdout, "one-line MPB %s latency from core %d (%s):\n", kind, *from, hw)
+		fmt.Fprintf(stdout, "%8s", "")
 		for x := 0; x < model.MeshWidth; x++ {
-			fmt.Printf("  tileX=%d        ", x)
+			fmt.Fprintf(stdout, "  tileX=%d        ", x)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		for y := 0; y < model.MeshHeight; y++ {
-			fmt.Printf("tileY=%d ", y)
+			fmt.Fprintf(stdout, "tileY=%d ", y)
 			for x := 0; x < model.MeshWidth; x++ {
-				tile := y*model.MeshWidth + x
-				c0, c1 := 2*tile, 2*tile+1
-				fmt.Printf("  %5dns/%5dns", int64(lat[c0])*625/1000, int64(lat[c1])*625/1000)
+				c0 := 2 * (y*model.MeshWidth + x) // the tile's two cores
+				fmt.Fprintf(stdout, "  %5dns/%5dns", int64(lat[c0])*625/1000, int64(lat[c0+1])*625/1000)
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
-		fmt.Println()
+		if _, err := fmt.Fprintln(stdout); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 // measure times one line access from core `from` to every core's MPB.

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 
 	"scc/internal/core"
@@ -62,6 +63,23 @@ func (c *CLI) Fail(format string, args ...any) error {
 	fmt.Fprintf(c.Output(), "%s: %v\n", c.Name(), err)
 	c.Usage()
 	return UsageError{err}
+}
+
+// ParseCounts parses the value of the list flag name: comma-separated
+// non-negative integers, empty entries skipped.
+func ParseCounts(name, list string) ([]int, error) {
+	var out []int
+	for _, part := range strings.Split(list, ",") {
+		if part = strings.TrimSpace(part); part == "" {
+			continue
+		}
+		v, err := strconv.Atoi(part)
+		if err != nil || v < 0 {
+			return nil, fmt.Errorf("%s entries must be non-negative integers, got %q", name, part)
+		}
+		out = append(out, v)
+	}
+	return out, nil
 }
 
 // Geometry validates -mesh, -chips and -parallel and returns the timing

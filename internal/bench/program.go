@@ -79,20 +79,8 @@ func stageInput(c *scc.Core, srcN, dstN int, first, step float64) (src, dst scc.
 	return src, dst
 }
 
-// collectives is the operation set runOp and the repetition barrier
-// call: a *core.Ctx or, for the RCKMPI comparator, an rckmpi.Lib.
-type collectives interface {
-	Barrier() error
-	Allgather(src scc.Addr, nPer int, dst scc.Addr) error
-	Alltoall(src, dst scc.Addr, nPer int) error
-	ReduceScatter(src, dst scc.Addr, n int, op core.Op) ([]core.Block, error)
-	Broadcast(root int, addr scc.Addr, n int) error
-	Reduce(root int, src, dst scc.Addr, n int, op core.Op) error
-	Allreduce(src, dst scc.Addr, n int, op core.Op) error
-}
-
 // runOp executes one collective of n doubles per rank on stack x.
-func runOp(x collectives, op Op, src, dst scc.Addr, n int) error {
+func runOp(x core.Collectives, op Op, src, dst scc.Addr, n int) error {
 	switch op {
 	case OpAllgather:
 		return x.Allgather(src, n, dst)
@@ -182,7 +170,7 @@ func (pr *program) runOn(sys *fabric.System) (simtime.Duration, error) {
 		records := chip == 0 && c.ID == 0
 		ue := sys.Comms[chip].UE(c.ID)
 		var x *core.Ctx
-		var stack collectives
+		var stack core.Collectives
 		if pr.rckmpi {
 			stack = rckmpi.New(ue)
 		} else {

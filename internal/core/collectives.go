@@ -89,6 +89,22 @@ func Configs() []Config {
 	return []Config{ConfigBlocking, ConfigIRCCE, ConfigLightweight, ConfigBalanced, ConfigMPB}
 }
 
+// Collectives is the operation set of a stack, with *Ctx's signatures:
+// the façade's ranks and the measurement harness call a *Ctx or, for
+// the RCKMPI comparator, an rckmpi.Lib through it.
+type Collectives interface {
+	Barrier() error
+	Allreduce(src, dst scc.Addr, n int, op Op) error
+	Reduce(root int, src, dst scc.Addr, n int, op Op) error
+	Broadcast(root int, addr scc.Addr, n int) error
+	Allgather(src scc.Addr, nPer int, dst scc.Addr) error
+	Alltoall(src, dst scc.Addr, nPer int) error
+	ReduceScatter(src, dst scc.Addr, n int, op Op) ([]Block, error)
+	Scatter(root int, src scc.Addr, nPer int, dst scc.Addr) error
+	Gather(root int, src scc.Addr, nPer int, dst scc.Addr) error
+	Scan(src, dst scc.Addr, n int, op Op) error
+}
+
 // Ctx is the per-core collectives context: one UE plus its transport
 // endpoint and scratch buffers. Create one per core inside the simulated
 // program via NewCtx (full chip) or NewCtxWith (survivor set, fabric

@@ -81,7 +81,9 @@ func (x *Ctx) inner() *Ctx {
 // across chips through the fabric and leaves the global result at dst.
 // Gateway (core 0) only. Chip 0 is the hub: it collects every other
 // chip's partial, reduces them in order (deterministic for any op, even
-// a non-commutative one), and ships the result back.
+// a non-commutative one), and ships the result back. At n = 0 it is the
+// barrier's token exchange: nothing is read, reduced or written, and op
+// is never called.
 func (x *Ctx) gatewayExchange(dst scc.Addr, n int, op Op) {
 	f := x.fab
 	core := x.ue.Core()
@@ -150,28 +152,17 @@ func (hierAlg) Broadcast(x *Ctx, root int, addr scc.Addr, n int) error {
 }
 
 // hierBarrier is the multi-chip barrier: intra-chip barrier (arrival),
-// a zero-payload gateway token exchange through chip 0, then a second
-// intra-chip barrier (release). Dispatched from barrierBody, not the
-// registry — Barrier has no algorithm selection.
+// the gateway exchange with an empty payload (a barrier is the
+// payload-free gather–release), then a second intra-chip barrier
+// (release). Dispatched from barrierBody, not the registry — Barrier
+// has no algorithm selection.
 func (x *Ctx) hierBarrier() error {
 	in := x.inner()
 	if err := in.Barrier(); err != nil {
 		return err
 	}
 	if x.ue.ID() == 0 {
-		f := x.fab
-		core := x.ue.Core()
-		if f.Chip == 0 {
-			for c := 1; c < f.Chips; c++ {
-				f.Port.Recv(core, c, nil)
-			}
-			for c := 1; c < f.Chips; c++ {
-				f.Port.Send(core, c, nil)
-			}
-		} else {
-			f.Port.Send(core, 0, nil)
-			f.Port.Recv(core, 0, nil)
-		}
+		x.gatewayExchange(0, 0, nil)
 	}
 	return in.Barrier()
 }

@@ -8,6 +8,9 @@ import (
 	"scc/internal/scc"
 )
 
+// Lib is called like every other stack.
+var _ core.Collectives = Lib{}
+
 func mod(a, p int) int { return ((a % p) + p) % p }
 
 // check refuses a negative count or a root outside [0, p) with

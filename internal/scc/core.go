@@ -161,9 +161,6 @@ func (c *Core) init(chip *Chip, id int, st coreStore) {
 // Chip returns the chip this core belongs to.
 func (c *Core) Chip() *Chip { return c.chip }
 
-// Tile returns the mesh coordinate of the core's tile.
-func (c *Core) Tile() mesh.Coord { return c.tile }
-
 // Proc exposes the underlying simulated process (nil before Launch).
 func (c *Core) Proc() *simtime.Proc { return c.proc }
 
@@ -176,9 +173,6 @@ func (c *Core) Now() simtime.Time {
 
 // Prof returns a snapshot of the core's profile counters.
 func (c *Core) Prof() Profile { return c.prof }
-
-// ResetProfile clears the profile counters.
-func (c *Core) ResetProfile() { c.prof = Profile{} }
 
 // --- Private memory ---
 

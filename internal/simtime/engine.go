@@ -255,14 +255,6 @@ type Engine struct {
 	// when the yielding process found nothing runnable.
 	next *Proc
 
-	// RunUntil state: abort when an event beyond limit is popped.
-	limit   Time
-	limited bool
-	// limitHit/limitAt carry the abort from whoever popped the offending
-	// event to the end of Run, which formats the error.
-	limitHit bool
-	limitAt  Time
-
 	// Scheduler statistics: events delivered by a switch to another
 	// process vs. absorbed inline by the same-proc fast path.
 	handoffs uint64
@@ -311,15 +303,9 @@ func (e *Engine) schedule(p *Proc, at Time) {
 }
 
 // pop removes the next event, advances the clock to it and returns the
-// process it wakes. Nil means the run cannot continue: the queue drained,
-// or the next event lies beyond the RunUntil limit (recorded in
-// limitHit/limitAt and left queued for shutdown to drop).
+// process it wakes. Nil means the queue drained: the run cannot continue.
 func (e *Engine) pop() *Proc {
 	if e.queue.n == 0 {
-		return nil
-	}
-	if e.limited && e.queue.min().at > e.limit {
-		e.limitHit, e.limitAt = true, e.queue.min().at
 		return nil
 	}
 	ev := e.queue.pop()
@@ -351,7 +337,7 @@ func (e *Engine) Run() error {
 	}
 	e.unstarted = e.unstarted[:0]
 
-	for e.live > 0 && e.failed == nil && !e.limitHit {
+	for e.live > 0 && e.failed == nil {
 		p := e.next
 		if p == nil {
 			if p = e.pop(); p == nil {
@@ -372,9 +358,6 @@ func (e *Engine) Run() error {
 	switch {
 	case e.failed != nil:
 		err = e.failed
-	case e.limitHit:
-		e.limitHit = false
-		err = fmt.Errorf("%w: next event at %v > limit %v", ErrTimeLimit, e.limitAt, e.limit)
 	case e.live > 0:
 		err = e.deadlockError()
 	}
@@ -395,22 +378,6 @@ func (e *Engine) clearActive() {
 	}
 	e.active = e.active[:0]
 }
-
-// RunUntil executes like Run but aborts (with ErrTimeLimit) as soon as
-// virtual time would pass the limit. A guard against livelocked
-// simulated programs (e.g. a protocol that makes "progress" by
-// re-polling forever): the abort fires on the first event beyond the
-// limit, leaving state consistent up to that point.
-func (e *Engine) RunUntil(limit Time) error {
-	e.limit = limit
-	e.limited = true
-	defer func() { e.limited = false }()
-	return e.Run()
-}
-
-// ErrTimeLimit is returned by RunUntil when the virtual clock passes the
-// given limit before all processes finish.
-var ErrTimeLimit = errors.New("simtime: virtual time limit exceeded")
 
 // shutdown force-terminates every still-blocked process and drops their
 // wake-ups, so a failed simulation leaks nothing into a later Run. Each

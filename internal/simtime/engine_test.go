@@ -318,34 +318,3 @@ func contains(s, sub string) bool {
 	}
 	return false
 }
-
-func TestRunUntilAbortsLivelock(t *testing.T) {
-	e := NewEngine()
-	e.Spawn("spinner", func(p *Proc) {
-		for { // livelock: forever re-sleeping
-			p.Sleep(100)
-		}
-	})
-	err := e.RunUntil(Microseconds(10))
-	if !errors.Is(err, ErrTimeLimit) {
-		t.Fatalf("err = %v, want ErrTimeLimit", err)
-	}
-	if e.Now() > Microseconds(10) {
-		t.Fatalf("clock ran past the limit: %v", e.Now())
-	}
-}
-
-func TestRunUntilCompletesEarlyPrograms(t *testing.T) {
-	e := NewEngine()
-	done := false
-	e.Spawn("quick", func(p *Proc) {
-		p.Sleep(100)
-		done = true
-	})
-	if err := e.RunUntil(Microseconds(1000)); err != nil {
-		t.Fatal(err)
-	}
-	if !done {
-		t.Fatal("program did not finish")
-	}
-}

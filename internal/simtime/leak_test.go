@@ -24,8 +24,8 @@ func waitGoroutines(t *testing.T, base int, context string) {
 }
 
 // Every abnormal exit from Run must reap all process coroutines: the
-// shutdown/unwind invariant says no path — deadlock, panic, or a
-// RunUntil limit — may strand a coroutine suspended inside a process.
+// shutdown/unwind invariant says no path — deadlock or panic — may
+// strand a coroutine suspended inside a process.
 func TestShutdownReapsGoroutinesDeadlock(t *testing.T) {
 	base := runtime.NumGoroutine()
 	eng := NewEngine()
@@ -59,22 +59,6 @@ func TestShutdownReapsGoroutinesPanic(t *testing.T) {
 		t.Fatal("want panic error, got nil")
 	}
 	waitGoroutines(t, base, "panic shutdown")
-}
-
-func TestShutdownReapsGoroutinesRunUntil(t *testing.T) {
-	base := runtime.NumGoroutine()
-	eng := NewEngine()
-	for i := 0; i < 24; i++ {
-		eng.Spawn("spinner", func(p *Proc) {
-			for {
-				p.Sleep(7)
-			}
-		})
-	}
-	if err := eng.RunUntil(1000); !errors.Is(err, ErrTimeLimit) {
-		t.Fatalf("want time limit, got %v", err)
-	}
-	waitGoroutines(t, base, "RunUntil shutdown")
 }
 
 // A clean completion must also leave nothing behind — the common case,
@@ -178,58 +162,45 @@ func TestTimeoutDeregistrationClearsSlotAndCompacts(t *testing.T) {
 
 // A failed Run drops every wake-up of the processes it killed, so the
 // next Run pops only its own: a panic while another process holds a
-// pending deadline, and a RunUntil abort with a wake-up beyond the limit.
-// The killed waiter stays registered on its signal; a later Broadcast
-// must skip it.
+// pending deadline. The killed waiter stays registered on its signal; a
+// later Broadcast must skip it.
 func TestFailedRunLeavesQueueEmpty(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		run    func(*Engine) error
-		failAt Time // virtual time when the failed Run returns
-	}{
-		{"panic", (*Engine).Run, 10},
-		{"run-until", func(e *Engine) error { return e.RunUntil(25) }, 20},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			eng := NewEngine()
-			var sig Signal
-			eng.Spawn("waiter", func(p *Proc) {
-				p.WaitOnTimeout(&sig, 1_000, Site("held"))
-				t.Error("killed waiter resumed")
-			})
-			eng.Spawn("failer", func(p *Proc) {
-				p.Sleep(10)
-				if tc.name == "panic" {
-					panic("boom")
-				}
-				p.Sleep(10)
-				p.Sleep(100) // beyond the limit
-			})
-			if err := tc.run(eng); err == nil {
-				t.Fatal("want the first Run to fail")
-			}
-			if eng.queue.Len() != 0 || eng.Now() != tc.failAt {
-				t.Fatalf("after the failed Run: %d events queued at %v, want 0 at %v",
-					eng.queue.Len(), eng.Now(), tc.failAt)
-			}
-			var woke [2]Time
-			eng.Spawn("sleeper", func(p *Proc) {
-				p.Sleep(5)
-				woke[0] = p.Now()
-				p.Sleep(2_000) // across the killed waiter's deadline
-				woke[1] = p.Now()
-			})
-			eng.Spawn("signaler", func(p *Proc) {
-				p.Sleep(7)
-				sig.Broadcast(eng)
-			})
-			if err := eng.Run(); err != nil {
-				t.Fatalf("second Run: %v", err)
-			}
-			if want := [2]Time{tc.failAt + 5, tc.failAt + 2_005}; woke != want || eng.queue.Len() != 0 {
-				t.Fatalf("second Run woke the sleeper at %v with %d events left, want %v and 0",
-					woke, eng.queue.Len(), want)
-			}
+	t.Run("panic", func(t *testing.T) {
+		const failAt = 10 // virtual time when the failed Run returns
+		eng := NewEngine()
+		var sig Signal
+		eng.Spawn("waiter", func(p *Proc) {
+			p.WaitOnTimeout(&sig, 1_000, Site("held"))
+			t.Error("killed waiter resumed")
 		})
-	}
+		eng.Spawn("failer", func(p *Proc) {
+			p.Sleep(failAt)
+			panic("boom")
+		})
+		if err := eng.Run(); err == nil {
+			t.Fatal("want the first Run to fail")
+		}
+		if eng.queue.Len() != 0 || eng.Now() != failAt {
+			t.Fatalf("after the failed Run: %d events queued at %v, want 0 at %v",
+				eng.queue.Len(), eng.Now(), failAt)
+		}
+		var woke [2]Time
+		eng.Spawn("sleeper", func(p *Proc) {
+			p.Sleep(5)
+			woke[0] = p.Now()
+			p.Sleep(2_000) // across the killed waiter's deadline
+			woke[1] = p.Now()
+		})
+		eng.Spawn("signaler", func(p *Proc) {
+			p.Sleep(7)
+			sig.Broadcast(eng)
+		})
+		if err := eng.Run(); err != nil {
+			t.Fatalf("second Run: %v", err)
+		}
+		if want := [2]Time{failAt + 5, failAt + 2_005}; woke != want || eng.queue.Len() != 0 {
+			t.Fatalf("second Run woke the sleeper at %v with %d events left, want %v and 0",
+				woke, eng.queue.Len(), want)
+		}
+	})
 }

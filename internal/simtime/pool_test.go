@@ -87,8 +87,8 @@ func TestPoolAdoptsAcrossGoroutines(t *testing.T) {
 }
 
 // Every abnormal exit must leave pool workers parked (counted), not
-// leaked and not stuck mid-process: after deadlock, panic, RunUntil and
-// kill shutdowns, all workers are idle the moment Run returns, and a
+// leaked and not stuck mid-process: after deadlock, panic and kill
+// shutdowns, all workers are idle the moment Run returns, and a
 // drain takes the goroutine count straight back to the baseline.
 func TestPoolParksWorkersOnAbnormalExits(t *testing.T) {
 	DrainWorkerPool()
@@ -132,20 +132,6 @@ func TestPoolParksWorkersOnAbnormalExits(t *testing.T) {
 		t.Fatalf("%d killed processes ran their body", ran)
 	}
 	assertAllParked(t, "kill before first dispatch")
-
-	// RunUntil limit.
-	eng = NewEngine()
-	for i := 0; i < 16; i++ {
-		eng.Spawn("spinner", func(p *Proc) {
-			for {
-				p.Sleep(7)
-			}
-		})
-	}
-	if err := eng.RunUntil(100); !errors.Is(err, ErrTimeLimit) {
-		t.Fatalf("want time limit, got %v", err)
-	}
-	assertAllParked(t, "RunUntil")
 
 	// Parked is not leaked: a drain must take the count back to the
 	// pre-test baseline.

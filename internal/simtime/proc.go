@@ -82,8 +82,7 @@ func (p *Proc) run() {
 // have arranged for a future wake-up (a scheduled event or a signal
 // registration) first. The process pops the next event itself: its own
 // wake-up is the same-proc fast path and costs no switch; anything else
-// — another process's wake-up, or nothing runnable (deadlock, RunUntil
-// limit) — is left in Engine.next for the dispatcher to act on.
+// — another process's wake-up, or nothing runnable (deadlock) — is left in Engine.next for the dispatcher to act on.
 func (p *Proc) block(site WaitSite) {
 	p.blockedAt = site
 	e := p.eng
@@ -113,9 +112,8 @@ func (p *Proc) Sleep(d Duration) {
 	// precede our wake-up (strictly — an equal-time event has a smaller
 	// sequence number and must run first), the wake-up would be the next
 	// event popped, so skip the queue and the switch entirely and just
-	// advance the clock. Not applicable past a RunUntil limit: the abort
-	// must unwind through the slow path.
-	if (e.queue.n == 0 || at < e.queue.min().at) && !(e.limited && at > e.limit) {
+	// advance the clock.
+	if e.queue.n == 0 || at < e.queue.min().at {
 		e.fastpath++
 		e.now = at
 		return

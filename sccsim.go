@@ -522,26 +522,11 @@ type Rank struct {
 	// stacks), or — for a rank whose context could not be built, i.e.
 	// one an earlier membership agreement evicted — the typed error
 	// itself (refused).
-	coll collectives
+	coll core.Collectives
 	// gid and gn are the system-global rank ID and rank count; on a
 	// single chip they equal the core ID and core count. chipIdx is
 	// which chip the rank lives on (0 on a single chip).
 	gid, gn, chipIdx int
-}
-
-// collectives is the operation set of a stack, with *core.Ctx's
-// signatures.
-type collectives interface {
-	Barrier() error
-	Allreduce(src, dst Addr, n int, op core.Op) error
-	Reduce(root int, src, dst Addr, n int, op core.Op) error
-	Broadcast(root int, addr Addr, n int) error
-	Allgather(src Addr, nPer int, dst Addr) error
-	Alltoall(src, dst Addr, nPer int) error
-	ReduceScatter(src, dst Addr, n int, op core.Op) ([]core.Block, error)
-	Scatter(root int, src Addr, nPer int, dst Addr) error
-	Gather(root int, src Addr, nPer int, dst Addr) error
-	Scan(src, dst Addr, n int, op core.Op) error
 }
 
 // newRank is the one rank constructor: chip ci's core c, on whatever
