@@ -125,8 +125,8 @@ func (c *coster) minStepCost() simtime.Duration {
 // triple per step under the fanout-2 generators (own mask plus two
 // incoming), so finishing needs at least ceil(log3 np/biggest) more
 // steps, each costing at least minStepCost.
-func (c *coster) lowerBound(biggestPop int, done bool) simtime.Duration {
-	if done || biggestPop >= c.np {
+func (c *coster) lowerBound(biggestPop int) simtime.Duration {
+	if biggestPop >= c.np {
 		return 0
 	}
 	steps := 0

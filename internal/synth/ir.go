@@ -13,6 +13,7 @@ package synth
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // MoveKind says what the receiver does with an incoming chunk.
@@ -60,57 +61,22 @@ type Schedule struct {
 	Gen string `json:"gen,omitempty"`
 }
 
-// mask is a bitset over ranks: bit r set means rank r's contribution is
-// accumulated in the value. np <= 64 uses one word; larger communicators
-// use the spill slice.
-type mask struct {
-	lo uint64
-	hi []uint64 // nil for np <= 64
-}
+// mask is a bitset over ranks: bit q set means rank q's contribution
+// is accumulated in the value.
+type mask []uint64
 
-func newMask(np int) mask {
-	if np <= 64 {
-		return mask{}
-	}
-	return mask{hi: make([]uint64, (np+63)/64-1)}
-}
-
-func (m mask) clone() mask {
-	c := m
-	if m.hi != nil {
-		c.hi = append([]uint64(nil), m.hi...)
-	}
-	return c
-}
-
-func (m *mask) set(r int) {
-	if r < 64 {
-		m.lo |= 1 << uint(r)
-	} else {
-		m.hi[r/64-1] |= 1 << uint(r%64)
-	}
-}
-
-func (m mask) has(r int) bool {
-	if r < 64 {
-		return m.lo&(1<<uint(r)) != 0
-	}
-	return m.hi[r/64-1]&(1<<uint(r%64)) != 0
-}
+func (m mask) set(q int) { m[q/64] |= 1 << uint(q%64) }
 
 func (m mask) pop() int {
-	n := bits.OnesCount64(m.lo)
-	for _, w := range m.hi {
+	n := 0
+	for _, w := range m {
 		n += bits.OnesCount64(w)
 	}
 	return n
 }
 
 func (m mask) empty() bool {
-	if m.lo != 0 {
-		return false
-	}
-	for _, w := range m.hi {
+	for _, w := range m {
 		if w != 0 {
 			return false
 		}
@@ -119,11 +85,8 @@ func (m mask) empty() bool {
 }
 
 func (a mask) disjoint(b mask) bool {
-	if a.lo&b.lo != 0 {
-		return false
-	}
-	for i := range a.hi {
-		if a.hi[i]&b.hi[i] != 0 {
+	for i := range a {
+		if a[i]&b[i] != 0 {
 			return false
 		}
 	}
@@ -132,57 +95,34 @@ func (a mask) disjoint(b mask) bool {
 
 // subset reports a ⊆ b.
 func (a mask) subset(b mask) bool {
-	if a.lo&^b.lo != 0 {
-		return false
-	}
-	for i := range a.hi {
-		if a.hi[i]&^b.hi[i] != 0 {
+	for i := range a {
+		if a[i]&^b[i] != 0 {
 			return false
 		}
 	}
 	return true
 }
 
-func (a *mask) union(b mask) {
-	a.lo |= b.lo
-	for i := range a.hi {
-		a.hi[i] |= b.hi[i]
-	}
+// state is the symbolic execution state: one flat bitset holding, for
+// each (rank, chunk), the w-word contribution mask of that rank's buffer
+// for that chunk.
+type state struct {
+	np, chunks, w int
+	bits          []uint64
 }
 
-func (a mask) equal(b mask) bool {
-	if a.lo != b.lo {
-		return false
-	}
-	for i := range a.hi {
-		if a.hi[i] != b.hi[i] {
-			return false
-		}
-	}
-	return true
+func (s state) mask(r, ch int) mask {
+	i := (r*s.chunks + ch) * s.w
+	return s.bits[i : i+s.w : i+s.w]
 }
 
-func fullMask(np int) mask {
-	m := newMask(np)
-	for r := 0; r < np; r++ {
-		m.set(r)
-	}
-	return m
-}
-
-// state is the symbolic execution state: st[rank][chunk] is the
-// contribution mask held in that rank's buffer for that chunk.
-type state [][]mask
+// full reports that rank r's chunk ch holds every contribution (no bit
+// at or above np is ever set).
+func (s state) full(r, ch int) bool { return s.mask(r, ch).pop() == s.np }
 
 func (s state) clone() state {
-	c := make(state, len(s))
-	for r := range s {
-		c[r] = make([]mask, len(s[r]))
-		for ch := range s[r] {
-			c[r][ch] = s[r][ch].clone()
-		}
-	}
-	return c
+	s.bits = slices.Clone(s.bits)
+	return s
 }
 
 // initState builds the pre-schedule state for op: for broadcast every
@@ -190,28 +130,45 @@ func (s state) clone() state {
 // empty; for reduce/allreduce every rank holds exactly its own
 // contribution in every chunk.
 func initState(op string, np, chunks int) (state, error) {
-	s := make(state, np)
-	full := fullMask(np)
-	for r := range s {
-		s[r] = make([]mask, chunks)
-		for ch := range s[r] {
-			switch op {
-			case "broadcast":
-				if r == 0 {
-					s[r][ch] = full.clone()
-				} else {
-					s[r][ch] = newMask(np)
-				}
-			case "reduce", "allreduce":
-				m := newMask(np)
-				m.set(r)
-				s[r][ch] = m
-			default:
-				return nil, fmt.Errorf("synth: unknown op %q", op)
+	s := state{np: np, chunks: chunks, w: (np + 63) / 64}
+	s.bits = make([]uint64, np*chunks*s.w)
+	switch op {
+	case "broadcast":
+		for ch := 0; ch < chunks; ch++ {
+			for q := 0; q < np; q++ {
+				s.mask(0, ch).set(q)
+			}
+		}
+	case "reduce", "allreduce":
+		for r := 0; r < np; r++ {
+			for ch := 0; ch < chunks; ch++ {
+				s.mask(r, ch).set(r)
+			}
+		}
+	default:
+		return state{}, fmt.Errorf("synth: unknown op %q", op)
+	}
+	return s, nil
+}
+
+// unfinished is the op's postcondition: for broadcast and allreduce
+// every rank ends full in every chunk; for reduce the root (schedule
+// rank 0) does, i.e. every core's contribution reaches the root. It
+// returns the first (rank, chunk) that is not full, or ok = false when
+// the postcondition holds.
+func (s state) unfinished(op string) (rank, chunk int, ok bool) {
+	ranks := s.np
+	if op == "reduce" {
+		ranks = 1
+	}
+	for r := 0; r < ranks; r++ {
+		for ch := 0; ch < s.chunks; ch++ {
+			if !s.full(r, ch) {
+				return r, ch, true
 			}
 		}
 	}
-	return s, nil
+	return 0, 0, false
 }
 
 // applyStep symbolically executes one step on st (in place), enforcing
@@ -227,13 +184,14 @@ func initState(op string, np, chunks int) (state, error) {
 //   - Combine requires disjoint contribution masks (no contribution is
 //     ever counted twice), Copy requires the receiver's mask to be a
 //     subset of the sender's (nothing is discarded).
-func applyStep(op string, np, chunks int, st state, step []Move) error {
-	type wkey struct{ r, c int }
-	writes := map[wkey]Move{}
-	reads := map[wkey][]Move{}
-	for _, mv := range step {
-		if mv.Chunk < 0 || mv.Chunk >= chunks || mv.From < 0 || mv.From >= np || mv.To < 0 || mv.To >= np {
-			return fmt.Errorf("synth: move %+v out of range (np=%d chunks=%d)", mv, np, chunks)
+func applyStep(op string, st state, step []Move) error {
+	// Per (rank, chunk): the 1-based index of the move that writes it and
+	// of the first move that reads it, and how many moves read it.
+	type use struct{ write, read, reads int32 }
+	uses := make([]use, st.np*st.chunks)
+	for i, mv := range step {
+		if mv.Chunk < 0 || mv.Chunk >= st.chunks || mv.From < 0 || mv.From >= st.np || mv.To < 0 || mv.To >= st.np {
+			return fmt.Errorf("synth: move %+v out of range (np=%d chunks=%d)", mv, st.np, st.chunks)
 		}
 		if mv.From == mv.To {
 			return fmt.Errorf("synth: self-move %+v", mv)
@@ -241,22 +199,27 @@ func applyStep(op string, np, chunks int, st state, step []Move) error {
 		if op == "broadcast" && mv.Kind != Copy {
 			return fmt.Errorf("synth: broadcast schedule contains %s move %+v", mv.Kind, mv)
 		}
-		if st[mv.From][mv.Chunk].empty() {
+		src, dst := st.mask(mv.From, mv.Chunk), st.mask(mv.To, mv.Chunk)
+		if src.empty() {
 			return fmt.Errorf("synth: move %+v sends an empty chunk", mv)
 		}
-		wk := wkey{mv.To, mv.Chunk}
-		if prev, dup := writes[wk]; dup {
-			return fmt.Errorf("synth: two writes to rank %d chunk %d in one step (%+v, %+v)", mv.To, mv.Chunk, prev, mv)
+		w := &uses[mv.To*st.chunks+mv.Chunk]
+		if w.write != 0 {
+			return fmt.Errorf("synth: two writes to rank %d chunk %d in one step (%+v, %+v)", mv.To, mv.Chunk, step[w.write-1], mv)
 		}
-		writes[wk] = mv
-		reads[wkey{mv.From, mv.Chunk}] = append(reads[wkey{mv.From, mv.Chunk}], mv)
+		w.write = int32(i + 1)
+		rd := &uses[mv.From*st.chunks+mv.Chunk]
+		if rd.reads == 0 {
+			rd.read = int32(i + 1)
+		}
+		rd.reads++
 		switch mv.Kind {
 		case Combine:
-			if !st[mv.From][mv.Chunk].disjoint(st[mv.To][mv.Chunk]) {
+			if !src.disjoint(dst) {
 				return fmt.Errorf("synth: combine %+v double-counts a contribution", mv)
 			}
 		case Copy:
-			if !st[mv.To][mv.Chunk].subset(st[mv.From][mv.Chunk]) {
+			if !dst.subset(src) {
 				return fmt.Errorf("synth: copy %+v discards receiver contributions", mv)
 			}
 		default:
@@ -265,39 +228,34 @@ func applyStep(op string, np, chunks int, st state, step []Move) error {
 	}
 	// Read-write overlap: a chunk both written at and sent from the same
 	// rank in one step must be the symmetric exchange.
-	for wk, w := range writes {
-		for _, rmv := range reads[wk] {
-			if len(reads[wk]) > 1 || rmv.To != w.From {
-				return fmt.Errorf("synth: rank %d chunk %d is written (%+v) and read (%+v) in one step without a symmetric exchange",
-					wk.r, wk.c, w, rmv)
+	for _, mv := range step {
+		u := uses[mv.To*st.chunks+mv.Chunk]
+		if u.reads > 1 || u.reads == 1 && step[u.read-1].To != mv.From {
+			return fmt.Errorf("synth: rank %d chunk %d is written (%+v) and read (%+v) in one step without a symmetric exchange",
+				mv.To, mv.Chunk, mv, step[u.read-1])
+		}
+	}
+	// Commit: every move reads pre-step masks, so build the written masks
+	// from a snapshot before storing any of them.
+	next := make(mask, len(step)*st.w)
+	for i, mv := range step {
+		m := next[i*st.w : (i+1)*st.w]
+		copy(m, st.mask(mv.From, mv.Chunk))
+		if mv.Kind == Combine {
+			for j, w := range st.mask(mv.To, mv.Chunk) {
+				m[j] |= w
 			}
 		}
 	}
-	// Commit: all reads used pre-step masks (captured per move above via
-	// st), so apply writes from a snapshot of the senders' masks.
-	type upd struct {
-		wk wkey
-		m  mask
-	}
-	var ups []upd
-	for wk, mv := range writes {
-		src := st[mv.From][mv.Chunk].clone()
-		if mv.Kind == Combine {
-			src.union(st[wk.r][wk.c])
-		}
-		ups = append(ups, upd{wk, src})
-	}
-	for _, u := range ups {
-		st[u.wk.r][u.wk.c] = u.m
+	for i, mv := range step {
+		copy(st.mask(mv.To, mv.Chunk), next[i*st.w:(i+1)*st.w])
 	}
 	return nil
 }
 
 // Validate checks the whole schedule symbolically: header consistency,
-// per-step well-formedness (applyStep), and the op's postcondition —
-// for broadcast and allreduce every rank ends full in every chunk; for
-// reduce the root (schedule rank 0) does, i.e. every core's
-// contribution reaches the root.
+// per-step well-formedness (applyStep), and the op's postcondition
+// (unfinished).
 func (s *Schedule) Validate() error {
 	if s.NP < 1 {
 		return fmt.Errorf("synth: schedule np=%d", s.NP)
@@ -316,32 +274,14 @@ func (s *Schedule) Validate() error {
 		if len(step) == 0 {
 			return fmt.Errorf("synth: step %d is empty", i)
 		}
-		if err := applyStep(s.Op, s.NP, s.Chunks, st, step); err != nil {
+		if err := applyStep(s.Op, st, step); err != nil {
 			return fmt.Errorf("step %d: %w", i, err)
 		}
 	}
-	full := fullMask(s.NP)
-	check := func(r int) error {
-		for ch := 0; ch < s.Chunks; ch++ {
-			if !st[r][ch].equal(full) {
-				return fmt.Errorf("synth: rank %d chunk %d ends with %d/%d contributions", r, ch, st[r][ch].pop(), s.NP)
-			}
-		}
-		return nil
+	if r, ch, ok := st.unfinished(s.Op); ok {
+		return fmt.Errorf("synth: rank %d chunk %d ends with %d/%d contributions", r, ch, st.mask(r, ch).pop(), s.NP)
 	}
-	switch s.Op {
-	case "reduce":
-		return check(0)
-	case "broadcast", "allreduce":
-		for r := 0; r < s.NP; r++ {
-			if err := check(r); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("synth: unknown op %q", s.Op)
-	}
+	return nil
 }
 
 // TotalMoves counts the moves across all steps (the bandwidth proxy
@@ -367,11 +307,4 @@ func chunkSpan(n, chunks, ch int) (off, length int) {
 		length++
 	}
 	return off, length
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

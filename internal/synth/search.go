@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -118,9 +119,10 @@ func generators(op string) []string {
 // never mixed flavors is that flavor's greedy rollout and says so.
 func generate(c *coster, op string, n int, gen string) (*Schedule, error) {
 	var s *Schedule
+	var err error
 	switch {
 	case gen == "beam":
-		s = beamSearch(c, op, n, flavorsFor(op), beamWidth)
+		s, err = beamSearch(c, op, n, flavorsFor(op), beamWidth)
 	case op == "allreduce" && strings.HasPrefix(gen, "hd:"):
 		chunks, err := strconv.Atoi(strings.TrimPrefix(gen, "hd:"))
 		if err != nil {
@@ -133,13 +135,13 @@ func generate(c *coster, op string, n int, gen string) (*Schedule, error) {
 		if i < 0 {
 			return nil, fmt.Errorf("synth: no generator %q for %s", gen, op)
 		}
-		s = beamSearch(c, op, n, fs[i:i+1], 1)
+		s, err = beamSearch(c, op, n, fs[i:i+1], 1)
 	}
-	if s == nil {
-		return nil, nil
+	if err == nil && s != nil {
+		s.Op, s.NP, s.NumSteps = op, c.np, len(s.Steps)
+		err = s.Validate()
 	}
-	s.Op, s.NP, s.NumSteps = op, c.np, len(s.Steps)
-	if err := s.Validate(); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("synth: generator %q produced an invalid schedule: %w", gen, err)
 	}
 	return s, nil
@@ -201,11 +203,11 @@ func movesFingerprint(s *Schedule) string {
 	return string(b)
 }
 
-// searchState is one beam entry of the C=1 search: the contribution
-// mask per rank (for broadcast: full or empty), the steps taken so far,
-// and the accumulated model cost.
+// searchState is one beam entry of the C=1 search: the IR state (one
+// chunk: the whole vector), the steps taken so far, and the accumulated
+// model cost.
 type searchState struct {
-	masks []mask
+	st    state
 	steps [][]Move
 	cost  simtime.Duration
 	// active, for rooted reduce: ranks whose partial has not yet been
@@ -217,34 +219,21 @@ type searchState struct {
 }
 
 func (s *searchState) clone() *searchState {
-	c := &searchState{
-		masks:     make([]mask, len(s.masks)),
-		steps:     append([][]Move(nil), s.steps...),
-		cost:      s.cost,
-		lastLabel: s.lastLabel,
-		mixed:     s.mixed,
-	}
-	for i := range s.masks {
-		c.masks[i] = s.masks[i].clone()
-	}
-	if s.active != nil {
-		c.active = append([]bool(nil), s.active...)
-	}
-	return c
+	c := *s
+	c.st = s.st.clone()
+	c.steps = slices.Clone(s.steps)
+	c.active = slices.Clone(s.active)
+	return &c
 }
 
-// fingerprint encodes the exact mask state for beam deduplication.
+// fingerprint encodes the exact search state for beam deduplication.
 func (s *searchState) fingerprint() string {
-	b := make([]byte, 0, len(s.masks)*9)
-	for i := range s.masks {
-		m := s.masks[i]
-		b = append(b, byte(m.lo), byte(m.lo>>8), byte(m.lo>>16), byte(m.lo>>24),
-			byte(m.lo>>32), byte(m.lo>>40), byte(m.lo>>48), byte(m.lo>>56))
-		for _, w := range m.hi {
-			b = append(b, byte(w), byte(w>>8), byte(w>>16), byte(w>>24),
-				byte(w>>32), byte(w>>40), byte(w>>48), byte(w>>56))
-		}
-		if s.active != nil && s.active[i] {
+	b := make([]byte, 0, 8*len(s.st.bits)+len(s.active))
+	for _, w := range s.st.bits {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	for _, a := range s.active {
+		if a {
 			b = append(b, 1)
 		} else {
 			b = append(b, 0)
@@ -255,49 +244,24 @@ func (s *searchState) fingerprint() string {
 
 func (s *searchState) biggestPop() int {
 	m := 0
-	for i := range s.masks {
-		if p := s.masks[i].pop(); p > m {
-			m = p
-		}
+	for r := 0; r < s.st.np; r++ {
+		m = max(m, s.st.mask(r, 0).pop())
 	}
 	return m
-}
-
-// done reports whether the state satisfies the op's postcondition.
-func (s *searchState) done(op string, np int) bool {
-	full := fullMask(np)
-	switch op {
-	case "reduce":
-		return s.masks[0].equal(full)
-	default:
-		for i := range s.masks {
-			if !s.masks[i].equal(full) {
-				return false
-			}
-		}
-		return true
-	}
 }
 
 // beamSearch explores step sequences built from the given flavors and
 // returns the best terminal schedule, or nil when no flavor can finish
 // within the step budget. With a single flavor and width 1 it is a
-// greedy rollout of that flavor.
-func beamSearch(c *coster, op string, n int, flavors []flavor, width int) *Schedule {
+// greedy rollout of that flavor. Every step goes through applyStep, so
+// an illegal one is an error at the step that emitted it.
+func beamSearch(c *coster, op string, n int, flavors []flavor, width int) (*Schedule, error) {
 	np := c.np
-	init := &searchState{masks: make([]mask, np)}
-	for r := 0; r < np; r++ {
-		m := newMask(np)
-		switch op {
-		case "broadcast":
-			if r == 0 {
-				m = fullMask(np)
-			}
-		default:
-			m.set(r)
-		}
-		init.masks[r] = m
+	start, err := initState(op, np, 1)
+	if err != nil {
+		return nil, err
 	}
+	init := &searchState{st: start}
 	if op == "reduce" {
 		init.active = make([]bool, np)
 		for r := range init.active {
@@ -319,20 +283,27 @@ func beamSearch(c *coster, op string, n int, flavors []flavor, width int) *Sched
 					continue // no legal move under this flavor
 				}
 				child := st.clone()
-				child.applyOwn(op, step)
+				if err := applyStep(op, child.st, step); err != nil {
+					return nil, fmt.Errorf("step %d: %w", depth, err)
+				}
+				if child.active != nil {
+					for _, mv := range step {
+						child.active[mv.From] = false // a reduce sender is absorbed
+					}
+				}
 				child.steps = append(child.steps, step)
 				child.cost += c.stepCost(step, elemsOf)
 				if child.lastLabel != "" && child.lastLabel != f.label() {
 					child.mixed = true
 				}
 				child.lastLabel = f.label()
-				if child.done(op, np) {
+				if _, _, ok := child.st.unfinished(op); !ok {
 					if best == nil || child.cost < best.cost {
 						best = child
 					}
 					continue
 				}
-				if best != nil && child.cost+c.lowerBound(child.biggestPop(), false) >= best.cost {
+				if best != nil && child.cost+c.lowerBound(child.biggestPop()) >= best.cost {
 					continue // pruned by the lower bound
 				}
 				fp := child.fingerprint()
@@ -344,8 +315,8 @@ func beamSearch(c *coster, op string, n int, flavors []flavor, width int) *Sched
 			}
 		}
 		sort.SliceStable(next, func(i, j int) bool {
-			li := next[i].cost + c.lowerBound(next[i].biggestPop(), false)
-			lj := next[j].cost + c.lowerBound(next[j].biggestPop(), false)
+			li := next[i].cost + c.lowerBound(next[i].biggestPop())
+			lj := next[j].cost + c.lowerBound(next[j].biggestPop())
 			return li < lj
 		})
 		if len(next) > width {
@@ -354,35 +325,13 @@ func beamSearch(c *coster, op string, n int, flavors []flavor, width int) *Sched
 		beam = next
 	}
 	if best == nil {
-		return nil
+		return nil, nil
 	}
 	label := best.lastLabel
 	if best.mixed {
 		label = "beam"
 	}
-	return &Schedule{Chunks: 1, Steps: best.steps, Gen: label}
-}
-
-// applyOwn mirrors applyStep's mask updates without its validation (the
-// generators only emit legal steps; Validate re-checks the final
-// schedule anyway).
-func (s *searchState) applyOwn(op string, step []Move) {
-	updated := make([]mask, 0, len(step))
-	idx := make([]int, 0, len(step))
-	for _, mv := range step {
-		m := s.masks[mv.From].clone()
-		if mv.Kind == Combine {
-			m.union(s.masks[mv.To])
-		}
-		updated = append(updated, m)
-		idx = append(idx, mv.To)
-		if op == "reduce" && mv.Kind == Combine {
-			s.active[mv.From] = false
-		}
-	}
-	for i, r := range idx {
-		s.masks[r] = updated[i]
-	}
+	return &Schedule{Chunks: 1, Steps: best.steps, Gen: label}, nil
 }
 
 // partnerKey orders candidate partners for a sender: "near" by pure
@@ -421,15 +370,14 @@ func keyLess(a, b [3]int) bool {
 // move list order (the compiler's global total order) is deterministic:
 // moves are appended in the order decisions are made and every decision
 // loop runs over rank-sorted slices.
-func nextStep(c *coster, op string, f flavor, st *searchState) []Move {
-	np := len(st.masks)
-	full := fullMask(np)
+func nextStep(c *coster, op string, f flavor, s *searchState) []Move {
+	st, np := s.st, s.st.np
 	switch op {
 	case "broadcast":
 		// Holders serve the nearest non-holders, at most fan each.
 		var holders, missing []int
 		for r := 0; r < np; r++ {
-			if st.masks[r].equal(full) {
+			if st.full(r, 0) {
 				holders = append(holders, r)
 			} else {
 				missing = append(missing, r)
@@ -463,7 +411,7 @@ func nextStep(c *coster, op string, f flavor, st *searchState) []Move {
 		// exchange+combine.
 		var fulls, part []int
 		for r := 0; r < np; r++ {
-			if st.masks[r].equal(full) {
+			if st.full(r, 0) {
 				fulls = append(fulls, r)
 			} else {
 				part = append(part, r)
@@ -501,13 +449,13 @@ func nextStep(c *coster, op string, f flavor, st *searchState) []Move {
 			}
 			bestP := -1
 			var bestK [3]int
-			myPop := st.masks[r].pop()
+			myPop := st.mask(r, 0).pop()
 			for p := r + 1; p < np; p++ {
-				if paired[p] || !st.masks[r].disjoint(st.masks[p]) {
+				if paired[p] || !st.mask(r, 0).disjoint(st.mask(p, 0)) {
 					continue
 				}
 				k := partnerKey(c, f.gen, r, p)
-				popGap := st.masks[p].pop() - myPop
+				popGap := st.mask(p, 0).pop() - myPop
 				if popGap < 0 {
 					popGap = -popGap
 				}
@@ -531,7 +479,7 @@ func nextStep(c *coster, op string, f flavor, st *searchState) []Move {
 		// which absorbs one partial per step (single-write rule).
 		var active []int
 		for r := 0; r < np; r++ {
-			if st.active[r] {
+			if s.active[r] {
 				active = append(active, r)
 			}
 		}
