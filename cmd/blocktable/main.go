@@ -17,6 +17,10 @@ import (
 
 func main() { bench.Exit("blocktable", run(os.Args[1:], os.Stdout)) }
 
+// maxCores bounds -p at the 100x100 mesh, the largest one the simulator
+// builds: both partitions allocate one block per core per length.
+const maxCores = 10000
+
 // run is the whole command; the package test diffs its default output
 // against results/fig6.txt.
 func run(args []string, stdout io.Writer) error {
@@ -26,8 +30,8 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *p < 1 {
-		return fs.Fail("-p must be at least 1, got %d", *p)
+	if *p < 1 || *p > maxCores {
+		return fs.Fail("-p must be between 1 and %d, got %d", maxCores, *p)
 	}
 	extra, err := bench.ParseCounts("-n", *extraFlag)
 	if err != nil {

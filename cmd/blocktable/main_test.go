@@ -45,7 +45,9 @@ func TestBlocktableUsageErrors(t *testing.T) {
 		args []string
 		msg  string
 	}{
-		{[]string{"-p", "0"}, "-p must be at least 1"},
+		{[]string{"-p", "0"}, "-p must be between 1 and 10000"},
+		{[]string{"-p", "10001"}, "-p must be between 1 and 10000, got 10001"},
+		{[]string{"-p", "9223372036854775807"}, "got 9223372036854775807"},
 		{[]string{"-n", "-5"}, `got "-5"`},
 		{[]string{"-n", "552,abc"}, `got "abc"`},
 		{[]string{"-no-such-flag"}, "not defined"},
@@ -62,6 +64,17 @@ func TestBlocktableUsageErrors(t *testing.T) {
 		if out.Len() != 0 {
 			t.Errorf("blocktable %v wrote to stdout: %q", tc.args, out.String())
 		}
+	}
+}
+
+// TestBlocktableLargestMesh: -p at the bound still prints the table.
+func TestBlocktableLargestMesh(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-p", "10000"}, &out); err != nil {
+		t.Fatalf("blocktable -p 10000: %v", err)
+	}
+	if !strings.Contains(out.String(), "block sizes over 10000 cores") || !strings.Contains(out.String(), "575 elements:") {
+		t.Errorf("blocktable -p 10000 printed:\n%s", out.String())
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"scc/internal/bench"
 	"scc/internal/gcmc"
@@ -81,33 +82,29 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintln(stdout)
 	fmt.Fprintln(stdout, "== Per-collective average speedups over [500..700] sample (Sec. V-A) ==")
 	sizes := []int{500, 524, 552, 575, 600, 648, 700}
-	for _, op := range bench.AllOps() {
-		panel := bench.NewRunner(1).Panel(model, op, sizes, *reps)
-		var baseline, best bench.Series
-		for _, s := range panel {
-			if s.Stack.Name == "blocking" {
+	ops := bench.AllOps()
+	panels := make([][]bench.Series, len(ops))
+	for i, op := range ops {
+		panels[i] = bench.NewRunner(1).Panel(model, op, sizes, *reps)
+	}
+	rows, err := bench.SummarizePanels(ops, panels)
+	if err != nil {
+		return err
+	}
+	for i, op := range ops {
+		var baseline, rk bench.Series
+		for _, s := range panels[i] {
+			switch {
+			case s.Stack.Name == "blocking":
 				baseline = s
-			}
-		}
-		bestName := ""
-		bestSpeed := 0.0
-		for _, s := range panel {
-			if s.Stack.RCKMPI || s.Stack.Name == "blocking" || s.Stack.Cfg.MPBDirect {
-				continue
-			}
-			if sp := bench.SpeedupVsBaseline(baseline, s); sp > bestSpeed {
-				bestSpeed, bestName, best = sp, s.Stack.Name, s
-			}
-		}
-		_ = best
-		var rk bench.Series
-		for _, s := range panel {
-			if s.Stack.RCKMPI {
+			case s.Stack.RCKMPI:
 				rk = s
 			}
 		}
+		// rows are sorted by op, not in AllOps order.
+		row := rows[slices.IndexFunc(rows, func(r bench.SummaryRow) bool { return r.Op == op })]
 		fmt.Fprintf(stdout, "  %-14s best=%-36s speedup %.2fx   blocking mean %9.1f us   RCKMPI/blocking %.2fx\n",
-			op, bestName, bestSpeed, bench.MeanLatency(baseline),
+			op, row.BestName, row.Speedup, bench.MeanLatency(baseline),
 			bench.MeanLatency(rk)/bench.MeanLatency(baseline))
 	}
 	return nil

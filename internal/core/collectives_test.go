@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"scc/internal/rcce"
@@ -276,12 +277,53 @@ func TestAllreduceMPBFallbackForHugeVectors(t *testing.T) {
 	// A vector whose blocks exceed half an MPB data region must still
 	// reduce correctly via the fallback path. Blocks ~ n/48 doubles;
 	// half-region = 3328 B = 416 doubles -> n > 416*48 (with balanced
-	// partition) forces the fallback.
+	// partition) forces the fallback. Three calls on one context: every
+	// sum is right, private memory stops growing after the first call,
+	// and the first call ends on every core at the tick it always has.
 	n := 48*416 + 96
 	in := makeInputs(48, n, 99)
 	want := sumRef(in)
-	out, _ := runAllreduce(t, ConfigMPB, in)
-	checkAll(t, "mpb fallback", out, want)
+	const calls = 3
+	chip := scc.New(timing.Default())
+	comm := rcce.NewComm(chip)
+	out := make([][][]float64, calls)
+	for c := range out {
+		out[c] = make([][]float64, chip.NumCores())
+	}
+	brk := make([][calls]scc.Addr, chip.NumCores())
+	first := make([]simtime.Time, chip.NumCores())
+	chip.Launch(func(core *scc.Core) {
+		x := NewCtx(comm.UE(core.ID), ConfigMPB)
+		src := core.AllocF64(n)
+		dst := core.AllocF64(n)
+		core.WriteF64s(src, in[core.ID])
+		for c := 0; c < calls; c++ {
+			if err := x.Allreduce(src, dst, n, Sum); err != nil {
+				t.Errorf("core %d call %d: %v", core.ID, c+1, err)
+				return
+			}
+			if c == 0 {
+				first[core.ID] = core.Now()
+			}
+			brk[core.ID][c] = core.Alloc(0)
+			out[c][core.ID] = make([]float64, n)
+			core.ReadF64s(dst, out[c][core.ID])
+		}
+	})
+	if err := chip.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for c := range out {
+		checkAll(t, fmt.Sprintf("mpb fallback call %d", c+1), out[c], want)
+	}
+	for id, b := range brk {
+		if b[1] != b[0] || b[2] != b[0] {
+			t.Errorf("core %d: brk %d, %d, %d after the three calls; private memory grows per call", id, b[0], b[1], b[2])
+		}
+	}
+	if first[0] != 19534717 || slices.Max(first) != 19534717 {
+		t.Errorf("first call ends at tick %d on core 0 and %d at the latest", first[0], slices.Max(first))
+	}
 }
 
 func TestAllreduceOtherOps(t *testing.T) {

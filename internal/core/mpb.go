@@ -143,15 +143,10 @@ func (x *Ctx) allreduceMPB(src, dst scc.Addr, n int, op Op) error {
 		return nil
 	}
 	if maxBlockLen(blocks)*8 > ue.Comm().DataBytes()/2 {
-		// Blocks must fit a double-buffer half; fall back to the
-		// lightweight balanced path for oversized vectors. The fallback
-		// context runs the paper heuristic (Selector nil): a Fixed("mpb")
-		// selector must not re-enter this function.
-		cfg := x.cfg
-		cfg.MPBDirect = false
-		cfg.Selector = nil
-		fallback := &Ctx{ue: ue, ep: x.ep, cfg: cfg, scratchLen: -1}
-		return fallback.Allreduce(src, dst, n, op)
+		// Blocks must fit a double-buffer half; oversized vectors run
+		// the staged balanced ring, the paper heuristic's pick without
+		// MPBDirect, on this context and its scratch vectors.
+		return ringAlg{}.Allreduce(x, src, dst, n, op)
 	}
 	ring := newMPBRing(ue)
 	// Each ring round still runs the lightweight handshake state machine
