@@ -50,7 +50,7 @@ func TestCommittedResultsRegenerate(t *testing.T) {
 // (exit code 2 in main), not as a run failure.
 func TestBadFlagsAreUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
-		{"-n", "0"}, {"-faults", "1,x"}, {"-chips", "2"}, {"-mesh", "bogus"}, {"-algo", "nope"}, {"-no-such-flag"},
+		{"-n", "0"}, {"-faults", "1,x"}, {"-chips", "2"}, {"-mesh", "bogus"}, {"-algo", "nope"}, {"-algo", "hier"}, {"-no-such-flag"},
 	} {
 		var out bytes.Buffer
 		if err := run(args, &out); !errors.As(err, new(bench.UsageError)) {

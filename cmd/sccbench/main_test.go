@@ -13,6 +13,36 @@ import (
 	"scc/internal/core"
 )
 
+// TestCommittedResultsRegenerate holds results/README.md to its promise
+// for the erratum ablation: the command named there reproduces
+// results/ablation_bugfixed.txt bit for bit.
+func TestCommittedResultsRegenerate(t *testing.T) {
+	const file = "../../results/ablation_bugfixed.txt"
+	args := []string{"-op", "allreduce", "-bugfixed", "-lo", "540", "-hi", "560", "-step", "4"}
+	want, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := run(args, &got); err != nil {
+		t.Fatalf("sccbench %v: %v", args, err)
+	}
+	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			t.Fatalf("sccbench %v no longer regenerates %s; first difference at line %d:\n  now:       %q\n  committed: %q",
+				args, file, i+1, g, w)
+		}
+	}
+}
+
 // TestOneModePerInvocation: selecting two modes, or setting a flag the
 // selected mode never reads, is a usage error (exit status 2 in main)
 // and nothing is simulated or written — no flag is silently ignored.
@@ -84,6 +114,30 @@ func TestModesRunWithTheirOwnFlags(t *testing.T) {
 	}
 }
 
+// TestHierIsNoAlgorithm: the multi-chip composition is what the
+// dispatcher runs on every multi-chip context, not a registry name, so
+// -algo hier is a usage error with or without -chips; -algo pins the
+// intra-chip phases of a multi-chip panel instead.
+func TestHierIsNoAlgorithm(t *testing.T) {
+	for _, args := range [][]string{
+		{"-op", "allreduce", "-algo", "hier"},
+		{"-op", "allreduce", "-algo", "hier", "-chips", "2"},
+	} {
+		var stdout bytes.Buffer
+		if err := run(args, &stdout); !errors.As(err, new(bench.UsageError)) {
+			t.Errorf("sccbench %v: err = %v, want a usage error", args, err)
+		}
+	}
+	args := []string{"-op", "allreduce", "-algo", "ring", "-chips", "2", "-mesh", "2x2x2", "-lo", "64", "-hi", "64"}
+	var stdout bytes.Buffer
+	if err := run(args, &stdout); err != nil {
+		t.Fatalf("sccbench %v: %v", args, err)
+	}
+	if !strings.Contains(stdout.String(), "hierarchical 2x 2x2x2 [ring]") {
+		t.Errorf("sccbench %v: stdout lacks the pinned hierarchical series:\n%s", args, stdout.String())
+	}
+}
+
 // TestListAlgosMatchesRegistry: -list-algos prints exactly the registry
 // (run registers the committed synthesized schedules first): every op
 // kind, every algorithm in registration order, with its description.
@@ -106,7 +160,7 @@ func TestListAlgosMatchesRegistry(t *testing.T) {
 	if stdout.String() != want.String() {
 		t.Errorf("-list-algos:\n%s\nregistry:\n%s", stdout.String(), want.String())
 	}
-	for _, name := range []string{"ring", "hier", "synth:allreduce:48:552"} {
+	for _, name := range []string{"ring", "synth:allreduce:48:552"} {
 		if !strings.Contains(stdout.String(), "  "+name+" ") {
 			t.Errorf("-list-algos lacks %q", name)
 		}

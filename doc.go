@@ -27,9 +27,9 @@
 // *timing.Model via WithModel), WithHardwareBugFixed applies the
 // Sec. IV-D erratum ablation, and WithChips(k) joins k chips through
 // the internal/fabric inter-chip bus, where Allreduce and Broadcast
-// compose hierarchically (the registered "hier" algorithm, steered by
-// WithIntraAlgorithm) and the non-hierarchical collectives fail fast
-// with ErrCrossChip.
+// compose hierarchically (the dispatcher's composition, whose
+// intra-chip phases WithAlgorithm or WithSelector steer) and the
+// non-hierarchical collectives fail fast with ErrCrossChip.
 //
 // Collective algorithm selection is pluggable: WithAlgorithm pins one
 // registered algorithm, WithTuned selects from a measured decision

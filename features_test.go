@@ -35,7 +35,6 @@ func matrixFeatures() []feature {
 		feature{"metrics", sccsim.WithMetrics},
 		feature{"algorithm=tree", func() sccsim.Option { return sccsim.WithAlgorithm("tree") }},
 		feature{"tuned", sccsim.WithTuned},
-		feature{"intra=ring", func() sccsim.Option { return sccsim.WithIntraAlgorithm("ring") }},
 		feature{"topology=2x2x2", func() sccsim.Option { return sccsim.WithTopology(2, 2, 2) }},
 		feature{"topology=invalid", func() sccsim.Option { return sccsim.WithTopology(0, 3, 2) }},
 	)
@@ -338,7 +337,6 @@ func TestInvalidOptionsYieldInertSystem(t *testing.T) {
 		"chips + faults":      {sccsim.WithChips(4), sccsim.WithFaults(sccsim.NewFaultPlan())},
 		"chips + self-heal":   {sccsim.WithChips(2), sccsim.WithSelfHealing(sccsim.DefaultHealPolicy())},
 		"chips + RCKMPI":      {sccsim.WithChips(2), sccsim.WithStack(sccsim.StackRCKMPI)},
-		"chips + bad intra":   {sccsim.WithChips(2), sccsim.WithIntraAlgorithm("no-such-algorithm")},
 		"unknown stack":       {sccsim.WithStack(42)},
 		"negative stack":      {sccsim.WithStack(-1)},
 	} {

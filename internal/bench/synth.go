@@ -67,13 +67,10 @@ func Synthesize(r *Runner, model *timing.Model, sp TuneSpec) (*synth.Table, []Sy
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg := sp.Cfg
-	cfg.MPBDirect = false
-	cfg.Selector = nil
 	cells := make([]SynthCell, len(hand))
 	errs := make([]error, len(hand))
 	r.runCells(len(hand), func(i int) {
-		cells[i], errs[i] = synthCell(model, cfg, hand[i], sp.Reps)
+		cells[i], errs[i] = synthCell(model, sp.Cfg, hand[i], sp.Reps)
 	})
 
 	table := &synth.Table{Transport: sp.Transport}

@@ -89,12 +89,12 @@ func MeshLabel(model *timing.Model, chips int) string {
 }
 
 // MeasureHier measures one hierarchical collective (Allreduce or
-// Broadcast) of n doubles across a multi-chip system, forcing intra as
-// the intra-chip phase ("" = the selector's choice), and returns the
-// average latency over reps timed repetitions as seen by the global
-// rank 0 (chip 0, core 0). With chips <= 1 it degrades to the flat
-// single-chip measurement on the balanced stack, so flat-vs-hier
-// crossover sweeps share one entry point.
+// Broadcast) of n doubles across a multi-chip system, pinning intra as
+// the algorithm of the intra-chip phases ("" = the paper heuristic's
+// choice), and returns the average latency over reps timed repetitions
+// as seen by the global rank 0 (chip 0, core 0). With chips <= 1 it
+// degrades to the flat single-chip measurement on the balanced stack,
+// so flat-vs-hier crossover sweeps share one entry point.
 func MeasureHier(model *timing.Model, chips int, intra string, op Op, n, reps int) simtime.Duration {
 	if chips <= 1 {
 		st := Stack{Name: "lightweight non-blocking, balanced", Cfg: core.ConfigBalanced, Algo: intra}
@@ -103,11 +103,15 @@ func MeasureHier(model *timing.Model, chips int, intra string, op Op, n, reps in
 	if op != OpAllreduce && op != OpBroadcast {
 		panic("bench: hierarchical measurement supports allreduce and broadcast, not " + string(op))
 	}
+	cfg := core.ConfigBalanced
+	if intra != "" {
+		cfg.Selector = core.Fixed(intra)
+	}
 	pr := program{
 		model: model, chips: chips, reps: reps, op: op, n: n,
 		ctx: func(sys *fabric.System, chip int, ue *rcce.UE) (*core.Ctx, error) {
-			return core.NewCtxFabric(ue, core.ConfigBalanced, &core.Fabric{
-				Port: sys.Port(chip), Chip: chip, Chips: chips, Intra: intra,
+			return core.NewCtxFabric(ue, cfg, &core.Fabric{
+				Port: sys.Port(chip), Chip: chip, Chips: chips,
 			})
 		},
 	}

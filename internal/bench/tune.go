@@ -35,8 +35,8 @@ type TuneSpec struct {
 	// warm-up effects.
 	Reps int
 	// Cfg is the point-to-point configuration every algorithm runs
-	// over. The sweeps clear MPBDirect/Selector themselves: the
-	// algorithm under test is pinned per cell.
+	// over. Its MPBDirect and Selector never matter: the algorithm
+	// under test is pinned per cell.
 	Cfg core.Config
 	// Transport labels the table's provenance (DecisionTable.Transport).
 	Transport string
@@ -183,9 +183,6 @@ func Tune(r *Runner, model *timing.Model, sp TuneSpec) (*core.DecisionTable, []C
 	if err := sp.validate(model.NumCores()); err != nil {
 		return nil, nil, err
 	}
-	cfg := sp.Cfg
-	cfg.MPBDirect = false // the algorithm is pinned per cell, not by flag
-	cfg.Selector = nil
 
 	type cellKey struct {
 		ki, npi, bi int
@@ -227,7 +224,7 @@ func Tune(r *Runner, model *timing.Model, sp TuneSpec) (*core.DecisionTable, []C
 		j := jobs[i]
 		var total simtime.Duration
 		for _, n := range j.ns {
-			lat, ok := MeasureAlgorithm(model, cfg, j.k, j.algo, j.np, n, sp.Reps)
+			lat, ok := MeasureAlgorithm(model, sp.Cfg, j.k, j.algo, j.np, n, sp.Reps)
 			if !ok {
 				results[i] = measurement{}
 				return

@@ -167,14 +167,6 @@ func LookupAlgorithm(k OpKind, name string) Algorithm {
 // the selector picks an unknown or inapplicable algorithm (e.g. a tuned
 // table requesting "mpb" on a survivor group).
 func (x *Ctx) selectAlg(k OpKind, n int) Algorithm {
-	// A multi-chip context must span chips, so the hierarchical
-	// composition overrides any selector; the selector still steers the
-	// intra-chip phases through Fabric.Intra or the inner context.
-	if x.MultiChip() {
-		if a := LookupAlgorithm(k, "hier"); a != nil && a.Applicable(x, n) {
-			return a
-		}
-	}
 	sel := x.cfg.Selector
 	if sel == nil {
 		sel = paperSel{}
@@ -194,7 +186,7 @@ func (x *Ctx) selectAlg(k OpKind, n int) Algorithm {
 // with them, the only extra actions are Now() reads (which merely
 // apply already-deferred local latency early), so virtual-time results
 // are bit-identical either way.
-func (x *Ctx) traced(k OpKind, a Algorithm, body func() error) error {
+func (x *Ctx) traced(k OpKind, algo string, body func() error) error {
 	c := x.ue.Core()
 	reg := c.Metrics()
 	if !c.Tracing() && reg == nil {
@@ -207,7 +199,7 @@ func (x *Ctx) traced(k OpKind, a Algorithm, body func() error) error {
 	}
 	err := body()
 	t1 := c.Now()
-	label := k.String() + "[" + a.Name() + "]"
+	label := k.String() + "[" + algo + "]"
 	if reg != nil {
 		reg.RecordCollective(label, t1-t0, before, reg.PhaseRow(c.ID))
 	}

@@ -14,7 +14,6 @@ func init() {
 	RegisterAlgorithm(recdoubleAlg{})
 	RegisterAlgorithm(mpbAlg{})
 	RegisterAlgorithm(linearAlg{})
-	RegisterAlgorithm(hierAlg{})
 }
 
 // ringAlg is the paper's long-vector workhorse (Sec. IV): the

@@ -124,8 +124,9 @@ type Ctx struct {
 	healer *Healer
 
 	// fab, when non-nil with Chips > 1, makes Allreduce/Broadcast/
-	// Barrier span a multi-chip system through the "hier" composition
-	// (see hier.go); hierInner caches its chip-local sub-context.
+	// Barrier span a multi-chip system through the hierarchical
+	// composition (see hier.go); hierInner caches its chip-local
+	// sub-context.
 	fab       *Fabric
 	hierInner *Ctx
 
@@ -202,9 +203,6 @@ func NewCtxWith(ue *rcce.UE, cfg Config, o CtxOpts) (*Ctx, error) {
 		return nil, fmt.Errorf("core: %w: fabric context needs a port", ErrInvalid)
 	case f.Chip < 0 || f.Chip >= f.Chips:
 		return nil, fmt.Errorf("core: %w: chip %d outside [0,%d)", ErrInvalid, f.Chip, f.Chips)
-	case f.Intra != "" && LookupAlgorithm(KindAllreduce, f.Intra) == nil:
-		return nil, fmt.Errorf("core: %w: unknown intra-chip algorithm %q (have %v)",
-			ErrInvalid, f.Intra, AlgorithmNames(KindAllreduce))
 	}
 	if h != nil {
 		if h.evicted != nil {
@@ -460,12 +458,17 @@ func (x *Ctx) Allreduce(src, dst scc.Addr, n int, op Op) error {
 // execution all happen inside the healed region, so a re-execution
 // after membership shrank re-selects for the survivor count.
 func (x *Ctx) allreduceBody(src, dst scc.Addr, n int, op Op) error {
-	if x.NP() == 1 && !x.MultiChip() {
+	if x.MultiChip() {
+		return x.traced(KindAllreduce, hierName, func() error {
+			return x.hierAllreduce(src, dst, n, op)
+		})
+	}
+	if x.NP() == 1 {
 		x.CopyPrivate(dst, src, n)
 		return nil
 	}
 	a := x.selectAlg(KindAllreduce, n).(AllreduceAlgorithm)
-	return x.traced(KindAllreduce, a, func() error {
+	return x.traced(KindAllreduce, a.Name(), func() error {
 		return a.Allreduce(x, src, dst, n, op)
 	})
 }
@@ -489,7 +492,7 @@ func (x *Ctx) reduceBody(root int, src, dst scc.Addr, n int, op Op) error {
 		return nil
 	}
 	a := x.selectAlg(KindReduce, n).(ReduceAlgorithm)
-	return x.traced(KindReduce, a, func() error {
+	return x.traced(KindReduce, a.Name(), func() error {
 		return a.Reduce(x, root, src, dst, n, op)
 	})
 }
@@ -504,19 +507,23 @@ func (x *Ctx) Broadcast(root int, addr scc.Addr, n int) error {
 func (x *Ctx) broadcastBody(root int, addr scc.Addr, n int) error {
 	if x.MultiChip() {
 		// The root is a system-global core ID: chip root/NumUEs, local
-		// core root%NumUEs (the "hier" algorithm decodes it the same way).
+		// core root%NumUEs (hierBroadcast decodes it the same way).
 		if root < 0 || root >= x.GlobalNP() {
 			return fmt.Errorf("core: Broadcast: %w: root %d outside [0,%d)",
 				ErrInvalid, root, x.GlobalNP())
 		}
-	} else if _, err := x.RootRank("Broadcast", root); err != nil {
+		return x.traced(KindBroadcast, hierName, func() error {
+			return x.hierBroadcast(root, addr, n)
+		})
+	}
+	if _, err := x.RootRank("Broadcast", root); err != nil {
 		return err
 	}
-	if x.NP() == 1 && !x.MultiChip() {
+	if x.NP() == 1 {
 		return nil
 	}
 	a := x.selectAlg(KindBroadcast, n).(BroadcastAlgorithm)
-	return x.traced(KindBroadcast, a, func() error {
+	return x.traced(KindBroadcast, a.Name(), func() error {
 		return a.Broadcast(x, root, addr, n)
 	})
 }

@@ -11,9 +11,10 @@ import (
 // intra-chip algorithm with an inter-chip exchange over the fabric —
 // reduce inside each chip, exchange the per-chip partials between
 // gateway cores (core 0 of every chip), broadcast the global result
-// back inside each chip. Because the composition is itself a registered
-// algorithm ("hier"), the tuner, metrics breakdowns, trace spans and
-// the self-healing wrapper all see it like any other algorithm.
+// back inside each chip. The dispatcher runs the composition on every
+// multi-chip context before any selection, so it is not a registry
+// entry; the context's selector picks the intra-chip phases, and trace
+// spans and metrics breakdowns label the whole call "hier".
 
 // Fabric describes a context's place in a multi-chip fabric.System.
 // The same value is shared by every core of one chip.
@@ -22,10 +23,6 @@ type Fabric struct {
 	Port *fabric.Port
 	// Chip is this chip's index, Chips the system size.
 	Chip, Chips int
-	// Intra optionally forces the intra-chip algorithm by registry name
-	// ("ring", "tree", ...); empty means the context's own selector (or
-	// the paper heuristic) picks per phase.
-	Intra string
 }
 
 // ErrCrossChip marks collectives with no hierarchical implementation:
@@ -46,28 +43,14 @@ func (x *Ctx) GlobalNP() int {
 	return x.NP()
 }
 
-// hierAlg is the sixth-layer composition. Applicable only on fabric
-// contexts spanning more than one chip, where the dispatcher forces it;
-// on single-chip contexts the tuner and selectors skip it.
-type hierAlg struct{}
-
-func (hierAlg) Name() string { return "hier" }
-func (hierAlg) Describe() string {
-	return "hierarchical multi-chip composition: intra-chip reduce, gateway fabric exchange, intra-chip broadcast"
-}
-func (hierAlg) Applicable(x *Ctx, n int) bool { return x.MultiChip() }
-
 // inner returns the chip-local sub-context the intra-chip phases run
-// on: same UE, transport and healer, no fabric, optionally a forced
-// intra-chip algorithm. Built once per Ctx and cached, with a partition
-// memo and ring vectors of its own.
+// on: same UE, transport, healer and selector, no fabric. Built once
+// per Ctx and cached, with a partition memo and ring vectors of its
+// own.
 func (x *Ctx) inner() *Ctx {
 	if x.hierInner == nil {
 		in := *x
 		in.fab = nil
-		if x.fab != nil && x.fab.Intra != "" {
-			in.cfg.Selector = Fixed(x.fab.Intra)
-		}
 		in.partBuf = nil
 		in.partN, in.partP, in.partBal = 0, 0, false
 		in.scratchLen = -1
@@ -108,7 +91,14 @@ func (x *Ctx) gatewayExchange(dst scc.Addr, n int, op Op) {
 	core.WriteF64s(dst, v)
 }
 
-func (hierAlg) Allreduce(x *Ctx, src, dst scc.Addr, n int, op Op) error {
+// hierName labels the composition in trace spans and metrics
+// breakdowns ("allreduce[hier]").
+const hierName = "hier"
+
+// hierAllreduce is the multi-chip Allreduce: the intra-chip Allreduce,
+// the gateway exchange of the chip partials, then an intra-chip
+// Broadcast of the global result.
+func (x *Ctx) hierAllreduce(src, dst scc.Addr, n int, op Op) error {
 	in := x.inner()
 	if err := in.Allreduce(src, dst, n, op); err != nil {
 		return err
@@ -122,7 +112,10 @@ func (hierAlg) Allreduce(x *Ctx, src, dst scc.Addr, n int, op Op) error {
 	return in.Broadcast(0, dst, n)
 }
 
-func (hierAlg) Broadcast(x *Ctx, root int, addr scc.Addr, n int) error {
+// hierBroadcast is the multi-chip Broadcast from the system-global core
+// root: the root's chip broadcasts inside, its gateway sends the vector
+// to every other gateway, and each of those broadcasts inside its chip.
+func (x *Ctx) hierBroadcast(root int, addr scc.Addr, n int) error {
 	f := x.fab
 	in := x.inner()
 	perChip := x.ue.NumUEs()
@@ -154,8 +147,7 @@ func (hierAlg) Broadcast(x *Ctx, root int, addr scc.Addr, n int) error {
 // hierBarrier is the multi-chip barrier: intra-chip barrier (arrival),
 // the gateway exchange with an empty payload (a barrier is the
 // payload-free gather–release), then a second intra-chip barrier
-// (release). Dispatched from barrierBody, not the registry — Barrier
-// has no algorithm selection.
+// (release). Dispatched from barrierBody like the other two.
 func (x *Ctx) hierBarrier() error {
 	in := x.inner()
 	if err := in.Barrier(); err != nil {

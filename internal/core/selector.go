@@ -55,7 +55,7 @@ func (paperSel) Select(x *Ctx, k OpKind, n int) string {
 	if x.shortMessage(n) {
 		return "tree"
 	}
-	if k == KindAllreduce && x.cfg.MPBDirect && x.grp == nil && x.cfg.Recovery == nil {
+	if k == KindAllreduce && x.cfg.MPBDirect && (mpbAlg{}).Applicable(x, n) {
 		return "mpb"
 	}
 	return "ring"

@@ -206,6 +206,11 @@ func TestDecisionTableValidateRejects(t *testing.T) {
 	if _, err := ParseDecisionTable([]byte("{not json")); err == nil {
 		t.Error("ParseDecisionTable accepted malformed JSON")
 	}
+	// The multi-chip composition is no registry algorithm a table row
+	// could name.
+	if _, err := ParseDecisionTable([]byte(`{"entries":[{"op":"allreduce","np":96,"max_n":0,"algorithm":"hier"}]}`)); err == nil {
+		t.Error(`ParseDecisionTable accepted algorithm "hier"`)
+	}
 }
 
 // TestDefaultTableValid: the committed tuner output must load, validate
@@ -305,8 +310,8 @@ func TestTunedClampsAboveLargestMeasuredRow(t *testing.T) {
 // tie-break) and the per-op membership.
 func TestRegistryEnumeration(t *testing.T) {
 	want := map[OpKind][]string{
-		KindAllreduce: {"ring", "tree", "recdouble", "mpb", "linear", "hier"},
-		KindBroadcast: {"ring", "tree", "linear", "hier"},
+		KindAllreduce: {"ring", "tree", "recdouble", "mpb", "linear"},
+		KindBroadcast: {"ring", "tree", "linear"},
 		KindReduce:    {"ring", "tree", "linear"},
 	}
 	for k, names := range want {

@@ -34,9 +34,6 @@ func TestTopologyCrossAlgorithmEquivalence(t *testing.T) {
 		root := cores/2 + 1 // off-gateway, off-center
 		for _, k := range OpKinds() {
 			for _, algo := range AlgorithmNames(k) {
-				if algo == "hier" {
-					continue // never applicable on a single chip
-				}
 				for _, n := range []int{3, 64} {
 					in := dyadicInputs(int64(100000*g.rows*g.per+1000*int(k)+n), cores, n)
 					want := reference(k, root, cores, in)
@@ -76,21 +73,23 @@ func TestTopologyCrossAlgorithmEquivalence(t *testing.T) {
 }
 
 // hierRun executes one collective across a multi-chip system with the
-// given forced intra-chip algorithm and returns the final virtual time
-// plus per-global-rank results.
+// intra-chip algorithm pinned through the selector and returns the
+// final virtual time plus per-global-rank results.
 func hierRun(t *testing.T, model *timing.Model, chips int, intra string, k OpKind, n, root int, in [][]float64) (simtime.Time, [][]float64) {
 	t.Helper()
 	sys := fabric.New(model, chips)
 	perChip := model.NumCores()
 	results := make([][]float64, chips*perChip)
+	cfg := ConfigBalanced
+	cfg.Selector = Fixed(intra)
 	for ci := 0; ci < chips; ci++ {
 		ci := ci
 		comm := rcce.NewComm(sys.Chips[ci])
 		port := sys.Port(ci)
 		sys.Chips[ci].Launch(func(c *scc.Core) {
 			gid := ci*perChip + c.ID
-			x, err := NewCtxFabric(comm.UE(c.ID), ConfigBalanced, &Fabric{
-				Port: port, Chip: ci, Chips: chips, Intra: intra,
+			x, err := NewCtxFabric(comm.UE(c.ID), cfg, &Fabric{
+				Port: port, Chip: ci, Chips: chips,
 			})
 			if err != nil {
 				t.Errorf("chip %d core %d: NewCtxFabric: %v", ci, c.ID, err)
@@ -136,9 +135,6 @@ func TestHierarchicalAllreduceMatchesFlat(t *testing.T) {
 	model := timing.Default()
 	total := chips * model.NumCores()
 	for _, intra := range AlgorithmNames(KindAllreduce) {
-		if intra == "hier" {
-			continue // the composition itself is not an intra-chip phase
-		}
 		for _, n := range []int{1, 160} {
 			in := dyadicInputs(int64(7000+n), total, n)
 			want := reference(KindAllreduce, 0, total, in)

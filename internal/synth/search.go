@@ -383,26 +383,7 @@ func nextStep(c *coster, op string, f flavor, s *searchState) []Move {
 				missing = append(missing, r)
 			}
 		}
-		served := map[int]int{}
-		var step []Move
-		for _, r := range missing {
-			bestH := -1
-			var bestK [3]int
-			for _, h := range holders {
-				if served[h] >= f.fan {
-					continue
-				}
-				k := partnerKey(c, f.gen, h, r)
-				if bestH < 0 || keyLess(k, bestK) {
-					bestH, bestK = h, k
-				}
-			}
-			if bestH >= 0 {
-				served[bestH]++
-				step = append(step, Move{Chunk: 0, From: bestH, To: r, Kind: Copy})
-			}
-		}
-		return step
+		return serve(c, f, holders, missing)
 
 	case "allreduce":
 		// Once full ranks exist they serve non-full ranks with copies
@@ -417,31 +398,13 @@ func nextStep(c *coster, op string, f flavor, s *searchState) []Move {
 				part = append(part, r)
 			}
 		}
-		var step []Move
 		if len(fulls) > 0 {
-			served := map[int]int{}
-			for _, r := range part {
-				bestF := -1
-				var bestK [3]int
-				for _, fr := range fulls {
-					if served[fr] >= f.fan {
-						continue
-					}
-					k := partnerKey(c, f.gen, fr, r)
-					if bestF < 0 || keyLess(k, bestK) {
-						bestF, bestK = fr, k
-					}
-				}
-				if bestF >= 0 {
-					served[bestF]++
-					step = append(step, Move{Chunk: 0, From: bestF, To: r, Kind: Copy})
-				}
-			}
-			return step
+			return serve(c, f, fulls, part)
 		}
 		// Exchange phase: match each unpaired rank (ascending) with its
 		// best disjoint partner, preferring equal contribution mass
 		// (balanced doubling), then the flavor's distance order.
+		var step []Move
 		paired := make([]bool, np)
 		for r := 0; r < np; r++ {
 			if paired[r] {
@@ -486,8 +449,8 @@ func nextStep(c *coster, op string, f flavor, s *searchState) []Move {
 		if len(active) <= 1 {
 			return nil
 		}
-		absorbed := map[int]bool{}
-		sent := map[int]bool{}
+		absorbed := make([]bool, np)
+		sent := make([]bool, np)
 		var step []Move
 		// Farthest-from-root senders choose first so leaves drain
 		// toward the root.
@@ -529,6 +492,32 @@ func nextStep(c *coster, op string, f flavor, s *searchState) []Move {
 		return step
 	}
 	return nil
+}
+
+// serve has the holders in from copy chunk 0 to the ranks in to, each
+// missing rank (ascending) taking its nearest holder in the flavor's
+// order that has served fewer than fan ranks this step.
+func serve(c *coster, f flavor, from, to []int) []Move {
+	served := make([]int, c.np)
+	var step []Move
+	for _, r := range to {
+		best := -1
+		var bestK [3]int
+		for _, h := range from {
+			if served[h] >= f.fan {
+				continue
+			}
+			k := partnerKey(c, f.gen, h, r)
+			if best < 0 || keyLess(k, bestK) {
+				best, bestK = h, k
+			}
+		}
+		if best >= 0 {
+			served[best]++
+			step = append(step, Move{Chunk: 0, From: best, To: r, Kind: Copy})
+		}
+	}
+	return step
 }
 
 func ceilLog2(n int) int {

@@ -200,7 +200,6 @@ type config struct {
 	bugFixed bool
 	stack    Stack
 	chips    int
-	intra    string
 	faults   *fault.Plan
 	recovery *rcce.Policy
 	selfheal *core.HealPolicy
@@ -239,9 +238,6 @@ func (c *config) validate() error {
 		return invalid("WithChips: metrics are single-chip only")
 	case c.model.FabricBytesPerMeshCycle <= 0:
 		return invalid("WithChips: fabric width must be positive, got %d", c.model.FabricBytesPerMeshCycle)
-	case c.intra != "" && core.LookupAlgorithm(core.KindAllreduce, c.intra) == nil:
-		return invalid("WithIntraAlgorithm: unknown algorithm %q (have %v)",
-			c.intra, core.AlgorithmNames(core.KindAllreduce))
 	}
 	return nil
 }
@@ -273,17 +269,12 @@ func WithTopology(rows, cols, coresPerTile int) Option {
 // Allreduce/Broadcast/Barrier run hierarchically (intra-chip phase,
 // gateway exchange, intra-chip phase) and rank IDs become system-global
 // (Rank.ID in [0, NumCores)). k <= 1 is the plain single-chip system.
-// Multi-chip systems support the RCCE-based stacks, WithRecovery,
-// WithSelector and WithIntraAlgorithm; combined with StackRCKMPI,
-// WithFaults, WithSelfHealing or WithMetrics (those subsystems are
-// single-chip scoped) Run returns a typed error (ErrInvalid).
+// Multi-chip systems support the RCCE-based stacks, WithRecovery and
+// WithSelector (or WithAlgorithm), which picks the algorithm of the
+// intra-chip phases; combined with StackRCKMPI, WithFaults,
+// WithSelfHealing or WithMetrics (those subsystems are single-chip
+// scoped) Run returns a typed error (ErrInvalid).
 func WithChips(k int) Option { return func(c *config) { c.chips = k } }
-
-// WithIntraAlgorithm forces the intra-chip phases of the hierarchical
-// collectives to the named registry algorithm ("ring", "tree", ...);
-// the default lets the configured selector pick per phase. Only
-// meaningful with WithChips(k > 1).
-func WithIntraAlgorithm(name string) Option { return func(c *config) { c.intra = name } }
 
 // WithHardwareBugFixed removes the SCC's local-MPB erratum workaround,
 // probing the paper's prediction that fixed silicon would make the
@@ -553,7 +544,7 @@ func (s *System) newRank(ci int, c *scc.Core) *Rank {
 	if s.fab.NumChips() > 1 {
 		// The context carries the chip's fabric port, so Allreduce/
 		// Broadcast/Barrier dispatch to the hierarchical composition.
-		o.Fabric = &core.Fabric{Port: s.fab.Port(ci), Chip: ci, Chips: s.fab.NumChips(), Intra: s.cfg.intra}
+		o.Fabric = &core.Fabric{Port: s.fab.Port(ci), Chip: ci, Chips: s.fab.NumChips()}
 	}
 	if s.healers != nil {
 		o.Healer = s.healers[c.ID] // nil on the first Run: the context makes one

@@ -92,16 +92,11 @@ func schedGoldenSections(t *testing.T) map[string][]byte {
 
 	// Every registered algorithm of every op kind, at the paper's
 	// application point (np=48, n=552) and a small off-grid point. The
-	// multi-chip "hier" composition is excluded: it is never applicable
-	// on a single-chip context, and this section predates it — keeping
-	// the enumeration fixed keeps the seed digests comparable. The
-	// topology.* and hier.* sections below cover it instead.
+	// multi-chip composition is no registry entry; the topology.* and
+	// hier.* sections below cover it.
 	var algoLines []string
 	for _, k := range core.OpKinds() {
 		for _, algo := range core.AlgorithmNames(k) {
-			if algo == "hier" {
-				continue
-			}
 			for _, pt := range [...]struct{ np, n int }{{48, 552}, {8, 64}} {
 				lat, ok := bench.MeasureAlgorithm(model, core.ConfigLightweight, k, algo, pt.np, pt.n, 1)
 				algoLines = append(algoLines,
@@ -137,9 +132,6 @@ func schedGoldenSections(t *testing.T) map[string][]byte {
 	// Allreduce phases.
 	var hierLines []string
 	for _, intra := range core.AlgorithmNames(core.KindAllreduce) {
-		if intra == "hier" {
-			continue // the composition is not its own intra-chip phase
-		}
 		lat := bench.MeasureHier(model, 2, intra, bench.OpAllreduce, 128, 1)
 		hierLines = append(hierLines, fmt.Sprintf("allreduce[%s] lat=%d", intra, int64(lat)))
 	}

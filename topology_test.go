@@ -64,7 +64,7 @@ func TestTopologyFacadeAllreduce(t *testing.T) {
 // bit-identical across two same-configuration runs.
 func TestHierarchicalFacadeAllreduce(t *testing.T) {
 	run := func() (map[int]float64, map[int]int, sccsim.Duration) {
-		sys := sccsim.New(sccsim.WithChips(2), sccsim.WithIntraAlgorithm("ring"))
+		sys := sccsim.New(sccsim.WithChips(2), sccsim.WithAlgorithm("ring"))
 		if got := sys.Chips(); got != 2 {
 			t.Fatalf("Chips() = %d, want 2", got)
 		}
