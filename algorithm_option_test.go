@@ -1,6 +1,7 @@
 package sccsim_test
 
 import (
+	"errors"
 	"testing"
 
 	sccsim "scc"
@@ -58,14 +59,51 @@ func TestWithAlgorithmPinsRegistryChoice(t *testing.T) {
 		t.Errorf("WithAlgorithm(linear) should be much slower than the heuristic, got %v vs %v",
 			latLinear, latDefault)
 	}
+}
 
-	// An unknown name must degrade to the heuristic, not break.
-	latTypo, sum := runAllreduce(t, sccsim.New(sccsim.WithAlgorithm("no-such")), n)
-	if sum != wantSum {
-		t.Fatalf("typo'd algorithm sum = %v, want %v", sum, wantSum)
+// TestWithAlgorithmUnknownNameIsInvalid: a name that no collective
+// registers (a typo, or the dispatched-not-registered "hier") is an
+// invalid option, not a silent run of the paper heuristic. A name
+// registered for Allreduce only still runs a Broadcast, through the
+// per-call fallback.
+func TestWithAlgorithmUnknownNameIsInvalid(t *testing.T) {
+	for name, opt := range map[string]sccsim.Option{
+		`WithAlgorithm("rign")`:       sccsim.WithAlgorithm("rign"),
+		`WithAlgorithm("hier")`:       sccsim.WithAlgorithm("hier"),
+		`WithSelector(Fixed("rign"))`: sccsim.WithSelector(sccsim.Fixed("rign")),
+	} {
+		ran := false
+		err := sccsim.New(opt).Run(func(*sccsim.Rank) { ran = true })
+		if !errors.Is(err, sccsim.ErrInvalid) || ran {
+			t.Errorf("%s: Run = %v (program ran: %v), want ErrInvalid", name, err, ran)
+		}
 	}
-	if latTypo != latDefault {
-		t.Errorf("WithAlgorithm(unknown) should match the default exactly: %v vs %v", latTypo, latDefault)
+	const n = 64
+	got := make([]float64, 48)
+	err := sccsim.New(sccsim.WithAlgorithm("recdouble")).Run(func(r *sccsim.Rank) {
+		buf := r.AllocF64(n)
+		if r.ID() == 0 {
+			v := make([]float64, n)
+			for i := range v {
+				v[i] = 7
+			}
+			r.WriteF64s(buf, v)
+		}
+		if err := r.Broadcast(0, buf, n); err != nil {
+			t.Errorf("rank %d: %v", r.ID(), err)
+			return
+		}
+		out := make([]float64, n)
+		r.ReadF64s(buf, out)
+		got[r.ID()] = out[n-1]
+	})
+	if err != nil {
+		t.Fatalf(`WithAlgorithm("recdouble") Broadcast: %v`, err)
+	}
+	for id, v := range got {
+		if v != 7 {
+			t.Fatalf("rank %d received %v, want 7", id, v)
+		}
 	}
 }
 

@@ -3,8 +3,9 @@ package main
 import (
 	"bytes"
 	"os"
-	"strings"
 	"testing"
+
+	"scc/internal/bench"
 )
 
 // TestCommittedLadderRegenerates reruns `calibrate -quick` and requires
@@ -21,18 +22,7 @@ func TestCommittedLadderRegenerates(t *testing.T) {
 	if err := run([]string{"-quick"}, &got); err != nil {
 		t.Fatalf("calibrate -quick: %v", err)
 	}
-	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(gl) || i < len(wl); i++ {
-		var g, w string
-		if i < len(gl) {
-			g = gl[i]
-		}
-		if i < len(wl) {
-			w = wl[i]
-		}
-		if g != w {
-			t.Fatalf("calibrate -quick no longer regenerates %s; first difference at line %d:\n  now:       %q\n  committed: %q",
-				file, i+1, g, w)
-		}
+	if d := bench.FirstDiff(want, got.Bytes()); d != "" {
+		t.Fatalf("calibrate -quick no longer regenerates %s; first difference at %s", file, d)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"os"
-	"strings"
 	"testing"
 
 	"scc/internal/bench"
@@ -26,22 +25,8 @@ func TestCommittedResultsRegenerate(t *testing.T) {
 		if err := run(args, &got); err != nil {
 			t.Fatalf("faultbench %v: %v", args, err)
 		}
-		if got.String() == string(want) {
-			continue
-		}
-		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(gl) || i < len(wl); i++ {
-			var g, w string
-			if i < len(gl) {
-				g = gl[i]
-			}
-			if i < len(wl) {
-				w = wl[i]
-			}
-			if g != w {
-				t.Fatalf("faultbench %v no longer regenerates %s; first difference at line %d:\n  now:       %q\n  committed: %q",
-					args, file, i+1, g, w)
-			}
+		if d := bench.FirstDiff(want, got.Bytes()); d != "" {
+			t.Fatalf("faultbench %v no longer regenerates %s; first difference at %s", args, file, d)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"os"
-	"strings"
 	"testing"
 
 	"scc/internal/bench"
@@ -30,19 +29,8 @@ func TestCommittedFig10Regenerates(t *testing.T) {
 	if err := run([]string{"-cycles", "40"}, &got); err != nil {
 		t.Fatalf("gcmcapp -cycles 40: %v", err)
 	}
-	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(gl) || i < len(wl); i++ {
-		var g, w string
-		if i < len(gl) {
-			g = gl[i]
-		}
-		if i < len(wl) {
-			w = wl[i]
-		}
-		if g != w {
-			t.Fatalf("gcmcapp -cycles 40 no longer regenerates %s; first difference at line %d:\n  now:       %q\n  committed: %q",
-				file, i+1, g, w)
-		}
+	if d := bench.FirstDiff(want, got.Bytes()); d != "" {
+		t.Fatalf("gcmcapp -cycles 40 no longer regenerates %s; first difference at %s", file, d)
 	}
 }
 

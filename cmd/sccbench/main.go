@@ -174,7 +174,7 @@ func run(args []string, stdout io.Writer) error {
 	ops := []bench.Op{bench.Op(*op)}
 	if *op == "all" && mode == "panel" {
 		ops = bench.AllOps()
-	} else if !validOp(ops[0]) {
+	} else if !slices.Contains(bench.AllOps(), ops[0]) {
 		if mode == "metrics" {
 			return fail("-metrics needs a single concrete -op, got %q", *op)
 		}
@@ -435,13 +435,4 @@ func writeTraceJSON(run bench.InstrumentedRun, op bench.Op, st bench.Stack, n in
 		"n":       n,
 		"metrics": run.Metrics,
 	})
-}
-
-func validOp(op bench.Op) bool {
-	for _, o := range bench.AllOps() {
-		if o == op {
-			return true
-		}
-	}
-	return false
 }

@@ -118,7 +118,7 @@ func runRing(kind core.TransportKind, rounds, nElems, record int) (*trace.Record
 			c.SetSpanRecorder(rec.Hook(c.ID))
 		}
 		ue := sys.Comms[0].UE(c.ID)
-		ep := core.NewEndpoint(ue, kind)
+		ep := core.NewCtx(ue, core.Config{Transport: kind}).Endpoint()
 		p := ue.NumUEs()
 		right, left := (c.ID+1)%p, (c.ID+p-1)%p
 		src, dst := c.AllocF64(nElems), c.AllocF64(nElems)

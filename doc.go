@@ -32,7 +32,9 @@
 // non-hierarchical collectives fail fast with ErrCrossChip.
 //
 // Collective algorithm selection is pluggable: WithAlgorithm pins one
-// registered algorithm, WithTuned selects from a measured decision
+// registered algorithm (a name that no collective registers makes Run
+// return ErrInvalid; a call its algorithm does not serve falls back to
+// the paper heuristic), WithTuned selects from a measured decision
 // table, WithSelector installs any policy. Beyond the hand-written
 // algorithms, internal/synth searches per-mesh schedules for
 // Broadcast/Reduce/Allreduce and compiles the winners into registered

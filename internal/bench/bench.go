@@ -78,23 +78,6 @@ func StacksFor(op Op) []Stack {
 	return s
 }
 
-// StacksForAlgo returns StacksFor(op) with every non-RCKMPI stack
-// pinned to the named registry algorithm ("" leaves the stacks' own
-// selectors in place, identical to StacksFor). Labels grow an
-// "[algo]" suffix so tables and CSVs stay self-describing.
-func StacksForAlgo(op Op, algo string) []Stack {
-	s := StacksFor(op)
-	if algo == "" {
-		return s
-	}
-	for i := range s {
-		if !s[i].RCKMPI {
-			s[i].Algo = algo
-		}
-	}
-	return s
-}
-
 // Measure runs one collective of the given vector size on a fresh chip
 // of the model's geometry and returns the average latency over reps repetitions as
 // observed on core 0 (like the paper's methodology; the first, cache-cold

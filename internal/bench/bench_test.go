@@ -80,11 +80,15 @@ func TestSizes(t *testing.T) {
 
 func TestSweepAndStats(t *testing.T) {
 	m := timing.Default()
-	sweep := func(st Stack) Series {
-		return NewRunner(1).panels(m, []Op{OpAllreduce}, func(Op) []Stack { return []Stack{st} }, []int{96, 144}, 1)[0][0]
+	var base, fast Series
+	for _, s := range NewRunner(1).Panels(m, []Op{OpAllreduce}, []int{96, 144}, 1)[0] {
+		switch s.Stack.Name {
+		case core.ConfigBlocking.Name():
+			base = s
+		case core.ConfigBalanced.Name():
+			fast = s
+		}
 	}
-	base := sweep(Stack{Name: "blocking", Cfg: core.ConfigBlocking})
-	fast := sweep(Stack{Name: "bal", Cfg: core.ConfigBalanced})
 	if len(base.Points) != 2 || base.Points[0].N != 96 {
 		t.Fatalf("sweep points wrong: %+v", base.Points)
 	}

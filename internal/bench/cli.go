@@ -135,3 +135,18 @@ func Exit(name string, err error) {
 		os.Exit(1)
 	}
 }
+
+// FirstDiff renders the first line on which two texts differ, quoting
+// both sides, or returns "" when they are equal. The tests that hold a
+// command to a committed output report a regeneration failure with it.
+func FirstDiff(want, got []byte) string {
+	w, g := strings.Split(string(want), "\n"), strings.Split(string(got), "\n")
+	n := max(len(w), len(g)) // a missing line reads as ""
+	w, g = append(w, make([]string, n-len(w))...), append(g, make([]string, n-len(g))...)
+	for i := range n {
+		if w[i] != g[i] {
+			return fmt.Sprintf("line %d:\n  want: %q\n  got:  %q", i+1, w[i], g[i])
+		}
+	}
+	return ""
+}

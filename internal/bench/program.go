@@ -294,7 +294,7 @@ func checkedAllreduce(model *timing.Model, cfg core.Config, plan *fault.Plan, gr
 		if group != nil && !group.Contains(c.ID) {
 			return
 		}
-		x, err := core.NewCtxGroup(sys.Comms[0].UE(c.ID), cfg, group)
+		x, err := core.NewCtxWith(sys.Comms[0].UE(c.ID), cfg, core.CtxOpts{Group: group})
 		if err != nil {
 			panic(err) // c is a member; cannot fail
 		}

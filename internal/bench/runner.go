@@ -98,15 +98,12 @@ func (r *Runner) Panels(model *timing.Model, ops []Op, sizes []int, reps int) []
 	return r.PanelsAlgo(model, ops, "", sizes, reps)
 }
 
-// PanelsAlgo is Panels over StacksForAlgo: every non-RCKMPI stack
-// pinned to the named registry algorithm ("" = identical to Panels).
+// PanelsAlgo is Panels with every non-RCKMPI stack pinned to the named
+// registry algorithm ("" leaves the stacks' own selectors in place,
+// identical to Panels); labels grow an "[algo]" suffix so tables and
+// CSVs stay self-describing. It is the one sweep body: every
+// (op, stack, n) cell of the given ops goes into one pool.
 func (r *Runner) PanelsAlgo(model *timing.Model, ops []Op, algo string, sizes []int, reps int) [][]Series {
-	return r.panels(model, ops, func(op Op) []Stack { return StacksForAlgo(op, algo) }, sizes, reps)
-}
-
-// panels measures every (op, stack, n) cell of the given ops, with the
-// stacks of each panel chosen by stacksOf. It is the one sweep body.
-func (r *Runner) panels(model *timing.Model, ops []Op, stacksOf func(Op) []Stack, sizes []int, reps int) [][]Series {
 	// Pre-size the result grid so workers write to disjoint slots.
 	out := make([][]Series, len(ops))
 	type cell struct {
@@ -117,9 +114,12 @@ func (r *Runner) panels(model *timing.Model, ops []Op, stacksOf func(Op) []Stack
 	}
 	var cells []cell
 	for pi, op := range ops {
-		stacks := stacksOf(op)
+		stacks := StacksFor(op)
 		out[pi] = make([]Series, len(stacks))
 		for si, st := range stacks {
+			if !st.RCKMPI {
+				st.Algo = algo
+			}
 			out[pi][si] = Series{Stack: st, Points: make([]Point, len(sizes))}
 			for ni, n := range sizes {
 				cells = append(cells, cell{pi: pi, si: si, ni: ni, op: op, st: st, n: n})
@@ -140,17 +140,13 @@ func (r *Runner) Summary(model *timing.Model, sizes []int, reps int) ([]SummaryR
 	return SummarizePanels(AllOps(), r.Panels(model, AllOps(), sizes, reps))
 }
 
-// FaultSweep measures the Fig. R1 latency vs injected fault count for one
-// transport. The fault-free baseline runs first: fault activation times
-// are drawn from its run length, so higher counts overlap the collective.
-// The faulted counts then fan out, each on its own deterministic
-// sub-seed, so adding a count never perturbs the other points.
-func (r *Runner) FaultSweep(model *timing.Model, kind core.TransportKind, pol rcce.Policy, seed int64, n int, counts []int) []FaultPoint {
-	return r.FaultSweepAlgo(model, kind, pol, "", seed, n, counts)
-}
-
-// FaultSweepAlgo is FaultSweep with the Allreduce algorithm pinned to a
-// registry name ("" = paper heuristic).
+// FaultSweepAlgo measures the Fig. R1 latency vs injected fault count
+// for one transport, with the Allreduce algorithm pinned to a registry
+// name ("" = paper heuristic). The fault-free baseline runs first: fault
+// activation times are drawn from its run length, so higher counts
+// overlap the collective. The faulted counts then fan out, each on its
+// own deterministic sub-seed, so adding a count never perturbs the
+// other points.
 func (r *Runner) FaultSweepAlgo(model *timing.Model, kind core.TransportKind, pol rcce.Policy, algo string, seed int64, n int, counts []int) []FaultPoint {
 	base := measureFaultedAllreduce(model, kind, pol, algo, nil, n)
 	horizon := base.Latency

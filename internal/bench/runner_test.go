@@ -77,8 +77,8 @@ func TestParallelFaultSweepMatchesSerial(t *testing.T) {
 	m := timing.Default()
 	pol := rcce.Policy{Timeout: simtime.Microseconds(300), MaxRetries: 8}
 	counts := []int{0, 3}
-	serial := NewRunner(1).FaultSweep(m, core.TransportLightweight, pol, 1, 64, counts)
-	parallel := NewRunner(4).FaultSweep(m, core.TransportLightweight, pol, 1, 64, counts)
+	serial := NewRunner(1).FaultSweepAlgo(m, core.TransportLightweight, pol, "", 1, 64, counts)
+	parallel := NewRunner(4).FaultSweepAlgo(m, core.TransportLightweight, pol, "", 1, 64, counts)
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("parallel fault sweep differs from serial:\nserial:   %+v\nparallel: %+v", serial, parallel)
 	}

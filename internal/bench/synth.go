@@ -25,11 +25,10 @@ import (
 // the committed table always carries a schedule for that cell.
 func SynthSpecFor(numCores int) TuneSpec {
 	return TuneSpec{
-		NPs:       []int{numCores},
-		Buckets:   []int{64, 552},
-		Reps:      1,
-		Cfg:       core.ConfigBalanced,
-		Transport: "lightweight non-blocking, balanced",
+		NPs:     []int{numCores},
+		Buckets: []int{64, 552},
+		Reps:    1,
+		Cfg:     core.ConfigBalanced,
 	}
 }
 
@@ -73,7 +72,7 @@ func Synthesize(r *Runner, model *timing.Model, sp TuneSpec) (*synth.Table, []Sy
 		cells[i], errs[i] = synthCell(model, sp.Cfg, hand[i], sp.Reps)
 	})
 
-	table := &synth.Table{Transport: sp.Transport}
+	table := &synth.Table{Transport: sp.Cfg.Name()}
 	for i, cell := range cells {
 		if errs[i] != nil {
 			return nil, nil, errs[i]

@@ -41,26 +41,8 @@ func ParseMeshSpec(spec string) (*timing.Model, error) {
 	if spec == "" {
 		return timing.Default(), nil
 	}
-	parts := strings.Split(spec, "x")
-	if len(parts) != 2 && len(parts) != 3 {
-		return nil, &SpecError{Flag: "-mesh", Value: spec,
-			Why: "want ROWSxCOLS or ROWSxCOLSxCORES_PER_TILE, e.g. 100x100 or 4x6x2"}
-	}
-	dims := [3]int{0, 0, 1} // cores per tile defaults to 1
-	for i, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil {
-			return nil, &SpecError{Flag: "-mesh", Value: spec,
-				Why: fmt.Sprintf("%q is not an integer", p)}
-		}
-		if v < 1 {
-			return nil, &SpecError{Flag: "-mesh", Value: spec,
-				Why: fmt.Sprintf("dimension %d must be positive", v)}
-		}
-		dims[i] = v
-	}
-	m := timing.Topology(dims[0], dims[1], dims[2])
-	if err := m.Validate(); err != nil {
+	m, err := timing.ParseMeshSpec(spec)
+	if err != nil {
 		return nil, &SpecError{Flag: "-mesh", Value: spec, Why: err.Error()}
 	}
 	return m, nil
@@ -110,9 +92,9 @@ func MeasureHier(model *timing.Model, chips int, intra string, op Op, n, reps in
 	pr := program{
 		model: model, chips: chips, reps: reps, op: op, n: n,
 		ctx: func(sys *fabric.System, chip int, ue *rcce.UE) (*core.Ctx, error) {
-			return core.NewCtxFabric(ue, cfg, &core.Fabric{
+			return core.NewCtxWith(ue, cfg, core.CtxOpts{Fabric: &core.Fabric{
 				Port: sys.Port(chip), Chip: chip, Chips: chips,
-			})
+			}})
 		},
 	}
 	lat, err := pr.run()

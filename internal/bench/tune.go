@@ -36,10 +36,9 @@ type TuneSpec struct {
 	Reps int
 	// Cfg is the point-to-point configuration every algorithm runs
 	// over. Its MPBDirect and Selector never matter: the algorithm
-	// under test is pinned per cell.
+	// under test is pinned per cell. Its Name() labels the table's
+	// provenance (DecisionTable.Transport).
 	Cfg core.Config
-	// Transport labels the table's provenance (DecisionTable.Transport).
-	Transport string
 }
 
 // TuneSpecFor builds the default sweep shape for a chip of numCores
@@ -57,11 +56,10 @@ func TuneSpecFor(numCores int) TuneSpec {
 		nps = append(nps, numCores)
 	}
 	return TuneSpec{
-		NPs:       nps,
-		Buckets:   []int{16, 64, 256, 1024, 0},
-		Reps:      3,
-		Cfg:       core.ConfigBalanced,
-		Transport: "lightweight non-blocking, balanced",
+		NPs:     nps,
+		Buckets: []int{16, 64, 256, 1024, 0},
+		Reps:    3,
+		Cfg:     core.ConfigBalanced,
 	}
 }
 
@@ -153,7 +151,7 @@ func measureGroup(model *timing.Model, cfg core.Config, a core.Algorithm, op Op,
 	pr := program{
 		model: model, np: np, reps: reps, op: op, n: n, direct: direct,
 		ctx: func(_ *fabric.System, _ int, ue *rcce.UE) (*core.Ctx, error) {
-			x, err := core.NewCtxGroup(ue, cfg, grp)
+			x, err := core.NewCtxWith(ue, cfg, core.CtxOpts{Group: grp})
 			if err == nil && !a.Applicable(x, n) {
 				err = errNotApplicable
 			}
@@ -256,7 +254,7 @@ func Tune(r *Runner, model *timing.Model, sp TuneSpec) (*core.DecisionTable, []C
 		}
 	}
 
-	table := &core.DecisionTable{Transport: sp.Transport}
+	table := &core.DecisionTable{Transport: sp.Cfg.Name()}
 	var cells []CellResult
 	for _, key := range order {
 		cell := byCell[key]

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"encoding/json"
+	"os"
 	"testing"
 
 	"scc/internal/core"
@@ -15,11 +17,10 @@ func TestTuneSweepDeterministic(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	sp := TuneSpec{
-		NPs:       []int{4, 48},
-		Buckets:   []int{16, 0},
-		Reps:      1,
-		Cfg:       core.ConfigBalanced,
-		Transport: "test",
+		NPs:     []int{4, 48},
+		Buckets: []int{16, 0},
+		Reps:    1,
+		Cfg:     core.ConfigBalanced,
 	}
 	r := NewRunner(0)
 	tab1, cells1, err := Tune(r, timing.Default(), sp)
@@ -77,12 +78,37 @@ func TestTuneSpecValidation(t *testing.T) {
 	}
 }
 
+// TestSpecProvenanceMatchesCommittedTables: both sweeps record their
+// configuration's name as the table's transport, so the committed
+// artifacts must carry the name of the configuration their default
+// specs run.
+func TestSpecProvenanceMatchesCommittedTables(t *testing.T) {
+	for file, sp := range map[string]TuneSpec{
+		"../core/tuned_default.json":  TuneSpecFor(48),
+		"../synth/synth_default.json": SynthSpecFor(48),
+	} {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tab struct {
+			Transport string `json:"transport"`
+		}
+		if err := json.Unmarshal(data, &tab); err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		if got := sp.Cfg.Name(); got != tab.Transport {
+			t.Errorf("%s records transport %q; its spec runs %q", file, tab.Transport, got)
+		}
+	}
+}
+
 // measureWithSelector measures the balanced stack under an explicit
 // selection policy.
 func measureWithSelector(model *timing.Model, op Op, sel core.Selector, n int) float64 {
 	cfg := core.ConfigBalanced
 	cfg.Selector = sel
-	st := Stack{Name: "balanced/" + sel.Name(), Cfg: cfg}
+	st := Stack{Name: "balanced", Cfg: cfg}
 	return Measure(model, op, st, n, 1).Micros()
 }
 

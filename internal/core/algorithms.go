@@ -122,8 +122,8 @@ func (recdoubleAlg) Allreduce(x *Ctx, src, dst scc.Addr, n int, op Op) error {
 // mpbAlg is the hardware-specific Allreduce of Sec. IV-D: the ring
 // operating directly on the MPBs with double buffering. Full-chip,
 // fault-free only (the hardened protocol does not cover the MPB-direct
-// handshake); oversized vectors fall back internally to the staged
-// ring, mirroring the pre-registry behavior.
+// handshake), and only while every block of the balanced partition fits
+// one double-buffer half; the dispatcher runs its fallback otherwise.
 type mpbAlg struct{}
 
 func (mpbAlg) Name() string { return "mpb" }
@@ -131,7 +131,10 @@ func (mpbAlg) Describe() string {
 	return "MPB-resident double-buffered ring Allreduce (Sec. IV-D, full chip only)"
 }
 func (mpbAlg) Applicable(x *Ctx, n int) bool {
-	return x.grp == nil && x.cfg.Recovery == nil
+	if x.grp != nil || x.cfg.Recovery != nil {
+		return false
+	}
+	return maxBlockLen(x.partitionFor(n, x.NP(), true))*8 <= x.ue.Comm().DataBytes()/2
 }
 
 func (mpbAlg) Allreduce(x *Ctx, src, dst scc.Addr, n int, op Op) error {

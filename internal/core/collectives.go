@@ -246,16 +246,6 @@ func NewCtx(ue *rcce.UE, cfg Config) *Ctx {
 	return x
 }
 
-// NewCtxGroup is NewCtxWith restricted to a group.
-func NewCtxGroup(ue *rcce.UE, cfg Config, g *Group) (*Ctx, error) {
-	return NewCtxWith(ue, cfg, CtxOpts{Group: g})
-}
-
-// NewCtxFabric is NewCtxWith for one core of a multi-chip system.
-func NewCtxFabric(ue *rcce.UE, cfg Config, f *Fabric) (*Ctx, error) {
-	return NewCtxWith(ue, cfg, CtxOpts{Fabric: f})
-}
-
 // Healer returns the self-healing state machine, or nil when the
 // context is not self-healing.
 func (x *Ctx) Healer() *Healer { return x.healer }

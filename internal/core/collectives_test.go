@@ -5,12 +5,15 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
+	"scc/internal/metrics"
 	"scc/internal/rcce"
 	"scc/internal/scc"
 	"scc/internal/simtime"
 	"scc/internal/timing"
+	"scc/internal/trace"
 )
 
 // makeInputs builds deterministic per-core input vectors.
@@ -323,6 +326,50 @@ func TestAllreduceMPBFallbackForHugeVectors(t *testing.T) {
 	}
 	if first[0] != 19534717 || slices.Max(first) != 19534717 {
 		t.Errorf("first call ends at tick %d on core 0 and %d at the latest", first[0], slices.Max(first))
+	}
+}
+
+// TestMPBFallbackIsDispatched: an MPB-config Allreduce whose blocks fit
+// half a data region runs the MPB ring, and one whose blocks do not is
+// the dispatcher's fallback, so its span and metrics row name the ring
+// that ran it.
+func TestMPBFallbackIsDispatched(t *testing.T) {
+	chip := scc.New(timing.Default())
+	defer chip.Release()
+	reg, rec := metrics.New(chip.NumCores()), &trace.Recorder{}
+	chip.SetMetrics(reg)
+	comm := rcce.NewComm(chip)
+	sizes := []int{552, 48*416 + 96}
+	chip.Launch(func(c *scc.Core) {
+		c.SetSpanRecorder(rec.Hook(c.ID))
+		x := NewCtx(comm.UE(c.ID), ConfigMPB)
+		for _, n := range sizes {
+			src, dst := c.AllocF64(n), c.AllocF64(n)
+			if err := x.Allreduce(src, dst, n, Sum); err != nil {
+				t.Errorf("core %d n=%d: %v", c.ID, n, err)
+			}
+		}
+	})
+	if err := chip.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var cols []string
+	for _, col := range reg.Snapshot().Collectives {
+		cols = append(cols, col.Label)
+	}
+	if want := []string{"allreduce[mpb]", "allreduce[ring]"}; !slices.Equal(cols, want) {
+		t.Errorf("metrics rows %q, want %q", cols, want)
+	}
+	spans := map[int][]string{}
+	for _, sp := range rec.Spans() {
+		if strings.HasPrefix(sp.Label, "allreduce[") {
+			spans[sp.Core] = append(spans[sp.Core], sp.Label)
+		}
+	}
+	for id := 0; id < chip.NumCores(); id++ {
+		if want := []string{"allreduce[mpb]", "allreduce[ring]"}; !slices.Equal(spans[id], want) {
+			t.Fatalf("core %d spans %q, want %q", id, spans[id], want)
+		}
 	}
 }
 

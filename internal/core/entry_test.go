@@ -33,7 +33,7 @@ func TestEveryChipLocalCollectiveRefusesAFabric(t *testing.T) {
 		comm := rcce.NewComm(sys.Chips[ci])
 		f := &Fabric{Port: sys.Port(ci), Chip: ci, Chips: chips}
 		sys.Chips[ci].Launch(func(c *scc.Core) {
-			x, err := NewCtxFabric(comm.UE(c.ID), ConfigBalanced, f)
+			x, err := NewCtxWith(comm.UE(c.ID), ConfigBalanced, CtxOpts{Fabric: f})
 			if err != nil {
 				t.Errorf("chip %d core %d: %v", f.Chip, c.ID, err)
 				return

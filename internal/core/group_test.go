@@ -99,13 +99,13 @@ func TestNewCtxGroupRejectsNonMember(t *testing.T) {
 	}
 	var ctxErr error
 	chip.LaunchOne(2, func(c *scc.Core) {
-		_, ctxErr = NewCtxGroup(comm.UE(2), ConfigLightweight, g)
+		_, ctxErr = NewCtxWith(comm.UE(2), ConfigLightweight, CtxOpts{Group: g})
 	})
 	if err := chip.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !errors.Is(ctxErr, ErrInvalid) {
-		t.Fatalf("NewCtxGroup for non-member: %v, want ErrInvalid", ctxErr)
+		t.Fatalf("NewCtxWith for non-member: %v, want ErrInvalid", ctxErr)
 	}
 }
 
@@ -137,9 +137,9 @@ func TestGroupAllreduceSurvivors(t *testing.T) {
 				if core.ID == dead {
 					return // the dead core never participates
 				}
-				x, err := NewCtxGroup(comm.UE(core.ID), cfg, g)
+				x, err := NewCtxWith(comm.UE(core.ID), cfg, CtxOpts{Group: g})
 				if err != nil {
-					t.Errorf("NewCtxGroup: %v", err)
+					t.Errorf("NewCtxWith: %v", err)
 					return
 				}
 				src := core.AllocF64(n)
@@ -199,9 +199,9 @@ func TestGroupCollectivesRootTranslation(t *testing.T) {
 	for _, id := range members {
 		id := id
 		chip.LaunchOne(id, func(core *scc.Core) {
-			x, err := NewCtxGroup(comm.UE(id), ConfigLightweight, g)
+			x, err := NewCtxWith(comm.UE(id), ConfigLightweight, CtxOpts{Group: g})
 			if err != nil {
-				t.Errorf("NewCtxGroup: %v", err)
+				t.Errorf("NewCtxWith: %v", err)
 				return
 			}
 			src := core.AllocF64(n)
@@ -257,7 +257,7 @@ func TestBlockingRingOverSameParityGroup(t *testing.T) {
 			}
 			for _, id := range members {
 				chip.LaunchOne(id, func(c *scc.Core) {
-					x, err := NewCtxGroup(comm.UE(id), cfg, g)
+					x, err := NewCtxWith(comm.UE(id), cfg, CtxOpts{Group: g})
 					if err != nil {
 						panic(err)
 					}

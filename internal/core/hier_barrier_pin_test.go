@@ -32,8 +32,8 @@ func hierBarrierExits(t *testing.T, model *timing.Model, chips int) []string {
 	perChip := model.NumCores()
 	exits := make([][3]int64, chips*perChip)
 	sys.Launch(func(ci int, c *scc.Core) {
-		x, err := NewCtxFabric(sys.Comms[ci].UE(c.ID), ConfigBalanced,
-			&Fabric{Port: sys.Port(ci), Chip: ci, Chips: chips})
+		x, err := NewCtxWith(sys.Comms[ci].UE(c.ID), ConfigBalanced,
+			CtxOpts{Fabric: &Fabric{Port: sys.Port(ci), Chip: ci, Chips: chips}})
 		if err != nil {
 			t.Errorf("chip %d core %d: %v", ci, c.ID, err)
 			return

@@ -129,8 +129,8 @@ func (r *mpbRing) ackLeft(b int) {
 // partials in MPB buffers (the reduction reads the left neighbor's MPB
 // directly and writes the local MPB); the allgather phase forwards
 // finished blocks MPB-to-MPB while each core also lands them in its
-// private result vector. Only reached on the full-chip, fault-free path
-// (grp == nil, Recovery == nil).
+// private result vector. Only reached through the dispatcher, on more
+// than one core and where mpbAlg.Applicable holds.
 func (x *Ctx) allreduceMPB(src, dst scc.Addr, n int, op Op) error {
 	ue := x.ue
 	core := ue.Core()
@@ -138,16 +138,6 @@ func (x *Ctx) allreduceMPB(src, dst scc.Addr, n int, op Op) error {
 	p := ue.NumUEs()
 	me := ue.ID()
 	blocks := x.partitionFor(n, p, true) // Sec. IV-D builds on all prior optimizations
-	if p == 1 {
-		x.CopyPrivate(dst, src, n)
-		return nil
-	}
-	if maxBlockLen(blocks)*8 > ue.Comm().DataBytes()/2 {
-		// Blocks must fit a double-buffer half; oversized vectors run
-		// the staged balanced ring, the paper heuristic's pick without
-		// MPBDirect, on this context and its scratch vectors.
-		return ringAlg{}.Allreduce(x, src, dst, n, op)
-	}
 	ring := newMPBRing(ue)
 	// Each ring round still runs the lightweight handshake state machine
 	// (post a send announcement, wait for the neighbor's flags), so the

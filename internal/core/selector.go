@@ -18,8 +18,6 @@ import (
 //   - Tuned(): a measured decision table keyed by (op, np, size bucket),
 //     the Open MPI "tuned" approach
 type Selector interface {
-	// Name identifies the policy in logs and bench output.
-	Name() string
 	// Select returns the algorithm name to run for collective k on x's
 	// communicator with an n-element vector. An unknown or inapplicable
 	// name makes the dispatcher fall back to the paper heuristic.
@@ -32,11 +30,27 @@ type fixedSel struct{ algo string }
 
 // Fixed returns a selector that always picks the named algorithm.
 // Collectives for which the name is not registered or not applicable
-// fall back to the paper heuristic.
+// fall back to the paper heuristic; CheckSelector rejects a name that
+// no collective registers.
 func Fixed(name string) Selector { return fixedSel{algo: name} }
 
-func (s fixedSel) Name() string                    { return "fixed:" + s.algo }
 func (s fixedSel) Select(*Ctx, OpKind, int) string { return s.algo }
+
+// CheckSelector rejects, with ErrInvalid, a Fixed selector whose name
+// no collective registers. A name registered for some collectives keeps
+// the per-call fallback on the others.
+func CheckSelector(sel Selector) error {
+	s, ok := sel.(fixedSel)
+	if !ok {
+		return nil
+	}
+	for k := range registry {
+		if LookupAlgorithm(OpKind(k), s.algo) != nil {
+			return nil
+		}
+	}
+	return fmt.Errorf("core: %w: no collective registers algorithm %q", ErrInvalid, s.algo)
+}
 
 // --- PaperHeuristic ---
 
@@ -48,8 +62,6 @@ type paperSel struct{}
 // block-partitioned ring otherwise. TestPaperHeuristicMatchesLegacy
 // locks the equivalence in.
 func PaperHeuristic() Selector { return paperSel{} }
-
-func (paperSel) Name() string { return "paper-heuristic" }
 
 func (paperSel) Select(x *Ctx, k OpKind, n int) string {
 	if x.shortMessage(n) {
@@ -186,8 +198,6 @@ type tunedSel struct {
 	table *DecisionTable
 }
 
-func (s tunedSel) Name() string { return "tuned" }
-
 func (s tunedSel) Select(x *Ctx, k OpKind, n int) string {
 	if s.table == nil {
 		return ""
@@ -202,28 +212,18 @@ func (s tunedSel) Select(x *Ctx, k OpKind, n int) string {
 //go:embed tuned_default.json
 var tunedDefaultJSON []byte
 
-var (
-	tunedDefaultOnce  sync.Once
-	tunedDefaultTable *DecisionTable
-	tunedDefaultErr   error
-)
+var defaultTable = sync.OnceValues(func() (*DecisionTable, error) {
+	return ParseDecisionTable(tunedDefaultJSON)
+})
 
 // DefaultTable returns the committed tuner-measured decision table.
-func DefaultTable() (*DecisionTable, error) {
-	tunedDefaultOnce.Do(func() {
-		tunedDefaultTable, tunedDefaultErr = ParseDecisionTable(tunedDefaultJSON)
-	})
-	return tunedDefaultTable, tunedDefaultErr
-}
+func DefaultTable() (*DecisionTable, error) { return defaultTable() }
 
 // Tuned returns the table-driven selector backed by the committed
 // default table. A corrupt embedded table degrades to the paper
 // heuristic (the selector returns "" and the dispatcher falls back)
 // rather than failing collective calls.
 func Tuned() Selector {
-	t, err := DefaultTable()
-	if err != nil {
-		return tunedSel{table: nil}
-	}
+	t, _ := DefaultTable() // nil on error
 	return tunedSel{table: t}
 }

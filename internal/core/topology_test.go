@@ -88,11 +88,11 @@ func hierRun(t *testing.T, model *timing.Model, chips int, intra string, k OpKin
 		port := sys.Port(ci)
 		sys.Chips[ci].Launch(func(c *scc.Core) {
 			gid := ci*perChip + c.ID
-			x, err := NewCtxFabric(comm.UE(c.ID), cfg, &Fabric{
+			x, err := NewCtxWith(comm.UE(c.ID), cfg, CtxOpts{Fabric: &Fabric{
 				Port: port, Chip: ci, Chips: chips,
-			})
+			}})
 			if err != nil {
-				t.Errorf("chip %d core %d: NewCtxFabric: %v", ci, c.ID, err)
+				t.Errorf("chip %d core %d: NewCtxWith: %v", ci, c.ID, err)
 				return
 			}
 			src := c.AllocF64(n)
@@ -205,9 +205,9 @@ func TestHierarchicalBarrierAndCrossChipTyped(t *testing.T) {
 		comm := rcce.NewComm(sys.Chips[ci])
 		port := sys.Port(ci)
 		sys.Chips[ci].Launch(func(c *scc.Core) {
-			x, err := NewCtxFabric(comm.UE(c.ID), ConfigBalanced, &Fabric{
+			x, err := NewCtxWith(comm.UE(c.ID), ConfigBalanced, CtxOpts{Fabric: &Fabric{
 				Port: port, Chip: ci, Chips: chips,
-			})
+			}})
 			if err != nil {
 				t.Errorf("chip %d core %d: %v", ci, c.ID, err)
 				return

@@ -85,17 +85,6 @@ type Endpoint interface {
 	Exchange(to int, sendAddr scc.Addr, sendBytes int, from int, recvAddr scc.Addr, recvBytes int) error
 }
 
-// NewEndpoint builds the fault-free endpoint of the given kind for one
-// UE, ranked by core ID (the full chip). An unknown kind is a
-// programmer error and panics.
-func NewEndpoint(ue *rcce.UE, kind TransportKind) Endpoint {
-	ep, err := newEndpoint(ue, Config{Transport: kind}, nil)
-	if err != nil {
-		panic(err)
-	}
-	return ep
-}
-
 // newEndpoint builds the endpoint for a configuration: the plain
 // transport, or its hardened counterpart when Recovery is set. x is the
 // context whose ranks order a blocking exchange (nil: the full chip).

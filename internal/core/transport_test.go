@@ -44,17 +44,6 @@ func TestConfigNames(t *testing.T) {
 	}
 }
 
-func TestNewEndpointUnknownKindPanics(t *testing.T) {
-	chip := scc.New(timing.Default())
-	comm := rcce.NewComm(chip)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for unknown transport kind")
-		}
-	}()
-	NewEndpoint(comm.UE(0), TransportKind(42))
-}
-
 // TestNewCtxWithUnknownTransportIsInvalid: a transport kind outside
 // the table is a user error at the context constructor, not a panic.
 func TestNewCtxWithUnknownTransportIsInvalid(t *testing.T) {
@@ -130,7 +119,7 @@ func runPairExchanges(kind TransportKind, rounds int) {
 	comm := rcce.NewComm(chip)
 	for id := 0; id < 2; id++ {
 		chip.LaunchOne(id, func(c *scc.Core) {
-			ep := NewEndpoint(comm.UE(id), kind)
+			ep := NewCtx(comm.UE(id), Config{Transport: kind}).Endpoint()
 			src, dst := c.Alloc(n), c.Alloc(n)
 			for i := 0; i < rounds; i++ {
 				ep.Exchange(1-id, src, n, 1-id, dst, n)
@@ -166,7 +155,7 @@ func exchangeRing(t *testing.T, kind TransportKind, n int) (simtime.Time, [][]fl
 	out := make([][]float64, 48)
 	chip.Launch(func(c *scc.Core) {
 		ue := comm.UE(c.ID)
-		ep := NewEndpoint(ue, kind)
+		ep := NewCtx(ue, Config{Transport: kind}).Endpoint()
 		p := ue.NumUEs()
 		right, left := (c.ID+1)%p, (c.ID+p-1)%p
 		src := c.AllocF64(n)
@@ -225,7 +214,7 @@ func TestPairExchangeSymmetric(t *testing.T) {
 			a, b := pair[0], pair[1]
 			chip.LaunchOne(a, func(c *scc.Core) {
 				ue := comm.UE(a)
-				ep := NewEndpoint(ue, kind)
+				ep := NewCtx(ue, Config{Transport: kind}).Endpoint()
 				src := c.AllocF64(1)
 				dst := c.AllocF64(1)
 				c.WriteF64s(src, []float64{float64(a)})
@@ -236,7 +225,7 @@ func TestPairExchangeSymmetric(t *testing.T) {
 			})
 			chip.LaunchOne(b, func(c *scc.Core) {
 				ue := comm.UE(b)
-				ep := NewEndpoint(ue, kind)
+				ep := NewCtx(ue, Config{Transport: kind}).Endpoint()
 				src := c.AllocF64(1)
 				dst := c.AllocF64(1)
 				c.WriteF64s(src, []float64{float64(b)})

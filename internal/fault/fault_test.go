@@ -170,9 +170,9 @@ func TestAllreduceSurvivesCoreDeath(t *testing.T) {
 			t.Errorf("core %d survived its own death", c.ID)
 			return
 		}
-		x, err := core.NewCtxGroup(comm.UE(c.ID), cfg, g)
+		x, err := core.NewCtxWith(comm.UE(c.ID), cfg, core.CtxOpts{Group: g})
 		if err != nil {
-			t.Errorf("NewCtxGroup: %v", err)
+			t.Errorf("NewCtxWith: %v", err)
 			return
 		}
 		src := c.AllocF64(n)

@@ -65,7 +65,7 @@ func runCompiled(t *testing.T, model *timing.Model, a core.Algorithm, op string,
 		if c.ID >= np {
 			return
 		}
-		x, err := core.NewCtxGroup(comm.UE(c.ID), cfg, grp)
+		x, err := core.NewCtxWith(comm.UE(c.ID), cfg, core.CtxOpts{Group: grp})
 		if err != nil {
 			t.Errorf("ctx: %v", err)
 			return

@@ -58,16 +58,12 @@ func NameFor(op string, np, maxN int) string {
 
 // build rebuilds the entry's schedule from its recipe.
 func (e *TableEntry) build() error {
-	var rows, cols, perTile int
-	if _, err := fmt.Sscanf(e.Mesh, "%dx%dx%d", &rows, &cols, &perTile); err != nil {
+	model, err := timing.ParseMeshSpec(e.Mesh)
+	if err != nil {
 		return fmt.Errorf("mesh %q: %w", e.Mesh, err)
 	}
-	model := timing.Topology(rows, cols, perTile)
 	if model.MeshSpec() != e.Mesh {
 		return fmt.Errorf("mesh %q is not ROWSxCOLSxCORES_PER_TILE", e.Mesh)
-	}
-	if err := model.Validate(); err != nil {
-		return err
 	}
 	if err := checkCell(model, e.Op, e.NP, e.N); err != nil {
 		return err

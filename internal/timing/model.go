@@ -12,9 +12,12 @@
 package timing
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
+	"strconv"
+	"strings"
 
 	"scc/internal/simtime"
 )
@@ -284,6 +287,32 @@ func Topology(rows, cols, coresPerTile int) *Model {
 // of the -mesh flag ("4x6x2" for the paper's chip).
 func (m *Model) MeshSpec() string {
 	return fmt.Sprintf("%dx%dx%d", m.MeshHeight, m.MeshWidth, m.CoresPerTile)
+}
+
+// ParseMeshSpec parses MeshSpec's ROWSxCOLSxCORES_PER_TILE, or ROWSxCOLS
+// with one core per tile, into a validated Topology model. A syntax
+// error names only the fault, with no "timing:" prefix, for flag parsers.
+func ParseMeshSpec(spec string) (*Model, error) {
+	parts := strings.Split(spec, "x")
+	if len(parts) != 2 && len(parts) != 3 {
+		return nil, errors.New("want ROWSxCOLS or ROWSxCOLSxCORES_PER_TILE, e.g. 100x100 or 4x6x2")
+	}
+	dims := [3]int{0, 0, 1} // cores per tile defaults to 1
+	for i, p := range parts {
+		v, err := strconv.Atoi(p)
+		if err != nil {
+			return nil, fmt.Errorf("%q is not an integer", p)
+		}
+		if v < 1 {
+			return nil, fmt.Errorf("dimension %d must be positive", v)
+		}
+		dims[i] = v
+	}
+	m := Topology(dims[0], dims[1], dims[2])
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // NumTiles returns the tile count of the mesh.

@@ -163,7 +163,7 @@ type Selector = core.Selector
 
 // Fixed returns a selector that always picks the named registry
 // algorithm; collectives for which the name is not registered or not
-// applicable fall back to the paper heuristic.
+// applicable fall back to the paper heuristic (see WithAlgorithm).
 func Fixed(name string) Selector { return core.Fixed(name) }
 
 // PaperHeuristic returns the paper's selection policy (the default):
@@ -209,8 +209,9 @@ type config struct {
 
 // validate is the one place where option combinations are judged: it
 // returns an error wrapping ErrInvalid for a geometry the simulator
-// cannot build and for every subsystem that is single-chip scoped but
-// was combined with WithChips(k > 1).
+// cannot build, for a Fixed selector naming no registered algorithm and
+// for every subsystem that is single-chip scoped but was combined with
+// WithChips(k > 1).
 func (c *config) validate() error {
 	invalid := func(format string, args ...any) error {
 		return fmt.Errorf("sccsim: %w: %s", ErrInvalid, fmt.Sprintf(format, args...))
@@ -223,6 +224,9 @@ func (c *config) validate() error {
 	}
 	if !slices.Contains(Stacks(), c.stack) {
 		return invalid("WithStack: unknown stack %d", int(c.stack))
+	}
+	if err := core.CheckSelector(c.selector); err != nil {
+		return fmt.Errorf("sccsim: WithSelector: %w", err)
 	}
 	if c.chips <= 1 {
 		return nil
@@ -289,10 +293,10 @@ func WithFaults(p *FaultPlan) Option { return func(c *config) { c.faults = p } }
 
 // WithAlgorithm pins every Allreduce, Broadcast and Reduce to the named
 // registry algorithm ("ring", "tree", "recdouble", "mpb", "linear"; see
-// AlgorithmNames). An algorithm that is not registered or not
-// applicable for a call falls back to the paper heuristic, so a typo
-// degrades performance, never correctness. Shorthand for
-// WithSelector(Fixed(name)).
+// AlgorithmNames). A name that no collective registers (a typo, or the
+// dispatched "hier") makes Run return ErrInvalid; a call the algorithm
+// does not serve, or is not applicable to, falls back to the paper
+// heuristic. Shorthand for WithSelector(Fixed(name)).
 func WithAlgorithm(name string) Option { return WithSelector(Fixed(name)) }
 
 // WithSelector installs an algorithm-selection policy for the

@@ -87,7 +87,7 @@ func schedGoldenSections(t *testing.T) map[string][]byte {
 		t.Fatalf("serial allreduce panel: %v", err)
 	}
 	if !bytes.Equal(serial.Bytes(), sections["fig9.allreduce"]) {
-		t.Errorf("allreduce panel differs between workers=1 and workers=4:\n%s", firstDiff(sections["fig9.allreduce"], serial.Bytes()))
+		t.Errorf("allreduce panel differs between workers=1 and workers=4:\n%s", bench.FirstDiff(sections["fig9.allreduce"], serial.Bytes()))
 	}
 
 	// Every registered algorithm of every op kind, at the paper's
@@ -116,7 +116,7 @@ func schedGoldenSections(t *testing.T) map[string][]byte {
 		t.Fatalf("re-derived default panel: %v", err)
 	}
 	if !bytes.Equal(rederived.Bytes(), sections["fig9.allreduce"]) {
-		t.Errorf("Topology(4,6,2) allreduce panel differs from the Default() panel:\n%s", firstDiff(sections["fig9.allreduce"], rederived.Bytes()))
+		t.Errorf("Topology(4,6,2) allreduce panel differs from the Default() panel:\n%s", bench.FirstDiff(sections["fig9.allreduce"], rederived.Bytes()))
 	}
 	for _, g := range [...]struct{ rows, cols, per int }{{4, 4, 1}, {8, 8, 2}} {
 		tm := timing.Topology(g.rows, g.cols, g.per)
@@ -140,7 +140,7 @@ func schedGoldenSections(t *testing.T) map[string][]byte {
 	sections["hier.2chip"] = []byte(fmt.Sprint(hierLines))
 
 	// The fault suite: hardened transport under a seeded burst plan.
-	fp := bench.NewRunner(1).FaultSweep(model, core.TransportLightweight, rcce.DefaultPolicy(), 42, 256, []int{0, 2, 4})
+	fp := bench.NewRunner(1).FaultSweepAlgo(model, core.TransportLightweight, rcce.DefaultPolicy(), "", 42, 256, []int{0, 2, 4})
 	var faultLines []string
 	for _, p := range fp {
 		faultLines = append(faultLines, fmt.Sprintf(
@@ -220,24 +220,6 @@ func schedGoldenSections(t *testing.T) map[string][]byte {
 	return sections
 }
 
-// firstDiff renders the first line on which two pre-images differ.
-func firstDiff(want, got []byte) string {
-	w, g := strings.Split(string(want), "\n"), strings.Split(string(got), "\n")
-	for i := 0; i < len(w) || i < len(g); i++ {
-		var wl, gl string
-		if i < len(w) {
-			wl = w[i]
-		}
-		if i < len(g) {
-			gl = g[i]
-		}
-		if wl != gl {
-			return fmt.Sprintf("line %d:\n  want: %s\n  got:  %s", i+1, wl, gl)
-		}
-	}
-	return "no differing line (pre-images are equal)"
-}
-
 // TestSchedulerGoldenEquivalence proves the running engine
 // observationally identical to the seed engine that generated the
 // committed golden digests.
@@ -306,7 +288,9 @@ func TestSchedulerGoldenEquivalence(t *testing.T) {
 		refPath := preimagePath(schedPreimageDir, k)
 		where := "unknown: no " + refPath + " (write it at the last good commit with SCHED_GOLDEN_UPDATE=none)"
 		if ref, err := os.ReadFile(refPath); err == nil {
-			where = firstDiff(ref, pre[k])
+			if where = bench.FirstDiff(ref, pre[k]); where == "" {
+				where = "none: the pre-images are equal"
+			}
 		}
 		gotPath := preimagePath(schedMismatchDir, k)
 		if err := os.MkdirAll(schedMismatchDir, 0o755); err == nil {
