@@ -459,3 +459,15 @@ func TestUEFitsItsSizeClass(t *testing.T) {
 		t.Fatalf("UE is %d bytes, want at most 512", n)
 	}
 }
+
+// TestCoreFitsItsBudget: a chip allocates its Cores as one slab, and a
+// slab of pointerful objects carries an 8-byte allocation header. At 504
+// bytes a 48-core slab plus its header fits the 24,576-byte size class;
+// at 512 it spills into the next, 11 % larger (+1.6 % of faults_48's
+// alloc_mb, which builds hundreds of 48-core chips). The step-machine
+// state of a core's accesses and waits is packed to stay inside it.
+func TestCoreFitsItsBudget(t *testing.T) {
+	if n := unsafe.Sizeof(scc.Core{}); n > 504 {
+		t.Fatalf("scc.Core is %d bytes, want at most 504", n)
+	}
+}

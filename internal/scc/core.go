@@ -39,18 +39,32 @@ type Core struct {
 	// visualization (see internal/trace).
 	spanRec func(label string, start, end simtime.Time)
 
-	// freqDiv is the DVFS clock divider (see power.go); 0 means the
-	// default preset (divider 3, 533 MHz). energy accumulates the
-	// relative compute energy.
-	freqDiv int
-	energy  float64
+	// energy accumulates the relative compute energy (see power.go).
+	energy float64
 
 	// dead marks a core whose process was terminated by an injected
 	// permanent-failure fault.
 	dead bool
+	// freqDiv is the DVFS clock divider (see power.go); 0 means the
+	// default preset (divider 3, 533 MHz).
+	freqDiv uint8
+
+	// The step machine of the shared-state access or flag wait in
+	// progress (see Core.wake): its next step and mode, the wait's
+	// expected value and probed flag (watch[idx]), the access being
+	// priced (owner's MPB, lines), and mark, the instant the current
+	// step began: a stall's fault check while it is slept, then the
+	// access's pricing. Packed beside dead, they keep a 48-core chip's
+	// Core slab in its size class.
+	step         stepKind
+	mode         stepMode
+	want         byte
+	idx          uint16
+	owner, lines int32
+	mark         simtime.Time
 
 	sig    simtime.Signal // the one signal every flag wait of this core blocks on
-	watch  []int          // flags watched while parked (see park); nil otherwise
+	watch  []int          // the flags of the wait in progress (see waitFlags); nil otherwise
 	oneOff [1]int         // WaitFlag/WaitFlagMatch's one-element flag list
 
 	prof Profile
@@ -74,24 +88,6 @@ func (c *Core) Dead() bool { return c.dead }
 func (c *Core) Note(n simtime.Note) {
 	if c.proc != nil {
 		c.proc.SetNote(n)
-	}
-}
-
-// faultCheck applies pending core-level faults (transient stall, permanent
-// death) on the shared-state path. Called with local latency already
-// flushed.
-func (c *Core) faultCheck() {
-	h := c.chip.Fault
-	if h == nil || c.proc == nil {
-		return
-	}
-	now := c.proc.Now()
-	if d := h.StallCore(c.ID, now); d > 0 {
-		c.proc.Sleep(d)
-	}
-	if h.CoreDead(c.ID, now) {
-		c.dead = true
-		panic(coreDeadPanic{c.ID})
 	}
 }
 
@@ -122,9 +118,7 @@ func (c *Core) chargeLocal(d simtime.Duration) { c.pending += d }
 // called before interacting with shared state or reading the clock.
 func (c *Core) flushLocal() {
 	if c.pending > 0 {
-		d := c.pending
-		c.pending = 0
-		c.proc.Sleep(d)
+		c.run(c.flushThen(stepNone))
 	}
 }
 
@@ -362,45 +356,156 @@ func (c *Core) mpbHops(owner int) int {
 	return mesh.Hops(c.tile, c.chip.Cores[owner].tile)
 }
 
-// mpbLineAccess charges the latency of one line-sized MPB access and
-// models link occupancy for remote accesses. It returns the paid cost
-// so callers can attribute it to a metrics phase.
-func (c *Core) mpbLineAccess(owner int, read bool) simtime.Duration {
-	d := c.mpbAccessCost(owner, 1, read)
-	c.proc.Sleep(d)
-	return d
+// The step machine. A shared-state access or flag wait is a short
+// sequence of model steps separated by sleeps: flush the deferred local
+// latency, check the fault hook, price the access at the flush instant
+// (reserving its mesh links), pay it, and — in a wait — test the flag
+// read, probe the next one or park. No program code runs between them,
+// so the core's process arms itself as their simtime.Cont and the
+// engine runs each step at its wake-up on whichever stack pops it; the
+// process is switched to only when program code continues. The state
+// lives in the Core fields after dead, and wake dispatches on step.
+
+// stepKind is the step the machine runs at the core's next wake-up.
+type stepKind uint8
+
+const (
+	stepNone     stepKind = iota // nothing left: resume the process
+	stepPrice                    // check the fault hook, then price and pay the access
+	stepStalled                  // a fault stall elapsed: check for death, then price
+	stepProbed                   // a flag probe's read elapsed: test the flag
+	stepUnpark                   // a watched flag was written: probe from the first again
+	stepTimedOut                 // every flag disappointed a bounded wait: its caller parks
+)
+
+// stepMode describes the access or wait in progress.
+type stepMode uint8
+
+const (
+	modeRead    stepMode = 1 << iota // the access being priced is a read (every probe is)
+	modeEq                           // the engine matches each probe against want
+	modeAny                          // a wait on a flag list (its deadlock site kind)
+	modeBounded                      // a wait with a deadline, parked by its caller
+	modeBlocked                      // the wait has parked at least once
+)
+
+// steps is Core's simtime.Cont; the conversion keeps Wake off Core's
+// method set and allocates nothing.
+type steps Core
+
+func (k *steps) Wake() simtime.Step { return (*Core)(k).wake() }
+
+// wake runs the machine's next step.
+func (c *Core) wake() simtime.Step {
+	switch c.step {
+	case stepPrice:
+		return c.price()
+	case stepStalled:
+		return c.deathCheck(c.mark)
+	case stepProbed:
+		if c.probedFlag() == c.want {
+			return simtime.Resume()
+		}
+		return c.miss()
+	case stepUnpark:
+		c.unpark()
+		return c.probe(0)
+	}
+	return simtime.Resume()
 }
 
-// mpbAccessCost prices nLines consecutive line-sized MPB accesses
-// (including mesh link occupancy for remote ones) without advancing
-// time. On the P54C each line is a blocking transaction, so lines
-// serialize; the cost is the sum of per-line costs plus any queueing
-// behind contended links.
-func (c *Core) mpbAccessCost(owner, nLines int, read bool) simtime.Duration {
-	c.flushLocal() // MPB state is shared; local time must be applied first
-	c.faultCheck()
-	m := c.chip.Model
-	hops := c.mpbHops(owner)
-	lat := m.MPBAccess(hops, read)
-	if hops == 0 {
-		return lat * simtime.Time(nLines)
+// run carries out st and the machine's further steps until one resumes
+// the process. A core the fault hook declared dead dies here, on its own
+// stack.
+func (c *Core) run(st simtime.Step) {
+	c.proc.Continue((*steps)(c), st)
+	if c.dead {
+		panic(coreDeadPanic{c.ID})
 	}
-	// Remote: packets also occupy mesh links. The data-bearing
-	// direction is owner->me for reads and me->owner for writes.
-	from, to := c.tile, c.chip.Cores[owner].tile
+}
+
+// flushThen applies the deferred local latency — work that happened
+// before what comes next — and runs step next at the flush instant.
+func (c *Core) flushThen(next stepKind) simtime.Step {
+	c.step = next
+	if d := c.pending; d > 0 {
+		c.pending = 0
+		return simtime.SleepThenWake(d)
+	}
+	return c.wake()
+}
+
+// access pays one MPB access of nLines consecutive line-sized
+// transactions on owner's MPB and returns what it cost, stalls
+// excluded. On the P54C each line is a blocking transaction, so lines
+// serialize.
+func (c *Core) access(owner, nLines int, read bool) simtime.Duration {
+	c.owner, c.lines, c.mode = int32(owner), int32(nLines), 0
 	if read {
-		from, to = to, from
+		c.mode = modeRead
 	}
-	t := c.proc.Now()
-	for l := 0; l < nLines; l++ {
-		arrive := c.chip.Net.Transfer(from, to, m.CacheLineBytes, t)
-		end := t + lat
-		if arrive > end {
-			end = arrive
+	c.run(c.flushThen(stepPrice))
+	return c.proc.Now() - c.mark
+}
+
+// price applies the fault hook's pending core faults — a transient
+// stall is one more sleep, a death resumes the process to die — and
+// then prices the access.
+func (c *Core) price() simtime.Step {
+	h := c.chip.Fault
+	if h == nil {
+		return c.pay()
+	}
+	now := c.proc.Now()
+	if d := h.StallCore(c.ID, now); d > 0 {
+		c.step, c.mark = stepStalled, now
+		return simtime.SleepThenWake(d)
+	}
+	return c.deathCheck(now)
+}
+
+// deathCheck asks the fault hook whether the core died by at, the
+// instant the access's fault check began, and prices the access if not.
+func (c *Core) deathCheck(at simtime.Time) simtime.Step {
+	if c.chip.Fault.CoreDead(c.ID, at) {
+		c.dead = true
+		return simtime.Resume()
+	}
+	return c.pay()
+}
+
+// pay prices the access at the current instant and sleeps its cost: the
+// sum of per-line latencies, plus any queueing behind contended mesh
+// links for a remote MPB, whose links it reserves. An equality wait's
+// probe then tests its flag; an access, or a predicate wait's probe,
+// resumes the process.
+func (c *Core) pay() simtime.Step {
+	m := c.chip.Model
+	now := c.proc.Now()
+	c.mark = now
+	read := c.mode&modeRead != 0
+	hops := c.mpbHops(int(c.owner))
+	lat := m.MPBAccess(hops, read)
+	d := lat * simtime.Time(c.lines)
+	if hops > 0 {
+		// Remote: packets also occupy mesh links. The data-bearing
+		// direction is owner->me for reads and me->owner for writes.
+		from, to := c.tile, c.chip.Cores[c.owner].tile
+		if read {
+			from, to = to, from
 		}
-		t = end
+		t := now
+		for l := int32(0); l < c.lines; l++ {
+			t = max(t+lat, c.chip.Net.Transfer(from, to, m.CacheLineBytes, t))
+		}
+		d = t - now
 	}
-	return t - c.proc.Now()
+	if c.mode&modeEq != 0 {
+		c.step = stepProbed
+		return simtime.SleepThenWake(d)
+	}
+	c.step = stepNone
+	return simtime.SleepThenResume(d)
 }
 
 // checkMPBRange panics on out-of-bounds MPB access.
@@ -417,8 +522,7 @@ func (c *Core) MPBWrite(off int, src []byte) {
 	c.checkMPBRange(off, len(src))
 	m := c.chip.Model
 	owner := c.chip.MPBOwner(off)
-	cost := c.mpbAccessCost(owner, m.Lines(len(src)), false)
-	c.proc.Sleep(cost)
+	cost := c.access(owner, m.Lines(len(src)), false)
 	if r := c.chip.metrics; r != nil {
 		r.AddPhase(c.ID, metrics.PhaseTransfer, cost)
 		r.Count(c.ID, metrics.CtrMPBWrites)
@@ -450,8 +554,7 @@ func (c *Core) MPBRead(off int, dst []byte) {
 	c.checkMPBRange(off, len(dst))
 	m := c.chip.Model
 	owner := c.chip.MPBOwner(off)
-	cost := c.mpbAccessCost(owner, m.Lines(len(dst)), true)
-	c.proc.Sleep(cost)
+	cost := c.access(owner, m.Lines(len(dst)), true)
 	if r := c.chip.metrics; r != nil {
 		r.AddPhase(c.ID, metrics.PhaseTransfer, cost)
 		r.Count(c.ID, metrics.CtrMPBReads)
@@ -488,7 +591,7 @@ func (c *Core) MPBReadF64s(off int, dst []float64) {
 func (c *Core) SetFlag(off int, v byte) {
 	c.checkMPBRange(off, 1)
 	owner := c.chip.MPBOwner(off)
-	cost := c.mpbLineAccess(owner, false)
+	cost := c.access(owner, 1, false)
 	if r := c.chip.metrics; r != nil {
 		r.AddPhase(c.ID, metrics.PhaseFlagSync, cost)
 		r.Count(c.ID, metrics.CtrFlagSets)
@@ -505,7 +608,7 @@ func (c *Core) SetFlag(off int, v byte) {
 func (c *Core) ProbeFlag(off int) byte {
 	c.checkMPBRange(off, 1)
 	owner := c.chip.MPBOwner(off)
-	cost := c.mpbLineAccess(owner, true)
+	cost := c.access(owner, 1, true)
 	if r := c.chip.metrics; r != nil {
 		r.AddPhase(c.ID, metrics.PhaseFlagSync, cost)
 		r.Count(c.ID, metrics.CtrFlagProbes)

@@ -35,4 +35,27 @@ func TestDeadlockReportGolden(t *testing.T) {
 			t.Errorf("deadlock report missing %q:\n%s", want, msg)
 		}
 	}
+
+	// A WaitFlagAny the engine parks: core 1's flush outlasts core 0's
+	// probes, so core 1's stack pops core 0's probe wake-ups, runs the
+	// rest of the wait and parks it there. Core 0 last blocked in a
+	// sleep; the report must name the any-flag wait it is stuck in.
+	chip = New(timing.Default())
+	offs := []int{chip.MPBBase(0) + 5, chip.MPBBase(0) + 9}
+	chip.LaunchOne(0, func(c *Core) { c.WaitFlagAny(offs, 1) })
+	chip.LaunchOne(1, func(c *Core) {
+		c.ComputeCycles(10000)
+		c.Now()
+	})
+	err = chip.Run()
+	if err == nil {
+		t.Fatal("expected a deadlock error")
+	}
+	msg = err.Error()
+	if want := "core00 (waiting: core00 any-flag (2 flags, first@5))"; !strings.Contains(msg, want) {
+		t.Errorf("deadlock report missing %q:\n%s", want, msg)
+	}
+	if h, f := chip.Engine.SchedStats(); h != 2 {
+		t.Errorf("the engine parked core 0 after %d switches (%d without), want 2: one to each core", h, f)
+	}
 }

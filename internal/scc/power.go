@@ -57,7 +57,7 @@ func (c *Core) SetFrequencyDivider(div int) float64 {
 		panic(fmt.Sprintf("scc: frequency divider %d outside [%d,%d]",
 			div, MinFreqDivider, MaxFreqDivider))
 	}
-	c.freqDiv = div
+	c.freqDiv = uint8(div)
 	return 1600.0 / float64(div)
 }
 
@@ -66,7 +66,7 @@ func (c *Core) FrequencyDivider() int {
 	if c.freqDiv == 0 {
 		return DefaultFreqDivider
 	}
-	return c.freqDiv
+	return int(c.freqDiv)
 }
 
 // FrequencyMHz returns the core's current clock in MHz.

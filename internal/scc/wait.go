@@ -1,6 +1,7 @@
 package scc
 
 import (
+	"math"
 	"slices"
 
 	"scc/internal/metrics"
@@ -10,10 +11,17 @@ import (
 // This file is the one place a core waits on MPB flags: the four public
 // waits marshal their arguments into waitFlags, SetFlag and MPBWrite end
 // in Chip.wake, and Chip.parked is the only record of who is blocked
-// (invariants in DESIGN.md §4). Every wait of a core blocks on the
-// core's own Core.sig: a core is one simulated process, so it is in at
-// most one wait at a time and the first write to any watched flag wakes
-// it exactly once (Broadcast empties the signal; later writes find it
+// (invariants in DESIGN.md §4). A wait is the step machine of core.go:
+// probe the flags in order, one MPB line read each, stop at the first
+// match, otherwise park and probe again once a watched flag is written.
+// The equality waits (WaitFlag, WaitFlagAny) leave every step to the
+// engine, which switches to the core's process only at the probe that
+// matches; the predicate waits (WaitFlagMatch, WaitFlagsMatch) resume
+// after each probe to test their predicate on their own stack, so no
+// closure is stored. Every wait of a core blocks on the core's own
+// Core.sig: a core is one simulated process, so it is in at most one
+// wait at a time and the first write to any watched flag wakes it
+// exactly once (Broadcast empties the signal; later writes find it
 // empty). A process the engine kills while parked (shutdown after a
 // deadlock) never unparks; its stale entry costs a later write one
 // Broadcast that wakes nobody.
@@ -24,8 +32,7 @@ import (
 func (c *Core) WaitFlag(off int, want byte) simtime.Duration {
 	c.oneOff[0] = off
 	before := c.prof.FlagWait
-	c.waitFlags(c.oneOff[:], 0, func(_ int, v byte) bool { return v == want },
-		simtime.WaitSite{Kind: simtime.WaitFlagEq, Core: int32(c.ID), Off: int32(off), Want: int32(want)}, "wait-flag")
+	c.waitFlags(c.oneOff[:], modeEq, want, 0, nil)
 	return c.prof.FlagWait - before
 }
 
@@ -39,7 +46,7 @@ func (c *Core) WaitFlagAny(offs []int, want byte) int {
 	if len(offs) == 0 {
 		panic("scc: WaitFlagAny with no flags")
 	}
-	i, _, _ := c.waitFlags(offs, 0, func(_ int, v byte) bool { return v == want }, c.anySite(offs), "wait-any")
+	i, _, _ := c.waitFlags(offs, modeEq|modeAny, want, 0, nil)
 	return i
 }
 
@@ -56,8 +63,7 @@ func (c *Core) WaitFlagAny(offs []int, want byte) int {
 // probe, so defensive waiting has a measured cost.
 func (c *Core) WaitFlagMatch(off int, limit simtime.Duration, pred func(byte) bool) (byte, bool) {
 	c.oneOff[0] = off
-	_, v, ok := c.waitFlags(c.oneOff[:], limit, func(_ int, v byte) bool { return pred(v) },
-		simtime.WaitSite{Kind: simtime.WaitFlagPred, Core: int32(c.ID), Off: int32(off)}, "wait-flag")
+	_, v, ok := c.waitFlags(c.oneOff[:], 0, 0, limit, func(_ int, v byte) bool { return pred(v) })
 	return v, ok
 }
 
@@ -71,83 +77,128 @@ func (c *Core) WaitFlagsMatch(offs []int, limit simtime.Duration, pred func(i in
 	if len(offs) == 0 {
 		panic("scc: WaitFlagsMatch with no flags")
 	}
-	i, v, ok := c.waitFlags(offs, limit, pred, c.anySite(offs), "wait-any")
+	i, v, ok := c.waitFlags(offs, modeAny, 0, limit, pred)
 	if !ok {
 		return -1, 0, false
 	}
 	return i, v, true
 }
 
-// anySite describes an any-flag blocking point: the watched-flag count
-// and the first offset stand in for the full list, which cannot be
-// stored without allocating.
-func (c *Core) anySite(offs []int) simtime.WaitSite {
-	return simtime.WaitSite{
-		Kind: simtime.WaitFlagsAny,
-		Core: int32(c.ID),
-		Off:  int32(offs[0]),
-		Want: int32(len(offs)),
+// site describes the wait in progress as a blocking point. An any-flag
+// site's watched-flag count and first offset stand in for the full
+// list, which cannot be stored without allocating.
+func (c *Core) site() simtime.WaitSite {
+	s := simtime.WaitSite{Kind: simtime.WaitFlagPred, Core: int32(c.ID), Off: int32(c.watch[0])}
+	switch {
+	case c.mode&modeAny != 0:
+		s.Kind, s.Want = simtime.WaitFlagsAny, int32(len(c.watch))
+	case c.mode&modeEq != 0:
+		s.Kind, s.Want = simtime.WaitFlagEq, int32(c.want)
 	}
+	return s
 }
 
-// waitFlags blocks until pred(i, v) holds for the flag byte v at some
-// offs[i], or until limit elapses (limit <= 0 waits forever). It returns
-// the first (lowest-index) match, or ok == false with the value probed
-// last. A probe round reads the flags in order, one MPB line read each,
-// and stops at the first match; a round that disappoints past the
-// deadline ends the wait, otherwise the core parks until one of the
-// flags is written and probes again. site names the blocking point in
-// deadlock reports, label the trace span of a wait that blocked.
-func (c *Core) waitFlags(offs []int, limit simtime.Duration, pred func(i int, v byte) bool, site simtime.WaitSite, label string) (int, byte, bool) {
+// waitFlags runs the wait on the flags offs in mode (modeEq: the engine
+// matches want; otherwise pred is tested after each probe), bounded by
+// limit when limit > 0. It returns the first (lowest-index) match, or
+// ok == false with the value probed last once a probe round disappoints
+// past the deadline.
+func (c *Core) waitFlags(offs []int, mode stepMode, want byte, limit simtime.Duration, pred func(i int, v byte) bool) (int, byte, bool) {
+	if len(offs) > math.MaxUint16 {
+		panic("scc: a flag wait watches more than 65,535 flags")
+	}
 	for _, off := range offs {
 		c.checkMPBRange(off, 1)
 	}
-	// Flush deferred local latency first: it is work that happened before
-	// the wait, so it must not inflate the wait interval (which becomes
-	// the "wait-*" span and the flag-wait phase).
-	begin := c.Now()
-	deadline := begin + limit
-	reg := c.chip.metrics
-	blocked := false
-	for {
-		var v byte
-		for i, off := range offs {
-			owner := c.chip.MPBOwner(off)
-			c.mpbLineAccess(owner, true)
-			if reg != nil {
-				reg.Count(c.ID, metrics.CtrFlagProbes)
-			}
-			if v = c.chip.mpb.byteAt(owner, off); pred(i, v) {
-				c.endWait(begin, blocked, label)
-				return i, v, true
-			}
-		}
-		if limit > 0 && c.proc.Now() >= deadline {
-			c.endWait(begin, blocked, label)
-			return -1, v, false
-		}
-		blocked = true
-		c.park(offs)
-		if limit > 0 {
-			c.proc.WaitOnTimeout(&c.sig, deadline-c.proc.Now(), site)
-		} else {
-			c.proc.WaitOn(&c.sig, site)
-		}
-		c.unpark()
+	// The deferred local latency flushed before the first probe is work
+	// that happened before the wait, so it must not inflate the wait
+	// interval (which becomes the "wait-*" span and the flag-wait phase).
+	begin := c.proc.Now() + c.pending
+	if limit > 0 {
+		mode |= modeBounded
 	}
+	c.watch, c.mode, c.want = offs, mode|modeRead, want
+	i, v, ok := -1, byte(0), true
+	for st := c.probe(0); ; {
+		c.run(st)
+		if c.step == stepTimedOut {
+			if c.proc.Now() >= begin+limit {
+				ok = false
+				break
+			}
+			c.mode |= modeBlocked
+			c.park()
+			c.proc.WaitOnTimeout(&c.sig, begin+limit-c.proc.Now(), c.site())
+			c.unpark()
+			st = c.probe(0)
+			continue
+		}
+		i = int(c.idx)
+		if pred == nil {
+			v = want // the engine ran every step up to this match
+			break
+		}
+		if v = c.probedFlag(); pred(i, v) {
+			break
+		}
+		st = c.miss()
+	}
+	c.endWait(begin)
+	c.watch, c.mode = nil, 0
+	return i, v, ok
 }
 
-// endWait accounts one wait interval that began at begin: it always adds
-// to Profile.FlagWait; in the metrics registry the whole interval (probes
-// included) counts as PhaseFlagWait when the wait actually blocked — the
-// exact extent of the "wait-*" trace span, recorded under label — and as
+// probe starts the read of watched flag i. Its flush is a no-op inside
+// a wait unless a predicate charged local latency.
+func (c *Core) probe(i int) simtime.Step {
+	c.idx = uint16(i)
+	c.owner, c.lines = int32(c.chip.MPBOwner(c.watch[i])), 1
+	return c.flushThen(stepPrice)
+}
+
+// probedFlag counts the probe whose read just elapsed and returns the
+// flag byte it read.
+func (c *Core) probedFlag() byte {
+	if reg := c.chip.metrics; reg != nil {
+		reg.Count(c.ID, metrics.CtrFlagProbes)
+	}
+	return c.chip.mpb.byteAt(int(c.owner), c.watch[c.idx])
+}
+
+// miss moves past a disappointing probe: on to the next flag, or after
+// the last one, parks the core until a watched flag is written. A
+// bounded wait hands that to its caller, which checks the deadline and
+// parks with a timeout on its own stack.
+func (c *Core) miss() simtime.Step {
+	if i := int(c.idx) + 1; i < len(c.watch) {
+		return c.probe(i)
+	}
+	if c.mode&modeBounded != 0 {
+		c.step = stepTimedOut
+		return simtime.Resume()
+	}
+	c.mode |= modeBlocked
+	c.park()
+	c.step = stepUnpark
+	return c.proc.Park(&c.sig, c.site())
+}
+
+// endWait accounts the wait interval that began at begin: it always
+// adds to Profile.FlagWait; in the metrics registry the whole interval
+// (probes included) counts as PhaseFlagWait when the wait actually
+// blocked — the exact extent of the "wait-*" trace span — and as
 // unblocked flag traffic (PhaseFlagSync) otherwise.
-func (c *Core) endWait(begin simtime.Time, blocked bool, label string) {
+func (c *Core) endWait(begin simtime.Time) {
 	now := c.proc.Now()
 	waited := now - begin
+	blocked := c.mode&modeBlocked != 0
 	c.prof.FlagWait += waited
 	if blocked {
 		c.prof.FlagWaits++
+		label := "wait-flag"
+		if c.mode&modeAny != 0 {
+			label = "wait-any"
+		}
 		c.RecordSpan(label, begin, now)
 	}
 	if reg := c.chip.metrics; reg != nil && blocked {
@@ -159,12 +210,12 @@ func (c *Core) endWait(begin simtime.Time, blocked bool, label string) {
 	}
 }
 
-// park lists the core, watching offs, once under every distinct owner of
-// offs. Nobody else parks during the call, so an earlier flag of the same
-// owner has listed the core already exactly when it is the list's last.
-func (c *Core) park(offs []int) {
-	c.watch = offs
-	for _, off := range offs {
+// park lists the core once under every distinct owner of its watched
+// flags. Nobody else parks during the call, so an earlier flag of the
+// same owner has listed the core already exactly when it is the list's
+// last.
+func (c *Core) park() {
+	for _, off := range c.watch {
 		list := &c.chip.parked[c.chip.MPBOwner(off)]
 		if n := len(*list); n == 0 || (*list)[n-1] != int32(c.ID) {
 			*list = append(*list, int32(c.ID))
@@ -180,7 +231,6 @@ func (c *Core) unpark() {
 			*list = slices.Delete(*list, j, j+1)
 		}
 	}
-	c.watch = nil
 }
 
 // wake resumes every core parked on a flag byte in [off, off+n): the one

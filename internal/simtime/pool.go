@@ -36,6 +36,11 @@ type worker struct {
 	// proc is the adopted process, set by Proc.start before the next
 	// resume and cleared when the process is done.
 	proc *Proc
+	// cont is proc's armed continuation (see Proc.Continue): set while
+	// the process waits on a wake-up that must run it, nil otherwise. It
+	// lives here, not on the Proc, because workers are pooled and a
+	// 10,000-core chip allocates one Proc per core.
+	cont Cont
 }
 
 // loop is the trampoline, the body of the coroutine: run the adopted
@@ -45,7 +50,7 @@ func (w *worker) loop(yield func(struct{}) bool) {
 	w.yield = yield
 	for {
 		w.proc.run()
-		w.proc = nil
+		w.proc, w.cont = nil, nil // a killed process may leave cont armed
 		if !yield(struct{}{}) {
 			return
 		}

@@ -80,17 +80,26 @@ func (p *Proc) run() {
 
 // block gives up control until the process is woken. The caller must
 // have arranged for a future wake-up (a scheduled event or a signal
-// registration) first. The process pops the next event itself: its own
-// wake-up is the same-proc fast path and costs no switch; anything else
-// — another process's wake-up, or nothing runnable (deadlock) — is left in Engine.next for the dispatcher to act on.
-func (p *Proc) block(site WaitSite) {
-	p.blockedAt = site
+// registration) first, and recorded where it waits in blockedAt. The
+// process pops the next event itself: its own wake-up is the same-proc
+// fast path and costs no switch. Another process's wake-up is delivered
+// on this stack (Engine.deliver): when that process's continuation
+// leaves it waiting, the next event is popped here too. Whatever must
+// run on another stack — a resumed process, or nothing runnable
+// (deadlock) — is left in Engine.next for the dispatcher to act on.
+func (p *Proc) block() {
 	e := p.eng
-	if q := e.pop(); q == p {
-		e.fastpath++
-	} else {
-		e.next = q
-		p.w.yield(struct{}{})
+	for {
+		q := e.pop()
+		if q == p {
+			e.fastpath++
+			break
+		}
+		if q == nil || e.deliver(q) {
+			e.next = q
+			p.w.yield(struct{}{})
+			break
+		}
 	}
 	if p.killed {
 		panic(killSentinel{})
@@ -98,30 +107,34 @@ func (p *Proc) block(site WaitSite) {
 	p.blockedAt = WaitSite{}
 }
 
-// Sleep advances the process's virtual time by d ticks. Negative or zero
-// durations return immediately without yielding... except d == 0, which
-// still yields so that same-time events from other processes interleave
-// deterministically by schedule order.
-func (p *Proc) Sleep(d Duration) {
-	e := p.eng
-	if d < 0 {
-		d = 0
-	}
-	at := e.now + d
-	// Same-proc fast path, fused with the queue: if no pending event can
-	// precede our wake-up (strictly — an equal-time event has a smaller
-	// sequence number and must run first), the wake-up would be the next
-	// event popped, so skip the queue and the switch entirely and just
-	// advance the clock.
+// sleep is the queue side of every sleep, Sleep's and a continuation's
+// alike: if no pending event can precede the wake-up (strictly — an
+// equal-time event has a smaller sequence number and must run first),
+// the wake-up would be the next event popped, so it advances the clock
+// inline and reports true (the same-proc fast path). Otherwise it
+// queues the wake-up and reports false.
+func (e *Engine) sleep(p *Proc, d Duration) bool {
+	at := e.now + max(d, 0)
 	if e.queue.n == 0 || at < e.queue.min().at {
 		e.fastpath++
 		e.now = at
-		return
+		return true
 	}
 	e.schedule(p, at)
 	// A sleeping process always has a pending wake-up, so it can never
 	// appear in a deadlock report; a static label suffices.
-	p.block(siteSleep)
+	p.blockedAt = siteSleep
+	return false
+}
+
+// Sleep advances the process's virtual time by d ticks. A negative d
+// counts as zero, and Sleep(0) still gives way to every event already
+// queued for the current instant, so same-time events from other
+// processes interleave deterministically by schedule order.
+func (p *Proc) Sleep(d Duration) {
+	if !p.eng.sleep(p, d) {
+		p.block()
+	}
 }
 
 // siteSleep is the shared site for Sleep, so sleeping never allocates.
@@ -135,8 +148,8 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // virtual time of the Signal call. The site appears in deadlock
 // diagnostics, formatted only if a report is rendered.
 func (p *Proc) WaitOn(s *Signal, site WaitSite) {
-	s.waiters = append(s.waiters, p)
-	p.block(site)
+	p.Park(s, site)
+	p.block()
 }
 
 // WaitOnTimeout blocks the process until s is signaled or d ticks elapse,
@@ -153,7 +166,8 @@ func (p *Proc) WaitOnTimeout(s *Signal, d Duration, site WaitSite) bool {
 	p.dlSeq = p.eng.seq
 	p.waitIdx = len(s.waiters)
 	s.waiters = append(s.waiters, p)
-	p.block(site)
+	p.blockedAt = site
+	p.block()
 	p.dlSeq = 0
 	// Broadcast empties the waiter list; if our slot still holds us, the
 	// timer won the race and we must deregister. Clearing the slot (not
@@ -171,6 +185,87 @@ func (p *Proc) WaitOnTimeout(s *Signal, d Duration, site WaitSite) bool {
 		return false
 	}
 	return true
+}
+
+// Cont is model work that runs at its process's wake-ups in place of the
+// process: whichever stack pops the wake-up — the dispatcher's, or that
+// of the process blocking at that moment — calls Wake, and the process
+// is switched to only once a step resumes it. Work that reads and writes
+// model state but runs no program code (the flush before a core's MPB
+// access, the probes of its flag wait) is delivered this way without
+// the two coroutine switches a wake-up otherwise costs.
+//
+// Wake must not block: it returns the next Step instead. It runs at the
+// same point in the event order as the process code it stands for, so
+// each of its sleeps is exactly a Sleep (the same fast-path test, the
+// same (at, seq)), and only the stack differs.
+type Cont interface {
+	Wake() Step
+}
+
+// Step is what a continuation asks for next. The zero Step is Resume.
+type Step struct {
+	d    Duration
+	kind stepKind
+}
+
+type stepKind uint8
+
+const (
+	stepResume      stepKind = iota // switch to the process now
+	stepSleepResume                 // sleep d, then switch to the process
+	stepSleepWake                   // sleep d, then run the continuation again
+	stepParked                      // registered on a signal by Park
+)
+
+// Resume continues the process now.
+func Resume() Step { return Step{} }
+
+// SleepThenResume sleeps d, exactly as Sleep(d), and then continues the
+// process.
+func SleepThenResume(d Duration) Step { return Step{d: d, kind: stepSleepResume} }
+
+// SleepThenWake sleeps d, exactly as Sleep(d), and then runs the
+// continuation again.
+func SleepThenWake(d Duration) Step { return Step{d: d, kind: stepSleepWake} }
+
+// Park registers the process on s, exactly as WaitOn does, and returns
+// the step that leaves it there: at the wake-up of s's next Broadcast the
+// continuation runs again. The site names the wait in deadlock reports.
+func (p *Proc) Park(s *Signal, site WaitSite) Step {
+	s.waiters = append(s.waiters, p)
+	p.blockedAt = site
+	return Step{kind: stepParked}
+}
+
+// Continue carries out st and then k's further steps until one resumes
+// the process, and returns then. It must be called from within the
+// process's own function. The steps run on this stack only while the
+// process pops its own wake-ups; a wake-up another stack pops runs k
+// there (Engine.deliver), and the process is switched back to only when
+// a step resumes it.
+func (p *Proc) Continue(k Cont, st Step) {
+	e := p.eng
+	for st.kind != stepResume {
+		if st.kind != stepParked && e.sleep(p, st.d) {
+			if st.kind == stepSleepResume {
+				return
+			}
+			st = k.Wake()
+			continue
+		}
+		if st.kind == stepSleepResume {
+			p.block()
+			return
+		}
+		p.w.cont = k
+		p.block()
+		if p.w.cont == nil {
+			return // another stack ran k up to the step that resumed p
+		}
+		p.w.cont = nil // popped its own wake-up: k runs here
+		st = k.Wake()
+	}
 }
 
 // SetNote records the process's last successful protocol step. It is
