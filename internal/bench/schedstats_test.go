@@ -3,7 +3,11 @@ package bench
 import (
 	"testing"
 
+	"scc/internal/core"
 	"scc/internal/fabric"
+	"scc/internal/fault"
+	"scc/internal/rcce"
+	"scc/internal/scc"
 	"scc/internal/timing"
 )
 
@@ -56,6 +60,74 @@ func TestFastPathCarriesRealCollectives(t *testing.T) {
 		if h != w[1] || f != w[2] {
 			t.Errorf("allreduce/%s n=552: handoffs=%d fastpath=%d, want %d and %d",
 				st.Name, h, f, w[1], w[2])
+		}
+	}
+}
+
+// measureHardenedSchedStats runs one full-chip Allreduce of n doubles
+// under cfg and plan (nil = fault-free), as the robustness figures do,
+// and returns the scheduler's counters and how many faults fired.
+func measureHardenedSchedStats(t *testing.T, cfg core.Config, plan *fault.Plan, n int) (handoffs, fastpath uint64, fired int) {
+	t.Helper()
+	model := timing.Default()
+	sys := fabric.New(model, 1)
+	defer sys.Release()
+	if plan != nil {
+		fault.Install(sys.Chips[0], plan)
+	}
+	sys.Launch(func(_ int, c *scc.Core) {
+		x := core.NewCtx(sys.Comms[0].UE(c.ID), cfg)
+		src, dst := stageInput(c, n, n, float64(c.ID+1), 0.5)
+		if err := x.Allreduce(src, dst, n, core.Sum); err != nil {
+			panic(err)
+		}
+	})
+	if err := sys.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if plan != nil {
+		fired = len(plan.Events())
+	}
+	handoffs, fastpath = sys.Engine.SchedStats()
+	return handoffs, fastpath, fired
+}
+
+// TestFastPathCarriesHardenedCollectives extends the conservation law to
+// the bounded waits: the hardened transport, the self-healing runtime's
+// votes and a recovery from one lost flag write. The event counts were
+// recorded while bounded waits still resumed their core after every
+// probe to test a Go predicate and parked with WaitOnTimeout from its
+// stack (then 68,484, 68,755 and 68,317 switches). Since the engine
+// matches their accepted bytes and parks them with the deadline itself,
+// about 10,000 fewer events per run need a switch; the count is the same.
+func TestFastPathCarriesHardenedCollectives(t *testing.T) {
+	pol := rcce.DefaultPolicy()
+	heal := core.DefaultHealPolicy()
+	hardened := core.Config{Transport: core.TransportLightweight, Balanced: true, Recovery: &pol}
+	healing := core.Config{Transport: core.TransportLightweight, Balanced: true, SelfHeal: &heal}
+	for _, row := range []struct {
+		name  string
+		cfg   core.Config
+		plan  *fault.Plan
+		fired int
+		want  [3]uint64 // events, handoffs, fastpath
+	}{
+		{"hardened", hardened, nil, 0, [3]uint64{86868, 58222, 28646}},
+		{"self-heal", healing, nil, 0, [3]uint64{87198, 58391, 28807}},
+		{"hardened, one flag drop", hardened,
+			fault.NewPlan().Add(fault.Fault{Kind: fault.FlagDrop, Core: 5, Off: -1}), 1, [3]uint64{87276, 57802, 29474}},
+	} {
+		h, f, fired := measureHardenedSchedStats(t, row.cfg, row.plan, 552)
+		if fired != row.fired {
+			t.Errorf("%s: %d faults fired, want %d", row.name, fired, row.fired)
+		}
+		if h+f != row.want[0] {
+			t.Errorf("allreduce/%s n=552: %d events (handoffs %d + fastpath %d), want %d",
+				row.name, h+f, h, f, row.want[0])
+		}
+		if h != row.want[1] || f != row.want[2] {
+			t.Errorf("allreduce/%s n=552: handoffs=%d fastpath=%d, want %d and %d",
+				row.name, h, f, row.want[1], row.want[2])
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"scc/internal/metrics"
 	"scc/internal/rcce"
+	"scc/internal/scc"
 	"scc/internal/simtime"
 )
 
@@ -266,24 +267,24 @@ func policyBudget(pol rcce.Policy) simtime.Duration {
 // unit returns B, the agreement protocol's unit of time.
 func (h *Healer) unit() simtime.Duration { return policyBudget(h.pol.Member) }
 
-// waitUntil waits for pred on the flag byte at off until the absolute
-// deadline. The deadline is shared by a whole collection phase: several
-// missing peers run the clock down together instead of each consuming a
-// private budget, which keeps the phase length — and with it the
-// release-wait budgets of everyone else — independent of how many
-// peers died. A timed-out wait pays one timeout check; a wait entered
-// past the deadline degenerates to a single priced probe.
-func (h *Healer) waitUntil(off int, deadline simtime.Time, pred func(byte) bool) (byte, bool) {
+// waitUntil waits until the flag byte at off holds a or b, or the
+// absolute deadline passes. The deadline is shared by a whole collection
+// phase: several missing peers run the clock down together instead of
+// each consuming a private budget, which keeps the phase length — and
+// with it the release-wait budgets of everyone else — independent of
+// how many peers died. A timed-out wait pays one timeout check; a wait
+// entered past the deadline degenerates to a single priced probe.
+func (h *Healer) waitUntil(off int, deadline simtime.Time, a, b byte) (byte, bool) {
 	c := h.ue.Core()
 	if rem := deadline - c.Now(); rem > 0 {
-		v, ok := c.WaitFlagMatch(off, rem, pred)
+		v, ok := c.WaitFlagMatch(scc.Watch(off, a, b), rem)
 		if !ok {
 			c.OverheadCycles(c.Chip().Model.OverheadTimeoutCheck)
 		}
 		return v, ok
 	}
 	v := c.ProbeFlag(off)
-	return v, pred(v)
+	return v, v == a || v == b
 }
 
 // padTo idles the core until absolute time t. Failure paths of one
@@ -375,7 +376,6 @@ func (h *Healer) vote(ok bool, a int) (t0 simtime.Time, agreed, carried bool) {
 	h.voteSeq++
 	tok := byte(1 + (h.epoch*31+h.voteSeq+h.collSeq*53)%127)
 	fail := tok | 0x80
-	isVote := func(v byte) bool { return v == tok || v == fail }
 	epoch := h.epoch + 1 + uint32(a)
 
 	me := u.ID()
@@ -392,7 +392,7 @@ func (h *Healer) vote(ok bool, a int) (t0 simtime.Time, agreed, carried bool) {
 				arrived = append(arrived, me)
 				continue
 			}
-			v, got := h.waitUntil(comm.FlagAddr(root, p, rcce.FlagVoteArrive), deadline, isVote)
+			v, got := h.waitUntil(comm.FlagAddr(root, p, rcce.FlagVoteArrive), deadline, tok, fail)
 			if !got {
 				h.suspect(c.Now())
 				all = false
@@ -425,10 +425,10 @@ func (h *Healer) vote(ok bool, a int) (t0 simtime.Time, agreed, carried bool) {
 		}
 		arrive, release := comm.FlagAddr(root, me, rcce.FlagVoteArrive), comm.FlagAddr(me, root, rcce.FlagVoteRelease)
 		c.SetFlag(arrive, val)
-		v, got := h.waitUntil(release, t0+h.pol.Member.Timeout, isVote)
+		v, got := h.waitUntil(release, t0+h.pol.Member.Timeout, tok, fail)
 		if !got {
 			c.SetFlag(arrive, val)
-			v, got = h.waitUntil(release, t0+4*B, isVote)
+			v, got = h.waitUntil(release, t0+4*B, tok, fail)
 		}
 		if got {
 			agreed = v == tok
@@ -577,12 +577,11 @@ func (h *Healer) epochBarrier(view []int, epoch uint32, rootBy, memberBy simtime
 	me := u.ID()
 	root := view[0]
 	tok := byte(1 + epoch%127)
-	isTok := func(v byte) bool { return v == tok }
 
 	if me == root {
 		ok := true
 		for _, p := range view[1:] {
-			if _, got := h.waitUntil(comm.FlagAddr(root, p, rcce.FlagEpochArrive), rootBy, isTok); !got {
+			if _, got := h.waitUntil(comm.FlagAddr(root, p, rcce.FlagEpochArrive), rootBy, tok, tok); !got {
 				h.suspect(c.Now())
 				ok = false
 			}
@@ -597,7 +596,7 @@ func (h *Healer) epochBarrier(view []int, epoch uint32, rootBy, memberBy simtime
 	}
 
 	c.SetFlag(comm.FlagAddr(root, me, rcce.FlagEpochArrive), tok)
-	_, ok := h.waitUntil(comm.FlagAddr(me, root, rcce.FlagEpochRelease), memberBy, isTok)
+	_, ok := h.waitUntil(comm.FlagAddr(me, root, rcce.FlagEpochRelease), memberBy, tok, tok)
 	return ok
 }
 

@@ -41,8 +41,8 @@ type Phase uint8
 
 // The protocol phases.
 const (
-	// PhaseFlagWait is time spent blocked in WaitFlag / WaitFlagAny /
-	// WaitFlagMatch / WaitFlagsMatch — the paper's rcce_wait_until time.
+	// PhaseFlagWait is time spent blocked in WaitFlag / WaitFlagMatch /
+	// WaitFlagsMatch — the paper's rcce_wait_until time.
 	// The interval runs from wait entry to wake-up, so it includes the
 	// probe reads issued while blocked (exactly matching the "wait-*"
 	// trace spans).

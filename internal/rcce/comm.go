@@ -182,7 +182,7 @@ type UE struct {
 
 	// Scratch for the multi-flag waits of WaitAll and runRobust. Safe to
 	// reuse because these loops never nest within one UE.
-	waitFlags []int
+	waitFlags []scc.Flag
 	waitPend  []*Request
 }
 
@@ -283,7 +283,7 @@ func (u *UE) blocking(kind ReqKind, peer int, addr scc.Addr, nBytes int) {
 		r.stage()
 	}
 	for !r.done {
-		u.core.WaitFlag(r.watch(), r.seq)
+		u.core.WaitFlag(r.watch().Off(), r.seq)
 		r.advance(r.seq)
 	}
 	if reg != nil {
@@ -330,7 +330,6 @@ func (u *UE) centralBarrier(members []int, arrive, release int, gens *peerBytes,
 		gen = 1
 	}
 	gens.set(root, gen)
-	isGen := func(v byte) bool { return v == gen }
 
 	boundedWait := func(peer, off int, onRetry func()) error {
 		if pol == nil {
@@ -339,7 +338,7 @@ func (u *UE) centralBarrier(members []int, arrive, release int, gens *peerBytes,
 		}
 		window := pol.Timeout
 		for try := 0; ; try++ {
-			if _, ok := u.core.WaitFlagMatch(off, window+pol.JitterOf(window, u.ID(), peer, gen, try), isGen); ok {
+			if _, ok := u.core.WaitFlagMatch(scc.Watch(off, gen, gen), window+pol.JitterOf(window, u.ID(), peer, gen, try)); ok {
 				return nil
 			}
 			u.core.OverheadCycles(m.OverheadTimeoutCheck)

@@ -121,13 +121,19 @@ func (r *Request) flagOff(role int) int {
 	return r.ue.comm.FlagAddr(owner, writer, role)
 }
 
-// watch is the local flag whose value advances the request: the ready
-// flag of a send, the sent flag of a receive.
-func (r *Request) watch() int {
+// watch is the local flag whose value advances the request — the ready
+// flag of a send, the sent flag of a receive — with the values that do:
+// the chunk's sequence number, and on the hardened protocol also a NACK
+// of it (to a send) or a duplicate of the previous chunk (to a receive).
+func (r *Request) watch() scc.Flag {
+	off, other := r.flagOff(FlagSent), prevSeq(r.seq)
 	if r.kind == ReqSend {
-		return r.flagOff(FlagReady)
+		off, other = r.flagOff(FlagReady), r.seq|nackBit
 	}
-	return r.flagOff(FlagSent)
+	if !r.hard {
+		other = r.seq
+	}
+	return scc.Watch(off, r.seq, other)
 }
 
 // chunkLen is the length of the chunk in flight.
@@ -149,10 +155,10 @@ func (r *Request) stage() {
 // advance consumes the watched flag's value v and takes the transition
 // it selects. v is r.seq on the plain protocol; the hardened one also
 // admits a NACK (to a send) and a duplicate of the previous chunk (to a
-// receive), see Request.match.
+// receive), see Request.watch.
 func (r *Request) advance(v byte) {
 	u := r.ue
-	u.core.SetFlag(r.watch(), 0) // consume the flag (local line)
+	u.core.SetFlag(r.watch().Off(), 0) // consume the flag (local line)
 	if r.kind == ReqSend {
 		if v == r.seq {
 			r.completeChunk(r.chunkLen())
@@ -270,7 +276,7 @@ func (r *Request) tryProgress(costs NBCosts) {
 	u := r.ue
 	u.core.OverheadCycles(costs.Progress)
 	for !r.done {
-		v := u.core.ProbeFlag(r.watch()) // one MPB read (local line)
+		v := u.core.ProbeFlag(r.watch().Off()) // one MPB read (local line)
 		if v != r.seq {
 			break
 		}
@@ -309,7 +315,7 @@ func (u *UE) WaitAll(costs NBCosts, reqs ...*Request) {
 		if reg := u.core.Metrics(); reg != nil {
 			reg.Count(u.core.ID, metrics.CtrReqWaitRounds)
 		}
-		idx := u.core.WaitFlagAny(flags, 1) // a posted request's flags carry 1
+		idx, _, _ := u.core.WaitFlagsMatch(flags, 0) // a posted request's flags carry 1
 		pending[idx].tryProgress(costs)
 		// Opportunistically push the others, too (their flags may have
 		// fired while we were blocked).

@@ -175,16 +175,6 @@ func (r *Request) seqs() *peerBytes {
 	return &r.ue.sendSeq
 }
 
-// match reports whether a watched-flag value advances a hardened
-// request: an ACK or NACK of the chunk in flight for a send, the
-// expected chunk or a duplicate of the previous one for a receive.
-func (r *Request) match(v byte) bool {
-	if r.kind == ReqSend {
-		return v == r.seq || v == r.seq|nackBit
-	}
-	return v == r.seq || v == prevSeq(r.seq)
-}
-
 func (r *Request) armDeadline() {
 	r.deadline = r.ue.core.Now() + r.window
 }
@@ -284,9 +274,7 @@ func (u *UE) runRobust(wait int64, ops ...*Request) error {
 		}
 	}
 	// The per-round scratch is the request engine's (runRobust and
-	// WaitAll never nest within one UE), and the match predicate reads
-	// the UE field so one closure serves every round.
-	match := func(i int, val byte) bool { return u.waitPend[i].match(val) }
+	// WaitAll never nest within one UE).
 	for {
 		flags, pend := u.waitFlags[:0], u.waitPend[:0]
 		var minDL simtime.Time = -1
@@ -310,7 +298,7 @@ func (u *UE) runRobust(wait int64, ops ...*Request) error {
 		if limit < 1 {
 			limit = 1
 		}
-		idx, v, ok := u.core.WaitFlagsMatch(flags, limit, match)
+		idx, v, ok := u.core.WaitFlagsMatch(flags, limit)
 		if ok {
 			pend[idx].advance(v)
 			continue

@@ -75,9 +75,9 @@ func TestDirtyMemoryReadsZero(t *testing.T) {
 		t1 := c.Now()
 		c.ReadF64(addr)
 		t2 := c.Now()
-		if miss, hit := t1-t0, t2-t1; miss != model.DRAMAccess(c.memHops) || hit != model.L1Hit() {
+		if miss, hit := t1-t0, t2-t1; miss != model.DRAMAccess(int(c.memHops)) || hit != model.L1Hit() {
 			t.Errorf("core %d: first read costs %d ticks, second %d; want a DRAM access (%d) and an L1 hit (%d)",
-				c.ID, miss, hit, model.DRAMAccess(c.memHops), model.L1Hit())
+				c.ID, miss, hit, model.DRAMAccess(int(c.memHops)), model.L1Hit())
 		}
 		page := make([]byte, 8192)
 		for i := range page {

@@ -19,10 +19,7 @@ type Core struct {
 	ID   int
 	chip *Chip
 	tile mesh.Coord
-	// memHops is the mesh distance from tile to the memory controller
-	// serving this core; fixed geometry, so computed once in newCore.
-	memHops int
-	proc    *simtime.Proc
+	proc *simtime.Proc
 
 	coreStore // private memory, caches, scratch: what a released chip recycles
 	brk       Addr
@@ -51,21 +48,24 @@ type Core struct {
 
 	// The step machine of the shared-state access or flag wait in
 	// progress (see Core.wake): its next step and mode, the wait's
-	// expected value and probed flag (watch[idx]), the access being
-	// priced (owner's MPB, lines), and mark, the instant the current
-	// step began: a stall's fault check while it is slept, then the
-	// access's pricing. Packed beside dead, they keep a 48-core chip's
-	// Core slab in its size class.
+	// probed flag (watch[idx]) and deadline, the access being priced
+	// (owner's MPB, lines), and mark, the instant the current step
+	// began: a stall's fault check while it is slept, then the access's
+	// pricing. Packed beside dead with memHops, the mesh distance from
+	// tile to the core's memory controller (fixed geometry, computed
+	// once in init), they keep a 48-core chip's Core slab in its size
+	// class.
 	step         stepKind
 	mode         stepMode
-	want         byte
 	idx          uint16
+	memHops      uint16
 	owner, lines int32
 	mark         simtime.Time
+	deadline     simtime.Time // simtime.Never for an unbounded wait
 
-	sig    simtime.Signal // the one signal every flag wait of this core blocks on
-	watch  []int          // the flags of the wait in progress (see waitFlags); nil otherwise
-	oneOff [1]int         // WaitFlag/WaitFlagMatch's one-element flag list
+	sig   simtime.Signal // the one signal every flag wait of this core blocks on
+	watch []Flag         // the flags of the wait in progress (see wait); nil otherwise
+	one   [1]Flag        // WaitFlag/WaitFlagMatch's one-element flag list
 
 	prof Profile
 }
@@ -145,7 +145,7 @@ func (c *Core) init(chip *Chip, id int, st coreStore) {
 		ID:        id,
 		chip:      chip,
 		tile:      tile,
-		memHops:   mesh.Hops(tile, chip.memControllerFor(id)),
+		memHops:   uint16(mesh.Hops(tile, chip.memControllerFor(id))),
 		coreStore: st,
 	}
 	c.l1.capacity = m.L1DataBytes / m.CacheLineBytes
@@ -224,7 +224,7 @@ func (c *Core) privAccessCost(a Addr, write bool) simtime.Duration {
 			reg.Count(c.ID, metrics.CtrL1Misses)
 			reg.Count(c.ID, metrics.CtrL2Misses)
 		}
-		d = m.DRAMAccess(c.memHops)
+		d = m.DRAMAccess(int(c.memHops))
 	}
 	if reg != nil {
 		reg.AddPhase(c.ID, metrics.PhaseMemory, d)
@@ -360,22 +360,22 @@ func (c *Core) mpbHops(owner int) int {
 // sequence of model steps separated by sleeps: flush the deferred local
 // latency, check the fault hook, price the access at the flush instant
 // (reserving its mesh links), pay it, and — in a wait — test the flag
-// read, probe the next one or park. No program code runs between them,
-// so the core's process arms itself as their simtime.Cont and the
-// engine runs each step at its wake-up on whichever stack pops it; the
-// process is switched to only when program code continues. The state
-// lives in the Core fields after dead, and wake dispatches on step.
+// read, probe the next one, park or give up at the deadline. No program
+// code runs between them, so the core's process arms itself as their
+// simtime.Cont and the engine runs each step at its wake-up on whichever
+// stack pops it; the process is switched to only when program code
+// continues. The state lives in the Core fields after dead, and wake
+// dispatches on step.
 
 // stepKind is the step the machine runs at the core's next wake-up.
 type stepKind uint8
 
 const (
-	stepNone     stepKind = iota // nothing left: resume the process
-	stepPrice                    // check the fault hook, then price and pay the access
-	stepStalled                  // a fault stall elapsed: check for death, then price
-	stepProbed                   // a flag probe's read elapsed: test the flag
-	stepUnpark                   // a watched flag was written: probe from the first again
-	stepTimedOut                 // every flag disappointed a bounded wait: its caller parks
+	stepNone    stepKind = iota // nothing left: resume the process
+	stepPrice                   // check the fault hook, then price and pay the access
+	stepStalled                 // a fault stall elapsed: check for death, then price
+	stepProbed                  // a flag probe's read elapsed: test the flag
+	stepUnpark                  // a watched flag was written or the deadline came: probe again
 )
 
 // stepMode describes the access or wait in progress.
@@ -383,9 +383,7 @@ type stepMode uint8
 
 const (
 	modeRead    stepMode = 1 << iota // the access being priced is a read (every probe is)
-	modeEq                           // the engine matches each probe against want
 	modeAny                          // a wait on a flag list (its deadlock site kind)
-	modeBounded                      // a wait with a deadline, parked by its caller
 	modeBlocked                      // the wait has parked at least once
 )
 
@@ -403,7 +401,7 @@ func (c *Core) wake() simtime.Step {
 	case stepStalled:
 		return c.deathCheck(c.mark)
 	case stepProbed:
-		if c.probedFlag() == c.want {
+		if c.probed() {
 			return simtime.Resume()
 		}
 		return c.miss()
@@ -476,9 +474,8 @@ func (c *Core) deathCheck(at simtime.Time) simtime.Step {
 
 // pay prices the access at the current instant and sleeps its cost: the
 // sum of per-line latencies, plus any queueing behind contended mesh
-// links for a remote MPB, whose links it reserves. An equality wait's
-// probe then tests its flag; an access, or a predicate wait's probe,
-// resumes the process.
+// links for a remote MPB, whose links it reserves. A wait's probe then
+// tests its flag; an access resumes the process.
 func (c *Core) pay() simtime.Step {
 	m := c.chip.Model
 	now := c.proc.Now()
@@ -500,7 +497,7 @@ func (c *Core) pay() simtime.Step {
 		}
 		d = t - now
 	}
-	if c.mode&modeEq != 0 {
+	if c.watch != nil {
 		c.step = stepProbed
 		return simtime.SleepThenWake(d)
 	}

@@ -62,11 +62,15 @@ var pinWaits = []struct {
 		return fmt.Sprintf("i=%d", c.WaitFlagAny(offs, 1))
 	}},
 	{"WaitFlagMatch", true, false, func(c *Core, offs []int, limit simtime.Duration) string {
-		v, ok := c.WaitFlagMatch(offs[0], limit, func(v byte) bool { return v == 1 })
+		v, ok := c.WaitFlagMatch(Watch(offs[0], 1, 1), limit)
 		return fmt.Sprintf("v=%d,ok=%t", v, ok)
 	}},
 	{"WaitFlagsMatch", true, true, func(c *Core, offs []int, limit simtime.Duration) string {
-		i, v, ok := c.WaitFlagsMatch(offs, limit, func(_ int, v byte) bool { return v == 1 })
+		flags := make([]Flag, len(offs))
+		for i, off := range offs {
+			flags[i] = Watch(off, 1, 1)
+		}
+		i, v, ok := c.WaitFlagsMatch(flags, limit)
 		return fmt.Sprintf("i=%d,v=%d,ok=%t", i, v, ok)
 	}},
 }

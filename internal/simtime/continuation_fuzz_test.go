@@ -16,7 +16,7 @@ type oracleOp struct {
 	kind  byte // 's' Sleep, 'w' WaitOn, 't' WaitOnTimeout, 'b' Broadcast, 'c' chain
 	d     Duration
 	sig   int
-	chain []oracleOp // 'c': the chain's steps ('s', 'w', 'b'), run as a Cont in cont mode
+	chain []oracleOp // 'c': the chain's steps ('s', 'w', 't', 'b'), run as a Cont in cont mode
 	fin   Duration   // 'c': the chain ends resuming the process after Sleep(fin), or at once if fin < 0
 }
 
@@ -25,18 +25,18 @@ var oracleSites = []WaitSite{Site("sig0"), Site("sig1"), Site("sig2"), Site("sig
 
 // genOracleProgram builds a seeded program of np processes mixing
 // sleeps (zero, tied and distinct), WaitOn/Broadcast, WaitOnTimeout and
-// chains of sleeps, parks and broadcasts.
+// chains of sleeps, parks, deadline parks and broadcasts.
 func genOracleProgram(seed int64, np, length int) [][]oracleOp {
 	rng := rand.New(rand.NewSource(seed))
 	nsig := 1 + rng.Intn(len(oracleSites))
 	dur := func() Duration { return Duration([]int{0, 0, 1, 2, 3, 5, 8, 13}[rng.Intn(8)]) }
-	step := func(chained bool) oracleOp {
+	step := func() oracleOp {
 		switch r := rng.Intn(10); {
 		case r < 4:
 			return oracleOp{kind: 's', d: dur()}
 		case r < 6:
 			return oracleOp{kind: 'w', sig: rng.Intn(nsig)}
-		case r < 8 || chained:
+		case r < 8:
 			return oracleOp{kind: 'b', sig: rng.Intn(nsig)}
 		default:
 			return oracleOp{kind: 't', sig: rng.Intn(nsig), d: dur()}
@@ -46,12 +46,12 @@ func genOracleProgram(seed int64, np, length int) [][]oracleOp {
 	for p := range prog {
 		for range 1 + rng.Intn(length) {
 			if rng.Intn(3) > 0 {
-				prog[p] = append(prog[p], step(false))
+				prog[p] = append(prog[p], step())
 				continue
 			}
 			ch := oracleOp{kind: 'c', fin: -1}
 			for range rng.Intn(6) {
-				ch.chain = append(ch.chain, step(true))
+				ch.chain = append(ch.chain, step())
 			}
 			if rng.Intn(2) == 0 {
 				ch.fin = dur()
@@ -88,7 +88,9 @@ func (k *chainCont) Wake() Step {
 		case 's':
 			return SleepThenWake(s.d)
 		case 'w':
-			return k.p.Park(&k.sigs[s.sig], oracleSites[s.sig])
+			return k.p.Park(&k.sigs[s.sig], oracleSites[s.sig], Never)
+		case 't':
+			return k.p.Park(&k.sigs[s.sig], oracleSites[s.sig], k.p.Now()+s.d)
 		case 'b':
 			k.sigs[s.sig].Broadcast(k.p.Engine())
 		}
@@ -136,6 +138,8 @@ func runOracleProgram(prog [][]oracleOp, asCont bool) (trace []oracleEvent, repo
 							p.Sleep(s.d)
 						case 'w':
 							p.WaitOn(&sigs[s.sig], oracleSites[s.sig])
+						case 't':
+							p.WaitOnTimeout(&sigs[s.sig], s.d, oracleSites[s.sig])
 						case 'b':
 							sigs[s.sig].Broadcast(e)
 						}
@@ -167,20 +171,27 @@ func FuzzContinuationMatchesSleeps(f *testing.F) {
 		f.Add(s.seed, s.np, s.length)
 	}
 	f.Fuzz(func(t *testing.T, seed int64, np, length uint8) {
-		prog := genOracleProgram(seed, 2+int(np)%63, 1+int(length)%16)
-		plain, plainReport, h, f := runOracleProgram(prog, false)
-		cont, contReport, hc, fc := runOracleProgram(prog, true)
-		if i := firstTraceDiff(plain, cont); i >= 0 {
-			t.Fatalf("traces differ at step %d of %d/%d: plain %v, continuation %v",
-				i, len(plain), len(cont), at(plain, i), at(cont, i))
-		}
-		if plainReport != contReport {
-			t.Fatalf("reports differ:\nplain:        %s\ncontinuation: %s", plainReport, contReport)
-		}
-		if h+f != hc+fc {
-			t.Fatalf("events: plain %d+%d, continuation %d+%d", h, f, hc, fc)
-		}
+		checkOracle(t, genOracleProgram(seed, 2+int(np)%63, 1+int(length)%16))
 	})
+}
+
+// checkOracle runs prog with its chains as plain process code and as
+// continuations and fails t unless the trace, the deadlock report and
+// the event count are identical.
+func checkOracle(t *testing.T, prog [][]oracleOp) {
+	t.Helper()
+	plain, plainReport, h, f := runOracleProgram(prog, false)
+	cont, contReport, hc, fc := runOracleProgram(prog, true)
+	if i := firstTraceDiff(plain, cont); i >= 0 {
+		t.Fatalf("traces differ at step %d of %d/%d: plain %v, continuation %v",
+			i, len(plain), len(cont), at(plain, i), at(cont, i))
+	}
+	if plainReport != contReport {
+		t.Fatalf("reports differ:\nplain:        %s\ncontinuation: %s", plainReport, contReport)
+	}
+	if h+f != hc+fc {
+		t.Fatalf("events: plain %d+%d, continuation %d+%d", h, f, hc, fc)
+	}
 }
 
 func firstTraceDiff(a, b []oracleEvent) int {
@@ -217,5 +228,49 @@ func TestContinuationParksAcrossStacks(t *testing.T) {
 	if !slices.Equal(plain, cont) || h+f != hc+fc || hc != h-2 {
 		t.Fatalf("plain %v (%d switches, %d without)\ncontinuation %v (%d switches, %d without)",
 			plain, h, f, cont, hc, fc)
+	}
+}
+
+// TestDeadlineParkMatchesWaitOnTimeout holds a chain's deadline park to
+// WaitOnTimeout in process code where the two can part: a Broadcast
+// before the deadline tick (it cancels the deadline), at it (the
+// deadline, due now, stays the wake-up), after the timer at the same
+// tick and after it (the timer deregistered the process, so the
+// Broadcast wakes nobody), each followed by a plain wait the next
+// Broadcast ends and one that deadlocks; and twenty processes timing
+// out on one signal over and over, which compacts its waiter list (16
+// or more entries, holes the majority) before a last Broadcast wakes
+// the one long waiter.
+func TestDeadlineParkMatchesWaitOnTimeout(t *testing.T) {
+	parkThenWait := []oracleOp{
+		{kind: 'c', chain: []oracleOp{{kind: 't', sig: 0, d: 10}, {kind: 's', d: 10}}, fin: -1},
+		{kind: 'w', sig: 0},
+		{kind: 'w', sig: 1},
+	}
+	// The broadcaster's wake-up at tick 10 queues before the deadline.
+	yieldThenPark := append([]oracleOp{{kind: 's'}}, parkThenWait...)
+	broadcastAt := func(d Duration) []oracleOp {
+		return []oracleOp{{kind: 's', d: d}, {kind: 'b', sig: 0}, {kind: 's', d: 30}, {kind: 'b', sig: 0}}
+	}
+	crowd := [][]oracleOp{{{kind: 'w', sig: 0}}}
+	for i := range 20 {
+		var ch []oracleOp
+		for j := range 6 {
+			ch = append(ch, oracleOp{kind: 't', sig: 0, d: Duration(1 + (i+j)%3)})
+		}
+		crowd = append(crowd, []oracleOp{{kind: 'c', chain: ch, fin: Duration(i % 2)}})
+	}
+	crowd = append(crowd, []oracleOp{{kind: 's', d: 40}, {kind: 'b', sig: 0}})
+	for _, c := range []struct {
+		name string
+		prog [][]oracleOp
+	}{
+		{"broadcast-before-deadline", [][]oracleOp{parkThenWait, broadcastAt(4)}},
+		{"broadcast-at-deadline", [][]oracleOp{yieldThenPark, broadcastAt(10)}},
+		{"deadline-then-broadcast-same-tick", [][]oracleOp{parkThenWait, broadcastAt(10)}},
+		{"broadcast-after-deadline", [][]oracleOp{parkThenWait, broadcastAt(15)}},
+		{"compacting-crowd", crowd},
+	} {
+		t.Run(c.name, func(t *testing.T) { checkOracle(t, c.prog) })
 	}
 }

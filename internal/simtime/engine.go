@@ -337,6 +337,9 @@ func (e *Engine) deliver(q *Proc) bool {
 		return true
 	}
 	q.w.cont = nil
+	if q.dlSeq != 0 {
+		q.disarm()
+	}
 	for {
 		st := k.Wake()
 		if st.kind == stepResume {

@@ -1,6 +1,9 @@
 package simtime
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Proc is a simulated process. All methods must be called from within the
 // process's own function (the fn passed to Engine.Spawn); they cooperate
@@ -15,20 +18,22 @@ type Proc struct {
 	// own from start until fn has returned, when the dispatcher parks it.
 	w *worker
 
-	done      bool
-	killed    bool // set by Engine.shutdown to abort the process
-	started   bool
+	done    bool
+	killed  bool // set by Engine.shutdown to abort the process
+	started bool
+	// waitIdx is this process's slot in the waiter list of sig, so a
+	// deadline park the timer ends can deregister in O(1) instead of
+	// scanning the list.
+	waitIdx   int32
 	blockedAt WaitSite // current blocking point, formatted only for deadlock reports
 	note      Note     // last successful protocol step, for deadlock reports
 
-	// waitIdx is this process's slot in the waiter list of the signal it
-	// is (or last was) registered on, so a timed-out WaitOnTimeout can
-	// deregister in O(1) instead of scanning the list.
-	waitIdx int
-	// dlAt and dlSeq key the queued deadline of a pending WaitOnTimeout;
-	// dlSeq is zero when there is none (sequence numbers start at 1).
+	// dlAt and dlSeq key the queued deadline of a pending deadline park
+	// on sig; dlSeq is zero when there is none (sequence numbers start
+	// at 1).
 	dlAt  Time
 	dlSeq uint64
+	sig   *Signal
 }
 
 // killSentinel is the panic value used to unwind force-terminated
@@ -148,41 +153,37 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // virtual time of the Signal call. The site appears in deadlock
 // diagnostics, formatted only if a report is rendered.
 func (p *Proc) WaitOn(s *Signal, site WaitSite) {
-	p.Park(s, site)
+	p.Park(s, site, Never)
 	p.block()
 }
 
 // WaitOnTimeout blocks the process until s is signaled or d ticks elapse,
 // whichever comes first. It reports true if the signal fired, false on
-// timeout. Exactly one wake-up stays queued: a Broadcast before the
-// deadline cancels it, one at the deadline tick finds it due first and
-// keeps it, and one after it finds the process no longer registered.
+// timeout. It is a deadline park (see Park) run as process code.
 func (p *Proc) WaitOnTimeout(s *Signal, d Duration, site WaitSite) bool {
-	if d < 0 {
-		d = 0
-	}
-	p.dlAt = p.eng.now + d
-	p.eng.schedule(p, p.dlAt)
-	p.dlSeq = p.eng.seq
-	p.waitIdx = len(s.waiters)
-	s.waiters = append(s.waiters, p)
-	p.blockedAt = site
+	p.Park(s, site, p.eng.now+max(d, 0))
 	p.block()
-	p.dlSeq = 0
-	// Broadcast empties the waiter list; if our slot still holds us, the
-	// timer won the race and we must deregister. Clearing the slot (not
-	// splicing) keeps every other waiter's recorded index valid, so
-	// deregistration is O(1); Broadcast skips the hole.
-	if p.waitIdx < len(s.waiters) && s.waiters[p.waitIdx] == p {
-		s.waiters[p.waitIdx] = nil
-		s.holes++
-		// Without an eventual Broadcast the hole-ridden list would grow
-		// without bound under repeated timeouts; compact (preserving
-		// order, so wake order is unchanged) once holes dominate.
-		if s.holes > len(s.waiters)/2 && len(s.waiters) >= 16 {
-			s.compact()
-		}
+	return !p.disarm()
+}
+
+// disarm ends a deadline park at the process's wake-up and reports
+// whether the deadline won. Broadcast empties the waiter list; if p's
+// slot still holds p, the timer won the race and p must deregister.
+// Clearing the slot (not splicing) keeps every other waiter's recorded
+// index valid, so deregistration is O(1); Broadcast skips the hole.
+func (p *Proc) disarm() bool {
+	s := p.sig
+	p.dlSeq, p.sig = 0, nil
+	if int(p.waitIdx) >= len(s.waiters) || s.waiters[p.waitIdx] != p {
 		return false
+	}
+	s.waiters[p.waitIdx] = nil
+	s.holes++
+	// Without an eventual Broadcast the hole-ridden list would grow
+	// without bound under repeated timeouts; compact (preserving order,
+	// so wake order is unchanged) once holes dominate.
+	if s.holes > len(s.waiters)/2 && len(s.waiters) >= 16 {
+		s.compact()
 	}
 	return true
 }
@@ -229,10 +230,24 @@ func SleepThenResume(d Duration) Step { return Step{d: d, kind: stepSleepResume}
 // continuation again.
 func SleepThenWake(d Duration) Step { return Step{d: d, kind: stepSleepWake} }
 
-// Park registers the process on s, exactly as WaitOn does, and returns
-// the step that leaves it there: at the wake-up of s's next Broadcast the
-// continuation runs again. The site names the wait in deadlock reports.
-func (p *Proc) Park(s *Signal, site WaitSite) Step {
+// Never is the deadline of a park that only a Broadcast ends.
+const Never Time = math.MaxInt64
+
+// Park registers the process on s and returns the step that leaves it
+// there: the continuation runs again at the wake-up of s's next
+// Broadcast or at deadline, whichever comes first (Never: only the
+// Broadcast). The deadline is queued here, so its (at, seq) is fixed at
+// the park. Exactly one wake-up stays queued: a Broadcast before the
+// deadline cancels it, one at the deadline tick finds it due first and
+// keeps it, and one after it finds the process no longer registered,
+// because a timer that wins deregisters the process before the
+// continuation runs (disarm). The site names the wait in deadlock
+// reports.
+func (p *Proc) Park(s *Signal, site WaitSite, deadline Time) Step {
+	if deadline != Never {
+		p.eng.schedule(p, deadline)
+		p.dlAt, p.dlSeq, p.sig, p.waitIdx = deadline, p.eng.seq, s, int32(len(s.waiters))
+	}
 	s.waiters = append(s.waiters, p)
 	p.blockedAt = site
 	return Step{kind: stepParked}
@@ -264,6 +279,9 @@ func (p *Proc) Continue(k Cont, st Step) {
 			return // another stack ran k up to the step that resumed p
 		}
 		p.w.cont = nil // popped its own wake-up: k runs here
+		if p.dlSeq != 0 {
+			p.disarm()
+		}
 		st = k.Wake()
 	}
 }
@@ -279,7 +297,7 @@ func (p *Proc) SetNote(n Note) { p.note = n }
 // and are all released by Broadcast. The zero value is ready to use.
 type Signal struct {
 	// waiters lists the blocked processes in registration order. A nil
-	// entry is a hole left by a timed-out WaitOnTimeout (see holes).
+	// entry is a hole left by a deadline park the timer ended (see holes).
 	waiters []*Proc
 	// holes counts nil entries in waiters, so Waiters stays O(1).
 	holes int
@@ -289,8 +307,8 @@ type Signal struct {
 // virtual time. It must be called from within a running process or before
 // Run starts. Waiters resume in the order they began waiting.
 //
-// A waiter keeps one queued wake-up: its WaitOnTimeout deadline, if due
-// now, already sorts first and stays; a later one is cancelled. A process
+// A waiter keeps one queued wake-up: its park's deadline, if due now,
+// already sorts first and stays; a later one is cancelled. A process
 // killed by Engine.shutdown while waiting is skipped.
 func (s *Signal) Broadcast(eng *Engine) {
 	for i, w := range s.waiters {
@@ -316,7 +334,7 @@ func (s *Signal) compact() {
 	w := s.waiters[:0]
 	for _, q := range s.waiters {
 		if q != nil {
-			q.waitIdx = len(w)
+			q.waitIdx = int32(len(w))
 			w = append(w, q)
 		}
 	}

@@ -21,11 +21,9 @@ const (
 	WaitNone WaitKind = iota
 	// WaitGeneric renders the static Label verbatim.
 	WaitGeneric
-	// WaitFlagEq: core Core blocked until MPB flag at Off equals Want.
+	// WaitFlagEq: core Core blocked until MPB flag at Off equals Want
+	// (the first of the values the wait accepts).
 	WaitFlagEq
-	// WaitFlagPred: core Core blocked until the flag at Off matches a
-	// predicate (the hardened protocol's sequence-valued waits).
-	WaitFlagPred
 	// WaitFlagsAny: core Core blocked on Want flags at once, the first
 	// of which lives at Off.
 	WaitFlagsAny
@@ -41,8 +39,9 @@ type WaitSite struct {
 	Core int32
 	// Off is the MPB flag offset being watched.
 	Off int32
-	// Want is the expected flag value (WaitFlagEq) or the number of
-	// watched flags (WaitFlagsAny).
+	// Want is the expected flag value (WaitFlagEq; of a wait that
+	// accepts two values, the first) or the number of watched flags
+	// (WaitFlagsAny).
 	Want int32
 	// Label is a static description for WaitGeneric sites. It must be a
 	// constant or long-lived string; building it dynamically would
@@ -62,8 +61,6 @@ func (s WaitSite) String() string {
 		return s.Label
 	case WaitFlagEq:
 		return fmt.Sprintf("core%02d flag@%d==%d", s.Core, s.Off, s.Want)
-	case WaitFlagPred:
-		return fmt.Sprintf("core%02d flag@%d match", s.Core, s.Off)
 	case WaitFlagsAny:
 		return fmt.Sprintf("core%02d any-flag (%d flags, first@%d)", s.Core, s.Want, s.Off)
 	default:
