@@ -13,22 +13,38 @@ import (
 	"scc/internal/core"
 )
 
+// raceEnabled is set by race_on_test.go.
+var raceEnabled bool
+
 // TestCommittedResultsRegenerate holds results/README.md to its promise
-// for the erratum ablation: the command named there reproduces
-// results/ablation_bugfixed.txt bit for bit.
+// for the erratum ablation and the Fig. 9(f) plot: the commands named
+// there reproduce results/ablation_bugfixed.txt and
+// results/fig9f_plot.txt bit for bit.
 func TestCommittedResultsRegenerate(t *testing.T) {
-	const file = "../../results/ablation_bugfixed.txt"
-	args := []string{"-op", "allreduce", "-bugfixed", "-lo", "540", "-hi", "560", "-step", "4"}
-	want, err := os.ReadFile(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	if err := run(args, &got); err != nil {
-		t.Fatalf("sccbench %v: %v", args, err)
-	}
-	if d := bench.FirstDiff(want, got.Bytes()); d != "" {
-		t.Fatalf("sccbench %v no longer regenerates %s; first difference at %s", args, file, d)
+	for _, c := range []struct {
+		file string
+		args []string
+		slow bool // skipped under the race detector
+	}{
+		{"../../results/ablation_bugfixed.txt", []string{"-op", "allreduce", "-bugfixed", "-lo", "540", "-hi", "560", "-step", "4"}, false},
+		{"../../results/fig9f_plot.txt", []string{"-op", "allreduce", "-step", "5", "-plot"}, true},
+	} {
+		t.Run(filepath.Base(c.file), func(t *testing.T) {
+			if c.slow && raceEnabled {
+				t.Skip("the full sweep takes minutes under the race detector")
+			}
+			want, err := os.ReadFile(c.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			if err := run(c.args, &got); err != nil {
+				t.Fatalf("sccbench %v: %v", c.args, err)
+			}
+			if d := bench.FirstDiff(want, got.Bytes()); d != "" {
+				t.Fatalf("sccbench %v no longer regenerates %s; first difference at %s", c.args, c.file, d)
+			}
+		})
 	}
 }
 

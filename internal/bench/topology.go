@@ -92,9 +92,7 @@ func MeasureHier(model *timing.Model, chips int, intra string, op Op, n, reps in
 	pr := program{
 		model: model, chips: chips, reps: reps, op: op, n: n,
 		ctx: func(sys *fabric.System, chip int, ue *rcce.UE) (*core.Ctx, error) {
-			return core.NewCtxWith(ue, cfg, core.CtxOpts{Fabric: &core.Fabric{
-				Port: sys.Port(chip), Chip: chip, Chips: chips,
-			}})
+			return core.NewCtxWith(ue, cfg, core.CtxOpts{Port: sys.Port(chip)})
 		},
 	}
 	lat, err := pr.run()

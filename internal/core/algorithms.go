@@ -33,7 +33,7 @@ func (ringAlg) Allreduce(x *Ctx, src, dst scc.Addr, n int, op Op) error {
 	blocks := x.partitionFor(n, p, x.cfg.Balanced)
 	// Reduce-scatter phase, with my block landing directly in dst.
 	x.ensureScratch(maxBlockLen(blocks))
-	if _, err := x.ReduceScatter(src, dst+scc.Addr(8*blocks[me].Off), n, op); err != nil {
+	if _, err := x.reduceScatterBody(src, dst+scc.Addr(8*blocks[me].Off), n, op); err != nil {
 		return err
 	}
 	// Allgather phase over the same partition.
@@ -63,7 +63,7 @@ func (ringAlg) Reduce(x *Ctx, root int, src, dst scc.Addr, n int, op Op) error {
 		x.ensureScratch(maxBlockLen(blocks))
 		blockDst = x.curAddr // reduced block staged in scratch
 	}
-	if _, err := x.ReduceScatter(src, blockDst, n, op); err != nil {
+	if _, err := x.reduceScatterBody(src, blockDst, n, op); err != nil {
 		return err
 	}
 	// Gather phase: everyone ships its block to the root.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"scc/internal/fabric"
 	"scc/internal/rcce"
 	"scc/internal/scc"
 )
@@ -123,11 +124,10 @@ type Ctx struct {
 	// detection/vote/reconfigure/re-execute loop of selfheal.go.
 	healer *Healer
 
-	// fab, when non-nil with Chips > 1, makes Allreduce/Broadcast/
-	// Barrier span a multi-chip system through the hierarchical
-	// composition (see hier.go); hierInner caches its chip-local
-	// sub-context.
-	fab       *Fabric
+	// port, when non-nil, makes Allreduce/Broadcast/Barrier span a
+	// multi-chip system through the hierarchical composition (see
+	// hier.go); hierInner caches its chip-local sub-context.
+	port      *fabric.Port
 	hierInner *Ctx
 
 	// scratch private-memory vectors for ring partials, sized lazily.
@@ -177,9 +177,11 @@ type CtxOpts struct {
 	// failure-aware mode: typically Survivors of the dead set). The UE
 	// must be a member.
 	Group *Group
-	// Fabric places the core in a multi-chip system; nil or a single
-	// chip is the plain chip.
-	Fabric *Fabric
+	// Port is the chip's endpoint in a multi-chip fabric.System; nil is
+	// the plain chip (a 1-chip system has no ports). A multi-chip
+	// context does not self-heal: Port excludes Healer and
+	// cfg.SelfHeal.
+	Port *fabric.Port
 	// Healer is a persistent self-healing state machine (the façade
 	// keeps one per core across Runs: the first wait that gave up on a
 	// peer, the agreed member set and the epoch survive a Run
@@ -192,17 +194,12 @@ type CtxOpts struct {
 // NewCtxWith is the one constructor: every context — full chip, group,
 // fabric-placed, healing — is built here. It returns ErrInvalid for an
 // unknown transport kind, a group the UE is not a member of and a
-// malformed fabric placement, and ErrEvicted for a core the persistent
-// healer's last agreement excluded.
+// fabric port combined with self-healing, and ErrEvicted for a core the
+// persistent healer's last agreement excluded.
 func NewCtxWith(ue *rcce.UE, cfg Config, o CtxOpts) (*Ctx, error) {
-	g, f, h := o.Group, o.Fabric, o.Healer
-	switch {
-	case f == nil || f.Chips <= 1:
-		f = nil
-	case f.Port == nil:
-		return nil, fmt.Errorf("core: %w: fabric context needs a port", ErrInvalid)
-	case f.Chip < 0 || f.Chip >= f.Chips:
-		return nil, fmt.Errorf("core: %w: chip %d outside [0,%d)", ErrInvalid, f.Chip, f.Chips)
+	g, h := o.Group, o.Healer
+	if o.Port != nil && (h != nil || cfg.SelfHeal != nil) {
+		return nil, fmt.Errorf("core: %w: a multi-chip context does not self-heal", ErrInvalid)
 	}
 	if h != nil {
 		if h.evicted != nil {
@@ -221,7 +218,7 @@ func NewCtxWith(ue *rcce.UE, cfg Config, o CtxOpts) (*Ctx, error) {
 		return nil, fmt.Errorf("core: %w: core %d is not a member of the group", ErrInvalid, ue.ID())
 	}
 	cfg = cfg.withSelfHealDefaults()
-	x := &Ctx{ue: ue, cfg: cfg, grp: g, fab: f, healer: h, scratchLen: -1}
+	x := &Ctx{ue: ue, cfg: cfg, grp: g, port: o.Port, healer: h, scratchLen: -1}
 	var err error
 	if x.ep, err = newEndpoint(ue, cfg, x); err != nil {
 		return nil, err

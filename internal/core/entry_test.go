@@ -31,11 +31,11 @@ func TestEveryChipLocalCollectiveRefusesAFabric(t *testing.T) {
 	}
 	for ci := 0; ci < chips; ci++ {
 		comm := rcce.NewComm(sys.Chips[ci])
-		f := &Fabric{Port: sys.Port(ci), Chip: ci, Chips: chips}
+		f := sys.Port(ci)
 		sys.Chips[ci].Launch(func(c *scc.Core) {
-			x, err := NewCtxWith(comm.UE(c.ID), ConfigBalanced, CtxOpts{Fabric: f})
+			x, err := NewCtxWith(comm.UE(c.ID), ConfigBalanced, CtxOpts{Port: f})
 			if err != nil {
-				t.Errorf("chip %d core %d: %v", f.Chip, c.ID, err)
+				t.Errorf("chip %d core %d: %v", f.Chip(), c.ID, err)
 				return
 			}
 			src, dst := c.AllocF64(np), c.AllocF64(np)
@@ -55,15 +55,15 @@ func TestEveryChipLocalCollectiveRefusesAFabric(t *testing.T) {
 				"ReduceScatter": rsErr,
 			} {
 				if !errors.Is(err, ErrCrossChip) {
-					t.Errorf("chip %d core %d: %s = %v, want ErrCrossChip", f.Chip, c.ID, name, err)
+					t.Errorf("chip %d core %d: %s = %v, want ErrCrossChip", f.Chip(), c.ID, name, err)
 				}
 			}
 			if c.Now() != t0 {
-				t.Errorf("chip %d core %d: refused collectives took %d ticks", f.Chip, c.ID, c.Now()-t0)
+				t.Errorf("chip %d core %d: refused collectives took %d ticks", f.Chip(), c.ID, c.Now()-t0)
 			}
 			// The three that do span chips still run.
 			if err := x.Allreduce(src, dst, 1, Sum); err != nil {
-				t.Errorf("chip %d core %d: Allreduce: %v", f.Chip, c.ID, err)
+				t.Errorf("chip %d core %d: Allreduce: %v", f.Chip(), c.ID, err)
 			}
 		})
 	}
@@ -210,5 +210,28 @@ func TestAllgatherVHealsAroundADeadCore(t *testing.T) {
 			t.Fatalf("survivor %d: np=%d report=%+v (core 0 epoch %d)", id, sizes[id], r, reps[0].Epoch)
 		}
 		checkBlocks("survivor", out[id], victim)
+	}
+}
+
+// TestNewCtxWithRefusesHealingOnAFabric: a multi-chip context never
+// self-heals, so a fabric port together with a self-healing policy or a
+// persistent healer is ErrInvalid, not a context whose composition would
+// nest one healed collective in another.
+func TestNewCtxWithRefusesHealingOnAFabric(t *testing.T) {
+	sys := fabric.New(timing.Topology(1, 2, 2), 2)
+	ue := rcce.NewComm(sys.Chips[0]).UE(0)
+	pol := DefaultHealPolicy()
+	heal := ConfigBalanced
+	heal.SelfHeal = &pol
+	for name, c := range map[string]struct {
+		cfg Config
+		o   CtxOpts
+	}{
+		"SelfHeal": {heal, CtxOpts{Port: sys.Port(0)}},
+		"Healer":   {ConfigBalanced, CtxOpts{Port: sys.Port(0), Healer: NewHealer(ue, pol)}},
+	} {
+		if x, err := NewCtxWith(ue, c.cfg, c.o); !errors.Is(err, ErrInvalid) {
+			t.Errorf("%s with a fabric port: NewCtxWith = %v, %v; want ErrInvalid", name, x, err)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"scc/internal/fabric"
 	"scc/internal/scc"
 )
 
@@ -16,15 +15,6 @@ import (
 // entry; the context's selector picks the intra-chip phases, and trace
 // spans and metrics breakdowns label the whole call "hier".
 
-// Fabric describes a context's place in a multi-chip fabric.System.
-// The same value is shared by every core of one chip.
-type Fabric struct {
-	// Port is the chip's fabric endpoint.
-	Port *fabric.Port
-	// Chip is this chip's index, Chips the system size.
-	Chip, Chips int
-}
-
 // ErrCrossChip marks collectives with no hierarchical implementation:
 // on a multi-chip context only Allreduce, Broadcast and Barrier span
 // chips; the rest return this typed error instead of silently running
@@ -32,25 +22,26 @@ type Fabric struct {
 var ErrCrossChip = fmt.Errorf("%w: collective does not span chips", ErrInvalid)
 
 // MultiChip reports whether collectives on this context must span chips
-// (see Fabric); single-chip algorithms are not applicable then.
-func (x *Ctx) MultiChip() bool { return x.fab != nil && x.fab.Chips > 1 }
+// (it has a fabric port, see CtxOpts.Port); single-chip algorithms are
+// not applicable then.
+func (x *Ctx) MultiChip() bool { return x.port != nil }
 
 // GlobalNP returns the system-wide rank count (all chips).
 func (x *Ctx) GlobalNP() int {
 	if x.MultiChip() {
-		return x.fab.Chips * x.ue.NumUEs()
+		return x.port.NumChips() * x.ue.NumUEs()
 	}
 	return x.NP()
 }
 
 // inner returns the chip-local sub-context the intra-chip phases run
-// on: same UE, transport, healer and selector, no fabric. Built once
+// on: same UE, transport and selector, no fabric port. Built once
 // per Ctx and cached, with a partition memo and ring vectors of its
 // own.
 func (x *Ctx) inner() *Ctx {
 	if x.hierInner == nil {
 		in := *x
-		in.fab = nil
+		in.port = nil
 		in.partBuf = nil
 		in.partN, in.partP, in.partBal = 0, 0, false
 		in.scratchLen = -1
@@ -68,25 +59,25 @@ func (x *Ctx) inner() *Ctx {
 // barrier's token exchange: nothing is read, reduced or written, and op
 // is never called.
 func (x *Ctx) gatewayExchange(dst scc.Addr, n int, op Op) {
-	f := x.fab
+	f := x.port
 	core := x.ue.Core()
 	v := core.ScratchF64(0, n)
 	core.ReadF64s(dst, v)
-	if f.Chip == 0 {
+	if f.Chip() == 0 {
 		r := core.ScratchF64(1, n)
-		for c := 1; c < f.Chips; c++ {
-			f.Port.Recv(core, c, r)
+		for c := 1; c < f.NumChips(); c++ {
+			f.Recv(core, c, r)
 			core.ComputeCycles(core.Chip().Model.ReducePerElementCoreCycles * int64(n))
 			for i := range v {
 				v[i] = op(v[i], r[i])
 			}
 		}
-		for c := 1; c < f.Chips; c++ {
-			f.Port.Send(core, c, v)
+		for c := 1; c < f.NumChips(); c++ {
+			f.Send(core, c, v)
 		}
 	} else {
-		f.Port.Send(core, 0, v)
-		f.Port.Recv(core, 0, v)
+		f.Send(core, 0, v)
+		f.Recv(core, 0, v)
 	}
 	core.WriteF64s(dst, v)
 }
@@ -116,21 +107,21 @@ func (x *Ctx) hierAllreduce(src, dst scc.Addr, n int, op Op) error {
 // root: the root's chip broadcasts inside, its gateway sends the vector
 // to every other gateway, and each of those broadcasts inside its chip.
 func (x *Ctx) hierBroadcast(root int, addr scc.Addr, n int) error {
-	f := x.fab
+	f := x.port
 	in := x.inner()
 	perChip := x.ue.NumUEs()
 	rootChip, localRoot := root/perChip, root%perChip
 	core := x.ue.Core()
-	if f.Chip == rootChip {
+	if f.Chip() == rootChip {
 		if err := in.Broadcast(localRoot, addr, n); err != nil {
 			return err
 		}
 		if x.ue.ID() == 0 {
 			v := core.ScratchF64(0, n)
 			core.ReadF64s(addr, v)
-			for c := 0; c < f.Chips; c++ {
-				if c != f.Chip {
-					f.Port.Send(core, c, v)
+			for c := 0; c < f.NumChips(); c++ {
+				if c != f.Chip() {
+					f.Send(core, c, v)
 				}
 			}
 		}
@@ -138,7 +129,7 @@ func (x *Ctx) hierBroadcast(root int, addr scc.Addr, n int) error {
 	}
 	if x.ue.ID() == 0 {
 		v := core.ScratchF64(0, n)
-		f.Port.Recv(core, rootChip, v)
+		f.Recv(core, rootChip, v)
 		core.WriteF64s(addr, v)
 	}
 	return in.Broadcast(0, addr, n)

@@ -33,7 +33,7 @@ func hierBarrierExits(t *testing.T, model *timing.Model, chips int) []string {
 	exits := make([][3]int64, chips*perChip)
 	sys.Launch(func(ci int, c *scc.Core) {
 		x, err := NewCtxWith(sys.Comms[ci].UE(c.ID), ConfigBalanced,
-			CtxOpts{Fabric: &Fabric{Port: sys.Port(ci), Chip: ci, Chips: chips}})
+			CtxOpts{Port: sys.Port(ci)})
 		if err != nil {
 			t.Errorf("chip %d core %d: %v", ci, c.ID, err)
 			return

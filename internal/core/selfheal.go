@@ -155,7 +155,6 @@ type Healer struct {
 	members []int
 	voteSeq uint32 // vote-token counter within the epoch
 	collSeq uint32 // wrapped-collective call counter (bound into vote tokens)
-	active  bool   // reentrancy guard: algorithms call wrapped collectives
 	// evicted is the verdict of the agreement that excluded this core. It
 	// is final: every later collective, and every later context built on
 	// this healer, gets it back instead of timing out against a group
@@ -310,19 +309,15 @@ func (h *Healer) quorum(oldSize int) int { return oldSize/2 + 1 }
 // run executes body under the self-healing loop: every outermost call
 // votes on its outcome, and anything short of unanimous success leads
 // the members to agree on a survivor view, adopt a fresh epoch and
-// re-execute. Nested collective calls (ring allreduce calls
-// ReduceScatter, linear allreduce calls Reduce) pass through unwrapped —
-// only the outermost call heals.
+// re-execute. No collective of a self-healing context nests another:
+// algorithm bodies call bodies, not public collectives, and the one
+// composition that does (the multi-chip one) never self-heals (see
+// NewCtxWith).
 func (h *Healer) run(x *Ctx, body func() error) error {
-	if h.active {
-		return body()
-	}
 	if h.evicted != nil {
 		return h.evicted
 	}
-	h.active = true
 	h.collSeq++
-	defer func() { h.active = false }()
 
 	var err error
 	for round := 0; ; round++ {

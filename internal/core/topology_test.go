@@ -88,9 +88,7 @@ func hierRun(t *testing.T, model *timing.Model, chips int, intra string, k OpKin
 		port := sys.Port(ci)
 		sys.Chips[ci].Launch(func(c *scc.Core) {
 			gid := ci*perChip + c.ID
-			x, err := NewCtxWith(comm.UE(c.ID), cfg, CtxOpts{Fabric: &Fabric{
-				Port: port, Chip: ci, Chips: chips,
-			}})
+			x, err := NewCtxWith(comm.UE(c.ID), cfg, CtxOpts{Port: port})
 			if err != nil {
 				t.Errorf("chip %d core %d: NewCtxWith: %v", ci, c.ID, err)
 				return
@@ -205,9 +203,7 @@ func TestHierarchicalBarrierAndCrossChipTyped(t *testing.T) {
 		comm := rcce.NewComm(sys.Chips[ci])
 		port := sys.Port(ci)
 		sys.Chips[ci].Launch(func(c *scc.Core) {
-			x, err := NewCtxWith(comm.UE(c.ID), ConfigBalanced, CtxOpts{Fabric: &Fabric{
-				Port: port, Chip: ci, Chips: chips,
-			}})
+			x, err := NewCtxWith(comm.UE(c.ID), ConfigBalanced, CtxOpts{Port: port})
 			if err != nil {
 				t.Errorf("chip %d core %d: %v", ci, c.ID, err)
 				return

@@ -383,7 +383,7 @@ type stepMode uint8
 
 const (
 	modeRead    stepMode = 1 << iota // the access being priced is a read (every probe is)
-	modeAny                          // a wait on a flag list (its deadlock site kind)
+	modeAny                          // a wait on a flag list (how String names it)
 	modeBlocked                      // the wait has parked at least once
 )
 
@@ -392,6 +392,17 @@ const (
 type steps Core
 
 func (k *steps) Wake() simtime.Step { return (*Core)(k).wake() }
+
+// String names the flag wait a core is parked in, for the engine's
+// deadlock report. A list wait's watched-flag count and first offset
+// stand in for the full list.
+func (k *steps) String() string {
+	c := (*Core)(k)
+	if c.mode&modeAny != 0 {
+		return fmt.Sprintf("core%02d any-flag (%d flags, first@%d)", c.ID, len(c.watch), c.watch[0].Off())
+	}
+	return fmt.Sprintf("core%02d flag@%d==%d", c.ID, c.watch[0].Off(), byte(c.watch[0]>>8))
+}
 
 // wake runs the machine's next step.
 func (c *Core) wake() simtime.Step {

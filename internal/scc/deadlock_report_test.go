@@ -59,3 +59,19 @@ func TestDeadlockReportGolden(t *testing.T) {
 		t.Errorf("the engine parked core 0 after %d switches (%d without), want 2: one to each core", h, f)
 	}
 }
+
+// TestDeadlockReportNamesFarFlag: on a 100x100 mesh the last core's MPB
+// flag sits past 2^31, and the report must print its offset unwrapped.
+func TestDeadlockReportNamesFarFlag(t *testing.T) {
+	chip := New(timing.Topology(100, 100, 1))
+	defer chip.Release()
+	off := chip.MPBBase(9999) + 7
+	chip.LaunchOne(9999, func(c *Core) { c.WaitFlag(off, 1) })
+	err := chip.Run()
+	if err == nil {
+		t.Fatal("expected a deadlock error")
+	}
+	if want := "core9999 (waiting: core9999 flag@3358384135==1)"; !strings.Contains(err.Error(), want) {
+		t.Errorf("deadlock report missing %q:\n%v", want, err)
+	}
+}

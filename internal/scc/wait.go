@@ -21,9 +21,11 @@ import (
 // a core is one simulated process, so it is in at most one wait at a
 // time and the first write to any watched flag wakes it exactly once
 // (Broadcast empties the signal; later writes find it empty, and a
-// deadline that wins deregisters the core). A process the engine kills
-// while parked (shutdown after a deadlock) never unparks; its stale
-// entry costs a later write one Broadcast that wakes nobody.
+// deadline that wins splices the core out). A deadlock report names
+// the wait through the parked step machine (steps.String in core.go),
+// not the engine. A process the engine kills while parked (shutdown
+// after a deadlock) never unparks; its stale entry costs a later write
+// one Broadcast that wakes nobody.
 
 // Flag is one MPB flag byte a wait watches and the one or two values
 // that end the wait on it: the offset above the two bytes in one word,
@@ -78,17 +80,6 @@ func (c *Core) WaitFlagsMatch(flags []Flag, limit simtime.Duration) (int, byte, 
 		return -1, 0, false
 	}
 	return i, v, true
-}
-
-// site describes the wait in progress as a blocking point. A list
-// wait's watched-flag count and first offset stand in for the full
-// list, which cannot be stored without allocating.
-func (c *Core) site() simtime.WaitSite {
-	f := c.watch[0]
-	if c.mode&modeAny != 0 {
-		return simtime.WaitSite{Kind: simtime.WaitFlagsAny, Core: int32(c.ID), Off: int32(f.Off()), Want: int32(len(c.watch))}
-	}
-	return simtime.WaitSite{Kind: simtime.WaitFlagEq, Core: int32(c.ID), Off: int32(f.Off()), Want: int32(byte(f >> 8))}
 }
 
 // wait runs the wait on flags in mode (modeAny: a list wait), bounded by
@@ -157,7 +148,7 @@ func (c *Core) miss() simtime.Step {
 	c.mode |= modeBlocked
 	c.park()
 	c.step = stepUnpark
-	return c.proc.Park(&c.sig, c.site(), c.deadline)
+	return c.proc.Park(&c.sig, c.deadline)
 }
 
 // endWait accounts the wait interval that began at begin: it always

@@ -88,9 +88,9 @@ func (k *chainCont) Wake() Step {
 		case 's':
 			return SleepThenWake(s.d)
 		case 'w':
-			return k.p.Park(&k.sigs[s.sig], oracleSites[s.sig], Never)
+			return k.p.Park(&k.sigs[s.sig], Never)
 		case 't':
-			return k.p.Park(&k.sigs[s.sig], oracleSites[s.sig], k.p.Now()+s.d)
+			return k.p.Park(&k.sigs[s.sig], k.p.Now()+s.d)
 		case 'b':
 			k.sigs[s.sig].Broadcast(k.p.Engine())
 		}
@@ -101,6 +101,11 @@ func (k *chainCont) Wake() Step {
 	}
 	return Resume()
 }
+
+// String names the chain's park in deadlock reports with the label its
+// process-code twin passes to WaitOn: a chain is only ever reported
+// stuck right after its park step.
+func (k *chainCont) String() string { return oracleSites[k.ch.chain[k.next-1].sig].Label }
 
 // runOracleProgram runs prog, its chains as process code or as
 // continuations, and returns the trace, the error's report and the
@@ -238,9 +243,8 @@ func TestContinuationParksAcrossStacks(t *testing.T) {
 // tick and after it (the timer deregistered the process, so the
 // Broadcast wakes nobody), each followed by a plain wait the next
 // Broadcast ends and one that deadlocks; and twenty processes timing
-// out on one signal over and over, which compacts its waiter list (16
-// or more entries, holes the majority) before a last Broadcast wakes
-// the one long waiter.
+// out on one signal over and over, each timeout splicing its waiter out
+// of a crowded list, before a last Broadcast wakes the one long waiter.
 func TestDeadlineParkMatchesWaitOnTimeout(t *testing.T) {
 	parkThenWait := []oracleOp{
 		{kind: 'c', chain: []oracleOp{{kind: 't', sig: 0, d: 10}, {kind: 's', d: 10}}, fin: -1},

@@ -450,11 +450,15 @@ func (e *Engine) deadlockError() error {
 	var stuck []string
 	for _, p := range e.active {
 		if !p.done {
-			// The sites and notes were recorded as raw integers on the hot
-			// path; this is the one place they are actually formatted.
-			where := "unknown"
-			if p.blockedAt.Kind != WaitNone {
-				where = p.blockedAt.String()
+			// A parked continuation describes its own wait; process code
+			// left a static label. Notes were recorded as raw integers on
+			// the hot path; this is the one place they are formatted.
+			where := p.blockedAt.Label
+			if k, ok := p.w.cont.(fmt.Stringer); ok {
+				where = k.String()
+			}
+			if where == "" {
+				where = "unknown"
 			}
 			if !p.note.IsZero() {
 				stuck = append(stuck, fmt.Sprintf("%s (waiting: %s; last step: %s)", p.name, where, p.note.String()))

@@ -80,9 +80,10 @@ func BenchmarkSameProcFastPath(b *testing.B) {
 
 // BenchmarkTimeoutManyWaiters measures WaitOnTimeout's loser
 // deregistration under a crowded signal: 512 waiters all time out every
-// round, so each op is one register + one timed-out deregistration. With
-// the seed's linear scan-and-splice this was O(waiters) per op; the
-// recorded-index scheme is O(1) amortized.
+// round, so each op is one register + one timed-out deregistration,
+// which scans and splices the list: O(waiters) per op. This is the
+// worst case, not the common one: every deadline park of a simulated
+// chip is a core alone on its own signal.
 func BenchmarkTimeoutManyWaiters(b *testing.B) {
 	b.ReportAllocs()
 	const waiters = 512

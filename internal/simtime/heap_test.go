@@ -178,10 +178,12 @@ func TestEventQueueDeepMatchesContainerHeap(t *testing.T) {
 }
 
 // TestProcFitsItsSizeClass pins the footprint one simulated core pays:
-// a Proc, deadline key included, stays in the 160-byte size class (a
-// 10,000-core chip allocates one per core), and an event is 24 bytes.
+// a Proc, deadline key included, stays in the 144-byte size class (a
+// 10,000-core chip allocates one per core), its wait site is one label,
+// and an event is 24 bytes.
 func TestProcFitsItsSizeClass(t *testing.T) {
-	if p, e := unsafe.Sizeof(Proc{}), unsafe.Sizeof(event{}); p > 160 || e != 24 {
-		t.Fatalf("sizeof Proc = %d B (want <= 160), event = %d B (want 24)", p, e)
+	p, w, e := unsafe.Sizeof(Proc{}), unsafe.Sizeof(WaitSite{}), unsafe.Sizeof(event{})
+	if p > 144 || w != 16 || e != 24 {
+		t.Fatalf("sizeof Proc = %d B (want <= 144), WaitSite = %d B (want 16), event = %d B (want 24)", p, w, e)
 	}
 }

@@ -3,6 +3,7 @@ package simtime
 import (
 	"errors"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -157,6 +158,29 @@ func TestTimeoutDeregistrationClearsSlotAndCompacts(t *testing.T) {
 		if w != nil {
 			t.Fatalf("backing array slot %d still holds %q", i, w.Name())
 		}
+	}
+}
+
+// A process that times out on one signal over and over leaves it with
+// no waiter after each timeout: the splice empties the list instead of
+// leaving holes that grow it until a compaction.
+func TestRepeatedTimeoutLeavesNoWaiter(t *testing.T) {
+	eng := NewEngine()
+	var sig Signal
+	var left []int
+	eng.Spawn("w", func(p *Proc) {
+		for range 40 {
+			if p.WaitOnTimeout(&sig, 3, Site("alone")) {
+				t.Error("nobody signals, yet the wait did not time out")
+			}
+			left = append(left, len(sig.waiters))
+		}
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if i := slices.IndexFunc(left, func(n int) bool { return n != 0 }); i >= 0 {
+		t.Fatalf("timeout %d left %d entries on the signal, want 0", i, left[i])
 	}
 }
 

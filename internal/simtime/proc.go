@@ -3,6 +3,7 @@ package simtime
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Proc is a simulated process. All methods must be called from within the
@@ -18,14 +19,10 @@ type Proc struct {
 	// own from start until fn has returned, when the dispatcher parks it.
 	w *worker
 
-	done    bool
-	killed  bool // set by Engine.shutdown to abort the process
-	started bool
-	// waitIdx is this process's slot in the waiter list of sig, so a
-	// deadline park the timer ends can deregister in O(1) instead of
-	// scanning the list.
-	waitIdx   int32
-	blockedAt WaitSite // current blocking point, formatted only for deadlock reports
+	done      bool
+	killed    bool // set by Engine.shutdown to abort the process
+	started   bool
+	blockedAt WaitSite // label of the current blocking point, for deadlock reports
 	note      Note     // last successful protocol step, for deadlock reports
 
 	// dlAt and dlSeq key the queued deadline of a pending deadline park
@@ -85,7 +82,7 @@ func (p *Proc) run() {
 
 // block gives up control until the process is woken. The caller must
 // have arranged for a future wake-up (a scheduled event or a signal
-// registration) first, and recorded where it waits in blockedAt. The
+// registration) first, and labelled where it waits in blockedAt. The
 // process pops the next event itself: its own wake-up is the same-proc
 // fast path and costs no switch. Another process's wake-up is delivered
 // on this stack (Engine.deliver): when that process's continuation
@@ -150,41 +147,39 @@ var siteSleep = Site("sleep")
 func (p *Proc) Yield() { p.Sleep(0) }
 
 // WaitOn blocks the process until s is signaled. The process wakes at the
-// virtual time of the Signal call. The site appears in deadlock
-// diagnostics, formatted only if a report is rendered.
+// virtual time of the Signal call. The site's label names the wait in
+// deadlock reports.
 func (p *Proc) WaitOn(s *Signal, site WaitSite) {
-	p.Park(s, site, Never)
+	p.Park(s, Never)
+	p.blockedAt = site
 	p.block()
 }
 
 // WaitOnTimeout blocks the process until s is signaled or d ticks elapse,
 // whichever comes first. It reports true if the signal fired, false on
-// timeout. It is a deadline park (see Park) run as process code.
+// timeout. It is a deadline park (see Park) run as process code, named
+// by the site's label in deadlock reports.
 func (p *Proc) WaitOnTimeout(s *Signal, d Duration, site WaitSite) bool {
-	p.Park(s, site, p.eng.now+max(d, 0))
+	p.Park(s, p.eng.now+max(d, 0))
+	p.blockedAt = site
 	p.block()
 	return !p.disarm()
 }
 
 // disarm ends a deadline park at the process's wake-up and reports
-// whether the deadline won. Broadcast empties the waiter list; if p's
-// slot still holds p, the timer won the race and p must deregister.
-// Clearing the slot (not splicing) keeps every other waiter's recorded
-// index valid, so deregistration is O(1); Broadcast skips the hole.
+// whether the deadline won. Broadcast empties the waiter list; if p is
+// still listed, the timer won the race and p is spliced out, keeping
+// the order of the others and clearing the vacated tail slot. The scan
+// is O(waiters): every deadline park of a simulated chip is a core
+// alone on its own signal.
 func (p *Proc) disarm() bool {
 	s := p.sig
 	p.dlSeq, p.sig = 0, nil
-	if int(p.waitIdx) >= len(s.waiters) || s.waiters[p.waitIdx] != p {
+	i := slices.Index(s.waiters, p)
+	if i < 0 {
 		return false
 	}
-	s.waiters[p.waitIdx] = nil
-	s.holes++
-	// Without an eventual Broadcast the hole-ridden list would grow
-	// without bound under repeated timeouts; compact (preserving order,
-	// so wake order is unchanged) once holes dominate.
-	if s.holes > len(s.waiters)/2 && len(s.waiters) >= 16 {
-		s.compact()
-	}
+	s.waiters = slices.Delete(s.waiters, i, i+1)
 	return true
 }
 
@@ -241,15 +236,14 @@ const Never Time = math.MaxInt64
 // deadline cancels it, one at the deadline tick finds it due first and
 // keeps it, and one after it finds the process no longer registered,
 // because a timer that wins deregisters the process before the
-// continuation runs (disarm). The site names the wait in deadlock
-// reports.
-func (p *Proc) Park(s *Signal, site WaitSite, deadline Time) Step {
+// continuation runs (disarm). Park records no description of the wait
+// (see Engine.deadlockError).
+func (p *Proc) Park(s *Signal, deadline Time) Step {
 	if deadline != Never {
 		p.eng.schedule(p, deadline)
-		p.dlAt, p.dlSeq, p.sig, p.waitIdx = deadline, p.eng.seq, s, int32(len(s.waiters))
+		p.dlAt, p.dlSeq, p.sig = deadline, p.eng.seq, s
 	}
 	s.waiters = append(s.waiters, p)
-	p.blockedAt = site
 	return Step{kind: stepParked}
 }
 
@@ -294,13 +288,10 @@ func (p *Proc) Continue(k Cont, st Step) {
 func (p *Proc) SetNote(n Note) { p.note = n }
 
 // Signal is a broadcast wake-up point: processes block on it with WaitOn
-// and are all released by Broadcast. The zero value is ready to use.
+// or Park and are all released by Broadcast, in registration order. The
+// zero value is ready to use.
 type Signal struct {
-	// waiters lists the blocked processes in registration order. A nil
-	// entry is a hole left by a deadline park the timer ended (see holes).
 	waiters []*Proc
-	// holes counts nil entries in waiters, so Waiters stays O(1).
-	holes int
 }
 
 // Broadcast wakes every process currently waiting on s at the present
@@ -312,7 +303,7 @@ type Signal struct {
 // killed by Engine.shutdown while waiting is skipped.
 func (s *Signal) Broadcast(eng *Engine) {
 	for i, w := range s.waiters {
-		if w != nil && !w.done && (w.dlSeq == 0 || w.dlAt != eng.now) {
+		if !w.done && (w.dlSeq == 0 || w.dlAt != eng.now) {
 			if w.dlSeq != 0 {
 				eng.queue.remove(w.dlAt, w.dlSeq)
 			}
@@ -324,26 +315,7 @@ func (s *Signal) Broadcast(eng *Engine) {
 		s.waiters[i] = nil
 	}
 	s.waiters = s.waiters[:0]
-	s.holes = 0
-}
-
-// compact squeezes the holes out of the waiter list in place, keeping
-// registration order (so Broadcast wake order is unaffected) and fixing
-// up each survivor's recorded index.
-func (s *Signal) compact() {
-	w := s.waiters[:0]
-	for _, q := range s.waiters {
-		if q != nil {
-			q.waitIdx = int32(len(w))
-			w = append(w, q)
-		}
-	}
-	for i := len(w); i < len(s.waiters); i++ {
-		s.waiters[i] = nil
-	}
-	s.waiters = w
-	s.holes = 0
 }
 
 // Waiters reports how many processes are currently blocked on s.
-func (s *Signal) Waiters() int { return len(s.waiters) - s.holes }
+func (s *Signal) Waiters() int { return len(s.waiters) }

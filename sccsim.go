@@ -548,7 +548,7 @@ func (s *System) newRank(ci int, c *scc.Core) *Rank {
 	if s.fab.NumChips() > 1 {
 		// The context carries the chip's fabric port, so Allreduce/
 		// Broadcast/Barrier dispatch to the hierarchical composition.
-		o.Fabric = &core.Fabric{Port: s.fab.Port(ci), Chip: ci, Chips: s.fab.NumChips()}
+		o.Port = s.fab.Port(ci)
 	}
 	if s.healers != nil {
 		o.Healer = s.healers[c.ID] // nil on the first Run: the context makes one
