@@ -50,16 +50,31 @@ func TestFastPathCarriesRealCollectives(t *testing.T) {
 		"lightweight non-blocking, balanced": {145854, 81867, 63987},
 		"MPB-based Allreduce":                {94000, 70791, 23209},
 	}
-	for _, st := range StacksFor(OpAllreduce) {
-		h, f := measureSchedStats(t, OpAllreduce, st, 552)
-		w := want[st.Name]
-		if h+f != w[0] {
-			t.Errorf("allreduce/%s n=552: %d events (handoffs %d + fastpath %d), want %d",
-				st.Name, h+f, h, f, w[0])
-		}
-		if h != w[1] || f != w[2] {
-			t.Errorf("allreduce/%s n=552: handoffs=%d fastpath=%d, want %d and %d",
-				st.Name, h, f, w[1], w[2])
+	// Two Allgather cells: RCKMPI's ring streams every message through
+	// 64-B windows (the cell the Fig. 9 panel spends most host time on),
+	// and blocking RCCE's ring is its chunked counterpart.
+	allgather := map[string][3]uint64{
+		"RCKMPI":   {4666960, 2369308, 2297652},
+		"blocking": {72908, 26868, 46040},
+	}
+	for _, op := range []Op{OpAllreduce, OpAllgather} {
+		for _, st := range StacksFor(op) {
+			w := want[st.Name]
+			if op == OpAllgather {
+				var ok bool
+				if w, ok = allgather[st.Name]; !ok {
+					continue
+				}
+			}
+			h, f := measureSchedStats(t, op, st, 552)
+			if h+f != w[0] {
+				t.Errorf("%s/%s n=552: %d events (handoffs %d + fastpath %d), want %d",
+					op, st.Name, h+f, h, f, w[0])
+			}
+			if h != w[1] || f != w[2] {
+				t.Errorf("%s/%s n=552: handoffs=%d fastpath=%d, want %d and %d",
+					op, st.Name, h, f, w[1], w[2])
+			}
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"scc/internal/core"
 	"scc/internal/metrics"
 	"scc/internal/rcce"
+	"scc/internal/rckmpi"
 	"scc/internal/scc"
 	"scc/internal/simtime"
 	"scc/internal/timing"
@@ -21,6 +22,10 @@ import (
 // access: per (driver, payload, start skew) both cores' finishing
 // ticks, Profiles, put/get/flag counters and RecoveryStats, plus two
 // hardened runs under a lost sent flag and a corrupted chunk.
+//
+// The rckmpi rows were appended before RCKMPI's window channel became a
+// pricing row of the same state machine, so they prove that fold moved
+// nothing either.
 //
 // Rewrite it only when the workload below changes, never to absorb a
 // difference: a run whose cell count disagrees with the file logs every
@@ -87,6 +92,14 @@ var pinDrivers = []struct {
 	}},
 	{"robust-exchange", true, func(ue *rcce.UE, costs rcce.NBCosts, peer int, src, dst scc.Addr, n int) error {
 		return ue.ExchangeRobust(costs, rcce.DefaultPolicy(), peer, src, n, peer, dst, n)
+	}},
+	{"rckmpi", false, func(ue *rcce.UE, _ rcce.NBCosts, peer int, src, dst scc.Addr, n int) error {
+		if l := rckmpi.New(ue); ue.ID() == 0 {
+			l.Send(peer, src, n)
+		} else {
+			l.Recv(peer, dst, n)
+		}
+		return nil
 	}},
 }
 
@@ -159,9 +172,12 @@ func pinCell(t *testing.T, driver, n int, skew string, fault *pinFault) string {
 // accesses recorded in testdata/transfer_pin.txt.
 func TestTransferPin(t *testing.T) {
 	var lines []string
-	for driver := range pinDrivers {
-		for _, n := range []int{0, 8, 40, 6528, 6529, 24000} {
-			for _, skew := range []string{"even", "late0", "late1"} {
+	skews := []string{"even", "late0", "late1"}
+	payloads := []int{0, 8, 40, 6528, 6529, 24000}
+	rck := len(pinDrivers) - 1
+	for driver := range rck {
+		for _, n := range payloads {
+			for _, skew := range skews {
 				lines = append(lines, pinCell(t, driver, n, skew, nil))
 			}
 		}
@@ -170,6 +186,13 @@ func TestTransferPin(t *testing.T) {
 	lines = append(lines,
 		"dropped-sent-flag "+pinCell(t, robust, 6529, "even", &pinFault{drop: true}),
 		"corrupted-chunk "+pinCell(t, robust, 6529, "even", &pinFault{corrupt: true}))
+	// RCKMPI streams through 64-B windows on the 48-core chip: one
+	// window, one byte over it, and the 69 windows of the Fig. 9 size.
+	for _, n := range append(payloads, 64, 65, 4416) {
+		for _, skew := range skews {
+			lines = append(lines, pinCell(t, rck, n, skew, nil))
+		}
+	}
 	raw, err := os.ReadFile(transferPinPath)
 	if err != nil {
 		t.Fatal(err)
