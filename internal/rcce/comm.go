@@ -221,57 +221,110 @@ func (u *UE) chargePartialLine(nBytes int) {
 // memory.
 func (u *UE) Put(privAddr scc.Addr, mpbOff, nBytes int) {
 	m := u.core.Chip().Model
-	reg := u.core.Metrics()
-	var t0 simtime.Time
-	if u.core.Tracing() || reg != nil {
-		t0 = u.core.Now()
-	}
+	t0 := u.clock()
 	u.core.OverheadCycles(m.PutLineCoreCycles * int64(m.Lines(nBytes)))
 	u.core.TouchRead(privAddr, nBytes)
 	u.core.MPBWrite(mpbOff, u.core.PrivBytes(privAddr, nBytes))
-	if u.core.Tracing() {
-		u.core.RecordSpan("put", t0, u.core.Now())
-	}
-	if reg != nil {
-		reg.Count(u.core.ID, metrics.CtrPuts)
-		reg.CountN(u.core.ID, metrics.CtrPutTicks, int64(u.core.Now()-t0))
-	}
+	u.account("put", t0, metrics.CtrPuts, metrics.CtrPutTicks)
 }
 
 // Get copies nBytes from the MPB at global offset mpbOff straight into
 // private memory at privAddr, then charges the private-side line writes.
 func (u *UE) Get(mpbOff int, privAddr scc.Addr, nBytes int) {
 	m := u.core.Chip().Model
-	reg := u.core.Metrics()
-	var t0 simtime.Time
-	if u.core.Tracing() || reg != nil {
-		t0 = u.core.Now()
-	}
+	t0 := u.clock()
 	u.core.OverheadCycles(m.GetLineCoreCycles * int64(m.Lines(nBytes)))
 	u.core.MPBRead(mpbOff, u.core.PrivBytes(privAddr, nBytes))
 	u.core.TouchWrite(privAddr, nBytes)
-	if u.core.Tracing() {
-		u.core.RecordSpan("get", t0, u.core.Now())
+	u.account("get", t0, metrics.CtrGets, metrics.CtrGetTicks)
+}
+
+// clock returns the time a traced or counted put or get begins at.
+func (u *UE) clock() simtime.Time {
+	if u.core.Tracing() || u.core.Metrics() != nil {
+		return u.core.Now()
 	}
+	return 0
+}
+
+// account records the trace span and counters of a put or get that
+// began at t0 and has just ended.
+func (u *UE) account(label string, t0 simtime.Time, calls, ticks metrics.Counter) {
+	reg := u.core.Metrics()
+	if !u.core.Tracing() && reg == nil {
+		return
+	}
+	now := u.core.Now()
+	u.core.RecordSpan(label, t0, now)
 	if reg != nil {
-		reg.Count(u.core.ID, metrics.CtrGets)
-		reg.CountN(u.core.ID, metrics.CtrGetTicks, int64(u.core.Now()-t0))
+		reg.Count(u.core.ID, calls)
+		reg.CountN(u.core.ID, ticks, int64(now-t0))
 	}
+}
+
+// Row is a pricing row of the blocking driver: what its calls, chunks
+// and staging cost on one stack.
+type Row uint8
+
+const (
+	// RowRCCE is blocking RCCE: chunks fill the data region, staging is
+	// Put's and Get's per-line cost, and a message that does not fill
+	// whole cache lines pays one more call (Sec. V-A).
+	RowRCCE Row = iota
+	// RowRCKMPI is RCKMPI's SCCMPB channel: chunks are the per-sender
+	// Window, a call costs OverheadRCKMPICall and every window a
+	// sixteenth of it for the channel's progress engine (before staging
+	// on a send, before the wait on a receive), and staging costs per
+	// byte (before the write, after the read). It makes no partial-line
+	// call, hence the smooth latency curve, and counts no sends,
+	// receives, puts or gets.
+	RowRCKMPI
+)
+
+// Window returns the per-sender MPB window of RCKMPI's channel, the
+// chunk size of RowRCKMPI. RCKMPI statically partitions each core's MPB
+// receive space among all possible senders, so one pair only ever
+// streams through a small window and long single-pair transfers pay one
+// flag round trip per window refill. This is the mechanism behind
+// RCKMPI's Fig. 9 placement: tree collectives (one active pair per
+// step) crawl, while Alltoall (47 windows active at once) stays
+// competitive. Half of each per-sender share holds channel metadata
+// (read/write pointers and packet headers); the window is the other
+// half, rounded down to whole cache lines.
+func (c *Comm) Window() int {
+	line := c.chip.Model.CacheLineBytes
+	return max(line, c.DataBytes()/(c.NumUEs()-1)/2/line*line)
 }
 
 // Send transmits nBytes from private memory to UE dest using the blocking
 // two-flag protocol of Fig. 3. It returns only after dest has consumed
 // every chunk.
-func (u *UE) Send(dest int, addr scc.Addr, nBytes int) { u.blocking(ReqSend, dest, addr, nBytes) }
+func (u *UE) Send(dest int, addr scc.Addr, nBytes int) { u.Blocking(RowRCCE, ReqSend, dest, addr, nBytes) }
 
 // Recv receives nBytes from UE src into private memory, blocking.
-func (u *UE) Recv(src int, addr scc.Addr, nBytes int) { u.blocking(ReqRecv, src, addr, nBytes) }
+func (u *UE) Recv(src int, addr scc.Addr, nBytes int) { u.Blocking(RowRCCE, ReqRecv, src, addr, nBytes) }
 
-// blocking is RCCE's blocking driver of the chunk state machine: it
-// waits on the request's watched flag and advances, chunk by chunk.
-func (u *UE) blocking(kind ReqKind, peer int, addr scc.Addr, nBytes int) {
+// Blocking is the blocking driver of the chunk state machine, priced by
+// row: one call runs the whole message — stage, wait on the watched
+// flag, consume, copy, acknowledge, stage the next chunk — as steps of
+// the core's step machine, and its process resumes once, when the
+// message is done.
+func (u *UE) Blocking(row Row, kind ReqKind, peer int, addr scc.Addr, nBytes int) {
 	m := u.core.Chip().Model
-	r := u.open(NBCosts{Post: m.OverheadBlockingCall}, kind, nil, peer, addr, nBytes)
+	r := u.open(row, NBCosts{Post: m.OverheadBlockingCall}, kind, nil, peer, addr, nBytes)
+	r.blocking = true
+	start := func() {
+		if kind == ReqSend {
+			r.run(r.stage())
+		} else {
+			r.run(r.then())
+		}
+	}
+	if row == RowRCKMPI {
+		u.chargeCall(m.OverheadRCKMPICall)
+		start()
+		return
+	}
 	reg := u.core.Metrics()
 	var t0 simtime.Time
 	if reg != nil {
@@ -279,13 +332,7 @@ func (u *UE) blocking(kind ReqKind, peer int, addr scc.Addr, nBytes int) {
 	}
 	u.chargeCall(m.OverheadBlockingCall)
 	u.chargePartialLine(nBytes)
-	if kind == ReqSend {
-		r.stage()
-	}
-	for !r.done {
-		u.core.WaitFlag(r.watch().Off(), r.seq)
-		r.advance(r.seq)
-	}
+	start()
 	if reg != nil {
 		calls, ticks := metrics.CtrSends, metrics.CtrSendTicks
 		if kind == ReqRecv {

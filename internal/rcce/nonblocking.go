@@ -1,6 +1,7 @@
 package rcce
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"scc/internal/metrics"
@@ -36,7 +37,7 @@ type NBCosts struct {
 }
 
 // ReqKind distinguishes send and receive requests.
-type ReqKind int
+type ReqKind uint8
 
 // Request kinds.
 const (
@@ -56,18 +57,34 @@ func (k ReqKind) String() string {
 // request returns as soon as its first local action is done, so a core
 // can have a send and a receive in flight at once and overlap their
 // copies (Fig. 5).
+//
+// Its transitions are steps of the core's step machine (scc.Core.Step):
+// the request is the continuation that drives the core between
+// accesses, and pc says what it does once the core's access or wait in
+// progress ends. Each access's effects run in the step its pay ends
+// in, so a transition runs on whichever stack pops that wake-up, and
+// every step that reads the clock follows an access: no local latency
+// is pending there, so reading it flushes nothing.
 type Request struct {
 	ue   *UE
-	kind ReqKind
 	peer int
 	addr scc.Addr
 	n    int // total bytes
 
-	off    int  // bytes fully handed over
-	chunks int  // chunks left (at least one, even for an empty message)
-	seq    byte // the value the current chunk's flags carry; 1 unless hard
-	hard   bool // the hardened protocol (robust.go)
-	done   bool
+	off      int     // bytes fully handed over
+	chunks   int32   // chunks left (at least one, even for an empty message)
+	chunk    int32   // the chunk size: the data region, or RCKMPI's window
+	sum      uint32  // the hardened chunk's checksum, between computing and writing or checking it
+	seq      byte    // the value the current chunk's flags carry; 1 unless hard
+	v        byte    // the value advance consumed, or the one an acknowledgement writes
+	pc       reqStep // the request's next step
+	row      Row
+	kind     ReqKind
+	blocking bool // the blocking driver: a transition goes on to wait for the next
+	hard     bool // the hardened protocol (robust.go)
+	resend   bool // the chunk being staged is a retransmission (robust.go)
+	done     bool
+	t0       simtime.Time // when the put or get in flight began (traced or counted)
 
 	// The hardened protocol's retry state (robust.go).
 	pol      Policy
@@ -76,18 +93,37 @@ type Request struct {
 	deadline simtime.Time
 }
 
+// reqStep is what a request does once its core's access or wait ends.
+type reqStep uint8
+
+const (
+	reqIdle       reqStep = iota // the transition is over: resume the process
+	reqPut                       // the latency before the put is applied: stage the chunk
+	reqStaged                    // the chunk's write is paid
+	reqSummed                    // the checksum's write is paid (hard)
+	reqAnnounced                 // the sent flag's write is paid
+	reqWaited                    // the watched flag matched (blocking driver)
+	reqConsumed                  // the watched flag's clear is paid
+	reqCopied                    // the chunk's read is paid
+	reqGot                       // the latency after the get is applied: account it
+	reqVerified                  // the checksum's read is paid (hard)
+	reqAcked                     // the ready flag's write is paid
+	reqProgressed                // the progress flag's write is paid (hard)
+)
+
 // busy reports whether the slot holds a request still in flight.
 func (r *Request) busy() bool { return r.ue != nil && !r.done }
 
-// open fills the slot of the given kind for a new transfer; pol != nil
-// selects the hardened protocol. A request still in flight there is
-// completed first, at costs: the chunk staging area is a single region
-// per core, so only one send can be on the wire, and a receive slot
-// follows the same rule (iRCCE would queue the second request; the
-// wire-level serialization is the same). Blocking and hardened
-// transfers end before their call returns, so only a post leaves a
-// slot busy. open charges no call overhead; each driver prices its own.
-func (u *UE) open(costs NBCosts, kind ReqKind, pol *Policy, peer int, addr scc.Addr, n int) *Request {
+// open fills the slot of the given kind for a new transfer priced by
+// row; pol != nil selects the hardened protocol. A request still in
+// flight there is completed first, at costs: the chunk staging area is
+// a single region per core, so only one send can be on the wire, and a
+// receive slot follows the same rule (iRCCE would queue the second
+// request; the wire-level serialization is the same). Blocking and
+// hardened transfers end before their call returns, so only a post
+// leaves a slot busy. open charges no call overhead; each driver prices
+// its own.
+func (u *UE) open(row Row, costs NBCosts, kind ReqKind, pol *Policy, peer int, addr scc.Addr, n int) *Request {
 	if peer == u.ID() {
 		panic(fmt.Sprintf("rcce: UE %d: %v to itself", peer, kind))
 	}
@@ -99,7 +135,11 @@ func (u *UE) open(costs NBCosts, kind ReqKind, pol *Policy, peer int, addr scc.A
 		u.WaitAll(costs, r)
 	}
 	chunk := u.comm.DataBytes()
-	*r = Request{ue: u, kind: kind, peer: peer, addr: addr, n: n, chunks: max(1, (n+chunk-1)/chunk), seq: 1}
+	if row == RowRCKMPI {
+		chunk = u.comm.Window()
+	}
+	*r = Request{ue: u, kind: kind, peer: peer, addr: addr, n: n, chunks: int32(max(1, (n+chunk-1)/chunk)),
+		chunk: int32(chunk), seq: 1, row: row}
 	if pol != nil {
 		r.hard, r.pol, r.window = true, *pol, pol.Timeout
 		if s := r.seqs().get(peer); s != 0 {
@@ -137,66 +177,208 @@ func (r *Request) watch() scc.Flag {
 }
 
 // chunkLen is the length of the chunk in flight.
-func (r *Request) chunkLen() int { return min(r.n-r.off, r.ue.comm.DataBytes()) }
+func (r *Request) chunkLen() int { return min(r.n-r.off, int(r.chunk)) }
 
-// stage copies the current chunk of a send into the local MPB and
-// announces it with the sent flag. A hardened chunk first writes its
-// checksum into the sent-flag line (see writeSum).
-func (r *Request) stage() {
-	u := r.ue
-	n := r.chunkLen()
-	u.Put(r.addr+scc.Addr(r.off), u.comm.DataBase(u.ID()), n)
-	if r.hard {
-		r.writeSum(n)
+// run carries the transition st began from process code to its end.
+func (r *Request) run(st simtime.Step) {
+	if st == simtime.Resume() {
+		st = r.next()
 	}
-	u.core.SetFlag(r.flagOff(FlagSent), r.seq)
+	r.ue.core.Run(r, st)
+}
+
+// Wake runs the request at its core's wake-ups: the core's step, and
+// once that ends the access or wait in progress, the request's own.
+func (r *Request) Wake() simtime.Step {
+	if st := r.ue.core.Step(); st != simtime.Resume() {
+		return st
+	}
+	return r.next()
+}
+
+// String names the flag wait the request's core is parked in, for the
+// engine's deadlock report.
+func (r *Request) String() string { return r.ue.core.Waiting() }
+
+// next runs the request's steps until one starts a core step that
+// sleeps or parks, the transition ends, or the core died.
+func (r *Request) next() simtime.Step {
+	st := simtime.Resume()
+	for st == simtime.Resume() && r.pc != reqIdle && !r.ue.core.Dead() {
+		st = r.step()
+	}
+	return st
+}
+
+// step takes the request's step pc and returns the core step it starts.
+func (r *Request) step() simtime.Step {
+	u := r.ue
+	c, m := u.core, u.core.Chip().Model
+	n := r.chunkLen()
+	at := r.addr + scc.Addr(r.off)
+	switch r.pc {
+	case reqPut:
+		r.t0 = c.Proc().Now()
+		if r.row == RowRCKMPI {
+			c.OverheadCycles(m.OverheadRCKMPICall / 16) // the channel's progress engine, per window
+			c.OverheadCycles(m.RCKMPIPerByteCoreCycles * int64(n))
+		} else {
+			c.OverheadCycles(m.PutLineCoreCycles * int64(m.Lines(n)))
+		}
+		c.TouchRead(at, n)
+		return r.access(reqStaged, u.comm.DataBase(u.ID()), n, false)
+	case reqStaged:
+		c.EndWrite(u.comm.DataBase(u.ID()), c.PrivBytes(at, n))
+		if r.row == RowRCCE {
+			u.account("put", r.t0, metrics.CtrPuts, metrics.CtrPutTicks)
+		}
+		if r.hard {
+			// The chunk's checksum goes into the sent-flag line first.
+			r.sum = r.checksum(n)
+			return r.access(reqSummed, r.flagOff(FlagChk0), 4, false)
+		}
+		return r.access(reqAnnounced, r.flagOff(FlagSent), 1, false)
+	case reqSummed:
+		var b [4]byte
+		binary.LittleEndian.PutUint32(b[:], r.sum)
+		c.EndWrite(r.flagOff(FlagChk0), b[:])
+		return r.access(reqAnnounced, r.flagOff(FlagSent), 1, false)
+	case reqAnnounced:
+		c.EndSetFlag(r.flagOff(FlagSent), r.seq)
+		if r.resend {
+			r.resend = false
+			r.backoff()
+		} else if r.hard {
+			r.armDeadline()
+		}
+		return r.then()
+	case reqWaited:
+		return r.advance(c.EndWait())
+	case reqConsumed:
+		c.EndSetFlag(r.watch().Off(), 0)
+		switch {
+		case r.kind == ReqSend && r.v == r.seq:
+			return r.completeChunk(n)
+		case r.kind == ReqSend: // NACK: the receiver saw a corrupt chunk
+			return r.retransmit()
+		case r.v != r.seq:
+			// Duplicate of the previous chunk: our ACK was lost in
+			// flight. Re-acknowledge; do not consume the data again.
+			return r.ack(r.v)
+		}
+		r.t0 = c.Proc().Now()
+		if r.row == RowRCCE {
+			c.OverheadCycles(m.GetLineCoreCycles * int64(m.Lines(n)))
+		}
+		return r.access(reqCopied, u.comm.DataBase(r.peer), n, true)
+	case reqCopied:
+		c.EndRead(u.comm.DataBase(r.peer), c.PrivBytes(at, n))
+		if r.row == RowRCKMPI {
+			c.OverheadCycles(m.RCKMPIPerByteCoreCycles * int64(n))
+		}
+		c.TouchWrite(at, n)
+		r.pc = reqGot
+		if r.row == RowRCCE && (c.Tracing() || c.Metrics() != nil) {
+			return c.Flush() // a traced or counted get ends after its private writes
+		}
+		return simtime.Resume()
+	case reqGot:
+		if r.row == RowRCCE {
+			u.account("get", r.t0, metrics.CtrGets, metrics.CtrGetTicks)
+		}
+		if r.hard {
+			// Verify against the checksum the sender wrote beside it.
+			r.sum = r.checksum(n)
+			return r.access(reqVerified, r.flagOff(FlagChk0), 4, true)
+		}
+		return r.ack(r.seq)
+	case reqVerified:
+		var b [4]byte
+		c.EndRead(r.flagOff(FlagChk0), b[:])
+		if binary.LittleEndian.Uint32(b[:]) != r.sum {
+			// Corrupt, lost, or stale (another sequence number's) chunk:
+			// NACK and wait for the retransmission of this sequence number.
+			return r.ack(r.seq | nackBit)
+		}
+		return r.ack(r.seq)
+	case reqAcked:
+		c.EndSetFlag(r.flagOff(FlagReady), r.v)
+		if r.v&nackBit != 0 {
+			u.stats.Nacks++
+			r.armDeadline()
+			return r.then()
+		}
+		if r.hard {
+			return r.access(reqProgressed, r.flagOff(FlagProgress), 1, false)
+		}
+		return r.completeChunk(n)
+	case reqProgressed:
+		c.EndSetFlag(r.flagOff(FlagProgress), r.v)
+		if r.v != r.seq {
+			u.stats.DupAcks++
+			r.armDeadline()
+			return r.then()
+		}
+		return r.completeChunk(n)
+	}
+	panic(fmt.Sprintf("rcce: request step %d", r.pc))
+}
+
+// access starts the core's access of n bytes at off; the request takes
+// step pc once it is paid.
+func (r *Request) access(pc reqStep, off, n int, read bool) simtime.Step {
+	r.pc = pc
+	return r.ue.core.BeginAccess(off, n, read)
+}
+
+// stage begins copying the current chunk of a send into the local MPB;
+// the sent flag announces it. A traced or counted put first applies the
+// latency before it, to read the clock at its start.
+func (r *Request) stage() simtime.Step {
+	c := r.ue.core
+	r.pc = reqPut
+	if r.row == RowRCCE && (c.Tracing() || c.Metrics() != nil) {
+		return c.Flush()
+	}
+	return simtime.Resume()
 }
 
 // advance consumes the watched flag's value v and takes the transition
 // it selects. v is r.seq on the plain protocol; the hardened one also
 // admits a NACK (to a send) and a duplicate of the previous chunk (to a
-// receive), see Request.watch.
-func (r *Request) advance(v byte) {
-	u := r.ue
-	u.core.SetFlag(r.watch().Off(), 0) // consume the flag (local line)
-	if r.kind == ReqSend {
-		if v == r.seq {
-			r.completeChunk(r.chunkLen())
-		} else { // NACK: the receiver saw a corrupt chunk
-			r.retransmit()
-		}
-		return
+// receive), see Request.watch. The flag is in the local MPB.
+func (r *Request) advance(v byte) simtime.Step {
+	r.v = v
+	return r.access(reqConsumed, r.watch().Off(), 1, false)
+}
+
+// ack writes v into the ready flag: the chunk's sequence number, its
+// NACK, or a duplicate's re-acknowledgement.
+func (r *Request) ack(v byte) simtime.Step {
+	r.v = v
+	return r.access(reqAcked, r.flagOff(FlagReady), 1, false)
+}
+
+// then ends a transition. The blocking driver goes on to wait for the
+// next (RCKMPI's channel charging its progress engine at the top of each
+// window it receives); every other driver resumes its process.
+func (r *Request) then() simtime.Step {
+	if !r.blocking || r.done {
+		r.pc = reqIdle
+		return simtime.Resume()
 	}
-	if v != r.seq {
-		// Duplicate of the previous chunk: our ACK was lost in flight.
-		// Re-acknowledge; do not consume the data again.
-		u.core.SetFlag(r.flagOff(FlagReady), v)
-		u.core.SetFlag(r.flagOff(FlagProgress), v)
-		u.stats.DupAcks++
-		r.armDeadline()
-		return
+	c := r.ue.core
+	if r.row == RowRCKMPI && r.kind == ReqRecv {
+		c.OverheadCycles(c.Chip().Model.OverheadRCKMPICall / 16)
 	}
-	n := r.chunkLen()
-	u.Get(u.comm.DataBase(r.peer), r.addr+scc.Addr(r.off), n)
-	if r.hard && !r.verify(n) {
-		// Corrupt, lost, or stale (another sequence number's) chunk:
-		// NACK and wait for the retransmission of this sequence number.
-		u.core.SetFlag(r.flagOff(FlagReady), r.seq|nackBit)
-		u.stats.Nacks++
-		r.armDeadline()
-		return
-	}
-	u.core.SetFlag(r.flagOff(FlagReady), r.seq)
-	if r.hard {
-		u.core.SetFlag(r.flagOff(FlagProgress), r.seq)
-	}
-	r.completeChunk(n)
+	r.pc = reqWaited
+	return c.BeginWait(r.watch())
 }
 
 // completeChunk records one finished chunk of n bytes and either
 // finishes the request or moves to the next chunk (staging it, for
-// sends).
-func (r *Request) completeChunk(n int) {
+// sends). RCKMPI's channel records no protocol notes.
+func (r *Request) completeChunk(n int) simtime.Step {
 	u := r.ue
 	r.off += n
 	r.chunks--
@@ -204,25 +386,28 @@ func (r *Request) completeChunk(n int) {
 		r.seq = nextSeq(r.seq)
 		r.seqs().set(r.peer, r.seq)
 	}
-	verb := "sent %d/%d B to %02d"
-	if r.kind == ReqRecv {
-		verb = "recvd %d/%d B from %02d"
+	if r.row == RowRCCE {
+		verb := "sent %d/%d B to %02d"
+		if r.kind == ReqRecv {
+			verb = "recvd %d/%d B from %02d"
+		}
+		u.core.Note(simtime.Note3(verb, int64(r.off), int64(r.n), int64(r.peer)))
 	}
-	u.core.Note(simtime.Note3(verb, int64(r.off), int64(r.n), int64(r.peer)))
 	if r.chunks == 0 {
 		r.done = true
-		return
+		return r.then()
 	}
 	if r.hard {
 		r.retries = 0
 		r.window = r.pol.Timeout
 	}
 	if r.kind == ReqSend {
-		r.stage()
+		return r.stage()
 	}
 	if r.hard {
 		r.armDeadline()
 	}
+	return r.then()
 }
 
 // PostSend begins a non-blocking send in the UE's send slot: it stages
@@ -245,11 +430,11 @@ func (u *UE) PostRecv(costs NBCosts, src int, addr scc.Addr, nBytes int) *Reques
 // post opens the slot of the given kind at a stack's costs and takes
 // the first step: a send stages its first chunk, a receive probes.
 func (u *UE) post(costs NBCosts, kind ReqKind, peer int, addr scc.Addr, nBytes int) *Request {
-	r := u.open(costs, kind, nil, peer, addr, nBytes)
+	r := u.open(RowRCCE, costs, kind, nil, peer, addr, nBytes)
 	u.core.OverheadCycles(costs.Post)
 	u.chargePartialLine(nBytes)
 	if kind == ReqSend {
-		r.stage()
+		r.run(r.stage())
 	} else {
 		// Opportunistic probe, like iRCCE_irecv's immediate push.
 		r.tryProgress(costs)
@@ -280,7 +465,7 @@ func (r *Request) tryProgress(costs NBCosts) {
 		if v != r.seq {
 			break
 		}
-		r.advance(v)
+		r.run(r.advance(v))
 	}
 }
 

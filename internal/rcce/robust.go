@@ -1,7 +1,6 @@
 package rcce
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -197,29 +196,14 @@ func (r *Request) checksum(n int) uint32 {
 	return chunkSum(r.seq, u.core.PrivBytes(r.addr+scc.Addr(r.off), n), u.epochSalt)
 }
 
-// writeSum writes the staged chunk's checksum into the sent-flag line.
-func (r *Request) writeSum(n int) {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], r.checksum(n))
-	r.ue.core.MPBWrite(r.flagOff(FlagChk0), b[:])
-}
-
-// verify reports whether the received chunk matches the checksum the
-// sender wrote beside it.
-func (r *Request) verify(n int) bool {
-	sum := r.checksum(n)
-	var b [4]byte
-	r.ue.core.MPBRead(r.flagOff(FlagChk0), b[:])
-	return binary.LittleEndian.Uint32(b[:]) == sum
-}
-
-// retransmit re-stages the chunk in flight after a timeout or NACK.
-func (r *Request) retransmit() {
+// retransmit re-stages the chunk in flight after a timeout or NACK; the
+// deadline backs off once it is staged.
+func (r *Request) retransmit() simtime.Step {
 	u := r.ue
 	u.core.OverheadCycles(u.core.Chip().Model.OverheadRetransmit)
 	u.stats.Retransmits++
-	r.stage()
-	r.backoff()
+	r.resend = true
+	return r.stage()
 }
 
 // onTimeout handles an expired deadline: lost-ACK recovery via the
@@ -234,7 +218,7 @@ func (r *Request) onTimeout() error {
 		// acknowledged.
 		u.stats.LostAcks++
 		u.core.SetFlag(r.flagOff(FlagReady), 0)
-		r.completeChunk(r.chunkLen())
+		r.run(r.completeChunk(r.chunkLen()))
 		return nil
 	}
 	r.retries++
@@ -244,7 +228,7 @@ func (r *Request) onTimeout() error {
 			ErrUnreachable, r.kind, r.peer, r.off, r.n, r.pol.MaxRetries)
 	}
 	if r.kind == ReqSend {
-		r.retransmit()
+		r.run(r.retransmit())
 	} else {
 		// A receiver cannot push; it widens its window and relies on the
 		// sender's retransmission (both sides run the same policy).
@@ -263,9 +247,10 @@ func (r *Request) onTimeout() error {
 func (u *UE) runRobust(wait int64, ops ...*Request) error {
 	for _, r := range ops {
 		if r.kind == ReqSend {
-			r.stage()
+			r.run(r.stage()) // arms the deadline once staged
+		} else {
+			r.armDeadline()
 		}
-		r.armDeadline()
 	}
 	var firstTimeout simtime.Time = -1
 	settle := func() {
@@ -300,7 +285,7 @@ func (u *UE) runRobust(wait int64, ops ...*Request) error {
 		}
 		idx, v, ok := u.core.WaitFlagsMatch(flags, limit)
 		if ok {
-			pend[idx].advance(v)
+			pend[idx].run(pend[idx].advance(v))
 			continue
 		}
 		now := u.core.Now()
@@ -336,7 +321,7 @@ func (u *UE) RecvRobust(costs NBCosts, pol Policy, src int, addr scc.Addr, nByte
 // robust runs one hardened transfer in the slot of the given kind.
 func (u *UE) robust(costs NBCosts, pol Policy, kind ReqKind, peer int, addr scc.Addr, nBytes int) error {
 	pol = pol.withDefaults()
-	r := u.open(costs, kind, &pol, peer, addr, nBytes)
+	r := u.open(RowRCCE, costs, kind, &pol, peer, addr, nBytes)
 	u.core.OverheadCycles(costs.Post)
 	u.chargePartialLine(nBytes)
 	return u.runRobust(costs.Wait, r)
@@ -347,8 +332,8 @@ func (u *UE) robust(costs NBCosts, pol Policy, kind ReqKind, peer int, addr scc.
 // multi-flag wait, so symmetric exchanges need no odd/even ordering.
 func (u *UE) ExchangeRobust(costs NBCosts, pol Policy, dest int, sAddr scc.Addr, sBytes int, src int, rAddr scc.Addr, rBytes int) error {
 	pol = pol.withDefaults()
-	s := u.open(costs, ReqSend, &pol, dest, sAddr, sBytes)
-	r := u.open(costs, ReqRecv, &pol, src, rAddr, rBytes)
+	s := u.open(RowRCCE, costs, ReqSend, &pol, dest, sAddr, sBytes)
+	r := u.open(RowRCCE, costs, ReqRecv, &pol, src, rAddr, rBytes)
 	u.core.OverheadCycles(2 * costs.Post)
 	u.chargePartialLine(sBytes)
 	u.chargePartialLine(rBytes)

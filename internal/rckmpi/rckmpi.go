@@ -22,8 +22,6 @@
 package rckmpi
 
 import (
-	"fmt"
-
 	"scc/internal/rcce"
 	"scc/internal/scc"
 )
@@ -44,96 +42,26 @@ func New(ue *rcce.UE) Lib {
 
 func (l Lib) core() *scc.Core { return l.ue.Core() }
 
-// chargeCall prices one MPI point-to-point call's software layering.
-func (l Lib) chargeCall() {
-	l.core().OverheadCycles(l.core().Chip().Model.OverheadRCKMPICall)
-}
-
 // chargeBytes prices the channel's per-byte copy work on one side.
 func (l Lib) chargeBytes(n int) {
 	l.core().OverheadCycles(l.core().Chip().Model.RCKMPIPerByteCoreCycles * int64(n))
 }
 
-// Window returns the per-sender MPB window size of the SCCMPB channel.
-// RCKMPI statically partitions each core's MPB receive space among all
-// possible senders, so one pair only ever streams through a small
-// window and long single-pair transfers pay one flag round trip per
-// window refill. This is the mechanism behind RCKMPI's Fig. 9 placement:
-// tree collectives (one active pair per step) crawl, while Alltoall
-// (47 windows active at once) stays competitive. The window is rounded
-// down to whole cache lines.
-func (l Lib) Window() int {
-	comm := l.ue.Comm()
-	line := l.core().Chip().Model.CacheLineBytes
-	// Half of each per-sender share holds channel metadata (read/write
-	// pointers and packet headers), halving the usable payload window.
-	w := comm.DataBytes() / (comm.NumUEs() - 1) / 2 / line * line
-	if w < line {
-		w = line
-	}
-	return w
-}
+// Window returns the per-sender MPB window of the SCCMPB channel (see
+// rcce.Comm.Window).
+func (l Lib) Window() int { return l.ue.Comm().Window() }
 
-// Send transmits nBytes to dest through the RCKMPI channel (blocking
-// rendezvous through the MPB window, with byte-granular software costs:
-// no partial-line padding call, hence the smooth latency curve).
+// Send transmits nBytes to dest through the RCKMPI channel: a blocking
+// rendezvous through the MPB window, with byte-granular software costs
+// (no partial-line padding call, hence the smooth latency curve). The
+// channel is a pricing row of RCCE's blocking driver (rcce.RowRCKMPI).
 func (l Lib) Send(dest int, addr scc.Addr, nBytes int) {
-	if dest == l.ue.ID() {
-		panic(fmt.Sprintf("rckmpi: UE %d send to itself", dest))
-	}
-	l.chargeCall()
-	comm := l.ue.Comm()
-	c := l.core()
-	chunk := l.Window()
-	sent := comm.FlagAddr(dest, l.ue.ID(), rcce.FlagSent)
-	ready := comm.FlagAddr(l.ue.ID(), dest, rcce.FlagReady)
-	progress := l.core().Chip().Model.OverheadRCKMPICall / 16
-	for off := 0; off < nBytes || nBytes == 0; off += chunk {
-		n := nBytes - off
-		if n > chunk {
-			n = chunk
-		}
-		c.OverheadCycles(progress) // channel progress engine, per window
-		l.chargeBytes(n)
-		c.TouchRead(addr+scc.Addr(off), n)
-		c.MPBWrite(comm.DataBase(l.ue.ID()), c.PrivBytes(addr+scc.Addr(off), n))
-		c.SetFlag(sent, 1)
-		c.WaitFlag(ready, 1)
-		c.SetFlag(ready, 0)
-		if nBytes == 0 {
-			break
-		}
-	}
+	l.ue.Blocking(rcce.RowRCKMPI, rcce.ReqSend, dest, addr, nBytes)
 }
 
 // Recv receives nBytes from src.
 func (l Lib) Recv(src int, addr scc.Addr, nBytes int) {
-	if src == l.ue.ID() {
-		panic(fmt.Sprintf("rckmpi: UE %d recv from itself", src))
-	}
-	l.chargeCall()
-	comm := l.ue.Comm()
-	c := l.core()
-	chunk := l.Window()
-	sent := comm.FlagAddr(l.ue.ID(), src, rcce.FlagSent)
-	ready := comm.FlagAddr(src, l.ue.ID(), rcce.FlagReady)
-	progress := l.core().Chip().Model.OverheadRCKMPICall / 16
-	for off := 0; off < nBytes || nBytes == 0; off += chunk {
-		n := nBytes - off
-		if n > chunk {
-			n = chunk
-		}
-		c.OverheadCycles(progress) // channel progress engine, per window
-		c.WaitFlag(sent, 1)
-		c.SetFlag(sent, 0)
-		c.MPBRead(comm.DataBase(src), c.PrivBytes(addr+scc.Addr(off), n))
-		l.chargeBytes(n)
-		c.TouchWrite(addr+scc.Addr(off), n)
-		c.SetFlag(ready, 1)
-		if nBytes == 0 {
-			break
-		}
-	}
+	l.ue.Blocking(rcce.RowRCKMPI, rcce.ReqRecv, src, addr, nBytes)
 }
 
 // sendRecvPair exchanges with one symmetric partner. MPICH's pairwise

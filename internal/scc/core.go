@@ -47,20 +47,21 @@ type Core struct {
 	freqDiv uint8
 
 	// The step machine of the shared-state access or flag wait in
-	// progress (see Core.wake): its next step and mode, the wait's
-	// probed flag (watch[idx]) and deadline, the access being priced
-	// (owner's MPB, lines), and mark, the instant the current step
-	// began: a stall's fault check while it is slept, then the access's
-	// pricing. Packed beside dead with memHops, the mesh distance from
-	// tile to the core's memory controller (fixed geometry, computed
-	// once in init), they keep a 48-core chip's Core slab in its size
-	// class.
+	// progress (see Core.Step): its next step and mode, the wait's
+	// probed flag (watch[idx]), the instant it began and its deadline,
+	// the access being priced (owner's MPB, lines), and mark, the
+	// instant the current step began: a stall's fault check while it is
+	// slept, then the access's pricing. Packed beside dead with memHops,
+	// the mesh distance from tile to the core's memory controller (fixed
+	// geometry, computed once in init), they keep a 48-core chip's Core
+	// slab in its size class.
 	step         stepKind
 	mode         stepMode
 	idx          uint16
 	memHops      uint16
 	owner, lines int32
 	mark         simtime.Time
+	begin        simtime.Time
 	deadline     simtime.Time // simtime.Never for an unbounded wait
 
 	sig   simtime.Signal // the one signal every flag wait of this core blocks on
@@ -118,9 +119,14 @@ func (c *Core) chargeLocal(d simtime.Duration) { c.pending += d }
 // called before interacting with shared state or reading the clock.
 func (c *Core) flushLocal() {
 	if c.pending > 0 {
-		c.run(c.flushThen(stepNone))
+		c.run(c.Flush())
 	}
 }
+
+// Flush returns the step that applies the deferred local latency; like
+// an access, its last step resumes the caller (at once when nothing is
+// deferred).
+func (c *Core) Flush() simtime.Step { return c.flushThen(stepNone) }
 
 // Profile accumulates per-core instrumentation, mirroring the paper's
 // profiling of the thermodynamic application (Sec. IV-A: "cores spend up
@@ -364,8 +370,17 @@ func (c *Core) mpbHops(owner int) int {
 // code runs between them, so the core's process arms itself as their
 // simtime.Cont and the engine runs each step at its wake-up on whichever
 // stack pops it; the process is switched to only when program code
-// continues. The state lives in the Core fields after dead, and wake
+// continues. The state lives in the Core fields after dead, and Step
 // dispatches on step.
+//
+// A continuation of the caller's own may drive the machine instead
+// (Run): it starts an access with BeginAccess or a wait with BeginWait,
+// calls Step at each of its wake-ups, and when Step returns
+// simtime.Resume() the access is paid (or the wait matched) at that
+// instant; it then applies the access's effects with EndWrite, EndRead
+// or EndSetFlag (EndWait for a wait) and starts the next. rcce's
+// transfers run a whole message this way, chunk after chunk, and resume
+// their process once.
 
 // stepKind is the step the machine runs at the core's next wake-up.
 type stepKind uint8
@@ -391,21 +406,26 @@ const (
 // method set and allocates nothing.
 type steps Core
 
-func (k *steps) Wake() simtime.Step { return (*Core)(k).wake() }
+func (k *steps) Wake() simtime.Step { return (*Core)(k).Step() }
 
 // String names the flag wait a core is parked in, for the engine's
-// deadlock report. A list wait's watched-flag count and first offset
-// stand in for the full list.
-func (k *steps) String() string {
-	c := (*Core)(k)
+// deadlock report.
+func (k *steps) String() string { return (*Core)(k).Waiting() }
+
+// Waiting names the flag wait in progress: a continuation that drives
+// the machine (Run) names its parks with it. A list wait's watched-flag
+// count and first offset stand in for the full list.
+func (c *Core) Waiting() string {
 	if c.mode&modeAny != 0 {
 		return fmt.Sprintf("core%02d any-flag (%d flags, first@%d)", c.ID, len(c.watch), c.watch[0].Off())
 	}
 	return fmt.Sprintf("core%02d flag@%d==%d", c.ID, c.watch[0].Off(), byte(c.watch[0]>>8))
 }
 
-// wake runs the machine's next step.
-func (c *Core) wake() simtime.Step {
+// Step runs the machine's next step. It returns simtime.Resume() once
+// the access in progress is paid or the wait has matched or timed out,
+// and when the fault hook has declared the core dead (see Dead).
+func (c *Core) Step() simtime.Step {
 	switch c.step {
 	case stepPrice:
 		return c.price()
@@ -424,10 +444,15 @@ func (c *Core) wake() simtime.Step {
 }
 
 // run carries out st and the machine's further steps until one resumes
-// the process. A core the fault hook declared dead dies here, on its own
-// stack.
-func (c *Core) run(st simtime.Step) {
-	c.proc.Continue((*steps)(c), st)
+// the process.
+func (c *Core) run(st simtime.Step) { c.Run((*steps)(c), st) }
+
+// Run carries out st and then k's further steps until one resumes the
+// process; k drives the step machine between steps of its own (see
+// Step). It must be called from within the core's process. A core the
+// fault hook declared dead dies here, on its own stack.
+func (c *Core) Run(k simtime.Cont, st simtime.Step) {
+	c.proc.Continue(k, st)
 	if c.dead {
 		panic(coreDeadPanic{c.ID})
 	}
@@ -441,21 +466,25 @@ func (c *Core) flushThen(next stepKind) simtime.Step {
 		c.pending = 0
 		return simtime.SleepThenWake(d)
 	}
-	return c.wake()
+	return c.Step()
 }
 
-// access pays one MPB access of nLines consecutive line-sized
-// transactions on owner's MPB and returns what it cost, stalls
-// excluded. On the P54C each line is a blocking transaction, so lines
-// serialize.
-func (c *Core) access(owner, nLines int, read bool) simtime.Duration {
-	c.owner, c.lines, c.mode = int32(owner), int32(nLines), 0
+// BeginAccess starts an MPB access of n bytes at global offset off (a
+// read if read is set; a flag is one byte) and returns its first step:
+// its lines on the owner's MPB, each a blocking transaction on the P54C,
+// so they serialize. Its last step resumes the caller at the instant
+// the access is paid, and EndWrite, EndRead or EndSetFlag applies it.
+func (c *Core) BeginAccess(off, n int, read bool) simtime.Step {
+	c.checkMPBRange(off, n)
+	c.owner, c.lines, c.mode = int32(c.chip.MPBOwner(off)), int32(c.chip.Model.Lines(n)), 0
 	if read {
 		c.mode = modeRead
 	}
-	c.run(c.flushThen(stepPrice))
-	return c.proc.Now() - c.mark
+	return c.flushThen(stepPrice)
 }
+
+// cost is what the access that just ended cost, stalls excluded.
+func (c *Core) cost() simtime.Duration { return c.proc.Now() - c.mark }
 
 // price applies the fault hook's pending core faults — a transient
 // stall is one more sleep, a death resumes the process to die — and
@@ -486,7 +515,7 @@ func (c *Core) deathCheck(at simtime.Time) simtime.Step {
 // pay prices the access at the current instant and sleeps its cost: the
 // sum of per-line latencies, plus any queueing behind contended mesh
 // links for a remote MPB, whose links it reserves. A wait's probe then
-// tests its flag; an access resumes the process.
+// tests its flag; an access ends.
 func (c *Core) pay() simtime.Step {
 	m := c.chip.Model
 	now := c.proc.Now()
@@ -508,12 +537,11 @@ func (c *Core) pay() simtime.Step {
 		}
 		d = t - now
 	}
+	c.step = stepNone
 	if c.watch != nil {
 		c.step = stepProbed
-		return simtime.SleepThenWake(d)
 	}
-	c.step = stepNone
-	return simtime.SleepThenResume(d)
+	return simtime.SleepThenWake(d)
 }
 
 // checkMPBRange panics on out-of-bounds MPB access.
@@ -527,12 +555,17 @@ func (c *Core) checkMPBRange(off, n int) {
 // write costs. Writes go through the write-combining buffer, so partial
 // lines still cost a full line.
 func (c *Core) MPBWrite(off int, src []byte) {
-	c.checkMPBRange(off, len(src))
-	m := c.chip.Model
-	owner := c.chip.MPBOwner(off)
-	cost := c.access(owner, m.Lines(len(src)), false)
+	c.run(c.BeginAccess(off, len(src), false))
+	c.EndWrite(off, src)
+}
+
+// EndWrite applies the write of src at off whose access (BeginAccess)
+// was just paid: the bytes land, unless the fault hook loses them, and
+// wake the cores waiting on flags they cover.
+func (c *Core) EndWrite(off int, src []byte) {
+	owner := int(c.owner)
 	if r := c.chip.metrics; r != nil {
-		r.AddPhase(c.ID, metrics.PhaseTransfer, cost)
+		r.AddPhase(c.ID, metrics.PhaseTransfer, c.cost())
 		r.Count(c.ID, metrics.CtrMPBWrites)
 		r.CountN(c.ID, metrics.CtrMPBBytesWritten, int64(len(src)))
 	}
@@ -559,16 +592,19 @@ func (c *Core) MPBWrite(off int, src []byte) {
 // paying per-line read costs (each line is a blocking round trip on the
 // P54C).
 func (c *Core) MPBRead(off int, dst []byte) {
-	c.checkMPBRange(off, len(dst))
-	m := c.chip.Model
-	owner := c.chip.MPBOwner(off)
-	cost := c.access(owner, m.Lines(len(dst)), true)
+	c.run(c.BeginAccess(off, len(dst), true))
+	c.EndRead(off, dst)
+}
+
+// EndRead copies the bytes at off whose read (BeginAccess) was just
+// paid into dst.
+func (c *Core) EndRead(off int, dst []byte) {
 	if r := c.chip.metrics; r != nil {
-		r.AddPhase(c.ID, metrics.PhaseTransfer, cost)
+		r.AddPhase(c.ID, metrics.PhaseTransfer, c.cost())
 		r.Count(c.ID, metrics.CtrMPBReads)
 		r.CountN(c.ID, metrics.CtrMPBBytesRead, int64(len(dst)))
 	}
-	c.chip.mpb.read(owner, off, dst)
+	c.chip.mpb.read(int(c.owner), off, dst)
 	c.prof.MPBBytesRead += int64(len(dst))
 }
 
@@ -597,31 +633,33 @@ func (c *Core) MPBReadF64s(off int, dst []float64) {
 // SetFlag writes one flag byte in the MPB (a full-line write through the
 // WCB, like RCCE's line-sized flags) and wakes any cores waiting on it.
 func (c *Core) SetFlag(off int, v byte) {
-	c.checkMPBRange(off, 1)
-	owner := c.chip.MPBOwner(off)
-	cost := c.access(owner, 1, false)
+	c.run(c.BeginAccess(off, 1, false))
+	c.EndSetFlag(off, v)
+}
+
+// EndSetFlag sets the flag at off to v once its write (BeginAccess) is
+// paid, unless the fault hook loses it.
+func (c *Core) EndSetFlag(off int, v byte) {
 	if r := c.chip.metrics; r != nil {
-		r.AddPhase(c.ID, metrics.PhaseFlagSync, cost)
+		r.AddPhase(c.ID, metrics.PhaseFlagSync, c.cost())
 		r.Count(c.ID, metrics.CtrFlagSets)
 	}
 	if h := c.chip.Fault; h != nil && h.DropFlagWrite(c.ID, off, c.proc.Now()) {
 		return // flag write lost in flight: cost paid, no update, no wake-up
 	}
-	c.chip.mpb.setByte(owner, off, v)
+	c.chip.mpb.setByte(int(c.owner), off, v)
 	c.chip.wake(off, 1)
 }
 
 // ProbeFlag reads and returns the MPB flag byte at off, paying one MPB
 // line read (a non-blocking test).
 func (c *Core) ProbeFlag(off int) byte {
-	c.checkMPBRange(off, 1)
-	owner := c.chip.MPBOwner(off)
-	cost := c.access(owner, 1, true)
+	c.run(c.BeginAccess(off, 1, true))
 	if r := c.chip.metrics; r != nil {
-		r.AddPhase(c.ID, metrics.PhaseFlagSync, cost)
+		r.AddPhase(c.ID, metrics.PhaseFlagSync, c.cost())
 		r.Count(c.ID, metrics.CtrFlagProbes)
 	}
-	return c.chip.mpb.byteAt(owner, off)
+	return c.chip.mpb.byteAt(int(c.owner), off)
 }
 
 // --- MPB-direct reduction (Sec. IV-D) ---
