@@ -5,12 +5,15 @@
 //
 // Every point-to-point transfer is one Request, the protocol's one chunk
 // state machine, in one of two slots per UE (a send and a receive).
-// Three drivers advance it: blocking RCCE (Send/Recv) waits on each
-// flag; the request engine (PostSend/PostRecv/WaitAll), which iRCCE,
-// the lightweight primitives and RCKMPI's pairwise exchange all post
-// into at their own software-overhead constants, probes; and the
-// hardened protocol (robust.go) that fault-tolerant collectives run on
-// adds checksums, sequence numbers and bounded waits.
+// Three drivers advance it: the blocking driver runs a whole message as
+// model steps between the core's accesses and resumes its process once,
+// priced by a row (Send/Recv are blocking RCCE's; RCKMPI's window
+// channel is the other row); the request engine (PostSend/PostRecv/
+// WaitAll), which iRCCE, the lightweight primitives and RCKMPI's
+// pairwise exchange all post into at their own software-overhead
+// constants, probes; and the hardened protocol (robust.go) that
+// fault-tolerant collectives run on adds checksums, sequence numbers
+// and bounded waits.
 package rcce
 
 import (
@@ -262,8 +265,7 @@ func (u *UE) account(label string, t0 simtime.Time, calls, ticks metrics.Counter
 	}
 }
 
-// Row is a pricing row of the blocking driver: what its calls, chunks
-// and staging cost on one stack.
+// Row is a pricing row of the blocking driver.
 type Row uint8
 
 const (
@@ -271,13 +273,11 @@ const (
 	// Put's and Get's per-line cost, and a message that does not fill
 	// whole cache lines pays one more call (Sec. V-A).
 	RowRCCE Row = iota
-	// RowRCKMPI is RCKMPI's SCCMPB channel: chunks are the per-sender
-	// Window, a call costs OverheadRCKMPICall and every window a
-	// sixteenth of it for the channel's progress engine (before staging
-	// on a send, before the wait on a receive), and staging costs per
-	// byte (before the write, after the read). It makes no partial-line
-	// call, hence the smooth latency curve, and counts no sends,
-	// receives, puts or gets.
+	// RowRCKMPI is RCKMPI's SCCMPB channel: chunks are the Window, a
+	// call costs OverheadRCKMPICall and each window a sixteenth of it
+	// (before staging, or before the wait of a receive), staging costs
+	// per byte (before the write, after the read), and nothing is
+	// counted. It makes no partial-line call: a smooth latency curve.
 	RowRCKMPI
 )
 
@@ -299,10 +299,14 @@ func (c *Comm) Window() int {
 // Send transmits nBytes from private memory to UE dest using the blocking
 // two-flag protocol of Fig. 3. It returns only after dest has consumed
 // every chunk.
-func (u *UE) Send(dest int, addr scc.Addr, nBytes int) { u.Blocking(RowRCCE, ReqSend, dest, addr, nBytes) }
+func (u *UE) Send(dest int, addr scc.Addr, nBytes int) {
+	u.Blocking(RowRCCE, ReqSend, dest, addr, nBytes)
+}
 
 // Recv receives nBytes from UE src into private memory, blocking.
-func (u *UE) Recv(src int, addr scc.Addr, nBytes int) { u.Blocking(RowRCCE, ReqRecv, src, addr, nBytes) }
+func (u *UE) Recv(src int, addr scc.Addr, nBytes int) {
+	u.Blocking(RowRCCE, ReqRecv, src, addr, nBytes)
+}
 
 // Blocking is the blocking driver of the chunk state machine, priced by
 // row: one call runs the whole message — stage, wait on the watched
@@ -313,26 +317,23 @@ func (u *UE) Blocking(row Row, kind ReqKind, peer int, addr scc.Addr, nBytes int
 	m := u.core.Chip().Model
 	r := u.open(row, NBCosts{Post: m.OverheadBlockingCall}, kind, nil, peer, addr, nBytes)
 	r.blocking = true
-	start := func() {
-		if kind == ReqSend {
-			r.run(r.stage())
-		} else {
-			r.run(r.then())
-		}
-	}
-	if row == RowRCKMPI {
-		u.chargeCall(m.OverheadRCKMPICall)
-		start()
-		return
-	}
 	reg := u.core.Metrics()
 	var t0 simtime.Time
-	if reg != nil {
-		t0 = u.core.Now()
+	if row == RowRCKMPI {
+		reg = nil // the channel counts no sends or receives
+		u.chargeCall(m.OverheadRCKMPICall)
+	} else {
+		if reg != nil {
+			t0 = u.core.Now()
+		}
+		u.chargeCall(m.OverheadBlockingCall)
+		u.chargePartialLine(nBytes)
 	}
-	u.chargeCall(m.OverheadBlockingCall)
-	u.chargePartialLine(nBytes)
-	start()
+	if kind == ReqSend {
+		r.run(r.stage())
+	} else {
+		r.run(r.then()) // a receive begins with the wait
+	}
 	if reg != nil {
 		calls, ticks := metrics.CtrSends, metrics.CtrSendTicks
 		if kind == ReqRecv {

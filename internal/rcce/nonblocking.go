@@ -19,10 +19,14 @@ import (
 // UE's two slots, one for sends and one for receives, and three drivers
 // advance it:
 //
-//   - Send/Recv (comm.go) block on the watched flag, then advance;
+//   - Blocking (comm.go) chains wait and advance for a whole message,
+//     priced by a Row: blocking RCCE's, or RCKMPI's window channel;
 //   - PostSend/PostRecv/WaitAll probe, then advance, at a stack's NBCosts;
 //   - runRobust (robust.go) waits on every pending op with one bounded
 //     multi-flag wait.
+//
+// A transition (stage, advance) is a chain of the request's steps; the
+// two process-code drivers start it through Request.run.
 
 // NBCosts parameterizes the software overhead of a non-blocking
 // primitive implementation, in core cycles.
@@ -58,13 +62,9 @@ func (k ReqKind) String() string {
 // can have a send and a receive in flight at once and overlap their
 // copies (Fig. 5).
 //
-// Its transitions are steps of the core's step machine (scc.Core.Step):
-// the request is the continuation that drives the core between
-// accesses, and pc says what it does once the core's access or wait in
-// progress ends. Each access's effects run in the step its pay ends
-// in, so a transition runs on whichever stack pops that wake-up, and
-// every step that reads the clock follows an access: no local latency
-// is pending there, so reading it flushes nothing.
+// A transition runs as the request's steps between the core's accesses
+// (scc.Core.Run), on whichever stack pops the wake-up; every step that
+// reads the clock follows an access, so reading it flushes nothing.
 type Request struct {
 	ue   *UE
 	peer int
@@ -84,7 +84,7 @@ type Request struct {
 	hard     bool // the hardened protocol (robust.go)
 	resend   bool // the chunk being staged is a retransmission (robust.go)
 	done     bool
-	t0       simtime.Time // when the put or get in flight began (traced or counted)
+	t0       simtime.Time // when the put, get or wait in flight began
 
 	// The hardened protocol's retry state (robust.go).
 	pol      Policy
@@ -98,15 +98,14 @@ type reqStep uint8
 
 const (
 	reqIdle       reqStep = iota // the transition is over: resume the process
-	reqPut                       // the latency before the put is applied: stage the chunk
+	reqPut                       // the latency before a put is applied: stage the chunk
 	reqStaged                    // the chunk's write is paid
-	reqSummed                    // the checksum's write is paid (hard)
-	reqAnnounced                 // the sent flag's write is paid
+	reqSum                       // the checksum's write or read is paid (hard)
+	reqSent                      // the sent flag's write is paid
 	reqWaited                    // the watched flag matched (blocking driver)
 	reqConsumed                  // the watched flag's clear is paid
 	reqCopied                    // the chunk's read is paid
-	reqGot                       // the latency after the get is applied: account it
-	reqVerified                  // the checksum's read is paid (hard)
+	reqGot                       // the latency after a get is applied
 	reqAcked                     // the ready flag's write is paid
 	reqProgressed                // the progress flag's write is paid (hard)
 )
@@ -187,8 +186,8 @@ func (r *Request) run(st simtime.Step) {
 	r.ue.core.Run(r, st)
 }
 
-// Wake runs the request at its core's wake-ups: the core's step, and
-// once that ends the access or wait in progress, the request's own.
+// Wake runs the core's step and, once that access or wait has ended,
+// the request's own.
 func (r *Request) Wake() simtime.Step {
 	if st := r.ue.core.Step(); st != simtime.Resume() {
 		return st
@@ -196,11 +195,10 @@ func (r *Request) Wake() simtime.Step {
 	return r.next()
 }
 
-// String names the flag wait the request's core is parked in, for the
-// engine's deadlock report.
+// String names the flag wait the core is parked in (deadlock reports).
 func (r *Request) String() string { return r.ue.core.Waiting() }
 
-// next runs the request's steps until one starts a core step that
+// next takes the request's steps until one starts a core step that
 // sleeps or parks, the transition ends, or the core died.
 func (r *Request) next() simtime.Step {
 	st := simtime.Resume()
@@ -210,16 +208,17 @@ func (r *Request) next() simtime.Step {
 	return st
 }
 
-// step takes the request's step pc and returns the core step it starts.
+// step takes step pc and returns the core step it starts. A put and a
+// get price lines on the RCCE row, bytes and windows on RCKMPI's.
 func (r *Request) step() simtime.Step {
-	u := r.ue
-	c, m := u.core, u.core.Chip().Model
-	n := r.chunkLen()
-	at := r.addr + scc.Addr(r.off)
+	u, c := r.ue, r.ue.core
+	m, n, at := c.Chip().Model, r.chunkLen(), r.addr+scc.Addr(r.off)
+	rck := r.row == RowRCKMPI
+	var sum [4]byte
 	switch r.pc {
 	case reqPut:
 		r.t0 = c.Proc().Now()
-		if r.row == RowRCKMPI {
+		if rck {
 			c.OverheadCycles(m.OverheadRCKMPICall / 16) // the channel's progress engine, per window
 			c.OverheadCycles(m.RCKMPIPerByteCoreCycles * int64(n))
 		} else {
@@ -229,21 +228,27 @@ func (r *Request) step() simtime.Step {
 		return r.access(reqStaged, u.comm.DataBase(u.ID()), n, false)
 	case reqStaged:
 		c.EndWrite(u.comm.DataBase(u.ID()), c.PrivBytes(at, n))
-		if r.row == RowRCCE {
+		if !rck {
 			u.account("put", r.t0, metrics.CtrPuts, metrics.CtrPutTicks)
 		}
-		if r.hard {
-			// The chunk's checksum goes into the sent-flag line first.
+		if r.hard { // the checksum goes into the sent-flag line first
 			r.sum = r.checksum(n)
-			return r.access(reqSummed, r.flagOff(FlagChk0), 4, false)
+			return r.access(reqSum, r.flagOff(FlagChk0), 4, false)
 		}
-		return r.access(reqAnnounced, r.flagOff(FlagSent), 1, false)
-	case reqSummed:
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], r.sum)
-		c.EndWrite(r.flagOff(FlagChk0), b[:])
-		return r.access(reqAnnounced, r.flagOff(FlagSent), 1, false)
-	case reqAnnounced:
+		return r.access(reqSent, r.flagOff(FlagSent), 1, false)
+	case reqSum:
+		if r.kind == ReqSend {
+			binary.LittleEndian.PutUint32(sum[:], r.sum)
+			c.EndWrite(r.flagOff(FlagChk0), sum[:])
+			return r.access(reqSent, r.flagOff(FlagSent), 1, false)
+		}
+		if c.EndRead(r.flagOff(FlagChk0), sum[:]); binary.LittleEndian.Uint32(sum[:]) != r.sum {
+			// Corrupt, lost, or stale (another sequence number's) chunk:
+			// NACK and wait for the retransmission of this sequence number.
+			return r.ack(r.seq | nackBit)
+		}
+		return r.ack(r.seq)
+	case reqSent:
 		c.EndSetFlag(r.flagOff(FlagSent), r.seq)
 		if r.resend {
 			r.resend = false
@@ -253,7 +258,7 @@ func (r *Request) step() simtime.Step {
 		}
 		return r.then()
 	case reqWaited:
-		return r.advance(c.EndWait())
+		return r.advance(c.EndWait(r.t0))
 	case reqConsumed:
 		c.EndSetFlag(r.watch().Off(), 0)
 		switch {
@@ -261,44 +266,30 @@ func (r *Request) step() simtime.Step {
 			return r.completeChunk(n)
 		case r.kind == ReqSend: // NACK: the receiver saw a corrupt chunk
 			return r.retransmit()
-		case r.v != r.seq:
-			// Duplicate of the previous chunk: our ACK was lost in
-			// flight. Re-acknowledge; do not consume the data again.
+		case r.v != r.seq: // the previous chunk again: our ACK was lost, re-acknowledge it
 			return r.ack(r.v)
 		}
 		r.t0 = c.Proc().Now()
-		if r.row == RowRCCE {
+		if !rck {
 			c.OverheadCycles(m.GetLineCoreCycles * int64(m.Lines(n)))
 		}
 		return r.access(reqCopied, u.comm.DataBase(r.peer), n, true)
 	case reqCopied:
 		c.EndRead(u.comm.DataBase(r.peer), c.PrivBytes(at, n))
-		if r.row == RowRCKMPI {
+		if rck {
 			c.OverheadCycles(m.RCKMPIPerByteCoreCycles * int64(n))
 		}
 		c.TouchWrite(at, n)
-		r.pc = reqGot
-		if r.row == RowRCCE && (c.Tracing() || c.Metrics() != nil) {
-			return c.Flush() // a traced or counted get ends after its private writes
+		if r.pc = reqGot; !rck && (c.Tracing() || c.Metrics() != nil) {
+			return c.Flush() // the get's clock reads after its private writes
 		}
-		return simtime.Resume()
 	case reqGot:
-		if r.row == RowRCCE {
+		if !rck {
 			u.account("get", r.t0, metrics.CtrGets, metrics.CtrGetTicks)
 		}
-		if r.hard {
-			// Verify against the checksum the sender wrote beside it.
+		if r.hard { // verify against the checksum the sender wrote beside it
 			r.sum = r.checksum(n)
-			return r.access(reqVerified, r.flagOff(FlagChk0), 4, true)
-		}
-		return r.ack(r.seq)
-	case reqVerified:
-		var b [4]byte
-		c.EndRead(r.flagOff(FlagChk0), b[:])
-		if binary.LittleEndian.Uint32(b[:]) != r.sum {
-			// Corrupt, lost, or stale (another sequence number's) chunk:
-			// NACK and wait for the retransmission of this sequence number.
-			return r.ack(r.seq | nackBit)
+			return r.access(reqSum, r.flagOff(FlagChk0), 4, true)
 		}
 		return r.ack(r.seq)
 	case reqAcked:
@@ -321,47 +312,45 @@ func (r *Request) step() simtime.Step {
 		}
 		return r.completeChunk(n)
 	}
-	panic(fmt.Sprintf("rcce: request step %d", r.pc))
+	return simtime.Resume()
 }
 
-// access starts the core's access of n bytes at off; the request takes
-// step pc once it is paid.
+// access starts the core's access of n bytes at off, after which the
+// request takes step pc.
 func (r *Request) access(pc reqStep, off, n int, read bool) simtime.Step {
 	r.pc = pc
 	return r.ue.core.BeginAccess(off, n, read)
 }
 
-// stage begins copying the current chunk of a send into the local MPB;
-// the sent flag announces it. A traced or counted put first applies the
-// latency before it, to read the clock at its start.
+// stage begins copying the current chunk of a send into the local MPB,
+// which the sent flag then announces. A traced or counted put on the
+// RCCE row reads the clock at its start, after the latency before it.
 func (r *Request) stage() simtime.Step {
-	c := r.ue.core
 	r.pc = reqPut
-	if r.row == RowRCCE && (c.Tracing() || c.Metrics() != nil) {
+	if c := r.ue.core; r.row == RowRCCE && (c.Tracing() || c.Metrics() != nil) {
 		return c.Flush()
 	}
 	return simtime.Resume()
 }
 
-// advance consumes the watched flag's value v and takes the transition
-// it selects. v is r.seq on the plain protocol; the hardened one also
-// admits a NACK (to a send) and a duplicate of the previous chunk (to a
-// receive), see Request.watch. The flag is in the local MPB.
+// advance consumes the watched flag's value v (in the local MPB) and
+// takes the transition it selects: r.seq, or on the hardened protocol
+// also a NACK (to a send) or the previous chunk again (to a receive).
 func (r *Request) advance(v byte) simtime.Step {
 	r.v = v
 	return r.access(reqConsumed, r.watch().Off(), 1, false)
 }
 
 // ack writes v into the ready flag: the chunk's sequence number, its
-// NACK, or a duplicate's re-acknowledgement.
+// NACK, or the previous chunk's again.
 func (r *Request) ack(v byte) simtime.Step {
 	r.v = v
 	return r.access(reqAcked, r.flagOff(FlagReady), 1, false)
 }
 
-// then ends a transition. The blocking driver goes on to wait for the
-// next (RCKMPI's channel charging its progress engine at the top of each
-// window it receives); every other driver resumes its process.
+// then ends a transition: the blocking driver goes on to wait for the
+// next (RCKMPI's channel charging its progress engine at the top of a
+// window it receives), every other driver resumes its process.
 func (r *Request) then() simtime.Step {
 	if !r.blocking || r.done {
 		r.pc = reqIdle
@@ -371,8 +360,10 @@ func (r *Request) then() simtime.Step {
 	if r.row == RowRCKMPI && r.kind == ReqRecv {
 		c.OverheadCycles(c.Chip().Model.OverheadRCKMPICall / 16)
 	}
+	var st simtime.Step
+	r.t0, st = c.BeginWait(r.watch())
 	r.pc = reqWaited
-	return c.BeginWait(r.watch())
+	return st
 }
 
 // completeChunk records one finished chunk of n bytes and either

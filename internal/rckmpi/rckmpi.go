@@ -14,7 +14,11 @@
 //     baseline everywhere except Alltoall, whose cost is dominated by
 //     raw data volume.
 //
-// Its collective algorithms follow the MPICH playbook: binomial trees
+// The channel is not a protocol of its own: blocking Send and Recv run
+// RCCE's chunk state machine priced by RCKMPI's row (rcce.RowRCKMPI:
+// the per-sender window as the chunk, per-byte staging, a per-window
+// progress charge), and the pairwise exchange posts into the same
+// request slots at RCKMPI's non-blocking costs. Its collective algorithms follow the MPICH playbook: binomial trees
 // for rooted collectives, a ring for Allgather, pairwise exchange for
 // Alltoall. The collectives have the error-returning method set of
 // internal/core's context (whose Op, Block and ErrInvalid they use), so
@@ -27,8 +31,7 @@ import (
 )
 
 // Lib is a per-UE RCKMPI instance. It is one pointer wide, so storing it
-// in an interface allocates nothing; the channel stages its windows
-// straight between private memory and the MPB.
+// in an interface allocates nothing.
 type Lib struct {
 	ue *rcce.UE
 }

@@ -48,20 +48,19 @@ type Core struct {
 
 	// The step machine of the shared-state access or flag wait in
 	// progress (see Core.Step): its next step and mode, the wait's
-	// probed flag (watch[idx]), the instant it began and its deadline,
-	// the access being priced (owner's MPB, lines), and mark, the
-	// instant the current step began: a stall's fault check while it is
-	// slept, then the access's pricing. Packed beside dead with memHops,
-	// the mesh distance from tile to the core's memory controller (fixed
-	// geometry, computed once in init), they keep a 48-core chip's Core
-	// slab in its size class.
+	// probed flag (watch[idx]) and deadline, the access being priced
+	// (owner's MPB, lines), and mark, the instant the current step
+	// began: a stall's fault check while it is slept, then the access's
+	// pricing. Packed beside dead with memHops, the mesh distance from
+	// tile to the core's memory controller (fixed geometry, computed
+	// once in init), they keep a 48-core chip's Core slab in its size
+	// class.
 	step         stepKind
 	mode         stepMode
 	idx          uint16
 	memHops      uint16
 	owner, lines int32
 	mark         simtime.Time
-	begin        simtime.Time
 	deadline     simtime.Time // simtime.Never for an unbounded wait
 
 	sig   simtime.Signal // the one signal every flag wait of this core blocks on
@@ -123,9 +122,7 @@ func (c *Core) flushLocal() {
 	}
 }
 
-// Flush returns the step that applies the deferred local latency; like
-// an access, its last step resumes the caller (at once when nothing is
-// deferred).
+// Flush returns the step that applies the deferred local latency.
 func (c *Core) Flush() simtime.Step { return c.flushThen(stepNone) }
 
 // Profile accumulates per-core instrumentation, mirroring the paper's
@@ -371,16 +368,10 @@ func (c *Core) mpbHops(owner int) int {
 // simtime.Cont and the engine runs each step at its wake-up on whichever
 // stack pops it; the process is switched to only when program code
 // continues. The state lives in the Core fields after dead, and Step
-// dispatches on step.
-//
-// A continuation of the caller's own may drive the machine instead
-// (Run): it starts an access with BeginAccess or a wait with BeginWait,
-// calls Step at each of its wake-ups, and when Step returns
-// simtime.Resume() the access is paid (or the wait matched) at that
-// instant; it then applies the access's effects with EndWrite, EndRead
-// or EndSetFlag (EndWait for a wait) and starts the next. rcce's
-// transfers run a whole message this way, chunk after chunk, and resume
-// their process once.
+// dispatches on step. A continuation of the caller's own may drive the
+// machine (Run) to run model steps between accesses, as rcce's transfers
+// do: it begins each access or wait, calls Step at its wake-ups, and
+// applies the access's effects (the End calls) once Step resumes it.
 
 // stepKind is the step the machine runs at the core's next wake-up.
 type stepKind uint8
@@ -408,13 +399,10 @@ type steps Core
 
 func (k *steps) Wake() simtime.Step { return (*Core)(k).Step() }
 
-// String names the flag wait a core is parked in, for the engine's
-// deadlock report.
 func (k *steps) String() string { return (*Core)(k).Waiting() }
 
-// Waiting names the flag wait in progress: a continuation that drives
-// the machine (Run) names its parks with it. A list wait's watched-flag
-// count and first offset stand in for the full list.
+// Waiting names the flag wait in progress, for the engine's deadlock
+// report. A list wait's flag count and first offset stand for the list.
 func (c *Core) Waiting() string {
 	if c.mode&modeAny != 0 {
 		return fmt.Sprintf("core%02d any-flag (%d flags, first@%d)", c.ID, len(c.watch), c.watch[0].Off())
@@ -422,9 +410,8 @@ func (c *Core) Waiting() string {
 	return fmt.Sprintf("core%02d flag@%d==%d", c.ID, c.watch[0].Off(), byte(c.watch[0]>>8))
 }
 
-// Step runs the machine's next step. It returns simtime.Resume() once
-// the access in progress is paid or the wait has matched or timed out,
-// and when the fault hook has declared the core dead (see Dead).
+// Step runs the machine's next step. It resumes once the access is paid,
+// the wait has matched or timed out, or the core died (see Dead).
 func (c *Core) Step() simtime.Step {
 	switch c.step {
 	case stepPrice:
@@ -443,14 +430,11 @@ func (c *Core) Step() simtime.Step {
 	return simtime.Resume()
 }
 
-// run carries out st and the machine's further steps until one resumes
-// the process.
 func (c *Core) run(st simtime.Step) { c.Run((*steps)(c), st) }
 
-// Run carries out st and then k's further steps until one resumes the
-// process; k drives the step machine between steps of its own (see
-// Step). It must be called from within the core's process. A core the
-// fault hook declared dead dies here, on its own stack.
+// Run carries out st and then k's steps until one resumes the process,
+// from within it. A core the fault hook declared dead dies here, on its
+// own stack.
 func (c *Core) Run(k simtime.Cont, st simtime.Step) {
 	c.proc.Continue(k, st)
 	if c.dead {
@@ -469,11 +453,9 @@ func (c *Core) flushThen(next stepKind) simtime.Step {
 	return c.Step()
 }
 
-// BeginAccess starts an MPB access of n bytes at global offset off (a
-// read if read is set; a flag is one byte) and returns its first step:
-// its lines on the owner's MPB, each a blocking transaction on the P54C,
-// so they serialize. Its last step resumes the caller at the instant
-// the access is paid, and EndWrite, EndRead or EndSetFlag applies it.
+// BeginAccess returns the first step of an MPB access of n bytes at
+// global offset off: its lines, each a blocking transaction on the
+// P54C, serialize. Once paid, EndWrite, EndRead or EndSetFlag applies it.
 func (c *Core) BeginAccess(off, n int, read bool) simtime.Step {
 	c.checkMPBRange(off, n)
 	c.owner, c.lines, c.mode = int32(c.chip.MPBOwner(off)), int32(c.chip.Model.Lines(n)), 0
@@ -559,9 +541,8 @@ func (c *Core) MPBWrite(off int, src []byte) {
 	c.EndWrite(off, src)
 }
 
-// EndWrite applies the write of src at off whose access (BeginAccess)
-// was just paid: the bytes land, unless the fault hook loses them, and
-// wake the cores waiting on flags they cover.
+// EndWrite lands the paid write of src at off (unless the fault hook
+// loses it), waking the cores waiting on flags it covers.
 func (c *Core) EndWrite(off int, src []byte) {
 	owner := int(c.owner)
 	if r := c.chip.metrics; r != nil {
@@ -596,8 +577,7 @@ func (c *Core) MPBRead(off int, dst []byte) {
 	c.EndRead(off, dst)
 }
 
-// EndRead copies the bytes at off whose read (BeginAccess) was just
-// paid into dst.
+// EndRead copies the paid read at off into dst.
 func (c *Core) EndRead(off int, dst []byte) {
 	if r := c.chip.metrics; r != nil {
 		r.AddPhase(c.ID, metrics.PhaseTransfer, c.cost())
@@ -637,8 +617,8 @@ func (c *Core) SetFlag(off int, v byte) {
 	c.EndSetFlag(off, v)
 }
 
-// EndSetFlag sets the flag at off to v once its write (BeginAccess) is
-// paid, unless the fault hook loses it.
+// EndSetFlag sets the flag at off to v once paid (unless the fault hook
+// loses the write).
 func (c *Core) EndSetFlag(off int, v byte) {
 	if r := c.chip.metrics; r != nil {
 		r.AddPhase(c.ID, metrics.PhaseFlagSync, c.cost())

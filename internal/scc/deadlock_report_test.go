@@ -8,11 +8,12 @@ import (
 	"scc/internal/timing"
 )
 
-// TestDeadlockReportGolden pins the rendered deadlock report. Blocked-wait
-// diagnostics are recorded as compact WaitSite/Note values and only
-// formatted when a deadlock report renders; this golden test is the
-// invariant that the lazy path still names the core, the flag offset, and
-// the expected value — exactly what a hang investigation needs.
+// TestDeadlockReportGolden pins the rendered deadlock report. A parked
+// core records nothing about its wait: the engine asks the armed step
+// machine to name it (steps.String), and the last protocol step is a
+// Note formatted only when a report renders. The report must still name
+// the core, the flag offset and the expected value — exactly what a
+// hang investigation needs.
 func TestDeadlockReportGolden(t *testing.T) {
 	chip := New(timing.Default())
 	off := chip.MPBBase(0) + 7
@@ -28,7 +29,7 @@ func TestDeadlockReportGolden(t *testing.T) {
 	for _, want := range []string{
 		"deadlock",
 		"core00",                       // stuck process name
-		"waiting: core00 flag@7==1",    // WaitSite: core, offset, expected value
+		"waiting: core00 flag@7==1",    // the step machine: core, offset, expected value
 		"last step: sent chunk 3 of 9", // deferred Note formatting
 	} {
 		if !strings.Contains(msg, want) {

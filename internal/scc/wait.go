@@ -87,20 +87,20 @@ func (c *Core) WaitFlagsMatch(flags []Flag, limit simtime.Duration) (int, byte, 
 // ok == false with the value probed last once a probe round disappoints
 // past the deadline.
 func (c *Core) wait(flags []Flag, mode stepMode, limit simtime.Duration) (int, byte, bool) {
-	c.run(c.beginWait(flags, mode, limit))
+	begin, st := c.beginWait(flags, mode, limit)
+	c.run(st)
 	i, ok := int(c.idx), c.step == stepProbed
-	return i, c.EndWait(), ok
+	return i, c.EndWait(begin), ok
 }
 
-// BeginWait starts an unbounded wait on the one flag f and returns its
-// first step; its last step resumes the caller at the probe that
-// matches, and EndWait ends it.
-func (c *Core) BeginWait(f Flag) simtime.Step {
+// BeginWait returns the instant an unbounded wait on the flag f begins
+// and its first step; EndWait(begin) ends it once it has matched.
+func (c *Core) BeginWait(f Flag) (simtime.Time, simtime.Step) {
 	c.one[0] = f
 	return c.beginWait(c.one[:], 0, 0)
 }
 
-func (c *Core) beginWait(flags []Flag, mode stepMode, limit simtime.Duration) simtime.Step {
+func (c *Core) beginWait(flags []Flag, mode stepMode, limit simtime.Duration) (simtime.Time, simtime.Step) {
 	if len(flags) > math.MaxUint16 {
 		panic("scc: a flag wait watches more than 65,535 flags")
 	}
@@ -110,22 +110,20 @@ func (c *Core) beginWait(flags []Flag, mode stepMode, limit simtime.Duration) si
 	// The deferred local latency flushed before the first probe is work
 	// that happened before the wait, so it must not inflate the wait
 	// interval (which becomes the "wait-*" span and the flag-wait phase).
-	c.begin = c.proc.Now() + c.pending
+	begin := c.proc.Now() + c.pending
 	c.deadline = simtime.Never
 	if limit > 0 {
-		c.deadline = c.begin + limit
+		c.deadline = begin + limit
 	}
 	c.watch, c.mode = flags, mode|modeRead
-	return c.probe(0)
+	return begin, c.probe(0)
 }
 
-// EndWait ends the wait whose last step resumed the caller, accounting
-// its interval, and returns the byte its last probe read: the matching
-// value, or the disappointing one of a wait that timed out. No step
-// runs between, so the flag still holds that byte.
-func (c *Core) EndWait() byte {
+// EndWait accounts the wait that began at begin and just ended, and
+// returns the byte its last probe read (the flag still holds it).
+func (c *Core) EndWait(begin simtime.Time) byte {
 	v := c.flagByte()
-	c.endWait()
+	c.endWait(begin)
 	c.watch, c.mode = nil, 0
 	return v
 }
@@ -170,13 +168,13 @@ func (c *Core) miss() simtime.Step {
 	return c.proc.Park(&c.sig, c.deadline)
 }
 
-// endWait accounts the wait interval that began at c.begin: it always
+// endWait accounts the wait interval that began at begin: it always
 // adds to Profile.FlagWait; in the metrics registry the whole interval
 // (probes included) counts as PhaseFlagWait when the wait actually
 // blocked — the exact extent of the "wait-*" trace span — and as
 // unblocked flag traffic (PhaseFlagSync) otherwise.
-func (c *Core) endWait() {
-	begin, now := c.begin, c.proc.Now()
+func (c *Core) endWait(begin simtime.Time) {
+	now := c.proc.Now()
 	waited := now - begin
 	blocked := c.mode&modeBlocked != 0
 	c.prof.FlagWait += waited

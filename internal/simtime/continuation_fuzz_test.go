@@ -80,6 +80,9 @@ type chainCont struct {
 }
 
 func (k *chainCont) Wake() Step {
+	if k.next > len(k.ch.chain) {
+		return Resume() // the final sleep is over
+	}
 	for k.next < len(k.ch.chain) {
 		s := k.ch.chain[k.next]
 		*k.trace = append(*k.trace, oracleEvent{k.p.Now(), k.p.ID(), k.op, k.next})
@@ -97,7 +100,8 @@ func (k *chainCont) Wake() Step {
 	}
 	*k.trace = append(*k.trace, oracleEvent{k.p.Now(), k.p.ID(), k.op, len(k.ch.chain)})
 	if k.ch.fin >= 0 {
-		return SleepThenResume(k.ch.fin)
+		k.next++
+		return SleepThenWake(k.ch.fin)
 	}
 	return Resume()
 }

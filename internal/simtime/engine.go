@@ -346,14 +346,9 @@ func (e *Engine) deliver(q *Proc) bool {
 			return true
 		}
 		if st.kind != stepParked && e.sleep(q, st.d) {
-			if st.kind == stepSleepResume {
-				return true
-			}
 			continue
 		}
-		if st.kind != stepSleepResume {
-			q.w.cont = k
-		}
+		q.w.cont = k
 		e.fastpath++
 		return false
 	}

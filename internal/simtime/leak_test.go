@@ -114,10 +114,10 @@ func TestBroadcastClearsWaiterBackingArray(t *testing.T) {
 	}
 }
 
-// A timed-out waiter's deregistration must likewise clear its slot, and
-// the compaction that bounds the hole-ridden list must keep every
-// surviving waiter's recorded index coherent — a later Broadcast must
-// wake exactly the survivors, in registration order.
+// A timed-out waiter is spliced out of the waiter list (Proc.disarm):
+// the tail slot it vacates must be cleared, and the survivors must keep
+// their order, so a later Broadcast wakes exactly them, in registration
+// order.
 func TestTimeoutDeregistrationClearsSlotAndCompacts(t *testing.T) {
 	eng := NewEngine()
 	var sig Signal
@@ -125,9 +125,8 @@ func TestTimeoutDeregistrationClearsSlotAndCompacts(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		eng.Spawn("w", func(p *Proc) {
 			if p.ID()%4 != 3 {
-				// 48 of 64 time out early: enough holes to cross the
-				// holes > len/2 threshold and force a mid-run compaction
-				// while the survivors are still registered.
+				// 48 of 64 time out early and splice themselves out
+				// from between the survivors, still registered.
 				if p.WaitOnTimeout(&sig, 10, Site("short")) {
 					t.Errorf("waiter %d: signal beat a 10-tick timeout fired at t=100", p.ID())
 				}

@@ -208,18 +208,13 @@ type Step struct {
 type stepKind uint8
 
 const (
-	stepResume      stepKind = iota // switch to the process now
-	stepSleepResume                 // sleep d, then switch to the process
-	stepSleepWake                   // sleep d, then run the continuation again
-	stepParked                      // registered on a signal by Park
+	stepResume    stepKind = iota // switch to the process now
+	stepSleepWake                 // sleep d, then run the continuation again
+	stepParked                    // registered on a signal by Park
 )
 
 // Resume continues the process now.
 func Resume() Step { return Step{} }
-
-// SleepThenResume sleeps d, exactly as Sleep(d), and then continues the
-// process.
-func SleepThenResume(d Duration) Step { return Step{d: d, kind: stepSleepResume} }
 
 // SleepThenWake sleeps d, exactly as Sleep(d), and then runs the
 // continuation again.
@@ -257,15 +252,8 @@ func (p *Proc) Continue(k Cont, st Step) {
 	e := p.eng
 	for st.kind != stepResume {
 		if st.kind != stepParked && e.sleep(p, st.d) {
-			if st.kind == stepSleepResume {
-				return
-			}
 			st = k.Wake()
 			continue
-		}
-		if st.kind == stepSleepResume {
-			p.block()
-			return
 		}
 		p.w.cont = k
 		p.block()
