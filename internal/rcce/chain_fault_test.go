@@ -158,3 +158,27 @@ func TestDroppedSentFlagInsideATransferChain(t *testing.T) {
 		leakCheck(t, base)
 	}
 }
+
+// TestRequestStringOutsideAWait: a request is the continuation a
+// deadlock report names, and fmt prints it anywhere else too; outside a
+// flag wait its core has none to name.
+func TestRequestStringOutsideAWait(t *testing.T) {
+	chip := scc.New(timing.Default())
+	defer chip.Release()
+	comm := rcce.NewComm(chip)
+	costs := rcce.NBCosts{Post: 100, Wait: 100, Progress: 25}
+	var got string
+	chip.LaunchOne(0, func(c *scc.Core) {
+		ue := comm.UE(0)
+		r := ue.PostSend(costs, 1, c.Alloc(8), 8)
+		got = fmt.Sprint(r)
+		ue.WaitAll(costs, r)
+	})
+	chip.LaunchOne(1, func(c *scc.Core) { comm.UE(1).Recv(0, c.Alloc(8), 8) })
+	if err := chip.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := "core00 no flag wait"; got != want {
+		t.Errorf("a posted request prints %q, want %q", got, want)
+	}
+}

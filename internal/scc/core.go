@@ -404,7 +404,10 @@ func (k *steps) String() string { return (*Core)(k).Waiting() }
 // Waiting names the flag wait in progress, for the engine's deadlock
 // report. A list wait's flag count and first offset stand for the list.
 func (c *Core) Waiting() string {
-	if c.mode&modeAny != 0 {
+	switch {
+	case c.watch == nil:
+		return fmt.Sprintf("core%02d no flag wait", c.ID)
+	case c.mode&modeAny != 0:
 		return fmt.Sprintf("core%02d any-flag (%d flags, first@%d)", c.ID, len(c.watch), c.watch[0].Off())
 	}
 	return fmt.Sprintf("core%02d flag@%d==%d", c.ID, c.watch[0].Off(), byte(c.watch[0]>>8))
