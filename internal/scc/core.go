@@ -399,6 +399,7 @@ type steps Core
 
 func (k *steps) Wake() simtime.Step { return (*Core)(k).Step() }
 
+// String names the parked wait for the engine's deadlock report.
 func (k *steps) String() string { return (*Core)(k).Waiting() }
 
 // Waiting names the flag wait in progress, for the engine's deadlock
