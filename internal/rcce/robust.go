@@ -215,10 +215,9 @@ func (r *Request) onTimeout() error {
 	u.stats.Timeouts++
 	if r.kind == ReqSend && u.core.ProbeFlag(r.flagOff(FlagProgress)) == r.seq {
 		// The receiver consumed this chunk; its ACK was lost. Treat as
-		// acknowledged.
+		// acknowledged: clear the ready flag and complete the chunk.
 		u.stats.LostAcks++
-		u.core.SetFlag(r.flagOff(FlagReady), 0)
-		r.run(r.completeChunk(r.chunkLen()))
+		r.run(r.advance(r.seq))
 		return nil
 	}
 	r.retries++
