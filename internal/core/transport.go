@@ -155,20 +155,16 @@ type nbEP struct {
 }
 
 func (e *nbEP) Send(to int, addr scc.Addr, n int) error {
-	e.ue.WaitAll(e.costs, e.ue.PostSend(e.costs, to, addr, n))
-	return nil
+	return e.ue.WaitAll(e.costs, e.ue.PostSend(e.costs, to, addr, n))
 }
 
 func (e *nbEP) Recv(from int, addr scc.Addr, n int) error {
-	e.ue.WaitAll(e.costs, e.ue.PostRecv(e.costs, from, addr, n))
-	return nil
+	return e.ue.WaitAll(e.costs, e.ue.PostRecv(e.costs, from, addr, n))
 }
 
 func (e *nbEP) Exchange(to int, sAddr scc.Addr, sBytes int, from int, rAddr scc.Addr, rBytes int) error {
 	s := e.ue.PostSend(e.costs, to, sAddr, sBytes)
-	r := e.ue.PostRecv(e.costs, from, rAddr, rBytes)
-	e.ue.WaitAll(e.costs, s, r)
-	return nil
+	return e.ue.WaitAll(e.costs, s, e.ue.PostRecv(e.costs, from, rAddr, rBytes))
 }
 
 // robustEP runs every leg over the hardened protocol (sequence numbers,

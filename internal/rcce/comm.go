@@ -4,14 +4,11 @@
 // generation-counted barrier.
 //
 // Every point-to-point transfer is one Request, the protocol's one chunk
-// state machine, in one of two slots per UE (a send and a receive).
-// Three drivers advance it: the blocking driver runs a whole message as
-// model steps between the core's accesses and resumes its process once,
-// priced by a row (Send/Recv are blocking RCCE's; RCKMPI's window
-// channel is the other row); the request engine (PostSend/PostRecv/
-// WaitAll), which iRCCE, the lightweight primitives and RCKMPI's
-// pairwise exchange all post into at their own software-overhead
-// constants, probes; and the hardened protocol (robust.go) that
+// state machine (nonblocking.go), in one of two slots per UE. The
+// blocking driver runs a whole message, priced by a row: Send/Recv's,
+// or RCKMPI's window channel. iRCCE, the lightweight primitives and
+// RCKMPI's pairwise exchange post into the slots at their own
+// software-overhead constants; the hardened protocol (robust.go) that
 // fault-tolerant collectives run on adds checksums, sequence numbers
 // and bounded waits.
 package rcce
@@ -97,11 +94,19 @@ const (
 // chunk data region.
 type Comm struct {
 	chip *scc.Chip
+	rows [2]rowCosts // indexed by Row
 }
 
 // NewComm lays an RCCE communicator over the chip.
 func NewComm(chip *scc.Chip) *Comm {
-	return &Comm{chip: chip}
+	m, c := chip.Model, &Comm{chip: chip}
+	c.rows = [2]rowCosts{
+		RowRCCE: {chunk: c.DataBytes(), call: m.OverheadBlockingCall, partial: m.OverheadPartialLineCall,
+			putLine: m.PutLineCoreCycles, getLine: m.GetLineCoreCycles, recorded: true},
+		RowRCKMPI: {chunk: c.Window(), call: m.OverheadRCKMPICall, window: m.OverheadRCKMPICall / 16,
+			perByte: m.RCKMPIPerByteCoreCycles},
+	}
+	return c
 }
 
 // NumUEs returns the number of units of execution (cores).
@@ -142,12 +147,7 @@ func (c *Comm) DataBytes() int {
 // state at all, and a running one pays only for the peers it actually
 // talks to — on a 10,000-core chip a dense NumUEs-sized slice per
 // counter per UE would dominate the whole simulation's footprint.
-func (c *Comm) UE(coreID int) *UE {
-	return &UE{
-		comm: c,
-		core: c.chip.Cores[coreID],
-	}
-}
+func (c *Comm) UE(coreID int) *UE { return &UE{comm: c, core: c.chip.Cores[coreID]} }
 
 // UE ("unit of execution" in RCCE terminology) is the per-core handle to
 // the communication library.
@@ -183,8 +183,7 @@ type UE struct {
 	// state machine out of them.
 	slots [2]Request
 
-	// Scratch for the multi-flag waits of WaitAll and runRobust. Safe to
-	// reuse because these loops never nest within one UE.
+	// Scratch for WaitAll's multi-flag waits (it never nests in a UE).
 	waitFlags []scc.Flag
 	waitPend  []*Request
 }
@@ -201,18 +200,33 @@ func (u *UE) Comm() *Comm { return u.comm }
 // NumUEs returns the communicator size.
 func (u *UE) NumUEs() int { return u.comm.NumUEs() }
 
-// chargeCall prices one library-call entry of n core cycles
-// (classified as software overhead in the metrics registry).
-func (u *UE) chargeCall(n int64) {
-	u.core.OverheadCycles(n)
+// Row names a pricing row of the chunk machine, an entry of its Comm's
+// table: RowRCCE (every driver but one) or RowRCKMPI (RCKMPI's blocking
+// channel, whose chunk is the Window).
+type Row uint8
+
+// The rows, in the order of Comm.rows.
+const (
+	RowRCCE Row = iota
+	RowRCKMPI
+)
+
+// rowCosts is what a row's blocking call, partial-line message and
+// chunk (the channel's progress engine, before staging or before a
+// receive's wait) and its staging per line and per byte cost, in core
+// cycles, and whether its puts, gets, sends and receives are counted
+// and traced and its chunks noted.
+type rowCosts struct {
+	chunk                                            int
+	call, partial, window, putLine, getLine, perByte int64
+	recorded                                         bool
 }
 
-// chargePartialLine adds the extra communication-function call RCCE
-// makes when a message does not fill whole cache lines (Sec. V-A).
-func (u *UE) chargePartialLine(nBytes int) {
-	m := u.core.Chip().Model
-	if nBytes%m.CacheLineBytes != 0 {
-		u.core.OverheadCycles(m.OverheadPartialLineCall)
+// chargePartialLine adds the extra communication-function call a
+// message that does not fill whole cache lines makes on row (Sec. V-A).
+func (u *UE) chargePartialLine(row Row, nBytes int) {
+	if nBytes%u.core.Chip().Model.CacheLineBytes != 0 {
+		u.core.OverheadCycles(u.comm.rows[row].partial)
 	}
 }
 
@@ -220,66 +234,79 @@ func (u *UE) chargePartialLine(nBytes int) {
 // mpbOff: per-line cached reads on the private side, write-combined
 // line writes on the MPB side. The bytes go straight from the private
 // slab to the MPB, as RCCE's put moves cache lines; only a fault hook
-// sees a copy (MPBWrite's), so a corrupting hook never reaches private
-// memory.
+// sees a copy (EndWrite's), so a corrupting hook never reaches private
+// memory. Get, its mirror, charges the private-side line writes after
+// the copy. Both are recorded from a clock read after the latency
+// before them.
 func (u *UE) Put(privAddr scc.Addr, mpbOff, nBytes int) {
-	m := u.core.Chip().Model
 	t0 := u.clock()
-	u.core.OverheadCycles(m.PutLineCoreCycles * int64(m.Lines(nBytes)))
-	u.core.TouchRead(privAddr, nBytes)
-	u.core.MPBWrite(mpbOff, u.core.PrivBytes(privAddr, nBytes))
-	u.account("put", t0, metrics.CtrPuts, metrics.CtrPutTicks)
+	u.core.Run(nil, u.beginPut(RowRCCE, privAddr, mpbOff, nBytes))
+	u.endPut(RowRCCE, t0, privAddr, mpbOff, nBytes)
 }
 
-// Get copies nBytes from the MPB at global offset mpbOff straight into
-// private memory at privAddr, then charges the private-side line writes.
+// Get copies nBytes from the MPB at mpbOff to private memory (see Put).
 func (u *UE) Get(mpbOff int, privAddr scc.Addr, nBytes int) {
-	m := u.core.Chip().Model
 	t0 := u.clock()
-	u.core.OverheadCycles(m.GetLineCoreCycles * int64(m.Lines(nBytes)))
-	u.core.MPBRead(mpbOff, u.core.PrivBytes(privAddr, nBytes))
-	u.core.TouchWrite(privAddr, nBytes)
-	u.account("get", t0, metrics.CtrGets, metrics.CtrGetTicks)
+	u.core.Run(nil, u.beginGet(RowRCCE, mpbOff, nBytes))
+	u.endGet(RowRCCE, mpbOff, privAddr, nBytes)
+	u.account(RowRCCE, "get", t0, metrics.CtrGets, metrics.CtrGetTicks)
 }
 
-// clock returns the time a traced or counted put or get begins at.
+// The halves of a put and a get on row, which Put, Get and a request's
+// steps join: beginPut charges staging n bytes from private memory at a
+// and begins their write at mpbOff, endPut lands the put that began at
+// t0; beginGet charges their line reads and begins reading them at
+// mpbOff, endGet copies them to a and charges the rest.
+func (u *UE) beginPut(row Row, a scc.Addr, mpbOff, n int) simtime.Step {
+	p := &u.comm.rows[row]
+	u.core.OverheadCycles(p.perByte * int64(n))
+	u.core.OverheadCycles(p.putLine * int64(u.core.Chip().Model.Lines(n)))
+	u.core.TouchRead(a, n)
+	return u.core.BeginAccess(mpbOff, n, false)
+}
+
+func (u *UE) endPut(row Row, t0 simtime.Time, a scc.Addr, mpbOff, n int) {
+	u.core.EndWrite(mpbOff, u.core.PrivBytes(a, n))
+	u.account(row, "put", t0, metrics.CtrPuts, metrics.CtrPutTicks)
+}
+
+func (u *UE) beginGet(row Row, mpbOff, n int) simtime.Step {
+	u.core.OverheadCycles(u.comm.rows[row].getLine * int64(u.core.Chip().Model.Lines(n)))
+	return u.core.BeginAccess(mpbOff, n, true)
+}
+
+func (u *UE) endGet(row Row, mpbOff int, a scc.Addr, n int) {
+	u.core.EndRead(mpbOff, u.core.PrivBytes(a, n))
+	u.core.OverheadCycles(u.comm.rows[row].perByte * int64(n))
+	u.core.TouchWrite(a, n)
+}
+
+// recording reports whether a put or get on row is traced or counted.
+func (u *UE) recording(row Row) bool {
+	return u.comm.rows[row].recorded && (u.core.Tracing() || u.core.Metrics() != nil)
+}
+
+// clock returns the time a recorded put or get begins at; account
+// records the trace span and counters of one on row that began at t0
+// and has just ended.
 func (u *UE) clock() simtime.Time {
-	if u.core.Tracing() || u.core.Metrics() != nil {
+	if u.recording(RowRCCE) {
 		return u.core.Now()
 	}
 	return 0
 }
 
-// account records the trace span and counters of a put or get that
-// began at t0 and has just ended.
-func (u *UE) account(label string, t0 simtime.Time, calls, ticks metrics.Counter) {
-	reg := u.core.Metrics()
-	if !u.core.Tracing() && reg == nil {
+func (u *UE) account(row Row, label string, t0 simtime.Time, calls, ticks metrics.Counter) {
+	if !u.recording(row) {
 		return
 	}
 	now := u.core.Now()
 	u.core.RecordSpan(label, t0, now)
-	if reg != nil {
+	if reg := u.core.Metrics(); reg != nil {
 		reg.Count(u.core.ID, calls)
 		reg.CountN(u.core.ID, ticks, int64(now-t0))
 	}
 }
-
-// Row is a pricing row of the blocking driver.
-type Row uint8
-
-const (
-	// RowRCCE is blocking RCCE: chunks fill the data region, staging is
-	// Put's and Get's per-line cost, and a message that does not fill
-	// whole cache lines pays one more call (Sec. V-A).
-	RowRCCE Row = iota
-	// RowRCKMPI is RCKMPI's SCCMPB channel: chunks are the Window, a
-	// call costs OverheadRCKMPICall and each window a sixteenth of it
-	// (before staging, or before the wait of a receive), staging costs
-	// per byte (before the write, after the read), and nothing is
-	// counted. It makes no partial-line call: a smooth latency curve.
-	RowRCKMPI
-)
 
 // Window returns the per-sender MPB window of RCKMPI's channel, the
 // chunk size of RowRCKMPI. RCKMPI statically partitions each core's MPB
@@ -290,10 +317,11 @@ const (
 // step) crawl, while Alltoall (47 windows active at once) stays
 // competitive. Half of each per-sender share holds channel metadata
 // (read/write pointers and packet headers); the window is the other
-// half, rounded down to whole cache lines.
+// half, rounded down to whole cache lines (on a one-core chip, which
+// has no sender, the whole region is the only share).
 func (c *Comm) Window() int {
 	line := c.chip.Model.CacheLineBytes
-	return max(line, c.DataBytes()/(c.NumUEs()-1)/2/line*line)
+	return max(line, c.DataBytes()/max(1, c.NumUEs()-1)/2/line*line)
 }
 
 // Send transmits nBytes from private memory to UE dest using the blocking
@@ -314,27 +342,21 @@ func (u *UE) Recv(src int, addr scc.Addr, nBytes int) {
 // the core's step machine, and its process resumes once, when the
 // message is done.
 func (u *UE) Blocking(row Row, kind ReqKind, peer int, addr scc.Addr, nBytes int) {
-	m := u.core.Chip().Model
-	r := u.open(row, NBCosts{Post: m.OverheadBlockingCall}, kind, nil, peer, addr, nBytes)
+	r, p := u.open(row, NBCosts{}, kind, nil, peer, addr, nBytes), &u.comm.rows[row]
 	r.blocking = true
-	reg := u.core.Metrics()
 	var t0 simtime.Time
-	if row == RowRCKMPI {
-		reg = nil // the channel counts no sends or receives
-		u.chargeCall(m.OverheadRCKMPICall)
-	} else {
-		if reg != nil {
-			t0 = u.core.Now()
-		}
-		u.chargeCall(m.OverheadBlockingCall)
-		u.chargePartialLine(nBytes)
+	reg := u.core.Metrics()
+	if reg != nil && p.recorded {
+		t0 = u.core.Now()
 	}
+	u.core.OverheadCycles(p.call)
+	u.chargePartialLine(row, nBytes)
 	if kind == ReqSend {
 		r.run(r.stage())
 	} else {
 		r.run(r.then()) // a receive begins with the wait
 	}
-	if reg != nil {
+	if reg != nil && p.recorded {
 		calls, ticks := metrics.CtrSends, metrics.CtrSendTicks
 		if kind == ReqRecv {
 			calls, ticks = metrics.CtrRecvs, metrics.CtrRecvTicks
@@ -361,7 +383,7 @@ func (u *UE) Barrier() {
 // up with ErrUnreachable once the retry budget is spent.
 func (u *UE) centralBarrier(members []int, arrive, release int, gens *peerBytes, pol *Policy) error {
 	m := u.core.Chip().Model
-	u.chargeCall(m.OverheadBlockingCall)
+	u.core.OverheadCycles(m.OverheadBlockingCall)
 	n, member := len(members), func(i int) int { return members[i] }
 	if members == nil {
 		n, member = u.NumUEs(), func(i int) int { return i }

@@ -9,24 +9,17 @@ import (
 	"scc/internal/simtime"
 )
 
-// This file holds the one point-to-point chunk state machine and its
-// non-blocking driver. Blocking RCCE, iRCCE, the paper's lightweight
-// primitives, RCKMPI's pairwise exchange and the hardened protocol all
-// run the two-flag chunk protocol of Fig. 3 (the hardened one with
-// sequence numbers, checksums and bounded waits on top, see robust.go);
-// what the paper measures between them is how they wait and what each
-// call costs (Sec. IV-A/B). So every transfer is a Request in one of its
-// UE's two slots, one for sends and one for receives, and three drivers
-// advance it:
-//
-//   - Blocking (comm.go) chains wait and advance for a whole message,
-//     priced by a Row: blocking RCCE's, or RCKMPI's window channel;
-//   - PostSend/PostRecv/WaitAll probe, then advance, at a stack's NBCosts;
-//   - runRobust (robust.go) waits on every pending op with one bounded
-//     multi-flag wait.
-//
-// A transition (stage, advance) is a chain of the request's steps; the
-// two process-code drivers start it through Request.run.
+// This file holds the one point-to-point chunk state machine and the
+// wait for posted and hardened requests. Blocking RCCE, RCKMPI's
+// channel, iRCCE, the paper's lightweight primitives and the hardened
+// protocol all run the two-flag chunk protocol of Fig. 3 (the hardened
+// one with sequence numbers, checksums and bounded waits on top, see
+// robust.go); what the paper measures between them is how they wait and
+// what each call costs (Sec. IV-A/B). So every transfer is a Request in
+// one of its UE's two slots, one for sends and one for receives. The
+// blocking driver (comm.go) runs a whole message as the request's steps;
+// a posted or hardened request starts each transition (stage, advance)
+// from process code through Request.run and waits in WaitAll.
 
 // NBCosts parameterizes the software overhead of a non-blocking
 // primitive implementation, in core cycles.
@@ -57,14 +50,12 @@ func (k ReqKind) String() string {
 }
 
 // Request is one direction of a transfer, held in one of its UE's two
-// slots: the chunked two-flag protocol as a state machine. A posted
-// request returns as soon as its first local action is done, so a core
-// can have a send and a receive in flight at once and overlap their
-// copies (Fig. 5).
-//
-// A transition runs as the request's steps between the core's accesses
-// (scc.Core.Run), on whichever stack pops the wake-up; every step that
-// reads the clock follows an access, so reading it flushes nothing.
+// slots: the chunked two-flag protocol as a state machine, whose
+// transitions run as its steps between the core's accesses
+// (scc.Core.Run) on whichever stack pops the wake-up. A posted request
+// returns as soon as its first local action is done, so a core can have
+// a send and a receive in flight at once and overlap their copies
+// (Fig. 5).
 type Request struct {
 	ue   *UE
 	peer int
@@ -73,7 +64,6 @@ type Request struct {
 
 	off      int     // bytes fully handed over
 	chunks   int32   // chunks left (at least one, even for an empty message)
-	chunk    int32   // the chunk size: the data region, or RCKMPI's window
 	sum      uint32  // the hardened chunk's checksum, between computing and writing or checking it
 	seq      byte    // the value the current chunk's flags carry; 1 unless hard
 	v        byte    // the value advance consumed, or the one an acknowledgement writes
@@ -107,21 +97,18 @@ const (
 	reqCopied                    // the chunk's read is paid
 	reqGot                       // the latency after a get is applied
 	reqAcked                     // the ready flag's write is paid
-	reqProgressed                // the progress flag's write is paid (hard)
+	reqProgressed                // the progress byte's write is paid (hard)
 )
 
 // busy reports whether the slot holds a request still in flight.
 func (r *Request) busy() bool { return r.ue != nil && !r.done }
 
 // open fills the slot of the given kind for a new transfer priced by
-// row; pol != nil selects the hardened protocol. A request still in
-// flight there is completed first, at costs: the chunk staging area is
-// a single region per core, so only one send can be on the wire, and a
-// receive slot follows the same rule (iRCCE would queue the second
-// request; the wire-level serialization is the same). Blocking and
-// hardened transfers end before their call returns, so only a post
-// leaves a slot busy. open charges no call overhead; each driver prices
-// its own.
+// row; pol != nil selects the hardened protocol. A post still in flight
+// there is completed first, at costs: the chunk staging area is a single
+// region per core, so only one send can be on the wire, and a receive
+// slot follows the same rule (iRCCE would queue the second request; the
+// wire-level serialization is the same). Each driver prices its call.
 func (u *UE) open(row Row, costs NBCosts, kind ReqKind, pol *Policy, peer int, addr scc.Addr, n int) *Request {
 	if peer == u.ID() {
 		panic(fmt.Sprintf("rcce: UE %d: %v to itself", peer, kind))
@@ -133,12 +120,9 @@ func (u *UE) open(row Row, costs NBCosts, kind ReqKind, pol *Policy, peer int, a
 		}
 		u.WaitAll(costs, r)
 	}
-	chunk := u.comm.DataBytes()
-	if row == RowRCKMPI {
-		chunk = u.comm.Window()
-	}
+	chunk := u.comm.rows[row].chunk
 	*r = Request{ue: u, kind: kind, peer: peer, addr: addr, n: n, chunks: int32(max(1, (n+chunk-1)/chunk)),
-		chunk: int32(chunk), seq: 1, row: row}
+		seq: 1, row: row}
 	if pol != nil {
 		r.hard, r.pol, r.window = true, *pol, pol.Timeout
 		if s := r.seqs().get(peer); s != 0 {
@@ -176,7 +160,10 @@ func (r *Request) watch() scc.Flag {
 }
 
 // chunkLen is the length of the chunk in flight.
-func (r *Request) chunkLen() int { return min(r.n-r.off, int(r.chunk)) }
+func (r *Request) chunkLen() int { return min(r.n-r.off, r.costs().chunk) }
+
+// costs is the request's pricing row.
+func (r *Request) costs() *rowCosts { return &r.ue.comm.rows[r.row] }
 
 // run carries the transition st began from process code to its end.
 func (r *Request) run(st simtime.Step) {
@@ -208,29 +195,18 @@ func (r *Request) next() simtime.Step {
 	return st
 }
 
-// step takes step pc and returns the core step it starts. A put and a
-// get price lines on the RCCE row, bytes and windows on RCKMPI's.
+// step takes step pc and returns the core step it starts.
 func (r *Request) step() simtime.Step {
 	u, c := r.ue, r.ue.core
-	m, n, at := c.Chip().Model, r.chunkLen(), r.addr+scc.Addr(r.off)
-	rck := r.row == RowRCKMPI
+	n, at := r.chunkLen(), r.addr+scc.Addr(r.off)
 	var sum [4]byte
 	switch r.pc {
 	case reqPut:
-		r.t0 = c.Proc().Now()
-		if rck {
-			c.OverheadCycles(m.OverheadRCKMPICall / 16) // the channel's progress engine, per window
-			c.OverheadCycles(m.RCKMPIPerByteCoreCycles * int64(n))
-		} else {
-			c.OverheadCycles(m.PutLineCoreCycles * int64(m.Lines(n)))
-		}
-		c.TouchRead(at, n)
-		return r.access(reqStaged, u.comm.DataBase(u.ID()), n, false)
+		r.t0, r.pc = c.Proc().Now(), reqStaged
+		c.OverheadCycles(r.costs().window) // the channel's progress engine, per chunk
+		return u.beginPut(r.row, at, u.comm.DataBase(u.ID()), n)
 	case reqStaged:
-		c.EndWrite(u.comm.DataBase(u.ID()), c.PrivBytes(at, n))
-		if !rck {
-			u.account("put", r.t0, metrics.CtrPuts, metrics.CtrPutTicks)
-		}
+		u.endPut(r.row, r.t0, at, u.comm.DataBase(u.ID()), n)
 		if r.hard { // the checksum goes into the sent-flag line first
 			r.sum = r.checksum(n)
 			return r.access(reqSum, r.flagOff(FlagChk0), 4, false)
@@ -269,48 +245,38 @@ func (r *Request) step() simtime.Step {
 		case r.v != r.seq: // the previous chunk again: our ACK was lost, re-acknowledge it
 			return r.ack(r.v)
 		}
-		r.t0 = c.Proc().Now()
-		if !rck {
-			c.OverheadCycles(m.GetLineCoreCycles * int64(m.Lines(n)))
-		}
-		return r.access(reqCopied, u.comm.DataBase(r.peer), n, true)
+		r.t0, r.pc = c.Proc().Now(), reqCopied
+		return u.beginGet(r.row, u.comm.DataBase(r.peer), n)
 	case reqCopied:
-		c.EndRead(u.comm.DataBase(r.peer), c.PrivBytes(at, n))
-		if rck {
-			c.OverheadCycles(m.RCKMPIPerByteCoreCycles * int64(n))
-		}
-		c.TouchWrite(at, n)
-		if r.pc = reqGot; !rck && (c.Tracing() || c.Metrics() != nil) {
+		u.endGet(r.row, u.comm.DataBase(r.peer), at, n)
+		if r.pc = reqGot; u.recording(r.row) {
 			return c.Flush() // the get's clock reads after its private writes
 		}
 	case reqGot:
-		if !rck {
-			u.account("get", r.t0, metrics.CtrGets, metrics.CtrGetTicks)
-		}
+		u.account(r.row, "get", r.t0, metrics.CtrGets, metrics.CtrGetTicks)
 		if r.hard { // verify against the checksum the sender wrote beside it
 			r.sum = r.checksum(n)
 			return r.access(reqSum, r.flagOff(FlagChk0), 4, true)
 		}
 		return r.ack(r.seq)
-	case reqAcked:
-		c.EndSetFlag(r.flagOff(FlagReady), r.v)
-		if r.v&nackBit != 0 {
+	case reqAcked, reqProgressed: // the ready flag, then (hard) the progress byte
+		role := FlagReady
+		if r.pc == reqProgressed {
+			role = FlagProgress
+		}
+		c.EndSetFlag(r.flagOff(role), r.v)
+		switch {
+		case r.v&nackBit != 0:
 			u.stats.Nacks++
-			r.armDeadline()
-			return r.then()
-		}
-		if r.hard {
+		case r.hard && role == FlagReady:
 			return r.access(reqProgressed, r.flagOff(FlagProgress), 1, false)
-		}
-		return r.completeChunk(n)
-	case reqProgressed:
-		c.EndSetFlag(r.flagOff(FlagProgress), r.v)
-		if r.v != r.seq {
+		case r.v != r.seq: // a duplicate, re-acknowledged
 			u.stats.DupAcks++
-			r.armDeadline()
-			return r.then()
+		default:
+			return r.completeChunk(n)
 		}
-		return r.completeChunk(n)
+		r.armDeadline() // for this sequence number's (re)transmission
+		return r.then()
 	}
 	return simtime.Resume()
 }
@@ -323,12 +289,11 @@ func (r *Request) access(pc reqStep, off, n int, read bool) simtime.Step {
 }
 
 // stage begins copying the current chunk of a send into the local MPB,
-// which the sent flag then announces. A traced or counted put on the
-// RCCE row reads the clock at its start, after the latency before it.
+// which the sent flag then announces. A recorded put reads the clock
+// at its start, after the latency before it.
 func (r *Request) stage() simtime.Step {
-	r.pc = reqPut
-	if c := r.ue.core; r.row == RowRCCE && (c.Tracing() || c.Metrics() != nil) {
-		return c.Flush()
+	if r.pc = reqPut; r.ue.recording(r.row) {
+		return r.ue.core.Flush()
 	}
 	return simtime.Resume()
 }
@@ -349,16 +314,16 @@ func (r *Request) ack(v byte) simtime.Step {
 }
 
 // then ends a transition: the blocking driver goes on to wait for the
-// next (RCKMPI's channel charging its progress engine at the top of a
-// window it receives), every other driver resumes its process.
+// next (a receive paying its row's per-chunk charge first), every
+// other driver resumes its process.
 func (r *Request) then() simtime.Step {
 	if !r.blocking || r.done {
 		r.pc = reqIdle
 		return simtime.Resume()
 	}
 	c := r.ue.core
-	if r.row == RowRCKMPI && r.kind == ReqRecv {
-		c.OverheadCycles(c.Chip().Model.OverheadRCKMPICall / 16)
+	if r.kind == ReqRecv {
+		c.OverheadCycles(r.costs().window)
 	}
 	var st simtime.Step
 	r.t0, st = c.BeginWait(r.watch())
@@ -368,52 +333,38 @@ func (r *Request) then() simtime.Step {
 
 // completeChunk records one finished chunk of n bytes and either
 // finishes the request or moves to the next chunk (staging it, for
-// sends). RCKMPI's channel records no protocol notes.
+// sends).
 func (r *Request) completeChunk(n int) simtime.Step {
-	u := r.ue
 	r.off += n
 	r.chunks--
 	if r.hard {
 		r.seq = nextSeq(r.seq)
 		r.seqs().set(r.peer, r.seq)
+		r.retries, r.window = 0, r.pol.Timeout
+		r.armDeadline() // a send's is armed again once its next chunk is staged
 	}
-	if r.row == RowRCCE {
+	if r.costs().recorded {
 		verb := "sent %d/%d B to %02d"
 		if r.kind == ReqRecv {
 			verb = "recvd %d/%d B from %02d"
 		}
-		u.core.Note(simtime.Note3(verb, int64(r.off), int64(r.n), int64(r.peer)))
+		r.ue.core.Note(simtime.Note3(verb, int64(r.off), int64(r.n), int64(r.peer)))
 	}
-	if r.chunks == 0 {
-		r.done = true
-		return r.then()
-	}
-	if r.hard {
-		r.retries = 0
-		r.window = r.pol.Timeout
-	}
-	if r.kind == ReqSend {
+	if r.done = r.chunks == 0; !r.done && r.kind == ReqSend {
 		return r.stage()
-	}
-	if r.hard {
-		r.armDeadline()
 	}
 	return r.then()
 }
 
 // PostSend begins a non-blocking send in the UE's send slot: it stages
-// the first chunk into the local MPB, raises the sent flag and returns
-// without waiting for the receiver. Completion (the ready flag, plus any
-// further chunks) happens in WaitAll. The returned request is the
-// slot itself, valid until the UE's next send.
+// the first chunk, raises the sent flag and returns; WaitAll completes
+// it. The returned request is the slot, valid until the UE's next send.
 func (u *UE) PostSend(costs NBCosts, dest int, addr scc.Addr, nBytes int) *Request {
 	return u.post(costs, ReqSend, dest, addr, nBytes)
 }
 
-// PostRecv begins a non-blocking receive in the UE's receive slot. If
-// the sender's chunk is already staged, the data is consumed immediately
-// (and the request may complete on the spot); otherwise completion
-// happens in WaitAll.
+// PostRecv begins a non-blocking receive in the UE's receive slot: a
+// chunk already staged is consumed at once, the rest in WaitAll.
 func (u *UE) PostRecv(costs NBCosts, src int, addr scc.Addr, nBytes int) *Request {
 	return u.post(costs, ReqRecv, src, addr, nBytes)
 }
@@ -423,12 +374,11 @@ func (u *UE) PostRecv(costs NBCosts, src int, addr scc.Addr, nBytes int) *Reques
 func (u *UE) post(costs NBCosts, kind ReqKind, peer int, addr scc.Addr, nBytes int) *Request {
 	r := u.open(RowRCCE, costs, kind, nil, peer, addr, nBytes)
 	u.core.OverheadCycles(costs.Post)
-	u.chargePartialLine(nBytes)
+	u.chargePartialLine(RowRCCE, nBytes)
 	if kind == ReqSend {
 		r.run(r.stage())
 	} else {
-		// Opportunistic probe, like iRCCE_irecv's immediate push.
-		r.tryProgress(costs)
+		r.tryProgress(costs) // like iRCCE_irecv's immediate push
 	}
 	if reg := u.core.Metrics(); reg != nil {
 		reg.Count(u.core.ID, metrics.CtrReqsPosted)
@@ -463,42 +413,79 @@ func (r *Request) tryProgress(costs NBCosts) {
 // WaitAll blocks until every request completes. Progress is made on
 // whichever request's flag fires first (via a multi-flag wait), so
 // cyclic communication patterns cannot deadlock regardless of posting
-// order - the property Sec. IV-A relies on.
-func (u *UE) WaitAll(costs NBCosts, reqs ...*Request) {
+// order - the property Sec. IV-A relies on. A posted request probes its
+// flag again before it advances. Hardened ones (see runRobust) bound the
+// wait by their earliest deadline, advance by the value it matched and
+// time out past their deadline; when a retry budget runs out, every one
+// is abandoned (marked done, so a later post drains no transfer whose
+// peer is gone) and its error returned.
+func (u *UE) WaitAll(costs NBCosts, reqs ...*Request) (err error) {
 	for _, r := range reqs {
 		if r != nil && r.ue != u {
 			panic("rcce: WaitAll on a foreign UE's request")
 		}
 	}
+	var firstTimeout simtime.Time = -1
 	// The round scratch lives on the UE: WaitAll cannot nest within one
 	// UE (a slot drain happens before any wait), so reuse is safe and
 	// the steady state allocates nothing.
+rounds:
 	for {
-		flags := u.waitFlags[:0]
-		pending := u.waitPend[:0]
+		flags, pending := u.waitFlags[:0], u.waitPend[:0]
+		var deadline simtime.Time = -1 // the earliest hardened one
 		for _, r := range reqs {
 			if r == nil || r.done {
 				continue
 			}
-			flags = append(flags, r.watch())
-			pending = append(pending, r)
+			flags, pending = append(flags, r.watch()), append(pending, r)
+			if r.hard && (deadline < 0 || r.deadline < deadline) {
+				deadline = r.deadline
+			}
 		}
 		u.waitFlags, u.waitPend = flags, pending
 		if len(pending) == 0 {
 			break
 		}
 		u.core.OverheadCycles(costs.Wait)
-		if reg := u.core.Metrics(); reg != nil {
+		var limit simtime.Duration // a posted request's flags carry 1: unbounded
+		if deadline >= 0 {
+			limit = max(1, deadline-u.core.Now())
+		} else if reg := u.core.Metrics(); reg != nil {
 			reg.Count(u.core.ID, metrics.CtrReqWaitRounds)
 		}
-		idx, _, _ := u.core.WaitFlagsMatch(flags, 0) // a posted request's flags carry 1
-		pending[idx].tryProgress(costs)
-		// Opportunistically push the others, too (their flags may have
-		// fired while we were blocked).
-		for i, r := range pending {
-			if i != idx {
-				r.tryProgress(costs)
+		idx, v, ok := u.core.WaitFlagsMatch(flags, limit)
+		if ok && pending[idx].hard {
+			pending[idx].run(pending[idx].advance(v))
+			continue
+		}
+		if ok {
+			pending[idx].tryProgress(costs)
+			// Opportunistically push the others, too (their flags may have
+			// fired while we were blocked).
+			for i, r := range pending {
+				if i != idx {
+					r.tryProgress(costs)
+				}
+			}
+			continue
+		}
+		now := u.core.Now()
+		if firstTimeout < 0 {
+			firstTimeout = now
+		}
+		for _, r := range pending {
+			if !r.done && now >= r.deadline {
+				if err = r.onTimeout(); err != nil {
+					for _, op := range pending {
+						op.done = true
+					}
+					break rounds
+				}
 			}
 		}
 	}
+	if firstTimeout >= 0 {
+		u.stats.Recovery += u.core.Now() - firstTimeout
+	}
+	return err
 }

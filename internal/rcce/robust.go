@@ -10,7 +10,7 @@ import (
 
 // This file implements the hardened (self-recovering) point-to-point
 // protocol: the steps a Request with hard set adds to the one chunk
-// state machine of nonblocking.go, and runRobust, its driver. The plain
+// state machine of nonblocking.go, and their start. The plain
 // two-flag protocol assumes a perfect chip: one lost flag write hangs
 // both peers forever. The hardened variant survives lost and corrupted
 // MPB traffic:
@@ -236,14 +236,11 @@ func (r *Request) onTimeout() error {
 	return nil
 }
 
-// runRobust drives hardened requests to completion concurrently: the
-// core watches every pending op's flag with one bounded multi-flag wait
-// and advances whichever fires. This is what makes a full-duplex
-// exchange deadlock-free with a single simulated process per core.
-// wait is the hosting library's software cost of one wait round. When
-// a retry budget runs out every op is abandoned (marked done), so a
-// later post does not drain a transfer whose peer is gone.
-func (u *UE) runRobust(wait int64, ops ...*Request) error {
+// runRobust starts hardened requests, a send staging its first chunk
+// and a receive arming its deadline, and waits for them all. Every wait
+// is bounded, so a full-duplex exchange is deadlock-free with a single
+// simulated process per core.
+func (u *UE) runRobust(costs NBCosts, ops ...*Request) error {
 	for _, r := range ops {
 		if r.kind == ReqSend {
 			r.run(r.stage()) // arms the deadline once staged
@@ -251,58 +248,7 @@ func (u *UE) runRobust(wait int64, ops ...*Request) error {
 			r.armDeadline()
 		}
 	}
-	var firstTimeout simtime.Time = -1
-	settle := func() {
-		if firstTimeout >= 0 {
-			u.stats.Recovery += u.core.Now() - firstTimeout
-		}
-	}
-	// The per-round scratch is the request engine's (runRobust and
-	// WaitAll never nest within one UE).
-	for {
-		flags, pend := u.waitFlags[:0], u.waitPend[:0]
-		var minDL simtime.Time = -1
-		for _, r := range ops {
-			if r.done {
-				continue
-			}
-			flags = append(flags, r.watch())
-			pend = append(pend, r)
-			if minDL < 0 || r.deadline < minDL {
-				minDL = r.deadline
-			}
-		}
-		u.waitFlags, u.waitPend = flags, pend
-		if len(pend) == 0 {
-			settle()
-			return nil
-		}
-		u.core.OverheadCycles(wait)
-		limit := minDL - u.core.Now()
-		if limit < 1 {
-			limit = 1
-		}
-		idx, v, ok := u.core.WaitFlagsMatch(flags, limit)
-		if ok {
-			pend[idx].run(pend[idx].advance(v))
-			continue
-		}
-		now := u.core.Now()
-		if firstTimeout < 0 {
-			firstTimeout = now
-		}
-		for _, r := range pend {
-			if !r.done && now >= r.deadline {
-				if err := r.onTimeout(); err != nil {
-					for _, op := range ops {
-						op.done = true
-					}
-					settle()
-					return err
-				}
-			}
-		}
-	}
+	return u.WaitAll(costs, ops...)
 }
 
 // SendRobust transmits nBytes to dest with the hardened protocol. costs
@@ -322,8 +268,8 @@ func (u *UE) robust(costs NBCosts, pol Policy, kind ReqKind, peer int, addr scc.
 	pol = pol.withDefaults()
 	r := u.open(RowRCCE, costs, kind, &pol, peer, addr, nBytes)
 	u.core.OverheadCycles(costs.Post)
-	u.chargePartialLine(nBytes)
-	return u.runRobust(costs.Wait, r)
+	u.chargePartialLine(RowRCCE, nBytes)
+	return u.runRobust(costs, r)
 }
 
 // ExchangeRobust runs a hardened send to dest and receive from src
@@ -334,9 +280,9 @@ func (u *UE) ExchangeRobust(costs NBCosts, pol Policy, dest int, sAddr scc.Addr,
 	s := u.open(RowRCCE, costs, ReqSend, &pol, dest, sAddr, sBytes)
 	r := u.open(RowRCCE, costs, ReqRecv, &pol, src, rAddr, rBytes)
 	u.core.OverheadCycles(2 * costs.Post)
-	u.chargePartialLine(sBytes)
-	u.chargePartialLine(rBytes)
-	return u.runRobust(costs.Wait, s, r)
+	u.chargePartialLine(RowRCCE, sBytes)
+	u.chargePartialLine(RowRCCE, rBytes)
+	return u.runRobust(costs, s, r)
 }
 
 // BarrierGroup synchronizes the given members (sorted core IDs, which

@@ -53,7 +53,7 @@ func (b Binomial) Children(ascending bool) iter.Seq[int] {
 // largest subtree first. Its flags sit on the writer lines BroadcastTree
 // uses, and its generation counter is its own. O(log p) waits per core.
 func (u *UE) BarrierTree() {
-	u.chargeCall(u.core.Chip().Model.OverheadBlockingCall)
+	u.core.OverheadCycles(u.core.Chip().Model.OverheadBlockingCall)
 	if u.treeGen++; u.treeGen == 0 {
 		u.treeGen = 1
 	}
@@ -86,7 +86,7 @@ func (u *UE) BroadcastTree(costs NBCosts, root int, addr scc.Addr, nBytes int) {
 		if parent := t.Parent; parent >= 0 {
 			rel := u.comm.FlagAddr(me, parent, FlagBcastRelease)
 			u.core.OverheadCycles(costs.Post)
-			u.chargePartialLine(n)
+			u.chargePartialLine(RowRCCE, n)
 			u.core.WaitFlag(rel, 1)
 			u.core.SetFlag(rel, 0)
 			u.Get(u.comm.DataBase(parent), addr+scc.Addr(off), n)
@@ -99,7 +99,7 @@ func (u *UE) BroadcastTree(costs NBCosts, root int, addr scc.Addr, nBytes int) {
 		}
 		for child := range t.Children(false) {
 			u.core.OverheadCycles(costs.Post)
-			u.chargePartialLine(n)
+			u.chargePartialLine(RowRCCE, n)
 			u.core.SetFlag(u.comm.FlagAddr(child, me, FlagBcastRelease), 1)
 		}
 		for child := range t.Children(false) {

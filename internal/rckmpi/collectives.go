@@ -110,17 +110,12 @@ func (l Lib) Allgather(src scc.Addr, nPer int, dst scc.Addr) error {
 	if err := l.check("Allgather", nPer, 0); err != nil {
 		return err
 	}
-	p := l.ue.NumUEs()
-	me := l.ue.ID()
-	// Place own contribution.
-	l.copyPriv(dst+scc.Addr(8*nPer*me), src, nPer)
-	right := mod(me+1, p)
-	left := mod(me-1, p)
+	p, me := l.ue.NumUEs(), l.ue.ID()
+	l.copyPriv(dst+scc.Addr(8*nPer*me), src, nPer) // own contribution
+	right, left := mod(me+1, p), mod(me-1, p)
 	for r := 0; r < p-1; r++ {
-		sendIdx := mod(me-r, p)
-		recvIdx := mod(me-1-r, p)
-		sAddr := dst + scc.Addr(8*nPer*sendIdx)
-		rAddr := dst + scc.Addr(8*nPer*recvIdx)
+		sAddr := dst + scc.Addr(8*nPer*mod(me-r, p))
+		rAddr := dst + scc.Addr(8*nPer*mod(me-1-r, p))
 		// Rendezvous ring: odd-even ordering avoids the cycle deadlock.
 		if me%2 == 0 {
 			l.Send(right, sAddr, 8*nPer)
@@ -138,8 +133,7 @@ func (l Lib) Alltoall(src, dst scc.Addr, nPer int) error {
 	if err := l.check("Alltoall", nPer, 0); err != nil {
 		return err
 	}
-	p := l.ue.NumUEs()
-	me := l.ue.ID()
+	p, me := l.ue.NumUEs(), l.ue.ID()
 	for r := 0; r < p; r++ {
 		partner := mod(r-me, p)
 		sAddr := src + scc.Addr(8*nPer*partner)
@@ -219,33 +213,18 @@ func (l Lib) ReduceScatter(src, dst scc.Addr, n int, op core.Op) ([]core.Block, 
 		return nil, err
 	}
 	p := l.ue.NumUEs()
-	me := l.ue.ID()
-	c := l.core()
-	full := c.AllocF64(n)
+	full := l.core().AllocF64(n)
 	l.reduce(0, src, full, n, op)
-	// Scatter the blocks from the root.
-	base := n / p
-	first := base + n%p
-	offOf := func(q int) (off, ln int) {
-		if q == 0 {
-			return 0, first
+	// Scatter the blocks from the root: block 0 also takes the remainder.
+	base, first := n/p, n/p+n%p
+	switch {
+	case l.ue.ID() == 0:
+		for q := 1; q < p && base > 0; q++ {
+			l.Send(q, full+scc.Addr(8*(first+(q-1)*base)), 8*base)
 		}
-		return first + (q-1)*base, base
-	}
-	if me == 0 {
-		for q := 1; q < p; q++ {
-			off, ln := offOf(q)
-			if ln > 0 {
-				l.Send(q, full+scc.Addr(8*off), 8*ln)
-			}
-		}
-		_, ln := offOf(0)
-		l.copyPriv(dst, full, ln)
-		return nil, nil
-	}
-	_, ln := offOf(me)
-	if ln > 0 {
-		l.Recv(0, dst, 8*ln)
+		l.copyPriv(dst, full, first)
+	case base > 0:
+		l.Recv(0, dst, 8*base)
 	}
 	return nil, nil
 }

@@ -14,15 +14,15 @@
 //     baseline everywhere except Alltoall, whose cost is dominated by
 //     raw data volume.
 //
-// The channel is not a protocol of its own: blocking Send and Recv run
-// RCCE's chunk state machine priced by RCKMPI's row (rcce.RowRCKMPI:
-// the per-sender window as the chunk, per-byte staging, a per-window
-// progress charge), and the pairwise exchange posts into the same
-// request slots at RCKMPI's non-blocking costs. Its collective algorithms follow the MPICH playbook: binomial trees
-// for rooted collectives, a ring for Allgather, pairwise exchange for
-// Alltoall. The collectives have the error-returning method set of
-// internal/core's context (whose Op, Block and ErrInvalid they use), so
-// every layer calls the comparator like any other stack.
+// The channel is no protocol of its own: Send and Recv are RCCE's
+// blocking driver priced by RCKMPI's row (rcce.RowRCKMPI), and the
+// pairwise exchange posts into the same request slots at RCKMPI's
+// non-blocking costs. The collective algorithms follow the MPICH
+// playbook: binomial trees for rooted collectives, a ring for
+// Allgather, pairwise exchange for Alltoall. The collectives have the
+// error-returning method set of internal/core's context (whose Op,
+// Block and ErrInvalid they use), so every layer calls the comparator
+// like any other stack.
 package rckmpi
 
 import (
@@ -50,14 +50,10 @@ func (l Lib) chargeBytes(n int) {
 	l.core().OverheadCycles(l.core().Chip().Model.RCKMPIPerByteCoreCycles * int64(n))
 }
 
-// Window returns the per-sender MPB window of the SCCMPB channel (see
-// rcce.Comm.Window).
-func (l Lib) Window() int { return l.ue.Comm().Window() }
-
 // Send transmits nBytes to dest through the RCKMPI channel: a blocking
-// rendezvous through the MPB window, with byte-granular software costs
-// (no partial-line padding call, hence the smooth latency curve). The
-// channel is a pricing row of RCCE's blocking driver (rcce.RowRCKMPI).
+// rendezvous through the MPB window (rcce.Comm.Window), with
+// byte-granular software costs (no partial-line padding call, hence the
+// smooth latency curve).
 func (l Lib) Send(dest int, addr scc.Addr, nBytes int) {
 	l.ue.Blocking(rcce.RowRCKMPI, rcce.ReqSend, dest, addr, nBytes)
 }
@@ -69,8 +65,8 @@ func (l Lib) Recv(src int, addr scc.Addr, nBytes int) {
 
 // sendRecvPair exchanges with one symmetric partner. MPICH's pairwise
 // exchange posts both legs as non-blocking requests (here into the UE's
-// two request slots) and waits on both,
-// so the two directions overlap on the wire; this is why RCKMPI stays
+// two request slots) and waits on both, so the two directions overlap
+// on the wire; this is why RCKMPI stays
 // competitive on Alltoall (Sec. V-A) while losing everywhere
 // overhead-bound. The per-byte channel cost is still charged on both
 // buffers.

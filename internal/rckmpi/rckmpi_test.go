@@ -25,8 +25,7 @@ func launchAll(t *testing.T, fn func(l Lib, c *scc.Core)) {
 func TestWindowIsSmallAndLineAligned(t *testing.T) {
 	chip := scc.New(timing.Default())
 	comm := rcce.NewComm(chip)
-	l := New(comm.UE(0))
-	w := l.Window()
+	w := comm.Window()
 	if w < 32 || w%32 != 0 {
 		t.Fatalf("window = %d, want a positive multiple of one line", w)
 	}

@@ -118,7 +118,7 @@ func (c *Core) chargeLocal(d simtime.Duration) { c.pending += d }
 // called before interacting with shared state or reading the clock.
 func (c *Core) flushLocal() {
 	if c.pending > 0 {
-		c.run(c.Flush())
+		c.Run(nil, c.Flush())
 	}
 }
 
@@ -434,12 +434,13 @@ func (c *Core) Step() simtime.Step {
 	return simtime.Resume()
 }
 
-func (c *Core) run(st simtime.Step) { c.Run((*steps)(c), st) }
-
-// Run carries out st and then k's steps until one resumes the process,
-// from within it. A core the fault hook declared dead dies here, on its
-// own stack.
+// Run carries out st and then k's steps (the core's own if k is nil)
+// until one resumes the process, from within it. A core the fault hook
+// declared dead dies here, on its own stack.
 func (c *Core) Run(k simtime.Cont, st simtime.Step) {
+	if k == nil {
+		k = (*steps)(c)
+	}
 	c.proc.Continue(k, st)
 	if c.dead {
 		panic(coreDeadPanic{c.ID})
@@ -541,7 +542,7 @@ func (c *Core) checkMPBRange(off, n int) {
 // write costs. Writes go through the write-combining buffer, so partial
 // lines still cost a full line.
 func (c *Core) MPBWrite(off int, src []byte) {
-	c.run(c.BeginAccess(off, len(src), false))
+	c.Run(nil, c.BeginAccess(off, len(src), false))
 	c.EndWrite(off, src)
 }
 
@@ -577,7 +578,7 @@ func (c *Core) EndWrite(off int, src []byte) {
 // paying per-line read costs (each line is a blocking round trip on the
 // P54C).
 func (c *Core) MPBRead(off int, dst []byte) {
-	c.run(c.BeginAccess(off, len(dst), true))
+	c.Run(nil, c.BeginAccess(off, len(dst), true))
 	c.EndRead(off, dst)
 }
 
@@ -617,7 +618,7 @@ func (c *Core) MPBReadF64s(off int, dst []float64) {
 // SetFlag writes one flag byte in the MPB (a full-line write through the
 // WCB, like RCCE's line-sized flags) and wakes any cores waiting on it.
 func (c *Core) SetFlag(off int, v byte) {
-	c.run(c.BeginAccess(off, 1, false))
+	c.Run(nil, c.BeginAccess(off, 1, false))
 	c.EndSetFlag(off, v)
 }
 
@@ -638,7 +639,7 @@ func (c *Core) EndSetFlag(off int, v byte) {
 // ProbeFlag reads and returns the MPB flag byte at off, paying one MPB
 // line read (a non-blocking test).
 func (c *Core) ProbeFlag(off int) byte {
-	c.run(c.BeginAccess(off, 1, true))
+	c.Run(nil, c.BeginAccess(off, 1, true))
 	if r := c.chip.metrics; r != nil {
 		r.AddPhase(c.ID, metrics.PhaseFlagSync, c.cost())
 		r.Count(c.ID, metrics.CtrFlagProbes)

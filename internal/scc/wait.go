@@ -88,7 +88,7 @@ func (c *Core) WaitFlagsMatch(flags []Flag, limit simtime.Duration) (int, byte, 
 // past the deadline.
 func (c *Core) wait(flags []Flag, mode stepMode, limit simtime.Duration) (int, byte, bool) {
 	begin, st := c.beginWait(flags, mode, limit)
-	c.run(st)
+	c.Run(nil, st)
 	i, ok := int(c.idx), c.step == stepProbed
 	return i, c.EndWait(begin), ok
 }
