@@ -236,8 +236,7 @@ func (u *UE) chargePartialLine(row Row, nBytes int) {
 // slab to the MPB, as RCCE's put moves cache lines; only a fault hook
 // sees a copy (EndWrite's), so a corrupting hook never reaches private
 // memory. Get, its mirror, charges the private-side line writes after
-// the copy. Both are recorded from a clock read after the latency
-// before them.
+// the copy.
 func (u *UE) Put(privAddr scc.Addr, mpbOff, nBytes int) {
 	t0 := u.clock()
 	u.core.Run(nil, u.beginPut(RowRCCE, privAddr, mpbOff, nBytes))
@@ -258,9 +257,8 @@ func (u *UE) Get(mpbOff int, privAddr scc.Addr, nBytes int) {
 // t0; beginGet charges their line reads and begins reading them at
 // mpbOff, endGet copies them to a and charges the rest.
 func (u *UE) beginPut(row Row, a scc.Addr, mpbOff, n int) simtime.Step {
-	p := &u.comm.rows[row]
-	u.core.OverheadCycles(p.perByte * int64(n))
-	u.core.OverheadCycles(p.putLine * int64(u.core.Chip().Model.Lines(n)))
+	u.ChargeBytes(row, n)
+	u.core.OverheadCycles(u.comm.rows[row].putLine * int64(u.core.Chip().Model.Lines(n)))
 	u.core.TouchRead(a, n)
 	return u.core.BeginAccess(mpbOff, n, false)
 }
@@ -277,9 +275,13 @@ func (u *UE) beginGet(row Row, mpbOff, n int) simtime.Step {
 
 func (u *UE) endGet(row Row, mpbOff int, a scc.Addr, n int) {
 	u.core.EndRead(mpbOff, u.core.PrivBytes(a, n))
-	u.core.OverheadCycles(u.comm.rows[row].perByte * int64(n))
+	u.ChargeBytes(row, n)
 	u.core.TouchWrite(a, n)
 }
+
+// ChargeBytes charges row's per-byte staging of n bytes, as a library
+// that stages a posted transfer's buffers itself does.
+func (u *UE) ChargeBytes(row Row, n int) { u.core.OverheadCycles(u.comm.rows[row].perByte * int64(n)) }
 
 // recording reports whether a put or get on row is traced or counted.
 func (u *UE) recording(row Row) bool {
@@ -357,12 +359,9 @@ func (u *UE) Blocking(row Row, kind ReqKind, peer int, addr scc.Addr, nBytes int
 		r.run(r.then()) // a receive begins with the wait
 	}
 	if reg != nil && p.recorded {
-		calls, ticks := metrics.CtrSends, metrics.CtrSendTicks
-		if kind == ReqRecv {
-			calls, ticks = metrics.CtrRecvs, metrics.CtrRecvTicks
-		}
-		reg.Count(u.core.ID, calls)
-		reg.CountN(u.core.ID, ticks, int64(u.core.Now()-t0))
+		ctr := [2][2]metrics.Counter{{metrics.CtrSends, metrics.CtrSendTicks}, {metrics.CtrRecvs, metrics.CtrRecvTicks}}[kind]
+		reg.Count(u.core.ID, ctr[0])
+		reg.CountN(u.core.ID, ctr[1], int64(u.core.Now()-t0))
 	}
 }
 
@@ -395,10 +394,7 @@ func (u *UE) centralBarrier(members []int, arrive, release int, gens *peerBytes,
 		return nil
 	}
 	root := member(0)
-	gen := gens.get(root) + 1
-	if gen == 0 {
-		gen = 1
-	}
+	gen := max(1, gens.get(root)+1) // 0 is never a generation
 	gens.set(root, gen)
 
 	boundedWait := func(peer, off int, onRetry func()) error {

@@ -42,20 +42,13 @@ const (
 	ReqRecv
 )
 
-func (k ReqKind) String() string {
-	if k == ReqSend {
-		return "send"
-	}
-	return "recv"
-}
+func (k ReqKind) String() string { return [...]string{"send", "recv"}[k] }
 
-// Request is one direction of a transfer, held in one of its UE's two
-// slots: the chunked two-flag protocol as a state machine, whose
-// transitions run as its steps between the core's accesses
-// (scc.Core.Run) on whichever stack pops the wake-up. A posted request
-// returns as soon as its first local action is done, so a core can have
-// a send and a receive in flight at once and overlap their copies
-// (Fig. 5).
+// Request is one direction of a transfer in one of its UE's two slots:
+// the two-flag chunk protocol as a state machine whose transitions run
+// as its steps between the core's accesses (scc.Core.Run). A posted
+// request returns as soon as its first local action is done, so a core
+// can overlap a send's and a receive's copies (Fig. 5).
 type Request struct {
 	ue   *UE
 	peer int
@@ -72,7 +65,7 @@ type Request struct {
 	kind     ReqKind
 	blocking bool // the blocking driver: a transition goes on to wait for the next
 	hard     bool // the hardened protocol (robust.go)
-	resend   bool // the chunk being staged is a retransmission (robust.go)
+	backoff  bool // the next deadline backs off (robust.go)
 	done     bool
 	t0       simtime.Time // when the put, get or wait in flight began
 
@@ -166,29 +159,19 @@ func (r *Request) chunkLen() int { return min(r.n-r.off, r.costs().chunk) }
 func (r *Request) costs() *rowCosts { return &r.ue.comm.rows[r.row] }
 
 // run carries the transition st began from process code to its end.
-func (r *Request) run(st simtime.Step) {
-	if st == simtime.Resume() {
-		st = r.next()
-	}
-	r.ue.core.Run(r, st)
-}
+func (r *Request) run(st simtime.Step) { r.ue.core.Run(r, r.next(st)) }
 
 // Wake runs the core's step and, once that access or wait has ended,
 // the request's own.
-func (r *Request) Wake() simtime.Step {
-	if st := r.ue.core.Step(); st != simtime.Resume() {
-		return st
-	}
-	return r.next()
-}
+func (r *Request) Wake() simtime.Step { return r.next(r.ue.core.Step()) }
 
 // String names the flag wait the core is parked in (deadlock reports).
 func (r *Request) String() string { return r.ue.core.Waiting() }
 
-// next takes the request's steps until one starts a core step that
-// sleeps or parks, the transition ends, or the core died.
-func (r *Request) next() simtime.Step {
-	st := simtime.Resume()
+// next returns st unless it resumes the process; then it takes the
+// request's steps until one starts a core step that sleeps or parks,
+// the transition ends, or the core died.
+func (r *Request) next(st simtime.Step) simtime.Step {
 	for st == simtime.Resume() && r.pc != reqIdle && !r.ue.core.Dead() {
 		st = r.step()
 	}
@@ -225,11 +208,7 @@ func (r *Request) step() simtime.Step {
 		}
 		return r.ack(r.seq)
 	case reqSent:
-		c.EndSetFlag(r.flagOff(FlagSent), r.seq)
-		if r.resend {
-			r.resend = false
-			r.backoff()
-		} else if r.hard {
+		if c.EndSetFlag(r.flagOff(FlagSent), r.seq); r.hard {
 			r.armDeadline()
 		}
 		return r.then()
@@ -313,21 +292,20 @@ func (r *Request) ack(v byte) simtime.Step {
 	return r.access(reqAcked, r.flagOff(FlagReady), 1, false)
 }
 
-// then ends a transition: the blocking driver goes on to wait for the
-// next (a receive paying its row's per-chunk charge first), every
-// other driver resumes its process.
+// then ends a transition: a blocking request goes on to wait for the
+// next (a receive paying its row's per-chunk charge first), any other
+// resumes its process.
 func (r *Request) then() simtime.Step {
 	if !r.blocking || r.done {
 		r.pc = reqIdle
 		return simtime.Resume()
 	}
-	c := r.ue.core
 	if r.kind == ReqRecv {
-		c.OverheadCycles(r.costs().window)
+		r.ue.core.OverheadCycles(r.costs().window)
 	}
 	var st simtime.Step
-	r.t0, st = c.BeginWait(r.watch())
 	r.pc = reqWaited
+	r.t0, st = r.ue.core.BeginWait(r.watch())
 	return st
 }
 
@@ -414,32 +392,27 @@ func (r *Request) tryProgress(costs NBCosts) {
 // whichever request's flag fires first (via a multi-flag wait), so
 // cyclic communication patterns cannot deadlock regardless of posting
 // order - the property Sec. IV-A relies on. A posted request probes its
-// flag again before it advances. Hardened ones (see runRobust) bound the
-// wait by their earliest deadline, advance by the value it matched and
-// time out past their deadline; when a retry budget runs out, every one
-// is abandoned (marked done, so a later post drains no transfer whose
-// peer is gone) and its error returned.
+// flag again before it advances; hardened ones (runRobust) bound the
+// wait by their earliest deadline and advance by the value it matched.
+// A retry budget that runs out abandons every request (marked done, so
+// a later post drains none) and returns its error.
 func (u *UE) WaitAll(costs NBCosts, reqs ...*Request) (err error) {
-	for _, r := range reqs {
-		if r != nil && r.ue != u {
-			panic("rcce: WaitAll on a foreign UE's request")
-		}
-	}
 	var firstTimeout simtime.Time = -1
 	// The round scratch lives on the UE: WaitAll cannot nest within one
 	// UE (a slot drain happens before any wait), so reuse is safe and
 	// the steady state allocates nothing.
-rounds:
-	for {
+	for err == nil {
 		flags, pending := u.waitFlags[:0], u.waitPend[:0]
 		var deadline simtime.Time = -1 // the earliest hardened one
 		for _, r := range reqs {
-			if r == nil || r.done {
-				continue
+			if r != nil && r.ue != u {
+				panic("rcce: WaitAll on a foreign UE's request")
 			}
-			flags, pending = append(flags, r.watch()), append(pending, r)
-			if r.hard && (deadline < 0 || r.deadline < deadline) {
-				deadline = r.deadline
+			if r != nil && !r.done {
+				flags, pending = append(flags, r.watch()), append(pending, r)
+				if r.hard && (deadline < 0 || r.deadline < deadline) {
+					deadline = r.deadline
+				}
 			}
 		}
 		u.waitFlags, u.waitPend = flags, pending
@@ -454,11 +427,10 @@ rounds:
 			reg.Count(u.core.ID, metrics.CtrReqWaitRounds)
 		}
 		idx, v, ok := u.core.WaitFlagsMatch(flags, limit)
-		if ok && pending[idx].hard {
+		switch {
+		case ok && pending[idx].hard:
 			pending[idx].run(pending[idx].advance(v))
-			continue
-		}
-		if ok {
+		case ok:
 			pending[idx].tryProgress(costs)
 			// Opportunistically push the others, too (their flags may have
 			// fired while we were blocked).
@@ -467,22 +439,20 @@ rounds:
 					r.tryProgress(costs)
 				}
 			}
-			continue
-		}
-		now := u.core.Now()
-		if firstTimeout < 0 {
-			firstTimeout = now
-		}
-		for _, r := range pending {
-			if !r.done && now >= r.deadline {
-				if err = r.onTimeout(); err != nil {
-					for _, op := range pending {
-						op.done = true
-					}
-					break rounds
+		default:
+			now := u.core.Now()
+			if firstTimeout < 0 {
+				firstTimeout = now
+			}
+			for _, r := range pending {
+				if err == nil && !r.done && now >= r.deadline {
+					err = r.onTimeout()
 				}
 			}
 		}
+	}
+	for _, r := range u.waitPend { // what an error abandoned
+		r.done = true
 	}
 	if firstTimeout >= 0 {
 		u.stats.Recovery += u.core.Now() - firstTimeout

@@ -139,20 +139,9 @@ const (
 	nackBit = 0x80
 )
 
-func nextSeq(s byte) byte {
-	s++
-	if s > seqMax {
-		s = 1
-	}
-	return s
-}
-
-func prevSeq(s byte) byte {
-	if s <= 1 {
-		return seqMax
-	}
-	return s - 1
-}
+// nextSeq and prevSeq step a sequence number around 1..seqMax.
+func nextSeq(s byte) byte { return s%seqMax + 1 }
+func prevSeq(s byte) byte { return (s+seqMax-2)%seqMax + 1 }
 
 // chunkSum is the per-chunk checksum: FNV-1a (32-bit) over the chunk's
 // sequence number followed by its payload, salted with the epoch. Sender
@@ -174,14 +163,15 @@ func (r *Request) seqs() *peerBytes {
 	return &r.ue.sendSeq
 }
 
+// armDeadline bounds the request's wait one window from now, widened by
+// Backoff and jittered after a retransmission or a receive's timeout.
 func (r *Request) armDeadline() {
-	r.deadline = r.ue.core.Now() + r.window
-}
-
-func (r *Request) backoff() {
-	r.window *= Backoff
-	r.deadline = r.ue.core.Now() + r.window +
-		r.pol.JitterOf(r.window, r.ue.ID(), r.peer, r.seq, r.retries)
+	var jitter simtime.Duration
+	if r.backoff {
+		r.backoff, r.window = false, r.window*Backoff
+		jitter = r.pol.JitterOf(r.window, r.ue.ID(), r.peer, r.seq, r.retries)
+	}
+	r.deadline = r.ue.core.Now() + r.window + jitter
 }
 
 // checksum prices checksumming the n-byte chunk in flight (minimum one
@@ -202,7 +192,7 @@ func (r *Request) retransmit() simtime.Step {
 	u := r.ue
 	u.core.OverheadCycles(u.core.Chip().Model.OverheadRetransmit)
 	u.stats.Retransmits++
-	r.resend = true
+	r.backoff = true
 	return r.stage()
 }
 
@@ -231,7 +221,8 @@ func (r *Request) onTimeout() error {
 	} else {
 		// A receiver cannot push; it widens its window and relies on the
 		// sender's retransmission (both sides run the same policy).
-		r.backoff()
+		r.backoff = true
+		r.armDeadline()
 	}
 	return nil
 }

@@ -54,9 +54,7 @@ func (b Binomial) Children(ascending bool) iter.Seq[int] {
 // uses, and its generation counter is its own. O(log p) waits per core.
 func (u *UE) BarrierTree() {
 	u.core.OverheadCycles(u.core.Chip().Model.OverheadBlockingCall)
-	if u.treeGen++; u.treeGen == 0 {
-		u.treeGen = 1
-	}
+	u.treeGen = max(1, u.treeGen+1) // 0 is never a generation
 	gen, me, t := u.treeGen, u.ID(), NewBinomial(0, u.ID(), u.NumUEs())
 	for child := range t.Children(true) {
 		u.core.WaitFlag(u.comm.FlagAddr(me, child, FlagTreeArrive), gen)

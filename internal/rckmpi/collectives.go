@@ -40,11 +40,6 @@ func (l Lib) Broadcast(root int, addr scc.Addr, n int) error {
 	if err := l.check("Broadcast", n, root); err != nil {
 		return err
 	}
-	l.bcast(root, addr, n)
-	return nil
-}
-
-func (l Lib) bcast(root int, addr scc.Addr, n int) {
 	t := rcce.NewBinomial(root, l.ue.ID(), l.ue.NumUEs())
 	if parent := t.Parent; parent >= 0 {
 		l.Recv(parent, addr, 8*n)
@@ -52,6 +47,7 @@ func (l Lib) bcast(root int, addr scc.Addr, n int) {
 	for child := range t.Children(false) {
 		l.Send(child, addr, 8*n)
 	}
+	return nil
 }
 
 // Reduce reduces n float64 values element-wise to the root along a
@@ -60,16 +56,8 @@ func (l Lib) Reduce(root int, src, dst scc.Addr, n int, op core.Op) error {
 	if err := l.check("Reduce", n, root); err != nil {
 		return err
 	}
-	l.reduce(root, src, dst, n, op)
-	return nil
-}
-
-func (l Lib) reduce(root int, src, dst scc.Addr, n int, op core.Op) {
 	c := l.core()
-	m := c.Chip().Model
-
-	// Working accumulator starts as a copy of src.
-	acc := c.ScratchF64(0, n)
+	acc := c.ScratchF64(0, n) // the working accumulator, a copy of src first
 	c.ReadF64s(src, acc)
 	tmpAddr := c.AllocF64(n)
 	tmp := c.ScratchF64(1, n)
@@ -78,19 +66,19 @@ func (l Lib) reduce(root int, src, dst scc.Addr, n int, op core.Op) {
 	for child := range t.Children(true) {
 		l.Recv(child, tmpAddr, 8*n)
 		c.ReadF64s(tmpAddr, tmp)
-		c.ComputeCycles(m.ReducePerElementCoreCycles * int64(n))
+		c.ComputeCycles(c.Chip().Model.ReducePerElementCoreCycles * int64(n))
 		for i := range acc {
 			acc[i] = op(acc[i], tmp[i])
 		}
 	}
-	if parent := t.Parent; parent >= 0 {
-		// Ship the accumulator up and stop.
+	if parent := t.Parent; parent >= 0 { // ship the accumulator up and stop
 		accAddr := c.AllocF64(n)
 		c.WriteF64s(accAddr, acc)
 		l.Send(parent, accAddr, 8*n)
-		return
+		return nil
 	}
 	c.WriteF64s(dst, acc)
+	return nil
 }
 
 // Allreduce is RCKMPI's Reduce-to-0 followed by Broadcast (the MPICH
@@ -99,9 +87,8 @@ func (l Lib) Allreduce(src, dst scc.Addr, n int, op core.Op) error {
 	if err := l.check("Allreduce", n, 0); err != nil {
 		return err
 	}
-	l.reduce(0, src, dst, n, op)
-	l.bcast(0, dst, n)
-	return nil
+	l.Reduce(0, src, dst, n, op) // past the check, neither fails
+	return l.Broadcast(0, dst, n)
 }
 
 // Allgather gathers each core's nPer elements (at src) into dst
@@ -138,14 +125,12 @@ func (l Lib) Alltoall(src, dst scc.Addr, nPer int) error {
 		partner := mod(r-me, p)
 		sAddr := src + scc.Addr(8*nPer*partner)
 		rAddr := dst + scc.Addr(8*nPer*partner)
-		if partner == me {
+		switch {
+		case partner == me:
 			l.copyPriv(rAddr, sAddr, nPer)
-			continue
+		case nPer > 0:
+			l.sendRecvPair(partner, sAddr, 8*nPer, rAddr, 8*nPer)
 		}
-		if nPer == 0 {
-			continue
-		}
-		l.sendRecvPair(partner, sAddr, 8*nPer, rAddr, 8*nPer)
 	}
 	return nil
 }
@@ -214,7 +199,7 @@ func (l Lib) ReduceScatter(src, dst scc.Addr, n int, op core.Op) ([]core.Block, 
 	}
 	p := l.ue.NumUEs()
 	full := l.core().AllocF64(n)
-	l.reduce(0, src, full, n, op)
+	l.Reduce(0, src, full, n, op) // past the check, it cannot fail
 	// Scatter the blocks from the root: block 0 also takes the remainder.
 	base, first := n/p, n/p+n%p
 	switch {

@@ -45,11 +45,6 @@ func New(ue *rcce.UE) Lib {
 
 func (l Lib) core() *scc.Core { return l.ue.Core() }
 
-// chargeBytes prices the channel's per-byte copy work on one side.
-func (l Lib) chargeBytes(n int) {
-	l.core().OverheadCycles(l.core().Chip().Model.RCKMPIPerByteCoreCycles * int64(n))
-}
-
 // Send transmits nBytes to dest through the RCKMPI channel: a blocking
 // rendezvous through the MPB window (rcce.Comm.Window), with
 // byte-granular software costs (no partial-line padding call, hence the
@@ -66,20 +61,15 @@ func (l Lib) Recv(src int, addr scc.Addr, nBytes int) {
 // sendRecvPair exchanges with one symmetric partner. MPICH's pairwise
 // exchange posts both legs as non-blocking requests (here into the UE's
 // two request slots) and waits on both, so the two directions overlap
-// on the wire; this is why RCKMPI stays
-// competitive on Alltoall (Sec. V-A) while losing everywhere
-// overhead-bound. The per-byte channel cost is still charged on both
-// buffers.
+// on the wire; this is why RCKMPI stays competitive on Alltoall
+// (Sec. V-A) while losing everywhere overhead-bound. The channel's
+// per-byte cost is still charged on both buffers.
 func (l Lib) sendRecvPair(peer int, sAddr scc.Addr, sBytes int, rAddr scc.Addr, rBytes int) {
-	m := l.core().Chip().Model
-	costs := rcce.NBCosts{
-		Post:     m.OverheadRCKMPICall,
-		Wait:     m.OverheadRCKMPICall / 4,
-		Progress: m.OverheadRCKMPICall / 8,
-	}
-	l.chargeBytes(sBytes)
+	call := l.core().Chip().Model.OverheadRCKMPICall
+	costs := rcce.NBCosts{Post: call, Wait: call / 4, Progress: call / 8}
+	l.ue.ChargeBytes(rcce.RowRCKMPI, sBytes)
 	s := l.ue.PostSend(costs, peer, sAddr, sBytes)
 	r := l.ue.PostRecv(costs, peer, rAddr, rBytes)
 	l.ue.WaitAll(costs, s, r)
-	l.chargeBytes(rBytes)
+	l.ue.ChargeBytes(rcce.RowRCKMPI, rBytes)
 }
