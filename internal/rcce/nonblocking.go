@@ -111,7 +111,7 @@ func (u *UE) open(row Row, costs NBCosts, kind ReqKind, pol *Policy, peer int, a
 		if reg := u.core.Metrics(); reg != nil {
 			reg.Count(u.core.ID, metrics.CtrSlotDrains)
 		}
-		u.WaitAll(costs, r)
+		_ = u.WaitAll(costs, r) // only a post leaves a slot busy, and its wait cannot fail
 	}
 	chunk := u.comm.rows[row].chunk
 	*r = Request{ue: u, kind: kind, peer: peer, addr: addr, n: n, chunks: int32(max(1, (n+chunk-1)/chunk)),

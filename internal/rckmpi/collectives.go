@@ -87,7 +87,7 @@ func (l Lib) Allreduce(src, dst scc.Addr, n int, op core.Op) error {
 	if err := l.check("Allreduce", n, 0); err != nil {
 		return err
 	}
-	l.Reduce(0, src, dst, n, op) // past the check, neither fails
+	_ = l.Reduce(0, src, dst, n, op) // past the check, neither fails
 	return l.Broadcast(0, dst, n)
 }
 
@@ -199,7 +199,7 @@ func (l Lib) ReduceScatter(src, dst scc.Addr, n int, op core.Op) ([]core.Block, 
 	}
 	p := l.ue.NumUEs()
 	full := l.core().AllocF64(n)
-	l.Reduce(0, src, full, n, op) // past the check, it cannot fail
+	_ = l.Reduce(0, src, full, n, op) // past the check, it cannot fail
 	// Scatter the blocks from the root: block 0 also takes the remainder.
 	base, first := n/p, n/p+n%p
 	switch {

@@ -70,6 +70,6 @@ func (l Lib) sendRecvPair(peer int, sAddr scc.Addr, sBytes int, rAddr scc.Addr, 
 	l.ue.ChargeBytes(rcce.RowRCKMPI, sBytes)
 	s := l.ue.PostSend(costs, peer, sAddr, sBytes)
 	r := l.ue.PostRecv(costs, peer, rAddr, rBytes)
-	l.ue.WaitAll(costs, s, r)
+	_ = l.ue.WaitAll(costs, s, r) // posted requests: the wait cannot fail
 	l.ue.ChargeBytes(rcce.RowRCKMPI, rBytes)
 }
