@@ -25,27 +25,45 @@ import (
 //
 // The rckmpi rows were appended before RCKMPI's window channel became a
 // pricing row of the same state machine, so they prove that fold moved
-// nothing either.
+// nothing either. The last rows — a lost ready flag recovered through
+// the progress byte, a peer whose writes never land (the retry budget
+// runs out and every request of the wait is abandoned), and a posted
+// exchange whose two flags fire in one round — were appended before
+// WaitAll's rounds ran in the engine.
 //
 // Rewrite it only when the workload below changes, never to absorb a
 // difference: a run whose cell count disagrees with the file logs every
 // line it produced.
 const transferPinPath = "testdata/transfer_pin.txt"
 
-// pinFault is a FaultHook that loses core 0's first flag write or
-// corrupts its first bulk MPB write.
-type pinFault struct{ drop, corrupt bool }
+// pinFault is a FaultHook that loses core 0's first flag write,
+// corrupts its first bulk MPB write, loses core 1's first ready flag
+// (at readyOff), or loses every write of core 1 into core 0's MPB (the
+// offsets below mpb1, the base of core 1's); pinCell sets the offsets.
+type pinFault struct {
+	drop, corrupt, dropReady, deaf bool
+	readyOff, mpb1                 int
+}
 
 func (h *pinFault) StallCore(int, simtime.Time) simtime.Duration { return 0 }
 func (h *pinFault) CoreDead(int, simtime.Time) bool              { return false }
-func (h *pinFault) DropFlagWrite(writer, _ int, _ simtime.Time) bool {
-	if writer != 0 || !h.drop {
+func (h *pinFault) DropFlagWrite(writer, off int, _ simtime.Time) bool {
+	switch {
+	case writer == 1 && h.deaf:
+		return off < h.mpb1
+	case writer == 1 && h.dropReady && off == h.readyOff:
+		h.dropReady = false
+		return true
+	case writer != 0 || !h.drop:
 		return false
 	}
 	h.drop = false
 	return true
 }
-func (h *pinFault) FilterMPBWrite(writer, _ int, data []byte, _ simtime.Time) bool {
+func (h *pinFault) FilterMPBWrite(writer, off int, data []byte, _ simtime.Time) bool {
+	if writer == 1 && h.deaf && off < h.mpb1 {
+		return true
+	}
 	if writer == 0 && h.corrupt {
 		h.corrupt = false
 		for i := range data {
@@ -101,6 +119,20 @@ var pinDrivers = []struct {
 		}
 		return nil
 	}},
+	// Core 1 posts its receive first: core 0's data is then consumed by
+	// the receive's post, and core 0's wait finds both of its flags
+	// fired in one round, advancing the second in the "push the others"
+	// loop.
+	{"nb-crossed", true, func(ue *rcce.UE, costs rcce.NBCosts, peer int, src, dst scc.Addr, n int) error {
+		if ue.ID() == 0 {
+			s := ue.PostSend(costs, peer, src, n)
+			ue.WaitAll(costs, s, ue.PostRecv(costs, peer, dst, n))
+		} else {
+			r := ue.PostRecv(costs, peer, dst, n)
+			ue.WaitAll(costs, ue.PostSend(costs, peer, src, n), r)
+		}
+		return nil
+	}},
 }
 
 // pinCell runs one transfer with a metrics registry attached and
@@ -111,14 +143,16 @@ func pinCell(t *testing.T, driver, n int, skew string, fault *pinFault) string {
 	chip := scc.New(timing.Default())
 	reg := metrics.New(chip.NumCores())
 	chip.SetMetrics(reg)
+	comm := rcce.NewComm(chip)
 	if fault != nil {
 		chip.Fault = fault
+		fault.readyOff, fault.mpb1 = comm.FlagAddr(0, 1, rcce.FlagReady), chip.MPBBase(1)
 	}
-	comm := rcce.NewComm(chip)
 	costs := core.TransportLightweight.Costs(chip.Model)
 	var end [2]simtime.Time
 	var stats [2]rcce.RecoveryStats
 	var errs [2]error
+	var busy [2][2]bool
 	var got [2][]byte
 	payload := func(id int) []byte {
 		b := make([]byte, n)
@@ -136,6 +170,7 @@ func pinCell(t *testing.T, driver, n int, skew string, fault *pinFault) string {
 				c.ComputeCycles(20_000)
 			}
 			errs[id] = d.run(ue, costs, 1-id, src, dst, n)
+			busy[id][0], busy[id][1] = ue.Busy()
 			end[id] = c.Now()
 			stats[id] = ue.Recovery()
 			got[id] = bytes.Clone(c.PrivBytes(dst, n))
@@ -145,10 +180,10 @@ func pinCell(t *testing.T, driver, n int, skew string, fault *pinFault) string {
 		t.Fatalf("%s/%d/%s: %v", d.name, n, skew, err)
 	}
 	for id := 0; id < 2; id++ {
-		if errs[id] != nil {
+		if errs[id] != nil && (fault == nil || !fault.deaf) {
 			t.Fatalf("%s/%d/%s: core %d: %v", d.name, n, skew, id, errs[id])
 		}
-		if (id == 1 || d.exchange) && !bytes.Equal(got[id], payload(1-id)) {
+		if errs[id] == nil && (id == 1 || d.exchange) && !bytes.Equal(got[id], payload(1-id)) {
 			t.Fatalf("%s/%d/%s: core %d received a wrong payload", d.name, n, skew, id)
 		}
 	}
@@ -164,6 +199,9 @@ func pinCell(t *testing.T, driver, n int, skew string, fault *pinFault) string {
 			ctr[metrics.CtrPuts.String()], ctr[metrics.CtrGets.String()],
 			ctr[metrics.CtrFlagSets.String()], ctr[metrics.CtrFlagProbes.String()],
 			s.Timeouts, s.Retransmits, s.Nacks, s.DupAcks, s.LostAcks, s.Recovery, s.GiveUps, s.FirstGiveUp)
+		if errs[id] != nil { // a wait that gave up leaves no request in flight
+			fmt.Fprintf(&b, " err{%v busy=%v}", errs[id], busy[id])
+		}
 	}
 	return b.String()
 }
@@ -174,7 +212,7 @@ func TestTransferPin(t *testing.T) {
 	var lines []string
 	skews := []string{"even", "late0", "late1"}
 	payloads := []int{0, 8, 40, 6528, 6529, 24000}
-	rck := len(pinDrivers) - 1
+	rck := 5 // the drivers before it run every payload and skew
 	for driver := range rck {
 		for _, n := range payloads {
 			for _, skew := range skews {
@@ -192,6 +230,18 @@ func TestTransferPin(t *testing.T) {
 		for _, skew := range skews {
 			lines = append(lines, pinCell(t, rck, n, skew, nil))
 		}
+	}
+	// The hardened paths WaitAll's rounds carry besides those above: a
+	// lost ACK, recovered through the progress byte on the sender's
+	// timeout, and a deaf peer, on which the retry budget runs out.
+	exchange := robust + 1
+	lines = append(lines,
+		"lost-ready-flag "+pinCell(t, robust, 6529, "even", &pinFault{dropReady: true}),
+		"lost-ready-flag "+pinCell(t, exchange, 8, "even", &pinFault{dropReady: true}),
+		"deaf-peer "+pinCell(t, robust, 8, "even", &pinFault{deaf: true}),
+		"deaf-peer "+pinCell(t, exchange, 6529, "even", &pinFault{deaf: true}))
+	for _, n := range []int{8, 552, 6529} {
+		lines = append(lines, pinCell(t, rck+1, n, "even", nil))
 	}
 	raw, err := os.ReadFile(transferPinPath)
 	if err != nil {
