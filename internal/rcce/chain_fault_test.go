@@ -207,9 +207,9 @@ func TestDeathInsideAHardenedWait(t *testing.T) {
 	}
 }
 
-// TestRequestStringOutsideAWait: a request is the continuation a
-// deadlock report names, and fmt prints it anywhere else too; outside a
-// flag wait its core has none to name.
+// TestRequestStringOutsideAWait: a request names its core's flag wait,
+// the text a deadlock report prints for the parked waiter, and fmt
+// prints it anywhere; outside a flag wait its core has none to name.
 func TestRequestStringOutsideAWait(t *testing.T) {
 	chip := scc.New(timing.Default())
 	defer chip.Release()

@@ -8,9 +8,11 @@
 // blocking driver runs a whole message, priced by a row: Send/Recv's,
 // or RCKMPI's window channel. iRCCE, the lightweight primitives and
 // RCKMPI's pairwise exchange post into the slots at their own
-// software-overhead constants; the hardened protocol (robust.go) that
-// fault-tolerant collectives run on adds checksums, sequence numbers
-// and bounded waits.
+// software-overhead constants, and WaitAll completes them; the hardened
+// protocol (robust.go) that fault-tolerant collectives run on adds
+// checksums, sequence numbers and bounded waits. A message and a wait
+// each run as one chain of steps in the engine, and resume their core's
+// process once.
 package rcce
 
 import (
@@ -183,9 +185,9 @@ type UE struct {
 	// state machine out of them.
 	slots [2]Request
 
-	// Scratch for WaitAll's multi-flag waits (it never nests in a UE).
-	waitFlags []scc.Flag
-	waitPend  []*Request
+	// wait is the UE's wait in progress (nonblocking.go): it never nests,
+	// as a slot drain happens before any wait.
+	wait waitState
 }
 
 // ID returns the UE's rank (== core ID).
@@ -402,21 +404,17 @@ func (u *UE) centralBarrier(members []int, arrive, release int, gens *peerBytes,
 			u.core.WaitFlag(off, gen)
 			return nil
 		}
-		window := pol.Timeout
-		for try := 0; ; try++ {
-			if _, ok := u.core.WaitFlagMatch(scc.Watch(off, gen, gen), window+pol.JitterOf(window, u.ID(), peer, gen, try)); ok {
+		for l := (ladder{window: pol.Timeout}); ; {
+			if _, ok := u.core.WaitFlagMatch(scc.Watch(off, gen, gen), l.window+pol.JitterOf(l.window, u.ID(), peer, gen, l.retries)); ok {
 				return nil
 			}
-			u.core.OverheadCycles(m.OverheadTimeoutCheck)
-			u.stats.Timeouts++
-			if try >= pol.MaxRetries {
-				u.giveUp()
+			u.timedOut()
+			if !u.climb(&l, pol) {
 				return fmt.Errorf("%w: barrier (root %02d, gen %d)", ErrUnreachable, root, gen)
 			}
 			if onRetry != nil {
 				onRetry()
 			}
-			window *= Backoff
 		}
 	}
 

@@ -18,8 +18,9 @@ import (
 // what each call costs (Sec. IV-A/B). So every transfer is a Request in
 // one of its UE's two slots, one for sends and one for receives. The
 // blocking driver (comm.go) runs a whole message as the request's steps;
-// a posted or hardened request starts each transition (stage, advance)
-// from process code through Request.run and waits in WaitAll.
+// a posted or hardened send stages its first chunk the same way, and
+// WaitAll runs every round of its wait as steps too (charge, flag wait,
+// probe, advance, timeout), so each resumes its process once.
 
 // NBCosts parameterizes the software overhead of a non-blocking
 // primitive implementation, in core cycles.
@@ -65,14 +66,14 @@ type Request struct {
 	kind     ReqKind
 	blocking bool // the blocking driver: a transition goes on to wait for the next
 	hard     bool // the hardened protocol (robust.go)
-	backoff  bool // the next deadline backs off (robust.go)
+	backoff  bool // the next deadline is jittered: its window has widened (robust.go)
+	failed   bool // the retry budget ran out (robust.go)
 	done     bool
 	t0       simtime.Time // when the put, get or wait in flight began
 
 	// The hardened protocol's retry state (robust.go).
-	pol      Policy
-	retries  int
-	window   simtime.Duration
+	pol Policy
+	ladder
 	deadline simtime.Time
 }
 
@@ -91,6 +92,8 @@ const (
 	reqGot                       // the latency after a get is applied
 	reqAcked                     // the ready flag's write is paid
 	reqProgressed                // the progress byte's write is paid (hard)
+	reqProbed                    // a push's read of the watched flag is paid
+	reqExpired                   // a timeout is charged (hard; robust.go)
 )
 
 // busy reports whether the slot holds a request still in flight.
@@ -158,25 +161,12 @@ func (r *Request) chunkLen() int { return min(r.n-r.off, r.costs().chunk) }
 // costs is the request's pricing row.
 func (r *Request) costs() *rowCosts { return &r.ue.comm.rows[r.row] }
 
-// run carries the transition st began from process code to its end.
-func (r *Request) run(st simtime.Step) { r.ue.core.Run(r, r.next(st)) }
+// run carries the transition st began from process code to its end, as
+// the steps of the UE's waiter.
+func (r *Request) run(st simtime.Step) { r.ue.core.Run((*waiter)(r.ue), r.ue.waitNext(st)) }
 
-// Wake runs the core's step and, once that access or wait has ended,
-// the request's own.
-func (r *Request) Wake() simtime.Step { return r.next(r.ue.core.Step()) }
-
-// String names the flag wait the core is parked in (deadlock reports).
+// String names the flag wait the request's core is in.
 func (r *Request) String() string { return r.ue.core.Waiting() }
-
-// next returns st unless it resumes the process; then it takes the
-// request's steps until one starts a core step that sleeps or parks,
-// the transition ends, or the core died.
-func (r *Request) next(st simtime.Step) simtime.Step {
-	for st == simtime.Resume() && r.pc != reqIdle && !r.ue.core.Dead() {
-		st = r.step()
-	}
-	return st
-}
 
 // step takes step pc and returns the core step it starts.
 func (r *Request) step() simtime.Step {
@@ -213,13 +203,15 @@ func (r *Request) step() simtime.Step {
 		}
 		return r.then()
 	case reqWaited:
-		return r.advance(c.EndWait(r.t0))
+		_, v, _ := c.EndWait(r.t0)
+		return r.advance(v)
 	case reqConsumed:
 		c.EndSetFlag(r.watch().Off(), 0)
 		switch {
 		case r.kind == ReqSend && r.v == r.seq:
 			return r.completeChunk(n)
 		case r.kind == ReqSend: // NACK: the receiver saw a corrupt chunk
+			r.widen()
 			return r.retransmit()
 		case r.v != r.seq: // the previous chunk again: our ACK was lost, re-acknowledge it
 			return r.ack(r.v)
@@ -256,6 +248,13 @@ func (r *Request) step() simtime.Step {
 		}
 		r.armDeadline() // for this sequence number's (re)transmission
 		return r.then()
+	case reqProbed:
+		if c.EndProbe(r.watch().Off()) == r.seq {
+			return r.advance(r.seq)
+		}
+		r.pc = reqIdle
+	case reqExpired:
+		return r.retry()
 	}
 	return simtime.Resume()
 }
@@ -293,9 +292,12 @@ func (r *Request) ack(v byte) simtime.Step {
 }
 
 // then ends a transition: a blocking request goes on to wait for the
-// next (a receive paying its row's per-chunk charge first), any other
-// resumes its process.
+// next (a receive paying its row's per-chunk charge first), one a wait
+// is pushing probes its flag again, any other ends.
 func (r *Request) then() simtime.Step {
+	if r.ue.wait.pc == waitPush && !r.done {
+		return r.access(reqProbed, r.watch().Off(), 1, true)
+	}
 	if !r.blocking || r.done {
 		r.pc = reqIdle
 		return simtime.Resume()
@@ -348,7 +350,8 @@ func (u *UE) PostRecv(costs NBCosts, src int, addr scc.Addr, nBytes int) *Reques
 }
 
 // post opens the slot of the given kind at a stack's costs and takes
-// the first step: a send stages its first chunk, a receive probes.
+// the first step: a send stages its first chunk, a receive is pushed
+// once, like iRCCE_irecv's immediate push.
 func (u *UE) post(costs NBCosts, kind ReqKind, peer int, addr scc.Addr, nBytes int) *Request {
 	r := u.open(RowRCCE, costs, kind, nil, peer, addr, nBytes)
 	u.core.OverheadCycles(costs.Post)
@@ -356,7 +359,8 @@ func (u *UE) post(costs NBCosts, kind ReqKind, peer int, addr scc.Addr, nBytes i
 	if kind == ReqSend {
 		r.run(r.stage())
 	} else {
-		r.tryProgress(costs) // like iRCCE_irecv's immediate push
+		u.wait = waitState{kinds: [2]ReqKind{kind}, n: 1, pc: waitPush, post: true, progress: costs.Progress}
+		u.core.Run((*waiter)(u), u.waitNext(simtime.Resume()))
 	}
 	if reg := u.core.Metrics(); reg != nil {
 		reg.Count(u.core.ID, metrics.CtrReqsPosted)
@@ -371,91 +375,159 @@ func (u *UE) post(costs NBCosts, kind ReqKind, peer int, addr scc.Addr, nBytes i
 	return r
 }
 
-// tryProgress advances the request as far as it can without blocking:
-// one probe of the watched flag per transition.
-func (r *Request) tryProgress(costs NBCosts) {
-	if r.done {
-		return
-	}
-	u := r.ue
-	u.core.OverheadCycles(costs.Progress)
-	for !r.done {
-		v := u.core.ProbeFlag(r.watch().Off()) // one MPB read (local line)
-		if v != r.seq {
-			break
-		}
-		r.run(r.advance(v))
-	}
-}
-
 // WaitAll blocks until every request completes. Progress is made on
 // whichever request's flag fires first (via a multi-flag wait), so
 // cyclic communication patterns cannot deadlock regardless of posting
 // order - the property Sec. IV-A relies on. A posted request probes its
-// flag again before it advances; hardened ones (runRobust) bound the
-// wait by their earliest deadline and advance by the value it matched.
-// A retry budget that runs out abandons every request (marked done, so
-// a later post drains none) and returns its error.
-func (u *UE) WaitAll(costs NBCosts, reqs ...*Request) (err error) {
-	var firstTimeout simtime.Time = -1
-	// The round scratch lives on the UE: WaitAll cannot nest within one
-	// UE (a slot drain happens before any wait), so reuse is safe and
-	// the steady state allocates nothing.
-	for err == nil {
-		flags, pending := u.waitFlags[:0], u.waitPend[:0]
-		var deadline simtime.Time = -1 // the earliest hardened one
-		for _, r := range reqs {
-			if r != nil && r.ue != u {
-				panic("rcce: WaitAll on a foreign UE's request")
-			}
-			if r != nil && !r.done {
-				flags, pending = append(flags, r.watch()), append(pending, r)
-				if r.hard && (deadline < 0 || r.deadline < deadline) {
-					deadline = r.deadline
-				}
-			}
+// flag again before it advances, and the other is pushed after it;
+// hardened ones (runRobust) bound the wait by their earliest deadline
+// and advance by the value it matched. A retry budget that runs out
+// abandons every request (marked done, so a later post drains none) and
+// returns its error. Every round runs as the UE's waiter's steps, so the
+// process resumes once.
+func (u *UE) WaitAll(costs NBCosts, reqs ...*Request) error {
+	w := &u.wait
+	*w = waitState{pc: waitRound, wait: costs.Wait, progress: costs.Progress, first: -1}
+	for _, r := range reqs {
+		if r == nil {
+			continue
+		} else if r != &u.slots[r.kind] || w.n == 2 {
+			panic("rcce: WaitAll takes at most two requests, both its UE's")
 		}
-		u.waitFlags, u.waitPend = flags, pending
-		if len(pending) == 0 {
-			break
-		}
-		u.core.OverheadCycles(costs.Wait)
-		var limit simtime.Duration // a posted request's flags carry 1: unbounded
-		if deadline >= 0 {
-			limit = max(1, deadline-u.core.Now())
-		} else if reg := u.core.Metrics(); reg != nil {
-			reg.Count(u.core.ID, metrics.CtrReqWaitRounds)
-		}
-		idx, v, ok := u.core.WaitFlagsMatch(flags, limit)
-		switch {
-		case ok && pending[idx].hard:
-			pending[idx].run(pending[idx].advance(v))
-		case ok:
-			pending[idx].tryProgress(costs)
-			// Opportunistically push the others, too (their flags may have
-			// fired while we were blocked).
-			for i, r := range pending {
-				if i != idx {
-					r.tryProgress(costs)
-				}
-			}
-		default:
-			now := u.core.Now()
-			if firstTimeout < 0 {
-				firstTimeout = now
-			}
-			for _, r := range pending {
-				if err == nil && !r.done && now >= r.deadline {
-					err = r.onTimeout()
-				}
-			}
-		}
+		w.kinds[w.n], w.n = r.kind, w.n+1
 	}
-	for _, r := range u.waitPend { // what an error abandoned
-		r.done = true
+	u.core.Run((*waiter)(u), u.waitNext(simtime.Resume()))
+	var err error
+	for _, k := range w.kinds[:w.n] { // what an error abandoned
+		if r := &u.slots[k]; r.failed {
+			err = fmt.Errorf("%w: %v peer %02d at byte %d/%d (%d retries)",
+				ErrUnreachable, r.kind, r.peer, r.off, r.n, r.pol.MaxRetries)
+		}
+		u.slots[k].done = true
 	}
-	if firstTimeout >= 0 {
-		u.stats.Recovery += u.core.Now() - firstTimeout
+	if w.first >= 0 {
+		u.stats.Recovery += u.core.Now() - w.first
 	}
 	return err
+}
+
+// waitState is the UE's wait in progress: WaitAll's rounds, or a
+// receive post's push. A UE has two slots, so a wait has at most two
+// requests, kept by slot in the caller's order (a slot listed twice is
+// watched twice, as by any list wait).
+type waitState struct {
+	flags          [2]scc.Flag // the pending requests' watched flags
+	kinds          [2]ReqKind  // the pending requests' slots
+	n              uint8       // pending requests
+	pc             waitStep
+	j              uint8        // the round's next push or timeout
+	match          uint8        // the request whose flag the round matched: pushed first
+	post           bool         // a post's push: the wait ends after it
+	wait, progress int64        // the stack's NBCosts
+	at             simtime.Time // when the round's wait began, or timed out
+	first          simtime.Time // the first timeout, or -1
+}
+
+// waitStep is what the wait does once the core's access, flush or flag
+// wait, or a request's transition, has ended.
+type waitStep uint8
+
+const (
+	waitIdle    waitStep = iota // the wait is over: resume the process
+	waitRound                   // charge a round, and wait on the pending requests' flags
+	waitMatched                 // the round's wait ended
+	waitPush                    // push the round's next request
+	waitExpire                  // time out the round's next request, if its deadline passed
+)
+
+// waiter is the UE's core's simtime.Cont while a transition or a wait
+// runs; the conversion keeps Wake off UE's method set and allocates
+// nothing.
+type waiter UE
+
+func (k *waiter) Wake() simtime.Step { u := (*UE)(k); return u.waitNext(u.core.Step()) }
+
+// String names the flag wait the core is parked in (deadlock reports).
+func (k *waiter) String() string { return k.core.Waiting() }
+
+// waitNext returns st unless it resumes the process; then it takes the
+// steps of the transition in flight (at most one slot has one) and the
+// wait's own until one starts a core step that sleeps or parks, both
+// are over, or the core died.
+func (u *UE) waitNext(st simtime.Step) simtime.Step {
+	for st == simtime.Resume() && !u.core.Dead() {
+		switch {
+		case u.slots[0].pc != reqIdle:
+			st = u.slots[0].step()
+		case u.slots[1].pc != reqIdle:
+			st = u.slots[1].step()
+		case u.wait.pc == waitIdle:
+			return st
+		default:
+			st = u.waitStep()
+		}
+	}
+	return st
+}
+
+// waitStep takes the wait's step pc and returns the core step it starts.
+func (u *UE) waitStep() simtime.Step {
+	w, c := &u.wait, u.core
+	switch w.pc {
+	case waitRound: // on the requests still pending
+		n, until := uint8(0), simtime.Never // a posted request's flags carry 1: unbounded
+		for _, k := range w.kinds[:w.n] {
+			if r := &u.slots[k]; !r.done {
+				w.kinds[n], w.flags[n] = k, r.watch()
+				if n++; r.hard {
+					until = min(until, r.deadline)
+				}
+			}
+		}
+		if w.n, w.pc = n, waitIdle; n == 0 {
+			return simtime.Resume()
+		}
+		c.OverheadCycles(w.wait)
+		if reg := c.Metrics(); reg != nil && until == simtime.Never {
+			reg.Count(c.ID, metrics.CtrReqWaitRounds)
+		}
+		var st simtime.Step
+		w.pc = waitMatched
+		w.at, st = c.BeginWaitAny(w.flags[:n], until)
+		return st
+	case waitMatched:
+		i, v, ok := c.EndWait(w.at)
+		if r := &u.slots[w.kinds[i]]; ok && r.hard {
+			w.pc = waitRound
+			return r.advance(v)
+		}
+		w.pc, w.j, w.match = waitPush, 0, uint8(i)
+		if !ok {
+			w.pc, w.match, w.at = waitExpire, 0, c.Proc().Now()
+			if w.first < 0 {
+				w.first = w.at
+			}
+		}
+		return simtime.Resume()
+	}
+	if w.j == w.n {
+		w.pc = waitRound
+		if w.post {
+			w.pc = waitIdle
+		}
+		return simtime.Resume()
+	}
+	r := &u.slots[w.kinds[w.j^w.match]]
+	w.j++
+	switch {
+	case r.done:
+	case w.pc == waitExpire:
+		if w.at >= r.deadline {
+			return r.expire()
+		}
+	default:
+		c.OverheadCycles(w.progress)
+		return r.access(reqProbed, r.watch().Off(), 1, true)
+	}
+	return simtime.Resume()
 }

@@ -2,7 +2,6 @@ package rcce
 
 import (
 	"errors"
-	"fmt"
 
 	"scc/internal/scc"
 	"scc/internal/simtime"
@@ -163,12 +162,12 @@ func (r *Request) seqs() *peerBytes {
 	return &r.ue.sendSeq
 }
 
-// armDeadline bounds the request's wait one window from now, widened by
-// Backoff and jittered after a retransmission or a receive's timeout.
+// armDeadline bounds the request's wait one window from now, jittered
+// after a retransmission or a receive's timeout (which widened it).
 func (r *Request) armDeadline() {
 	var jitter simtime.Duration
 	if r.backoff {
-		r.backoff, r.window = false, r.window*Backoff
+		r.backoff = false
 		jitter = r.pol.JitterOf(r.window, r.ue.ID(), r.peer, r.seq, r.retries)
 	}
 	r.deadline = r.ue.core.Now() + r.window + jitter
@@ -196,35 +195,68 @@ func (r *Request) retransmit() simtime.Step {
 	return r.stage()
 }
 
-// onTimeout handles an expired deadline: lost-ACK recovery via the
-// progress byte for senders, retransmission with backoff otherwise.
-func (r *Request) onTimeout() error {
-	u := r.ue
-	m := u.core.Chip().Model
-	u.core.OverheadCycles(m.OverheadTimeoutCheck)
+// Every bounded wait, a hardened request's or the barrier's (comm.go),
+// climbs one retry ladder: a timeout is charged and counted; unless
+// something else recovers it, it spends a retry, and past the budget
+// it gives up, otherwise its window widens by Backoff. How a window is
+// jittered is the wait's own (armDeadline, centralBarrier).
+type ladder struct {
+	window  simtime.Duration
+	retries int
+}
+
+func (l *ladder) widen() { l.window *= Backoff }
+
+func (u *UE) timedOut() {
+	u.core.OverheadCycles(u.core.Chip().Model.OverheadTimeoutCheck)
 	u.stats.Timeouts++
-	if r.kind == ReqSend && u.core.ProbeFlag(r.flagOff(FlagProgress)) == r.seq {
-		// The receiver consumed this chunk; its ACK was lost. Treat as
-		// acknowledged: clear the ready flag and complete the chunk.
-		u.stats.LostAcks++
-		r.run(r.advance(r.seq))
-		return nil
-	}
-	r.retries++
-	if r.retries > r.pol.MaxRetries {
+}
+
+// climb spends a retry of pol's budget on l, or records a give-up
+// (reading the clock) and reports false.
+func (u *UE) climb(l *ladder, pol *Policy) bool {
+	if l.retries++; l.retries > pol.MaxRetries {
 		u.giveUp()
-		return fmt.Errorf("%w: %v peer %02d at byte %d/%d (%d retries)",
-			ErrUnreachable, r.kind, r.peer, r.off, r.n, r.pol.MaxRetries)
+		return false
+	}
+	l.widen()
+	return true
+}
+
+// expire charges and counts the request's timeout. A send then reads
+// its receiver's progress byte, as its ACK may have been lost.
+func (r *Request) expire() simtime.Step {
+	r.ue.timedOut()
+	if r.kind == ReqSend {
+		return r.access(reqExpired, r.flagOff(FlagProgress), 1, true)
+	}
+	r.pc = reqExpired
+	return r.ue.core.Flush() // the retry reads the clock after the charge
+}
+
+// retry ends a timeout: a send whose receiver consumed the chunk in
+// flight completes it, otherwise the request spends a retry — a send
+// retransmits, a receive widens its window — or, past the budget, fails.
+func (r *Request) retry() simtime.Step {
+	u := r.ue
+	if r.kind == ReqSend && u.core.EndProbe(r.flagOff(FlagProgress)) == r.seq {
+		// Its ACK was lost. Treat as acknowledged: clear the ready flag
+		// and complete the chunk.
+		u.stats.LostAcks++
+		return r.advance(r.seq)
+	}
+	if r.pc = reqIdle; !u.climb(&r.ladder, &r.pol) {
+		r.failed, u.wait.pc = true, waitIdle // the wait ends with its error
+		return simtime.Resume()
 	}
 	if r.kind == ReqSend {
-		r.run(r.retransmit())
-	} else {
-		// A receiver cannot push; it widens its window and relies on the
-		// sender's retransmission (both sides run the same policy).
-		r.backoff = true
-		r.armDeadline()
+		return r.retransmit()
 	}
-	return nil
+	// A receiver cannot push; it widens its window and relies on the
+	// sender's retransmission (both sides run the same policy).
+	r.backoff = true
+	r.armDeadline()
+	return simtime.Resume()
 }
 
 // runRobust starts hardened requests, a send staging its first chunk

@@ -640,6 +640,11 @@ func (c *Core) EndSetFlag(off int, v byte) {
 // line read (a non-blocking test).
 func (c *Core) ProbeFlag(off int) byte {
 	c.Run(nil, c.BeginAccess(off, 1, true))
+	return c.EndProbe(off)
+}
+
+// EndProbe returns the flag byte at off once its read is paid.
+func (c *Core) EndProbe(off int) byte {
 	if r := c.chip.metrics; r != nil {
 		r.AddPhase(c.ID, metrics.PhaseFlagSync, c.cost())
 		r.Count(c.ID, metrics.CtrFlagProbes)

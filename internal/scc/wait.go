@@ -75,32 +75,40 @@ func (c *Core) WaitFlagsMatch(flags []Flag, limit simtime.Duration) (int, byte, 
 	if len(flags) == 0 {
 		panic("scc: WaitFlagsMatch with no flags")
 	}
-	i, v, ok := c.wait(flags, modeAny, limit)
-	if !ok {
-		return -1, 0, false
+	if i, v, ok := c.wait(flags, modeAny, limit); ok {
+		return i, v, true
 	}
-	return i, v, true
+	return -1, 0, false
 }
 
 // wait runs the wait on flags in mode (modeAny: a list wait), bounded by
-// limit when limit > 0. It returns the first (lowest-index) match, or
-// ok == false with the value probed last once a probe round disappoints
-// past the deadline.
+// limit when limit > 0 (see EndWait).
 func (c *Core) wait(flags []Flag, mode stepMode, limit simtime.Duration) (int, byte, bool) {
-	begin, st := c.beginWait(flags, mode, limit)
+	until := simtime.Never
+	if limit > 0 {
+		until = c.proc.Now() + c.pending + limit
+	}
+	begin, st := c.beginWait(flags, mode, until)
 	c.Run(nil, st)
-	i, ok := int(c.idx), c.step == stepProbed
-	return i, c.EndWait(begin), ok
+	return c.EndWait(begin)
 }
 
 // BeginWait returns the instant an unbounded wait on the flag f begins
 // and its first step; EndWait(begin) ends it once it has matched.
 func (c *Core) BeginWait(f Flag) (simtime.Time, simtime.Step) {
 	c.one[0] = f
-	return c.beginWait(c.one[:], 0, 0)
+	return c.beginWait(c.one[:], 0, simtime.Never)
 }
 
-func (c *Core) beginWait(flags []Flag, mode stepMode, limit simtime.Duration) (simtime.Time, simtime.Step) {
+// BeginWaitAny is BeginWait for WaitFlagsMatch's wait on the flags,
+// which the caller keeps unchanged until EndWait. It ends by until
+// (simtime.Never: unbounded), but no sooner than one tick past its
+// beginning, the local latency before it flushed.
+func (c *Core) BeginWaitAny(flags []Flag, until simtime.Time) (simtime.Time, simtime.Step) {
+	return c.beginWait(flags, modeAny, until)
+}
+
+func (c *Core) beginWait(flags []Flag, mode stepMode, until simtime.Time) (simtime.Time, simtime.Step) {
 	if len(flags) > math.MaxUint16 {
 		panic("scc: a flag wait watches more than 65,535 flags")
 	}
@@ -111,21 +119,21 @@ func (c *Core) beginWait(flags []Flag, mode stepMode, limit simtime.Duration) (s
 	// that happened before the wait, so it must not inflate the wait
 	// interval (which becomes the "wait-*" span and the flag-wait phase).
 	begin := c.proc.Now() + c.pending
-	c.deadline = simtime.Never
-	if limit > 0 {
-		c.deadline = begin + limit
-	}
+	c.deadline = max(until, begin+1)
 	c.watch, c.mode = flags, mode|modeRead
 	return begin, c.probe(0)
 }
 
-// EndWait accounts the wait that began at begin and just ended, and
-// returns the byte its last probe read (the flag still holds it).
-func (c *Core) EndWait(begin simtime.Time) byte {
-	v := c.flagByte()
+// EndWait accounts the wait that began at begin and just ended. It
+// returns the index of the flag probed last and the byte it read (the
+// flag still holds it), and whether the wait matched: the first
+// (lowest-index) match, or ok == false once a probe round disappointed
+// past the deadline.
+func (c *Core) EndWait(begin simtime.Time) (int, byte, bool) {
+	i, v, ok := int(c.idx), c.flagByte(), c.step == stepProbed
 	c.endWait(begin)
 	c.watch, c.mode = nil, 0
-	return v
+	return i, v, ok
 }
 
 // probe starts the read of watched flag i. Only the first probe of a

@@ -1,6 +1,7 @@
 package scc
 
 import (
+	"errors"
 	"slices"
 	"testing"
 
@@ -266,5 +267,39 @@ func TestMixedPairsMatchTheRightFlag(t *testing.T) {
 		if i != c.wantI || v != c.wantV || ok != c.wantOK {
 			t.Errorf("%s: wait = (%d, %d, %t), want (%d, %d, %t)", c.name, i, v, ok, c.wantI, c.wantV, c.wantOK)
 		}
+	}
+}
+
+// clockInStep is a continuation whose step, once its core's access is
+// paid, charges local latency and reads the clock: Core.Now then flushes
+// through Core.Run, process code that a step must never run.
+type clockInStep struct{ c *Core }
+
+func (k clockInStep) Wake() simtime.Step {
+	if st := k.c.Step(); st != simtime.Resume() {
+		return st
+	}
+	k.c.Compute(5)
+	k.c.Now()
+	return simtime.Resume()
+}
+
+// TestClockReadInAStepFails: the run fails with ErrProcessCodeInStep,
+// naming the core whose continuation read the clock and the stack it
+// ran on, where the Go runtime used to fail with iter.Pull's "yield
+// called again before next" (or, on the process's own stack, not at all).
+func TestClockReadInAStepFails(t *testing.T) {
+	chip := New(timing.Default())
+	defer chip.Release()
+	for id := range 2 {
+		chip.LaunchOne(id, func(c *Core) {
+			c.Compute(simtime.Duration(100 * (id + 1)))
+			c.Run(clockInStep{c}, c.BeginAccess(chip.MPBBase(1-id), 1, false))
+		})
+	}
+	err := chip.Run()
+	want := `: the continuation of "core00" ran on the stack of "core01"`
+	if !errors.Is(err, simtime.ErrProcessCodeInStep) || err.Error() != simtime.ErrProcessCodeInStep.Error()+want {
+		t.Fatalf("Run = %v, want ErrProcessCodeInStep%s", err, want)
 	}
 }

@@ -12,6 +12,11 @@ import (
 // nobody will ever raise.
 var ErrDeadlock = errors.New("simtime: deadlock")
 
+// ErrProcessCodeInStep is returned by Engine.Run when a continuation's
+// step called process code (Sleep, WaitOn, WaitOnTimeout, Continue) on
+// whichever stack it ran on; the error names the process and the stack.
+var ErrProcessCodeInStep = errors.New("simtime: process code called from a continuation step")
+
 // event is a scheduled wake-up of a process. A process has at most one
 // queued (see Signal.Broadcast).
 type event struct {
@@ -259,6 +264,11 @@ type Engine struct {
 	// runnable.
 	next *Proc
 
+	// waking is the process whose continuation's step is running (nil
+	// outside one), running the one the dispatcher switched to (nil on
+	// its own stack): what ErrProcessCodeInStep names.
+	waking, running *Proc
+
 	// Scheduler statistics: events delivered by a switch to another
 	// process vs. delivered without one (the same-proc fast path, or a
 	// continuation that left its process waiting).
@@ -341,7 +351,7 @@ func (e *Engine) deliver(q *Proc) bool {
 		q.disarm()
 	}
 	for {
-		st := k.Wake()
+		st := e.wake(q, k)
 		if st.kind == stepResume {
 			return true
 		}
@@ -366,7 +376,7 @@ func (e *Engine) deliver(q *Proc) bool {
 // (runtime.LockOSThread): pooled coroutines may have been created by
 // another goroutine, and the runtime only resumes a coroutine under the
 // thread-lock state it was created in (it throws otherwise).
-func (e *Engine) Run() error {
+func (e *Engine) Run() (err error) {
 	// Every earlier run ended with all its processes reaped (live == 0 on
 	// every exit path), so only the processes spawned since then need
 	// starting; the engine never rescans its full spawn history.
@@ -377,7 +387,26 @@ func (e *Engine) Run() error {
 		e.live++
 	}
 	e.unstarted = e.unstarted[:0]
-
+	defer func() {
+		if r := recover(); r != nil { // from a step the dispatcher ran
+			m, ok := r.(stepMisuse)
+			if !ok {
+				panic(r)
+			}
+			e.failed = m.err
+		}
+		switch {
+		case e.failed != nil:
+			err = e.failed
+		case e.live > 0:
+			err = e.deadlockError()
+		}
+		if err != nil {
+			e.shutdown()
+			e.failed = nil // reported once: a later Run starts afresh
+		}
+		e.clearActive()
+	}()
 	for e.live > 0 && e.failed == nil {
 		p := e.next
 		if p == nil {
@@ -390,27 +419,45 @@ func (e *Engine) Run() error {
 		}
 		e.next = nil
 		e.handoffs++
+		e.running = p
 		p.w.next()
+		e.running = nil
 		if p.done {
 			// Parked here, not by the worker itself: no worker is ever in
 			// flight between finishing and parking once Run has returned.
 			parkWorker(p.w)
 		}
 	}
+	return nil
+}
 
-	var err error
-	switch {
-	case e.failed != nil:
-		err = e.failed
-	case e.live > 0:
-		err = e.deadlockError()
+// wake runs one step of p's continuation k.
+func (e *Engine) wake(p *Proc, k Cont) Step {
+	e.waking = p
+	st := k.Wake()
+	e.waking = nil
+	return st
+}
+
+// stepMisuse unwinds the stack of a step that called process code;
+// Proc.run and Run make its error the run's.
+type stepMisuse struct{ err error }
+
+// processCode, called by process code, fails the run inside a step.
+func (e *Engine) processCode() {
+	if e.waking != nil {
+		e.misuse()
 	}
-	if err != nil {
-		e.shutdown()
-		e.failed = nil // reported once: a later Run starts afresh
+}
+
+func (e *Engine) misuse() {
+	on := "the dispatcher's stack"
+	if e.running != nil {
+		on = fmt.Sprintf("the stack of %q", e.running.name)
 	}
-	e.clearActive()
-	return err
+	err := fmt.Errorf("%w: the continuation of %q ran on %s", ErrProcessCodeInStep, e.waking.name, on)
+	e.waking = nil
+	panic(stepMisuse{err})
 }
 
 // clearActive empties the active list (all its processes are done),

@@ -66,8 +66,12 @@ func (p *Proc) start() {
 // dispatcher (see worker.loop), which parks the worker.
 func (p *Proc) run() {
 	defer func() {
-		if r := recover(); r != nil {
-			if _, isKill := r.(killSentinel); !isKill && p.eng.failed == nil {
+		if r := recover(); r != nil && p.eng.failed == nil {
+			switch r := r.(type) {
+			case killSentinel:
+			case stepMisuse:
+				p.eng.failed = r.err
+			default:
 				p.eng.failed = fmt.Errorf("simtime: process %q panicked: %v", p.name, r)
 			}
 		}
@@ -134,6 +138,7 @@ func (e *Engine) sleep(p *Proc, d Duration) bool {
 // queued for the current instant, so same-time events from other
 // processes interleave deterministically by schedule order.
 func (p *Proc) Sleep(d Duration) {
+	p.eng.processCode()
 	if !p.eng.sleep(p, d) {
 		p.block()
 	}
@@ -150,6 +155,7 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // virtual time of the Signal call. The site's label names the wait in
 // deadlock reports.
 func (p *Proc) WaitOn(s *Signal, site WaitSite) {
+	p.eng.processCode()
 	p.Park(s, Never)
 	p.blockedAt = site
 	p.block()
@@ -160,6 +166,7 @@ func (p *Proc) WaitOn(s *Signal, site WaitSite) {
 // timeout. It is a deadline park (see Park) run as process code, named
 // by the site's label in deadlock reports.
 func (p *Proc) WaitOnTimeout(s *Signal, d Duration, site WaitSite) bool {
+	p.eng.processCode()
 	p.Park(s, p.eng.now+max(d, 0))
 	p.blockedAt = site
 	p.block()
@@ -191,9 +198,10 @@ func (p *Proc) disarm() bool {
 // access, the probes of its flag wait) is delivered this way without
 // the two coroutine switches a wake-up otherwise costs.
 //
-// Wake must not block: it returns the next Step instead. It runs at the
-// same point in the event order as the process code it stands for, so
-// each of its sleeps is exactly a Sleep (the same fast-path test, the
+// Wake must not block: it returns the next Step instead, and process
+// code called from it fails the run (ErrProcessCodeInStep). It runs at
+// the same point in the event order as the process code it stands for,
+// so each of its sleeps is exactly a Sleep (the same fast-path test, the
 // same (at, seq)), and only the stack differs.
 type Cont interface {
 	Wake() Step
@@ -250,9 +258,10 @@ func (p *Proc) Park(s *Signal, deadline Time) Step {
 // a step resumes it.
 func (p *Proc) Continue(k Cont, st Step) {
 	e := p.eng
+	e.processCode()
 	for st.kind != stepResume {
 		if st.kind != stepParked && e.sleep(p, st.d) {
-			st = k.Wake()
+			st = e.wake(p, k)
 			continue
 		}
 		p.w.cont = k
@@ -264,7 +273,7 @@ func (p *Proc) Continue(k Cont, st Step) {
 		if p.dlSeq != 0 {
 			p.disarm()
 		}
-		st = k.Wake()
+		st = e.wake(p, k)
 	}
 }
 
