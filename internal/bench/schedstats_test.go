@@ -132,9 +132,10 @@ func measureHardenedSchedStats(t *testing.T, cfg core.Config, plan *fault.Plan, 
 // Since a hardened transition runs as the request's steps (it resumes
 // the process once, not after every access), the split moved again,
 // from 58,222 + 28,646, 58,391 + 28,807 and 57,802 + 29,474 switches +
-// inline events, with every sum unchanged. Since WaitAll's rounds run
-// as steps too (a hardened wait resumes its process once), it moved
-// once more, from 31,420 + 55,448, 31,588 + 55,610 and 31,296 + 55,980.
+// inline events, with every sum unchanged. Since WaitAll's rounds and
+// a hardened op's start run as steps too (a hardened op resumes its
+// process once), it moved once more, from 31,420 + 55,448, 31,588 +
+// 55,610 and 31,296 + 55,980.
 func TestFastPathCarriesHardenedCollectives(t *testing.T) {
 	pol := rcce.DefaultPolicy()
 	heal := core.DefaultHealPolicy()
@@ -147,10 +148,10 @@ func TestFastPathCarriesHardenedCollectives(t *testing.T) {
 		fired int
 		want  [3]uint64 // events, handoffs, fastpath
 	}{
-		{"hardened", hardened, nil, 0, [3]uint64{86868, 9072, 77796}},
-		{"self-heal", healing, nil, 0, [3]uint64{87198, 9234, 77964}},
+		{"hardened", hardened, nil, 0, [3]uint64{86868, 4560, 82308}},
+		{"self-heal", healing, nil, 0, [3]uint64{87198, 4722, 82476}},
 		{"hardened, one flag drop", hardened,
-			fault.NewPlan().Add(fault.Fault{Kind: fault.FlagDrop, Core: 5, Off: -1}), 1, [3]uint64{87276, 9072, 78204}},
+			fault.NewPlan().Add(fault.Fault{Kind: fault.FlagDrop, Core: 5, Off: -1}), 1, [3]uint64{87276, 4560, 82716}},
 	} {
 		h, f, fired := measureHardenedSchedStats(t, row.cfg, row.plan, 552)
 		if fired != row.fired {

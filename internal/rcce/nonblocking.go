@@ -94,6 +94,7 @@ const (
 	reqProgressed                // the progress byte's write is paid (hard)
 	reqProbed                    // a push's read of the watched flag is paid
 	reqExpired                   // a timeout is charged (hard; robust.go)
+	reqArmed                     // a hardened receive's start is flushed: arm its deadline
 )
 
 // busy reports whether the slot holds a request still in flight.
@@ -255,6 +256,9 @@ func (r *Request) step() simtime.Step {
 		r.pc = reqIdle
 	case reqExpired:
 		return r.retry()
+	case reqArmed:
+		r.pc = reqIdle
+		r.armDeadline()
 	}
 	return simtime.Resume()
 }
@@ -380,14 +384,20 @@ func (u *UE) post(costs NBCosts, kind ReqKind, peer int, addr scc.Addr, nBytes i
 // cyclic communication patterns cannot deadlock regardless of posting
 // order - the property Sec. IV-A relies on. A posted request probes its
 // flag again before it advances, and the other is pushed after it;
-// hardened ones (runRobust) bound the wait by their earliest deadline
+// hardened ones (robust.go) bound the wait by their earliest deadline
 // and advance by the value it matched. A retry budget that runs out
 // abandons every request (marked done, so a later post drains none) and
 // returns its error. Every round runs as the UE's waiter's steps, so the
 // process resumes once.
 func (u *UE) WaitAll(costs NBCosts, reqs ...*Request) error {
+	return u.waitAll(waitRound, costs, reqs...)
+}
+
+// waitAll runs a wait from step pc: waitRound, or waitStart for
+// hardened requests just opened.
+func (u *UE) waitAll(pc waitStep, costs NBCosts, reqs ...*Request) error {
 	w := &u.wait
-	*w = waitState{pc: waitRound, wait: costs.Wait, progress: costs.Progress, first: -1}
+	*w = waitState{pc: pc, wait: costs.Wait, progress: costs.Progress, first: -1}
 	for _, r := range reqs {
 		if r == nil {
 			continue
@@ -438,6 +448,7 @@ const (
 	waitMatched                 // the round's wait ended
 	waitPush                    // push the round's next request
 	waitExpire                  // time out the round's next request, if its deadline passed
+	waitStart                   // start the next hardened request: stage a send, arm a receive
 )
 
 // waiter is the UE's core's simtime.Cont while a transition or a wait
@@ -521,6 +532,11 @@ func (u *UE) waitStep() simtime.Step {
 	w.j++
 	switch {
 	case r.done:
+	case w.pc == waitStart && r.kind == ReqSend:
+		return r.stage() // arms the deadline once staged
+	case w.pc == waitStart:
+		r.pc = reqArmed
+		return c.Flush()
 	case w.pc == waitExpire:
 		if w.at >= r.deadline {
 			return r.expire()

@@ -259,21 +259,6 @@ func (r *Request) retry() simtime.Step {
 	return simtime.Resume()
 }
 
-// runRobust starts hardened requests, a send staging its first chunk
-// and a receive arming its deadline, and waits for them all. Every wait
-// is bounded, so a full-duplex exchange is deadlock-free with a single
-// simulated process per core.
-func (u *UE) runRobust(costs NBCosts, ops ...*Request) error {
-	for _, r := range ops {
-		if r.kind == ReqSend {
-			r.run(r.stage()) // arms the deadline once staged
-		} else {
-			r.armDeadline()
-		}
-	}
-	return u.WaitAll(costs, ops...)
-}
-
 // SendRobust transmits nBytes to dest with the hardened protocol. costs
 // selects the software-overhead profile of the hosting library (blocking,
 // iRCCE or lightweight).
@@ -292,12 +277,13 @@ func (u *UE) robust(costs NBCosts, pol Policy, kind ReqKind, peer int, addr scc.
 	r := u.open(RowRCCE, costs, kind, &pol, peer, addr, nBytes)
 	u.core.OverheadCycles(costs.Post)
 	u.chargePartialLine(RowRCCE, nBytes)
-	return u.runRobust(costs, r)
+	return u.waitAll(waitStart, costs, r)
 }
 
 // ExchangeRobust runs a hardened send to dest and receive from src
 // concurrently (full duplex): both state machines share one bounded
-// multi-flag wait, so symmetric exchanges need no odd/even ordering.
+// multi-flag wait, so symmetric exchanges need no odd/even ordering and
+// a single simulated process per core cannot deadlock.
 func (u *UE) ExchangeRobust(costs NBCosts, pol Policy, dest int, sAddr scc.Addr, sBytes int, src int, rAddr scc.Addr, rBytes int) error {
 	pol = pol.withDefaults()
 	s := u.open(RowRCCE, costs, ReqSend, &pol, dest, sAddr, sBytes)
@@ -305,7 +291,7 @@ func (u *UE) ExchangeRobust(costs NBCosts, pol Policy, dest int, sAddr scc.Addr,
 	u.core.OverheadCycles(2 * costs.Post)
 	u.chargePartialLine(RowRCCE, sBytes)
 	u.chargePartialLine(RowRCCE, rBytes)
-	return u.runRobust(costs, s, r)
+	return u.waitAll(waitStart, costs, s, r)
 }
 
 // BarrierGroup synchronizes the given members (sorted core IDs, which

@@ -75,10 +75,11 @@ func (c *Core) WaitFlagsMatch(flags []Flag, limit simtime.Duration) (int, byte, 
 	if len(flags) == 0 {
 		panic("scc: WaitFlagsMatch with no flags")
 	}
-	if i, v, ok := c.wait(flags, modeAny, limit); ok {
-		return i, v, true
+	i, v, ok := c.wait(flags, modeAny, limit)
+	if !ok {
+		return -1, 0, false
 	}
-	return -1, 0, false
+	return i, v, true
 }
 
 // wait runs the wait on flags in mode (modeAny: a list wait), bounded by
