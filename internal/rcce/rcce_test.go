@@ -424,6 +424,37 @@ func TestPartialLineMessageCostsMore(t *testing.T) {
 	}
 }
 
+// TestWaitAllTakesItsTwoSlots: a wait keeps its requests by slot, so
+// WaitAll refuses a third request and another UE's, while a slot listed
+// twice (as a drained post and its successor are) and a nil request are
+// still taken.
+func TestWaitAllTakesItsTwoSlots(t *testing.T) {
+	costs := NBCosts{Post: 100, Wait: 100, Progress: 25}
+	for _, tc := range []struct {
+		name  string
+		wait  func(ue, other *UE, s *Request) error
+		panic bool
+	}{
+		{"a third request", func(ue, _ *UE, s *Request) error { return ue.WaitAll(costs, s, s, s) }, true},
+		{"another UE's", func(ue, other *UE, _ *Request) error { return ue.WaitAll(costs, &other.slots[ReqSend]) }, true},
+		{"a slot twice", func(ue, _ *UE, s *Request) error { return ue.WaitAll(costs, s, s, nil) }, false},
+	} {
+		chip := newChip()
+		comm := NewComm(chip)
+		other := comm.UE(2)
+		chip.LaunchOne(0, func(c *scc.Core) {
+			ue := comm.UE(0)
+			s := ue.PostSend(costs, 1, c.AllocF64(1), 8)
+			_ = tc.wait(ue, other, s)
+		})
+		chip.LaunchOne(1, func(c *scc.Core) { comm.UE(1).Recv(0, c.AllocF64(1), 8) })
+		err := chip.Run()
+		if got := err != nil && strings.Contains(err.Error(), "WaitAll takes at most two requests, both its UE's"); got != tc.panic {
+			t.Errorf("%s: Run = %v, want the panic: %v", tc.name, err, tc.panic)
+		}
+	}
+}
+
 // TestSendToSelfPanics: every driver of the chunk state machine refuses
 // a transfer whose peer is the UE itself.
 func TestSendToSelfPanics(t *testing.T) {
