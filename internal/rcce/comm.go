@@ -45,7 +45,7 @@ const (
 	// double-buffer half 0/1, you may overwrite it".
 	FlagMPBReady0 = 6
 	FlagMPBReady1 = 7
-	// FlagChk0..FlagChk0+3: sender -> receiver, FNV-1a checksum of the
+	// FlagChk0..FlagChk0+3: sender -> receiver, CRC-32C checksum of the
 	// staged chunk and its sequence number (hardened protocol only; lives
 	// in the sent-flag line).
 	FlagChk0 = 8

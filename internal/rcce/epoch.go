@@ -58,7 +58,7 @@ var resetRoles = []int{
 // symmetrically during epoch adoption, which between them clears every
 // flag a post-reconfiguration operation could read stale.
 func (u *UE) ResetProtocolFlags() {
-	line := make([]byte, u.core.Chip().Model.CacheLineBytes)
+	line := u.core.ScratchBytes(u.core.Chip().Model.CacheLineBytes)
 	for w := 0; w < u.NumUEs(); w++ {
 		if w == u.ID() {
 			continue

@@ -2,6 +2,7 @@ package rcce
 
 import (
 	"errors"
+	"hash/crc32"
 
 	"scc/internal/scc"
 	"scc/internal/simtime"
@@ -16,7 +17,7 @@ import (
 //
 //   - Flags carry sequence numbers (1..127) instead of 0/1, so a
 //     duplicate chunk is recognized and re-acknowledged, not re-consumed.
-//   - Every chunk travels with an FNV-1a checksum in the sent-flag line
+//   - Every chunk travels with a CRC-32C checksum in the sent-flag line
 //     that authenticates (payload, epoch, sequence number); a mismatch is
 //     NACKed (ready = seq|0x80) and the chunk is re-staged. The sequence
 //     number is part of the sum because payload and checksum are two
@@ -142,16 +143,25 @@ const (
 func nextSeq(s byte) byte { return s%seqMax + 1 }
 func prevSeq(s byte) byte { return (s+seqMax-2)%seqMax + 1 }
 
-// chunkSum is the per-chunk checksum: FNV-1a (32-bit) over the chunk's
-// sequence number followed by its payload, salted with the epoch. Sender
-// and receiver both compute it over their private-memory copy.
+// castagnoli is CRC-32C's table; hash/crc32 runs it on the CPU's CRC32
+// instruction where there is one. seqCRC[s] is the CRC of the one byte s,
+// so a sum starts from its sequence number without staging it in a slice.
+var (
+	castagnoli = crc32.MakeTable(crc32.Castagnoli)
+	seqCRC     = func() (t [256]uint32) {
+		for s := range t {
+			t[s] = crc32.Checksum([]byte{byte(s)}, castagnoli)
+		}
+		return t
+	}()
+)
+
+// chunkSum is the per-chunk checksum: CRC-32C over the chunk's sequence
+// number followed by its payload, salted with the epoch. It detects
+// every error burst of up to 32 bits. Sender and receiver both compute
+// it over their private-memory copy.
 func chunkSum(seq byte, payload []byte, epochSalt uint32) uint32 {
-	h := (uint32(2166136261) ^ uint32(seq)) * 16777619
-	for _, c := range payload {
-		h ^= uint32(c)
-		h *= 16777619
-	}
-	return h ^ epochSalt
+	return crc32.Update(seqCRC[seq], castagnoli, payload) ^ epochSalt
 }
 
 // seqs is the per-peer sequence counter of the request's direction.

@@ -312,6 +312,12 @@ func (c *Core) PrivBytes(a Addr, n int) []byte { return c.priv[a : a+Addr(n)] }
 // across it.
 func (c *Core) ScratchF64(slot, n int) []float64 { return grow(&c.vec[slot], n) }
 
+// ScratchBytes returns n bytes of host scratch from the kit: the staging
+// buffer of MPBWriteF64s and MPBReadF64s, so its holder calls neither
+// while it still needs the bytes. The contents are whatever the last
+// holder left.
+func (c *Core) ScratchBytes(n int) []byte { return grow(&c.xferBuf, n) }
+
 // Compute advances the core's clock by d to model pure computation
 // (deferred until the next shared-state interaction).
 func (c *Core) Compute(d simtime.Duration) {

@@ -389,11 +389,10 @@ func (e *Engine) Run() (err error) {
 	e.unstarted = e.unstarted[:0]
 	defer func() {
 		if r := recover(); r != nil { // from a step the dispatcher ran
-			m, ok := r.(stepMisuse)
-			if !ok {
+			if e.waking == nil {
 				panic(r)
 			}
-			e.failed = m.err
+			e.failed = e.panicked(nil, r)
 		}
 		switch {
 		case e.failed != nil:
@@ -443,6 +442,20 @@ func (e *Engine) wake(p *Proc, k Cont) Step {
 // Proc.run and Run make its error the run's.
 type stepMisuse struct{ err error }
 
+// panicked is the run's error for the panic r recovered on owner's stack
+// (nil: the dispatcher's). A panic out of a step is the process's whose
+// continuation ran it, whichever stack that was: wake sets no defer, so
+// waking still names it here.
+func (e *Engine) panicked(owner *Proc, r any) error {
+	if e.waking != nil {
+		owner, e.waking = e.waking, nil
+	}
+	if m, ok := r.(stepMisuse); ok {
+		return m.err
+	}
+	return fmt.Errorf("simtime: process %q panicked: %v", owner.name, r)
+}
+
 // processCode, called by process code, fails the run inside a step.
 func (e *Engine) processCode() {
 	if e.waking != nil {
@@ -456,7 +469,6 @@ func (e *Engine) misuse() {
 		on = fmt.Sprintf("the stack of %q", e.running.name)
 	}
 	err := fmt.Errorf("%w: the continuation of %q ran on %s", ErrProcessCodeInStep, e.waking.name, on)
-	e.waking = nil
 	panic(stepMisuse{err})
 }
 

@@ -2,6 +2,7 @@ package simtime
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 )
 
@@ -75,4 +76,67 @@ func TestProcessCodeInAStepFails(t *testing.T) {
 			t.Errorf("%s on its own stack: Run = %v, want ErrProcessCodeInStep%s", name, err, want)
 		}
 	}
+}
+
+// panickingCont parks its process on sig and panics once woken.
+type panickingCont struct {
+	p     *Proc
+	sig   *Signal
+	woken bool
+}
+
+func (k *panickingCont) Wake() Step {
+	if !k.woken {
+		k.woken = true
+		return k.p.Park(k.sig, Never)
+	}
+	panic("boom")
+}
+
+// stepPanicRun parks "victim" on a continuation that panics when woken;
+// "host" broadcasts at t=3 and then runs then. It checks the run's
+// error, that the goroutine count is back at its baseline, and that a
+// later Run on the same engine is not blamed on the old step.
+func stepPanicRun(t *testing.T, then func(p *Proc)) {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+	var sig Signal
+	e.Spawn("victim", func(p *Proc) {
+		k := &panickingCont{p: p, sig: &sig}
+		p.Continue(k, k.Wake())
+	})
+	e.Spawn("host", func(p *Proc) {
+		p.Sleep(3)
+		sig.Broadcast(e)
+		then(p)
+	})
+	const want = `simtime: process "victim" panicked: boom`
+	if err := e.Run(); err == nil || err.Error() != want {
+		t.Fatalf("Run = %v, want %s", err, want)
+	}
+	waitGoroutines(t, base, "step panic")
+	e.Spawn("clean", func(p *Proc) { p.Sleep(1) })
+	if err := e.Run(); err != nil {
+		t.Fatalf("a clean Run after the panic: %v", err)
+	}
+}
+
+// TestStepPanicOnAnotherStackNamesItsProcess: a step that panics on
+// another process's stack (the host pops the victim's wake-up while it
+// sleeps) fails the run in the victim's name, not the stack owner's.
+func TestStepPanicOnAnotherStackNamesItsProcess(t *testing.T) {
+	stepPanicRun(t, func(p *Proc) { p.Sleep(10) })
+}
+
+// TestStepPanicOnTheDispatcherNamesItsProcess: a step that panics on the
+// dispatcher's stack (the host has returned) fails the run in the
+// victim's name instead of escaping Engine.Run.
+func TestStepPanicOnTheDispatcherNamesItsProcess(t *testing.T) {
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("Run panicked: %v", r)
+		}
+	}()
+	stepPanicRun(t, func(*Proc) {})
 }

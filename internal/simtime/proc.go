@@ -1,7 +1,6 @@
 package simtime
 
 import (
-	"fmt"
 	"math"
 	"slices"
 )
@@ -67,12 +66,8 @@ func (p *Proc) start() {
 func (p *Proc) run() {
 	defer func() {
 		if r := recover(); r != nil && p.eng.failed == nil {
-			switch r := r.(type) {
-			case killSentinel:
-			case stepMisuse:
-				p.eng.failed = r.err
-			default:
-				p.eng.failed = fmt.Errorf("simtime: process %q panicked: %v", p.name, r)
+			if _, killed := r.(killSentinel); !killed {
+				p.eng.failed = p.eng.panicked(p, r)
 			}
 		}
 		p.done = true

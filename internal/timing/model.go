@@ -171,7 +171,7 @@ type Model struct {
 	// is priced here rather than being free.
 
 	// ChecksumPerLineCoreCycles prices checksumming one 32 B cache line
-	// of payload (FNV-1a over the staged chunk, both sides).
+	// of payload (CRC-32C over the staged chunk, both sides).
 	ChecksumPerLineCoreCycles int64
 	// OverheadTimeoutCheck is the bookkeeping cost of arming/expiring one
 	// bounded flag wait (deadline computation, backoff update).
